@@ -270,6 +270,31 @@ class SingleMoveEvaluator:
         return latency if latency > bottleneck else bottleneck
 
 
+def evaluator_hosts(hosts: Sequence[str], placement: Placement) -> tuple[str, ...]:
+    """The sorted host universe a :class:`BatchMoveEvaluator` indexes."""
+    return tuple(sorted(set(hosts).union(placement.assignment.values())))
+
+
+def bandwidth_matrix(
+    hosts: Sequence[str], estimator: BandwidthEstimator, min_bandwidth: float
+) -> np.ndarray:
+    """Ordered-pair bandwidth snapshot over ``hosts``, floored like the
+    scalar code.
+
+    Direction matters for asymmetric estimators; the diagonal is never
+    read unmasked and holds ``inf`` so it stays division-safe.
+    """
+    values = []
+    for i, a in enumerate(hosts):
+        for j, b in enumerate(hosts):
+            if i == j:
+                values.append(np.inf)
+            else:
+                value = estimator(a, b)
+                values.append(min_bandwidth if value < min_bandwidth else value)
+    return np.array(values, dtype=float).reshape(len(hosts), len(hosts))
+
+
 #: Upper-triangle index pairs per host count (shared; tiny and immutable).
 _TRIU_CACHE: "dict[int, tuple[np.ndarray, np.ndarray]]" = {}
 
@@ -325,15 +350,16 @@ class BatchMoveEvaluator:
     which is exact in IEEE-754.
 
     The evaluator lives for one ``plan`` call.  The snapshot is taken
-    once from the estimator passed in — the fleet layer hands each plan
-    call a fresh residual view, so fresh calls get fresh snapshots — and
-    must therefore only be used with snapshot-safe estimators (see
-    :func:`repro.dataflow.cost.snapshot_safe`).  Between rounds an
-    adopted move rewrites the <=3 changed edge entries in place (each is
-    an independent function of its endpoints, so the in-place update is
-    bit-identical to a fresh recompute) while the order-sensitive
-    reductions (occupancy, path sums, critical path) are recomputed with
-    vector ops.
+    once from the estimator passed in (or handed in ready-made as
+    ``bandwidth``, see :func:`bandwidth_matrix`) — the fleet layer hands
+    each plan call a fresh residual view, so fresh calls get fresh
+    snapshots — and must therefore only be used with snapshot-safe
+    estimators (see :func:`repro.dataflow.cost.snapshot_safe`).  Between
+    rounds an adopted move rewrites the <=3 changed edge entries in
+    place (each is an independent function of its endpoints, so the
+    in-place update is bit-identical to a fresh recompute) while the
+    order-sensitive reductions (occupancy, path sums, critical path) are
+    recomputed with vector ops.
 
     Queried links are tracked in an ``H x H`` boolean matrix mirroring
     :class:`repro.dataflow.cost.RecordingEstimator`: the cross-host
@@ -352,6 +378,7 @@ class BatchMoveEvaluator:
         estimator: BandwidthEstimator,
         hosts: Sequence[str] = (),
         grid_cache: "Optional[dict[tuple, _MoveGrid]]" = None,
+        bandwidth: "Optional[np.ndarray]" = None,
     ) -> None:
         self.tree = tree
         self.cost_model = cost_model
@@ -359,25 +386,22 @@ class BatchMoveEvaluator:
         arrays = self.arrays
         assignment = placement.assignment
 
-        self.hosts: tuple[str, ...] = tuple(
-            sorted(set(hosts) | set(assignment.values()))
-        )
+        self.hosts = evaluator_hosts(hosts, placement)
         self.host_index = {host: i for i, host in enumerate(self.hosts)}
         num_hosts = len(self.hosts)
 
-        # Ordered-pair snapshot (direction matters for asymmetric
-        # estimators), floored exactly like the scalar code; the diagonal
-        # is never read unmasked and stays division-safe.
-        min_bw = cost_model.min_bandwidth
-        bw = np.empty((num_hosts, num_hosts))
-        for i, a in enumerate(self.hosts):
-            for j, b in enumerate(self.hosts):
-                if i == j:
-                    bw[i, j] = np.inf
-                else:
-                    value = estimator(a, b)
-                    bw[i, j] = min_bw if value < min_bw else value
-        self._bw = bw
+        # ``bandwidth`` lets a caller that already snapshotted the
+        # estimator over this host tuple hand the matrix in.
+        if bandwidth is None:
+            bandwidth = bandwidth_matrix(
+                self.hosts, estimator, cost_model.min_bandwidth
+            )
+        elif bandwidth.shape != (num_hosts, num_hosts):
+            raise ValueError(
+                f"bandwidth matrix shape {bandwidth.shape} does not match "
+                f"{num_hosts} hosts"
+            )
+        self._bw = bandwidth
         self.startup = cost_model.startup_cost
 
         # The placement as an int array, plus the scalar accumulation

@@ -195,8 +195,9 @@ class GlobalController:
     def _view_coverage(self, viewer: str) -> float:
         """Fraction of host pairs with a usable (recent-enough) estimate.
 
-        Uses :meth:`~repro.monitor.cache.EstimateCache.lookup_any` so the
-        check itself never perturbs cache hit/miss statistics.
+        Uses :meth:`~repro.monitor.cache.BandwidthCache.lookup_any` and
+        judges age against ``degraded_estimate_horizon``, not the cache's
+        own ``t_thres`` freshness cut.
         """
         runtime = self.runtime
         cache = runtime.monitoring.cache_for(viewer)

@@ -17,7 +17,8 @@ Determinism rules
   CRC32, which is stable across processes and Python hash seeds.
 * Claims are recomputed from the registered runtimes' live placements
   on demand, iterating queries in sorted ``query_id`` order, so the
-  residual view is a pure function of simulation state.
+  residual view is a pure function of simulation state.  Each query's
+  link set is cached until the network's actor-registry epoch moves.
 * Token buckets refill lazily (``tokens(t) = min(capacity, tokens +
   (t - t_last) / refill_seconds)``); no timers, no background
   processes, nothing the DES calendar could reorder.
@@ -128,7 +129,7 @@ class _ActiveQuery:
     """Registration record for one in-flight query."""
 
     __slots__ = ("query_id", "runtime", "class_name", "slo", "issued_at",
-                 "tracer")
+                 "tracer", "_links", "_links_epoch")
 
     def __init__(self, query_id, runtime, class_name, slo, issued_at, tracer):
         self.query_id = query_id
@@ -137,6 +138,22 @@ class _ActiveQuery:
         self.slo = slo
         self.issued_at = issued_at
         self.tracer = tracer
+        self._links: "frozenset[tuple[str, str]]" = frozenset()
+        self._links_epoch: Optional[int] = None
+
+    def links(self) -> "frozenset[tuple[str, str]]":
+        """:func:`runtime_links`, cached until an actor moves.
+
+        The network's actor-registry epoch moves whenever any actor
+        changes host or is unregistered; a runtime without a network (a
+        test double) is re-read every time.
+        """
+        network = getattr(self.runtime, "network", None)
+        epoch = None if network is None else network.actor_epoch
+        if epoch is None or epoch != self._links_epoch:
+            self._links = runtime_links(self.runtime)
+            self._links_epoch = epoch
+        return self._links
 
 
 class FleetCoordinator:
@@ -189,7 +206,7 @@ class FleetCoordinator:
             query_id, runtime, class_name, slo, now, runtime.tracer
         )
         self._active[query_id] = record
-        links = runtime_links(runtime)
+        links = record.links()
         if record.tracer.enabled:
             record.tracer.emit(
                 ev.FLEET_CLAIM,
@@ -210,13 +227,21 @@ class FleetCoordinator:
         return len(self._active)
 
     # -- claims & residual bandwidth ---------------------------------------
-    def link_claims(self) -> "dict[tuple[str, str], int]":
-        """How many active queries currently use each canonical link."""
+    def _claims(
+        self, exclude: Optional[str] = None
+    ) -> "dict[tuple[str, str], int]":
+        """Active queries per canonical link, skipping query ``exclude``."""
         claims: dict[tuple[str, str], int] = {}
         for query_id in sorted(self._active):
-            for link in runtime_links(self._active[query_id].runtime):
+            if query_id == exclude:
+                continue
+            for link in self._active[query_id].links():
                 claims[link] = claims.get(link, 0) + 1
         return claims
+
+    def link_claims(self) -> "dict[tuple[str, str], int]":
+        """How many active queries currently use each canonical link."""
+        return self._claims()
 
     def residual_estimator(self, query_id: str, raw) -> Callable[[str, str], float]:
         """Wrap a bandwidth estimator with the contention-adjusted view.
@@ -225,14 +250,10 @@ class FleetCoordinator:
         ``raw / (1 + n)``: the fair share the planner's transfers would
         actually get once everyone's streams contend.  The claim map is
         snapshotted once per wrap (one planning run), keeping the search
-        internally consistent.
+        internally consistent; a query's own links never discount its
+        own view.
         """
-        claims: dict[tuple[str, str], int] = {}
-        for qid in sorted(self._active):
-            if qid == query_id:
-                continue  # own links never discount the query's own view
-            for link in runtime_links(self._active[qid].runtime):
-                claims[link] = claims.get(link, 0) + 1
+        claims = self._claims(exclude=query_id)
 
         def estimate(a: str, b: str) -> float:
             bandwidth = raw(a, b)

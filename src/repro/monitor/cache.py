@@ -8,19 +8,6 @@ from typing import Iterator, Optional
 from repro.traces.study import pair_key
 
 
-@dataclass
-class CacheStats:
-    """Lookup outcomes of one cache: fresh hits, stale hits, misses."""
-
-    hits: int = 0
-    stale: int = 0
-    misses: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.stale + self.misses
-
-
 @dataclass(frozen=True)
 class CacheEntry:
     """One bandwidth measurement for an unordered host pair."""
@@ -70,8 +57,6 @@ class BandwidthCache:
         #: last no-op decode as ``(payload, version)``.
         self._encode_memo: Optional[tuple] = None
         self._decode_memo: Optional[tuple] = None
-        #: Lookup-outcome counters (observability; trivially cheap).
-        self.stats = CacheStats()
         #: Optional hook fired whenever a strictly newer measurement is
         #: stored: ``on_new_value(pair, bandwidth, measured_at)``.  The
         #: monitoring system uses it to feed forecasters.
@@ -136,13 +121,8 @@ class BandwidthCache:
     def lookup(self, a: str, b: str, now: float) -> Optional[CacheEntry]:
         """The *fresh* entry for the pair, or None if absent/timed out."""
         entry = self._entries.get(pair_key(a, b))
-        if entry is None:
-            self.stats.misses += 1
+        if entry is None or now - entry.measured_at > self.t_thres:
             return None
-        if entry.age(now) > self.t_thres:
-            self.stats.stale += 1
-            return None
-        self.stats.hits += 1
         return entry
 
     def lookup_any(self, a: str, b: str) -> Optional[CacheEntry]:

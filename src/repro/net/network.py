@@ -95,6 +95,10 @@ class Network:
         self.hosts: dict[str, Host] = {}
         self._links: dict[tuple[str, str], Link] = {}
         self._actor_hosts: dict[str, str] = {}
+        #: Actor-registry epoch: bumped whenever a registered actor
+        #: changes host or leaves the registry, so anything derived from
+        #: actor locations can be cached until the epoch moves.
+        self.actor_epoch = 0
         self.stats = NetworkStats()
         #: Per-query traffic statistics, keyed by ``Message.query_id``.
         #: Only populated when messages carry a query tag (workload runs);
@@ -205,6 +209,8 @@ class Network:
         """Declare that ``actor`` (a tree-node process) lives on ``host``."""
         if host not in self.hosts:
             raise ValueError(f"unknown host {host!r}")
+        if self._actor_hosts.get(actor, host) != host:
+            self.actor_epoch += 1
         self._actor_hosts[actor] = host
 
     def actor_host(self, actor: str) -> str:
@@ -226,6 +232,7 @@ class Network:
         self._actor_hosts[actor] = new_host
         if old_host == new_host:
             return []
+        self.actor_epoch += 1
         return self.hosts[old_host].remove_mailbox(actor)
 
     def unregister_actor(self, actor: str) -> None:
@@ -234,7 +241,8 @@ class Network:
         Unknown actors are ignored; in-flight messages to an unregistered
         actor are delivered at their arrival host (no forwarding).
         """
-        self._actor_hosts.pop(actor, None)
+        if self._actor_hosts.pop(actor, None) is not None:
+            self.actor_epoch += 1
 
     # -- transfers -------------------------------------------------------------
     def send(

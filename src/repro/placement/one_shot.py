@@ -33,7 +33,9 @@ from repro.dataflow.cost import (
 from repro.dataflow.critical import (
     BatchMoveEvaluator,
     SingleMoveEvaluator,
+    bandwidth_matrix,
     critical_path,
+    evaluator_hosts,
 )
 from repro.dataflow.placement import Placement
 from repro.dataflow.tree import CombinationTree
@@ -71,7 +73,9 @@ class OneShotPlanner:
         the estimator once per plan call, so estimators with per-call
         side effects (``snapshot_safe = False``, e.g. the live traced
         monitoring view) automatically take the scalar path — the engine
-        actually used is reported in :attr:`last_engine`.
+        actually used is reported in :attr:`last_engine`.  A vectorized
+        call whose snapshot and starting placement equal the previous
+        call's returns the previous result without searching again.
     """
 
     name = "one-shot"
@@ -118,6 +122,10 @@ class OneShotPlanner:
         #: grids are placement-independent, see
         #: :class:`repro.dataflow.critical.BatchMoveEvaluator`).
         self._grid_cache: dict = {}
+        #: One-entry memo of the vectorized search: ``(key, result)``.
+        #: Periodic replans often see the previous call's floored
+        #: snapshot and placement again; older keys never recur.
+        self._memo: "Optional[tuple[tuple, PlanResult]]" = None
 
     def plan(
         self,
@@ -137,19 +145,25 @@ class OneShotPlanner:
         """
         if self.engine == "vectorized" and snapshot_safe(estimator):
             self.last_engine = "vectorized"
-            return self._plan_vectorized(
-                estimator, initial, tracer=tracer, now=now
+            result = self._plan_vectorized(estimator, initial)
+        else:
+            self.last_engine = "scalar"
+            result = self._plan_scalar(estimator, initial)
+        tracer = ensure_tracer(tracer)
+        if tracer.enabled:
+            tracer.emit(
+                PLANNER_SEARCH,
+                now,
+                algorithm=self.name,
+                rounds=result.rounds,
+                candidates=result.candidates_evaluated,
+                links=len(result.links_queried),
+                cost=result.cost,
             )
-        self.last_engine = "scalar"
-        return self._plan_scalar(estimator, initial, tracer=tracer, now=now)
+        return result
 
     def _plan_scalar(
-        self,
-        estimator: BandwidthEstimator,
-        initial: Placement,
-        *,
-        tracer=None,
-        now: float = 0.0,
+        self, estimator: BandwidthEstimator, initial: Placement
     ) -> PlanResult:
         """The reference per-candidate search (the paper's pseudocode)."""
         recorder = RecordingEstimator(estimator)
@@ -186,17 +200,6 @@ class OneShotPlanner:
             else:
                 break
 
-        tracer = ensure_tracer(tracer)
-        if tracer.enabled:
-            tracer.emit(
-                PLANNER_SEARCH,
-                now,
-                algorithm=self.name,
-                rounds=rounds,
-                candidates=candidates,
-                links=len(recorder.queried),
-                cost=current_cost,
-            )
         return PlanResult(
             placement=current,
             cost=current_cost,
@@ -207,12 +210,7 @@ class OneShotPlanner:
         )
 
     def _plan_vectorized(
-        self,
-        estimator: BandwidthEstimator,
-        initial: Placement,
-        *,
-        tracer=None,
-        now: float = 0.0,
+        self, estimator: BandwidthEstimator, initial: Placement
     ) -> PlanResult:
         """Batch-priced search, bit-identical to :meth:`_plan_scalar`.
 
@@ -220,14 +218,29 @@ class OneShotPlanner:
         the whole call (the scalar path rebuilds its evaluator every
         round); candidate enumeration, tie-breaks and link recording
         replicate the scalar loop exactly.
+
+        The estimator is read once, into a floored bandwidth matrix.  The
+        search is a pure function of that matrix, its host tuple and the
+        starting placement in insertion order (which fixes the occupancy
+        accumulation order), so a one-entry memo on exactly that key
+        hands back the previous result when a replan sees an unchanged
+        view.
         """
+        hosts = evaluator_hosts(self.hosts, initial)
+        bandwidth = bandwidth_matrix(
+            hosts, estimator, self.cost_model.min_bandwidth
+        )
+        key = (hosts, bandwidth.tobytes(), tuple(initial.assignment.items()))
+        if self._memo is not None and self._memo[0] == key:
+            return self._memo[1]
         evaluator = BatchMoveEvaluator(
             self.tree,
             initial,
             self.cost_model,
             estimator,
-            self.hosts,
+            hosts,
             grid_cache=self._grid_cache,
+            bandwidth=bandwidth,
         )
         current = initial
         current_cost = evaluator.critical_path().cost
@@ -248,26 +261,16 @@ class OneShotPlanner:
             else:
                 break
 
-        links = evaluator.links_queried()
-        tracer = ensure_tracer(tracer)
-        if tracer.enabled:
-            tracer.emit(
-                PLANNER_SEARCH,
-                now,
-                algorithm=self.name,
-                rounds=rounds,
-                candidates=candidates,
-                links=len(links),
-                cost=current_cost,
-            )
-        return PlanResult(
+        result = PlanResult(
             placement=current,
             cost=current_cost,
             rounds=rounds,
             candidates_evaluated=candidates,
-            links_queried=links,
+            links_queried=evaluator.links_queried(),
             algorithm=self.name,
         )
+        self._memo = (key, result)
+        return result
 
     def _candidate_moves(
         self, path, placement: Placement

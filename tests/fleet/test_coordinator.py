@@ -14,9 +14,12 @@ from repro.fleet import (
     placement_links,
     runtime_links,
 )
+from repro.net.host import Host
+from repro.net.network import Network
 from repro.obs import Tracer
 from repro.obs.events import FLEET_CLAIM, FLEET_DENY, FLEET_GRANT
 from repro.obs.tracer import NULL_TRACER
+from repro.sim import Environment
 
 
 class FakeRuntime:
@@ -136,6 +139,76 @@ class TestClaimsAndResidual:
         estimate = coordinator.residual_estimator("c1:0", lambda a, b: 100.0)
         coordinator.query_done("c0:0")  # after the snapshot: no effect
         assert estimate("h0", "client") == pytest.approx(50.0)
+
+    def test_fake_runtime_moves_are_seen_without_a_network(self):
+        coordinator = FleetCoordinator(FleetPolicy())
+        tree, _, r1 = make_query()
+        _, _, r2 = make_query()
+        coordinator.query_launched("c0:0", r1)
+        coordinator.query_launched("c1:0", r2)
+        assert canonical_link("h0", "h1") not in coordinator.link_claims()
+        r2.move(tree.operators()[0].node_id, "h0")
+        assert coordinator.link_claims()[canonical_link("h0", "h1")] == 1
+        raw = lambda a, b: 100.0
+        assert coordinator.residual_estimator("c0:0", raw)("h0", "h1") == 50.0
+
+
+class NetworkRuntime:
+    """A runtime whose actor locations live in a real network registry."""
+
+    def __init__(self, network, prefix, tree, placement):
+        self.network = network
+        self.prefix = prefix
+        self.tree = tree
+        self.tracer = NULL_TRACER
+        for node in tree.nodes():
+            network.register_actor(
+                prefix + node.node_id, placement.host_of(node.node_id)
+            )
+
+    def host_of(self, node_id):
+        return self.network.actor_host(self.prefix + node_id)
+
+
+class TestCachedClaims:
+    def setup_method(self):
+        env = Environment()
+        self.network = Network(env)
+        for name in ("h0", "h1", "h2", "h3", "client"):
+            self.network.add_host(Host(env, name))
+        self.tree, placement, _ = make_query()
+        self.coordinator = FleetCoordinator(FleetPolicy())
+        for query_id in ("a", "b"):
+            runtime = NetworkRuntime(
+                self.network, f"{query_id}/", self.tree, placement
+            )
+            self.coordinator.query_launched(query_id, runtime)
+
+    def test_move_actor_changes_residual_claims(self):
+        raw = lambda a, b: 100.0
+        before = self.coordinator.residual_estimator("a", raw)
+        assert before("h0", "h1") == 100.0
+        # Query b's operator over s0/s1 relocates to h0: its input from
+        # h1 now crosses h0--h1.
+        op = self.tree.operators()[0].node_id
+        self.network.move_actor(f"b/{op}", "h0")
+        after = self.coordinator.residual_estimator("a", raw)
+        assert after("h0", "h1") == 50.0
+        assert before("h0", "h1") == 100.0  # earlier views stay frozen
+        assert self.coordinator.link_claims()[canonical_link("h0", "h1")] == 1
+
+    def test_links_cached_until_an_actor_moves(self):
+        record = self.coordinator._active["b"]
+        links = record.links()
+        # Registering a throwaway endpoint (a probe, a state transfer)
+        # moves no existing actor.
+        self.network.register_actor("probe", "h2")
+        assert record.links() is links
+        op = self.tree.operators()[0].node_id
+        self.network.move_actor(f"b/{op}", "h0")
+        moved = record.links()
+        assert moved is not links
+        assert moved == runtime_links(record.runtime)
 
 
 class TestArbiter:

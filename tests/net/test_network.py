@@ -101,6 +101,22 @@ class TestActorRegistry:
         net.register_actor("op1", "a")
         assert net.move_actor("op1", "a") == []
 
+    def test_actor_epoch_moves_only_when_a_location_changes(self, env):
+        net = build_network(env)
+        epoch = net.actor_epoch
+        net.register_actor("op1", "a")  # new actor: no prior location
+        net.register_actor("op1", "a")  # same host again
+        net.move_actor("op1", "a")
+        assert net.actor_epoch == epoch
+        net.move_actor("op1", "b")
+        assert net.actor_epoch == epoch + 1
+        net.register_actor("op1", "c")  # re-homed by registration
+        assert net.actor_epoch == epoch + 2
+        net.unregister_actor("op1")
+        assert net.actor_epoch == epoch + 3
+        net.unregister_actor("op1")  # already gone
+        assert net.actor_epoch == epoch + 3
+
 
 class TestTransfers:
     def test_local_delivery_instant(self, env):

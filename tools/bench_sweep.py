@@ -191,6 +191,9 @@ def bench_planner(quick: bool = False) -> dict:
         def trial():
             t0 = time.perf_counter()
             for _ in range(plan_reps):
+                # Time the search, not the vectorized engine's memo of
+                # the identical previous call.
+                planner._memo = None
                 planner.plan(estimator, start)
             elapsed = time.perf_counter() - t0
             return plan_reps * result.candidates_evaluated / elapsed
