@@ -8,11 +8,12 @@ feasible.
 import numpy as np
 
 from repro.dataflow.cost import CostModel, expected_output_sizes
-from repro.dataflow.critical import SingleMoveEvaluator, critical_path
+from repro.dataflow.critical import critical_path
 from repro.dataflow.tree import complete_binary_tree
 from repro.placement import OneShotPlanner, download_all_placement
 from repro.sim import Environment, Resource
 from repro.traces import InternetStudy
+from tests.oracles.scalar_planner import SingleMoveEvaluator
 
 
 def test_kernel_timeout_throughput(benchmark):
@@ -79,7 +80,7 @@ def test_planner_one_shot_32_servers(benchmark):
 
 
 def test_single_move_evaluator(benchmark):
-    """Incremental candidate pricing (the planner's inner loop)."""
+    """Incremental candidate pricing (the scalar reference's inner loop)."""
     tree = complete_binary_tree(16)
     hosts = [f"h{i}" for i in range(16)] + ["client"]
     cost_model = CostModel(tree, expected_output_sizes(tree, 128 * 1024, 0.25))

@@ -34,23 +34,6 @@ from repro.dataflow.tree import CombinationTree
 BandwidthEstimator = Callable[[str, str], float]
 
 
-def snapshot_safe(estimator: BandwidthEstimator) -> bool:
-    """True when ``estimator`` may be frozen into a bandwidth matrix.
-
-    The vectorized planner engine snapshots the estimator into an
-    ``H x H`` matrix once per plan call (a handful of queries) instead of
-    replaying the scalar search's thousands of per-candidate calls.
-    That is only sound for estimators that are pure within one planning
-    call: an estimator with per-call side effects — the live monitoring
-    view emits a ``monitor.estimate`` trace event per query — must keep
-    the scalar search's exact call sequence or observable event streams
-    change.  Such estimators declare themselves with a
-    ``snapshot_safe = False`` attribute and the engine falls back to the
-    scalar reference search; plain callables are assumed safe.
-    """
-    return bool(getattr(estimator, "snapshot_safe", True))
-
-
 def _phi(x: float) -> float:
     """Standard normal pdf."""
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)

@@ -142,134 +142,6 @@ def placement_cost(
     return critical_path(tree, placement, cost_model, estimator).cost
 
 
-class SingleMoveEvaluator:
-    """Incremental placement-cost evaluation for single-operator moves.
-
-    The placement cost is ``max(max-path latency, max-host occupancy)``
-    (every host holding a node lies on some server path, so the per-path
-    bottleneck maximum equals the global host-occupancy maximum).  Moving
-    one operator changes at most three edges (its two input edges and its
-    output edge) and the occupancy of a handful of hosts, so a candidate
-    can be priced in O(paths + hosts) instead of re-walking the tree —
-    the one-shot search prices thousands of candidates per round.
-    """
-
-    def __init__(
-        self,
-        tree: CombinationTree,
-        placement: Placement,
-        cost_model: CostModel,
-        estimator: BandwidthEstimator,
-    ) -> None:
-        self.tree = tree
-        self.cost_model = cost_model
-        self.estimator = estimator
-        self.assignment = dict(placement.assignment)
-        self.edge_seconds, self.occupancy = host_occupancy(
-            tree, placement, cost_model, estimator
-        )
-        self.path_edge_sums = [
-            sum(self.edge_seconds[node_id] for node_id in path[:-1])
-            for path in cost_model.server_paths
-        ]
-        #: op id -> ((child ids), parent id) adjacency cache.
-        self._adjacent: dict[str, tuple[tuple[str, ...], str]] = {}
-
-    def _edge(self, child: str, child_host: str, parent_host: str) -> float:
-        if child_host == parent_host:
-            return 0.0
-        cm = self.cost_model
-        bandwidth = self.estimator(child_host, parent_host)
-        if bandwidth < cm.min_bandwidth:
-            bandwidth = cm.min_bandwidth
-        return cm.startup_cost + cm.sizes[child] / bandwidth
-
-    def base_cost(self) -> float:
-        """Cost of the unmodified placement."""
-        latency = max(
-            node_sum + edge_sum
-            for node_sum, edge_sum in zip(
-                self.cost_model.path_node_sums, self.path_edge_sums
-            )
-        )
-        bottleneck = max(self.occupancy.values())
-        return latency if latency > bottleneck else bottleneck
-
-    def cost_of_move(self, op_id: str, new_host: str) -> float:
-        """Placement cost if ``op_id`` alone moved to ``new_host``."""
-        assignment = self.assignment
-        old_host = assignment[op_id]
-        if new_host == old_host:
-            return self.base_cost()
-
-        adjacency = self._adjacent.get(op_id)
-        if adjacency is None:
-            node = self.tree.node(op_id)
-            adjacency = (node.children, node.parent)
-            self._adjacent[op_id] = adjacency
-        children, parent = adjacency
-
-        # Edge deltas (the op's input edges and its output edge).
-        edge_delta: dict[str, float] = {}
-        occ_delta: dict[str, float] = {
-            old_host: -self.cost_model.node_seconds(op_id),
-            new_host: self.cost_model.node_seconds(op_id),
-        }
-
-        def bump(host: str, seconds: float) -> None:
-            occ_delta[host] = occ_delta.get(host, 0.0) + seconds
-
-        for child in children:
-            child_host = assignment[child]
-            old_edge = self.edge_seconds[child]
-            new_edge = self._edge(child, child_host, new_host)
-            edge_delta[child] = new_edge - old_edge
-            bump(child_host, new_edge - old_edge)
-            bump(old_host, -old_edge)
-            bump(new_host, new_edge)
-        if parent is not None:
-            parent_host = assignment[parent]
-            old_edge = self.edge_seconds[op_id]
-            new_edge = self._edge(op_id, new_host, parent_host)
-            edge_delta[op_id] = new_edge - old_edge
-            bump(parent_host, new_edge - old_edge)
-            bump(old_host, -old_edge)
-            bump(new_host, new_edge)
-
-        # Latency term: only paths through the op change.
-        cm = self.cost_model
-        affected = cm.paths_through.get(op_id, ())
-        latency = 0.0
-        affected_set = set(affected)
-        for index, (node_sum, edge_sum) in enumerate(
-            zip(cm.path_node_sums, self.path_edge_sums)
-        ):
-            if index in affected_set:
-                continue
-            total = node_sum + edge_sum
-            if total > latency:
-                latency = total
-        for index in affected:
-            total = cm.path_node_sums[index] + self.path_edge_sums[index]
-            for child, delta in edge_delta.items():
-                if index in cm.paths_through.get(child, ()):
-                    total += delta
-            if total > latency:
-                latency = total
-
-        # Bottleneck term: adjust the touched hosts.
-        bottleneck = 0.0
-        for host, occ in self.occupancy.items():
-            occ += occ_delta.get(host, 0.0)
-            if occ > bottleneck:
-                bottleneck = occ
-        extra = occ_delta.get(new_host)
-        if new_host not in self.occupancy and extra is not None and extra > bottleneck:
-            bottleneck = extra
-
-        return latency if latency > bottleneck else bottleneck
-
-
 def evaluator_hosts(hosts: Sequence[str], placement: Placement) -> tuple[str, ...]:
     """The sorted host universe a :class:`BatchMoveEvaluator` indexes."""
     return tuple(sorted(set(hosts).union(placement.assignment.values())))
@@ -334,32 +206,38 @@ class _MoveGrid:
 
 
 class BatchMoveEvaluator:
-    """Vectorized, incremental counterpart of :class:`SingleMoveEvaluator`.
+    """Incremental placement-cost evaluation for single-operator moves.
+
+    The placement cost is ``max(max-path latency, max-host occupancy)``
+    (every host holding a node lies on some server path, so the per-path
+    bottleneck maximum equals the global host-occupancy maximum).  Moving
+    one operator changes at most three edges (its two input edges and its
+    output edge) and the occupancy of a handful of hosts.
 
     Prices *every* (candidate node x host) move of a planning round in a
     single numpy pass over a bandwidth-matrix snapshot of the estimator,
-    bit-identically to the scalar evaluator.  Floating-point addition is
+    bit-identically to the paper's one-candidate-at-a-time search (the
+    "scalar" reference, kept as a test oracle in
+    ``tests/oracles/scalar_planner.py``).  Floating-point addition is
     not associative, so every accumulation replicates the scalar code's
     exact addition order: per-path sums use sequential depth loops (never
     pairwise ``np.sum``), occupancy uses ordered scatter-adds
     (``np.add.at`` applies repeated indices in sequence), and each grid
     cell applies its occupancy bumps and per-path edge deltas in the
-    same eleven-step order as ``cost_of_move``.  The no-op additions the
-    uniform vector pipeline introduces (masked zero deltas, padded
-    columns) only ever add ``+0.0`` to values that are not ``-0.0``,
-    which is exact in IEEE-754.
+    same eleven-step order as the reference ``cost_of_move``.  The no-op
+    additions the uniform vector pipeline introduces (masked zero
+    deltas, padded columns) only ever add ``+0.0`` to values that are
+    not ``-0.0``, which is exact in IEEE-754.
 
     The evaluator lives for one ``plan`` call.  The snapshot is taken
     once from the estimator passed in (or handed in ready-made as
     ``bandwidth``, see :func:`bandwidth_matrix`) — the fleet layer hands
     each plan call a fresh residual view, so fresh calls get fresh
-    snapshots — and must therefore only be used with snapshot-safe
-    estimators (see :func:`repro.dataflow.cost.snapshot_safe`).  Between
-    rounds an adopted move rewrites the <=3 changed edge entries in
-    place (each is an independent function of its endpoints, so the
-    in-place update is bit-identical to a fresh recompute) while the
-    order-sensitive reductions (occupancy, path sums, critical path) are
-    recomputed with vector ops.
+    snapshots.  Between rounds an adopted move rewrites the <=3 changed
+    edge entries in place (each is an independent function of its
+    endpoints, so the in-place update is bit-identical to a fresh
+    recompute) while the order-sensitive reductions (occupancy, path
+    sums, critical path) are recomputed with vector ops.
 
     Queried links are tracked in an ``H x H`` boolean matrix mirroring
     :class:`repro.dataflow.cost.RecordingEstimator`: the cross-host

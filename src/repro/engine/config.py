@@ -135,15 +135,6 @@ class SimulationSpec:
     #: (equivalence tests, kernel benchmarks).
     fluid_fast_path: bool = True
 
-    #: Planner grid-search engine for the one-shot/global family:
-    #: ``"vectorized"`` (default) batch-prices every candidate move per
-    #: round with numpy, ``"scalar"`` forces the reference loop.  Results
-    #: are bit-identical either way (plans, metrics and obs streams);
-    #: estimators with per-call side effects — the live monitoring view
-    #: the t=0 placement plans on — always take the scalar path so traced
-    #: event streams stay unchanged.
-    planner_engine: str = "vectorized"
-
     def __post_init__(self) -> None:
         if self.tree_shape not in ("binary", "left-deep"):
             raise ValueError(f"unknown tree shape {self.tree_shape!r}")
@@ -175,10 +166,6 @@ class SimulationSpec:
             raise ValueError("degraded_estimate_horizon must be positive")
         if self.degraded_rounds_to_download_all < 1:
             raise ValueError("degraded_rounds_to_download_all must be >= 1")
-        if self.planner_engine not in ("scalar", "vectorized"):
-            raise ValueError(
-                f"unknown planner engine {self.planner_engine!r}"
-            )
         self._validate_links()
 
     def _validate_links(self) -> None:

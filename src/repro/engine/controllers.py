@@ -149,9 +149,6 @@ class GlobalController:
                 if runtime.finished:
                     return
 
-        # Snapshot estimators are pure dict lookups (snapshot_safe), so
-        # this is the hot path where the vectorized planner engine prices
-        # the whole candidate grid per round instead of looping.
         estimator = runtime.snapshot_estimator(client_host)
         result = self.planner.plan(
             estimator, runtime.current_placement, tracer=tracer, now=env.now

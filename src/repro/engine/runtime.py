@@ -11,7 +11,7 @@ from repro.dataflow.tree import CLIENT_ID, CombinationTree
 from repro.engine.config import Algorithm, SimulationSpec
 from repro.engine.metrics import RelocationEvent, RunMetrics
 from repro.engine.vectors import VectorStore
-from repro.monitor.system import MonitoringSystem
+from repro.monitor.system import MonitoringSystem, frozen_estimator
 from repro.net.host import Host
 from repro.net.message import (
     PRIORITY_BARRIER,
@@ -342,41 +342,24 @@ class Runtime:
         def estimate(a: str, b: str) -> float:
             return self.monitoring.estimate(viewer_host, a, b, self.env.now).bandwidth
 
-        # Live view: each call may emit a traced MONITOR_ESTIMATE event,
-        # so batch engines must not collapse the call sequence.
-        estimate.snapshot_safe = False
         return estimate
 
     def snapshot_estimator(self, viewer_host: str):
-        """Dict-backed estimator frozen at the current time.
+        """The viewer's view of every host pair, frozen at the current time.
 
         Planning evaluates thousands of candidate placements; freezing the
-        viewer's monitoring view into a matrix once per planning round
-        keeps the search fast and internally consistent.
+        view once per planning round keeps the search fast and internally
+        consistent.
         """
         now = self.env.now
-        hosts = sorted(self.network.hosts)
-        matrix: dict[tuple[str, str], float] = {}
-        for i, a in enumerate(hosts):
-            for b in hosts[i + 1 :]:
-                if self.spec.oracle_monitoring:
-                    matrix[(a, b)] = self.network.mean_bandwidth(
-                        a, b, max(now - 300.0, 0.0), max(now, 1.0)
-                    )
-                else:
-                    matrix[(a, b)] = self.monitoring.estimate(
-                        viewer_host, a, b, now
-                    ).bandwidth
-
-        def estimate(a: str, b: str) -> float:
-            if a == b:
-                return float("inf")
-            return matrix[(a, b) if a < b else (b, a)]
-
-        # Pure dict lookups over a frozen matrix: safe for the vectorized
-        # planner engine to snapshot once per plan call.
-        estimate.snapshot_safe = True
-        return estimate
+        if self.spec.oracle_monitoring:
+            return frozen_estimator(
+                self.network.hosts,
+                lambda a, b: self.network.mean_bandwidth(
+                    a, b, max(now - 300.0, 0.0), max(now, 1.0)
+                ),
+            )
+        return self.monitoring.snapshot(viewer_host, self.network.hosts, now)
 
     def remote_probe(self, requester_host: str, a: str, b: str):
         """Process generator: have the pair ``(a, b)`` measured on behalf

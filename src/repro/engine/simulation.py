@@ -115,6 +115,7 @@ def build_query(
         server_replicas,
         tracer=tracer,
         planner_wrapper=planner_wrapper,
+        now=env.now,
     )
 
     runtime = Runtime(
@@ -149,7 +150,6 @@ def build_query(
             list(spec.all_hosts),
             cost_model,
             server_replicas=server_replicas,
-            planner_engine=spec.planner_engine,
         )
         if planner_wrapper is not None:
             planner = planner_wrapper(planner, "controller")
@@ -162,7 +162,6 @@ def build_query(
             list(spec.all_hosts),
             cost_model,
             extra_candidates=spec.local_extra_candidates,
-            planner_engine=spec.planner_engine,
         )
         if planner_wrapper is not None:
             planner = planner_wrapper(planner, "controller")
@@ -233,25 +232,18 @@ def _initial_placement(
     server_replicas: "dict[str, tuple[str, ...]] | None" = None,
     tracer=None,
     planner_wrapper=None,
+    *,
+    now: float,
 ):
     """Initial operator placement per algorithm (§2), as a PlanResult.
 
     download-all starts (and stays) with every operator at the client; the
     other three algorithms start from a one-shot plan computed with the
-    information available at t=0.
+    information available when the query launches (``now``): the client's
+    monitoring view of every host pair, frozen like every replan's.
     """
     download = download_all_placement(tree, server_hosts_map, spec.client_host)
-
-    def estimator(a: str, b: str) -> float:
-        return monitoring.estimate(spec.client_host, a, b, 0.0).bandwidth
-
-    # Every estimate() call can emit a traced MONITOR_ESTIMATE event, so
-    # this live view is not snapshot-safe: the vectorized engine would
-    # collapse the per-candidate call sequence into one matrix fill and
-    # change the event stream.  Marking it keeps the t=0 plan on the
-    # scalar path regardless of spec.planner_engine.
-    estimator.snapshot_safe = False
-
+    estimator = monitoring.snapshot(spec.client_host, spec.all_hosts, now)
     initial_algorithm = (
         Algorithm.DOWNLOAD_ALL
         if spec.algorithm is Algorithm.DOWNLOAD_ALL
@@ -263,11 +255,10 @@ def _initial_placement(
         list(spec.all_hosts),
         cost_model,
         server_replicas=server_replicas,
-        planner_engine=spec.planner_engine,
     )
     if planner_wrapper is not None:
         planner = planner_wrapper(planner, "initial")
-    return planner.plan(estimator, download, tracer=tracer)
+    return planner.plan(estimator, download, tracer=tracer, now=now)
 
 
 def run_simulation(spec: SimulationSpec, tracer=None) -> RunMetrics:

@@ -262,10 +262,6 @@ class FleetCoordinator:
             others = claims.get(canonical_link(a, b), 0)
             return bandwidth / (1 + others) if others else bandwidth
 
-        # The wrapper itself is pure (claims are snapshotted above), so
-        # the vectorized planner engine may freeze it into a bandwidth
-        # matrix exactly when the raw estimator allows it.
-        estimate.snapshot_safe = getattr(raw, "snapshot_safe", True)
         return estimate
 
     # -- the relocation-budget arbiter --------------------------------------

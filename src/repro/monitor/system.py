@@ -10,7 +10,7 @@ measurements through :meth:`probe`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from repro.monitor.cache import BandwidthCache
 from repro.monitor.forecast import (
@@ -39,6 +39,32 @@ from repro.obs.tracer import ensure_tracer
 
 #: 16 KB, the paper's passive-monitoring threshold and probe size.
 DEFAULT_S_THRES = 16 * 1024
+
+
+def frozen_estimator(
+    hosts: Iterable[str], read: Callable[[str, str], float]
+) -> Callable[[str, str], float]:
+    """A pure estimator over one reading of every pair of ``hosts``.
+
+    ``read`` is called once per canonical pair ``(a, b)`` with ``a < b``,
+    in sorted host order; the returned estimator answers from those
+    values in either direction (``inf`` for ``a == b``).  Planners
+    evaluate thousands of candidate placements, so they plan from such
+    a snapshot rather than from the live view.
+    """
+    ordered = sorted(hosts)
+    matrix = {
+        (a, b): read(a, b)
+        for i, a in enumerate(ordered)
+        for b in ordered[i + 1 :]
+    }
+
+    def estimate(a: str, b: str) -> float:
+        if a == b:
+            return float("inf")
+        return matrix[(a, b) if a < b else (b, a)]
+
+    return estimate
 
 
 @dataclass(frozen=True)
@@ -259,6 +285,19 @@ class MonitoringSystem:
             )
             tracer.incr("monitor.estimate." + result.quality)
         return result
+
+    def snapshot(
+        self, viewer: str, hosts: Iterable[str], now: float
+    ) -> Callable[[str, str], float]:
+        """``viewer``'s view of every pair of ``hosts``, frozen at ``now``.
+
+        Each canonical pair goes through :meth:`estimate` exactly once,
+        so a traced run records one ``monitor.estimate`` per pair per
+        plan; the returned estimator is a pure lookup over those values.
+        """
+        return frozen_estimator(
+            hosts, lambda a, b: self.estimate(viewer, a, b, now).bandwidth
+        )
 
     def seed_snapshot(self, t: float, window: float = 30.0) -> None:
         """Give every host a measurement of every link around time ``t``.

@@ -32,21 +32,10 @@ class GlobalPlanner:
         cost_model: CostModel,
         max_rounds: int = 200,
         server_replicas: "dict[str, tuple[str, ...]] | None" = None,
-        engine: str = "vectorized",
     ) -> None:
         self._one_shot = OneShotPlanner(
-            tree, hosts, cost_model, max_rounds, server_replicas, engine
+            tree, hosts, cost_model, max_rounds, server_replicas
         )
-
-    @property
-    def engine(self) -> str:
-        """Configured planner engine (``"scalar"``/``"vectorized"``)."""
-        return self._one_shot.engine
-
-    @property
-    def last_engine(self):
-        """Engine used by the most recent ``plan`` call (None before)."""
-        return self._one_shot.last_engine
 
     @property
     def tree(self) -> CombinationTree:

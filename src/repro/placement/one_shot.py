@@ -24,19 +24,14 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.dataflow.cost import (
-    BandwidthEstimator,
-    CostModel,
-    RecordingEstimator,
-    snapshot_safe,
-)
+from repro.dataflow.cost import BandwidthEstimator, CostModel
 from repro.dataflow.critical import (
     BatchMoveEvaluator,
-    SingleMoveEvaluator,
     bandwidth_matrix,
-    critical_path,
     evaluator_hosts,
 )
+# Not called here: bench/drive.py's seam table wraps it under this name.
+from repro.dataflow.critical import critical_path  # noqa: F401
 from repro.dataflow.placement import Placement
 from repro.dataflow.tree import CombinationTree
 from repro.obs.events import PLANNER_SEARCH
@@ -65,23 +60,16 @@ class OneShotPlanner:
         dataset is replicated may be *served* from any replica, so the
         search treats them as movable among those hosts (the paper's
         assumption 3 relaxed).
-    engine:
-        ``"vectorized"`` (default) prices each round's whole move grid in
-        one numpy pass (:class:`repro.dataflow.critical.BatchMoveEvaluator`),
-        bit-identical to the scalar search; ``"scalar"`` forces the
-        reference per-candidate loop.  The vectorized engine snapshots
-        the estimator once per plan call, so estimators with per-call
-        side effects (``snapshot_safe = False``, e.g. the live traced
-        monitoring view) automatically take the scalar path — the engine
-        actually used is reported in :attr:`last_engine`.  A vectorized
-        call whose snapshot and starting placement equal the previous
-        call's returns the previous result without searching again.
+
+    Each round's whole move grid is priced in one numpy pass
+    (:class:`repro.dataflow.critical.BatchMoveEvaluator`).  ``plan``
+    reads the estimator once per ordered host pair, so hand it a frozen
+    view (:meth:`repro.monitor.system.MonitoringSystem.snapshot`); a
+    call whose view and starting placement equal the previous call's
+    returns the previous result without searching again.
     """
 
     name = "one-shot"
-
-    #: Supported ``engine`` values.
-    engines = ("scalar", "vectorized")
 
     def __init__(
         self,
@@ -90,24 +78,15 @@ class OneShotPlanner:
         cost_model: CostModel,
         max_rounds: int = 200,
         server_replicas: "Optional[dict[str, tuple[str, ...]]]" = None,
-        engine: str = "vectorized",
     ) -> None:
         if not hosts:
             raise ValueError("need at least one candidate host")
         if max_rounds <= 0:
             raise ValueError(f"max_rounds must be positive, got {max_rounds!r}")
-        if engine not in self.engines:
-            raise ValueError(
-                f"unknown planner engine {engine!r}; choose from {self.engines}"
-            )
         self.tree = tree
         self.hosts = sorted(set(hosts))
         self.cost_model = cost_model
         self.max_rounds = max_rounds
-        self.engine = engine
-        #: Engine used by the most recent ``plan`` call ("scalar" or
-        #: "vectorized"); None before the first call.
-        self.last_engine: "Optional[str]" = None
         self.server_replicas = {
             server: tuple(replicas)
             for server, replicas in (server_replicas or {}).items()
@@ -122,7 +101,7 @@ class OneShotPlanner:
         #: grids are placement-independent, see
         #: :class:`repro.dataflow.critical.BatchMoveEvaluator`).
         self._grid_cache: dict = {}
-        #: One-entry memo of the vectorized search: ``(key, result)``.
+        #: One-entry memo of the search: ``(key, result)``.
         #: Periodic replans often see the previous call's floored
         #: snapshot and placement again; older keys never recur.
         self._memo: "Optional[tuple[tuple, PlanResult]]" = None
@@ -139,16 +118,9 @@ class OneShotPlanner:
         """Run the search from ``initial`` using ``estimator`` for bandwidths.
 
         ``seed`` is accepted for :class:`~repro.placement.base.Planner`
-        uniformity (the search is deterministic and ignores it).  The
-        vectorized engine is used when configured *and* the estimator is
-        snapshot-safe; both engines return bit-identical results.
+        uniformity (the search is deterministic and ignores it).
         """
-        if self.engine == "vectorized" and snapshot_safe(estimator):
-            self.last_engine = "vectorized"
-            result = self._plan_vectorized(estimator, initial)
-        else:
-            self.last_engine = "scalar"
-            result = self._plan_scalar(estimator, initial)
+        result = self._search(estimator, initial)
         tracer = ensure_tracer(tracer)
         if tracer.enabled:
             tracer.emit(
@@ -162,62 +134,14 @@ class OneShotPlanner:
             )
         return result
 
-    def _plan_scalar(
+    def _search(
         self, estimator: BandwidthEstimator, initial: Placement
     ) -> PlanResult:
-        """The reference per-candidate search (the paper's pseudocode)."""
-        recorder = RecordingEstimator(estimator)
-        current = initial
-        current_cost = critical_path(
-            self.tree, current, self.cost_model, recorder
-        ).cost
-        rounds = 0
-        candidates = 0
-
-        for _ in range(self.max_rounds):
-            rounds += 1
-            path = critical_path(self.tree, current, self.cost_model, recorder)
-            evaluator = SingleMoveEvaluator(
-                self.tree, current, self.cost_model, recorder
-            )
-            best_move: "tuple[str, str] | None" = None
-            best_cost = current_cost
-            for node_id, candidate_hosts in self._candidate_moves(path, current):
-                current_host = current.host_of(node_id)
-                for host in candidate_hosts:
-                    if host == current_host:
-                        continue
-                    candidates += 1
-                    cost = evaluator.cost_of_move(node_id, host)
-                    # Paper: "if (C_min <= C')" — ties move toward the
-                    # newer candidate, strict improvement gates adoption.
-                    if cost <= best_cost:
-                        best_cost = cost
-                        best_move = (node_id, host)
-            if best_cost < current_cost and best_move is not None:
-                current = current.with_move(*best_move)
-                current_cost = best_cost
-            else:
-                break
-
-        return PlanResult(
-            placement=current,
-            cost=current_cost,
-            rounds=rounds,
-            candidates_evaluated=candidates,
-            links_queried=frozenset(recorder.queried),
-            algorithm=self.name,
-        )
-
-    def _plan_vectorized(
-        self, estimator: BandwidthEstimator, initial: Placement
-    ) -> PlanResult:
-        """Batch-priced search, bit-identical to :meth:`_plan_scalar`.
+        """The pseudocode's rounds, each priced as one batch.
 
         One :class:`BatchMoveEvaluator` carries the round state across
-        the whole call (the scalar path rebuilds its evaluator every
-        round); candidate enumeration, tie-breaks and link recording
-        replicate the scalar loop exactly.
+        the whole call.  Ties move toward the later candidate ("if
+        (C_min <= C')") and only a strict improvement is adopted.
 
         The estimator is read once, into a floored bandwidth matrix.  The
         search is a pure function of that matrix, its host tuple and the

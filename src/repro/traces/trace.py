@@ -208,14 +208,26 @@ class BandwidthTrace:
             total += (t1 - max(t0, end)) * float(self.rates[-1])
         lo, hi = max(t0, start), min(t1, end)
         if hi > lo:
-            total += self._bytes_inside(hi) - self._bytes_inside(lo)
+            total += self._bytes_window(lo, hi)
         return total
 
-    def _bytes_inside(self, t: float) -> float:
-        """Cumulative bytes from ``start`` to ``t`` for start <= t <= end."""
-        cum = self._cum()
-        index = self._locate(t)
-        return float(cum[index] + (t - self.times[index]) * self.rates[index])
+    def _bytes_window(self, lo: float, hi: float) -> float:
+        """Bytes between ``lo`` and ``hi`` for start <= lo < hi <= end.
+
+        Summed directly over the segments the window covers rather than as
+        a difference of prefix sums: the prefix sum grows with every byte
+        before ``lo``, so its difference cancels catastrophically for a
+        short, slow window late in a fast trace.  Every term here is
+        non-negative, so the result is accurate relative to itself.
+        """
+        times, rates = self.times, self.rates
+        i, j = self._locate(lo), self._locate(hi)
+        if i == j:
+            return float((hi - lo) * rates[i])
+        head = (times[i + 1] - lo) * rates[i]
+        middle = np.dot(np.diff(times[i + 1 : j + 1]), rates[i + 1 : j])
+        tail = (hi - times[j]) * rates[j]
+        return float(head + middle + tail)
 
     def transfer_time(
         self, nbytes: float, t0: float, hint: "TraceCursor | None" = None

@@ -60,7 +60,6 @@ from repro.workload.metrics import (
     LinkUsageRecorder,
     QueryOutcome,
     build_fleet_summary,
-    fleet_from_trace,
     jain_index,
 )
 from repro.workload.overload import (
@@ -75,6 +74,7 @@ from repro.workload.sink import (
     QueryStats,
     StreamingFleetMetrics,
     client_index_of,
+    fleet_from_trace,
     fleet_metrics_for,
     merge_sinks,
     note_slo,

@@ -10,7 +10,8 @@ per-link usage — into a schema-tagged summary dict:
 * relocations per query and per-link utilization/contention on the
   shared substrate.
 
-Both the live engine and the :func:`fleet_from_trace` replay feed the
+Both the live engine and the
+:func:`~repro.workload.sink.fleet_from_trace` replay feed the
 :class:`~repro.workload.sink.MetricsSink` funnel; this module holds the
 exact (``workload_schema: 1``) summary construction the sink's exact
 path delegates to, plus the shared conventions (latency-block key set,
@@ -24,17 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.engine.metrics import RunMetrics
-from repro.workload.sink import (
-    DEFAULT_EXACT_THRESHOLD,
-    MetricsSink,
-    QueryStats,
-)
-from repro.workload.sink import fleet_from_trace as _sink_fleet_from_trace
+from repro.workload.sink import QueryStats
 from repro.workload.spec import client_of
 
 #: Version tag carried by every exact fleet summary dict.
@@ -227,20 +223,3 @@ def build_fleet_summary(
             for s in stats
         ],
     }
-
-
-def fleet_from_trace(
-    records: Iterable[dict[str, Any]],
-    metrics: Optional[MetricsSink] = None,
-    *,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-) -> dict[str, Any]:
-    """Rebuild the fleet summary from a recorded workload trace.
-
-    Kept here for backwards compatibility; the implementation lives in
-    :func:`repro.workload.sink.fleet_from_trace`, which picks the same
-    exact/streaming sink the live run would have used.
-    """
-    return _sink_fleet_from_trace(
-        records, metrics, exact_threshold=exact_threshold
-    )

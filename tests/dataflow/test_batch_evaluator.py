@@ -1,7 +1,8 @@
-"""BatchMoveEvaluator: bit-identical to the scalar evaluators.
+"""BatchMoveEvaluator: bit-identical to the scalar reference evaluator.
 
-The vectorized planner engine is only admissible because every float it
-produces is *bitwise* equal to the scalar search's — these tests compare
+The batch-priced planner search is only admissible because every float
+it produces is *bitwise* equal to the scalar reference search's (the
+oracle in ``tests/oracles/scalar_planner.py``) — these tests compare
 with ``==`` on raw floats (no pytest.approx anywhere) across randomized
 trees, placements and asymmetric estimators, including the incremental
 ``apply_move`` path.
@@ -12,13 +13,10 @@ import random
 import pytest
 
 from repro.dataflow.cost import CostModel, RecordingEstimator
-from repro.dataflow.critical import (
-    BatchMoveEvaluator,
-    SingleMoveEvaluator,
-    critical_path,
-)
+from repro.dataflow.critical import BatchMoveEvaluator, critical_path
 from repro.dataflow.placement import Placement
 from repro.dataflow.tree import complete_binary_tree, left_deep_tree
+from tests.oracles.scalar_planner import SingleMoveEvaluator
 
 
 def random_case(rng):

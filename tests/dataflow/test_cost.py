@@ -11,7 +11,6 @@ from repro.dataflow.cost import (
     RecordingEstimator,
     clark_max,
     expected_output_sizes,
-    snapshot_safe,
 )
 from repro.dataflow.placement import Placement
 from repro.dataflow.tree import complete_binary_tree, left_deep_tree
@@ -140,21 +139,6 @@ class TestRecordingEstimator:
     def test_passes_values_through(self):
         recorder = RecordingEstimator(flat_estimator(5.0))
         assert recorder("x", "y") == 5.0
-
-
-class TestSnapshotSafe:
-    def test_plain_callables_are_safe(self):
-        assert snapshot_safe(flat_estimator(5.0))
-        assert snapshot_safe(RecordingEstimator(flat_estimator(5.0)))
-
-    def test_marked_estimators_opt_out(self):
-        def live(a, b):
-            return 5.0
-
-        live.snapshot_safe = False
-        assert not snapshot_safe(live)
-        live.snapshot_safe = True
-        assert snapshot_safe(live)
 
 
 def _model_for(tree):

@@ -1,4 +1,4 @@
-"""Critical-path computation and the single-move evaluator."""
+"""Critical-path computation and the scalar single-move evaluator."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,13 @@ import pytest
 from repro.dataflow.cost import CostModel
 from repro.dataflow.critical import (
     CriticalPath,
-    SingleMoveEvaluator,
     critical_path,
     host_occupancy,
     placement_cost,
 )
 from repro.dataflow.placement import Placement
 from repro.dataflow.tree import complete_binary_tree
+from tests.oracles.scalar_planner import SingleMoveEvaluator
 
 TREE = complete_binary_tree(4)
 SERVER_HOSTS = {f"s{i}": f"h{i}" for i in range(4)}

@@ -1,11 +1,11 @@
-"""Vectorized vs scalar planner engine: bit-identical full runs.
+"""The planner search vs the scalar oracle: bit-identical full runs.
 
-The engine switch must be *observationally invisible*: a run with
-``planner_engine="scalar"`` (the reference per-candidate search) and the
-default vectorized run must agree on every metric, every arrival time
-and the byte-exact obs event stream, across all four algorithms, with
-and without the reference chaos plan, and under the concurrent
-fleet-coordinated workload.
+Every planner plans from a frozen view, so swapping the batch-priced
+search for the scalar reference (``tests/oracles/scalar_planner.py``)
+must be *observationally invisible*: both runs agree on every metric,
+every arrival time and the byte-exact obs event stream, across all four
+algorithms, with and without the reference chaos plan, and under the
+concurrent fleet-coordinated workload.
 """
 
 import hashlib
@@ -18,6 +18,8 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_configuration
 from repro.faults import reference_chaos_plan
 from repro.obs import Tracer
+from repro.placement.one_shot import OneShotPlanner
+from tests.oracles.scalar_planner import scalar_search
 
 ALGORITHMS = [
     Algorithm.DOWNLOAD_ALL,
@@ -42,43 +44,42 @@ def _stream_digest(tracer: Tracer) -> str:
     ).hexdigest()
 
 
-def _pair(setup, index, algorithm):
-    """(vectorized, scalar) metrics+digest for one configuration."""
-    fast_tracer, ref_tracer = Tracer(), Tracer()
-    fast = run_configuration(
-        setup, index, algorithm, tracer=fast_tracer,
-        planner_engine="vectorized",
-    )
-    ref = run_configuration(
-        setup, index, algorithm, tracer=ref_tracer, planner_engine="scalar"
-    )
-    return fast, _stream_digest(fast_tracer), ref, _stream_digest(ref_tracer)
+@pytest.fixture
+def oracle(monkeypatch):
+    """Call ``fn()`` once as is and once with the scalar search patched in."""
+
+    def both(fn):
+        fast = fn()
+        with monkeypatch.context() as patch:
+            patch.setattr(OneShotPlanner, "_search", scalar_search)
+            ref = fn()
+        return fast, ref
+
+    return both
+
+
+def _traced_run(setup, index, algorithm):
+    tracer = Tracer()
+    metrics = run_configuration(setup, index, algorithm, tracer=tracer)
+    return metrics, _stream_digest(tracer)
 
 
 class TestSpecValidation:
     def test_unknown_engine_rejected(self):
-        from repro.experiments.config import build_spec
+        # One search, no switch: the specs no longer take the knob.
+        from repro.workload import WorkloadSpec
 
-        with pytest.raises(ValueError, match="planner engine"):
-            build_spec(SETUP, 0, Algorithm.GLOBAL, planner_engine="simd")
-
-    def test_experiment_config_forwards_engine(self):
-        from repro.experiments.config import build_spec
-
-        setup = ExperimentConfig(
-            num_servers=4, images_per_server=8, planner_engine="scalar"
-        )
-        assert build_spec(setup, 0, Algorithm.GLOBAL).planner_engine == "scalar"
-        assert (
-            build_spec(SETUP, 0, Algorithm.GLOBAL).planner_engine
-            == "vectorized"
-        )
+        for spec_type in (SimulationSpec, ExperimentConfig, WorkloadSpec):
+            with pytest.raises(TypeError, match="planner_engine"):
+                spec_type(planner_engine="scalar")
 
 
 class TestRunEquivalence:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_no_fault_runs_identical(self, algorithm):
-        fast, fd, ref, rd = _pair(SETUP, 0, algorithm)
+    def test_no_fault_runs_identical(self, algorithm, oracle):
+        (fast, fd), (ref, rd) = oracle(
+            lambda: _traced_run(SETUP, 0, algorithm)
+        )
         assert fast.summary() == ref.summary()
         assert fast.arrival_times == ref.arrival_times
         assert fd == rd
@@ -86,21 +87,23 @@ class TestRunEquivalence:
     @pytest.mark.parametrize(
         "algorithm", [Algorithm.GLOBAL, Algorithm.ONE_SHOT]
     )
-    def test_chaos_runs_identical(self, algorithm):
+    def test_chaos_runs_identical(self, algorithm, oracle):
         hosts = (*SETUP.server_hosts, SETUP.client_host)
         setup = ExperimentConfig(
             num_servers=4,
             images_per_server=8,
             fault_plan=reference_chaos_plan(hosts, seed=1),
         )
-        fast, fd, ref, rd = _pair(setup, 0, algorithm)
+        (fast, fd), (ref, rd) = oracle(
+            lambda: _traced_run(setup, 0, algorithm)
+        )
         assert fast.summary() == ref.summary()
         assert fast.arrival_times == ref.arrival_times
         assert fd == rd
 
 
 class TestWorkloadEquivalence:
-    def test_fleet_coordinated_workload_identical(self):
+    def test_fleet_coordinated_workload_identical(self, oracle):
         from repro.fleet import FleetPolicy
         from repro.workload import (
             ClosedLoop,
@@ -109,38 +112,38 @@ class TestWorkloadEquivalence:
             run_workload,
         )
 
-        def build(engine: str):
-            return WorkloadSpec(
-                classes=(
-                    QueryClass(name="global", algorithm=Algorithm.GLOBAL),
-                    QueryClass(name="one-shot", algorithm=Algorithm.ONE_SHOT),
-                ),
-                num_clients=2,
-                queries_per_client=1,
-                arrivals=ClosedLoop(think_time=2.0),
-                seed=11,
-                num_servers=4,
-                images_per_server=4,
-                fleet=FleetPolicy(mode="coordinated"),
-                planner_engine=engine,
-            )
+        spec = WorkloadSpec(
+            classes=(
+                QueryClass(name="global", algorithm=Algorithm.GLOBAL),
+                QueryClass(name="one-shot", algorithm=Algorithm.ONE_SHOT),
+            ),
+            num_clients=2,
+            queries_per_client=1,
+            arrivals=ClosedLoop(think_time=2.0),
+            seed=11,
+            num_servers=4,
+            images_per_server=4,
+            fleet=FleetPolicy(mode="coordinated"),
+        )
 
-        fast_tracer, ref_tracer = Tracer(), Tracer()
-        fast = run_workload(build("vectorized"), tracer=fast_tracer)
-        ref = run_workload(build("scalar"), tracer=ref_tracer)
-        assert fast.to_dict() == ref.to_dict()
-        assert _stream_digest(fast_tracer) == _stream_digest(ref_tracer)
+        def run():
+            tracer = Tracer()
+            result = run_workload(spec, tracer=tracer)
+            return result.to_dict(), _stream_digest(tracer)
+
+        fast, ref = oracle(run)
+        assert fast == ref
 
 
 class TestCliSmoke:
-    def test_compare_byte_identical_under_chaos(self, tmp_path, capsys):
+    def test_compare_byte_identical_under_chaos(self, tmp_path, capsys, oracle):
         from repro.cli import main
 
         hosts = tuple(f"h{i}" for i in range(4)) + ("client",)
         plan_path = tmp_path / "chaos.json"
         reference_chaos_plan(hosts, seed=1).to_json(plan_path)
-        outputs = {}
-        for engine in ("vectorized", "scalar"):
+
+        def compare():
             code = main(
                 [
                     "compare",
@@ -152,11 +155,11 @@ class TestCliSmoke:
                     "1",
                     "--faults",
                     str(plan_path),
-                    "--planner-engine",
-                    engine,
                 ]
             )
             assert code == 0
-            outputs[engine] = capsys.readouterr().out
-        assert outputs["vectorized"] == outputs["scalar"]
-        assert "download-all" in outputs["vectorized"]
+            return capsys.readouterr().out
+
+        fast, ref = oracle(compare)
+        assert fast == ref
+        assert "download-all" in fast

@@ -72,7 +72,6 @@ class TestMemoHits:
         assert len(built) == 1
         assert second is first
         assert second == fresh(estimator, start())
-        assert planner.last_engine == "vectorized"
 
     def test_hit_from_an_equal_view_built_anew(self, monkeypatch):
         # The fleet layer hands every call a fresh estimator object; only
@@ -155,22 +154,6 @@ class TestMemoMisses:
         assert len(built) == 2
         assert result == fresh(estimator, wider)
 
-    def test_scalar_engine_never_memoizes(self, monkeypatch):
-        calls = []
-        estimator = table_estimator(8)
-
-        def counting(a, b):
-            calls.append((a, b))
-            return estimator(a, b)
-
-        planner = OneShotPlanner(TREE, HOSTS, model(), engine="scalar")
-        first = planner.plan(counting, start())
-        once = len(calls)
-        second = planner.plan(counting, start())
-        assert len(calls) == 2 * once
-        assert second is not first
-        assert second == first
-
 
 def monitored_network(env, tracer):
     net = Network(env)
@@ -185,20 +168,16 @@ def monitored_network(env, tracer):
     return monitoring
 
 
-class TestSnapshotUnsafe:
-    def test_live_view_never_memoizes(self, env):
+class TestMonitoringSnapshot:
+    def test_one_estimate_per_pair(self, env):
         tracer = Tracer()
         monitoring = monitored_network(env, tracer)
-
-        def live(a, b):
-            return monitoring.estimate("client", a, b, 0.0).bandwidth
-
-        live.snapshot_safe = False
         planner = OneShotPlanner(TREE, HOSTS, model())
         results, estimates = [], []
         for _ in range(2):
             before = len(tracer.events)
-            results.append(planner.plan(live, start()))
+            view = monitoring.snapshot("client", HOSTS, 0.0)
+            results.append(planner.plan(view, start()))
             estimates.append(
                 [
                     e
@@ -206,15 +185,12 @@ class TestSnapshotUnsafe:
                     if e["type"] == MONITOR_ESTIMATE
                 ]
             )
-        assert planner.last_engine == "scalar"
-        assert results[1] is not results[0]
-        assert results[1] == results[0]
-        # Each call consults the live view itself: it emits the same
-        # estimate events again, covering exactly the links it queried.
-        assert len(estimates[0]) == len(estimates[1]) > 0
+        # The second plan sees an equal view and hits the memo, but its
+        # snapshot still read the monitoring view once per pair.
+        assert results[1] is results[0]
+        hosts = sorted(HOSTS)
+        pairs = {(a, b) for i, a in enumerate(hosts) for b in hosts[i + 1 :]}
         for events, result in zip(estimates, results):
-            consulted = {
-                (e["a"], e["b"]) if e["a"] < e["b"] else (e["b"], e["a"])
-                for e in events
-            }
-            assert consulted == set(result.links_queried)
+            consulted = [(e["a"], e["b"]) for e in events]
+            assert sorted(consulted) == sorted(pairs)
+            assert set(result.links_queried) <= pairs

@@ -1,6 +1,8 @@
-"""The vectorized planner engine: equal plans, engine selection, fallback."""
+"""The batch-priced planner search: equal plans to the scalar oracle, and
+one read of the estimator per ordered host pair."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro.placement import planner_for
 from repro.placement.download_all import download_all_placement
 from repro.placement.global_planner import GlobalPlanner
 from repro.placement.one_shot import OneShotPlanner
+from tests.oracles.scalar_planner import ScalarOneShotPlanner
 
 
 def random_setup(rng, with_replicas=False):
@@ -57,123 +60,61 @@ class TestPlanEquality:
         tree, hosts, model, start, replicas, est = random_setup(
             rng, with_replicas
         )
-        scalar = OneShotPlanner(tree, hosts, model, 200, replicas, "scalar")
-        vector = OneShotPlanner(
-            tree, hosts, model, 200, replicas, "vectorized"
-        )
+        scalar = ScalarOneShotPlanner(tree, hosts, model, 200, replicas)
+        vector = OneShotPlanner(tree, hosts, model, 200, replicas)
         assert_same_result(scalar.plan(est, start), vector.plan(est, start))
-        assert scalar.last_engine == "scalar"
-        assert vector.last_engine == "vectorized"
 
     @pytest.mark.parametrize("seed", range(10))
     def test_global_warm_start_plans_identical(self, seed):
         rng = random.Random(500 + seed)
         tree, hosts, model, start, _, est = random_setup(rng)
-        scalar = GlobalPlanner(tree, hosts, model, 200, None, "scalar")
-        vector = GlobalPlanner(tree, hosts, model, 200, None, "vectorized")
-        # Warm-start from a scalar one-shot plan, as the controller does.
+        scalar = ScalarOneShotPlanner(tree, hosts, model)
+        vector = GlobalPlanner(tree, hosts, model)
+        # Warm-start from a one-shot plan, as the controller does.
         warm = scalar.plan(est, start).placement
-        assert_same_result(scalar.plan(est, warm), vector.plan(est, warm))
+        expected = replace(scalar.plan(est, warm), algorithm="global")
+        assert_same_result(expected, vector.plan(est, warm))
 
     def test_recording_semantics_on_asymmetric_estimator(self):
-        # The satellite check: the vectorized engine's links_queried must
-        # equal the scalar RecordingEstimator set even when bandwidth is
-        # direction-dependent (the recorder canonicalizes pairs, the
-        # matrix must too).
+        # links_queried must equal the scalar RecordingEstimator set even
+        # when bandwidth is direction-dependent (the recorder
+        # canonicalizes pairs, the matrix must too).
         for seed in range(8):
             rng = random.Random(900 + seed)
             tree, hosts, model, start, _, est = random_setup(rng)
-            scalar = OneShotPlanner(tree, hosts, model, engine="scalar")
-            vector = OneShotPlanner(tree, hosts, model, engine="vectorized")
+            scalar = ScalarOneShotPlanner(tree, hosts, model)
+            vector = OneShotPlanner(tree, hosts, model)
             s, v = scalar.plan(est, start), vector.plan(est, start)
             assert s.links_queried == v.links_queried
             assert all(a < b for a, b in v.links_queried)
 
+    def test_fleet_planner_plans_identical(self):
+        # A standalone fleet planner has no other queries to discount
+        # for, so it must plan exactly like the bare search.
+        tree, hosts, model, start, _, est = random_setup(random.Random(42))
+        fleet = planner_for("fleet-coordinated", tree, hosts, model)
+        result = fleet.plan(est, start)
+        expected = ScalarOneShotPlanner(tree, hosts, model).plan(est, start)
+        assert result.placement == expected.placement
+        assert result.cost == expected.cost
 
-class TestEngineSelection:
-    def setup_method(self):
-        rng = random.Random(42)
-        (self.tree, self.hosts, self.model, self.start, _, self.est) = (
-            random_setup(rng)
-        )
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            OneShotPlanner(self.tree, self.hosts, self.model, engine="simd")
-
-    def test_scalar_escape_hatch(self):
-        planner = OneShotPlanner(
-            self.tree, self.hosts, self.model, engine="scalar"
-        )
-        planner.plan(self.est, self.start)
-        assert planner.last_engine == "scalar"
-
-    def test_unsafe_estimator_falls_back_to_scalar(self):
+class TestSnapshotReads:
+    def test_reads_each_ordered_pair_once(self):
+        tree, hosts, model, start, _, est = random_setup(random.Random(42))
         calls = []
 
         def live(a, b):
             calls.append((a, b))
-            return 1e6
+            return est(a, b)
 
-        live.snapshot_safe = False
-        planner = OneShotPlanner(
-            self.tree, self.hosts, self.model, engine="vectorized"
+        planner = OneShotPlanner(tree, hosts, model)
+        pairs = len(hosts) * (len(hosts) - 1)
+        first = planner.plan(live, start)
+        assert sorted(calls) == sorted(
+            (a, b) for a in hosts for b in hosts if a != b
         )
-        result = planner.plan(live, self.start)
-        assert planner.last_engine == "scalar"
-        # The scalar path must not have snapshotted the full matrix up
-        # front: it queries only as the search needs values.
-        scalar = OneShotPlanner(
-            self.tree, self.hosts, self.model, engine="scalar"
-        )
-        assert_same_result(scalar.plan(live, self.start), result)
-
-    def test_global_planner_forwards_engine(self):
-        planner = GlobalPlanner(
-            self.tree, self.hosts, self.model, engine="scalar"
-        )
-        assert planner.engine == "scalar"
-        planner.plan(self.est, self.start)
-        assert planner.last_engine == "scalar"
-
-    def test_planner_for_forwards_engine(self):
-        for name in ("one-shot", "global"):
-            planner = planner_for(
-                name,
-                self.tree,
-                self.hosts,
-                self.model,
-                planner_engine="scalar",
-            )
-            planner.plan(self.est, self.start)
-            assert planner.last_engine == "scalar"
-        # Planners without a move grid accept and ignore the knob.
-        planner_for(
-            "download-all",
-            self.tree,
-            self.hosts,
-            self.model,
-            planner_engine="scalar",
-        ).plan(self.est, self.start)
-
-    def test_fleet_planner_passes_engine_through(self):
-        planner = planner_for(
-            "fleet-coordinated",
-            self.tree,
-            self.hosts,
-            self.model,
-            planner_engine="vectorized",
-        )
-        result = planner.plan(self.est, self.start)
-        assert planner.inner.last_engine == "vectorized"
-        scalar = planner_for(
-            "fleet-coordinated",
-            self.tree,
-            self.hosts,
-            self.model,
-            planner_engine="scalar",
-        )
-        expected = scalar.plan(self.est, self.start)
-        assert scalar.inner.last_engine == "scalar"
-        assert result.placement == expected.placement
-        assert result.cost == expected.cost
+        # A repeat is answered from the memo, but only after reading
+        # the view again to key it.
+        assert planner.plan(live, start) is first
+        assert len(calls) == 2 * pairs

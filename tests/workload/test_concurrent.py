@@ -6,6 +6,7 @@ import pytest
 
 from repro.engine.config import Algorithm
 from repro.faults.plan import FaultPlan, LinkOutage
+from repro.obs.events import MONITOR_ESTIMATE, PLANNER_SEARCH, RUN_META
 from repro.obs.tracer import Tracer
 from repro.workload import (
     ClosedLoop,
@@ -127,6 +128,26 @@ class TestOpenLoopWorkload:
         issued = [q.issued_at for q in result.queries]
         assert issued == sorted(issued)
         assert len(set(issued)) > 1
+
+    def test_initial_plans_read_the_view_at_launch_time(self):
+        # Monitoring events carry no query id, but the clock only moves
+        # forward: every estimate is read at or after the latest launch.
+        spec = mixed_spec(
+            arrivals=OpenLoop(rate=0.02, process="poisson"), fault_plan=None
+        )
+        tracer = Tracer()
+        run_workload(spec, tracer=tracer)
+        launched, latest = {}, 0.0
+        for event in tracer.events:
+            if event["type"] == RUN_META:
+                launched[event["query_id"]] = latest = event["t"]
+            elif event["type"] == MONITOR_ESTIMATE:
+                assert event["t"] >= latest, event
+                assert event["age"] is None or event["age"] >= 0.0, event
+            elif event["type"] == PLANNER_SEARCH:
+                assert event["t"] >= launched[event["query_id"]], event
+        assert len(launched) == 8
+        assert max(launched.values()) > 0.0
 
     def test_fixed_rate_first_query_at_zero(self):
         spec = mixed_spec(

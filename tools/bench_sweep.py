@@ -16,9 +16,9 @@ benchmarks the kernel/trace hot paths:
   network configuration for every ``(config, algorithm)`` run;
 * run-tracing overhead — the same simulation with the tracer off vs on
   (the no-op tracer must stay effectively free);
-* planner engine — the vectorized move-grid pricing
-  (``BatchMoveEvaluator``) vs the scalar per-candidate reference at the
-  paper's 8-server scale, both evaluator-level (cells/second on one
+* planner — the vectorized move-grid pricing (``BatchMoveEvaluator``)
+  vs the scalar per-candidate test oracle at the paper's 8-server
+  scale, both evaluator-level (cells/second on one
   round's full grid) and end-to-end (``plan()`` candidates/second),
   with a bit-identical ``PlanResult`` equality check;
 * streaming fleet metrics at scale — a 100k-client synthetic open-loop
@@ -101,34 +101,36 @@ def bench_tracer_overhead(repeats: int = 3) -> dict:
 
 
 def bench_planner(quick: bool = False) -> dict:
-    """Planner-engine grid pricing: vectorized vs the scalar reference.
+    """Planner grid pricing: the batch-priced search vs the scalar oracle.
 
     Builds the paper-scale 8-server combination tree with a seeded
     asymmetric estimator and times two levels of the same hot path:
 
     * evaluator level — one planning round's full (operator x host) move
       grid priced by ``BatchMoveEvaluator.price_moves`` vs the
-      ``SingleMoveEvaluator.cost_of_move`` per-cell loop the scalar
-      search runs;
-    * end-to-end — repeated ``OneShotPlanner.plan`` calls with each
-      engine (this includes per-call snapshot construction, candidate
-      enumeration and the per-round reductions, so the speedup is
-      smaller than the evaluator-level number).
+      ``SingleMoveEvaluator.cost_of_move`` per-cell loop of the scalar
+      reference search (``tests/oracles/scalar_planner.py``);
+    * end-to-end — repeated ``plan`` calls of ``OneShotPlanner`` and of
+      the oracle's ``ScalarOneShotPlanner`` (this includes per-call
+      snapshot construction, candidate enumeration and the per-round
+      reductions, so the speedup is smaller than the evaluator-level
+      number).
 
-    Asserts the vectorized engine actually engaged (``last_engine``) and
-    that both engines return identical plans.
+    Records whether both return identical plans.
     """
     import random
 
+    # The scalar side is the test oracle in the repo's ``tests`` package.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     from repro.dataflow.cost import CostModel
-    from repro.dataflow.critical import (
-        BatchMoveEvaluator,
-        SingleMoveEvaluator,
-        critical_path,
-    )
+    from repro.dataflow.critical import BatchMoveEvaluator, critical_path
     from repro.dataflow.placement import Placement
     from repro.dataflow.tree import complete_binary_tree
     from repro.placement.one_shot import OneShotPlanner
+    from tests.oracles.scalar_planner import (
+        ScalarOneShotPlanner,
+        SingleMoveEvaluator,
+    )
 
     rng = random.Random(7)
     num_servers = 8  # the paper's scale
@@ -184,24 +186,24 @@ def bench_planner(quick: bool = False) -> dict:
 
     plan_reps = 10 if quick else 60
 
-    def plan_bench(engine):
-        planner = OneShotPlanner(tree, hosts, model, engine=engine)
+    def plan_bench(planner_type):
+        planner = planner_type(tree, hosts, model)
         result = planner.plan(estimator, start)
 
         def trial():
             t0 = time.perf_counter()
             for _ in range(plan_reps):
-                # Time the search, not the vectorized engine's memo of
-                # the identical previous call.
+                # Time the search, not the memo of the identical
+                # previous call.
                 planner._memo = None
                 planner.plan(estimator, start)
             elapsed = time.perf_counter() - t0
             return plan_reps * result.candidates_evaluated / elapsed
 
-        return result, planner.last_engine, best_of(trial)
+        return result, best_of(trial)
 
-    scalar_result, _, scalar_plan_rate = plan_bench("scalar")
-    vector_result, engaged, vector_plan_rate = plan_bench("vectorized")
+    scalar_result, scalar_plan_rate = plan_bench(ScalarOneShotPlanner)
+    vector_result, vector_plan_rate = plan_bench(OneShotPlanner)
     identical = (
         scalar_result.placement == vector_result.placement
         and scalar_result.cost == vector_result.cost  # bitwise
@@ -222,7 +224,6 @@ def bench_planner(quick: bool = False) -> dict:
         "vectorized_plan_candidates_per_second": round(vector_plan_rate),
         "plan_speedup": round(vector_plan_rate / scalar_plan_rate, 2),
         "plan_results_identical": identical,
-        "vectorized_engaged": engaged == "vectorized",
     }
 
 
@@ -965,7 +966,7 @@ def main(argv=None) -> int:
         f"{overhead['events_recorded']:,} events)"
     )
 
-    print(f"[bench] planner engine (vectorized vs scalar pricing)...", flush=True)
+    print(f"[bench] planner (batch vs scalar-oracle pricing)...", flush=True)
     results["planner"] = bench_planner(quick=args.quick)
     eng = results["planner"]
     print(
@@ -975,8 +976,7 @@ def main(argv=None) -> int:
         f"{eng['scalar_plan_candidates_per_second']:,} -> "
         f"{eng['vectorized_plan_candidates_per_second']:,} cand/s "
         f"({eng['plan_speedup']}x), identical: "
-        f"{eng['plan_results_identical']}, engaged: "
-        f"{eng['vectorized_engaged']}"
+        f"{eng['plan_results_identical']}"
     )
 
     print(f"[bench] streaming fleet metrics at scale...", flush=True)
