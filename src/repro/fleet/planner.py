@@ -19,11 +19,13 @@ call under its own algorithm name (the inner search runs untraced), so
 trace replay and planner-effort accounting see the fleet planner as a
 first-class algorithm.
 
-The inner planner's engine passes straight through: a residual view
-wrapping a snapshot-safe estimator is itself snapshot-safe (the claim
-map is frozen per wrap), so coordinated controller replans run on the
-vectorized batch engine by default, and each ``plan`` call's fresh
-residual view gets a fresh bandwidth snapshot.
+Every plan reads one frozen view.  The engine hands ``plan`` a frozen
+monitoring snapshot (:meth:`repro.monitor.system.MonitoringSystem.snapshot`,
+taken at launch or replan time), and the residual view over it freezes
+the claim map once per wrap, so the residual view is itself a pure
+function of the link.  A one-shot or global inner planner runs its single batch-priced
+search over that view: each ``plan`` call reads its fresh residual view
+once into a fresh bandwidth matrix.
 """
 
 from __future__ import annotations

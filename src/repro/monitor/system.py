@@ -35,7 +35,7 @@ from repro.obs.events import (
     MONITOR_PROBE_RESULT,
     MONITOR_PROBE_TIMEOUT,
 )
-from repro.obs.tracer import ensure_tracer
+from repro.obs.tracer import ensure_tracer, query_tag
 
 #: 16 KB, the paper's passive-monitoring threshold and probe size.
 DEFAULT_S_THRES = 16 * 1024
@@ -222,14 +222,13 @@ class MonitoringSystem:
         if obs.query_id is not None:
             self.stats_for(obs.query_id).passive_measurements += 1
         if self._tracer.enabled:
-            tag = {} if obs.query_id is None else {"query_id": obs.query_id}
             self._tracer.emit(
                 MONITOR_PASSIVE,
                 now,
                 a=obs.src_host,
                 b=obs.dst_host,
                 bandwidth=bandwidth,
-                **tag,
+                **query_tag(obs.query_id),
             )
 
     def _piggyback_source(self, src: str, dst: str) -> Optional[dict]:
@@ -243,13 +242,12 @@ class MonitoringSystem:
         if query_id is not None:
             self.stats_for(query_id).piggyback_entries_merged += merged
         if self._tracer.enabled:
-            tag = {} if query_id is None else {"query_id": query_id}
             self._tracer.emit(
                 MONITOR_PIGGYBACK,
                 self.network.env.now,
                 host=dst,
                 merged=merged,
-                **tag,
+                **query_tag(query_id),
             )
 
     # -- queries ------------------------------------------------------------
@@ -347,7 +345,6 @@ class MonitoringSystem:
         # Monitor daemons are implicit: register throwaway actor endpoints.
         self.network.register_actor(probe_actor, a)
         self.network.register_actor(target_actor, b)
-        tag = {} if query_id is None else {"query_id": query_id}
         try:
             samples: list[float] = []
             for _ in range(max(self.config.probe_samples, 1)):
@@ -363,7 +360,7 @@ class MonitoringSystem:
                             a=a,
                             b=b,
                             reason="blackout",
-                            **tag,
+                            **query_tag(query_id),
                         )
                     yield self.network.env.timeout(self.config.probe_timeout)
                     continue
@@ -388,7 +385,7 @@ class MonitoringSystem:
                         a=a,
                         b=b,
                         bytes=message.wire_size,
-                        **tag,
+                        **query_tag(query_id),
                     )
                 delivery = self.network.send(message, src_host=a, dst_host=b)
                 if self.faults is None:
@@ -421,7 +418,7 @@ class MonitoringSystem:
                     b=b,
                     bandwidth=bandwidth,
                     samples=len(samples),
-                    **tag,
+                    **query_tag(query_id),
                 )
             return bandwidth
         finally:
@@ -445,7 +442,6 @@ class MonitoringSystem:
         failure is absorbed here.
         """
         env = self.network.env
-        tag = {} if query_id is None else {"query_id": query_id}
         timeout = env.timeout(self.config.probe_timeout)
         try:
             yield env.any_of([delivery, timeout])
@@ -460,7 +456,7 @@ class MonitoringSystem:
                     a=a,
                     b=b,
                     reason="abandoned",
-                    **tag,
+                    **query_tag(query_id),
                 )
             return False
         if delivery.triggered:
@@ -470,7 +466,12 @@ class MonitoringSystem:
             self.stats_for(query_id).probe_timeouts += 1
         if self._tracer.enabled:
             self._tracer.emit(
-                MONITOR_PROBE_TIMEOUT, env.now, a=a, b=b, reason="timeout", **tag
+                MONITOR_PROBE_TIMEOUT,
+                env.now,
+                a=a,
+                b=b,
+                reason="timeout",
+                **query_tag(query_id),
             )
         network = self.network
         delivery.defused = True

@@ -94,21 +94,6 @@ class Message:
         if self.priority is None:
             self.priority = self.kind.default_priority
 
-    def trace_fields(self) -> dict[str, Any]:
-        """The identifying fields a ``message.send`` trace event carries."""
-        fields = {
-            "uid": self.uid,
-            "kind": self.kind.value,
-            "src_actor": self.src_actor,
-            "dst_actor": self.dst_actor,
-            "src_host": self.src_host,
-            "dst_host": self.dst_host,
-            "bytes": self.size,
-        }
-        if self.query_id is not None:
-            fields["query_id"] = self.query_id
-        return fields
-
     @property
     def wire_size(self) -> float:
         """Bytes actually moved on the network for this message."""

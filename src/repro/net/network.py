@@ -39,7 +39,7 @@ from repro.obs.events import (
     NET_DROP,
     NET_RETRANSMIT,
 )
-from repro.obs.tracer import ensure_tracer
+from repro.obs.tracer import ensure_tracer, query_tag
 from repro.sim import URGENT, Environment, Event
 
 
@@ -310,12 +310,7 @@ class Network:
             if message.query_id is not None:
                 self.stats_for(message.query_id).local_deliveries += 1
             if tracer.enabled:
-                tracer.emit(
-                    MESSAGE_SEND,
-                    self.env.now,
-                    transport="local",
-                    **message.trace_fields(),
-                )
+                self._trace_send(tracer, message, "local")
             message.delivered_at = self.env.now
             self._deliver(message, dst)
             if done is not None:
@@ -326,12 +321,7 @@ class Network:
             message.piggyback = self.piggyback_source(src, dst)
 
         if tracer.enabled:
-            tracer.emit(
-                MESSAGE_SEND,
-                self.env.now,
-                transport="wire",
-                **message.trace_fields(),
-            )
+            self._trace_send(tracer, message, "wire")
         self._sequence += 1
         if not self._scan_needed:
             # Fast path: no NIC has been released since the last full
@@ -534,7 +524,6 @@ class Network:
         )
         tracer = self._tracer
         if tracer.enabled:
-            tag = {} if query_id is None else {"query_id": query_id}
             tracer.span(
                 LINK_TRANSFER,
                 started,
@@ -545,7 +534,7 @@ class Network:
                 wire_bytes=wire_size,
                 bandwidth=observation.measured_bandwidth,
                 uid=message.uid,
-                **tag,
+                **query_tag(query_id),
             )
             tracer.observe("link.transfer_seconds", duration)
 
@@ -559,6 +548,21 @@ class Network:
         if done is not None:
             done.succeed(message)
         self._dispatch_transfers()
+
+    def _trace_send(self, tracer, message: Message, transport: str) -> None:
+        tracer.emit(
+            MESSAGE_SEND,
+            self.env.now,
+            transport=transport,
+            uid=message.uid,
+            kind=message.kind.value,
+            src_actor=message.src_actor,
+            dst_actor=message.dst_actor,
+            src_host=message.src_host,
+            dst_host=message.dst_host,
+            bytes=message.size,
+            **query_tag(message.query_id),
+        )
 
     def _faulty_attempts(self, message: Message, link: Link, src: str, dst: str, done):
         """Attempt the transfer under the installed fault plan.
@@ -578,7 +582,6 @@ class Network:
         tracer = self._tracer
         query_id = message.query_id
         wire_size = message.wire_size
-        tag = {} if query_id is None else {"query_id": query_id}
         attempt = 0
         while True:
             attempt += 1
@@ -603,7 +606,7 @@ class Network:
                         dst_host=dst,
                         uid=message.uid,
                         bytes=wire_size,
-                        **tag,
+                        **query_tag(query_id),
                     )
                 reason = "loss"
                 wait = duration + retry.backoff_delay(attempt)
@@ -622,7 +625,7 @@ class Network:
                         uid=message.uid,
                         attempts=attempt,
                         reason=reason,
-                        **tag,
+                        **query_tag(query_id),
                     )
                 self._active_transfers[src] -= 1
                 self._active_transfers[dst] -= 1
@@ -650,16 +653,13 @@ class Network:
                     attempt=attempt,
                     reason=reason,
                     wait=wait,
-                    **tag,
+                    **query_tag(query_id),
                 )
             yield self.env.timeout(wait)
 
     def _deliver(self, message: Message, arrived_at: str) -> None:
         actual = self._actor_hosts.get(message.dst_actor, arrived_at)
         tracer = self._tracer
-        tag = (
-            {} if message.query_id is None else {"query_id": message.query_id}
-        )
         if actual != arrived_at:
             # The destination actor moved while the message was in flight:
             # forward it (mobile-object runtimes do exactly this).
@@ -674,7 +674,7 @@ class Network:
                     actor=message.dst_actor,
                     from_host=arrived_at,
                     to_host=actual,
-                    **tag,
+                    **query_tag(message.query_id),
                 )
             self.send(message, src_host=arrived_at, dst_host=actual)
             return
@@ -686,6 +686,6 @@ class Network:
                 actor=message.dst_actor,
                 host=arrived_at,
                 kind=message.kind.value,
-                **tag,
+                **query_tag(message.query_id),
             )
         self.hosts[arrived_at].mailbox(message.dst_actor).deliver(message)

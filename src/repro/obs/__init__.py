@@ -15,7 +15,8 @@ instrumented site.
 For runs too long to buffer in memory, :class:`StreamingTracer` spools
 events to rotating, size/age-budgeted JSONL segments
 (:class:`RotatingTraceWriter`) that :func:`read_segments` replays
-lazily — see :mod:`repro.obs.rotating`.
+lazily — see :mod:`repro.obs.rotating`.  Both JSONL formats go through
+one record codec, :mod:`repro.obs.codec`.
 """
 
 from repro.obs import events

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Union
 
+from repro.obs import codec as _codec
 from repro.obs.events import is_span
 from repro.obs.tracer import Tracer
 
@@ -37,30 +39,22 @@ FRAME_TYPES = ("trace.header", "trace.footer")
 # -- JSONL ------------------------------------------------------------------
 def write_jsonl(tracer: Tracer, path: PathLike) -> int:
     """Archive a tracer's events as JSONL; returns the record count."""
-    records = [
-        {"type": "trace.header", "schema": TRACE_SCHEMA, "meta": tracer.meta},
-        *tracer.events,
-        {
-            "type": "trace.footer",
-            "counters": tracer.counters,
-            "histograms": tracer.histogram_summary(),
-        },
-    ]
+    header = {"type": "trace.header", "schema": TRACE_SCHEMA, "meta": tracer.meta}
+    footer = {
+        "type": "trace.footer",
+        "counters": tracer.counters,
+        "histograms": tracer.histogram_summary(),
+    }
     with open(path, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
-    return len(records)
+        return _codec.CODEC.write(fh, chain((header,), tracer.events, (footer,)))
 
 
 def read_jsonl(path: PathLike) -> list[dict[str, Any]]:
-    """Load every record (header, events, footer) of a JSONL trace."""
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+    """Load every record (header, events, footer) of a JSONL trace.
+
+    A malformed line raises :class:`ValueError` naming the file and line.
+    """
+    return list(_codec.CODEC.read(path))
 
 
 def events_only(records: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:

@@ -26,10 +26,10 @@ suffix*: queries whose full lifecycle survived are summarized; orphan
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Optional, Union
 
+from repro.obs import codec as _codec
 from repro.obs.exporters import TRACE_SCHEMA
 from repro.obs.tracer import Tracer
 
@@ -106,7 +106,7 @@ class RotatingTraceWriter:
         self._write_line(header, segment)
 
     def _write_line(self, record: dict[str, Any], segment: _Segment) -> None:
-        line = json.dumps(record) + "\n"
+        line = _codec.CODEC.line(record)
         self._fh.write(line)
         segment.bytes += len(line)
 
@@ -260,11 +260,8 @@ def read_segments(directory: PathLike) -> Iterator[dict[str, Any]]:
     Lazy — one line is parsed at a time, so a day-long trace replays in
     constant memory.  Feed the result to
     :func:`repro.workload.fleet_from_trace`, which recognizes the
-    per-segment headers.
+    per-segment headers.  A malformed line raises :class:`ValueError`
+    naming the segment file and line.
     """
     for path in segment_paths(directory):
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
+        yield from _codec.CODEC.read(path)

@@ -24,7 +24,7 @@ from typing import Any, Optional
 class Tracer:
     """Recording tracer: typed span/point events, counters, histograms."""
 
-    __slots__ = ("events", "counters", "meta", "_histograms")
+    __slots__ = ("events", "counters", "meta", "_histograms", "_kernel_keys")
 
     #: Instrumentation sites test this before building event payloads.
     enabled = True
@@ -37,6 +37,8 @@ class Tracer:
         #: Free-form run metadata (exported in the JSONL header).
         self.meta: dict[str, Any] = {}
         self._histograms: dict[str, list[float]] = {}
+        #: Per-event-class counter names of :meth:`kernel_hook`.
+        self._kernel_keys: dict[type, str] = {}
 
     # -- events -------------------------------------------------------------
     def emit(self, event_type: str, t: float, **fields: Any) -> None:
@@ -86,7 +88,10 @@ class Tracer:
         """
         counters = self.counters
         counters["sim.events"] = counters.get("sim.events", 0) + 1
-        key = "sim.events." + type(event).__name__
+        cls = type(event)
+        key = self._kernel_keys.get(cls)
+        if key is None:
+            key = self._kernel_keys[cls] = "sim.events." + cls.__name__
         counters[key] = counters.get(key, 0) + 1
 
 
@@ -177,6 +182,17 @@ class ScopedTracer:
 
 #: Shared no-op tracer: the default everywhere a tracer is accepted.
 NULL_TRACER = NullTracer()
+
+_NO_QUERY: dict[str, Any] = {}
+
+
+def query_tag(query_id: Optional[str]) -> dict[str, Any]:
+    """The ``query_id`` field an event carries, for ``**`` unpacking.
+
+    Traffic outside any workload query gets a shared empty dict, so
+    untagged events allocate nothing here.  Never mutate the result.
+    """
+    return _NO_QUERY if query_id is None else {"query_id": query_id}
 
 
 def ensure_tracer(tracer: "Optional[Tracer | NullTracer]") -> "Tracer | NullTracer":

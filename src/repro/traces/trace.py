@@ -243,8 +243,8 @@ class BandwidthTrace:
         A transfer that spans further is inverted against the cumulative
         prefix-sum byte integral with one ``searchsorted``, so the cost is
         O(log n) rather than a Python-level walk over every straddled
-        segment (:meth:`_transfer_time_scan` keeps the old walk as the
-        reference implementation).
+        segment (the tests keep that walk as the reference,
+        ``tests/oracles/trace_scan.py``).
 
         ``hint`` (a :class:`TraceCursor`, typically owned by a
         :class:`repro.net.link.Link`) amortizes the *starting-segment*
@@ -305,48 +305,6 @@ class BandwidthTrace:
         stop = max(stop, index)
         within = (target - float(cum[stop])) / float(rates[stop])
         return elapsed + float(times[stop]) - float(times[index]) + within
-
-    def _transfer_time_scan(self, nbytes: float, t0: float) -> float:
-        """Reference segment-by-segment walk (pre-prefix-sum algorithm).
-
-        Kept for the property-test cross-check and the micro-benchmark in
-        ``tools/bench_sweep.py``; semantics are identical to
-        :meth:`transfer_time` up to floating-point association order.
-        """
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes!r}")
-        if nbytes == 0:
-            return 0.0
-        rates = self.rates
-        times = self.times
-        last = len(self) - 1
-
-        if t0 >= self.end:
-            return nbytes / float(rates[last])
-        remaining = float(nbytes)
-        elapsed = 0.0
-        if t0 < self.start:
-            head_capacity = (self.start - t0) * float(rates[0])
-            if remaining <= head_capacity:
-                return remaining / float(rates[0])
-            remaining -= head_capacity
-            elapsed = self.start - t0
-            cursor = self.start
-            index = 0
-        else:
-            index = int(np.searchsorted(times, t0, side="right")) - 1
-            index = min(max(index, 0), last)
-            cursor = t0
-        while index < last:
-            segment_end = float(times[index + 1])
-            capacity = (segment_end - cursor) * float(rates[index])
-            if remaining <= capacity:
-                return elapsed + remaining / float(rates[index])
-            remaining -= capacity
-            elapsed += segment_end - cursor
-            cursor = segment_end
-            index += 1
-        return elapsed + remaining / float(rates[last])
 
     # -- transforms ----------------------------------------------------------
     def shifted(self, offset: float) -> "BandwidthTrace":

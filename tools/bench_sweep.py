@@ -8,7 +8,7 @@ benchmarks the kernel/trace hot paths:
 
 * DES calendar throughput (timeout schedule-and-fire events/second);
 * ``BandwidthTrace.transfer_time`` — prefix-sum inversion vs the
-  reference segment-by-segment walk (``_transfer_time_scan``);
+  reference segment-by-segment walk (``tests/oracles/trace_scan.py``);
 * ``TraceLibrary.sample_noon_segment`` draw rate (cached sorted keys);
 * vectorized sampling — cached/batched noon-segment draws vs the
   build-per-draw reference they replaced;
@@ -727,6 +727,10 @@ def bench_fast_path(quick: bool = False, repeats: int = 3) -> dict:
 
 def bench_trace_algebra(n_calls: int = 2000) -> dict:
     """Prefix-sum transfer_time vs the reference segment walk."""
+    # The walk is the test oracle in the repo's ``tests`` package.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from tests.oracles.trace_scan import transfer_time_scan
+
     library = InternetStudy(seed=2024).run()
     trace = library.all_traces()[0]
     rng = np.random.default_rng(0)
@@ -741,7 +745,7 @@ def bench_trace_algebra(n_calls: int = 2000) -> dict:
 
     t0 = time.perf_counter()
     slow = [
-        trace._transfer_time_scan(float(n), float(s))
+        transfer_time_scan(trace, float(n), float(s))
         for n, s in zip(sizes, starts)
     ]
     scan_seconds = time.perf_counter() - t0
