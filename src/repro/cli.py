@@ -274,7 +274,7 @@ def _parse_mix(text: str, period: float) -> tuple:
 
 
 def _print_fleet(fleet: dict) -> None:
-    """Human-readable fleet summary, schema 1 (exact) or 2 (streaming)."""
+    """Human-readable fleet summary (per-query rows when records were kept)."""
     latency = fleet["latency"]
     print(
         f"{fleet['completed']}/{fleet['scheduled']} queries completed "
@@ -324,35 +324,39 @@ def _print_fleet(fleet: dict) -> None:
                     f"SLO {name}: {entry['slo_attainment']:.0%} of "
                     f"{entry['slo_eligible']} completed queries"
                 )
-    if fleet["workload_schema"] == 1:
+    clients = fleet["clients"]
+    quantiles = (
+        "exact" if "queries" in fleet
+        else f"within ±{fleet['relative_error']:.0%}"
+    )
+    print(
+        f"{clients['active']}/{clients['total']} clients active, "
+        f"latency quantiles {quantiles}"
+    )
+    print(f"\n{'class':<14}{'launched':>10}{'completed':>11}"
+          f"{'p50':>9}{'p99':>9}")
+    for name, entry in fleet["per_class"].items():
+        block = entry["latency"]
+        p50 = "-" if block["p50"] is None else f"{block['p50']:.1f}s"
+        p99 = "-" if block["p99"] is None else f"{block['p99']:.1f}s"
+        print(
+            f"{name:<14}{entry['launched']:>10}{entry['completed']:>11}"
+            f"{p50:>9}{p99:>9}"
+        )
+    queries = fleet.get("queries", [])
+    if queries:
         print(f"\n{'query':<8}{'class':<14}{'algorithm':<14}"
               f"{'issued':>9}{'latency':>10}{'reloc':>7}")
-        for query in fleet["queries"]:
-            latency_s = (
-                "TRUNC" if query["latency"] is None
-                else f"{query['latency']:.1f}s"
-            )
-            print(
-                f"{query['query_id']:<8}{query['class']:<14}"
-                f"{query['algorithm']:<14}{query['issued_at']:>9.1f}"
-                f"{latency_s:>10}{query['relocations']:>7}"
-            )
-    else:
-        clients = fleet["clients"]
-        print(
-            f"streaming metrics (±{fleet['relative_error']:.0%} quantile "
-            f"error), {clients['active']}/{clients['total']} clients active"
+    for query in queries:
+        latency_s = (
+            "TRUNC" if query["latency"] is None
+            else f"{query['latency']:.1f}s"
         )
-        print(f"\n{'class':<14}{'launched':>10}{'completed':>11}"
-              f"{'p50':>9}{'p99':>9}")
-        for name, entry in fleet["per_class"].items():
-            block = entry["latency"]
-            p50 = "-" if block["p50"] is None else f"{block['p50']:.1f}s"
-            p99 = "-" if block["p99"] is None else f"{block['p99']:.1f}s"
-            print(
-                f"{name:<14}{entry['launched']:>10}{entry['completed']:>11}"
-                f"{p50:>9}{p99:>9}"
-            )
+        print(
+            f"{query['query_id']:<8}{query['class']:<14}"
+            f"{query['algorithm']:<14}{query['issued_at']:>9.1f}"
+            f"{latency_s:>10}{query['relocations']:>7}"
+        )
     busiest = sorted(
         fleet["links"].items(),
         key=lambda kv: kv[1]["utilization"],
@@ -433,7 +437,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
         config_index=args.config,
         fault_plan=fault_overrides.get("faults"),
         max_sim_time=args.max_time,
-        metrics_mode=None if args.metrics == "auto" else args.metrics,
         overload=_overload_policy(args),
         fleet=_fleet_policy(args),
     )
@@ -657,11 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--shards", type=int, default=1,
                           help="client-hash shard the fleet across this "
                                "many processes (default 1: unsharded)")
-    workload.add_argument("--metrics",
-                          choices=("auto", "exact", "streaming"),
-                          default="auto",
-                          help="fleet metrics mode (default auto: exact "
-                               "below the threshold, streaming above)")
     _add_trace_argument(
         workload,
         help_text="record the query_id-tagged event stream "

@@ -129,12 +129,6 @@ class SimulationSpec:
     #: the global controller falls back to the download-all placement.
     degraded_rounds_to_download_all: int = 3
 
-    #: Kernel fast path: complete fault-free transfers with a single
-    #: analytic callback event instead of a generator process.  Results
-    #: are bit-identical either way; False forces the full DES path
-    #: (equivalence tests, kernel benchmarks).
-    fluid_fast_path: bool = True
-
     def __post_init__(self) -> None:
         if self.tree_shape not in ("binary", "left-deep"):
             raise ValueError(f"unknown tree shape {self.tree_shape!r}")

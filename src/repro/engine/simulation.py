@@ -184,7 +184,6 @@ def build_simulation(
     if tracer.enabled:
         env.trace_hook = tracer.kernel_hook
     network = Network(env, tracer=tracer)
-    network.fluid_fast_path = spec.fluid_fast_path
     for host_name in spec.all_hosts:
         host = Host(
             env,
@@ -192,7 +191,6 @@ def build_simulation(
             disk_rate=spec.disk_rate,
             nic_capacity=spec.nic_capacity,
         )
-        host.fluid_facilities = spec.fluid_fast_path
         network.add_host(host)
     hosts = list(spec.all_hosts)
     for i, a in enumerate(hosts):

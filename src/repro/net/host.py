@@ -95,11 +95,6 @@ class Host:
         self.cpu = Resource(env, capacity=1)
         self.disk_rate = disk_rate
         self.stats = HostStats()
-        #: Fluid facility fast path: hold an uncontended disk/CPU through
-        #: a single timeout event instead of the request-grant/timeout
-        #: pair (see :meth:`_use`).  Engines force this off together with
-        #: the network's transfer fast path for full-DES reference runs.
-        self.fluid_facilities = True
         self._mailboxes: dict[str, Mailbox] = {}
 
     # -- mailboxes ------------------------------------------------------------
@@ -123,11 +118,11 @@ class Host:
         When a slot is free, claim it synchronously
         (:meth:`~repro.sim.resources.Resource.try_acquire`) and sleep
         through a single timeout — the facility analogue of the
-        network's fluid transfer fast path.  A contended facility (or
-        ``fluid_facilities`` off) runs the classic request-grant then
-        timeout sequence; occupancy intervals are identical either way.
+        network's fluid transfer fast path.  A contended facility runs
+        the classic request-grant then timeout sequence; occupancy
+        intervals are identical either way.
         """
-        hold = resource.try_acquire() if self.fluid_facilities else None
+        hold = resource.try_acquire()
         if hold is None:
             with resource.request() as req:
                 yield req

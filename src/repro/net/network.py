@@ -131,14 +131,6 @@ class Network:
         #: Fault injector (see :meth:`install_faults`).  None (the
         #: default) keeps transfers on the exact unfaulted code path.
         self._faults = None
-        #: Fluid fast path (see :meth:`_start_transfer`): admitted
-        #: transfers whose window contains no fault boundary complete
-        #: via one analytically-scheduled callback event instead of a
-        #: generator process.  False forces every transfer through the
-        #: full DES path — results are bit-identical either way (pinned
-        #: by the equivalence suite); the toggle exists for those tests
-        #: and for benchmarking the collapse.
-        self.fluid_fast_path = True
 
     def install_faults(self, injector) -> None:
         """Route transfers through ``injector``'s outage/loss/retry model."""
@@ -281,13 +273,8 @@ class Network:
         with zero callbacks, a pure-waste calendar entry.  Posting skips
         it.  Eliding a no-op event cannot reorder anything: remaining
         calendar entries keep their relative order, and processing the
-        elided event ran no callbacks.  With the fast path disabled this
-        degrades to a plain send so full-DES reference runs reproduce
-        the classic event schedule exactly.
+        elided event ran no callbacks.
         """
-        if not self.fluid_fast_path:
-            self.send(message, src_host, dst_host)
-            return
         self._send(message, src_host, dst_host, None)
 
     def _send(
@@ -397,49 +384,48 @@ class Network:
         or loss condition falls back to the full DES path unchanged.
         """
         env = self.env
-        if self.fluid_fast_path:
-            faults = self._faults
-            if faults is None:
-                link = self.link(src, dst)
-                started = env.now
-                duration = link.transmission_time(message.wire_size, started)
-                env.schedule_callback(
-                    duration,
-                    lambda: self._finish_transfer(
-                        message, src, dst, done, link, started, duration,
-                        fluid=True,
-                    ),
-                )
-                return
+        faults = self._faults
+        if faults is None:
+            link = self.link(src, dst)
             started = env.now
-            if (
-                faults.link_blocked(src, dst, started) is None
-                and not faults.has_loss(src, dst)
-            ):
-                link = self.link(src, dst)
-                duration = link.transmission_time(message.wire_size, started)
-                boundary = faults.next_boundary(
-                    link.key, (src, dst), started, started + duration
-                )
-                if boundary is None:
-                    # Faulted runs mix fluid and DES transfers.  Routing
-                    # the completion through an URGENT launch callback —
-                    # scheduled exactly where the DES path schedules its
-                    # process-init event — gives the completion the same
-                    # calendar sequence number the DES Timeout would get,
-                    # so same-instant completions of mixed fluid/DES
-                    # transfers interleave exactly as before.
-                    def _launch():
-                        env.schedule_callback(
-                            duration,
-                            lambda: self._finish_transfer(
-                                message, src, dst, done, link, started,
-                                duration, fluid=True,
-                            ),
-                        )
+            duration = link.transmission_time(message.wire_size, started)
+            env.schedule_callback(
+                duration,
+                lambda: self._finish_transfer(
+                    message, src, dst, done, link, started, duration,
+                    fluid=True,
+                ),
+            )
+            return
+        started = env.now
+        if (
+            faults.link_blocked(src, dst, started) is None
+            and not faults.has_loss(src, dst)
+        ):
+            link = self.link(src, dst)
+            duration = link.transmission_time(message.wire_size, started)
+            boundary = faults.next_boundary(
+                link.key, (src, dst), started, started + duration
+            )
+            if boundary is None:
+                # Faulted runs mix fluid and DES transfers.  Routing the
+                # completion through an URGENT launch callback —
+                # scheduled exactly where the DES path schedules its
+                # process-init event — gives the completion the same
+                # calendar sequence number the DES Timeout would get, so
+                # same-instant completions of mixed fluid/DES transfers
+                # interleave exactly as before.
+                def _launch():
+                    env.schedule_callback(
+                        duration,
+                        lambda: self._finish_transfer(
+                            message, src, dst, done, link, started,
+                            duration, fluid=True,
+                        ),
+                    )
 
-                    env.schedule_callback(0.0, _launch, priority=URGENT)
-                    return
+                env.schedule_callback(0.0, _launch, priority=URGENT)
+                return
         env.process(
             self._run_transfer(message, src, dst, done),
             name=f"xfer#{message.uid}",

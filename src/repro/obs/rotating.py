@@ -17,7 +17,7 @@ both memory and disk:
   meta stay in memory — they are tiny).
 * :func:`read_segments` streams the surviving records back in order,
   lazily, for :func:`repro.workload.fleet_from_trace`'s single-pass
-  streaming replay.
+  replay.
 
 A trace whose early segments were pruned replays the *observable
 suffix*: queries whose full lifecycle survived are summarized; orphan

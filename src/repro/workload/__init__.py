@@ -25,10 +25,11 @@ links, NICs, monitoring substrate and fault timeline.
   SLO-fairness-biased).  ``WorkloadSpec.fleet=None`` keeps every query
   planning blindly, bit-identical to the pre-fleet engine.
 
-Fleet metrics flow through one :class:`MetricsSink` funnel: exact
-(``workload_schema: 1``) below ``WorkloadSpec.exact_metrics_threshold``,
-streaming quantile sketches (``workload_schema: 2``, flat memory) above
-it.
+Fleet metrics flow through one :class:`FleetMetrics` sink and one
+summary schema (``workload_schema: 3``).  Fleets within
+``WorkloadSpec.exact_metrics_threshold`` queries also keep per-query
+records, which make the latency blocks exact; larger fleets read them
+from quantile sketches in flat memory.
 
 Every trace event of a workload run is tagged with its ``query_id``, so
 a shared trace can be sliced per query
@@ -52,16 +53,7 @@ from repro.workload.engine import (
     build_schedule,
     run_workload,
 )
-from repro.workload.metrics import (
-    LATENCY_KEYS,
-    STREAMING_SCHEMA,
-    WORKLOAD_SCHEMA,
-    LinkUsage,
-    LinkUsageRecorder,
-    QueryOutcome,
-    build_fleet_summary,
-    jain_index,
-)
+from repro.workload.metrics import LATENCY_KEYS, WORKLOAD_SCHEMA, jain_index
 from repro.workload.overload import (
     OverloadController,
     OverloadPolicy,
@@ -70,12 +62,12 @@ from repro.workload.overload import (
 from repro.workload.sink import (
     DEFAULT_EXACT_THRESHOLD,
     ExactFleetMetrics,
+    FleetMetrics,
     MetricsSink,
     QueryStats,
     StreamingFleetMetrics,
     client_index_of,
     fleet_from_trace,
-    fleet_metrics_for,
     merge_sinks,
     note_slo,
 )
@@ -110,21 +102,16 @@ __all__ = [
     "build_schedule",
     "run_workload",
     "LATENCY_KEYS",
-    "STREAMING_SCHEMA",
     "WORKLOAD_SCHEMA",
-    "LinkUsage",
-    "LinkUsageRecorder",
-    "QueryOutcome",
-    "build_fleet_summary",
     "fleet_from_trace",
     "jain_index",
     "DEFAULT_EXACT_THRESHOLD",
     "ExactFleetMetrics",
+    "FleetMetrics",
     "MetricsSink",
     "QueryStats",
     "StreamingFleetMetrics",
     "client_index_of",
-    "fleet_metrics_for",
     "merge_sinks",
     "note_slo",
     "OverloadController",

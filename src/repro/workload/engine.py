@@ -68,8 +68,8 @@ class QueryPlan:
     """A launched query: its runtime plus launch bookkeeping."""
 
     scheduled: ScheduledQuery
-    #: ``None`` once the streaming path has finalized the query and
-    #: released its runtime.
+    #: ``None`` once the query has been finalized and its runtime
+    #: released.
     runtime: Optional[Runtime]
     issued_at: float
     #: Set by the overload controller's deadline watchdog; the query
@@ -104,8 +104,8 @@ class QueryResult:
 class WorkloadResult:
     """Everything one workload run produced.
 
-    ``queries`` is empty when the streaming metrics path ran (per-query
-    results are not materialized at scale); ``metrics`` is the
+    ``queries`` is empty when the sink kept no per-query records
+    (per-query results are not materialized at scale); ``metrics`` is the
     :class:`~repro.workload.sink.MetricsSink` that accumulated the run,
     kept so sharded runs can merge sinks before summarizing.
     """
@@ -160,7 +160,6 @@ class WorkloadEngine:
         spec = self.spec
         tracer = self.tracer
         network = Network(env, tracer=tracer)
-        network.fluid_fast_path = spec.fluid_fast_path
         for host_name in spec.all_hosts:
             host = Host(
                 env,
@@ -168,7 +167,6 @@ class WorkloadEngine:
                 disk_rate=spec.disk_rate,
                 nic_capacity=spec.nic_capacity,
             )
-            host.fluid_facilities = spec.fluid_fast_path
             network.add_host(host)
         links = spec.resolve_links()
         hosts = list(spec.all_hosts)
@@ -209,7 +207,9 @@ class WorkloadEngine:
         tracer = self.tracer
         schedule = build_schedule(spec)
         sink = spec.build_metrics()
-        streaming = sink.mode == "streaming"
+        # Without per-query records, queries finalize as they complete
+        # so their state is freed while the fleet runs.
+        eager = not sink.keeps_records
         if not schedule:
             return WorkloadResult(
                 spec=spec,
@@ -259,8 +259,8 @@ class WorkloadEngine:
         def finalize(plan: QueryPlan, truncated: bool) -> None:
             """Feed one query into the sink and release its runtime.
 
-            The streaming path calls this eagerly from the query's done
-            callback, so per-query state (runtime, network/monitor
+            Without per-query records this runs eagerly from the query's
+            done callback, so per-query state (runtime, network/monitor
             accounting slices) is freed as the fleet progresses instead
             of accumulating until the end of the run.
             """
@@ -291,7 +291,7 @@ class WorkloadEngine:
             def _completed(_event) -> None:
                 if coordinator is not None:
                     coordinator.query_done(plan.query_id)
-                if streaming:
+                if eager:
                     finalize(plan, truncated=plan.deadline_aborted)
                 if controller is None:
                     slot_resolved()
@@ -446,7 +446,7 @@ class WorkloadEngine:
         env.run(until=stop)
 
         results: list[QueryResult] = []
-        if streaming:
+        if eager:
             # Completed queries were finalized eagerly; whatever is left
             # hit the simulation-time wall.
             for plan in launched:

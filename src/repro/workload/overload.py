@@ -268,11 +268,7 @@ class ResilienceCounters:
             self.breaker_hosts[host] = self.breaker_hosts.get(host, 0) + opens
         self.degraded += other.degraded
         for name, stats in other.per_class.items():
-            mine = self.per_class.get(name)
-            if mine is None:
-                self.per_class[name] = stats
-            else:
-                mine.merge(stats)
+            self.per_class.setdefault(name, _PerClass()).merge(stats)
 
     def block(
         self, launched: int, completed: int, elapsed: float
@@ -508,8 +504,8 @@ class OverloadController:
         self.sink.resilience_event("deadline_abort", scheduled.qclass.name)
         self._note_failure(scheduled.spec.server_hosts)
         # Settling `done` flows through the engine's completion callback:
-        # the streaming path finalizes (truncated), then query_finished
-        # runs the retry/resolve/drain step.
+        # a sink without records finalizes it (truncated) right away,
+        # then query_finished runs the retry/resolve/drain step.
         runtime.done.succeed(self.env.now)
 
     def _expire_queued(self, sub: Submission) -> None:

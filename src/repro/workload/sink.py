@@ -1,8 +1,7 @@
-"""The MetricsSink funnel: one API for live and replayed fleet metrics.
+"""The fleet-metrics sink: one accumulator for live and replayed fleets.
 
-Before this module the live :class:`~repro.workload.engine.WorkloadEngine`
-and the :func:`fleet_from_trace` replay were parallel constructions that
-could drift.  Now both feed one protocol:
+The live :class:`~repro.workload.engine.WorkloadEngine` and the
+:func:`fleet_from_trace` replay feed the same protocol:
 
 * :meth:`MetricsSink.query_started` when a query launches,
 * :meth:`MetricsSink.query_finished` with its :class:`QueryStats`,
@@ -10,31 +9,25 @@ could drift.  Now both feed one protocol:
 * :meth:`MetricsSink.summary` to produce the fleet summary dict, and
 * :meth:`MetricsSink.merge` to fold sinks from sharded runs together.
 
-Two implementations sit behind the protocol, chosen by
-:func:`fleet_metrics_for`:
+:class:`FleetMetrics` implements it once.  Its counters, quantile
+sketches (fleet and per class), per-client arrays (launched, completed
+and latency sum — exact client means for Jain fairness) and per-link
+accumulators cost O(classes + links + clients) memory whatever the
+query count.  While the fleet is small enough it also keeps every
+:class:`QueryStats`; then its latency blocks are exact (``np.percentile``
+over the records) and the summary adds the per-client map, the
+per-query rows and each link's per-query byte split.  Without records
+the latency blocks come from the sketches.  Either way the summary
+carries one ``workload_schema``, and ``bytes_on_wire`` is the
+link-observed total (each wire transfer counted once).
 
-:class:`ExactFleetMetrics` (``workload_schema: 1``)
-    Stores every :class:`QueryStats` and funnels into
-    :func:`~repro.workload.metrics.build_fleet_summary` — byte-identical
-    to the pre-sink summaries, used below the exactness threshold.
-
-:class:`StreamingFleetMetrics` (``workload_schema: 2``)
-    O(classes + links + clients) memory regardless of query count:
-    latency percentiles come from mergeable
-    :class:`~repro.workload.sketch.QuantileSketch` histograms (fleet and
-    per class), per-client accounting is two flat arrays (exact count
-    and latency sum per client, enough for Jain fairness), link usage is
-    bounded counters with per-*class* byte attribution, and
-    ``bytes_on_wire`` is the link-observed total (each wire transfer
-    counted once) rather than the per-query metric sum.
-
-Merging either implementation is order-invariant: integer counts add,
-float totals go through :class:`~repro.workload.sketch.OrderFreeSum`,
-and the exact path re-sorts its stats into canonical (issue time,
-client, ordinal) order once any merge has happened.  Shards are expected
-to partition *clients* (see :func:`repro.workload.sweep.shard_clients`),
-which keeps per-query and per-client attributions disjoint across
-shards.
+Merging is order-invariant: integer counts add, float totals go through
+:class:`~repro.workload.sketch.OrderFreeSum`, and kept records re-sort
+into canonical (issue time, client, ordinal) order once any merge has
+happened.  A merge copies what it adopts, so folding shards never
+mutates them.  Shards are expected to partition *clients* (see
+:func:`repro.workload.sweep.shard_clients`), which keeps per-query and
+per-client attributions disjoint across shards.
 """
 
 from __future__ import annotations
@@ -66,16 +59,15 @@ from repro.obs.events import (
     RUN_END,
     RUN_META,
 )
-from repro.obs.summary import query_records
+from repro.workload.metrics import WORKLOAD_SCHEMA, jain_index, latency_block
 from repro.workload.overload import ResilienceCounters
 from repro.workload.sketch import OrderFreeSum, QuantileSketch
-from repro.workload.spec import client_of
 
-#: Fleets scheduling at most this many queries default to the exact
-#: (schema-1) metrics path; larger fleets stream (schema 2).
+#: Fleets whose full population (clients x queries per client) is at
+#: most this many queries keep per-query records.
 DEFAULT_EXACT_THRESHOLD = 1000
 
-#: Default sketch accuracy for the streaming path (1% relative error).
+#: Relative error bound of the latency sketches (1%).
 DEFAULT_RELATIVE_ERROR = 0.01
 
 #: Record types that are trace framing, not simulation events.
@@ -162,8 +154,8 @@ class QueryStats:
 class MetricsSink(Protocol):
     """What the engine and the replay reader feed fleet metrics through."""
 
-    #: ``"exact"`` or ``"streaming"``; also tags the summary dict.
-    mode: str
+    #: True while the sink keeps one :class:`QueryStats` per query.
+    keeps_records: bool
 
     def query_started(
         self, query_id: str, class_name: str, issued_at: float
@@ -203,206 +195,68 @@ class MetricsSink(Protocol):
     ) -> dict[str, Any]: ...
 
 
-class _FleetMetricsBase:
-    """Shared plumbing: network-observer adapter, resilience counters
-    and order-free folding."""
-
-    def resilience_event(
-        self,
-        kind: str,
-        class_name: Optional[str] = None,
-        host: Optional[str] = None,
-        value: Any = None,
-    ) -> None:
-        """Record one overload-protection transition (see
-        :class:`~repro.workload.overload.ResilienceCounters`)."""
-        self._resilience.note(kind, class_name=class_name, host=host, value=value)
-
-    @property
-    def resilience(self) -> ResilienceCounters:
-        return self._resilience
-
-    def coordination_event(
-        self,
-        kind: str,
-        class_name: Optional[str] = None,
-        link: Optional[str] = None,
-        value: Any = None,
-    ) -> None:
-        """Record one fleet-coordination transition (see
-        :class:`~repro.fleet.counters.CoordinationCounters`)."""
-        self._coordination.note(kind, class_name=class_name, link=link, value=value)
-
-    @property
-    def coordination(self) -> CoordinationCounters:
-        return self._coordination
-
-    def observe(self, observation) -> None:
-        """Adapter matching the :class:`~repro.net.network.Network`
-        observer signature."""
-        self.link_transfer(
-            observation.src_host,
-            observation.dst_host,
-            observation.wire_bytes,
-            observation.finished - observation.started,
-            observation.query_id,
-        )
-
-    @staticmethod
-    def merged(parts: "Sequence[MetricsSink]") -> "MetricsSink":
-        """Fold non-empty ``parts`` into the first one, in given order.
-
-        Because every sink merge is order-invariant, any permutation of
-        ``parts`` produces an identical sink (pinned by tests).
-        """
-        if not parts:
-            raise ValueError("merged() needs at least one sink")
-        head = parts[0]
-        for other in parts[1:]:
-            head.merge(other)
-        return head
-
-
 class _LinkAccumulator:
     """Per-link counters whose float totals merge order-invariantly."""
 
-    __slots__ = ("bytes", "busy_seconds", "transfers", "attributed")
+    __slots__ = ("bytes", "busy_seconds", "transfers", "by_class", "by_query")
 
-    def __init__(self) -> None:
+    def __init__(self, per_query: bool) -> None:
         self.bytes = OrderFreeSum()
         self.busy_seconds = OrderFreeSum()
         self.transfers = 0
-        #: Attribution key (query id or class name) -> bytes.  Keys are
-        #: expected to be shard-disjoint (client-hash sharding), so the
-        #: per-key floats are plain sums.
-        self.attributed: dict[str, float] = {}
+        self.by_class: dict[str, OrderFreeSum] = {}
+        #: Query id -> bytes, only while records are kept.  Query ids
+        #: are shard-disjoint (client-hash sharding), so plain sums.
+        self.by_query: Optional[dict[str, float]] = {} if per_query else None
 
     def note(
-        self, wire_bytes: float, seconds: float, key: Optional[str]
+        self,
+        wire_bytes: float,
+        seconds: float,
+        class_name: Optional[str],
+        query_id: Optional[str],
     ) -> None:
         self.bytes.add(wire_bytes)
         self.busy_seconds.add(seconds)
         self.transfers += 1
-        if key is not None:
-            self.attributed[key] = self.attributed.get(key, 0.0) + wire_bytes
+        if class_name is not None:
+            total = self.by_class.get(class_name)
+            if total is None:
+                total = self.by_class[class_name] = OrderFreeSum()
+            total.add(wire_bytes)
+        if query_id is not None and self.by_query is not None:
+            self.by_query[query_id] = self.by_query.get(query_id, 0.0) + wire_bytes
 
     def merge(self, other: "_LinkAccumulator") -> None:
         self.bytes.merge(other.bytes)
         self.busy_seconds.merge(other.busy_seconds)
         self.transfers += other.transfers
-        for key, value in other.attributed.items():
-            self.attributed[key] = self.attributed.get(key, 0.0) + value
+        for name, total in other.by_class.items():
+            self.by_class.setdefault(name, OrderFreeSum()).merge(total)
+        if self.by_query is not None and other.by_query is not None:
+            for key, value in other.by_query.items():
+                self.by_query[key] = self.by_query.get(key, 0.0) + value
 
-
-class ExactFleetMetrics(_FleetMetricsBase):
-    """The exact (schema-1) sink: keeps every QueryStats.
-
-    Summaries are byte-identical to the pre-sink implementation for
-    unmerged (single-process) runs; once shards have been merged the
-    stats re-sort into canonical issue order so the result is the same
-    whichever order the shards arrived in.
-    """
-
-    mode = "exact"
-
-    def __init__(self) -> None:
-        self._stats: list[QueryStats] = []
-        self._links: dict[tuple[str, str], _LinkAccumulator] = {}
-        self._resilience = ResilienceCounters()
-        self._coordination = CoordinationCounters()
-        self._was_merged = False
-
-    def query_started(
-        self, query_id: str, class_name: str, issued_at: float
-    ) -> None:
-        pass  # launch order is implied by query_finished order
-
-    def query_finished(self, stats: QueryStats) -> None:
-        self._stats.append(stats)
-        self._coordination.note_effort(
-            stats.planner_rounds,
-            stats.planner_candidates,
-            stats.planner_links_queried,
-        )
-
-    def link_transfer(
-        self,
-        src_host: str,
-        dst_host: str,
-        wire_bytes: float,
-        busy_seconds: float,
-        query_id: Optional[str] = None,
-    ) -> None:
-        key = (
-            (src_host, dst_host)
-            if src_host < dst_host
-            else (dst_host, src_host)
-        )
-        usage = self._links.get(key)
-        if usage is None:
-            usage = self._links[key] = _LinkAccumulator()
-        usage.note(wire_bytes, busy_seconds, query_id)
-
-    def merge(self, other: "ExactFleetMetrics") -> "ExactFleetMetrics":
-        if not isinstance(other, ExactFleetMetrics):
-            raise TypeError(
-                f"cannot merge {type(other).__name__} into ExactFleetMetrics"
-            )
-        self._stats.extend(other._stats)
-        for key, usage in other._links.items():
-            mine = self._links.get(key)
-            if mine is None:
-                self._links[key] = usage
-            else:
-                mine.merge(usage)
-        self._resilience.merge(other._resilience)
-        self._coordination.merge(other._coordination)
-        self._was_merged = True
-        return self
-
-    @property
-    def stats(self) -> tuple[QueryStats, ...]:
-        return tuple(self._stats)
-
-    def summary(
-        self, elapsed: float, scheduled: Optional[int] = None
-    ) -> dict[str, Any]:
-        from repro.workload.metrics import LinkUsage, build_fleet_summary
-
-        stats = self._stats
-        if self._was_merged:
-            stats = sorted(stats, key=_stats_sort_key)
-        links: dict[tuple[str, str], LinkUsage] = {}
-        for key in sorted(self._links):
-            acc = self._links[key]
-            links[key] = LinkUsage(
-                bytes=acc.bytes.value,
-                busy_seconds=acc.busy_seconds.value,
-                transfers=acc.transfers,
-                by_query=dict(acc.attributed),
-            )
-        payload = build_fleet_summary(
-            stats, links, elapsed, scheduled=scheduled
-        )
-        if self._resilience.engaged:
-            # Evidence-driven: the block appears only when protection
-            # actually acted, so a defaults-off run (and its replay,
-            # which cannot see the spec) stays bit-identical.
-            payload["resilience"] = self._resilience.block(
-                launched=len(stats),
-                completed=sum(1 for s in stats if s.finished),
-                elapsed=elapsed,
-            )
-        if self._coordination.engaged:
-            # Same evidence-driven gating: only fleet-coordination events
-            # (claim/grant/deny/rebalance) surface the block, so blind
-            # per-query planning keeps its summary bit-identical.
-            payload["fleet"] = self._coordination.block()
-        return payload
+    def block(self, elapsed: float) -> dict[str, Any]:
+        busy = self.busy_seconds.value
+        entry = {
+            "bytes": self.bytes.value,
+            "busy_seconds": busy,
+            "transfers": self.transfers,
+            "utilization": (busy / elapsed) if elapsed > 0 else 0.0,
+            "classes": {
+                name: self.by_class[name].value for name in sorted(self.by_class)
+            },
+        }
+        if self.by_query is not None:
+            entry["queries"] = {
+                qid: self.by_query[qid] for qid in sorted(self.by_query)
+            }
+        return entry
 
 
 class _ClassStats:
-    """Per-query-class streaming counters."""
+    """Per-query-class counters and latency sketch."""
 
     __slots__ = ("launched", "completed", "truncated", "sketch")
 
@@ -419,27 +273,54 @@ class _ClassStats:
         self.sketch.merge(other.sketch)
 
 
-class StreamingFleetMetrics(_FleetMetricsBase):
-    """The streaming (schema-2) sink: flat memory in the query count.
+def _grown(array: np.ndarray, size: int) -> np.ndarray:
+    """``array`` zero-padded to ``size`` entries (a copy when padded)."""
+    if len(array) >= size:
+        return array
+    return np.concatenate([array, np.zeros(size - len(array), array.dtype)])
 
-    State is O(classes + links + clients): quantile sketches for the
-    fleet and each class, two flat per-client arrays (completed count
-    and latency sum — exact client means for Jain fairness), bounded
-    per-link counters with per-class byte attribution, and a small
-    in-flight map (query id -> class) that empties as queries finish.
+
+def _sketch_block(sketch: QuantileSketch) -> dict[str, Any]:
+    return {
+        "count": sketch.count,
+        "mean": sketch.mean,
+        "p50": sketch.percentile(50),
+        "p95": sketch.percentile(95),
+        "p99": sketch.percentile(99),
+        "max": sketch.max,
+    }
+
+
+class FleetMetrics:
+    """The fleet-metrics sink (see the module docstring).
+
+    ``num_clients`` sizes the per-client arrays (they grow if a larger
+    client index shows up); ``keep_records`` defaults to the class's
+    :attr:`keeps_records_by_default`.  Sinks merge only with sinks of
+    the same population, sketch accuracy and retention.
     """
 
-    mode = "streaming"
+    #: Retention when the constructor is not told otherwise.
+    keeps_records_by_default = True
 
     def __init__(
         self,
-        num_clients: int,
+        num_clients: int = 0,
         relative_error: float = DEFAULT_RELATIVE_ERROR,
+        *,
+        keep_records: Optional[bool] = None,
     ) -> None:
         if num_clients < 0:
             raise ValueError("num_clients must be non-negative")
         self.num_clients = int(num_clients)
         self.relative_error = float(relative_error)
+        self.keeps_records = (
+            self.keeps_records_by_default
+            if keep_records is None
+            else bool(keep_records)
+        )
+        self._records: list[QueryStats] = []
+        self._was_merged = False
         self._fleet = QuantileSketch(self.relative_error)
         self._classes: dict[str, _ClassStats] = {}
         self._client_launched = np.zeros(self.num_clients, dtype=np.int64)
@@ -451,26 +332,49 @@ class StreamingFleetMetrics(_FleetMetricsBase):
         self._relocations = 0
         self._aborted_relocations = 0
         self._links: dict[tuple[str, str], _LinkAccumulator] = {}
+        #: Query id -> class of every launched, unfinished query.
         self._inflight: dict[str, str] = {}
         self._resilience = ResilienceCounters()
         self._coordination = CoordinationCounters()
 
+    # -- accumulation ---------------------------------------------------
     def _class(self, name: str) -> _ClassStats:
         stats = self._classes.get(name)
         if stats is None:
             stats = self._classes[name] = _ClassStats(self.relative_error)
         return stats
 
+    def _client(self, query_id: str) -> int:
+        index = client_index_of(query_id)
+        if index >= len(self._client_launched):
+            self._grow_clients(index + 1)
+        return index
+
+    def _grow_clients(self, size: int) -> None:
+        self._client_launched = _grown(self._client_launched, size)
+        self._client_completed = _grown(self._client_completed, size)
+        self._client_latency_sum = _grown(self._client_latency_sum, size)
+
+    def _link(self, src_host: str, dst_host: str) -> _LinkAccumulator:
+        key = (src_host, dst_host) if src_host < dst_host else (dst_host, src_host)
+        usage = self._links.get(key)
+        if usage is None:
+            usage = self._links[key] = _LinkAccumulator(self.keeps_records)
+        return usage
+
     def query_started(
         self, query_id: str, class_name: str, issued_at: float
     ) -> None:
         self._launched += 1
         self._class(class_name).launched += 1
-        self._client_launched[client_index_of(query_id)] += 1
+        index = self._client(query_id)
+        self._client_launched[index] += 1
         self._inflight[query_id] = class_name
 
     def query_finished(self, stats: QueryStats) -> None:
         self._inflight.pop(stats.query_id, None)
+        if self.keeps_records:
+            self._records.append(stats)
         cls = self._class(stats.class_name)
         if stats.truncated:
             self._truncated += 1
@@ -482,7 +386,7 @@ class StreamingFleetMetrics(_FleetMetricsBase):
         if latency is not None:
             self._fleet.add(latency)
             cls.sketch.add(latency)
-            index = client_index_of(stats.query_id)
+            index = self._client(stats.query_id)
             self._client_completed[index] += 1
             self._client_latency_sum[index] += latency
         self._relocations += stats.relocations
@@ -501,25 +405,58 @@ class StreamingFleetMetrics(_FleetMetricsBase):
         busy_seconds: float,
         query_id: Optional[str] = None,
     ) -> None:
-        key = (
-            (src_host, dst_host)
-            if src_host < dst_host
-            else (dst_host, src_host)
-        )
-        usage = self._links.get(key)
-        if usage is None:
-            usage = self._links[key] = _LinkAccumulator()
         class_name = (
             self._inflight.get(query_id) if query_id is not None else None
         )
-        usage.note(wire_bytes, busy_seconds, class_name)
+        self._link(src_host, dst_host).note(
+            wire_bytes, busy_seconds, class_name, query_id
+        )
 
-    def merge(self, other: "StreamingFleetMetrics") -> "StreamingFleetMetrics":
-        if not isinstance(other, StreamingFleetMetrics):
-            raise TypeError(
-                f"cannot merge {type(other).__name__} into "
-                "StreamingFleetMetrics"
-            )
+    def observe(self, observation) -> None:
+        """Adapter matching the :class:`~repro.net.network.Network`
+        observer signature."""
+        self.link_transfer(
+            observation.src_host,
+            observation.dst_host,
+            observation.wire_bytes,
+            observation.finished - observation.started,
+            observation.query_id,
+        )
+
+    def resilience_event(
+        self,
+        kind: str,
+        class_name: Optional[str] = None,
+        host: Optional[str] = None,
+        value: Any = None,
+    ) -> None:
+        """Record one overload-protection transition (see
+        :class:`~repro.workload.overload.ResilienceCounters`)."""
+        self._resilience.note(kind, class_name=class_name, host=host, value=value)
+
+    def coordination_event(
+        self,
+        kind: str,
+        class_name: Optional[str] = None,
+        link: Optional[str] = None,
+        value: Any = None,
+    ) -> None:
+        """Record one fleet-coordination transition (see
+        :class:`~repro.fleet.counters.CoordinationCounters`)."""
+        self._coordination.note(kind, class_name=class_name, link=link, value=value)
+
+    def _drop_records(self) -> None:
+        """Stop keeping per-query records and discard those kept so far."""
+        self.keeps_records = False
+        self._records = []
+        for usage in self._links.values():
+            usage.by_query = None
+
+    # -- merging --------------------------------------------------------
+    def merge(self, other: "FleetMetrics") -> "FleetMetrics":
+        """Fold ``other`` into this sink; ``other`` is left unchanged."""
+        if not isinstance(other, FleetMetrics):
+            raise TypeError(f"cannot merge {type(other).__name__} into FleetMetrics")
         if other.num_clients != self.num_clients:
             raise ValueError(
                 "cannot merge sinks over different client populations: "
@@ -530,91 +467,82 @@ class StreamingFleetMetrics(_FleetMetricsBase):
                 "cannot merge sinks with different sketch accuracy: "
                 f"{self.relative_error} vs {other.relative_error}"
             )
+        if other.keeps_records != self.keeps_records:
+            raise ValueError(
+                "cannot merge sinks with different record retention: "
+                f"{self.keeps_records} vs {other.keeps_records}"
+            )
+        self._records.extend(other._records)
         self._fleet.merge(other._fleet)
         for name, cls in other._classes.items():
-            mine = self._classes.get(name)
-            if mine is None:
-                self._classes[name] = cls
-            else:
-                mine.merge(cls)
-        self._client_launched += other._client_launched
-        self._client_completed += other._client_completed
-        self._client_latency_sum += other._client_latency_sum
+            self._class(name).merge(cls)
+        size = max(len(self._client_launched), len(other._client_launched))
+        self._grow_clients(size)
+        self._client_launched += _grown(other._client_launched, size)
+        self._client_completed += _grown(other._client_completed, size)
+        self._client_latency_sum += _grown(other._client_latency_sum, size)
         self._launched += other._launched
         self._completed += other._completed
         self._truncated += other._truncated
         self._relocations += other._relocations
         self._aborted_relocations += other._aborted_relocations
-        for key, usage in other._links.items():
-            mine_link = self._links.get(key)
-            if mine_link is None:
-                self._links[key] = usage
-            else:
-                mine_link.merge(usage)
+        for (a, b), usage in other._links.items():
+            self._link(a, b).merge(usage)
         self._inflight.update(other._inflight)
         self._resilience.merge(other._resilience)
         self._coordination.merge(other._coordination)
+        self._was_merged = True
         return self
 
-    def _sketch_block(self, sketch: QuantileSketch) -> dict[str, Any]:
-        return {
-            "count": sketch.count,
-            "mean": sketch.mean,
-            "p50": sketch.percentile(50),
-            "p95": sketch.percentile(95),
-            "p99": sketch.percentile(99),
-            "max": sketch.max,
-        }
-
+    # -- the summary ----------------------------------------------------
     def summary(
         self, elapsed: float, scheduled: Optional[int] = None
     ) -> dict[str, Any]:
-        from repro.workload.metrics import STREAMING_SCHEMA, jain_index
+        """The fleet summary dict (``workload_schema`` 3)."""
+        records = self._records
+        if self._was_merged:
+            records = sorted(records, key=_stats_sort_key)
+        kept = self.keeps_records
+        class_latencies: dict[str, list[float]] = {}
+        for s in records:
+            if s.latency is not None:
+                class_latencies.setdefault(s.class_name, []).append(s.latency)
 
-        mask = self._client_completed > 0
-        client_means = (
-            self._client_latency_sum[mask] / self._client_completed[mask]
-        )
-        link_block: dict[str, Any] = {}
-        for (a, b) in sorted(self._links):
-            usage = self._links[(a, b)]
-            busy = usage.busy_seconds.value
-            link_block[f"{a}--{b}"] = {
-                "bytes": usage.bytes.value,
-                "busy_seconds": busy,
-                "transfers": usage.transfers,
-                "utilization": (busy / elapsed) if elapsed > 0 else 0.0,
-                "classes": {
-                    name: usage.attributed[name]
-                    for name in sorted(usage.attributed)
-                },
-            }
-        bytes_on_wire = math.fsum(
-            self._links[key].bytes.value for key in sorted(self._links)
-        )
-        payload = {
-            "workload_schema": STREAMING_SCHEMA,
-            "mode": self.mode,
+        def latency_of(sketch: QuantileSketch, latencies: list[float]):
+            return latency_block(latencies) if kept else _sketch_block(sketch)
+
+        launched = self._client_launched
+        completed = self._client_completed
+        mask = completed > 0
+        client_means = self._client_latency_sum[mask] / completed[mask]
+        payload: dict[str, Any] = {
+            "workload_schema": WORKLOAD_SCHEMA,
+            "mode": "exact" if kept else "streaming",
             "relative_error": self.relative_error,
             "elapsed": elapsed,
             "scheduled": self._launched if scheduled is None else scheduled,
             "launched": self._launched,
             "completed": self._completed,
             "truncated": self._truncated,
-            "latency": self._sketch_block(self._fleet),
+            "latency": latency_of(
+                self._fleet,
+                [s.latency for s in records if s.latency is not None],
+            ),
             "fairness_jain": jain_index(client_means.tolist()),
             "per_class": {
                 name: {
                     "launched": cls.launched,
                     "completed": cls.completed,
                     "truncated": cls.truncated,
-                    "latency": self._sketch_block(cls.sketch),
+                    "latency": latency_of(
+                        cls.sketch, class_latencies.get(name, [])
+                    ),
                 }
                 for name, cls in sorted(self._classes.items())
             },
             "clients": {
-                "total": self.num_clients,
-                "active": int((self._client_launched > 0).sum()),
+                "total": max(self.num_clients, len(launched)),
+                "active": int((launched > 0).sum()),
             },
             "relocations": {
                 "total": self._relocations,
@@ -625,43 +553,97 @@ class StreamingFleetMetrics(_FleetMetricsBase):
                 ),
                 "aborted": self._aborted_relocations,
             },
-            "bytes_on_wire": bytes_on_wire,
-            "links": link_block,
+            "bytes_on_wire": math.fsum(
+                self._links[key].bytes.value for key in sorted(self._links)
+            ),
+            "links": {
+                f"{a}--{b}": self._links[(a, b)].block(elapsed)
+                for (a, b) in sorted(self._links)
+            },
         }
+        if kept:
+            payload["per_client"] = {
+                f"c{i}": {
+                    "queries": int(launched[i]),
+                    "completed": int(completed[i]),
+                    "mean_latency": (
+                        float(self._client_latency_sum[i] / completed[i])
+                        if completed[i]
+                        else None
+                    ),
+                }
+                for i in np.flatnonzero(launched)
+            }
+            payload["queries"] = [
+                {
+                    "query_id": s.query_id,
+                    "class": s.class_name,
+                    "algorithm": s.algorithm,
+                    "issued_at": s.issued_at,
+                    "latency": s.latency,
+                    "completion_time": s.completion_time,
+                    "truncated": s.truncated,
+                    "images_delivered": s.images_delivered,
+                    "relocations": s.relocations,
+                    "bytes_on_wire": s.bytes_on_wire,
+                }
+                for s in records
+            ]
         if self._resilience.engaged:
+            # Evidence-driven: the block appears only when protection
+            # actually acted, so a defaults-off run (and its replay,
+            # which cannot see the spec) stays bit-identical.
             payload["resilience"] = self._resilience.block(
                 launched=self._launched,
                 completed=self._completed,
                 elapsed=elapsed,
             )
         if self._coordination.engaged:
+            # Same evidence-driven gating: only fleet-coordination events
+            # (claim/grant/deny/rebalance) surface the block, so blind
+            # per-query planning keeps its summary bit-identical.
             payload["fleet"] = self._coordination.block()
         return payload
 
 
-def fleet_metrics_for(
-    *,
-    scheduled: int,
-    num_clients: int,
-    mode: Optional[str] = None,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-    relative_error: float = DEFAULT_RELATIVE_ERROR,
-) -> MetricsSink:
-    """The sink for a fleet: exact below the threshold, streaming above.
+#: Kept for callers that name the sink by its retention default.
+ExactFleetMetrics = FleetMetrics
 
-    ``mode`` forces ``"exact"`` or ``"streaming"`` regardless of size;
-    ``None`` selects by ``scheduled <= exact_threshold``.
-    """
-    if mode not in (None, "exact", "streaming"):
-        raise ValueError(f"unknown metrics mode {mode!r}")
-    if mode == "exact" or (mode is None and scheduled <= exact_threshold):
-        return ExactFleetMetrics()
-    return StreamingFleetMetrics(num_clients, relative_error=relative_error)
+
+class StreamingFleetMetrics(FleetMetrics):
+    """:class:`FleetMetrics` that keeps no per-query records by default."""
+
+    keeps_records_by_default = False
 
 
 def merge_sinks(parts: Sequence[MetricsSink]) -> MetricsSink:
-    """Fold shard sinks into one; the result is order-invariant."""
-    return _FleetMetricsBase.merged(parts)
+    """Fold shard sinks into the first one; the result is order-invariant.
+
+    Because every sink merge is order-invariant, any permutation of
+    ``parts`` produces an identical summary (pinned by tests).
+    """
+    if not parts:
+        raise ValueError("merge_sinks() needs at least one sink")
+    head = parts[0]
+    for other in parts[1:]:
+        head.merge(other)
+    return head
+
+
+def note_slo(
+    metrics: MetricsSink, stats: QueryStats, slo: Optional[float]
+) -> None:
+    """Record one completed query against its class SLO target.
+
+    The same comparison runs in the live engine and in the replay, so
+    attainment reconciles bit-exactly.
+    """
+    if slo is None:
+        return
+    latency = stats.latency
+    if latency is None:
+        return
+    metrics.resilience_event("slo", stats.class_name, value=latency <= slo)
 
 
 # -- replay ------------------------------------------------------------
@@ -699,23 +681,10 @@ _RESILIENCE_EVENTS = {
     BREAKER_CLOSE: "breaker_close",
 }
 
-
-def _replay_resilience(
-    metrics: MetricsSink, rtype: str, record: dict[str, Any]
-) -> None:
-    """Feed one overload-protection trace event into the sink."""
-    kind = _RESILIENCE_EVENTS.get(rtype)
-    if kind is None:
-        return
-    metrics.resilience_event(
-        kind,
-        class_name=record.get("query_class"),
-        host=record.get("host"),
-        value=record.get("depth"),
-    )
-
-
-#: Trace event type -> coordination-counter kind, for replay.
+#: Trace event type -> coordination-counter kind, for replay.  ``grant``
+#: carries the granted move count and ``deny`` its bottleneck bucket,
+#: mirroring the live :class:`~repro.fleet.coordinator.FleetCoordinator`
+#: calls exactly.
 _COORDINATION_EVENTS = {
     FLEET_CLAIM: "claim",
     FLEET_GRANT: "grant",
@@ -723,160 +692,83 @@ _COORDINATION_EVENTS = {
     FLEET_REBALANCE: "rebalance",
 }
 
+#: Event types every scheduled arrival leaves at least one of.
+_FOOTPRINT_TYPES = frozenset({RUN_META, QUERY_SHED, QUERY_DEADLINE_ABORT})
 
-def _replay_coordination(
-    metrics: MetricsSink, rtype: str, record: dict[str, Any]
-) -> bool:
-    """Feed one fleet-coordination trace event into the sink.
 
-    Returns True when the record was a coordination event, so callers
-    can stop matching.  ``grant`` carries the granted move count and
-    ``deny`` its bottleneck bucket, mirroring the live
-    :class:`~repro.fleet.coordinator.FleetCoordinator` calls exactly.
-    """
-    kind = _COORDINATION_EVENTS.get(rtype)
-    if kind is None:
-        return False
-    metrics.coordination_event(
-        kind,
-        class_name=record.get("query_class"),
-        link=record.get("bottleneck"),
-        value=record.get("moves"),
+class _OpenQuery:
+    """Replay state of one launched query until its ``run.end``."""
+
+    __slots__ = (
+        "class_name",
+        "algorithm",
+        "issued_at",
+        "slo",
+        "relocations",
+        "aborted",
+        "rounds",
+        "candidates",
+        "links",
+        "bytes_on_wire",
     )
-    return True
+
+    def __init__(self, record: dict[str, Any]) -> None:
+        self.class_name = record.get("query_class", record["algorithm"])
+        self.algorithm = record["algorithm"]
+        self.issued_at = record["t"]
+        self.slo = record.get("slo")
+        self.relocations = 0
+        self.aborted = 0
+        self.rounds = 0
+        self.candidates = 0
+        self.links = 0
+        #: Tagged wire bytes, summed in event order exactly as the live
+        #: per-query network counters accrue them.
+        self.bytes_on_wire = 0.0
+
+    def stats(self, query_id: str, end: dict[str, Any]) -> QueryStats:
+        delivered = end.get("images_delivered", 0)
+        return QueryStats(
+            query_id=query_id,
+            class_name=self.class_name,
+            algorithm=self.algorithm,
+            issued_at=self.issued_at,
+            completion_time=end.get("completion_time") if delivered else None,
+            images_delivered=delivered,
+            truncated=end.get("truncated", False),
+            relocations=self.relocations,
+            aborted_relocations=self.aborted,
+            bytes_on_wire=self.bytes_on_wire,
+            planner_rounds=self.rounds,
+            planner_candidates=self.candidates,
+            planner_links_queried=self.links,
+        )
 
 
-def note_slo(
-    metrics: MetricsSink, stats: QueryStats, slo: Optional[float]
-) -> None:
-    """Record one completed query against its class SLO target.
-
-    The same comparison runs in the live engine and in both replay
-    paths, so attainment reconciles bit-exactly.
-    """
-    if slo is None:
-        return
-    latency = stats.latency
-    if latency is None:
-        return
-    metrics.resilience_event("slo", stats.class_name, value=latency <= slo)
-
-
-def _replay_exact(
-    metrics: ExactFleetMetrics, events: list[dict[str, Any]]
+def _replay(
+    metrics: MetricsSink,
+    records: Iterable[dict[str, Any]],
+    footprints: Optional[set[str]] = None,
 ) -> float:
-    """The original exact replay, funneled through the sink.
+    """Feed a trace into ``metrics`` in one pass; returns the elapsed time.
 
-    Queries are discovered from tagged ``run.meta`` events in launch
-    order; each one's metrics replay bit-exactly through
-    :meth:`RunMetrics.from_trace` on its record slice.
+    Replay state is one :class:`_OpenQuery` per *open* query, so memory
+    follows concurrency, not trace length.  A ``run.end`` whose
+    ``run.meta`` lived in a rotated-away segment is skipped.  When
+    ``footprints`` is given, it collects the base id of every scheduled
+    arrival (retries collapse onto their original).
     """
-    order: list[str] = []
-    issued: dict[str, float] = {}
-    class_names: dict[str, str] = {}
-    slos: dict[str, float] = {}
+    open_queries: dict[str, _OpenQuery] = {}
     elapsed = 0.0
-    for record in events:
-        rtype = record["type"]
-        qid = record.get("query_id")
-        if rtype == RUN_META and qid is not None and qid not in issued:
-            order.append(qid)
-            issued[qid] = record["t"]
-            class_names[qid] = record.get("query_class", record["algorithm"])
-            if record.get("slo") is not None:
-                slos[qid] = record["slo"]
-            if record.get("degraded"):
-                metrics.resilience_event("degraded", class_names[qid])
-        elif rtype == RUN_END:
-            elapsed = max(elapsed, record["t"])
-        elif not _replay_coordination(metrics, rtype, record):
-            _replay_resilience(metrics, rtype, record)
-    for qid in order:
-        metrics.query_started(qid, class_names[qid], issued[qid])
-        stats = QueryStats.from_metrics(
-            qid,
-            class_names[qid],
-            issued[qid],
-            RunMetrics.from_trace(query_records(events, qid)),
-        )
-        metrics.query_finished(stats)
-        note_slo(metrics, stats, slos.get(qid))
-    for record in events:
-        if record["type"] != LINK_TRANSFER:
-            continue
-        metrics.link_transfer(
-            record["src_host"],
-            record["dst_host"],
-            record["wire_bytes"],
-            record["dur"],
-            record.get("query_id"),
-        )
-    return elapsed
-
-
-def _replay_streaming(
-    metrics: StreamingFleetMetrics, records: Iterable[dict[str, Any]]
-) -> tuple[float, int]:
-    """Single-pass bounded-memory replay; returns (elapsed, orphans).
-
-    In-flight state is one small record per *open* query, so replaying a
-    day-long trace needs memory proportional to concurrency, not length.
-    Orphan ``run.end`` events — whose ``run.meta`` lived in a rotated-away
-    segment — are skipped and counted.
-    """
-    inflight: dict[str, tuple[str, str, float, Optional[float]]] = {}
-    relocations: dict[str, int] = {}
-    aborted: dict[str, int] = {}
-    #: Per-open-query planner effort (rounds, candidates, links) folded
-    #: into QueryStats at run.end — same totals the live RunMetrics
-    #: accumulates through note_plan, read back from planner.search.
-    effort: dict[str, list[int]] = {}
-    elapsed = 0.0
-    orphans = 0
     for record in records:
         rtype = record.get("type")
         if rtype is None or rtype in _FRAME_TYPES:
             continue
         qid = record.get("query_id")
-        if rtype == RUN_META:
-            if qid is None or qid in inflight:
-                continue
-            class_name = record.get("query_class", record["algorithm"])
-            inflight[qid] = (
-                class_name,
-                record["algorithm"],
-                record["t"],
-                record.get("slo"),
-            )
-            if record.get("degraded"):
-                metrics.resilience_event("degraded", class_name)
-            metrics.query_started(qid, class_name, record["t"])
-        elif rtype == RUN_END:
-            elapsed = max(elapsed, record["t"])
-            opened = inflight.pop(qid, None) if qid is not None else None
-            if opened is None:
-                orphans += 1
-                continue
-            class_name, algorithm, issued_at, slo = opened
-            rounds, candidates, links_queried = effort.pop(qid, (0, 0, 0))
-            stats = QueryStats(
-                query_id=qid,
-                class_name=class_name,
-                algorithm=algorithm,
-                issued_at=issued_at,
-                completion_time=record.get("completion_time"),
-                images_delivered=record.get("images_delivered", 0),
-                truncated=record.get("truncated", False),
-                relocations=relocations.pop(qid, 0),
-                aborted_relocations=aborted.pop(qid, 0),
-                bytes_on_wire=0.0,
-                planner_rounds=rounds,
-                planner_candidates=candidates,
-                planner_links_queried=links_queried,
-            )
-            metrics.query_finished(stats)
-            note_slo(metrics, stats, slo)
-        elif rtype == LINK_TRANSFER:
+        if footprints is not None and qid is not None and rtype in _FOOTPRINT_TYPES:
+            footprints.add(qid.partition(".r")[0])
+        query = open_queries.get(qid) if qid is not None else None
+        if rtype == LINK_TRANSFER:
             metrics.link_transfer(
                 record["src_host"],
                 record["dst_host"],
@@ -884,20 +776,49 @@ def _replay_streaming(
                 record["dur"],
                 qid,
             )
-        elif rtype == RELOCATION and qid is not None:
-            relocations[qid] = relocations.get(qid, 0) + 1
-        elif rtype == RELOCATION_ABORT and qid is not None:
-            aborted[qid] = aborted.get(qid, 0) + 1
-        elif rtype == PLANNER_SEARCH and qid is not None:
-            bucket = effort.get(qid)
-            if bucket is None:
-                bucket = effort[qid] = [0, 0, 0]
-            bucket[0] += record.get("rounds", 0)
-            bucket[1] += record.get("candidates", 0)
-            bucket[2] += record.get("links", 0)
-        elif not _replay_coordination(metrics, rtype, record):
-            _replay_resilience(metrics, rtype, record)
-    return elapsed, orphans
+            if query is not None:
+                query.bytes_on_wire += record["wire_bytes"]
+        elif rtype == RUN_META:
+            if qid is None or query is not None:
+                continue
+            query = open_queries[qid] = _OpenQuery(record)
+            if record.get("degraded"):
+                metrics.resilience_event("degraded", query.class_name)
+            metrics.query_started(qid, query.class_name, query.issued_at)
+        elif rtype == RUN_END:
+            elapsed = max(elapsed, record["t"])
+            if query is None:
+                continue
+            del open_queries[qid]
+            stats = query.stats(qid, record)
+            metrics.query_finished(stats)
+            note_slo(metrics, stats, query.slo)
+        elif rtype == RELOCATION:
+            if query is not None:
+                query.relocations += 1
+        elif rtype == RELOCATION_ABORT:
+            if query is not None:
+                query.aborted += 1
+        elif rtype == PLANNER_SEARCH:
+            if query is not None:
+                query.rounds += record.get("rounds", 0)
+                query.candidates += record.get("candidates", 0)
+                query.links += record.get("links", 0)
+        elif rtype in _COORDINATION_EVENTS:
+            metrics.coordination_event(
+                _COORDINATION_EVENTS[rtype],
+                class_name=record.get("query_class"),
+                link=record.get("bottleneck"),
+                value=record.get("moves"),
+            )
+        elif rtype in _RESILIENCE_EVENTS:
+            metrics.resilience_event(
+                _RESILIENCE_EVENTS[rtype],
+                class_name=record.get("query_class"),
+                host=record.get("host"),
+                value=record.get("depth"),
+            )
+    return elapsed
 
 
 def fleet_from_trace(
@@ -910,48 +831,32 @@ def fleet_from_trace(
 
     Accepts a record list or a lazy record stream (e.g.
     :func:`repro.obs.rotating.read_segments`); header/footer/segment
-    frames are ignored.  The sink is chosen exactly as for the live run:
-    the trace header's ``scheduled_queries`` meta against
-    ``exact_threshold`` (no header or a small fleet means the exact
-    path, whose summary is byte-identical to the live schema-1 one for
-    complete traces).  Pass ``metrics`` to force a particular sink.
+    frames are ignored.  The sink is built as for the live run: it keeps
+    records while the fleet's full population (``num_clients`` x
+    ``queries_per_client``) is within ``exact_threshold``.  A headerless
+    trace (e.g. ``Tracer.events``) rebuilds its client count and
+    scheduled arrivals from the arrivals' footprints and takes the
+    latter as the population.  Pass ``metrics`` to supply the sink
+    yourself.
     """
     meta, stream = _peek_header(records)
-    if metrics is None:
-        scheduled_meta = meta.get("scheduled_queries")
-        if (
-            scheduled_meta is not None
-            and scheduled_meta > exact_threshold
-            and meta.get("num_clients") is not None
-        ):
-            metrics = StreamingFleetMetrics(meta["num_clients"])
-        else:
-            metrics = ExactFleetMetrics()
-    if isinstance(metrics, StreamingFleetMetrics):
-        elapsed, _ = _replay_streaming(metrics, stream)
-        return metrics.summary(elapsed, scheduled=meta.get("scheduled_queries"))
-    events = [r for r in stream if "type" in r]
-    elapsed = _replay_exact(metrics, events)
+    num_clients = meta.get("num_clients")
     scheduled = meta.get("scheduled_queries")
-    if scheduled is None:
-        scheduled = _scheduled_from_events(events)
+    population = scheduled
+    if num_clients is not None and "queries_per_client" in meta:
+        population = num_clients * meta["queries_per_client"]
+    built = metrics is None
+    if metrics is None:
+        metrics = FleetMetrics(
+            num_clients or 0,
+            keep_records=population is None or population <= exact_threshold,
+        )
+    footprints: Optional[set[str]] = set() if scheduled is None else None
+    elapsed = _replay(metrics, stream, footprints)
+    if footprints:
+        scheduled = len(footprints)
+        if built and num_clients is None:
+            metrics.num_clients = 1 + max(map(client_index_of, footprints))
+        if built and population is None and scheduled > exact_threshold:
+            metrics._drop_records()
     return metrics.summary(elapsed, scheduled=scheduled)
-
-
-def _scheduled_from_events(events: list[dict[str, Any]]) -> Optional[int]:
-    """Reconstruct the scheduled-arrival count from a headerless trace.
-
-    Every scheduled arrival leaves at least one tagged footprint: a
-    ``run.meta`` (launched), a ``query.shed`` (rejected at admission) or
-    a ``query.deadline_abort`` (expired while queued).  Retries share
-    their original arrival's base id, so stripping the ``.rN`` suffix
-    collapses them.  Without overload protection this equals the
-    launched count — the summary's pre-existing default.
-    """
-    base_ids = {
-        record["query_id"].partition(".r")[0]
-        for record in events
-        if record.get("query_id") is not None
-        and record["type"] in (RUN_META, QUERY_SHED, QUERY_DEADLINE_ABORT)
-    }
-    return len(base_ids) or None

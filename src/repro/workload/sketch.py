@@ -1,7 +1,7 @@
 """Mergeable, deterministic accumulators for streaming fleet metrics.
 
-Million-query fleets cannot keep exact latency lists, so the streaming
-metrics path (:mod:`repro.workload.sink`) aggregates into two pure-python
+Million-query fleets cannot keep exact latency lists, so the fleet
+metrics sink (:mod:`repro.workload.sink`) aggregates into two pure-python
 structures whose merges are *exactly* associative and commutative — the
 property that makes client-hash sharding order-invariant:
 

@@ -155,22 +155,14 @@ class WorkloadSpec:
     disk_rate: float = 3 * 1024 * 1024
     seed_initial_snapshot: bool = True
     max_sim_time: float = 10 * 86400.0
-    #: Kernel fast path for fault-free transfers (see
-    #: :attr:`repro.engine.config.SimulationSpec.fluid_fast_path`).
-    fluid_fast_path: bool = True
     #: Restrict the schedule to these client indices (one shard of the
     #: full ``num_clients`` population).  Seeds, query ids and arrival
     #: streams stay those of the full run; ``None`` schedules everyone.
     client_subset: Optional[tuple[int, ...]] = None
-    #: ``None`` picks exact metrics for small fleets and streaming
-    #: sketches above ``exact_metrics_threshold``; ``"exact"`` or
-    #: ``"streaming"`` forces one path.
-    metrics_mode: Optional[str] = None
-    #: Largest scheduled-query count still summarized exactly
-    #: (``workload_schema: 1``) when ``metrics_mode`` is ``None``.
+    #: Largest full population (``num_clients * queries_per_client``)
+    #: whose metrics sink keeps per-query records (exact latency blocks,
+    #: per-client and per-query detail).
     exact_metrics_threshold: int = 1000
-    #: Relative error bound of the streaming quantile sketches.
-    metrics_relative_error: float = 0.01
 
     def __post_init__(self) -> None:
         if not self.classes:
@@ -204,15 +196,8 @@ class WorkloadSpec:
                         f"0..{self.num_clients - 1} population"
                     )
             object.__setattr__(self, "client_subset", subset)
-        if self.metrics_mode not in (None, "exact", "streaming"):
-            raise ValueError(
-                f"metrics_mode must be None, 'exact' or 'streaming', "
-                f"got {self.metrics_mode!r}"
-            )
         if self.exact_metrics_threshold < 0:
             raise ValueError("exact_metrics_threshold must be >= 0")
-        if not (0.0 < self.metrics_relative_error < 1.0):
-            raise ValueError("metrics_relative_error must be in (0, 1)")
         if self.fleet is not None and not isinstance(self.fleet, FleetPolicy):
             raise ValueError(
                 f"fleet must be a FleetPolicy or None, got {self.fleet!r}"
@@ -261,20 +246,19 @@ class WorkloadSpec:
         return self.fleet is not None
 
     def build_metrics(self):
-        """The :class:`~repro.workload.sink.MetricsSink` for this fleet.
+        """The :class:`~repro.workload.sink.FleetMetrics` for this fleet.
 
-        Chosen by ``metrics_mode`` / ``exact_metrics_threshold``; sinks
-        of shards built from the same spec are mutually mergeable.
+        Records are kept while the *full* population is within
+        ``exact_metrics_threshold``, so the sinks of every shard built
+        from one spec agree and are mutually mergeable.
         """
         # Imported lazily: repro.workload.sink imports this module.
-        from repro.workload.sink import fleet_metrics_for
+        from repro.workload.sink import FleetMetrics
 
-        return fleet_metrics_for(
-            scheduled=self.total_queries,
-            num_clients=self.num_clients,
-            mode=self.metrics_mode,
-            exact_threshold=self.exact_metrics_threshold,
-            relative_error=self.metrics_relative_error,
+        population = self.num_clients * self.queries_per_client
+        return FleetMetrics(
+            self.num_clients,
+            keep_records=population <= self.exact_metrics_threshold,
         )
 
     def resolve_links(self) -> Mapping[tuple[str, str], BandwidthTrace]:
@@ -355,7 +339,6 @@ class WorkloadSpec:
             monitoring=self.monitoring,
             seed_initial_snapshot=self.seed_initial_snapshot,
             max_sim_time=self.max_sim_time,
-            fluid_fast_path=self.fluid_fast_path,
         )
         kwargs.update(dict(qclass.overrides))
         return SimulationSpec(**kwargs)

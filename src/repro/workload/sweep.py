@@ -53,27 +53,18 @@ def shard_clients(spec: WorkloadSpec, num_shards: int) -> list[WorkloadSpec]:
 
     Every shard keeps the full spec (seeds, network draw, classes) and
     restricts ``client_subset`` to its hash bucket, so per-client seeds
-    and query ids match the unsharded run.  The metrics mode is resolved
-    *once* against the full fleet size and forced on every shard, so all
+    and query ids match the unsharded run.  Record retention follows the
+    full population (see :meth:`WorkloadSpec.build_metrics`), so all
     shard sinks are mutually mergeable.  Shards with no clients are
     dropped.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
-    resolved_mode = spec.metrics_mode
-    if resolved_mode is None:
-        resolved_mode = (
-            "exact"
-            if spec.total_queries <= spec.exact_metrics_threshold
-            else "streaming"
-        )
     buckets: list[list[int]] = [[] for _ in range(num_shards)]
     for client_index in spec.client_indices:
         buckets[shard_of(client_index, num_shards)].append(client_index)
     return [
-        replace(
-            spec, client_subset=tuple(bucket), metrics_mode=resolved_mode
-        )
+        replace(spec, client_subset=tuple(bucket))
         for bucket in buckets
         if bucket
     ]

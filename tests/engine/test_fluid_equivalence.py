@@ -2,8 +2,9 @@
 
 The hybrid fluid/DES kernel collapse (single-callback transfers, elided
 fire-and-forget delivery events, synchronous facility holds) must be
-*observationally invisible*: a run with ``fluid_fast_path=False`` — the
-classic all-process schedule — and the default fast-path run must agree
+*observationally invisible*: a run under
+:func:`tests.oracles.full_des.full_des` — the classic all-process
+schedule — and the default fast-path run must agree
 on every metric, every arrival time, and the byte-exact obs event
 stream, with and without fault plans.  The only permitted differences
 are the kernel-accounting diagnostics (``kernel_events``,
@@ -22,6 +23,7 @@ from repro.experiments.runner import run_configuration
 from repro.faults import reference_chaos_plan
 from repro.faults.plan import FaultPlan, HostCrash, LinkOutage
 from repro.obs import Tracer
+from tests.oracles.full_des import full_des
 
 ALGORITHMS = [
     Algorithm.DOWNLOAD_ALL,
@@ -50,9 +52,8 @@ def _pair(setup, index, algorithm):
     """(fast metrics+digest, forced-slow metrics+digest) for one run."""
     fast_tracer, slow_tracer = Tracer(), Tracer()
     fast = run_configuration(setup, index, algorithm, tracer=fast_tracer)
-    slow = run_configuration(
-        setup, index, algorithm, tracer=slow_tracer, fluid_fast_path=False
-    )
+    with full_des():
+        slow = run_configuration(setup, index, algorithm, tracer=slow_tracer)
     return fast, _stream_digest(fast_tracer), slow, _stream_digest(slow_tracer)
 
 
@@ -137,24 +138,23 @@ class TestWorkloadEquivalence:
             run_workload,
         )
 
-        def build(fluid: bool):
-            return WorkloadSpec(
-                classes=(
-                    QueryClass(name="global", algorithm=Algorithm.GLOBAL),
-                    QueryClass(name="one-shot", algorithm=Algorithm.ONE_SHOT),
-                ),
-                num_clients=2,
-                queries_per_client=1,
-                arrivals=ClosedLoop(think_time=2.0),
-                seed=11,
-                num_servers=4,
-                images_per_server=4,
-                fluid_fast_path=fluid,
-            )
+        spec = WorkloadSpec(
+            classes=(
+                QueryClass(name="global", algorithm=Algorithm.GLOBAL),
+                QueryClass(name="one-shot", algorithm=Algorithm.ONE_SHOT),
+            ),
+            num_clients=2,
+            queries_per_client=1,
+            arrivals=ClosedLoop(think_time=2.0),
+            seed=11,
+            num_servers=4,
+            images_per_server=4,
+        )
 
         fast_tracer, slow_tracer = Tracer(), Tracer()
-        fast = run_workload(build(True), tracer=fast_tracer)
-        slow = run_workload(build(False), tracer=slow_tracer)
+        fast = run_workload(spec, tracer=fast_tracer)
+        with full_des():
+            slow = run_workload(spec, tracer=slow_tracer)
         assert fast.to_dict() == slow.to_dict()
         assert _stream_digest(fast_tracer) == _stream_digest(slow_tracer)
         assert sum(q.metrics.fluid_transfers for q in fast.queries) > 0

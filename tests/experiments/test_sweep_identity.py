@@ -15,7 +15,10 @@ stream *by design* may re-record it once, with a reviewed diff in which
 only ``events`` and ``events_sha256`` move: every ``summary`` and
 ``fleet`` field stays byte-identical.  (The last such change: each
 initial plan reads one ``monitor.estimate`` per host pair from a frozen
-snapshot, stamped at the query's launch time.)  Covered: all four
+snapshot, stamped at the query's launch time.)  The ``fleet`` summary
+was re-recorded once on its own, with every event and run summary
+unchanged, when the fleet-metrics sinks folded into one summary schema.
+Covered: all four
 algorithms, a faulted run (chaos plan), and a concurrent workload fleet.
 """
 

@@ -116,13 +116,14 @@ class TestCoordinatedRun:
     def test_streaming_replay_reconciles(self):
         tracer = Tracer()
         result = run_workload(
-            contended_spec(TIGHT, metrics_mode="streaming"), tracer=tracer
+            contended_spec(TIGHT, exact_metrics_threshold=0), tracer=tracer
         )
         replay = fleet_from_trace(
             tracer.events, metrics=StreamingFleetMetrics(3)
         )
         assert replay["fleet"] == result.fleet["fleet"]
         assert replay["per_class"] == result.fleet["per_class"]
+        assert replay == result.fleet
 
     def test_fleet_run_is_deterministic(self):
         tracer_a, tracer_b = Tracer(), Tracer()

@@ -7,6 +7,7 @@ from repro.net.link import Link
 from repro.net.message import Message, MessageKind
 from repro.net.network import Network
 from repro.traces import constant_trace
+from tests.oracles.full_des import full_des
 
 
 def build_network(env, hosts=("a", "b", "c"), rate=1000.0, startup=0.0):
@@ -251,12 +252,12 @@ class TestTransfers:
 
     def test_forced_slow_path_counts_des(self, env):
         net = build_network(env, rate=1000.0)
-        net.fluid_fast_path = False
         net.register_actor("s", "a")
         net.register_actor("d", "b")
         message = data_message("s", "d", size=1000 - 256)
-        net.send(message)
-        env.run()
+        with full_des():
+            net.send(message)
+            env.run()
         assert message.delivered_at == pytest.approx(1.0)
         assert net.stats.fluid_transfers == 0
         assert net.stats.des_transfers == 1
@@ -286,12 +287,12 @@ class TestTransfers:
 
     def test_post_falls_back_to_send_when_slow(self, env):
         net = build_network(env, rate=1000.0)
-        net.fluid_fast_path = False
         net.register_actor("s", "a")
         net.register_actor("d", "b")
         message = data_message("s", "d")
-        net.post(message)
-        env.run()
+        with full_des():
+            net.post(message)
+            env.run()
         assert message.delivered_at is not None
         assert net.stats.des_transfers == 1
 

@@ -11,7 +11,13 @@ from repro.obs import (
     read_segments,
     segment_paths,
 )
-from repro.workload import ClosedLoop, QueryClass, WorkloadSpec, fleet_from_trace
+from repro.workload import (
+    WORKLOAD_SCHEMA,
+    ClosedLoop,
+    QueryClass,
+    WorkloadSpec,
+    fleet_from_trace,
+)
 from repro.workload.engine import run_workload
 
 
@@ -114,7 +120,7 @@ class TestStreamingTracer:
         assert fleet_from_trace(read_segments(tmp_path)) == result.fleet
 
     def test_streaming_replay_equals_live_fleet(self, tmp_path):
-        spec = tiny_spec(metrics_mode="streaming")
+        spec = tiny_spec(exact_metrics_threshold=0)
         tracer = StreamingTracer(tmp_path, max_segment_bytes=8192)
         result = run_workload(spec, tracer=tracer)
         tracer.close()
@@ -135,7 +141,7 @@ class TestStreamingTracer:
         assert "num_clients" in headers[0]["meta"]
 
     def test_pruned_trace_replays_observable_suffix(self, tmp_path):
-        spec = tiny_spec(num_clients=4, metrics_mode="streaming")
+        spec = tiny_spec(num_clients=4, exact_metrics_threshold=0)
         tracer = StreamingTracer(
             tmp_path, max_segment_bytes=2048, max_segments=2
         )
@@ -146,4 +152,4 @@ class TestStreamingTracer:
         # The suffix can only under-count, never invent queries.
         assert replayed["launched"] <= result.fleet["launched"]
         assert replayed["completed"] <= result.fleet["completed"]
-        assert replayed["workload_schema"] == 2
+        assert replayed["workload_schema"] == WORKLOAD_SCHEMA

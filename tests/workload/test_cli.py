@@ -2,8 +2,8 @@
 
 import json
 
-from repro.cli import main
-from repro.workload import fleet_from_trace
+from repro.cli import _print_fleet, main
+from repro.workload import WORKLOAD_SCHEMA, fleet_from_trace
 
 TINY = [
     "workload",
@@ -19,7 +19,7 @@ class TestWorkloadSubcommand:
     def test_json_output_is_a_fleet_summary(self, capsys):
         assert main([*TINY, "--json"]) == 0
         fleet = json.loads(capsys.readouterr().out)
-        assert fleet["workload_schema"] == 1
+        assert fleet["workload_schema"] == WORKLOAD_SCHEMA
         assert fleet["completed"] == 2
         assert len(fleet["queries"]) == 2
 
@@ -29,6 +29,7 @@ class TestWorkloadSubcommand:
         assert "2/2 queries completed" in out
         assert "c0:0" in out and "c1:0" in out
         assert "Jain fairness" in out
+        assert "latency quantiles exact" in out
 
     def test_trace_export_replays_to_the_same_fleet(self, capsys, tmp_path):
         from repro.obs import read_jsonl
@@ -62,18 +63,25 @@ class TestWorkloadSubcommand:
 
 
 class TestStreamingAndSharding:
-    def test_forced_streaming_metrics(self, capsys):
-        assert main([*TINY, "--metrics", "streaming", "--json"]) == 0
-        fleet = json.loads(capsys.readouterr().out)
-        assert fleet["workload_schema"] == 2
-        assert fleet["completed"] == 2
-        assert "queries" not in fleet
-
     def test_streaming_human_output(self, capsys):
-        assert main([*TINY, "--metrics", "streaming"]) == 0
+        # A fleet above the record threshold prints the same report,
+        # with sketch quantiles and without per-query rows.
+        from repro.engine.config import Algorithm
+        from repro.workload import QueryClass, WorkloadSpec, run_workload
+
+        spec = WorkloadSpec(
+            classes=(QueryClass(name="os", algorithm=Algorithm.ONE_SHOT),),
+            num_clients=2,
+            num_servers=4,
+            images_per_server=4,
+            exact_metrics_threshold=0,
+        )
+        _print_fleet(run_workload(spec).fleet)
         out = capsys.readouterr().out
-        assert "streaming metrics" in out
+        assert "latency quantiles within ±1%" in out
+        assert "2/2 clients active" in out
         assert "2/2 queries completed" in out
+        assert "c0:0" not in out
 
     def test_sharded_run(self, capsys):
         code = main([*TINY, "--shards", "2", "--workers", "1", "--json"])

@@ -9,6 +9,7 @@ from repro.faults.plan import FaultPlan, LinkOutage
 from repro.obs.events import MONITOR_ESTIMATE, PLANNER_SEARCH, RUN_META
 from repro.obs.tracer import Tracer
 from repro.workload import (
+    WORKLOAD_SCHEMA,
     ClosedLoop,
     OpenLoop,
     QueryClass,
@@ -70,7 +71,7 @@ class TestConcurrentRun:
 
     def test_fleet_schema_fields(self):
         fleet = run_workload(mixed_spec()).fleet
-        assert fleet["workload_schema"] == 1
+        assert fleet["workload_schema"] == WORKLOAD_SCHEMA
         assert set(fleet["latency"]) == {"count", "mean", "p50", "p95", "p99", "max"}
         assert 0.0 < fleet["fairness_jain"] <= 1.0
         assert fleet["links"], "shared links must record usage"
@@ -116,6 +117,10 @@ class TestContention:
             assert by_query_total[query.query_id] == pytest.approx(
                 query.metrics.bytes_on_wire
             )
+        # The fleet total is link-observed: every transfer here is tagged.
+        assert result.fleet["bytes_on_wire"] == pytest.approx(
+            sum(q.metrics.bytes_on_wire for q in result.queries), rel=1e-12
+        )
 
 
 class TestOpenLoopWorkload:

@@ -5,9 +5,11 @@ budgets, circuit breakers — :mod:`repro.workload.overload`) must be
 *invisible* when nothing is configured: a workload spec with no
 ``overload`` policy and no per-class deadlines/SLOs takes exactly the
 pre-overload code paths.  This module pins that with a golden generated
-before the layer existed: the exact and streaming fleet summaries and a
-sha256 digest of the normalized obs stream, for a chaos-faulted fleet
-whose mix covers all four placement algorithms.
+before the layer existed: the fleet summaries with and without
+per-query records and a sha256 digest of the normalized obs stream, for
+a chaos-faulted fleet whose mix covers all four placement algorithms.
+(The summaries were re-recorded once, when the fleet-metrics sinks
+folded into one summary schema; the obs digest is the original.)
 
 Regenerate (only when an *intentional* engine change lands)::
 
@@ -63,7 +65,7 @@ def compute_current() -> dict:
     spec = golden_spec()
     tracer = Tracer()
     exact = run_workload(spec, tracer=tracer)
-    streaming = run_workload(replace(spec, metrics_mode="streaming"))
+    streaming = run_workload(replace(spec, exact_metrics_threshold=0))
     algorithms = sorted({q["algorithm"] for q in exact.fleet["queries"]})
     return {
         "algorithms": algorithms,

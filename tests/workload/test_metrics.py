@@ -1,15 +1,9 @@
-"""Fleet metrics: fairness, latency blocks, link usage, trace replay."""
+"""Fleet metrics: fairness, latency blocks, link usage."""
 
 import pytest
 
-from repro.engine.metrics import RunMetrics
-from repro.workload.metrics import (
-    LinkUsage,
-    LinkUsageRecorder,
-    QueryOutcome,
-    build_fleet_summary,
-    jain_index,
-)
+from repro.workload import FleetMetrics, QueryStats
+from repro.workload.metrics import LATENCY_KEYS, jain_index
 
 
 class TestJainIndex:
@@ -39,16 +33,31 @@ class TestJainIndex:
 
 
 def outcome(query_id, arrivals, issued_at=0.0, truncated=False, relocations=0):
-    metrics = RunMetrics(algorithm="one-shot", num_servers=2, images=len(arrivals))
-    metrics.arrival_times = list(arrivals)
-    metrics.truncated = truncated
-    metrics.relocations = relocations
-    return QueryOutcome(
+    return QueryStats(
         query_id=query_id,
         class_name="q",
+        algorithm="one-shot",
         issued_at=issued_at,
-        metrics=metrics,
+        completion_time=arrivals[-1] if arrivals else None,
+        images_delivered=len(arrivals),
+        truncated=truncated,
+        relocations=relocations,
+        aborted_relocations=0,
+        bytes_on_wire=0.0,
     )
+
+
+def summarize(outcomes, links, elapsed, scheduled=None):
+    """The summary of a record-keeping sink fed ``outcomes`` and the
+    ``(src, dst, bytes, seconds, query_id)`` transfers in ``links``."""
+    sink = FleetMetrics()
+    for stats in outcomes:
+        sink.query_started(stats.query_id, stats.class_name, stats.issued_at)
+    for transfer in links:
+        sink.link_transfer(*transfer)
+    for stats in outcomes:
+        sink.query_finished(stats)
+    return sink.summary(elapsed, scheduled=scheduled)
 
 
 class TestFleetSummary:
@@ -56,7 +65,7 @@ class TestFleetSummary:
         outcomes = [
             outcome(f"c{i}:0", [10.0 * (i + 1)], issued_at=0.0) for i in range(4)
         ]
-        fleet = build_fleet_summary(outcomes, {}, elapsed=100.0)
+        fleet = summarize(outcomes, [], elapsed=100.0)
         assert fleet["latency"]["count"] == 4
         assert fleet["latency"]["mean"] == pytest.approx(25.0)
         assert fleet["latency"]["max"] == pytest.approx(40.0)
@@ -67,15 +76,15 @@ class TestFleetSummary:
             outcome("c0:0", [10.0]),
             outcome("c1:0", [5.0], truncated=True),
         ]
-        fleet = build_fleet_summary(outcomes, {}, elapsed=50.0)
+        fleet = summarize(outcomes, [], elapsed=50.0)
         assert fleet["completed"] == 1
         assert fleet["truncated"] == 1
         assert fleet["latency"]["count"] == 1
         assert fleet["queries"][1]["latency"] is None
 
     def test_latency_subtracts_issue_time(self):
-        fleet = build_fleet_summary(
-            [outcome("c0:0", [30.0], issued_at=10.0)], {}, elapsed=30.0
+        fleet = summarize(
+            [outcome("c0:0", [30.0], issued_at=10.0)], [], elapsed=30.0
         )
         assert fleet["queries"][0]["latency"] == pytest.approx(20.0)
 
@@ -85,7 +94,7 @@ class TestFleetSummary:
             outcome("c0:1", [20.0]),
             outcome("c1:0", [15.0]),
         ]
-        fleet = build_fleet_summary(outcomes, {}, elapsed=30.0)
+        fleet = summarize(outcomes, [], elapsed=30.0)
         assert fleet["per_client"]["c0"]["queries"] == 2
         assert fleet["per_client"]["c0"]["mean_latency"] == pytest.approx(15.0)
         assert fleet["per_client"]["c1"]["mean_latency"] == pytest.approx(15.0)
@@ -96,46 +105,47 @@ class TestFleetSummary:
             outcome("c0:0", [1.0], relocations=2),
             outcome("c1:0", [1.0], relocations=4),
         ]
-        fleet = build_fleet_summary(outcomes, {}, elapsed=10.0)
+        fleet = summarize(outcomes, [], elapsed=10.0)
         assert fleet["relocations"]["total"] == 6
         assert fleet["relocations"]["per_query_mean"] == pytest.approx(3.0)
 
     def test_link_block(self):
-        usage = LinkUsage()
-        usage.note(1000.0, 2.0, "c0:0")
-        usage.note(500.0, 1.0, None)  # engine-internal, untagged
-        fleet = build_fleet_summary(
-            [outcome("c0:0", [1.0])], {("a", "b"): usage}, elapsed=10.0
+        transfers = [
+            ("a", "b", 1000.0, 2.0, "c0:0"),
+            ("a", "b", 500.0, 1.0, None),  # engine-internal, untagged
+        ]
+        fleet = summarize(
+            [outcome("c0:0", [1.0])], transfers, elapsed=10.0
         )
         entry = fleet["links"]["a--b"]
         assert entry["bytes"] == 1500.0
         assert entry["transfers"] == 2
         assert entry["utilization"] == pytest.approx(0.3)
         assert entry["queries"] == {"c0:0": 1000.0}
+        assert entry["classes"] == {"q": 1000.0}
+        assert fleet["bytes_on_wire"] == 1500.0
 
     def test_empty_fleet(self):
-        fleet = build_fleet_summary([], {}, elapsed=0.0, scheduled=0)
+        fleet = summarize([], [], elapsed=0.0, scheduled=0)
         assert fleet["latency"]["mean"] is None
         assert fleet["fairness_jain"] == 1.0
         assert fleet["relocations"]["per_query_mean"] == 0.0
 
     def test_empty_fleet_shape_matches_populated(self):
-        from repro.workload.metrics import LATENCY_KEYS
-
-        empty = build_fleet_summary([], {}, elapsed=0.0, scheduled=0)
+        empty = summarize([], [], elapsed=0.0, scheduled=0)
         # The latency block carries the full key set (None-valued), and
         # the per-client map is present-but-empty, not missing.
         assert tuple(empty["latency"]) == LATENCY_KEYS
         assert empty["per_client"] == {}
         assert empty["queries"] == []
-        populated = build_fleet_summary(
-            [outcome("c0:0", [10.0])], {}, elapsed=20.0, scheduled=1
+        populated = summarize(
+            [outcome("c0:0", [10.0])], [], elapsed=20.0, scheduled=1
         )
         assert set(populated) == set(empty)
         assert tuple(populated["latency"]) == LATENCY_KEYS
 
 
-class TestLinkUsageRecorder:
+class TestSinkObserver:
     def test_canonicalizes_pairs(self):
         class Obs:
             def __init__(self, src, dst, query_id):
@@ -146,10 +156,10 @@ class TestLinkUsageRecorder:
                 self.finished = 1.0
                 self.query_id = query_id
 
-        recorder = LinkUsageRecorder()
-        recorder.observe(Obs("b", "a", "c0:0"))
-        recorder.observe(Obs("a", "b", "c1:0"))
-        assert list(recorder.links) == [("a", "b")]
-        usage = recorder.links[("a", "b")]
-        assert usage.transfers == 2
-        assert usage.by_query == {"c0:0": 100.0, "c1:0": 100.0}
+        sink = FleetMetrics()
+        sink.observe(Obs("b", "a", "c0:0"))
+        sink.observe(Obs("a", "b", "c1:0"))
+        links = sink.summary(10.0)["links"]
+        assert list(links) == ["a--b"]
+        assert links["a--b"]["transfers"] == 2
+        assert links["a--b"]["queries"] == {"c0:0": 100.0, "c1:0": 100.0}

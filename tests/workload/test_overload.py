@@ -388,7 +388,7 @@ class TestReconciliation:
     def test_streaming_live_matches_replay(self):
         tracer = Tracer()
         result = run_workload(
-            self.chaos_spec(metrics_mode="streaming"), tracer=tracer
+            self.chaos_spec(exact_metrics_threshold=0), tracer=tracer
         )
         headed = [
             {"type": "trace.header", "meta": dict(tracer.meta)},
@@ -399,7 +399,7 @@ class TestReconciliation:
     def test_streaming_matches_exact_counters(self):
         exact = run_workload(self.chaos_spec()).fleet
         streaming = run_workload(
-            self.chaos_spec(metrics_mode="streaming")
+            self.chaos_spec(exact_metrics_threshold=0)
         ).fleet
         assert exact["resilience"] == streaming["resilience"]
 

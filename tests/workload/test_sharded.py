@@ -7,6 +7,7 @@ import pytest
 
 from repro.engine.config import Algorithm
 from repro.workload import (
+    WORKLOAD_SCHEMA,
     ClosedLoop,
     FleetPolicy,
     OverloadPolicy,
@@ -56,18 +57,16 @@ class TestShardClients:
         assert len(seen) == len(set(seen))
 
     def test_mode_resolved_against_full_fleet(self):
-        # 16 queries < default threshold: every shard is forced exact
-        # even though each sub-population is tiny.
+        # 16 queries <= default threshold: every shard keeps records.
         for shard in shard_clients(tiny_spec(num_clients=16), 3):
-            assert shard.metrics_mode == "exact"
-        # Force streaming: shards inherit it.
-        spec = tiny_spec(num_clients=16, metrics_mode="streaming")
-        for shard in shard_clients(spec, 3):
-            assert shard.metrics_mode == "streaming"
-        # Above the threshold the full fleet resolves streaming.
-        spec = tiny_spec(num_clients=16, exact_metrics_threshold=4)
-        for shard in shard_clients(spec, 3):
-            assert shard.metrics_mode == "streaming"
+            assert shard.build_metrics().keeps_records
+        # 16 > 15: no shard keeps records, although each shard's own
+        # sub-population is within the threshold.
+        spec = tiny_spec(num_clients=16, exact_metrics_threshold=15)
+        shards = shard_clients(spec, 3)
+        assert all(s.total_queries <= 15 for s in shards)
+        for shard in shards:
+            assert not shard.build_metrics().keeps_records
 
     def test_empty_buckets_dropped(self):
         shards = shard_clients(tiny_spec(num_clients=2), 8)
@@ -89,7 +88,7 @@ class TestRunWorkloadSharded:
         assert serial.fleet["scheduled"] == 5
 
     def test_shard_order_does_not_matter(self):
-        spec = tiny_spec(metrics_mode="streaming")
+        spec = tiny_spec(exact_metrics_threshold=0)
         shard_specs = shard_clients(spec, 3)
         sinks = [run_workload(s).metrics for s in shard_specs]
         elapsed = 1000.0
@@ -105,14 +104,14 @@ class TestRunWorkloadSharded:
         assert len(sinks) >= 2  # the permutations actually permuted
 
     def test_streaming_sharded_run(self):
-        spec = tiny_spec(metrics_mode="streaming")
+        spec = tiny_spec(exact_metrics_threshold=0)
         result = run_workload_sharded(spec, 2, workers=1)
-        assert result.fleet["workload_schema"] == 2
+        assert result.fleet["workload_schema"] == WORKLOAD_SCHEMA
         assert result.fleet["launched"] == 5
         assert result.queries == []
 
     def test_single_shard_equals_unsharded_streaming(self):
-        spec = tiny_spec(metrics_mode="streaming")
+        spec = tiny_spec(exact_metrics_threshold=0)
         whole = run_workload(spec)
         sharded = run_workload_sharded(spec, 1, workers=1)
         assert sharded.fleet == whole.fleet
@@ -177,7 +176,7 @@ class TestShardedResilience:
     def test_streaming_shards_match_exact_shards(self):
         exact = run_workload_sharded(overloaded_spec(), 3, workers=1)
         streaming = run_workload_sharded(
-            overloaded_spec(metrics_mode="streaming"), 3, workers=1
+            overloaded_spec(exact_metrics_threshold=0), 3, workers=1
         )
         assert (
             exact.fleet["resilience"] == streaming.fleet["resilience"]
@@ -246,7 +245,7 @@ class TestShardedCoordination:
     def test_streaming_shards_match_exact_shards(self):
         exact = run_workload_sharded(coordinated_spec(), 3, workers=1)
         streaming = run_workload_sharded(
-            coordinated_spec(metrics_mode="streaming"), 3, workers=1
+            coordinated_spec(exact_metrics_threshold=0), 3, workers=1
         )
         assert exact.fleet["fleet"] == streaming.fleet["fleet"]
 

@@ -1,22 +1,28 @@
-"""The MetricsSink funnel: exact and streaming fleet metrics."""
+"""The fleet-metrics sink, with and without per-query records."""
 
 import copy
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.engine.config import Algorithm
+from repro.faults import reference_chaos_plan
+from repro.obs import Tracer
 from repro.workload import (
+    WORKLOAD_SCHEMA,
     ClosedLoop,
     ExactFleetMetrics,
+    FleetPolicy,
+    FleetMetrics,
     QueryClass,
     QueryStats,
     StreamingFleetMetrics,
     WorkloadSpec,
     client_index_of,
-    fleet_metrics_for,
+    fleet_from_trace,
     merge_sinks,
     run_workload,
 )
@@ -61,6 +67,12 @@ def synthetic_stats(n, num_clients, seed=3):
     return stats
 
 
+def feed(sink, stats):
+    for s in stats:
+        sink.query_started(s.query_id, s.class_name, s.issued_at)
+        sink.query_finished(s)
+
+
 class TestQueryStats:
     def test_latency_and_finished(self):
         done = QueryStats(
@@ -85,37 +97,31 @@ class TestQueryStats:
 
 class TestModeSelection:
     def test_threshold_picks_exact_or_streaming(self):
-        exact = fleet_metrics_for(scheduled=10, num_clients=5)
-        assert isinstance(exact, ExactFleetMetrics)
-        streaming = fleet_metrics_for(
-            scheduled=10, num_clients=5, exact_threshold=5
-        )
-        assert isinstance(streaming, StreamingFleetMetrics)
-
-    def test_forced_modes(self):
-        assert isinstance(
-            fleet_metrics_for(scheduled=10**6, num_clients=5, mode="exact"),
-            ExactFleetMetrics,
-        )
-        assert isinstance(
-            fleet_metrics_for(scheduled=1, num_clients=5, mode="streaming"),
-            StreamingFleetMetrics,
-        )
-        with pytest.raises(ValueError):
-            fleet_metrics_for(scheduled=1, num_clients=5, mode="bogus")
+        # 3 clients x 2 queries = 6: records kept up to a threshold of 6.
+        assert tiny_spec(exact_metrics_threshold=6).build_metrics().keeps_records
+        assert not tiny_spec(exact_metrics_threshold=5).build_metrics().keeps_records
 
     def test_spec_builds_its_sink(self):
-        spec = tiny_spec(metrics_mode="streaming")
-        assert spec.build_metrics().mode == "streaming"
-        assert tiny_spec().build_metrics().mode == "exact"
+        sink = tiny_spec().build_metrics()
+        assert type(sink) is FleetMetrics
+        assert sink.keeps_records and sink.num_clients == 3
+        assert not tiny_spec(exact_metrics_threshold=0).build_metrics().keeps_records
+
+    def test_named_defaults(self):
+        # The two historical names are the one sink with a retention default.
+        assert ExactFleetMetrics is FleetMetrics
+        assert issubclass(StreamingFleetMetrics, FleetMetrics)
+        assert ExactFleetMetrics().keeps_records
+        assert not StreamingFleetMetrics(4).keeps_records
+        assert StreamingFleetMetrics(4, keep_records=True).keeps_records
 
 
 class TestExactSink:
     def test_small_fleet_summary_unchanged(self):
         """The sink path is byte-identical to the pre-sink goldens."""
         result = run_workload(tiny_spec())
-        assert result.fleet["workload_schema"] == 1
-        assert result.metrics.mode == "exact"
+        assert result.fleet["workload_schema"] == WORKLOAD_SCHEMA
+        assert result.metrics.keeps_records
         assert result.fleet["completed"] == 6
         assert result.fleet == result.metrics.summary(
             result.elapsed, scheduled=result.fleet["scheduled"]
@@ -123,42 +129,40 @@ class TestExactSink:
 
     def test_merge_resorts_stats(self):
         stats = synthetic_stats(8, 4)
-        one = ExactFleetMetrics()
-        for s in stats:
-            one.query_finished(s)
-        shards = [ExactFleetMetrics(), ExactFleetMetrics()]
+        one = ExactFleetMetrics(4)
+        feed(one, stats)
+        shards = [ExactFleetMetrics(4), ExactFleetMetrics(4)]
         for i, s in enumerate(stats):
-            shards[i % 2].query_finished(s)
+            feed(shards[i % 2], [s])
         merged = merge_sinks([shards[1], shards[0]])
         assert merged.summary(100.0) == one.summary(100.0)
 
 
 class TestStreamingSink:
     def feed(self, sink, stats):
-        for s in stats:
-            sink.query_started(s.query_id, s.class_name, s.issued_at)
-            sink.query_finished(s)
+        feed(sink, stats)
 
     def test_summary_shape(self):
         sink = StreamingFleetMetrics(num_clients=4)
         self.feed(sink, synthetic_stats(20, 4))
         sink.link_transfer("h0", "h1", 1000.0, 2.0, "c0:0")
         summary = sink.summary(500.0, scheduled=20)
-        assert summary["workload_schema"] == 2
+        assert summary["workload_schema"] == WORKLOAD_SCHEMA
         assert summary["mode"] == "streaming"
         assert set(summary["latency"]) == {
             "count", "mean", "p50", "p95", "p99", "max",
         }
         assert summary["clients"]["total"] == 4
         assert "queries" not in summary
+        assert "per_client" not in summary
+        assert "queries" not in summary["links"]["h0--h1"]
         json.dumps(summary)  # JSON-safe
 
     def test_matches_exact_within_error(self):
         stats = synthetic_stats(400, 8)
-        exact = ExactFleetMetrics()
+        exact = ExactFleetMetrics(8)
         sink = StreamingFleetMetrics(num_clients=8, relative_error=0.01)
-        for s in stats:
-            exact.query_finished(s)
+        self.feed(exact, stats)
         self.feed(sink, stats)
         exact_summary = exact.summary(5000.0)
         streaming_summary = sink.summary(5000.0)
@@ -197,10 +201,12 @@ class TestStreamingSink:
             StreamingFleetMetrics(4, relative_error=0.01).merge(
                 StreamingFleetMetrics(4, relative_error=0.02)
             )
+        with pytest.raises(ValueError, match="retention"):
+            StreamingFleetMetrics(4).merge(ExactFleetMetrics(4))
+        with pytest.raises(ValueError, match="retention"):
+            ExactFleetMetrics(4).merge(StreamingFleetMetrics(4))
         with pytest.raises(TypeError):
-            StreamingFleetMetrics(4).merge(ExactFleetMetrics())
-        with pytest.raises(TypeError):
-            ExactFleetMetrics().merge(StreamingFleetMetrics(4))
+            ExactFleetMetrics().merge(object())
 
     def test_link_bytes_attributed_by_class(self):
         sink = StreamingFleetMetrics(num_clients=2)
@@ -214,9 +220,9 @@ class TestStreamingSink:
         assert summary["bytes_on_wire"] == 800.0
 
     def test_streaming_workload_run(self):
-        result = run_workload(tiny_spec(metrics_mode="streaming"))
+        result = run_workload(tiny_spec(exact_metrics_threshold=0))
         fleet = result.fleet
-        assert fleet["workload_schema"] == 2
+        assert fleet["workload_schema"] == WORKLOAD_SCHEMA
         assert fleet["completed"] == 6
         assert fleet["latency"]["count"] == 6
         assert result.queries == []
@@ -225,7 +231,7 @@ class TestStreamingSink:
         import math
 
         exact = run_workload(tiny_spec()).fleet
-        streaming = run_workload(tiny_spec(metrics_mode="streaming")).fleet
+        streaming = run_workload(tiny_spec(exact_metrics_threshold=0)).fleet
         assert streaming["completed"] == exact["completed"]
         lats = sorted(
             q["latency"] for q in exact["queries"] if q["latency"] is not None
@@ -246,3 +252,73 @@ class TestMergeSinks:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             merge_sinks([])
+
+    @pytest.mark.parametrize("keep_records", [True, False])
+    def test_merge_leaves_arguments_unchanged(self, keep_records):
+        """A merge copies what it adopts: a later merge must not reach
+        back into an earlier argument's link, class or resilience state."""
+        sinks = []
+        for index, (class_name, src) in enumerate(
+            [("early", "h0"), ("later", "a"), ("later", "a")]
+        ):
+            qid = f"c{index}:0"
+            sink = FleetMetrics(3, keep_records=keep_records)
+            sink.query_started(qid, class_name, 0.0)
+            sink.link_transfer(src, "b", 100.0, 1.0, qid)
+            sink.resilience_event("shed", class_name)
+            sink.query_finished(
+                QueryStats(
+                    query_id=qid, class_name=class_name,
+                    algorithm="one-shot", issued_at=0.0,
+                    completion_time=10.0 + index, images_delivered=1,
+                    truncated=False, relocations=index,
+                    aborted_relocations=0, bytes_on_wire=100.0,
+                )
+            )
+            sinks.append(sink)
+        before = [json.dumps(s.summary(20.0)) for s in sinks]
+        merged = merge_sinks(list(sinks)).summary(20.0)
+        assert merged["links"]["a--b"]["bytes"] == 200.0
+        assert merged["per_class"]["later"]["launched"] == 2
+        # Every argument but the head (the merge target) is untouched.
+        assert [json.dumps(s.summary(20.0)) for s in sinks[1:]] == before[1:]
+
+
+class TestReplay:
+    """One single-pass replay rebuilds the live summary either way."""
+
+    def replay_equals_live(self, spec):
+        tracer = Tracer()
+        result = run_workload(spec, tracer=tracer)
+        replayed = fleet_from_trace(
+            tracer.events, exact_threshold=spec.exact_metrics_threshold
+        )
+        assert replayed == result.fleet
+        return result.fleet
+
+    def test_no_records(self):
+        fleet = self.replay_equals_live(tiny_spec(exact_metrics_threshold=0))
+        assert "queries" not in fleet and fleet["completed"] == 6
+
+    @pytest.mark.parametrize("threshold", [1000, 0])
+    def test_fleet_coordinated_chaos_run(self, threshold):
+        spec = tiny_spec(
+            classes=(
+                QueryClass(
+                    name="global",
+                    algorithm=Algorithm.GLOBAL,
+                    overrides={"relocation_period": 30.0},
+                ),
+            ),
+            queries_per_client=1,
+            images_per_server=6,
+            fleet=FleetPolicy(
+                mode="coordinated", link_tokens=1.0, token_refill_seconds=600.0
+            ),
+            exact_metrics_threshold=threshold,
+        )
+        spec = replace(
+            spec, fault_plan=reference_chaos_plan(spec.all_hosts, seed=3)
+        )
+        fleet = self.replay_equals_live(spec)
+        assert fleet["fleet"]["claims"] == 3

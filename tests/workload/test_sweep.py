@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.config import Algorithm
-from repro.workload import ClosedLoop, QueryClass, WorkloadSpec
+from repro.workload import WORKLOAD_SCHEMA, ClosedLoop, QueryClass, WorkloadSpec
 from repro.workload.sweep import run_workload_sweep
 
 
@@ -25,7 +25,7 @@ class TestRunWorkloadSweep:
         results = run_workload_sweep(tasks, workers=1)
         assert list(results) == ["a", "b"]
         for fleet in results.values():
-            assert fleet["workload_schema"] == 1
+            assert fleet["workload_schema"] == WORKLOAD_SCHEMA
             assert fleet["completed"] == 2
 
     def test_parallel_matches_serial(self):

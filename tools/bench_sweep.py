@@ -22,8 +22,9 @@ benchmarks the kernel/trace hot paths:
   round's full grid) and end-to-end (``plan()`` candidates/second),
   with a bit-identical ``PlanResult`` equality check;
 * streaming fleet metrics at scale — a 100k-client synthetic open-loop
-  stream through ``StreamingFleetMetrics``: ingest rate, flat-memory
-  check, sketch error vs exact percentiles, shard-merge invariance;
+  stream through a record-free ``FleetMetrics`` sink: ingest rate,
+  flat-memory check, sketch error vs exact percentiles, shard-merge
+  invariance;
 * overload protection under chaos — the same oversubscribed fleet wide
   open vs protected (admission + deadlines + retries + breakers):
   protected p99 stays under the deadline, counters reconcile with a
@@ -534,7 +535,7 @@ def bench_fleet_planner(workers: int) -> dict:
 def bench_fleet_scale(quick: bool = False) -> dict:
     """Streaming fleet metrics at 100k+ clients: flat memory, bounded error.
 
-    Drives a :class:`~repro.workload.sink.StreamingFleetMetrics` directly
+    Drives a record-free :class:`~repro.workload.sink.FleetMetrics` directly
     with a seeded synthetic open-loop outcome stream (the sink neither
     knows nor cares whether a DES or a generator produced the stats), so
     the leg isolates the metrics path: ingest throughput, memory
@@ -545,7 +546,7 @@ def bench_fleet_scale(quick: bool = False) -> dict:
     import random
     import tracemalloc
 
-    from repro.workload import QueryStats, StreamingFleetMetrics, merge_sinks
+    from repro.workload import FleetMetrics, QueryStats, merge_sinks
     from repro.workload.sketch import exact_percentiles
     from repro.workload.sweep import shard_of
 
@@ -574,7 +575,7 @@ def bench_fleet_scale(quick: bool = False) -> dict:
                 bytes_on_wire=float(rng.randrange(10**7)),
             )
 
-    sink = StreamingFleetMetrics(num_clients, relative_error=eps)
+    sink = FleetMetrics(num_clients, relative_error=eps, keep_records=False)
     tracemalloc.start()
     t0 = time.perf_counter()
     halfway_bytes = None
@@ -599,7 +600,7 @@ def bench_fleet_scale(quick: bool = False) -> dict:
 
     # Shard-merge order invariance over a 3-way client-hash split.
     shards = [
-        StreamingFleetMetrics(num_clients, relative_error=eps)
+        FleetMetrics(num_clients, relative_error=eps, keep_records=False)
         for _ in range(3)
     ]
     n_shard_stats = total // 10
@@ -664,8 +665,8 @@ def bench_fast_path(quick: bool = False, repeats: int = 3) -> dict:
     """Hybrid fluid/DES collapse: the four-algorithm run fast vs forced-DES.
 
     Runs the standard comparison configuration (all four algorithms at
-    one network sample) with the default fluid fast path and again with
-    ``fluid_fast_path=False`` (the classic all-process schedule), and
+    one network sample) with the default fluid fast path and again under
+    ``tests/oracles/full_des.py`` (the classic all-process schedule), and
     reports kernel events per run, serial runs/second both ways, the
     event-reduction fraction, fluid engagement counts, and whether the
     paper-facing metrics stayed bit-identical.
@@ -676,11 +677,14 @@ def bench_fast_path(quick: bool = False, repeats: int = 3) -> dict:
         else ExperimentConfig()
     )
 
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from tests.oracles.full_des import full_des
+
     def sweep(fluid: bool):
-        return [
-            run_configuration(setup, 0, a, fluid_fast_path=fluid)
-            for a in ALGORITHMS
-        ]
+        if fluid:
+            return [run_configuration(setup, 0, a) for a in ALGORITHMS]
+        with full_des():
+            return [run_configuration(setup, 0, a) for a in ALGORITHMS]
 
     sweep(True)  # warm caches (trace library, config, numpy) + both paths
     sweep(False)
