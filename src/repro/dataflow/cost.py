@@ -346,9 +346,19 @@ class CostModelArrays:
         self.parent_clamped = np.where(self.parent >= 0, self.parent, 0)
         self.path_nodes_valid = self.path_nodes >= 0
         self.path_nodes_clamped = np.where(self.path_nodes_valid, self.path_nodes, 0)
-        self.path_edge_valid = self.path_edge_nodes >= 0
-        self.path_edge_clamped = np.where(
-            self.path_edge_valid, self.path_edge_nodes, 0
+        # Edge-seconds gathers for the batch evaluator, which keeps an
+        # always-zero slot at index ``n`` so an absent edge reads +0.0
+        # without a mask: per depth, each path's edge (or the slot past
+        # the path's end), and per node its child1 / child2 / own edge.
+        self.path_edge_rows = np.where(
+            self.path_edge_nodes >= 0, self.path_edge_nodes, n
+        ).T.copy()
+        self.edge_pack = np.vstack(
+            (
+                np.where(self.has_child1, self.child1, n),
+                np.where(self.has_child2, self.child2, n),
+                np.arange(n),
+            )
         )
 
         # Node-on-path incidence plus per-node gather tables over the

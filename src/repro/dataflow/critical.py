@@ -179,6 +179,15 @@ def _triu_indices(num_hosts: int) -> "tuple[np.ndarray, np.ndarray]":
     return cached
 
 
+def _frozen(entry):
+    """Make every array of a cache entry read-only, so that an
+    accidental in-place write raises instead of corrupting later plans."""
+    for value in vars(entry).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return entry
+
+
 @dataclass(frozen=True)
 class _MoveGrid:
     """Placement-independent per-cell gathers for one move-list shape.
@@ -205,6 +214,158 @@ class _MoveGrid:
     flat_base: np.ndarray  #: tile(rows, 11) * num_hosts, for the scatter
 
 
+@dataclass(frozen=True)
+class _StateCells:
+    """One move grid's assignment-dependent cell arrays.
+
+    Everything ``price_moves`` derives from where nodes sit, and not
+    from bandwidth, gathered once per (placement state, move list).
+    """
+
+    grid: _MoveGrid
+    bw_index: np.ndarray  #: flat bandwidth index of the 3 moved edges (3 x cells)
+    masks3: np.ndarray  #: moved edge present and cross-host (3 x cells)
+    is_current: np.ndarray  #: the cell's host is the node's current one
+    cells: int  #: host != current cells, the scalar candidate count
+    flat_index: np.ndarray  #: step-major scatter targets (11 x cells, flat)
+    lift: np.ndarray  #: the cell's host is unoccupied
+    recorded: np.ndarray  #: flat canonical host pairs the cells query (repeats allowed)
+
+    @classmethod
+    def build(cls, grid: _MoveGrid, state: "_PlacementState") -> "_StateCells":
+        num_hosts = len(state.hosts)
+        o, h = grid.o, grid.h
+        # ``ipack`` rows: own / child1 / child2 / parent host, then the
+        # occupancy-bump targets of the two child slots.
+        icells = state.ipack[:, o]
+        old = icells[0]
+        parent_host = icells[3]
+        # The three moved edges, both child inputs plus the output: rows
+        # 0/1 run (child host -> h), row 2 runs (h -> parent host).
+        src = np.empty((3, o.size), dtype=np.intp)
+        src[0:2] = icells[1:3]
+        src[2] = h
+        dst = np.empty((3, o.size), dtype=np.intp)
+        dst[0:2] = h
+        dst[2] = parent_host
+        masks3 = grid.has3 & (src != dst)
+        is_current = h == old
+        flat_cols = np.concatenate(
+            (old, h, icells[4], old, h, icells[5], old, h, parent_host, old, h)
+        )
+        recorded = (
+            np.minimum(src, dst)[masks3] * num_hosts
+            + np.maximum(src, dst)[masks3]
+        )
+        return _frozen(
+            cls(
+                grid=grid,
+                bw_index=src * num_hosts + dst,
+                masks3=masks3,
+                is_current=is_current,
+                cells=int(o.size - np.count_nonzero(is_current)),
+                flat_index=grid.flat_base + flat_cols,
+                lift=~state.occupied[h],
+                recorded=recorded,
+            )
+        )
+
+
+@dataclass(frozen=True)
+class _PlacementState:
+    """The bandwidth-independent evaluator state of one placement.
+
+    A function of (host universe, assignment in insertion order) only:
+    the int assignment, the occupancy scatter targets, the edge and
+    path host gathers, the per-node host pack ``price_moves`` reads, and
+    per move list the cell arrays (``cells``).  Periodic replans start
+    from and walk through the same few placements again and again, so
+    the planner keeps these in its ``_grid_cache`` and a revisited
+    placement skips the decode and every gather.  The arrays are
+    read-only; only ``cells`` grows.
+    """
+
+    hosts: tuple[str, ...]
+    host_index: dict
+    items: tuple  #: the assignment's items, in insertion order
+    position: dict  #: node id -> its index in ``items``
+    assign: np.ndarray  #: host index per node
+    occ_index: np.ndarray  #: occupancy scatter targets (nodes, then edges)
+    occ_node_seconds: np.ndarray  #: node seconds in assignment order
+    edge_bw_index: np.ndarray  #: flat bandwidth index per edge
+    edge_cross: np.ndarray  #: the edge crosses hosts
+    occupied: np.ndarray  #: some node sits on the host
+    any_unoccupied: bool
+    path_hosts: np.ndarray  #: host per (path, depth); num_hosts past the end
+    ipack: np.ndarray  #: own / child1 / child2 / parent host, bump targets
+    queried_cross: np.ndarray  #: flat canonical pairs of cross-host edges
+    cells: dict  #: move list -> :class:`_StateCells`
+
+    @classmethod
+    def build(cls, arrays, hosts: Sequence[str], items: tuple) -> "_PlacementState":
+        universe = tuple(sorted(set(hosts).union(host for _, host in items)))
+        host_index = {host: i for i, host in enumerate(universe)}
+        num_hosts = len(universe)
+
+        # The placement as an int array, plus the scalar accumulation
+        # order: ``host_occupancy`` walks ``assignment.items()`` in dict
+        # insertion order, which ``Placement.with_move`` preserves.
+        assign = np.empty(len(arrays.node_ids), dtype=np.intp)
+        order = np.empty(len(items), dtype=np.intp)
+        for i, (node_id, host) in enumerate(items):
+            node = arrays.node_index[node_id]
+            assign[node] = host_index[host]
+            order[i] = node
+
+        # Occupancy targets in the scalar sequence: node seconds in
+        # assignment order, then child/parent interleaved per edge.
+        child_hosts = assign[arrays.edge_child]
+        parent_hosts = assign[arrays.edge_parent]
+        endpoints = np.empty(2 * child_hosts.size, dtype=np.intp)
+        endpoints[0::2] = child_hosts
+        endpoints[1::2] = parent_hosts
+        occupied = np.zeros(num_hosts, dtype=bool)
+        occupied[assign] = True
+        cross = child_hosts != parent_hosts
+
+        # A childless slot aims the masked zero delta at the node's own
+        # host, a no-op add.
+        ipack = np.empty((6, assign.size), dtype=np.intp)
+        ipack[0] = assign
+        ipack[1] = assign[arrays.child1_clamped]
+        ipack[2] = assign[arrays.child2_clamped]
+        ipack[3] = assign[arrays.parent_clamped]
+        ipack[4] = np.where(arrays.has_child1, ipack[1], assign)
+        ipack[5] = np.where(arrays.has_child2, ipack[2], assign)
+
+        return _frozen(
+            cls(
+                hosts=universe,
+                host_index=host_index,
+                items=items,
+                position={node_id: i for i, (node_id, _) in enumerate(items)},
+                assign=assign,
+                occ_index=np.concatenate((assign[order], endpoints)),
+                occ_node_seconds=arrays.node_seconds[order],
+                edge_bw_index=child_hosts * num_hosts + parent_hosts,
+                edge_cross=cross,
+                occupied=occupied,
+                any_unoccupied=not bool(occupied.all()),
+                path_hosts=np.where(
+                    arrays.path_nodes_valid,
+                    assign[arrays.path_nodes_clamped],
+                    num_hosts,
+                ),
+                ipack=ipack,
+                queried_cross=(
+                    np.minimum(child_hosts, parent_hosts)[cross] * num_hosts
+                    + np.maximum(child_hosts, parent_hosts)[cross]
+                ),
+                cells={},
+            )
+        )
+
+
 class BatchMoveEvaluator:
     """Incremental placement-cost evaluation for single-operator moves.
 
@@ -222,7 +383,7 @@ class BatchMoveEvaluator:
     not associative, so every accumulation replicates the scalar code's
     exact addition order: per-path sums use sequential depth loops (never
     pairwise ``np.sum``), occupancy uses ordered scatter-adds
-    (``np.add.at`` applies repeated indices in sequence), and each grid
+    (``np.bincount`` adds its inputs in sequence), and each grid
     cell applies its occupancy bumps and per-path edge deltas in the
     same eleven-step order as the reference ``cost_of_move``.  The no-op
     additions the uniform vector pipeline introduces (masked zero
@@ -238,6 +399,12 @@ class BatchMoveEvaluator:
     endpoints, so the in-place update is bit-identical to a fresh
     recompute) while the order-sensitive reductions (occupancy, path
     sums, critical path) are recomputed with vector ops.
+
+    What depends on the placement but not on bandwidth — the decoded
+    assignment, every host gather, and per move list the cell arrays —
+    is a read-only :class:`_PlacementState` kept in ``grid_cache`` under
+    (host universe, assignment items), so a planner that passes a
+    persistent dict reuses it across rounds and plan calls.
 
     Queried links are tracked in an ``H x H`` boolean matrix mirroring
     :class:`repro.dataflow.cost.RecordingEstimator`: the cross-host
@@ -255,17 +422,20 @@ class BatchMoveEvaluator:
         cost_model: CostModel,
         estimator: BandwidthEstimator,
         hosts: Sequence[str] = (),
-        grid_cache: "Optional[dict[tuple, _MoveGrid]]" = None,
+        grid_cache: "Optional[dict[tuple, object]]" = None,
         bandwidth: "Optional[np.ndarray]" = None,
     ) -> None:
         self.tree = tree
         self.cost_model = cost_model
         self.arrays = cost_model.arrays()
-        arrays = self.arrays
-        assignment = placement.assignment
-
-        self.hosts = evaluator_hosts(hosts, placement)
-        self.host_index = {host: i for i, host in enumerate(self.hosts)}
+        #: Cell-structure and placement-state cache; a planner may pass
+        #: a persistent dict so both survive across plan calls.
+        self._grid_cache: dict = {} if grid_cache is None else grid_cache
+        self._state = self._load_state(
+            tuple(hosts), tuple(placement.assignment.items())
+        )
+        self.hosts = self._state.hosts
+        self.host_index = self._state.host_index
         num_hosts = len(self.hosts)
 
         # ``bandwidth`` lets a caller that already snapshotted the
@@ -280,50 +450,49 @@ class BatchMoveEvaluator:
                 f"{num_hosts} hosts"
             )
         self._bw = bandwidth
+        self._bw_flat = bandwidth.reshape(-1)
         self.startup = cost_model.startup_cost
 
-        # The placement as an int array, plus the scalar accumulation
-        # order: ``host_occupancy`` walks ``assignment.items()`` in dict
-        # insertion order, which ``Placement.with_move`` preserves.
-        self.assign = np.empty(len(arrays.node_ids), dtype=np.intp)
-        order = []
-        for node_id, host in assignment.items():
-            self.assign[arrays.node_index[node_id]] = self.host_index[host]
-            order.append(arrays.node_index[node_id])
-        self._occ_order = np.array(order, dtype=np.intp)
-        self._occ_order_seconds = arrays.node_seconds[self._occ_order]
-
-        self.edge_seconds = np.zeros(len(arrays.node_ids))
+        # Edge seconds per child node, plus one always-zero slot that
+        # ``CostModelArrays.path_edge_rows`` and ``edge_pack`` aim at
+        # for absent edges.
+        num_nodes = len(self.arrays.node_ids)
+        self._edge_slots = np.zeros(num_nodes + 1)
+        self.edge_seconds = self._edge_slots[:num_nodes]
         self._queried = np.zeros((num_hosts, num_hosts), dtype=bool)
+        self._queried_flat = self._queried.reshape(-1)
         self._triu = _triu_indices(num_hosts)
         #: True once every canonical host pair has been recorded — the
         #: recorded set is monotone and maximal, so recording can stop.
         self._links_complete = False
         self._host_tuple_cache: dict[tuple[str, ...], np.ndarray] = {}
-        #: Cell-structure cache keyed on (host universe, move list); a
-        #: planner may pass a persistent dict so the placement-independent
-        #: grids survive across plan calls.
-        self._grid_cache: dict[tuple, _MoveGrid] = (
-            {} if grid_cache is None else grid_cache
-        )
         self._set_all_edges()
         self._recompute_reductions()
+
+    def _load_state(self, hosts: tuple, items: tuple) -> _PlacementState:
+        """The cached state of ``items`` over ``hosts``, built on a miss."""
+        key = (_PlacementState, hosts, items)
+        state = self._grid_cache.get(key)
+        if state is None:
+            state = _PlacementState.build(self.arrays, hosts, items)
+            self._grid_cache[key] = state
+        return state
 
     # -- per-round state ----------------------------------------------------
     def _set_all_edges(self) -> None:
         arrays = self.arrays
-        child_hosts = self.assign[arrays.edge_child]
-        parent_hosts = self.assign[arrays.edge_parent]
+        state = self._state
         self.edge_seconds[arrays.edge_child] = np.where(
-            child_hosts != parent_hosts,
-            self.startup + arrays.edge_size / self._bw[child_hosts, parent_hosts],
+            state.edge_cross,
+            self.startup + arrays.edge_size / self._bw_flat[state.edge_bw_index],
             0.0,
         )
 
     def _set_edge(self, child: int) -> None:
         """Recompute one edge entry (bit-identical to a full rebuild)."""
-        a = self.assign[child]
-        b = self.assign[self.arrays.parent[child]]
+        assign = self._state.assign
+        a = assign[child]
+        b = assign[self.arrays.parent[child]]
         if a == b:
             self.edge_seconds[child] = 0.0
         else:
@@ -340,26 +509,24 @@ class BatchMoveEvaluator:
         (O(nodes + edges + paths), trivial next to the move grid).
         """
         arrays = self.arrays
-        assign = self.assign
-        num_hosts = len(self.hosts)
+        state = self._state
 
-        # Occupancy: node seconds in assignment order, then child/parent
-        # interleaved per edge in edge order — the scalar sequence.
-        occ = np.zeros(num_hosts)
-        np.add.at(occ, assign[self._occ_order], self._occ_order_seconds)
-        child_hosts = assign[arrays.edge_child]
-        parent_hosts = assign[arrays.edge_parent]
-        seconds = self.edge_seconds[arrays.edge_child]
-        endpoints = np.empty(2 * child_hosts.size, dtype=np.intp)
-        endpoints[0::2] = child_hosts
-        endpoints[1::2] = parent_hosts
-        np.add.at(occ, endpoints, np.repeat(seconds, 2))
-        self._occ = occ
-        occupied = np.zeros(num_hosts, dtype=bool)
-        occupied[assign] = True
-        self._unoccupied = ~occupied
-        self._any_unoccupied = bool(self._unoccupied.any())
-        self._occ_masked = np.where(occupied, occ, -np.inf)
+        # Occupancy: one in-order scatter of node seconds in assignment
+        # order, then child/parent interleaved per edge in edge order —
+        # the scalar sequence.  One extra bin stays +0.0 for the path
+        # slots past each path's end.
+        num_hosts = len(self.hosts)
+        occ = np.bincount(
+            state.occ_index,
+            weights=np.concatenate(
+                (
+                    state.occ_node_seconds,
+                    np.repeat(self.edge_seconds[arrays.edge_child], 2),
+                )
+            ),
+            minlength=num_hosts + 1,
+        )
+        self._occ_masked = np.where(state.occupied, occ[:num_hosts], -np.inf)
 
         # Per-path edge sums and critical-path latency, one sequential
         # depth loop for both (pairwise np.sum would change the addition
@@ -368,14 +535,9 @@ class BatchMoveEvaluator:
         # ``sum()`` accumulated left-to-right from zero in the same
         # order — then edge seconds in path order; the edge-sum
         # accumulator adds the identical terms starting from zero.
-        edge_cols = arrays.path_edge_clamped
-        edge_valid = arrays.path_edge_valid
         esums = np.zeros(arrays.num_paths)
         latency = arrays.path_node_sums.copy()
-        for d in range(edge_cols.shape[1]):
-            term = np.where(
-                edge_valid[:, d], self.edge_seconds[edge_cols[:, d]], 0.0
-            )
+        for term in self._edge_slots[arrays.path_edge_rows]:
             esums = esums + term
             latency = latency + term
         self.path_edge_sums = esums
@@ -383,43 +545,20 @@ class BatchMoveEvaluator:
 
         # Bottleneck as an order-free max; first index attaining the
         # maximum wins, like the strict-> running compare.
-        path_occ = np.where(
-            arrays.path_nodes_valid,
-            occ[assign[arrays.path_nodes_clamped]],
-            0.0,
-        )
-        bottleneck = path_occ.max(axis=1)
+        bottleneck = occ[state.path_hosts].max(axis=1)
         costs = np.where(latency > bottleneck, latency, bottleneck)
         best = int(np.argmax(costs))
         self._critical = CriticalPath(
             nodes=self.cost_model.server_paths[best], cost=float(costs[best])
         )
 
-        # Per-node snapshots that ``price_moves`` gathers per grid cell,
-        # packed into one int and one float matrix so a round's state
-        # reaches the cells in two fancy gathers.  Rows of ``_ipack``:
-        # own / child1 / child2 / parent host, then the occupancy-bump
-        # targets (a childless slot aims the masked zero delta at the
-        # node's own host, a no-op add).  Rows of ``_fpack``: current
-        # child edge seconds, the node's own current edge seconds, and
-        # the latency floor over paths *not* through the node.
-        n = assign.size
-        ipack = np.empty((6, n), dtype=np.intp)
-        ipack[0] = assign
-        ipack[1] = assign[arrays.child1_clamped]
-        ipack[2] = assign[arrays.child2_clamped]
-        ipack[3] = assign[arrays.parent_clamped]
-        ipack[4] = np.where(arrays.has_child1, ipack[1], assign)
-        ipack[5] = np.where(arrays.has_child2, ipack[2], assign)
-        self._ipack = ipack
-        fpack = np.empty((4, n))
-        fpack[0] = np.where(
-            arrays.has_child1, self.edge_seconds[arrays.child1_clamped], 0.0
-        )
-        fpack[1] = np.where(
-            arrays.has_child2, self.edge_seconds[arrays.child2_clamped], 0.0
-        )
-        fpack[2] = self.edge_seconds
+        # Per-node float snapshots that ``price_moves`` gathers per grid
+        # cell, packed into one matrix so a round's edge state reaches
+        # the cells in one fancy gather: current child edge seconds, the
+        # node's own current edge seconds, and the latency floor over
+        # paths *not* through the node.
+        fpack = np.empty((4, state.assign.size))
+        fpack[0:3] = self._edge_slots[arrays.edge_pack]
         floor = np.where(
             arrays.on_path, -np.inf, self.all_totals[None, :]
         ).max(axis=1)
@@ -433,12 +572,8 @@ class BatchMoveEvaluator:
 
         # The scalar round consults every cross-host edge of the current
         # placement (critical path + evaluator construction).
-        cross = child_hosts != parent_hosts
-        self._queried[
-            np.minimum(child_hosts, parent_hosts)[cross],
-            np.maximum(child_hosts, parent_hosts)[cross],
-        ] = True
         if not self._links_complete:
+            self._queried_flat[state.queried_cross] = True
             self._links_complete = bool(self._queried[self._triu].all())
 
     def critical_path(self) -> CriticalPath:
@@ -478,54 +613,50 @@ class BatchMoveEvaluator:
         host and masks current-host cells to ``+inf``, which keeps the
         cell layout placement-independent and cacheable per move list.
         """
-        arrays = self.arrays
-        grid = self._grid_cache.get((self.hosts, tuple(moves)))
-        if grid is None:
-            grid = self._build_grid(moves)
-        o, h, rows = grid.o, grid.h, grid.rows
-        if o.size == 0:
+        state = self._state
+        key = tuple(moves)
+        cached = state.cells.get(key)
+        if cached is None:
+            grid = self._grid_cache.get((self.hosts, key))
+            if grid is None:
+                grid = self._build_grid(key)
+            cached = _StateCells.build(grid, state)
+            state.cells[key] = cached
+        if cached.cells == 0:
             return 0, best_cost, None
-        bw = self._bw
-        startup = self.startup
+        grid = cached.grid
+        o = grid.o
 
-        # Two fancy gathers deliver the round's per-node state to the
-        # cells; the rows come out as views.
-        icells = self._ipack[:, o]
+        # One fancy gather delivers the round's per-node edge state to
+        # the cells; the rows come out as views.
         fcells = self._fpack[:, o]
-        old = icells[0]
-        chosts = icells[1:3]
-        parent_host = icells[3]
         old_e3 = fcells[0:3]
         floor = fcells[3]
 
         # All three moved edges — both child inputs plus the output —
-        # in one (3 x cells) pass: rows 0/1 read bw[child host, h],
-        # row 2 reads bw[h, parent host].  The masked new edges are
-        # exactly 0.0 where absent or co-located, so the plain
-        # differences reproduce the scalar deltas (childless rows give
+        # in one (3 x cells) pass.  The masked new edges are exactly 0.0
+        # where absent or co-located, so the plain differences
+        # reproduce the scalar deltas (childless rows give
         # +0.0 - +0.0 = +0.0).
-        src = np.empty((3, o.size), dtype=np.intp)
-        src[0:2] = chosts
-        src[2] = h
-        dst = np.empty((3, o.size), dtype=np.intp)
-        dst[0:2] = h
-        dst[2] = parent_host
-        masks3 = grid.has3 & (src != dst)
-        new_e3 = np.where(masks3, startup + grid.sizes3 / bw[src, dst], 0.0)
+        new_e3 = np.where(
+            cached.masks3,
+            self.startup + grid.sizes3 / self._bw_flat[cached.bw_index],
+            0.0,
+        )
         d3 = new_e3 - old_e3
-        masks12 = masks3[0:2]
-        mask_o = masks3[2]
         d1, d2, d_o = d3[0], d3[1], d3[2]
         new_eo = new_e3[2]
 
         # Latency: per-node unaffected floor (precomputed per round),
         # then the affected totals with the scalar's three delta adds
         # (child1, child2, own edge) in order, accumulated in place
-        # (the gather above produced a fresh array).
+        # (the gather above produced a fresh array).  A masked-out
+        # column keeps its value, which equals adding +0.0: totals are
+        # never -0.0.
         totals = self._base_totals[o]
-        np.add(totals, np.where(grid.m1, d1[:, None], 0.0), out=totals)
-        np.add(totals, np.where(grid.m2, d2[:, None], 0.0), out=totals)
-        np.add(totals, np.where(grid.valid, d_o[:, None], 0.0), out=totals)
+        np.add(totals, d1[:, None], out=totals, where=grid.m1)
+        np.add(totals, d2[:, None], out=totals, where=grid.m2)
+        np.add(totals, d_o[:, None], out=totals, where=grid.valid)
         aff_max = totals.max(axis=1)
         latency = np.where(aff_max > floor, aff_max, floor)
 
@@ -539,9 +670,6 @@ class BatchMoveEvaluator:
         # over occupied hosts (unoccupied ones are premasked to -inf),
         # and the unoccupied-target special case when it can trigger.
         neg_e3 = -old_e3
-        flat_cols = np.concatenate(
-            (old, h, icells[4], old, h, icells[5], old, h, parent_host, old, h)
-        )
         flat_vals = np.concatenate(
             (
                 grid.neg_node_sec,
@@ -558,39 +686,28 @@ class BatchMoveEvaluator:
             )
         )
         delta = np.bincount(
-            grid.flat_base + flat_cols,
+            cached.flat_index,
             weights=flat_vals,
             minlength=o.size * len(self.hosts),
         ).reshape(o.size, len(self.hosts))
         bottleneck = (self._occ_masked + delta).max(axis=1)
         bottleneck = np.where(bottleneck > 0.0, bottleneck, 0.0)
-        if self._any_unoccupied:
-            extra = delta[rows, h]
-            lift = self._unoccupied[h] & (extra > bottleneck)
+        if state.any_unoccupied:
+            extra = delta[grid.rows, grid.h]
+            lift = cached.lift & (extra > bottleneck)
             bottleneck = np.where(lift, extra, bottleneck)
         costs = np.where(latency > bottleneck, latency, bottleneck)
 
         # Current-host cells are the scalar loop's ``continue``: priced
         # as +inf so they can never win, excluded from the cell count.
-        is_current = h == old
-        costs = np.where(is_current, np.inf, costs)
-        cells = int(o.size - np.count_nonzero(is_current))
-        if cells == 0:
-            return 0, best_cost, None
+        costs = np.where(cached.is_current, np.inf, costs)
 
         # Recorder semantics for the cells' estimator queries.  A
         # current-host cell's pairs are that node's present cross
         # edges, already recorded by ``_recompute_reductions``; once
         # every pair is recorded the set is maximal and recording stops.
         if not self._links_complete:
-            for left, right, mask in (
-                (chosts[0], h, masks12[0]),
-                (chosts[1], h, masks12[1]),
-                (h, parent_host, mask_o),
-            ):
-                a = left[mask]
-                b = right[mask]
-                self._queried[np.minimum(a, b), np.maximum(a, b)] = True
+            self._queried_flat[cached.recorded] = True
             self._links_complete = bool(self._queried[self._triu].all())
 
         # The running ``cost <= best`` winner is the *last* cell
@@ -600,13 +717,13 @@ class BatchMoveEvaluator:
         minimum = float(costs[flat])
         if minimum <= best_cost:
             return (
-                cells,
+                cached.cells,
                 minimum,
-                (arrays.node_ids[o[flat]], self.hosts[h[flat]]),
+                (self.arrays.node_ids[o[flat]], self.hosts[grid.h[flat]]),
             )
-        return cells, best_cost, None
+        return cached.cells, best_cost, None
 
-    def _build_grid(self, moves) -> _MoveGrid:
+    def _build_grid(self, moves: tuple) -> _MoveGrid:
         """Gather and cache the placement-independent cell structure."""
         arrays = self.arrays
         node_parts: list[np.ndarray] = []
@@ -649,14 +766,18 @@ class BatchMoveEvaluator:
             valid=arrays.affected_valid[o],
             flat_base=np.tile(rows, 11) * len(self.hosts),
         )
-        self._grid_cache[(self.hosts, tuple(moves))] = grid
+        self._grid_cache[(self.hosts, moves)] = _frozen(grid)
         return grid
 
     def apply_move(self, node_id: str, host: str) -> None:
         """Adopt a move: patch the <=3 changed edges, rebuild reductions."""
         arrays = self.arrays
         node = arrays.node_index[node_id]
-        self.assign[node] = self.host_index[host]
+        if host not in self.host_index:
+            raise KeyError(host)
+        items = list(self._state.items)
+        items[self._state.position[node_id]] = (node_id, host)
+        self._state = self._load_state(self.hosts, tuple(items))
         for child in (arrays.child1[node], arrays.child2[node]):
             if child >= 0:
                 self._set_edge(int(child))

@@ -97,9 +97,12 @@ class OneShotPlanner:
                 raise ValueError(f"{server!r} is not a server of this tree")
         self._operator_ids = tuple(op.node_id for op in tree.operators())
         self._all_hosts = tuple(self.hosts)
-        #: Persistent cell-structure cache shared across plan calls (the
-        #: grids are placement-independent, see
-        #: :class:`repro.dataflow.critical.BatchMoveEvaluator`).
+        #: Persistent evaluator cache shared across plan calls: the
+        #: placement-independent move grids and each visited placement's
+        #: bandwidth-independent state (see
+        #: :class:`repro.dataflow.critical.BatchMoveEvaluator`).  It is
+        #: owned here, not shared, because a state is only valid for
+        #: this planner's tree and cost model.
         self._grid_cache: dict = {}
         #: One-entry memo of the search: ``(key, result)``.
         #: Periodic replans often see the previous call's floored
