@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from heapq import heappop, heappush
 
 from repro.net.message import Message
 from repro.sim import Environment, Resource
-from repro.sim.stores import PriorityItem, PriorityStore
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.stores import StoreGet
+from repro.sim.stores import StoreGet
 
 
 @dataclass
@@ -25,35 +22,55 @@ class HostStats:
     nic_busy_time: float = 0.0
 
 
-class _MessageStore(PriorityStore):
-    """A priority store that hands back the bare message, not the wrapper."""
-
-    def _take_item(self, event):
-        entry = super()._take_item(event)
-        return entry.item if isinstance(entry, PriorityItem) else entry
-
-
 class Mailbox:
-    """Priority-ordered queue of delivered messages for one actor."""
+    """Priority-ordered queue of delivered messages for one actor.
+
+    Barrier and control messages overtake queued bulk data (lower
+    ``Message.priority`` first, FIFO within a priority).  A delivery hands
+    the message straight to the oldest waiting getter, whose event is the
+    only calendar entry it costs; with no getter waiting it only queues.
+    A waiting getter therefore implies an empty queue.
+    """
+
+    __slots__ = ("env", "_heap", "_getters", "_sequence")
 
     def __init__(self, env: Environment) -> None:
-        self._store = _MessageStore(env)
         self.env = env
+        #: ``(priority, sequence, message)``; the unique sequence number
+        #: keeps the comparison away from the messages themselves.
+        self._heap: list[tuple[int, int, Message]] = []
+        #: Waiting getters, oldest first (rarely more than one).
+        self._getters: list[StoreGet] = []
+        self._sequence = 0
 
     def deliver(self, message: Message) -> None:
-        """Enqueue a delivered message (priority-ordered, FIFO in class)."""
-        self._store.put(PriorityItem(int(message.priority or 0), message))
+        """Hand ``message`` to the oldest waiting getter, or queue it."""
+        if self._getters:
+            self._getters.pop(0).succeed(message)
+            return
+        heappush(self._heap, (int(message.priority or 0), self._sequence, message))
+        self._sequence += 1
 
-    def get(self) -> "StoreGet":
+    def get(self) -> StoreGet:
         """Event whose value is the next message (in priority order)."""
-        return self._store.get()
+        event = StoreGet(self)  # type: ignore[arg-type]
+        if self._heap:
+            event.succeed(heappop(self._heap)[2])
+        else:
+            self._getters.append(event)
+        return event
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._heap)
 
     def drain(self) -> list[Message]:
-        """Remove and return all queued messages (used when an actor moves)."""
-        return [entry.item for entry in self._store.clear()]
+        """Remove and return all queued messages (used when an actor moves).
+
+        Waiting getters stay pending.
+        """
+        drained = [message for _, _, message in sorted(self._heap)]
+        self._heap.clear()
+        return drained
 
 
 class Host:

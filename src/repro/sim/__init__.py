@@ -16,8 +16,9 @@ The programming model:
   :class:`~repro.sim.resources.PriorityResource` model contended facilities
   (the paper's single network interface per host, the disk, the CPU).
 * :class:`~repro.sim.stores.Store` and
-  :class:`~repro.sim.stores.PriorityStore` model producer/consumer queues
-  (the paper's message queues, where barrier messages get priority).
+  :class:`~repro.sim.stores.PriorityStore` model generic producer/consumer
+  queues.  (The paper's per-actor message queues, where barrier messages
+  get priority, are :class:`repro.net.host.Mailbox`.)
 
 Determinism: ties in the event calendar are broken by scheduling order, so a
 simulation with a fixed RNG seed is exactly reproducible.

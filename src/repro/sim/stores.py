@@ -2,8 +2,8 @@
 
 A :class:`Store` holds items; ``put(item)`` and ``get()`` return events that
 fire when the operation completes.  :class:`PriorityStore` delivers items in
-priority order — the paper's hosts use it so that high-priority barrier
-messages overtake queued bulk-data messages.  :class:`FilterStore` lets a
+priority order (the hosts' actor mailboxes, :class:`repro.net.host.Mailbox`,
+are a leaner special case of it).  :class:`FilterStore` lets a
 consumer wait for an item matching a predicate (used to wait for the reply
 to a specific request).
 """

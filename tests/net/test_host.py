@@ -122,3 +122,46 @@ class TestMailbox:
         box.deliver(msg())
         env.run()
         assert len(box) == 1
+
+    def test_delivery_without_getter_schedules_nothing(self, env):
+        box = make_host(env).mailbox("a")
+        box.deliver(msg())
+        assert env._queue == []
+        assert len(box) == 1
+
+    def test_delivery_to_waiting_getter_schedules_one_entry(self, env):
+        box = make_host(env).mailbox("a")
+        getter = box.get()
+        assert env._queue == []
+        original = msg()
+        box.deliver(original)
+        assert [entry[3] for entry in env._queue] == [getter]
+        assert len(box) == 0
+        env.run()
+        assert getter.value is original
+
+    def test_waiting_getters_are_served_fifo(self, env):
+        box = make_host(env).mailbox("a")
+        first, second = box.get(), box.get()
+        m1, m2 = msg(uid_tag="1"), msg(uid_tag="2")
+        box.deliver(m1)
+        box.deliver(m2)
+        assert [entry[3] for entry in env._queue] == [first, second]
+        env.run()
+        assert (first.value, second.value) == (m1, m2)
+
+    def test_drain_is_priority_then_fifo_and_leaves_getters_waiting(self, env):
+        box = make_host(env).mailbox("a")
+        data1, data2 = msg(MessageKind.DATA, uid_tag="1"), msg(MessageKind.DATA, uid_tag="2")
+        barrier = msg(MessageKind.BARRIER)
+        for message in (data1, data2, barrier):
+            box.deliver(message)
+        assert box.drain() == [barrier, data1, data2]
+        assert len(box) == 0
+        getter = box.get()
+        assert box.drain() == []
+        assert not getter.triggered
+        late = msg(uid_tag="late")
+        box.deliver(late)
+        env.run()
+        assert getter.value is late

@@ -1,0 +1,30 @@
+"""Record a traced run, summarize it and export it for Chrome/Perfetto."""
+
+import json
+
+from repro.cli import main
+
+
+def test_record_summarize_and_chrome_export(tmp_path, capsys):
+    trace = tmp_path / "run.jsonl"
+    chrome = tmp_path / "run.chrome.json"
+    code = main(
+        [
+            "run",
+            "--servers", "4",
+            "--images", "12",
+            "--algorithm", "global",
+            "--trace", str(trace),
+            "--chrome-trace", str(chrome),
+        ]
+    )
+    assert code == 0
+    assert trace.stat().st_size > 0
+    capsys.readouterr()
+
+    assert main(["trace", str(trace)]) == 0
+    summary = capsys.readouterr().out
+    assert "arrivals: 12" in summary
+    assert "kernel events processed:" in summary
+
+    json.loads(chrome.read_text())
