@@ -84,9 +84,12 @@ class RunMetrics:
     #: fast-path run on exactly these fields and nothing else).
     #: Calendar events the kernel processed over the whole run.
     kernel_events: int = 0
-    #: Transfers completed via the fluid (single-callback) fast path.
+    #: Transfers completed without a generator process (one completion
+    #: callback, or a callback chain under faults): every transfer, in
+    #: the simulator proper.
     fluid_transfers: int = 0
-    #: Transfers completed via the full DES process path.
+    #: Transfers completed through a generator process — only under the
+    #: reference schedule of ``tests/oracles/full_des.py``.
     des_transfers: int = 0
 
     def note_plan(self, result) -> None:

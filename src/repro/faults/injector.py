@@ -105,10 +105,10 @@ class FaultInjector:
     def has_loss(self, a: str, b: str) -> bool:
         """True if the pair carries a seeded loss stream.
 
-        Transfers on lossy pairs must run the full DES attempt loop even
-        when no drop would occur: every attempt consumes one draw from
-        the pair's RNG stream, and skipping draws would shift all later
-        loss decisions.  The fluid fast path therefore declines them.
+        The network no longer asks: every faulted transfer runs the
+        same callback attempt chain, calling :meth:`drop_message` once
+        per unblocked attempt.  Kept as a query for the benchmark's
+        per-layer seam table.
         """
         pair = (a, b) if a < b else (b, a)
         return bool(self._loss.get(pair))
@@ -124,11 +124,12 @@ class FaultInjector:
 
         ``link`` is a canonical host-pair key whose outage windows are
         scanned; ``hosts`` are host names whose crash windows are
-        scanned.  Returns None when the interval contains no boundary —
-        together with :meth:`link_blocked` at ``t0`` and
-        :meth:`has_loss` this is the admission test for the fluid
-        transfer fast path: a boundary-free window is guaranteed to play
-        out exactly like a single uninterrupted DES attempt.
+        scanned.  Returns None when the interval contains no boundary.
+
+        The network no longer asks: a transfer attempt is never
+        interrupted mid-flight, so a boundary inside its window changes
+        nothing.  Kept as a query for the benchmark's per-layer seam
+        table.
         """
         best: Optional[float] = None
         for start, end in self._outages.get(link, ()):

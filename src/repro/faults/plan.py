@@ -154,7 +154,13 @@ class RetryPolicy:
 
     def backoff_delay(self, attempt: int) -> float:
         """Seconds to wait after failed attempt number ``attempt`` (1-based)."""
-        return min(self.timeout * self.backoff ** (attempt - 1), self.max_backoff)
+        try:
+            delay = self.timeout * self.backoff ** (attempt - 1)
+        except OverflowError:
+            # The power left float range (attempt 1,025 at backoff 2):
+            # the ceiling applied long before.
+            return self.max_backoff
+        return min(delay, self.max_backoff)
 
 
 @dataclass(frozen=True)

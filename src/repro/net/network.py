@@ -22,8 +22,8 @@ forwarded, paying for the extra hop, as a mobile-object runtime would.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional
 
 from repro.faults.plan import TransferAbandoned
@@ -79,9 +79,11 @@ class NetworkStats:
     retransmissions: int = 0
     dropped_bytes: float = 0.0
     abandoned_messages: int = 0
-    #: How each completed transfer was simulated: collapsed analytically
-    #: into one completion event (fluid) or stepped through the full DES
-    #: process path.  ``fluid_transfers + des_transfers == transfers``.
+    #: How each completed transfer was simulated: through callbacks
+    #: without a generator process (fluid: every transfer, faulted or
+    #: not) or through a generator process (DES: only under the
+    #: reference schedule in ``tests/oracles/full_des.py``).
+    #: ``fluid_transfers + des_transfers == transfers``.
     fluid_transfers: int = 0
     des_transfers: int = 0
 
@@ -104,8 +106,9 @@ class Network:
         #: Only populated when messages carry a query tag (workload runs);
         #: the aggregate :attr:`stats` always counts everything.
         self.query_stats: dict[str, NetworkStats] = {}
-        #: Transfer arbiter state: waiting transfers (priority heap),
-        #: per-host active-transfer counts, and a FIFO tie-breaker.
+        #: Transfer arbiter state: waiting transfers (a list kept sorted
+        #: by ``(priority, sequence)``), per-host active-transfer counts,
+        #: and a FIFO tie-breaker.
         self._waiting: list[tuple] = []
         self._active_transfers: dict[str, int] = {}
         #: NIC capacities, cached flat at registration (hosts never change
@@ -116,7 +119,7 @@ class Network:
         #: True when NIC capacity has been released since the last full
         #: dispatch scan.  While False, every queued transfer is still
         #: blocked (capacity only shrinks between scans), so :meth:`send`
-        #: may start/queue its one new message without rescanning the heap.
+        #: may start/queue its one new message without rescanning the queue.
         self._scan_needed = False
         #: Monitoring hook: called with each TransferObservation.
         self.observers: list[Callable[[TransferObservation], None]] = []
@@ -325,7 +328,7 @@ class Network:
                 active[dst] += 1
                 self._start_transfer(message, src, dst, done)
             else:
-                heappush(
+                insort(
                     self._waiting,
                     (
                         int(message.priority or 0),
@@ -337,7 +340,7 @@ class Network:
                     ),
                 )
             return done
-        heappush(
+        insort(
             self._waiting,
             (int(message.priority or 0), self._sequence, message, src, dst, done),
         )
@@ -347,41 +350,36 @@ class Network:
     def _dispatch_transfers(self) -> None:
         """Start every waiting transfer whose two endpoints are free.
 
-        This full scan is the arbiter's slow path; it re-arms
-        :meth:`send`'s fast path by clearing ``_scan_needed``.
+        One walk over the sorted queue in ``(priority, sequence)`` order,
+        deleting each entry it starts — the same start order a heap
+        drain would give, since the sequence number is unique.  This
+        full scan is the arbiter's slow path; it re-arms :meth:`send`'s
+        fast path by clearing ``_scan_needed``.
         """
         self._scan_needed = False
-        if not self._waiting:
-            return
+        waiting = self._waiting
         active = self._active_transfers
         caps = self._nic_caps
-        blocked: list[tuple] = []
-        while self._waiting:
-            entry = heappop(self._waiting)
-            __, __, message, src, dst, done = entry
+        i = 0
+        while i < len(waiting):
+            __, __, message, src, dst, done = waiting[i]
             if active[src] >= caps[src] or active[dst] >= caps[dst]:
-                blocked.append(entry)
+                i += 1
                 continue
+            del waiting[i]
             active[src] += 1
             active[dst] += 1
             self._start_transfer(message, src, dst, done)
-        for entry in blocked:
-            heappush(self._waiting, entry)
 
     def _start_transfer(self, message: Message, src: str, dst: str, done) -> None:
         """Launch an admitted transfer (both endpoint NICs already held).
 
-        The fluid fast path: the paper's core quantity — time to push N
-        bytes over a time-varying link — is computable analytically from
-        the trace's prefix sums, so an uncontended, fault-free transfer
-        needs no generator machinery.  When no fault boundary can touch
-        the window ``[now, now + duration)`` (trivially true without an
-        injector; otherwise checked via
-        :meth:`~repro.faults.injector.FaultInjector.next_boundary`, a
-        clean start and no loss stream), completion is **one**
-        lightweight callback event instead of a process's init event,
-        timeout and process-completion event.  Any arbiter-grant, fault
-        or loss condition falls back to the full DES path unchanged.
+        The paper's core quantity — time to push N bytes over a
+        time-varying link — is computable analytically from the trace's
+        prefix sums, so a transfer needs no generator machinery.  Without
+        an injector, completion is **one** callback event.  Under an
+        injector the transfer is a chain of callbacks, one per attempt
+        (:meth:`_attempt`), started by an URGENT launch callback.
         """
         env = self.env
         faults = self._faults
@@ -397,55 +395,128 @@ class Network:
                 ),
             )
             return
-        started = env.now
-        if (
-            faults.link_blocked(src, dst, started) is None
-            and not faults.has_loss(src, dst)
-        ):
-            link = self.link(src, dst)
-            duration = link.transmission_time(message.wire_size, started)
-            boundary = faults.next_boundary(
-                link.key, (src, dst), started, started + duration
-            )
-            if boundary is None:
-                # Faulted runs mix fluid and DES transfers.  Routing the
-                # completion through an URGENT launch callback —
-                # scheduled exactly where the DES path schedules its
-                # process-init event — gives the completion the same
-                # calendar sequence number the DES Timeout would get, so
-                # same-instant completions of mixed fluid/DES transfers
-                # interleave exactly as before.
-                def _launch():
-                    env.schedule_callback(
-                        duration,
-                        lambda: self._finish_transfer(
-                            message, src, dst, done, link, started,
-                            duration, fluid=True,
-                        ),
-                    )
-
-                env.schedule_callback(0.0, _launch, priority=URGENT)
-                return
-        env.process(
-            self._run_transfer(message, src, dst, done),
-            name=f"xfer#{message.uid}",
+        # The URGENT launch takes the calendar slot of a generator
+        # process's init event, and each attempt schedules its successor
+        # where that process schedules its Timeout, so every calendar
+        # rank and same-instant tie matches the process schedule
+        # (tests/oracles/full_des.py).  Running attempt 1 inline would
+        # reorder those ties.
+        link = self.link(src, dst)
+        env.schedule_callback(
+            0.0,
+            lambda: self._attempt(message, src, dst, done, link, 1),
+            priority=URGENT,
         )
 
-    def _run_transfer(self, message: Message, src: str, dst: str, done):
-        """The full DES transfer path (process generator)."""
-        link = self.link(src, dst)
+    def _attempt(
+        self,
+        message: Message,
+        src: str,
+        dst: str,
+        done,
+        link: Link,
+        attempt: int,
+    ) -> None:
+        """Run attempt number ``attempt`` of a transfer under the fault plan.
+
+        A clean attempt schedules :meth:`_finish_transfer` after its
+        transmission time.  A blocked or lost attempt either schedules
+        the next attempt after its backoff, or — once the retry budget
+        runs out — abandons the message: both NICs are released and
+        ``done`` fails with
+        :class:`~repro.faults.plan.TransferAbandoned`, defused so that
+        fire-and-forget sends lose the message without crashing the run.
+
+        Both NICs stay held across retries and backoffs — a
+        retransmitting endpoint is genuinely busy, and a single arbiter
+        slot keeps the schedule deterministic.  An attempt is never
+        interrupted mid-flight: fault windows are consulted only when an
+        attempt starts.
+        """
+        env = self.env
+        faults = self._faults
+        retry = faults.retry
+        tracer = self._tracer
+        query_id = message.query_id
         wire_size = message.wire_size
-        if self._faults is None:
-            started = self.env.now
-            duration = link.transmission_time(wire_size, started)
-            yield self.env.timeout(duration)
+        now = env.now
+        reason = faults.link_blocked(src, dst, now)
+        if reason is None:
+            duration = link.transmission_time(wire_size, now)
+            if not faults.drop_message(src, dst):
+                env.schedule_callback(
+                    duration,
+                    lambda: self._finish_transfer(
+                        message, src, dst, done, link, now, duration,
+                        fluid=True,
+                    ),
+                )
+                return
+            # Lost in flight: the bytes went on the wire and vanished.
+            # Pay the send time, then back off and retransmit.
+            self.stats.dropped_bytes += wire_size
+            if query_id is not None:
+                self.stats_for(query_id).dropped_bytes += wire_size
+            if tracer.enabled:
+                tracer.emit(
+                    NET_DROP,
+                    now,
+                    src_host=src,
+                    dst_host=dst,
+                    uid=message.uid,
+                    bytes=wire_size,
+                    **query_tag(query_id),
+                )
+            reason = "loss"
+            wait = duration + retry.backoff_delay(attempt)
         else:
-            attempt = yield from self._faulty_attempts(message, link, src, dst, done)
-            if attempt is None:
-                return  # abandoned: NICs released, done failed (defused)
-            started, duration = attempt
-        self._finish_transfer(
-            message, src, dst, done, link, started, duration, fluid=False
+            wait = retry.backoff_delay(attempt)
+        if retry.max_attempts is not None and attempt >= retry.max_attempts:
+            self.stats.abandoned_messages += 1
+            if query_id is not None:
+                self.stats_for(query_id).abandoned_messages += 1
+            if tracer.enabled:
+                tracer.emit(
+                    NET_ABANDON,
+                    now,
+                    src_host=src,
+                    dst_host=dst,
+                    uid=message.uid,
+                    attempts=attempt,
+                    reason=reason,
+                    **query_tag(query_id),
+                )
+            self._active_transfers[src] -= 1
+            self._active_transfers[dst] -= 1
+            self._scan_needed = True
+            if done is not None:
+                done.defused = True
+                done.fail(
+                    TransferAbandoned(
+                        f"message #{message.uid} {src}->{dst} abandoned "
+                        f"after {attempt} attempts ({reason})"
+                    )
+                )
+            self._dispatch_transfers()
+            return
+        self.stats.retransmissions += 1
+        if query_id is not None:
+            self.stats_for(query_id).retransmissions += 1
+        if tracer.enabled:
+            tracer.emit(
+                NET_RETRANSMIT,
+                now,
+                src_host=src,
+                dst_host=dst,
+                uid=message.uid,
+                attempt=attempt,
+                reason=reason,
+                wait=wait,
+                **query_tag(query_id),
+            )
+        env.schedule_callback(
+            wait,
+            lambda: self._attempt(message, src, dst, done, link, attempt + 1),
         )
 
     def _finish_transfer(
@@ -460,8 +531,9 @@ class Network:
         fluid: bool,
     ) -> None:
         """Complete an in-flight transfer: the post-wire half of the
-        transfer engine, shared verbatim by the DES generator and the
-        fluid fast path so the two stay bookkeeping-identical — stats,
+        transfer engine, shared verbatim by the callback paths and the
+        generator reference schedule in ``tests/oracles/full_des.py`` so
+        they stay bookkeeping-identical — stats,
         tracer span, observers, piggyback, delivery, ``done``, then the
         arbiter rescan, in exactly that order.
         """
@@ -549,99 +621,6 @@ class Network:
             bytes=message.size,
             **query_tag(message.query_id),
         )
-
-    def _faulty_attempts(self, message: Message, link: Link, src: str, dst: str, done):
-        """Attempt the transfer under the installed fault plan.
-
-        Returns ``(started, duration)`` of the successful attempt, or None
-        if the retry budget ran out (the message is then abandoned: both
-        NICs are released and ``done`` fails with
-        :class:`~repro.faults.plan.TransferAbandoned`, defused so that
-        fire-and-forget sends lose the message without crashing the run).
-
-        Both NICs stay held across retries and backoffs — a retransmitting
-        endpoint is genuinely busy, and a single arbiter slot keeps the
-        schedule deterministic.
-        """
-        faults = self._faults
-        retry = faults.retry
-        tracer = self._tracer
-        query_id = message.query_id
-        wire_size = message.wire_size
-        attempt = 0
-        while True:
-            attempt += 1
-            now = self.env.now
-            reason = faults.link_blocked(src, dst, now)
-            if reason is None:
-                started = now
-                duration = link.transmission_time(wire_size, started)
-                if not faults.drop_message(src, dst):
-                    yield self.env.timeout(duration)
-                    return started, duration
-                # Lost in flight: the bytes went on the wire and vanished.
-                # Pay the send time, then back off and retransmit.
-                self.stats.dropped_bytes += wire_size
-                if query_id is not None:
-                    self.stats_for(query_id).dropped_bytes += wire_size
-                if tracer.enabled:
-                    tracer.emit(
-                        NET_DROP,
-                        now,
-                        src_host=src,
-                        dst_host=dst,
-                        uid=message.uid,
-                        bytes=wire_size,
-                        **query_tag(query_id),
-                    )
-                reason = "loss"
-                wait = duration + retry.backoff_delay(attempt)
-            else:
-                wait = retry.backoff_delay(attempt)
-            if retry.max_attempts is not None and attempt >= retry.max_attempts:
-                self.stats.abandoned_messages += 1
-                if query_id is not None:
-                    self.stats_for(query_id).abandoned_messages += 1
-                if tracer.enabled:
-                    tracer.emit(
-                        NET_ABANDON,
-                        now,
-                        src_host=src,
-                        dst_host=dst,
-                        uid=message.uid,
-                        attempts=attempt,
-                        reason=reason,
-                        **query_tag(query_id),
-                    )
-                self._active_transfers[src] -= 1
-                self._active_transfers[dst] -= 1
-                self._scan_needed = True
-                if done is not None:
-                    done.defused = True
-                    done.fail(
-                        TransferAbandoned(
-                            f"message #{message.uid} {src}->{dst} abandoned "
-                            f"after {attempt} attempts ({reason})"
-                        )
-                    )
-                self._dispatch_transfers()
-                return None
-            self.stats.retransmissions += 1
-            if query_id is not None:
-                self.stats_for(query_id).retransmissions += 1
-            if tracer.enabled:
-                tracer.emit(
-                    NET_RETRANSMIT,
-                    now,
-                    src_host=src,
-                    dst_host=dst,
-                    uid=message.uid,
-                    attempt=attempt,
-                    reason=reason,
-                    wait=wait,
-                    **query_tag(query_id),
-                )
-            yield self.env.timeout(wait)
 
     def _deliver(self, message: Message, arrived_at: str) -> None:
         actual = self._actor_hosts.get(message.dst_actor, arrived_at)

@@ -51,8 +51,8 @@ class Environment:
         self._eid = 0
         self._active_process: Optional["Process"] = None
         #: Calendar events processed over the environment's lifetime.
-        #: The hybrid fluid/DES fast path exists to shrink this number;
-        #: the counter is what benchmarks and metrics report it from.
+        #: The callback transfer paths exist to shrink this number; the
+        #: counter is what benchmarks and metrics report it from.
         self.events_processed = 0
         #: Observability hook ``(now, event) -> None`` invoked per processed
         #: event.  None (the default) keeps the hot loop untouched; traced
@@ -211,8 +211,8 @@ class Environment:
         """Schedule ``fn()`` to run once, ``delay`` seconds from now.
 
         A process-free one-shot: exactly one calendar entry, no
-        generator churn.  The fluid transfer fast path runs entire
-        transfers through this instead of a :class:`Process`.
+        generator churn.  The network runs every transfer through this
+        instead of a :class:`Process`.
         """
         event = Callback(self, fn)
         self.schedule(event, priority=priority, delay=delay)

@@ -114,13 +114,14 @@ class Event:
 class Callback(Event):
     """A one-shot scheduled function call.
 
-    The fluid transfer fast path's primitive: no generator, no
+    The transfer engine's primitive: no generator, no
     :class:`~repro.sim.core.Process` machinery — processing the event
     simply invokes ``fn``.  Created via
     :meth:`~repro.sim.core.Environment.schedule_callback`, which puts it
-    on the calendar; where a process would cost an init event, a
-    timeout, and a process-completion event, a callback costs exactly
-    one calendar entry.
+    on the calendar.  A fault-free transfer is one callback where a
+    process would cost an init event, a timeout and a process-completion
+    event; a faulted transfer is a chain of callbacks, one per step the
+    process would have taken, minus the process-completion event.
     """
 
     __slots__ = ("_fn",)

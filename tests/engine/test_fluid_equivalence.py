@@ -69,9 +69,8 @@ def _assert_equivalent(fast, fast_digest, slow, slow_digest):
 
 
 def _no_loss_plan(hosts) -> FaultPlan:
-    """Outages and crashes but no loss streams: transfers outside the
-    windows stay eligible for the fluid path, so this exercises the
-    under-faults launch-callback variant rather than the full decline."""
+    """Outages and crashes but no loss streams: transfers inside the
+    windows retry, the ones outside go through in one attempt."""
     return FaultPlan(
         seed=3,
         link_outages=(
@@ -107,8 +106,7 @@ class TestFaultedEquivalence:
         )
         fast, fd, slow, sd = _pair(setup, 0, algorithm)
         _assert_equivalent(fast, fd, slow, sd)
-        # Outage/crash windows force some transfers onto the DES path,
-        # the rest must still collapse.
+        # Under faults every transfer is a callback chain, none a process.
         assert fast.fluid_transfers > 0
 
     @pytest.mark.parametrize(
@@ -124,9 +122,10 @@ class TestFaultedEquivalence:
         fast, fd, slow, sd = _pair(setup, 0, algorithm)
         assert fast.summary() == slow.summary()
         assert fd == sd
-        # Loss streams require per-attempt RNG draws, so every lossy
-        # pair must decline the fluid path.
-        assert fast.fluid_transfers == 0
+        # Lossy transfers run as callback chains, never as processes;
+        # the reference schedule runs every one as a process.
+        assert fast.fluid_transfers == fast.transfers
+        assert slow.des_transfers == slow.transfers
 
 
 class TestWorkloadEquivalence:

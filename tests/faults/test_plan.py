@@ -52,6 +52,14 @@ class TestRetryPolicy:
         assert policy.backoff_delay(3) == 35.0  # capped
         assert policy.backoff_delay(10) == 35.0
 
+    def test_backoff_delay_past_float_range(self):
+        # backoff ** (attempt - 1) leaves float range at attempt 1,025;
+        # the delay stays at the ceiling instead of raising.
+        policy = RetryPolicy()
+        assert policy.backoff_delay(5000) == 240.0
+        assert policy.backoff_delay(1025) == 240.0
+        assert policy.backoff_delay(3) == 120.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(timeout=0.0)

@@ -201,3 +201,42 @@ class TestAbandonment:
         assert len(metrics.arrival_times) == 3
         assert metrics.retransmissions > 0
         assert metrics.abandoned_messages == 0
+
+
+class TestEndlessOutage:
+    """A host that never comes back: retries run at the backoff ceiling
+    until ``max_sim_time`` instead of overflowing the backoff power."""
+
+    def test_network_retries_past_attempt_1025(self):
+        from repro.faults.injector import FaultInjector
+        from repro.net.host import Host
+        from repro.net.link import Link
+        from repro.net.message import Message, MessageKind
+        from repro.net.network import Network
+        from repro.sim import Environment
+        from repro.traces import constant_trace
+
+        env = Environment()
+        net = Network(env)
+        for name in ("a", "b"):
+            net.add_host(Host(env, name))
+        net.add_link(Link("a", "b", constant_trace(1000.0)))
+        plan = FaultPlan(host_crashes=(HostCrash("b", 0.0, math.inf),))
+        net.install_faults(FaultInjector(plan, env))
+        message = Message(MessageKind.DATA, "@a", "@b", 100.0)
+        net.post(message, src_host="a", dst_host="b")
+        # Attempt 1,025 starts at t = 245,250 s, inside the default
+        # 10-day max_sim_time.
+        env.run(until=10 * 86400.0)
+        assert net.stats.retransmissions > 1025
+        assert math.isnan(message.delivered_at)
+        assert net.stats.transfers == 0
+
+    def test_run_ends_truncated(self):
+        spec = tiny_spec(
+            images=2,
+            faults=FaultPlan(host_crashes=(HostCrash("client", 0.0, math.inf),)),
+        )
+        metrics = run_simulation(spec)
+        assert metrics.truncated
+        assert metrics.retransmissions > 1025

@@ -1,23 +1,37 @@
 """The send() fast path must be order-identical to always-full-scanning.
 
-``Network.send`` skips the heap rescan when no NIC capacity has been
+``Network.send`` skips the queue rescan when no NIC capacity has been
 released since the last full dispatch (``_scan_needed`` clear).  Forcing
 the flag permanently on makes every send take the slow full-scan path;
 whole simulations run both ways must produce identical metrics and obs
 event streams.
+
+The waiting queue itself is a list kept sorted by ``(priority,
+sequence)`` and walked in place by the full scan.  After every scan it
+must be sorted and hold only blocked entries, and random send/finish
+scripts must start transfers in exactly a heap-draining arbiter's order.
 """
 
-import json
 import hashlib
+import heapq
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.net.network as network_module
 from repro.engine.config import Algorithm
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_configuration
 from repro.faults import reference_chaos_plan
+from repro.net.host import Host
+from repro.net.link import Link
+from repro.net.message import Message, MessageKind
+from repro.net.network import Network
 from repro.obs import Tracer
+from repro.sim import Environment
+from repro.traces import constant_trace
 
 
 @pytest.fixture
@@ -107,13 +121,6 @@ def _capture_faulted_fast():
 
 class TestFlagBookkeeping:
     def test_flag_clear_after_full_scan(self):
-        from repro.net.host import Host
-        from repro.net.link import Link
-        from repro.net.message import Message, MessageKind
-        from repro.net.network import Network
-        from repro.sim import Environment
-        from repro.traces import constant_trace
-
         env = Environment()
         net = Network(env)
         for name in ("a", "b"):
@@ -134,3 +141,142 @@ class TestFlagBookkeeping:
         assert net._active_transfers == {"a": 0, "b": 0}
         # 744 payload + 256 header bytes = 1000 wire bytes at 1000 B/s.
         assert message.delivered_at == pytest.approx(1.0)
+
+
+def _assert_sorted_and_blocked(net):
+    waiting = net._waiting
+    keys = [entry[:2] for entry in waiting]
+    assert keys == sorted(keys)
+    active, caps = net._active_transfers, net._nic_caps
+    for __, __, __, src, dst, __ in waiting:
+        assert active[src] >= caps[src] or active[dst] >= caps[dst]
+
+
+class TestSortedQueue:
+    @pytest.mark.parametrize("faulted", [False, True], ids=["plain", "chaos"])
+    def test_every_scan_leaves_sorted_blocked_entries(
+        self, monkeypatch, faulted
+    ):
+        original = network_module.Network._dispatch_transfers
+        visited = []
+
+        def checked(self):
+            visited.append(len(self._waiting))
+            original(self)
+            _assert_sorted_and_blocked(self)
+
+        monkeypatch.setattr(
+            network_module.Network, "_dispatch_transfers", checked
+        )
+        hosts = (*SETUP.server_hosts, SETUP.client_host)
+        setup = ExperimentConfig(
+            num_servers=4,
+            images_per_server=12,
+            fault_plan=reference_chaos_plan(hosts, seed=1) if faulted else None,
+        )
+        run_configuration(setup, 0, Algorithm.GLOBAL)
+        # The scans did have queued transfers to walk.
+        assert max(visited) > 1
+
+
+def _arbiter_network(caps):
+    env = Environment()
+    net = Network(env)
+    names = [f"n{i}" for i in range(len(caps))]
+    for name, cap in zip(names, caps):
+        net.add_host(Host(env, name, nic_capacity=cap))
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            net.add_link(Link(a, b, constant_trace(1000.0)))
+    return net, names
+
+
+class _HeapDrainArbiter:
+    """Reference arbiter: a heap fully drained after every send/finish."""
+
+    def __init__(self, caps):
+        self.caps = caps
+        self.active = [0] * len(caps)
+        self.heap = []
+        self.sequence = 0
+        #: Every start, in order, and the ones not yet finished.
+        self.started = []
+        self.live = []
+
+    def _drain(self):
+        blocked = []
+        while self.heap:
+            entry = heapq.heappop(self.heap)
+            __, __, ident, src, dst = entry
+            if (
+                self.active[src] >= self.caps[src]
+                or self.active[dst] >= self.caps[dst]
+            ):
+                blocked.append(entry)
+                continue
+            self.active[src] += 1
+            self.active[dst] += 1
+            self.started.append((ident, src, dst))
+            self.live.append((src, dst))
+        for entry in blocked:
+            heapq.heappush(self.heap, entry)
+
+    def send(self, ident, src, dst, priority):
+        self.sequence += 1
+        heapq.heappush(self.heap, (priority, self.sequence, ident, src, dst))
+        self._drain()
+
+    def finish(self, pick):
+        """Finish the ``pick``-th live transfer; returns its endpoints."""
+        src, dst = self.live.pop(pick % len(self.live))
+        self.active[src] -= 1
+        self.active[dst] -= 1
+        self._drain()
+        return src, dst
+
+
+@st.composite
+def arbiter_scripts(draw):
+    caps = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    hosts = st.integers(0, len(caps) - 1)
+    send = st.tuples(st.just("send"), hosts, hosts, st.integers(0, 4))
+    finish = st.tuples(st.just("finish"), st.integers(0, 10**6))
+    script = draw(st.lists(st.one_of(send, finish), max_size=60))
+    return caps, [op for op in script if op[0] != "send" or op[1] != op[2]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(arbiter_scripts())
+def test_sorted_scan_matches_heap_drain(case):
+    """Random send/finish sequences start transfers in exactly the
+    order a heap-draining arbiter would, and leave the same queue."""
+    caps, script = case
+    net, names = _arbiter_network(caps)
+    started = []
+    # Record starts instead of simulating them: NICs stay held until
+    # the script finishes the transfer.
+    net._start_transfer = lambda message, src, dst, done: started.append(
+        (message.payload["ident"], names.index(src), names.index(dst))
+    )
+    reference = _HeapDrainArbiter(caps)
+    for ident, op in enumerate(script):
+        if op[0] == "send":
+            __, src, dst, priority = op
+            message = Message(
+                MessageKind.DATA, "@x", "@y", 0.0,
+                payload={"ident": ident}, priority=priority,
+            )
+            net.post(message, src_host=names[src], dst_host=names[dst])
+            reference.send(ident, src, dst, priority)
+        elif reference.live:
+            # Release the NICs exactly as _finish_transfer does.
+            src, dst = reference.finish(op[1])
+            net._active_transfers[names[src]] -= 1
+            net._active_transfers[names[dst]] -= 1
+            net._scan_needed = True
+            net._dispatch_transfers()
+        assert started == reference.started
+        _assert_sorted_and_blocked(net)
+    assert [entry[2].payload["ident"] for entry in net._waiting] == [
+        entry[2] for entry in sorted(reference.heap)
+    ]
