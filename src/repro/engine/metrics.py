@@ -86,7 +86,8 @@ class RunMetrics:
     kernel_events: int = 0
     #: Transfers completed without a generator process (one completion
     #: callback, or a callback chain under faults): every transfer, in
-    #: the simulator proper.
+    #: the simulator proper.  Derived as ``transfers - des_transfers``
+    #: when the run finalizes; the network keeps no counter of its own.
     fluid_transfers: int = 0
     #: Transfers completed through a generator process — only under the
     #: reference schedule of ``tests/oracles/full_des.py``.

@@ -465,25 +465,20 @@ class Runtime:
     def finalize_metrics(self, truncated: bool) -> RunMetrics:
         """Copy subsystem counters into the run metrics and return them.
 
-        Single-query runs read the network's and monitor's global stats;
-        a workload query reads only its own per-query accounting slice,
-        so concurrent queries on a shared network do not pollute each
-        other's metrics.
+        The query reads its own row of the network's and the monitor's
+        ledgers (the ``None`` row in a single-query run), so concurrent
+        queries on a shared network do not pollute each other's metrics.
         """
         metrics = self.metrics
         metrics.truncated = truncated
-        if self.query_id is None:
-            net_stats = self.network.stats
-            mon_stats = self.monitoring.stats
-        else:
-            net_stats = self.network.stats_for(self.query_id)
-            mon_stats = self.monitoring.stats_for(self.query_id)
+        net_stats = self.network.stats_for(self.query_id)
+        mon_stats = self.monitoring.stats_for(self.query_id)
         metrics.probes_sent = mon_stats.probes_sent
         metrics.probe_bytes = mon_stats.probe_bytes
         metrics.forwarded_messages = net_stats.forwarded
         metrics.bytes_on_wire = net_stats.bytes_on_wire
         metrics.transfers = net_stats.transfers
-        metrics.fluid_transfers = net_stats.fluid_transfers
+        metrics.fluid_transfers = net_stats.transfers - net_stats.des_transfers
         metrics.des_transfers = net_stats.des_transfers
         metrics.local_deliveries = net_stats.local_deliveries
         metrics.passive_measurements = mon_stats.passive_measurements

@@ -101,7 +101,13 @@ class MonitoringConfig:
 
 @dataclass
 class MonitoringStats:
-    """Counters for monitoring activity."""
+    """One query's row of the monitor's ledger.
+
+    :attr:`MonitoringSystem.query_stats` holds one row per query tag
+    (of the probe message or transfer observation); the row under
+    ``None`` counts untagged activity, which is the whole run in a
+    single-query simulation.  Each event updates exactly one row.
+    """
 
     passive_measurements: int = 0
     piggyback_entries_merged: int = 0
@@ -133,10 +139,9 @@ class MonitoringSystem:
     ) -> None:
         self.network = network
         self.config = config or MonitoringConfig()
-        self.stats = MonitoringStats()
-        #: Per-query monitoring counters, keyed by the query tag carried
-        #: on probe messages / transfer observations (workload runs only).
-        self.query_stats: dict[str, MonitoringStats] = {}
+        #: The monitor's ledger: one row per query tag, with ``None``
+        #: for untagged activity (see :class:`MonitoringStats`).
+        self.query_stats: dict[Optional[str], MonitoringStats] = {}
         self._tracer = ensure_tracer(tracer)
         #: Fault injector, set by the simulation builder when a fault
         #: plan is active; None keeps probes on the unfaulted path.
@@ -155,8 +160,9 @@ class MonitoringSystem:
             network.piggyback_source = self._piggyback_source
             network.piggyback_sink = self._piggyback_sink
 
-    def stats_for(self, query_id: str) -> MonitoringStats:
-        """The per-query monitoring counters (created at zero)."""
+    def stats_for(self, query_id: Optional[str]) -> MonitoringStats:
+        """The ledger row of ``query_id`` (created at zero; ``None`` is
+        untagged activity)."""
         stats = self.query_stats.get(query_id)
         if stats is None:
             stats = self.query_stats[query_id] = MonitoringStats()
@@ -218,9 +224,7 @@ class MonitoringSystem:
         # Both endpoints learn the measurement (paper feature 1).
         self.cache_for(obs.src_host).update(obs.src_host, obs.dst_host, bandwidth, now)
         self.cache_for(obs.dst_host).update(obs.src_host, obs.dst_host, bandwidth, now)
-        self.stats.passive_measurements += 1
-        if obs.query_id is not None:
-            self.stats_for(obs.query_id).passive_measurements += 1
+        self.stats_for(obs.query_id).passive_measurements += 1
         if self._tracer.enabled:
             self._tracer.emit(
                 MONITOR_PASSIVE,
@@ -238,9 +242,7 @@ class MonitoringSystem:
         self, dst: str, piggyback: dict, query_id: Optional[str] = None
     ) -> None:
         merged = decode_piggyback(self.cache_for(dst), piggyback)
-        self.stats.piggyback_entries_merged += merged
-        if query_id is not None:
-            self.stats_for(query_id).piggyback_entries_merged += merged
+        self.stats_for(query_id).piggyback_entries_merged += merged
         if self._tracer.enabled:
             self._tracer.emit(
                 MONITOR_PIGGYBACK,
@@ -350,9 +352,7 @@ class MonitoringSystem:
             for _ in range(max(self.config.probe_samples, 1)):
                 now = self.network.env.now
                 if self.faults is not None and self.faults.probe_blackout(now):
-                    self.stats.probe_timeouts += 1
-                    if query_id is not None:
-                        self.stats_for(query_id).probe_timeouts += 1
+                    self.stats_for(query_id).probe_timeouts += 1
                     if self._tracer.enabled:
                         self._tracer.emit(
                             MONITOR_PROBE_TIMEOUT,
@@ -372,12 +372,9 @@ class MonitoringSystem:
                     payload={"probe": True},
                     query_id=query_id,
                 )
-                self.stats.probes_sent += 1
-                self.stats.probe_bytes += message.wire_size
-                if query_id is not None:
-                    query_stats = self.stats_for(query_id)
-                    query_stats.probes_sent += 1
-                    query_stats.probe_bytes += message.wire_size
+                row = self.stats_for(query_id)
+                row.probes_sent += 1
+                row.probe_bytes += message.wire_size
                 if self._tracer.enabled:
                     self._tracer.emit(
                         MONITOR_PROBE,
@@ -446,9 +443,7 @@ class MonitoringSystem:
         try:
             yield env.any_of([delivery, timeout])
         except TransferAbandoned:
-            self.stats.probe_timeouts += 1
-            if query_id is not None:
-                self.stats_for(query_id).probe_timeouts += 1
+            self.stats_for(query_id).probe_timeouts += 1
             if self._tracer.enabled:
                 self._tracer.emit(
                     MONITOR_PROBE_TIMEOUT,
@@ -461,9 +456,7 @@ class MonitoringSystem:
             return False
         if delivery.triggered:
             return True
-        self.stats.probe_timeouts += 1
-        if query_id is not None:
-            self.stats_for(query_id).probe_timeouts += 1
+        self.stats_for(query_id).probe_timeouts += 1
         if self._tracer.enabled:
             self._tracer.emit(
                 MONITOR_PROBE_TIMEOUT,

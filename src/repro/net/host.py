@@ -2,24 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from repro.net.message import Message
 from repro.sim import Environment, Resource
 from repro.sim.stores import StoreGet
-
-
-@dataclass
-class HostStats:
-    """Per-host traffic accounting."""
-
-    messages_sent: int = 0
-    messages_received: int = 0
-    bytes_sent: float = 0.0
-    bytes_received: float = 0.0
-    #: Seconds the NIC spent occupied by transfers.
-    nic_busy_time: float = 0.0
 
 
 class Mailbox:
@@ -111,7 +98,6 @@ class Host:
         #: Processor used for combination operations.
         self.cpu = Resource(env, capacity=1)
         self.disk_rate = disk_rate
-        self.stats = HostStats()
         self._mailboxes: dict[str, Mailbox] = {}
 
     # -- mailboxes ------------------------------------------------------------

@@ -30,9 +30,6 @@ class Link:
         self.a, self.b = (a, b) if a < b else (b, a)
         self.trace = trace
         self.startup_cost = startup_cost
-        #: Lifetime traffic counters (fed by the network's transfer engine).
-        self.transfers = 0
-        self.bytes_carried = 0.0
         #: Amortized segment cursor for this link's queries.  Simulation
         #: time is (mostly) monotone per link, so successive transfer-time
         #: lookups advance this pointer a step or two instead of paying a
@@ -61,11 +58,6 @@ class Link:
         return self.startup_cost + self.trace.transfer_time(
             nbytes, start_time + self.startup_cost, hint=self._cursor
         )
-
-    def note_transfer(self, nbytes: float) -> None:
-        """Account one completed transfer of ``nbytes`` on this link."""
-        self.transfers += 1
-        self.bytes_carried += nbytes
 
     def bandwidth_at(self, t: float) -> float:
         """Instantaneous link bandwidth (bytes/s) at time ``t``.

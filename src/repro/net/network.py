@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Optional
 from repro.faults.plan import TransferAbandoned
 from repro.net.host import Host
 from repro.net.link import Link
-from repro.net.message import Message, MessageKind
+from repro.net.message import Message
 from repro.obs.events import (
     LINK_TRANSFER,
     MESSAGE_FORWARD,
@@ -55,7 +55,6 @@ class TransferObservation:
     data_seconds: float
     started: float
     finished: float
-    kind: MessageKind
     #: Owning workload query (None for single-query runs / shared traffic).
     query_id: Optional[str] = None
 
@@ -69,7 +68,14 @@ class TransferObservation:
 
 @dataclass
 class NetworkStats:
-    """Aggregate traffic statistics."""
+    """One query's row of the network's traffic ledger.
+
+    :attr:`Network.query_stats` holds one row per ``Message.query_id``;
+    the row under ``None`` counts untagged traffic, which is the whole
+    run in a single-query simulation.  Each event updates exactly one
+    row, so the rows partition the network's traffic.  The per-link
+    and per-class view lives in the fleet metrics sink.
+    """
 
     transfers: int = 0
     local_deliveries: int = 0
@@ -79,12 +85,9 @@ class NetworkStats:
     retransmissions: int = 0
     dropped_bytes: float = 0.0
     abandoned_messages: int = 0
-    #: How each completed transfer was simulated: through callbacks
-    #: without a generator process (fluid: every transfer, faulted or
-    #: not) or through a generator process (DES: only under the
-    #: reference schedule in ``tests/oracles/full_des.py``).
-    #: ``fluid_transfers + des_transfers == transfers``.
-    fluid_transfers: int = 0
+    #: Transfers completed through a generator process.  The simulator
+    #: never runs one; only the reference schedule in
+    #: ``tests/oracles/full_des.py`` bumps this.
     des_transfers: int = 0
 
 
@@ -101,11 +104,9 @@ class Network:
         #: changes host or leaves the registry, so anything derived from
         #: actor locations can be cached until the epoch moves.
         self.actor_epoch = 0
-        self.stats = NetworkStats()
-        #: Per-query traffic statistics, keyed by ``Message.query_id``.
-        #: Only populated when messages carry a query tag (workload runs);
-        #: the aggregate :attr:`stats` always counts everything.
-        self.query_stats: dict[str, NetworkStats] = {}
+        #: The traffic ledger: one row per ``Message.query_id``, with
+        #: ``None`` for untagged traffic (see :class:`NetworkStats`).
+        self.query_stats: dict[Optional[str], NetworkStats] = {}
         #: Transfer arbiter state: waiting transfers (a list kept sorted
         #: by ``(priority, sequence)``), per-host active-transfer counts,
         #: and a FIFO tie-breaker.
@@ -139,8 +140,9 @@ class Network:
         """Route transfers through ``injector``'s outage/loss/retry model."""
         self._faults = injector
 
-    def stats_for(self, query_id: str) -> NetworkStats:
-        """The per-query traffic counters for ``query_id`` (created at zero)."""
+    def stats_for(self, query_id: Optional[str]) -> NetworkStats:
+        """The ledger row of ``query_id`` (created at zero; ``None`` is
+        untagged traffic)."""
         stats = self.query_stats.get(query_id)
         if stats is None:
             stats = self.query_stats[query_id] = NetworkStats()
@@ -296,9 +298,7 @@ class Network:
 
         tracer = self._tracer
         if src == dst:
-            self.stats.local_deliveries += 1
-            if message.query_id is not None:
-                self.stats_for(message.query_id).local_deliveries += 1
+            self.stats_for(message.query_id).local_deliveries += 1
             if tracer.enabled:
                 self._trace_send(tracer, message, "local")
             message.delivered_at = self.env.now
@@ -390,8 +390,7 @@ class Network:
             env.schedule_callback(
                 duration,
                 lambda: self._finish_transfer(
-                    message, src, dst, done, link, started, duration,
-                    fluid=True,
+                    message, src, dst, done, link, started, duration
                 ),
             )
             return
@@ -447,16 +446,13 @@ class Network:
                 env.schedule_callback(
                     duration,
                     lambda: self._finish_transfer(
-                        message, src, dst, done, link, now, duration,
-                        fluid=True,
+                        message, src, dst, done, link, now, duration
                     ),
                 )
                 return
             # Lost in flight: the bytes went on the wire and vanished.
             # Pay the send time, then back off and retransmit.
-            self.stats.dropped_bytes += wire_size
-            if query_id is not None:
-                self.stats_for(query_id).dropped_bytes += wire_size
+            self.stats_for(query_id).dropped_bytes += wire_size
             if tracer.enabled:
                 tracer.emit(
                     NET_DROP,
@@ -472,9 +468,7 @@ class Network:
         else:
             wait = retry.backoff_delay(attempt)
         if retry.max_attempts is not None and attempt >= retry.max_attempts:
-            self.stats.abandoned_messages += 1
-            if query_id is not None:
-                self.stats_for(query_id).abandoned_messages += 1
+            self.stats_for(query_id).abandoned_messages += 1
             if tracer.enabled:
                 tracer.emit(
                     NET_ABANDON,
@@ -499,9 +493,7 @@ class Network:
                 )
             self._dispatch_transfers()
             return
-        self.stats.retransmissions += 1
-        if query_id is not None:
-            self.stats_for(query_id).retransmissions += 1
+        self.stats_for(query_id).retransmissions += 1
         if tracer.enabled:
             tracer.emit(
                 NET_RETRANSMIT,
@@ -528,14 +520,13 @@ class Network:
         link: Link,
         started: float,
         duration: float,
-        fluid: bool,
     ) -> None:
         """Complete an in-flight transfer: the post-wire half of the
         transfer engine, shared verbatim by the callback paths and the
         generator reference schedule in ``tests/oracles/full_des.py`` so
-        they stay bookkeeping-identical — stats,
-        tracer span, observers, piggyback, delivery, ``done``, then the
-        arbiter rescan, in exactly that order.
+        they stay bookkeeping-identical — the query's ledger row, tracer
+        span, observers, piggyback, delivery, ``done``, then the arbiter
+        rescan, in exactly that order.
         """
         wire_size = message.wire_size
         finished = self.env.now
@@ -546,29 +537,10 @@ class Network:
         # scan (e.g. a forward out of _deliver) must rescan the queue.
         self._scan_needed = True
 
-        src_node, dst_node = self.hosts[src], self.hosts[dst]
-        src_node.stats.messages_sent += 1
-        src_node.stats.bytes_sent += wire_size
-        src_node.stats.nic_busy_time += duration
-        dst_node.stats.messages_received += 1
-        dst_node.stats.bytes_received += wire_size
-        dst_node.stats.nic_busy_time += duration
-        self.stats.transfers += 1
-        self.stats.bytes_on_wire += wire_size
-        if fluid:
-            self.stats.fluid_transfers += 1
-        else:
-            self.stats.des_transfers += 1
         query_id = message.query_id
-        if query_id is not None:
-            query_stats = self.stats_for(query_id)
-            query_stats.transfers += 1
-            query_stats.bytes_on_wire += wire_size
-            if fluid:
-                query_stats.fluid_transfers += 1
-            else:
-                query_stats.des_transfers += 1
-        link.note_transfer(wire_size)
+        row = self.stats_for(query_id)
+        row.transfers += 1
+        row.bytes_on_wire += wire_size
 
         observation = TransferObservation(
             src_host=src,
@@ -577,7 +549,6 @@ class Network:
             data_seconds=duration - link.startup_cost,
             started=started,
             finished=finished,
-            kind=message.kind,
             query_id=query_id,
         )
         tracer = self._tracer
@@ -628,9 +599,7 @@ class Network:
         if actual != arrived_at:
             # The destination actor moved while the message was in flight:
             # forward it (mobile-object runtimes do exactly this).
-            self.stats.forwarded += 1
-            if message.query_id is not None:
-                self.stats_for(message.query_id).forwarded += 1
+            self.stats_for(message.query_id).forwarded += 1
             if tracer.enabled:
                 tracer.emit(
                     MESSAGE_FORWARD,

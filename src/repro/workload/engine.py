@@ -256,17 +256,18 @@ class WorkloadEngine:
             if pending == 0 and not all_done.triggered:
                 all_done.succeed(env.now)
 
-        def finalize(plan: QueryPlan, truncated: bool) -> None:
-            """Feed one query into the sink and release its runtime.
+        def finalize(plan: QueryPlan, truncated: bool) -> Optional[RunMetrics]:
+            """Feed one query into the sink, release its runtime and its
+            network/monitor ledger rows, and return its metrics (None if
+            it was already finalized).
 
             Without per-query records this runs eagerly from the query's
-            done callback, so per-query state (runtime, network/monitor
-            accounting slices) is freed as the fleet progresses instead
-            of accumulating until the end of the run.
+            done callback, so per-query state is freed as the fleet
+            progresses instead of accumulating until the end of the run.
             """
             runtime = plan.runtime
             if runtime is None:
-                return
+                return None
             metrics = runtime.finalize_metrics(truncated=truncated)
             qid = plan.query_id
             if tracer.enabled:
@@ -286,6 +287,7 @@ class WorkloadEngine:
             plan.runtime = None
             network.query_stats.pop(qid, None)
             monitoring.query_stats.pop(qid, None)
+            return metrics
 
         def note_done(plan: QueryPlan) -> None:
             def _completed(_event) -> None:
@@ -455,19 +457,10 @@ class WorkloadEngine:
                     finalize(plan, truncated=not runtime.finished)
         else:
             for plan in launched:
-                runtime = plan.runtime
-                metrics = runtime.finalize_metrics(
-                    truncated=plan.deadline_aborted or not runtime.finished
+                metrics = finalize(
+                    plan,
+                    truncated=plan.deadline_aborted or not plan.runtime.finished,
                 )
-                if tracer.enabled:
-                    scoped = ScopedTracer(tracer, query_id=plan.query_id)
-                    scoped.emit(
-                        RUN_END,
-                        env.now,
-                        truncated=metrics.truncated,
-                        images_delivered=len(metrics.arrival_times),
-                        completion_time=metrics.completion_time,
-                    )
                 scheduled = plan.scheduled
                 results.append(
                     QueryResult(
@@ -480,14 +473,6 @@ class WorkloadEngine:
                         metrics=metrics,
                     )
                 )
-                stats = QueryStats.from_metrics(
-                    plan.query_id,
-                    scheduled.qclass.name,
-                    plan.issued_at,
-                    metrics,
-                )
-                sink.query_finished(stats)
-                note_slo(sink, stats, scheduled.qclass.slo_target)
 
         fleet = sink.summary(env.now, scheduled=len(schedule))
         return WorkloadResult(

@@ -132,7 +132,7 @@ class TestRemoteProbe:
         env.run(until=60.0)
         assert results and results[0] > 0
         # Direct probe: exactly probe_samples messages.
-        assert runtime.monitoring.stats.probes_sent == 1
+        assert runtime.monitoring.stats_for(None).probes_sent == 1
 
     def test_third_party_probe_updates_requester_cache(self):
         env, runtime = build(Algorithm.GLOBAL)

@@ -228,9 +228,9 @@ class TestEndlessOutage:
         # Attempt 1,025 starts at t = 245,250 s, inside the default
         # 10-day max_sim_time.
         env.run(until=10 * 86400.0)
-        assert net.stats.retransmissions > 1025
+        assert net.stats_for(None).retransmissions > 1025
         assert math.isnan(message.delivered_at)
-        assert net.stats.transfers == 0
+        assert net.stats_for(None).transfers == 0
 
     def test_run_ends_truncated(self):
         spec = tiny_spec(

@@ -128,8 +128,8 @@ class TestTransfers:
         net.send(message)
         env.run()
         assert message.delivered_at == 0.0
-        assert net.stats.local_deliveries == 1
-        assert net.stats.transfers == 0
+        assert net.stats_for(None).local_deliveries == 1
+        assert net.stats_for(None).transfers == 0
 
     def test_remote_transfer_time(self, env):
         net = build_network(env, rate=1000.0, startup=0.5)
@@ -195,7 +195,7 @@ class TestTransfers:
             net.send(message)
         env.run()
         assert all(m.delivered_at == m.delivered_at for m in messages)
-        assert net.stats.transfers == 10
+        assert net.stats_for(None).transfers == 10
 
     def test_forwarding_after_actor_move(self, env):
         net = build_network(env, rate=1000.0)
@@ -210,7 +210,7 @@ class TestTransfers:
         net.send(message)
         env.process(mover(env))
         env.run()
-        assert net.stats.forwarded == 1
+        assert net.stats_for(None).forwarded == 1
         # Delivered at c's mailbox, not b's.
         assert len(net.hosts["c"].mailbox("d")) == 1
         assert len(net.hosts["b"].mailbox("d")) == 0
@@ -230,25 +230,14 @@ class TestTransfers:
         assert obs.data_seconds == pytest.approx(1.0)
         assert obs.measured_bandwidth == pytest.approx(1000.0)
 
-    def test_host_stats_updated(self, env):
-        net = build_network(env, rate=1000.0)
-        net.register_actor("s", "a")
-        net.register_actor("d", "b")
-        net.send(data_message("s", "d", size=744))  # wire 1000
-        env.run()
-        assert net.hosts["a"].stats.messages_sent == 1
-        assert net.hosts["a"].stats.bytes_sent == 1000
-        assert net.hosts["b"].stats.messages_received == 1
-        assert net.hosts["b"].stats.nic_busy_time == pytest.approx(1.0)
-
     def test_fluid_counter_splits_from_des(self, env):
         net = build_network(env, rate=1000.0)
         net.register_actor("s", "a")
         net.register_actor("d", "b")
         net.send(data_message("s", "d"))
         env.run()
-        assert net.stats.fluid_transfers == 1
-        assert net.stats.des_transfers == 0
+        assert net.stats_for(None).transfers == 1
+        assert net.stats_for(None).des_transfers == 0
 
     def test_forced_slow_path_counts_des(self, env):
         net = build_network(env, rate=1000.0)
@@ -259,8 +248,8 @@ class TestTransfers:
             net.send(message)
             env.run()
         assert message.delivered_at == pytest.approx(1.0)
-        assert net.stats.fluid_transfers == 0
-        assert net.stats.des_transfers == 1
+        assert net.stats_for(None).transfers == 1
+        assert net.stats_for(None).des_transfers == 1
 
     def test_post_delivers_without_done_event(self, env):
         net = build_network(env, rate=1000.0)
@@ -294,7 +283,7 @@ class TestTransfers:
             net.post(message)
             env.run()
         assert message.delivered_at is not None
-        assert net.stats.des_transfers == 1
+        assert net.stats_for(None).des_transfers == 1
 
     def test_piggyback_hooks_called(self, env):
         net = build_network(env)

@@ -8,13 +8,14 @@ fire-and-forget send elides its delivery event (``Network.post``) and an
 uncontended disk/CPU hold sleeps through one timeout (``Host._use``).
 :func:`full_des` patches those three methods back to the classic
 all-process schedule, and :func:`process_transfers` patches only
-``_start_transfer``, so equivalence tests and the ``fast_path`` leg of
-``tools/bench_sweep.py`` can compare both ways: results must match bit
-for bit, only the kernel-accounting counters may differ.
+``_start_transfer``, so equivalence tests can compare both ways:
+results must match bit for bit, only the kernel-accounting counters may
+differ.
 
 The transfer generator below is self-contained: it shares only the
 post-wire tail (``Network._finish_transfer``) and the arbiter rescan
-with the code under test, never the attempt logic.
+with the code under test, never the attempt logic.  It counts its own
+``des_transfers`` in the message's ledger row before the shared tail.
 """
 
 from __future__ import annotations
@@ -53,9 +54,8 @@ def _run_transfer(net, message, src, dst, done):
         if attempt is None:
             return  # abandoned: NICs released, done failed (defused)
         started, duration = attempt
-    net._finish_transfer(
-        message, src, dst, done, link, started, duration, fluid=False
-    )
+    net.stats_for(message.query_id).des_transfers += 1
+    net._finish_transfer(message, src, dst, done, link, started, duration)
 
 
 def _faulty_attempts(net, message, link, src, dst, done):
@@ -80,9 +80,7 @@ def _faulty_attempts(net, message, link, src, dst, done):
             if not faults.drop_message(src, dst):
                 yield net.env.timeout(duration)
                 return started, duration
-            net.stats.dropped_bytes += wire_size
-            if query_id is not None:
-                net.stats_for(query_id).dropped_bytes += wire_size
+            net.stats_for(query_id).dropped_bytes += wire_size
             if tracer.enabled:
                 tracer.emit(
                     NET_DROP,
@@ -98,9 +96,7 @@ def _faulty_attempts(net, message, link, src, dst, done):
         else:
             wait = retry.backoff_delay(attempt)
         if retry.max_attempts is not None and attempt >= retry.max_attempts:
-            net.stats.abandoned_messages += 1
-            if query_id is not None:
-                net.stats_for(query_id).abandoned_messages += 1
+            net.stats_for(query_id).abandoned_messages += 1
             if tracer.enabled:
                 tracer.emit(
                     NET_ABANDON,
@@ -125,9 +121,7 @@ def _faulty_attempts(net, message, link, src, dst, done):
                 )
             net._dispatch_transfers()
             return None
-        net.stats.retransmissions += 1
-        if query_id is not None:
-            net.stats_for(query_id).retransmissions += 1
+        net.stats_for(query_id).retransmissions += 1
         if tracer.enabled:
             tracer.emit(
                 NET_RETRANSMIT,

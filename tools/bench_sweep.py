@@ -661,74 +661,6 @@ def bench_kernel(n_events: int = 100_000) -> dict:
     }
 
 
-def bench_fast_path(quick: bool = False, repeats: int = 3) -> dict:
-    """Hybrid fluid/DES collapse: the four-algorithm run fast vs forced-DES.
-
-    Runs the standard comparison configuration (all four algorithms at
-    one network sample) with the default fluid fast path and again under
-    ``tests/oracles/full_des.py`` (the classic all-process schedule), and
-    reports kernel events per run, serial runs/second both ways, the
-    event-reduction fraction, fluid engagement counts, and whether the
-    paper-facing metrics stayed bit-identical.
-    """
-    setup = (
-        ExperimentConfig(num_servers=4, images_per_server=12)
-        if quick
-        else ExperimentConfig()
-    )
-
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-    from tests.oracles.full_des import full_des
-
-    def sweep(fluid: bool):
-        if fluid:
-            return [run_configuration(setup, 0, a) for a in ALGORITHMS]
-        with full_des():
-            return [run_configuration(setup, 0, a) for a in ALGORITHMS]
-
-    sweep(True)  # warm caches (trace library, config, numpy) + both paths
-    sweep(False)
-
-    def timed(fluid: bool):
-        best, metrics = None, None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            metrics = sweep(fluid)
-            elapsed = time.perf_counter() - t0
-            best = elapsed if best is None else min(best, elapsed)
-        return best, metrics
-
-    fast_seconds, fast = timed(True)
-    slow_seconds, slow = timed(False)
-
-    fast_events = sum(m.kernel_events for m in fast)
-    slow_events = sum(m.kernel_events for m in slow)
-    identical = all(
-        f.summary() == s.summary() and f.arrival_times == s.arrival_times
-        for f, s in zip(fast, slow)
-    )
-    runs = len(ALGORITHMS)
-    return {
-        "runs": runs,
-        "num_servers": setup.num_servers,
-        "images_per_server": setup.images_per_server,
-        "repeats": repeats,
-        "kernel_events_fast": fast_events,
-        "kernel_events_full_des": slow_events,
-        "events_per_run_fast": round(fast_events / runs),
-        "events_per_run_full_des": round(slow_events / runs),
-        "event_reduction": round(1.0 - fast_events / slow_events, 3),
-        "fluid_transfers": sum(m.fluid_transfers for m in fast),
-        "des_transfers": sum(m.des_transfers for m in fast),
-        "fast_seconds": round(fast_seconds, 4),
-        "full_des_seconds": round(slow_seconds, 4),
-        "runs_per_second_fast": round(runs / fast_seconds, 3),
-        "runs_per_second_full_des": round(runs / slow_seconds, 3),
-        "serial_speedup": round(slow_seconds / fast_seconds, 3),
-        "metrics_identical": identical,
-    }
-
-
 def bench_trace_algebra(n_calls: int = 2000) -> dict:
     """Prefix-sum transfer_time vs the reference segment walk."""
     # The walk is the test oracle in the repo's ``tests`` package.
@@ -916,21 +848,6 @@ def main(argv=None) -> int:
     print(f"[bench] kernel calendar throughput...", flush=True)
     results["kernel"] = bench_kernel(10_000 if args.quick else 100_000)
     print(f"         {results['kernel']['events_per_second']:,} events/s")
-
-    print(f"[bench] fluid fast path (default vs forced full DES)...", flush=True)
-    results["fast_path"] = bench_fast_path(
-        quick=args.quick, repeats=1 if args.quick else 3
-    )
-    fast_path = results["fast_path"]
-    print(
-        f"         {fast_path['kernel_events_full_des']:,} -> "
-        f"{fast_path['kernel_events_fast']:,} kernel events "
-        f"(-{fast_path['event_reduction']:.0%}), serial "
-        f"{fast_path['serial_speedup']}x, "
-        f"{fast_path['fluid_transfers']:,} fluid / "
-        f"{fast_path['des_transfers']:,} DES transfers, "
-        f"identical: {fast_path['metrics_identical']}"
-    )
 
     print(f"[bench] trace algebra (prefix-sum vs walk)...", flush=True)
     results["trace_algebra"] = bench_trace_algebra(200 if args.quick else 2000)
