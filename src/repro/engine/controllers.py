@@ -28,6 +28,23 @@ from repro.placement.download_all import download_all_placement
 from repro.placement.global_planner import GlobalPlanner
 from repro.placement.local_rules import LocalRulesPlanner, is_on_critical_path
 
+#: Global algorithm: install a new plan only if its modeled cost beats
+#: the current placement's by this relative margin (hysteresis against
+#: estimate jitter).
+REPLAN_THRESHOLD = 0.10
+#: Local algorithm: move only if the local critical path improves by
+#: this relative margin.
+LOCAL_MOVE_THRESHOLD = 0.05
+#: Planner degradation under faults: below this fraction of usable link
+#: estimates the global controller declines to replan.
+DEGRADED_VIEW_THRESHOLD = 0.5
+#: Planner degradation: an estimate older than this (seconds) no longer
+#: counts toward view coverage.
+DEGRADED_ESTIMATE_HORIZON = 1800.0
+#: Planner degradation: after this many consecutive degraded rounds the
+#: global controller falls back to the download-all placement.
+DEGRADED_ROUNDS_TO_DOWNLOAD_ALL = 3
+
 
 class GlobalController:
     """Periodic global re-planning plus the barrier change-over."""
@@ -82,12 +99,11 @@ class GlobalController:
             # placement, and after enough consecutive degraded rounds
             # retreat to the always-feasible download-all placement.
             coverage = self._view_coverage(client_host)
-            if coverage < runtime.spec.degraded_view_threshold:
+            if coverage < DEGRADED_VIEW_THRESHOLD:
                 self._degraded_rounds += 1
                 runtime.metrics.planner_fallbacks += 1
                 fallback_to_download = (
-                    self._degraded_rounds
-                    >= runtime.spec.degraded_rounds_to_download_all
+                    self._degraded_rounds >= DEGRADED_ROUNDS_TO_DOWNLOAD_ALL
                 )
                 mode = (
                     "download-all" if fallback_to_download else "last-known-good"
@@ -163,7 +179,7 @@ class GlobalController:
             self.planner.cost_model,
             estimator,
         )
-        if result.cost > current_cost * (1.0 - runtime.spec.replan_threshold):
+        if result.cost > current_cost * (1.0 - REPLAN_THRESHOLD):
             return
 
         if not runtime.spec.oracle_monitoring:
@@ -185,7 +201,7 @@ class GlobalController:
                 self.planner.cost_model,
                 validated,
             )
-            if new_cost > current_cost * (1.0 - runtime.spec.replan_threshold):
+            if new_cost > current_cost * (1.0 - REPLAN_THRESHOLD):
                 return
         yield from self._install(result.placement)
 
@@ -193,13 +209,12 @@ class GlobalController:
         """Fraction of host pairs with a usable (recent-enough) estimate.
 
         Uses :meth:`~repro.monitor.cache.BandwidthCache.lookup_any` and
-        judges age against ``degraded_estimate_horizon``, not the cache's
-        own ``t_thres`` freshness cut.
+        judges age against :data:`DEGRADED_ESTIMATE_HORIZON`, not the
+        cache's own ``t_thres`` freshness cut.
         """
         runtime = self.runtime
         cache = runtime.monitoring.cache_for(viewer)
         now = runtime.env.now
-        horizon = runtime.spec.degraded_estimate_horizon
         hosts = sorted(runtime.spec.all_hosts)
         total = 0
         usable = 0
@@ -207,7 +222,10 @@ class GlobalController:
             for b in hosts[i + 1 :]:
                 total += 1
                 entry = cache.lookup_any(a, b)
-                if entry is not None and entry.age(now) <= horizon:
+                if (
+                    entry is not None
+                    and entry.age(now) <= DEGRADED_ESTIMATE_HORIZON
+                ):
                     usable += 1
         return usable / total if total else 1.0
 
@@ -374,19 +392,15 @@ class LocalController:
             else []
         )
 
-        if not runtime.spec.oracle_monitoring:
+        if extras and not runtime.spec.oracle_monitoring:
             # The operator knows its own links passively (its data flows
             # over them).  Candidate evaluation needs the producer→candidate
-            # cross links too; extra candidate sites (k > 0) always charge
-            # their monitoring (Figure 7), base-candidate cross links are
-            # probed unless ``local_probe_base`` is ablated off.
-            to_refresh = set(extras)
-            if runtime.spec.local_probe_base:
-                to_refresh |= base
-            if to_refresh:
-                yield from self._refresh_links(
-                    my_host, producer_hosts, consumer_host, sorted(to_refresh)
-                )
+            # cross links too: extra candidate sites (k > 0) charge their
+            # monitoring (Figure 7), while base candidates are judged on
+            # the operator's cached estimates.
+            yield from self._refresh_links(
+                my_host, producer_hosts, consumer_host, sorted(extras)
+            )
 
         decision = self.planner.decide(
             current_host=my_host,
@@ -398,10 +412,10 @@ class LocalController:
             extra_candidates=extras,
             compute_seconds=self.cost_model.node_seconds(op_id),
         )
-        threshold = runtime.spec.local_move_threshold
         if (
             decision.should_move
-            and decision.best_cost < decision.current_cost * (1.0 - threshold)
+            and decision.best_cost
+            < decision.current_cost * (1.0 - LOCAL_MOVE_THRESHOLD)
         ):
             target = decision.best_site
             if runtime.faults is not None and runtime.faults.host_down(

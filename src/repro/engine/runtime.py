@@ -28,6 +28,12 @@ from repro.sim import Environment, Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.actors import OperatorActor
 
+#: Serialized operator state moved on relocation, bytes (light moves).
+OP_STATE_BYTES = 4 * 1024.0
+#: Two-phase relocation: abort and roll back to the source placement if
+#: the state transfer has not committed within this many seconds.
+RELOCATION_TIMEOUT = 600.0
+
 
 class Runtime:
     """Everything the actors and controllers share during one run.
@@ -234,7 +240,7 @@ class Runtime:
         at the original site, carry the operator's bandwidth/location
         knowledge along).  Under a fault plan phase one can abort — the
         destination is down, the state transfer times out
-        (``spec.relocation_timeout``) or is abandoned — and the operator
+        (:data:`RELOCATION_TIMEOUT`) or is abandoned — and the operator
         simply stays at the source: nothing was committed, so rollback is
         the identity.  Aborts are counted in
         :attr:`~repro.engine.metrics.RunMetrics.aborted_relocations`.
@@ -252,7 +258,7 @@ class Runtime:
             kind=MessageKind.CONTROL,
             src_actor=self.net_id(op_id),
             dst_actor=transfer_actor,
-            size=self.spec.op_state_bytes,
+            size=OP_STATE_BYTES,
             payload={"type": "operator-state", "operator": op_id},
             query_id=self.query_id,
         )
@@ -262,7 +268,7 @@ class Runtime:
         if faults is None:
             yield delivery
         else:
-            timeout = self.env.timeout(self.spec.relocation_timeout)
+            timeout = self.env.timeout(RELOCATION_TIMEOUT)
             try:
                 yield self.env.any_of([delivery, timeout])
             except TransferAbandoned:
@@ -311,7 +317,7 @@ class Runtime:
                 actor=op_id,
                 old_host=old_host,
                 new_host=new_host,
-                state_bytes=self.spec.op_state_bytes,
+                state_bytes=OP_STATE_BYTES,
             )
 
     def _abort_relocation(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Mapping, Optional
+
 from repro.app.images import ImageWorkload
 from repro.dataflow.cost import CostModel, expected_output_sizes
 from repro.dataflow.placement import Placement
@@ -11,11 +13,12 @@ from repro.dataflow.tree import (
     left_deep_tree,
 )
 from repro.engine.actors import ClientActor, OperatorActor, ServerActor
-from repro.engine.config import Algorithm, SimulationSpec
+from repro.engine.config import Algorithm, SimulationSpec, Substrate
 from repro.engine.controllers import GlobalController, LocalController
 from repro.engine.metrics import RunMetrics
 from repro.engine.runtime import Runtime
 from repro.faults import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.monitor.system import MonitoringSystem
 from repro.net.host import Host
 from repro.net.link import Link
@@ -25,6 +28,7 @@ from repro.obs.tracer import ensure_tracer
 from repro.placement import planner_for
 from repro.placement.download_all import download_all_placement
 from repro.sim import Environment
+from repro.traces.trace import BandwidthTrace
 
 import numpy as np
 
@@ -170,6 +174,67 @@ def build_query(
     return runtime
 
 
+def build_substrate(
+    env: Environment,
+    substrate: Substrate,
+    links: Mapping[tuple[str, str], BandwidthTrace],
+    tracer,
+) -> tuple[Network, MonitoringSystem]:
+    """The shared network and monitoring every query of a run uses.
+
+    One host per ``substrate.all_hosts`` entry, one link per host pair
+    carrying ``links[pair]``, and a monitoring system whose every host
+    holds a fresh measurement of every link at t = 0 (the "information
+    available at the beginning" the one-shot algorithm uses).
+    """
+    network = Network(env, tracer=tracer)
+    for host_name in substrate.all_hosts:
+        host = Host(
+            env,
+            host_name,
+            disk_rate=substrate.disk_rate,
+            nic_capacity=substrate.nic_capacity,
+        )
+        network.add_host(host)
+    hosts = substrate.all_hosts
+    for i, a in enumerate(hosts):
+        for b in hosts[i + 1 :]:
+            key = (a, b) if a < b else (b, a)
+            # Prime the trace's byte prefix sums up front: library-cached
+            # noon segments arrive warm already, and ad-hoc traces pay the
+            # cumsum here, outside the simulated transfers.
+            trace = links[key].ensure_cum()
+            network.add_link(
+                Link(a, b, trace, startup_cost=substrate.startup_cost)
+            )
+    monitoring = MonitoringSystem(network, substrate.monitoring, tracer=tracer)
+    monitoring.seed_snapshot(0.0)
+    return network, monitoring
+
+
+def install_faults(
+    plan: Optional[FaultPlan],
+    env: Environment,
+    network: Network,
+    monitoring: MonitoringSystem,
+    tracer,
+) -> Optional[FaultInjector]:
+    """Start ``plan``'s fault timeline on a built substrate.
+
+    Returns the injector the caller hands to its queries' runtimes, or
+    None for an absent or empty plan, which leaves every fault code path
+    dormant.
+    """
+    if plan is None or plan.is_empty():
+        return None
+    plan.validate_hosts(network.hosts.keys())
+    injector = FaultInjector(plan, env, tracer=tracer)
+    network.install_faults(injector)
+    monitoring.faults = injector
+    injector.start()
+    return injector
+
+
 def build_simulation(
     spec: SimulationSpec, tracer=None
 ) -> tuple[Environment, Runtime]:
@@ -183,41 +248,9 @@ def build_simulation(
     env = Environment()
     if tracer.enabled:
         env.trace_hook = tracer.kernel_hook
-    network = Network(env, tracer=tracer)
-    for host_name in spec.all_hosts:
-        host = Host(
-            env,
-            host_name,
-            disk_rate=spec.disk_rate,
-            nic_capacity=spec.nic_capacity,
-        )
-        network.add_host(host)
-    hosts = list(spec.all_hosts)
-    for i, a in enumerate(hosts):
-        for b in hosts[i + 1 :]:
-            key = (a, b) if a < b else (b, a)
-            # Prime the trace's byte prefix sums up front: library-cached
-            # noon segments arrive warm already, and ad-hoc traces pay the
-            # cumsum here, outside the simulated transfers.
-            trace = spec.link_traces[key].ensure_cum()
-            network.add_link(
-                Link(a, b, trace, startup_cost=spec.startup_cost)
-            )
-
-    monitoring = MonitoringSystem(network, spec.monitoring, tracer=tracer)
-    if spec.seed_initial_snapshot:
-        monitoring.seed_snapshot(0.0)
-
+    network, monitoring = build_substrate(env, spec, spec.link_traces, tracer)
     runtime = build_query(spec, env, network, monitoring, tracer=tracer)
-
-    if spec.faults is not None and not spec.faults.is_empty():
-        spec.faults.validate_hosts(network.hosts.keys())
-        injector = FaultInjector(spec.faults, env, tracer=tracer)
-        network.install_faults(injector)
-        monitoring.faults = injector
-        runtime.faults = injector
-        injector.start()
-
+    runtime.faults = install_faults(spec.faults, env, network, monitoring, tracer)
     return env, runtime
 
 

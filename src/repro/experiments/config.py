@@ -48,7 +48,6 @@ class ExperimentConfig:
     #: Seed of the synthetic Internet study (the trace library).
     study_seed: int = 1998
     relocation_period: float = 600.0
-    local_extra_candidates: int = 0
     library: Optional[TraceLibrary] = None
     #: Optional fault-injection plan applied to every run built from this
     #: config (``None``: fault machinery stays dormant).
@@ -197,7 +196,6 @@ def build_spec_from_config(
         images_per_server=setup.images_per_server,
         workload_seed=sampled.workload_seed,
         relocation_period=setup.relocation_period,
-        local_extra_candidates=setup.local_extra_candidates,
         control_seed=sampled.control_seed,
         faults=setup.fault_plan,
     )

@@ -24,13 +24,9 @@ from typing import Any, Optional
 from repro.engine.config import SimulationSpec
 from repro.engine.metrics import RunMetrics
 from repro.engine.runtime import Runtime
-from repro.engine.simulation import build_query
+from repro.engine.simulation import build_query, build_substrate, install_faults
 from repro.faults import FaultInjector
 from repro.fleet import FleetCoordinator
-from repro.monitor.system import MonitoringSystem
-from repro.net.host import Host
-from repro.net.link import Link
-from repro.net.network import Network
 from repro.obs.events import RUN_END, RUN_META
 from repro.obs.tracer import ScopedTracer, ensure_tracer
 from repro.sim import Environment
@@ -153,54 +149,6 @@ class WorkloadEngine:
         self.tracer = ensure_tracer(tracer)
         self._injector: Optional[FaultInjector] = None
 
-    # -- substrate -----------------------------------------------------
-    def _build_substrate(
-        self, env: Environment
-    ) -> tuple[Network, MonitoringSystem]:
-        spec = self.spec
-        tracer = self.tracer
-        network = Network(env, tracer=tracer)
-        for host_name in spec.all_hosts:
-            host = Host(
-                env,
-                host_name,
-                disk_rate=spec.disk_rate,
-                nic_capacity=spec.nic_capacity,
-            )
-            network.add_host(host)
-        links = spec.resolve_links()
-        hosts = list(spec.all_hosts)
-        for i, a in enumerate(hosts):
-            for b in hosts[i + 1 :]:
-                key = (a, b) if a < b else (b, a)
-                network.add_link(
-                    Link(a, b, links[key], startup_cost=spec.startup_cost)
-                )
-        monitoring = MonitoringSystem(network, spec.monitoring, tracer=tracer)
-        if spec.seed_initial_snapshot:
-            monitoring.seed_snapshot(0.0)
-        return network, monitoring
-
-    def _install_faults(
-        self,
-        env: Environment,
-        network: Network,
-        monitoring: MonitoringSystem,
-        launched: list[QueryPlan],
-    ) -> None:
-        plan = self.spec.fault_plan
-        if plan is None or plan.is_empty():
-            return
-        plan.validate_hosts(network.hosts.keys())
-        injector = FaultInjector(plan, env, tracer=self.tracer)
-        network.install_faults(injector)
-        monitoring.faults = injector
-        for query_plan in launched:
-            if query_plan.runtime is not None:
-                query_plan.runtime.faults = injector
-        self._injector = injector
-        injector.start()
-
     # -- the run -------------------------------------------------------
     def run(self) -> WorkloadResult:
         spec = self.spec
@@ -228,7 +176,9 @@ class WorkloadEngine:
                 queries_per_client=spec.queries_per_client,
                 scheduled_queries=len(schedule),
             )
-        network, monitoring = self._build_substrate(env)
+        network, monitoring = build_substrate(
+            env, spec, spec.resolve_links(), tracer
+        )
         network.observers.append(sink.observe)
 
         # Fleet-aware joint planning: one coordinator shared by every
@@ -408,7 +358,12 @@ class WorkloadEngine:
                 if deferred:
                     spawner_jobs.append((client_index, deferred))
 
-        self._install_faults(env, network, monitoring, launched)
+        self._injector = install_faults(
+            spec.fault_plan, env, network, monitoring, tracer
+        )
+        for query_plan in launched:
+            if query_plan.runtime is not None:
+                query_plan.runtime.faults = self._injector
         if controller is not None:
             controller.injector = self._injector
 

@@ -17,35 +17,32 @@ by the identity test).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
-from typing import Any, Mapping, Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from repro.engine.config import Algorithm, SimulationSpec
+from repro.engine.config import Algorithm, SimulationSpec, Substrate
 from repro.experiments.config import ExperimentConfig, make_configuration
 from repro.faults.plan import FaultPlan
 from repro.fleet import FleetPolicy
-from repro.monitor.system import MonitoringConfig
 from repro.traces.study import TraceLibrary
 from repro.traces.trace import BandwidthTrace
 from repro.workload.arrivals import Arrivals, ClosedLoop
 from repro.workload.overload import OverloadPolicy
 
-#: SimulationSpec fields that are structural (handled explicitly when a
-#: query spec is assembled) rather than free per-class overrides.
+#: SimulationSpec fields that are structural (the shared substrate, or
+#: handled explicitly when a query spec is assembled) rather than free
+#: per-class overrides.
 _STRUCTURAL_FIELDS = frozenset(
-    {
-        "algorithm",
-        "tree_shape",
-        "num_servers",
-        "link_traces",
-        "server_hosts",
-        "client_host",
-        "images_per_server",
-        "faults",
-    }
+    {f.name for f in fields(Substrate)}
+    | {"algorithm", "link_traces", "server_hosts", "faults"}
 )
+
+
+def _substrate_of(spec: Substrate) -> dict[str, Any]:
+    """The :class:`Substrate` knobs of ``spec``, as keyword arguments."""
+    return {f.name: getattr(spec, f.name) for f in fields(Substrate)}
 
 
 def query_id_for(client_index: int, ordinal: int) -> str:
@@ -111,8 +108,12 @@ class QueryClass:
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
-    """A concurrent multi-query workload over one shared network."""
+class WorkloadSpec(Substrate):
+    """A concurrent multi-query workload over one shared network.
+
+    The shared network's knobs (hosts, links, NICs, disks, monitoring,
+    the simulated-time wall) are the inherited :class:`Substrate` fields.
+    """
 
     #: The query mix; a single entry means every query is of that class.
     classes: tuple[QueryClass, ...]
@@ -122,10 +123,7 @@ class WorkloadSpec:
     #: Master seed for arrivals, mix draws and per-query seeds.
     seed: int = 0
 
-    # ---- shared substrate (network, hosts, monitoring) ----------------
-    num_servers: int = 8
-    tree_shape: str = "binary"
-    images_per_server: int = 180
+    # ---- shared network ----------------------------------------------
     #: Network configuration draw, exactly as in the experiments module:
     #: configuration ``config_index`` of the study seeded by
     #: ``network_seed`` (ignored when ``link_traces`` is given).
@@ -138,7 +136,6 @@ class WorkloadSpec:
     #: Explicit server-host names (requires ``link_traces``); ``None``
     #: uses the conventional ``h0..h{num_servers-1}``.
     server_hosts_override: Optional[tuple[str, ...]] = None
-    client_host: str = "client"
     fault_plan: Optional[FaultPlan] = None
     #: Admission/retry/breaker limits (:class:`~repro.workload.
     #: overload.OverloadPolicy`); ``None`` (or a null policy with no
@@ -149,12 +146,6 @@ class WorkloadSpec:
     #: ``None`` keeps every query planning blindly against raw monitor
     #: estimates, bit-identical to the pre-fleet engine.
     fleet: Optional[FleetPolicy] = None
-    monitoring: MonitoringConfig = field(default_factory=MonitoringConfig)
-    startup_cost: float = 0.050
-    nic_capacity: int = 1
-    disk_rate: float = 3 * 1024 * 1024
-    seed_initial_snapshot: bool = True
-    max_sim_time: float = 10 * 86400.0
     #: Restrict the schedule to these client indices (one shard of the
     #: full ``num_clients`` population).  Seeds, query ids and arrival
     #: streams stay those of the full run; ``None`` schedules everyone.
@@ -165,6 +156,7 @@ class WorkloadSpec:
     exact_metrics_threshold: int = 1000
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.classes:
             raise ValueError("a workload needs at least one query class")
         object.__setattr__(self, "classes", tuple(self.classes))
@@ -175,8 +167,6 @@ class WorkloadSpec:
             raise ValueError("num_clients must be non-negative")
         if self.queries_per_client < 1:
             raise ValueError("queries_per_client must be >= 1")
-        if self.num_servers < 2:
-            raise ValueError("need >= 2 servers")
         for qclass in self.classes:
             if qclass.num_servers is not None and not (
                 2 <= qclass.num_servers <= self.num_servers
@@ -209,10 +199,6 @@ class WorkloadSpec:
         if self.server_hosts_override is not None:
             return self.server_hosts_override
         return tuple(f"h{i}" for i in range(self.num_servers))
-
-    @property
-    def all_hosts(self) -> tuple[str, ...]:
-        return (*self.server_hosts, self.client_host)
 
     @property
     def client_indices(self) -> tuple[int, ...]:
@@ -323,69 +309,20 @@ class WorkloadSpec:
         class ``overrides`` (e.g. a pinned ``workload_seed``) win.
         """
         base_seed = self.seed + 101 * client_index + ordinal
-        kwargs: dict[str, Any] = dict(
+        kwargs = _substrate_of(self)
+        kwargs.update(
             algorithm=qclass.algorithm,
-            tree_shape=self.tree_shape,
             num_servers=qclass.num_servers or self.num_servers,
             link_traces=self.resolve_links(),
             server_hosts=self.query_servers(qclass, client_index, ordinal),
-            client_host=self.client_host,
             images_per_server=qclass.images_per_server or self.images_per_server,
             workload_seed=base_seed,
             control_seed=base_seed,
-            startup_cost=self.startup_cost,
-            nic_capacity=self.nic_capacity,
-            disk_rate=self.disk_rate,
-            monitoring=self.monitoring,
-            seed_initial_snapshot=self.seed_initial_snapshot,
-            max_sim_time=self.max_sim_time,
         )
-        kwargs.update(dict(qclass.overrides))
+        kwargs.update(qclass.overrides)
         return SimulationSpec(**kwargs)
 
     # ---- adapters -----------------------------------------------------
-    @classmethod
-    def from_experiment_config(
-        cls,
-        config: ExperimentConfig,
-        classes: tuple[QueryClass, ...],
-        *,
-        config_index: int = 0,
-        **kwargs: Any,
-    ) -> "WorkloadSpec":
-        """A workload over the substrate an :class:`ExperimentConfig`
-        describes.
-
-        The shared network is configuration ``config_index`` of the same
-        study a single-query sweep would use (same seeds, same library),
-        and the config's per-run knobs (``relocation_period``,
-        ``local_extra_candidates``) become per-class overrides unless a
-        class already pins them.  Remaining workload fields —
-        ``num_clients``, ``arrivals``, ``seed``, ... — pass through
-        ``kwargs``.
-        """
-        defaults = {
-            "relocation_period": config.relocation_period,
-            "local_extra_candidates": config.local_extra_candidates,
-        }
-        merged_classes = []
-        for qclass in classes:
-            overrides = dict(defaults)
-            overrides.update(dict(qclass.overrides))
-            merged_classes.append(replace(qclass, overrides=overrides))
-        kwargs.setdefault("fault_plan", config.fault_plan)
-        return cls(
-            classes=tuple(merged_classes),
-            num_servers=config.num_servers,
-            tree_shape=config.tree_shape,
-            images_per_server=config.images_per_server,
-            network_seed=config.seed,
-            config_index=config_index,
-            study_seed=config.study_seed,
-            library=config.library,
-            **kwargs,
-        )
-
     @classmethod
     def from_simulation_spec(cls, spec: SimulationSpec) -> "WorkloadSpec":
         """Wrap a single-query spec as a one-client, one-query workload.
@@ -396,7 +333,7 @@ class WorkloadSpec:
         """
         overrides = {
             f.name: getattr(spec, f.name)
-            for f in dataclass_fields(SimulationSpec)
+            for f in fields(SimulationSpec)
             if f.name not in _STRUCTURAL_FIELDS
         }
         qclass = QueryClass(
@@ -410,17 +347,8 @@ class WorkloadSpec:
             queries_per_client=1,
             arrivals=ClosedLoop(think_time=0.0),
             seed=spec.workload_seed,
-            num_servers=spec.num_servers,
-            tree_shape=spec.tree_shape,
-            images_per_server=spec.images_per_server,
             link_traces=spec.link_traces,
             server_hosts_override=tuple(spec.server_hosts),
-            client_host=spec.client_host,
             fault_plan=spec.faults,
-            monitoring=spec.monitoring,
-            startup_cost=spec.startup_cost,
-            nic_capacity=spec.nic_capacity,
-            disk_rate=spec.disk_rate,
-            seed_initial_snapshot=spec.seed_initial_snapshot,
-            max_sim_time=spec.max_sim_time,
+            **_substrate_of(spec),
         )

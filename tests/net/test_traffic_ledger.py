@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+import repro.workload.engine as workload_engine
 from repro.engine.config import Algorithm
 from repro.faults import FaultPlan, LinkLoss, LinkOutage, RetryPolicy
 from repro.faults.injector import FaultInjector
@@ -112,14 +113,14 @@ class TestFleetLedger:
         """Per-query rows sum to the fleet sink's per-link totals under
         an outage, a lossy pair and bounded retries."""
         substrates = []
-        build = WorkloadEngine._build_substrate
+        build = workload_engine.build_substrate
 
-        def capture(self, env):
-            built = build(self, env)
+        def capture(*args):
+            built = build(*args)
             substrates.append(built)
             return built
 
-        monkeypatch.setattr(WorkloadEngine, "_build_substrate", capture)
+        monkeypatch.setattr(workload_engine, "build_substrate", capture)
         spec = WorkloadSpec(
             classes=(
                 QueryClass(name="global", algorithm=Algorithm.GLOBAL),

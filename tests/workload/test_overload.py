@@ -437,7 +437,7 @@ class TestResilienceCounters:
 
 class TestFaultPlanValidation:
     def test_workload_rejects_unknown_hosts(self):
-        # Regression: _install_faults validates the plan against the
+        # Regression: install_faults validates the plan against the
         # network's real host set before installing anything.
         plan = FaultPlan(
             host_crashes=(HostCrash("nonexistent", start=1.0, end=2.0),)

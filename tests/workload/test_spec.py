@@ -1,8 +1,10 @@
 """WorkloadSpec / QueryClass: validation, mix draws, spec assembly."""
 
+from dataclasses import fields
+
 import pytest
 
-from repro.engine.config import Algorithm
+from repro.engine.config import Algorithm, Substrate
 from repro.workload import (
     ClosedLoop,
     QueryClass,
@@ -36,9 +38,12 @@ class TestQueryClass:
         qclass = one_class(overrides={"prefetch": False, "control_seed": 9})
         assert qclass.overrides == (("control_seed", 9), ("prefetch", False))
 
-    def test_structural_override_rejected(self):
+    @pytest.mark.parametrize("name", [f.name for f in fields(Substrate)])
+    def test_structural_override_rejected(self, name):
+        # The shared network is built once from the workload's substrate,
+        # so a per-class value for any of its knobs could not take effect.
         with pytest.raises(ValueError, match="structural"):
-            one_class(overrides={"num_servers": 2})
+            one_class(overrides={name: getattr(Substrate(), name)})
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError, match="weight"):
@@ -65,6 +70,19 @@ class TestWorkloadSpecValidation:
     def test_negative_clients_rejected(self):
         with pytest.raises(ValueError, match="num_clients"):
             small_workload(num_clients=-1)
+
+    @pytest.mark.parametrize(
+        "name, value, match",
+        [
+            pytest.param("tree_shape", "zig", "tree shape", id="tree_shape"),
+            pytest.param("nic_capacity", 0, "nic_capacity", id="nic_capacity"),
+            pytest.param("images_per_server", 0, "image", id="images_per_server"),
+            pytest.param("num_servers", 1, "servers", id="num_servers"),
+        ],
+    )
+    def test_bad_substrate_rejected_at_build(self, name, value, match):
+        with pytest.raises(ValueError, match=match):
+            small_workload(**{name: value})
 
 
 class TestQueryIds:
@@ -156,48 +174,13 @@ class TestFromSimulationSpec:
         assert rebuilt == sim
 
 
-class TestFromExperimentConfig:
-    def config(self, **kwargs):
+class TestResolveLinks:
+    def test_study_draw_matches_make_configuration(self):
         from repro.experiments import ExperimentConfig
-
-        defaults = dict(
-            num_servers=4, images_per_server=6, seed=7, relocation_period=300.0
-        )
-        defaults.update(kwargs)
-        return ExperimentConfig(**defaults)
-
-    def test_substrate_mirrors_the_config(self):
-        config = self.config()
-        spec = WorkloadSpec.from_experiment_config(
-            config, (one_class(),), config_index=2, num_clients=3
-        )
-        assert spec.num_servers == 4
-        assert spec.images_per_server == 6
-        assert spec.network_seed == 7
-        assert spec.config_index == 2
-        assert spec.num_clients == 3
         from repro.experiments.config import make_configuration
 
+        spec = WorkloadSpec(
+            classes=(one_class(),), num_servers=4, network_seed=7, config_index=2
+        )
+        config = ExperimentConfig(num_servers=4, seed=7)
         assert spec.resolve_links() == make_configuration(config, 2)
-
-    def test_config_knobs_become_class_overrides(self):
-        spec = WorkloadSpec.from_experiment_config(self.config(), (one_class(),))
-        qspec = spec.query_spec(spec.classes[0], 0, 0)
-        assert qspec.relocation_period == 300.0
-
-    def test_class_override_wins_over_config(self):
-        qclass = one_class(overrides={"relocation_period": 60.0})
-        spec = WorkloadSpec.from_experiment_config(self.config(), (qclass,))
-        qspec = spec.query_spec(spec.classes[0], 0, 0)
-        assert qspec.relocation_period == 60.0
-
-    def test_fault_plan_passes_through(self):
-        from repro.faults.plan import FaultPlan, LinkOutage
-
-        plan = FaultPlan(
-            link_outages=(LinkOutage(a="client", b="h0", start=1.0, end=2.0),)
-        )
-        spec = WorkloadSpec.from_experiment_config(
-            self.config(fault_plan=plan), (one_class(),)
-        )
-        assert spec.fault_plan is plan

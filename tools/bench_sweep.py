@@ -12,15 +12,8 @@ benchmarks the kernel/trace hot paths:
 * ``TraceLibrary.sample_noon_segment`` draw rate (cached sorted keys);
 * vectorized sampling — cached/batched noon-segment draws vs the
   build-per-draw reference they replaced;
-* config build — build-once ``SampledConfig`` fan-out vs resampling the
-  network configuration for every ``(config, algorithm)`` run;
 * run-tracing overhead — the same simulation with the tracer off vs on
   (the no-op tracer must stay effectively free);
-* planner — the vectorized move-grid pricing (``BatchMoveEvaluator``)
-  vs the scalar per-candidate test oracle at the paper's 8-server
-  scale, both evaluator-level (cells/second on one
-  round's full grid) and end-to-end (``plan()`` candidates/second),
-  with a bit-identical ``PlanResult`` equality check;
 * streaming fleet metrics at scale — a 100k-client synthetic open-loop
   stream through a record-free ``FleetMetrics`` sink: ingest rate,
   flat-memory check, sketch error vs exact percentiles, shard-merge
@@ -98,133 +91,6 @@ def bench_tracer_overhead(repeats: int = 3) -> dict:
         "tracer_on_seconds": round(on_seconds, 4),
         "on_over_off_ratio": round(on_seconds / off_seconds, 3),
         "events_recorded": events,
-    }
-
-
-def bench_planner(quick: bool = False) -> dict:
-    """Planner grid pricing: the batch-priced search vs the scalar oracle.
-
-    Builds the paper-scale 8-server combination tree with a seeded
-    asymmetric estimator and times two levels of the same hot path:
-
-    * evaluator level — one planning round's full (operator x host) move
-      grid priced by ``BatchMoveEvaluator.price_moves`` vs the
-      ``SingleMoveEvaluator.cost_of_move`` per-cell loop of the scalar
-      reference search (``tests/oracles/scalar_planner.py``);
-    * end-to-end — repeated ``plan`` calls of ``OneShotPlanner`` and of
-      the oracle's ``ScalarOneShotPlanner`` (this includes per-call
-      snapshot construction, candidate enumeration and the per-round
-      reductions, so the speedup is smaller than the evaluator-level
-      number).
-
-    Records whether both return identical plans.
-    """
-    import random
-
-    # The scalar side is the test oracle in the repo's ``tests`` package.
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-    from repro.dataflow.cost import CostModel
-    from repro.dataflow.critical import BatchMoveEvaluator, critical_path
-    from repro.dataflow.placement import Placement
-    from repro.dataflow.tree import complete_binary_tree
-    from repro.placement.one_shot import OneShotPlanner
-    from tests.oracles.scalar_planner import (
-        ScalarOneShotPlanner,
-        SingleMoveEvaluator,
-    )
-
-    rng = random.Random(7)
-    num_servers = 8  # the paper's scale
-    tree = complete_binary_tree(num_servers)
-    hosts = [f"h{i}" for i in range(num_servers)] + ["client"]
-    sizes = {node.node_id: rng.uniform(1e4, 1e6) for node in tree.nodes()}
-    model = CostModel(tree, sizes, startup_cost=0.05, disk_rate=3e6)
-    server_hosts = {
-        server.node_id: hosts[i] for i, server in enumerate(tree.servers())
-    }
-    start = Placement.all_at_client(tree, server_hosts, "client")
-    bandwidth: dict = {}
-
-    def estimator(a, b):
-        key = (a, b)
-        if key not in bandwidth:
-            bandwidth[key] = rng.uniform(1e5, 1e7)
-        return bandwidth[key]
-
-    moves = [(op.node_id, tuple(sorted(hosts))) for op in tree.operators()]
-    grid_cells = sum(len(hs) - 1 for _, hs in moves)
-    base_cost = critical_path(tree, start, model, estimator).cost
-    reps = 50 if quick else 300
-    # Machine noise on shared runners swings single trials ~3x; take the
-    # best of several so the recorded rates reflect the hardware, not
-    # the neighbours.
-    tries = 2 if quick else 7
-
-    def best_of(trial):
-        return max(trial() for _ in range(tries))
-
-    def scalar_trial():
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            evaluator = SingleMoveEvaluator(tree, start, model, estimator)
-            for node_id, candidate_hosts in moves:
-                current = start.host_of(node_id)
-                for host in candidate_hosts:
-                    if host != current:
-                        evaluator.cost_of_move(node_id, host)
-        return reps * grid_cells / (time.perf_counter() - t0)
-
-    batch = BatchMoveEvaluator(tree, start, model, estimator, hosts)
-
-    def batch_trial():
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            batch.price_moves(moves, base_cost)
-        return reps * grid_cells / (time.perf_counter() - t0)
-
-    scalar_rate = best_of(scalar_trial)
-    batch_rate = best_of(batch_trial)
-
-    plan_reps = 10 if quick else 60
-
-    def plan_bench(planner_type):
-        planner = planner_type(tree, hosts, model)
-        result = planner.plan(estimator, start)
-
-        def trial():
-            t0 = time.perf_counter()
-            for _ in range(plan_reps):
-                # Time the search, not the memo of the identical
-                # previous call.
-                planner._memo = None
-                planner.plan(estimator, start)
-            elapsed = time.perf_counter() - t0
-            return plan_reps * result.candidates_evaluated / elapsed
-
-        return result, best_of(trial)
-
-    scalar_result, scalar_plan_rate = plan_bench(ScalarOneShotPlanner)
-    vector_result, vector_plan_rate = plan_bench(OneShotPlanner)
-    identical = (
-        scalar_result.placement == vector_result.placement
-        and scalar_result.cost == vector_result.cost  # bitwise
-        and scalar_result.rounds == vector_result.rounds
-        and scalar_result.candidates_evaluated
-        == vector_result.candidates_evaluated
-        and scalar_result.links_queried == vector_result.links_queried
-    )
-
-    return {
-        "num_servers": num_servers,
-        "grid_cells": grid_cells,
-        "rounds": vector_result.rounds,
-        "scalar_cells_per_second": round(scalar_rate),
-        "vectorized_cells_per_second": round(batch_rate),
-        "evaluator_speedup": round(batch_rate / scalar_rate, 2),
-        "scalar_plan_candidates_per_second": round(scalar_plan_rate),
-        "vectorized_plan_candidates_per_second": round(vector_plan_rate),
-        "plan_speedup": round(vector_plan_rate / scalar_plan_rate, 2),
-        "plan_results_identical": identical,
     }
 
 
@@ -760,45 +626,6 @@ def bench_vectorized_sampling(n_draws: int = 20_000) -> dict:
     }
 
 
-def bench_config_build(n_configs: int = 20) -> dict:
-    """Build-once SampledConfig fan-out vs per-algorithm resampling.
-
-    The old sweep path resampled the network configuration once per
-    ``(config, algorithm)`` run; the build-once path samples it once and
-    fans the frozen artifact out across the four algorithms.
-    """
-    from repro.experiments.config import (
-        build_spec_from_config,
-        sample_config,
-    )
-
-    setup = ExperimentConfig()
-    setup.trace_library().warm_noon_segments()
-    n_specs = n_configs * len(ALGORITHMS)
-
-    t0 = time.perf_counter()
-    for index in range(n_configs):
-        for algorithm in ALGORITHMS:
-            sampled = sample_config(setup, index, cache=False)
-            build_spec_from_config(setup, sampled, algorithm)
-    resample_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    for index in range(n_configs):
-        for algorithm in ALGORITHMS:
-            sampled = sample_config(setup, index)
-            build_spec_from_config(setup, sampled, algorithm)
-    build_once_seconds = time.perf_counter() - t0
-
-    return {
-        "configs": n_configs,
-        "specs": n_specs,
-        "resample_specs_per_second": round(n_specs / resample_seconds),
-        "build_once_specs_per_second": round(n_specs / build_once_seconds),
-        "speedup": round(resample_seconds / build_once_seconds, 1),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--configs", type=int, default=30,
@@ -870,15 +697,6 @@ def main(argv=None) -> int:
         f"({vec['speedup']}x)"
     )
 
-    print(f"[bench] config build (build-once vs resample)...", flush=True)
-    results["config_build"] = bench_config_build(4 if args.quick else 20)
-    build = results["config_build"]
-    print(
-        f"         {build['build_once_specs_per_second']:,} specs/s "
-        f"build-once vs {build['resample_specs_per_second']:,} resampled "
-        f"({build['speedup']}x)"
-    )
-
     print(f"[bench] tracer overhead (off vs on)...", flush=True)
     results["tracer_overhead"] = bench_tracer_overhead(
         repeats=1 if args.quick else 3
@@ -889,19 +707,6 @@ def main(argv=None) -> int:
         f"{overhead['tracer_on_seconds']}s "
         f"({overhead['on_over_off_ratio']}x, "
         f"{overhead['events_recorded']:,} events)"
-    )
-
-    print(f"[bench] planner (batch vs scalar-oracle pricing)...", flush=True)
-    results["planner"] = bench_planner(quick=args.quick)
-    eng = results["planner"]
-    print(
-        f"         evaluator {eng['scalar_cells_per_second']:,} -> "
-        f"{eng['vectorized_cells_per_second']:,} cells/s "
-        f"({eng['evaluator_speedup']}x), plan "
-        f"{eng['scalar_plan_candidates_per_second']:,} -> "
-        f"{eng['vectorized_plan_candidates_per_second']:,} cand/s "
-        f"({eng['plan_speedup']}x), identical: "
-        f"{eng['plan_results_identical']}"
     )
 
     print(f"[bench] streaming fleet metrics at scale...", flush=True)
