@@ -157,13 +157,14 @@ def bandwidth_matrix(
     read unmasked and holds ``inf`` so it stays division-safe.
     """
     values = []
+    append = values.append
     for i, a in enumerate(hosts):
         for j, b in enumerate(hosts):
             if i == j:
-                values.append(np.inf)
+                append(np.inf)
             else:
                 value = estimator(a, b)
-                values.append(min_bandwidth if value < min_bandwidth else value)
+                append(min_bandwidth if value < min_bandwidth else value)
     return np.array(values, dtype=float).reshape(len(hosts), len(hosts))
 
 
@@ -282,7 +283,7 @@ class _PlacementState:
     from and walk through the same few placements again and again, so
     the planner keeps these in its ``_grid_cache`` and a revisited
     placement skips the decode and every gather.  The arrays are
-    read-only; only ``cells`` grows.
+    read-only; only ``cells`` and the planner's ``moves`` grow.
     """
 
     hosts: tuple[str, ...]
@@ -300,6 +301,7 @@ class _PlacementState:
     ipack: np.ndarray  #: own / child1 / child2 / parent host, bump targets
     queried_cross: np.ndarray  #: flat canonical pairs of cross-host edges
     cells: dict  #: move list -> :class:`_StateCells`
+    moves: dict  #: critical-path index -> candidate move list (planner-filled)
 
     @classmethod
     def build(cls, arrays, hosts: Sequence[str], items: tuple) -> "_PlacementState":
@@ -362,6 +364,7 @@ class _PlacementState:
                     + np.maximum(child_hosts, parent_hosts)[cross]
                 ),
                 cells={},
+                moves={},
             )
         )
 
@@ -548,6 +551,8 @@ class BatchMoveEvaluator:
         bottleneck = occ[state.path_hosts].max(axis=1)
         costs = np.where(latency > bottleneck, latency, bottleneck)
         best = int(np.argmax(costs))
+        #: Index of the critical path in ``cost_model.server_paths``.
+        self.critical_index = best
         self._critical = CriticalPath(
             nodes=self.cost_model.server_paths[best], cost=float(costs[best])
         )
@@ -576,12 +581,30 @@ class BatchMoveEvaluator:
             self._queried_flat[state.queried_cross] = True
             self._links_complete = bool(self._queried[self._triu].all())
 
+    @property
+    def state(self) -> _PlacementState:
+        """The cached bandwidth-independent state of the current placement."""
+        return self._state
+
     def critical_path(self) -> CriticalPath:
         """The critical path of the current placement state."""
         return self._critical
 
     def links_queried(self) -> frozenset:
-        """Canonical host pairs consulted so far (recorder semantics)."""
+        """Canonical host pairs consulted so far (recorder semantics).
+
+        Once every pair is recorded the answer is the host tuple's
+        all-pairs set, built once per ``grid_cache``.
+        """
+        if not self._links_complete:
+            return self._recorded_links()
+        key = (frozenset, self.hosts)
+        links = self._grid_cache.get(key)
+        if links is None:
+            links = self._grid_cache[key] = self._recorded_links()
+        return links
+
+    def _recorded_links(self) -> frozenset:
         rows, cols = np.nonzero(self._queried)
         return frozenset(
             (self.hosts[i], self.hosts[j])

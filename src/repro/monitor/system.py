@@ -3,8 +3,9 @@
 One :class:`MonitoringSystem` instance serves a whole simulation.  It owns
 one :class:`~repro.monitor.cache.BandwidthCache` per host and hooks into
 the network's transfer observer and piggyback slots.  Placement algorithms
-consult it through :meth:`estimate` (a host's local view) and drive active
-measurements through :meth:`probe`.
+consult it through :meth:`estimate` (a host's local view) or
+:meth:`snapshot` (a :class:`FrozenView` of every pair, what planners
+read) and drive active measurements through :meth:`probe`.
 """
 
 from __future__ import annotations
@@ -41,30 +42,46 @@ from repro.obs.tracer import ensure_tracer, query_tag
 DEFAULT_S_THRES = 16 * 1024
 
 
+class FrozenView:
+    """One reading of every pair of a host set: a pure estimator.
+
+    Built from a map of each canonical pair ``(a, b)`` with ``a < b`` to
+    its bandwidth; calling the view answers either direction with one
+    dict lookup (``inf`` for ``a == b``).  Planners evaluate thousands
+    of candidate placements, so they plan from such a view rather than
+    from the live monitor.
+    """
+
+    __slots__ = ("_ordered",)
+
+    def __init__(self, pairs: "dict[tuple[str, str], float]") -> None:
+        ordered = {}
+        for (a, b), value in pairs.items():
+            ordered[a, b] = value
+            ordered[b, a] = value
+        self._ordered = ordered
+
+    def __call__(self, a: str, b: str) -> float:
+        try:
+            return self._ordered[a, b]
+        except KeyError:
+            if a == b:
+                return float("inf")
+            raise
+
+
 def frozen_estimator(
     hosts: Iterable[str], read: Callable[[str, str], float]
-) -> Callable[[str, str], float]:
-    """A pure estimator over one reading of every pair of ``hosts``.
+) -> FrozenView:
+    """A :class:`FrozenView` over one reading of every pair of ``hosts``.
 
     ``read`` is called once per canonical pair ``(a, b)`` with ``a < b``,
-    in sorted host order; the returned estimator answers from those
-    values in either direction (``inf`` for ``a == b``).  Planners
-    evaluate thousands of candidate placements, so they plan from such
-    a snapshot rather than from the live view.
+    in sorted host order.
     """
     ordered = sorted(hosts)
-    matrix = {
-        (a, b): read(a, b)
-        for i, a in enumerate(ordered)
-        for b in ordered[i + 1 :]
-    }
-
-    def estimate(a: str, b: str) -> float:
-        if a == b:
-            return float("inf")
-        return matrix[(a, b) if a < b else (b, a)]
-
-    return estimate
+    return FrozenView(
+        {(a, b): read(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1 :]}
+    )
 
 
 @dataclass(frozen=True)
@@ -253,25 +270,25 @@ class MonitoringSystem:
             )
 
     # -- queries ------------------------------------------------------------
-    def estimate(self, viewer: str, a: str, b: str, now: float) -> Estimate:
-        """``viewer``'s best estimate of the bandwidth between ``a`` and ``b``."""
-        if a == b:
-            return Estimate(float("inf"), 0.0, "fresh")
-        cache = self.cache_for(viewer)
-        forecast = self.forecast_for(viewer, a, b)
-        fresh = cache.lookup(a, b, now)
-        if fresh is not None:
-            value = forecast if forecast is not None else fresh.bandwidth
-            result = Estimate(value, fresh.age(now), "fresh")
+    def _reading(
+        self, viewer: str, cache: BandwidthCache, a: str, b: str, now: float
+    ) -> tuple[float, str, float]:
+        """``viewer``'s ``(bandwidth, quality, age)`` for a pair ``a != b``.
+
+        The bandwidth is the pair's forecast, else the cached
+        measurement, else ``default_estimate``; the quality is "fresh"
+        within ``t_thres``, "stale" past it, "default" with no entry (age
+        ``inf``).  A traced run records one ``monitor.estimate`` per
+        reading.
+        """
+        entry = cache.lookup_any(a, b)
+        if entry is None:
+            value, quality, age = self.config.default_estimate, "default", float("inf")
         else:
-            stale = cache.lookup_any(a, b)
-            if stale is not None:
-                value = forecast if forecast is not None else stale.bandwidth
-                result = Estimate(value, stale.age(now), "stale")
-            else:
-                result = Estimate(
-                    self.config.default_estimate, float("inf"), "default"
-                )
+            age = entry.age(now)
+            quality = "stale" if age > cache.t_thres else "fresh"
+            forecast = self.forecast_for(viewer, a, b)
+            value = entry.bandwidth if forecast is None else forecast
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(
@@ -280,23 +297,32 @@ class MonitoringSystem:
                 viewer=viewer,
                 a=a,
                 b=b,
-                quality=result.quality,
-                age=result.age if result.age != float("inf") else None,
+                quality=quality,
+                age=None if entry is None else age,
             )
-            tracer.incr("monitor.estimate." + result.quality)
-        return result
+            tracer.incr("monitor.estimate." + quality)
+        return value, quality, age
+
+    def estimate(self, viewer: str, a: str, b: str, now: float) -> Estimate:
+        """``viewer``'s best estimate of the bandwidth between ``a`` and ``b``."""
+        if a == b:
+            return Estimate(float("inf"), 0.0, "fresh")
+        value, quality, age = self._reading(viewer, self.cache_for(viewer), a, b, now)
+        return Estimate(value, age, quality)
 
     def snapshot(
         self, viewer: str, hosts: Iterable[str], now: float
-    ) -> Callable[[str, str], float]:
+    ) -> FrozenView:
         """``viewer``'s view of every pair of ``hosts``, frozen at ``now``.
 
-        Each canonical pair goes through :meth:`estimate` exactly once,
-        so a traced run records one ``monitor.estimate`` per pair per
-        plan; the returned estimator is a pure lookup over those values.
+        Each canonical pair is read once, in sorted host order, by the
+        same rule as :meth:`estimate` (so a traced run records one
+        ``monitor.estimate`` per pair per plan), without building an
+        :class:`Estimate` per pair.
         """
+        cache = self.cache_for(viewer)
         return frozen_estimator(
-            hosts, lambda a, b: self.estimate(viewer, a, b, now).bandwidth
+            hosts, lambda a, b: self._reading(viewer, cache, a, b, now)[0]
         )
 
     def seed_snapshot(self, t: float, window: float = 30.0) -> None:

@@ -98,9 +98,10 @@ class OneShotPlanner:
         self._operator_ids = tuple(op.node_id for op in tree.operators())
         self._all_hosts = tuple(self.hosts)
         #: Persistent evaluator cache shared across plan calls: the
-        #: placement-independent move grids and each visited placement's
-        #: bandwidth-independent state (see
-        #: :class:`repro.dataflow.critical.BatchMoveEvaluator`).  It is
+        #: placement-independent move grids, each visited placement's
+        #: bandwidth-independent state with its candidate move lists (see
+        #: :class:`repro.dataflow.critical.BatchMoveEvaluator`) and the
+        #: all-pairs link set of each host tuple.  It is
         #: owned here, not shared, because a state is only valid for
         #: this planner's tree and cost model.
         self._grid_cache: dict = {}
@@ -176,9 +177,8 @@ class OneShotPlanner:
 
         for _ in range(self.max_rounds):
             rounds += 1
-            path = evaluator.critical_path()
             cells, best_cost, best_move = evaluator.price_moves(
-                self._candidate_moves(path, current), current_cost
+                self._state_moves(evaluator, current), current_cost
             )
             candidates += cells
             if best_cost < current_cost and best_move is not None:
@@ -198,6 +198,24 @@ class OneShotPlanner:
         )
         self._memo = (key, result)
         return result
+
+    def _state_moves(
+        self, evaluator: BatchMoveEvaluator, placement: Placement
+    ) -> "tuple[tuple[str, tuple[str, ...]], ...]":
+        """:meth:`_candidate_moves` of the evaluator's current state.
+
+        The move list is a pure function of the placement state and the
+        critical path, so it is cached on the state (which lives in the
+        planner-owned ``_grid_cache``) per critical-path index.
+        """
+        moves = evaluator.state.moves
+        index = evaluator.critical_index
+        cached = moves.get(index)
+        if cached is None:
+            cached = moves[index] = tuple(
+                self._candidate_moves(evaluator.critical_path(), placement)
+            )
+        return cached
 
     def _candidate_moves(
         self, path, placement: Placement

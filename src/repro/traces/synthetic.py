@@ -127,13 +127,18 @@ class SyntheticTraceModel:
         diurnal = 1.0 - p.diurnal_depth * 0.5 * (1.0 + np.cos(phase))
 
         # AR(1) jitter on the log scale, stationary initial condition.
+        # The recurrence runs over Python floats (IEEE doubles, so the
+        # same values as numpy scalars) to skip per-element indexing.
         steady_sigma = p.ar_sigma / math.sqrt(max(1.0 - p.ar_rho**2, 1e-9))
-        log_jitter = np.empty(n)
-        log_jitter[0] = rng.normal(0.0, steady_sigma)
+        value = float(rng.normal(0.0, steady_sigma))
         innovations = rng.normal(0.0, p.ar_sigma, size=n - 1)
-        for k in range(1, n):
-            log_jitter[k] = p.ar_rho * log_jitter[k - 1] + innovations[k - 1]
-        jitter = np.exp(log_jitter)
+        rho = p.ar_rho
+        log_jitter = [value]
+        append = log_jitter.append
+        for innovation in innovations.tolist():
+            value = rho * value + innovation
+            append(value)
+        jitter = np.exp(np.array(log_jitter))
 
         # Congestion episodes: Poisson arrivals, exponential durations.
         episode_mult = np.ones(n)

@@ -14,6 +14,7 @@ from repro.fleet import (
     placement_links,
     runtime_links,
 )
+from repro.monitor.system import frozen_estimator
 from repro.net.host import Host
 from repro.net.network import Network
 from repro.obs import Tracer
@@ -151,6 +152,66 @@ class TestClaimsAndResidual:
         assert coordinator.link_claims()[canonical_link("h0", "h1")] == 1
         raw = lambda a, b: 100.0
         assert coordinator.residual_estimator("c0:0", raw)("h0", "h1") == 50.0
+
+
+HOSTS = ("client", "h0", "h1", "h2", "h3")
+
+
+def uneven_view():
+    """A frozen view with a distinct rate per canonical pair."""
+    return frozen_estimator(
+        HOSTS, lambda a, b: 1e3 * (1 + HOSTS.index(a) * 7 + HOSTS.index(b))
+    )
+
+
+def assert_fair_share_on_every_pair(coordinator, query_id, raw, own_links):
+    """``raw / (1 + others)`` on every ordered pair, counting only the
+    claims of queries other than ``query_id``."""
+    residual = coordinator.residual_estimator(query_id, raw)
+    claims = coordinator.link_claims()
+    for a in HOSTS:
+        for b in HOSTS:
+            if a == b:
+                assert residual(a, b) == float("inf")
+                continue
+            link = canonical_link(a, b)
+            others = claims.get(link, 0) - (link in own_links)
+            assert residual(a, b) == raw(a, b) / (1 + others), (a, b)
+
+
+class TestResidualOverFrozenView:
+    def test_no_claims_leave_the_view_as_is(self):
+        coordinator = FleetCoordinator(FleetPolicy())
+        raw = uneven_view()
+        assert_fair_share_on_every_pair(coordinator, "q", raw, set())
+
+    def test_claims_discount_every_ordered_pair(self):
+        coordinator = FleetCoordinator(FleetPolicy())
+        tree, _, r1 = make_query()
+        _, _, r2 = make_query()
+        _, _, r3 = make_query()
+        r2.move(tree.operators()[0].node_id, "h0")
+        runtimes = {"a": r1, "b": r2, "c": r3}
+        for query_id, runtime in runtimes.items():
+            coordinator.query_launched(query_id, runtime)
+        raw = uneven_view()
+        for query_id in ("a", "b", "c", "outsider"):
+            own = runtime_links(runtimes[query_id]) if query_id in runtimes else set()
+            assert_fair_share_on_every_pair(coordinator, query_id, raw, own)
+        # Two other queries claim h1--client: a third of the raw rate.
+        residual = coordinator.residual_estimator("outsider", raw)
+        assert residual("client", "h1") == raw("client", "h1") / 3
+
+    def test_own_links_never_discount(self):
+        coordinator = FleetCoordinator(FleetPolicy())
+        _, _, runtime = make_query()
+        coordinator.query_launched("mine", runtime)
+        raw = uneven_view()
+        mine = coordinator.residual_estimator("mine", raw)
+        assert all(mine(a, b) == raw(a, b) for a in HOSTS for b in HOSTS)
+        other = coordinator.residual_estimator("other", raw)
+        assert other("h0", "client") == raw("h0", "client") / 2
+        assert other("h0", "h1") == raw("h0", "h1")
 
 
 class NetworkRuntime:

@@ -225,3 +225,39 @@ class TestPlacementStateCache:
             (b,) = [s for s in deep_states if s.items == items]
             assert a.hosts == b.hosts
             assert not np.array_equal(a.ipack, b.ipack)
+
+    def test_candidate_moves_built_once_per_state_and_critical_path(
+        self, monkeypatch
+    ):
+        # Replans that revisit placements reuse each (placement state,
+        # critical path) move list, and still plan like cold planners.
+        built = []
+        original = OneShotPlanner._candidate_moves
+
+        def candidate_moves(self, path, placement):
+            built.append((self, tuple(placement.assignment.items()), path.nodes))
+            return original(self, path, placement)
+
+        monkeypatch.setattr(OneShotPlanner, "_candidate_moves", candidate_moves)
+        planner, start = planned()
+        model = planner.cost_model
+        rng = random.Random(5)
+        table = {(a, b): rng.uniform(1e4, 1e6) for a in HOSTS for b in HOSTS if a != b}
+        starts = [start]
+        rounds = 0
+        before = len(built)
+        for _ in range(8):
+            for pair in rng.sample(sorted(table), 3):
+                table[pair] *= rng.choice(DRIFTS)
+            estimator = table_estimator(table)
+            begin = rng.choice(starts)
+            got = planner.plan(estimator, begin)
+            rounds += got.rounds
+            assert_same(got, OneShotPlanner(TREE, HOSTS, model).plan(estimator, begin))
+            starts.append(got.placement)
+        warm = [key for key in built if key[0] is planner]
+        assert len(warm) == len(set(warm))
+        # Fewer lists built than rounds searched: revisits hit.
+        assert len([key for key in built[before:] if key[0] is planner]) < rounds
+        states = cached(planner, _PlacementState)
+        assert sum(len(state.moves) for state in states) == len(warm)

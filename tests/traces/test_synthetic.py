@@ -73,6 +73,35 @@ class TestGenerator:
         assert busy.rates.min() < quiet.rates.min()
         assert busy.mean_rate() < quiet.mean_rate()
 
+    @pytest.mark.parametrize("rho", [0.75, 0.2, 0.999])
+    @pytest.mark.parametrize("seed", [0, 7, 1998, 2024])
+    def test_jitter_matches_indexed_recurrence(self, seed, rho):
+        # With the diurnal cycle, episodes and level shifts off and a
+        # power-of-two base rate (exact scaling, far above the trace's
+        # rate floor), the rates are exactly base * exp(AR(1) log
+        # jitter); the reference runs the recurrence element by element
+        # in numpy.
+        params = TraceGenParams(
+            ar_rho=rho,
+            diurnal_depth=0.0,
+            episode_rate_per_hour=0.0,
+            long_shifts_per_day=0.0,
+            long_shift_sigma=0.0,
+        )
+        base = 2.0**20
+        trace = SyntheticTraceModel(params).generate(
+            base_rate=base, rng=np.random.default_rng(seed)
+        )
+        rng = np.random.default_rng(seed)
+        n = trace.rates.size
+        steady = params.ar_sigma / np.sqrt(max(1.0 - rho**2, 1e-9))
+        log_jitter = np.empty(n)
+        log_jitter[0] = rng.normal(0.0, steady)
+        innovations = rng.normal(0.0, params.ar_sigma, size=n - 1)
+        for k in range(1, n):
+            log_jitter[k] = rho * log_jitter[k - 1] + innovations[k - 1]
+        assert trace.rates.tobytes() == (base * np.exp(log_jitter)).tobytes()
+
 
 class TestCalibration:
     def test_change_interval_near_two_minutes(self):

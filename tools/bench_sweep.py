@@ -9,9 +9,6 @@ benchmarks the kernel/trace hot paths:
 * DES calendar throughput (timeout schedule-and-fire events/second);
 * ``BandwidthTrace.transfer_time`` — prefix-sum inversion vs the
   reference segment-by-segment walk (``tests/oracles/trace_scan.py``);
-* ``TraceLibrary.sample_noon_segment`` draw rate (cached sorted keys);
-* vectorized sampling — cached/batched noon-segment draws vs the
-  build-per-draw reference they replaced;
 * run-tracing overhead — the same simulation with the tracer off vs on
   (the no-op tracer must stay effectively free);
 * streaming fleet metrics at scale — a 100k-client synthetic open-loop
@@ -562,70 +559,6 @@ def bench_trace_algebra(n_calls: int = 2000) -> dict:
     }
 
 
-def bench_library_sampling(n_draws: int = 20_000) -> dict:
-    """sample_noon_segment draw rate (cached sorted keys + noon segments)."""
-    library = InternetStudy(seed=2024).run()
-    rng = np.random.default_rng(1)
-    t0 = time.perf_counter()
-    for _ in range(n_draws):
-        library.sample_noon_segment(rng)
-    elapsed = time.perf_counter() - t0
-    return {
-        "draws": n_draws,
-        "seconds": round(elapsed, 4),
-        "draws_per_second": round(n_draws / elapsed),
-    }
-
-
-def bench_vectorized_sampling(n_draws: int = 20_000) -> dict:
-    """Cached/batched noon-segment draws vs the build-per-draw reference.
-
-    The cached path (one vectorized index draw, segments from the per-pair
-    cache) must return exactly the objects the uncached reference builds;
-    the bench verifies value identity on a sample before timing.
-    """
-    from repro.traces.study import noon_segment
-
-    library = InternetStudy(seed=2024).run()
-    keys = list(library.pairs())
-
-    def uncached_draw(rng):
-        key = keys[int(rng.integers(len(keys)))]
-        return noon_segment(
-            library.trace(*key), library.tz_offsets.get(key, 0.0)
-        )
-
-    # Value-identity spot check: cached draws == fresh builds.
-    check_rng_a = np.random.default_rng(3)
-    check_rng_b = np.random.default_rng(3)
-    for _ in range(5):
-        cached = library.sample_noon_segment(check_rng_a)
-        fresh = uncached_draw(check_rng_b)
-        assert np.array_equal(cached.times, fresh.times)
-        assert np.array_equal(cached.rates, fresh.rates)
-
-    rng = np.random.default_rng(2)
-    t0 = time.perf_counter()
-    for _ in range(max(1, n_draws // 40)):
-        uncached_draw(rng)
-    uncached_seconds = time.perf_counter() - t0
-    uncached_rate = max(1, n_draws // 40) / uncached_seconds
-
-    library.warm_noon_segments()
-    rng = np.random.default_rng(2)
-    t0 = time.perf_counter()
-    library.sample_noon_segments(rng, n_draws)
-    batched_seconds = time.perf_counter() - t0
-    batched_rate = n_draws / batched_seconds
-
-    return {
-        "draws": n_draws,
-        "uncached_draws_per_second": round(uncached_rate),
-        "batched_draws_per_second": round(batched_rate),
-        "speedup": round(batched_rate / uncached_rate, 1),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--configs", type=int, default=30,
@@ -679,23 +612,6 @@ def main(argv=None) -> int:
     print(f"[bench] trace algebra (prefix-sum vs walk)...", flush=True)
     results["trace_algebra"] = bench_trace_algebra(200 if args.quick else 2000)
     print(f"         {results['trace_algebra']['speedup']}x over the walk")
-
-    print(f"[bench] library sampling...", flush=True)
-    results["library_sampling"] = bench_library_sampling(
-        2_000 if args.quick else 20_000
-    )
-    print(f"         {results['library_sampling']['draws_per_second']:,} draws/s")
-
-    print(f"[bench] vectorized sampling (cached vs build-per-draw)...", flush=True)
-    results["vectorized_sampling"] = bench_vectorized_sampling(
-        2_000 if args.quick else 20_000
-    )
-    vec = results["vectorized_sampling"]
-    print(
-        f"         {vec['batched_draws_per_second']:,} draws/s cached vs "
-        f"{vec['uncached_draws_per_second']:,} uncached "
-        f"({vec['speedup']}x)"
-    )
 
     print(f"[bench] tracer overhead (off vs on)...", flush=True)
     results["tracer_overhead"] = bench_tracer_overhead(
