@@ -26,9 +26,11 @@ embarrassingly parallel — this module fans it out over a
   ``fork``/semaphores, interpreters without ``multiprocessing``), the
   sweep silently degrades to the serial loop — same results, one process.
 
-The serial and parallel paths share the task list and the assembly code,
-which is what the determinism tests in
-``tests/experiments/test_parallel.py`` pin down.
+The serial and parallel paths share the task list, the worker
+initializer and the task body: :func:`_ordered_map` runs them either in
+a pool or in-process, which is what the determinism tests in
+``tests/experiments/test_parallel.py`` pin down.  The workload sweeps in
+:mod:`repro.workload.sweep` fan out through the same map.
 """
 
 from __future__ import annotations
@@ -120,8 +122,9 @@ _WORKER_SETUP: Optional[ExperimentConfig] = None
 
 
 def _init_worker(setup: ExperimentConfig) -> None:
-    """Process-pool initializer: install the setup and build its library.
+    """Sweep initializer: install the setup and build its library.
 
+    Runs once per pool worker, or once in-process for a serial sweep.
     The setup is pickled to each worker exactly once (as an initializer
     argument).  When the setup carries no injected library, the library is
     reconstructed here from ``study_seed``, so the 66-pair trace study is
@@ -155,66 +158,90 @@ def _run_task(task: _Task) -> tuple[SweepKey, RunMetrics]:
 
 
 # -- driver side -----------------------------------------------------------
-def _run_serial(
-    setup: ExperimentConfig,
-    tasks: Sequence[_Task],
-    progress: Optional[Callable],
-) -> dict[SweepKey, RunMetrics]:
-    setup.trace_library().warm_noon_segments()
-    results: dict[SweepKey, RunMetrics] = {}
-    for config_index, algorithm_value, overrides in tasks:
-        # Build-once: the sample_config memo hands every algorithm of one
-        # configuration the same frozen SampledConfig artifact.
-        sampled = sample_config(setup, config_index)
-        spec = build_spec_from_config(
-            setup, sampled, Algorithm(algorithm_value), **dict(overrides)
-        )
-        metrics = run_simulation(spec)
-        results[(config_index, algorithm_value)] = metrics
-        if progress is not None:
-            progress(config_index, Algorithm(algorithm_value), metrics)
-    return results
-
-
 def _run_parallel(
-    setup: ExperimentConfig,
-    tasks: Sequence[_Task],
+    fn: Callable[[Any], Any],
+    tasks: Sequence[Any],
     workers: int,
-    progress: Optional[Callable],
-    chunksize: Optional[int],
-) -> dict[SweepKey, RunMetrics]:
+    initializer: Optional[Callable[..., None]],
+    initargs: tuple,
+    chunksize: int,
+    on_result: Optional[Callable[[Any], None]],
+) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
-    if chunksize is None:
-        # A few chunks per worker balances dispatch overhead (tasks are
-        # ~100 ms..s each) against tail latency on uneven task lengths.
-        chunksize = max(1, len(tasks) // (workers * 4))
-        # Align chunks to whole configuration groups (the run length of
-        # the leading config index, e.g. 4 for a four-algorithm paired
-        # sweep): a worker that receives every algorithm of a
-        # configuration samples it once and reuses the artifact, instead
-        # of each worker resampling it for its slice of the group.
-        group = 1
-        first = tasks[0][0]
-        for task in tasks[1:]:
-            if task[0] != first:
-                break
-            group += 1
-        if group > 1:
-            chunksize = max(group, chunksize - chunksize % group)
-    results: dict[SweepKey, RunMetrics] = {}
+    results = []
     with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(setup,),
+        max_workers=min(workers, len(tasks)),
+        initializer=initializer,
+        initargs=initargs,
     ) as pool:
-        # ``map`` yields in submission order, so progress callbacks fire
-        # in exactly the serial order even though execution interleaves.
-        for key, metrics in pool.map(_run_task, tasks, chunksize=chunksize):
-            results[key] = metrics
-            if progress is not None:
-                progress(key[0], Algorithm(key[1]), metrics)
+        # ``map`` yields in submission order, so ``on_result`` fires in
+        # task order even though execution interleaves.
+        for result in pool.map(fn, tasks, chunksize=chunksize):
+            results.append(result)
+            if on_result is not None:
+                on_result(result)
     return results
+
+
+def _ordered_map(
+    fn: Callable[[Any], Any],
+    tasks: Sequence[Any],
+    workers: int,
+    *,
+    initializer: Optional[Callable[..., None]] = None,
+    initargs: tuple = (),
+    chunksize: int = 1,
+    on_result: Optional[Callable[[Any], None]] = None,
+) -> list:
+    """``[fn(task) for task in tasks]``, fanned out over a process pool.
+
+    With ``workers > 1`` and more than one task, the tasks run on a pool
+    whose workers each call ``initializer(*initargs)`` once; otherwise,
+    or when the platform cannot start a pool, they run in this process
+    after one ``initializer(*initargs)`` call.  Either way the results,
+    and the ``on_result`` calls made as each arrives, come in task order.
+    ``fn`` and ``initializer`` must be module-level functions so the
+    pool can pickle them.
+    """
+    if workers > 1 and len(tasks) > 1:
+        try:
+            return _run_parallel(
+                fn, tasks, workers, initializer, initargs, chunksize, on_result
+            )
+        except _POOL_UNAVAILABLE:
+            pass  # no process pool on this platform: degrade to serial
+    if initializer is not None:
+        initializer(*initargs)
+    results = []
+    for task in tasks:
+        result = fn(task)
+        results.append(result)
+        if on_result is not None:
+            on_result(result)
+    return results
+
+
+def _default_chunksize(tasks: Sequence[_Task], workers: int) -> int:
+    """Tasks per pool dispatch for a sweep, aligned to configuration groups.
+
+    A few chunks per worker balances dispatch overhead (tasks are
+    ~100 ms..s each) against tail latency on uneven task lengths.  Chunks
+    are then aligned to whole configuration groups (the run length of the
+    leading config index, e.g. 4 for a four-algorithm paired sweep): a
+    worker that receives every algorithm of a configuration samples it
+    once and reuses the artifact, instead of each worker resampling it
+    for its slice of the group.
+    """
+    chunksize = max(1, len(tasks) // (workers * 4))
+    group = 1
+    for task in tasks[1:]:
+        if task[0] != tasks[0][0]:
+            break
+        group += 1
+    if group > 1:
+        chunksize = max(group, chunksize - chunksize % group)
+    return chunksize
 
 
 def run_sweep(
@@ -255,11 +282,23 @@ def run_sweep(
     """
     normalized = _normalize_tasks(tasks, overrides)
     effective = resolve_workers(workers)
-    if effective > 1 and len(normalized) > 1:
-        try:
-            return _run_parallel(
-                setup, normalized, effective, progress, chunksize
-            )
-        except _POOL_UNAVAILABLE:
-            pass  # no process pool on this platform: degrade to serial
-    return _run_serial(setup, normalized, progress)
+    if chunksize is None and normalized:
+        chunksize = _default_chunksize(normalized, effective)
+    report = None
+    if progress is not None:
+
+        def report(result: tuple[SweepKey, RunMetrics]) -> None:
+            (config_index, algorithm_value), metrics = result
+            progress(config_index, Algorithm(algorithm_value), metrics)
+
+    return dict(
+        _ordered_map(
+            _run_task,
+            normalized,
+            effective,
+            initializer=_init_worker,
+            initargs=(setup,),
+            chunksize=chunksize or 1,
+            on_result=report,
+        )
+    )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,37 +45,6 @@ class AlgorithmSummary:
         self.completion_times.append(metrics.completion_time)
         self.interarrivals.append(metrics.mean_interarrival)
         self.relocations.append(metrics.relocations)
-
-    def merge(self, other: "AlgorithmSummary") -> "AlgorithmSummary":
-        """Append ``other``'s per-configuration results to this summary.
-
-        Shards must cover *disjoint, consecutive* configuration ranges and
-        be merged in configuration order — the paired-comparison semantics
-        of :func:`speedup_series` rely on position ``i`` meaning the same
-        configuration in every summary.  Returns ``self``.
-        """
-        if other.algorithm != self.algorithm:
-            raise ValueError(
-                f"cannot merge summary for {other.algorithm!r} into "
-                f"summary for {self.algorithm!r}"
-            )
-        self.completion_times.extend(other.completion_times)
-        self.interarrivals.extend(other.interarrivals)
-        self.relocations.extend(other.relocations)
-        return self
-
-    @classmethod
-    def from_parts(
-        cls, parts: Iterable["AlgorithmSummary"]
-    ) -> "AlgorithmSummary":
-        """Concatenate sweep shards (in configuration order) into one summary."""
-        parts = list(parts)
-        if not parts:
-            raise ValueError("from_parts needs at least one summary")
-        merged = cls(parts[0].algorithm)
-        for part in parts:
-            merged.merge(part)
-        return merged
 
     @property
     def mean_interarrival(self) -> float:

@@ -35,6 +35,10 @@ from repro.dataflow.tree import CombinationTree
 from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER
 
+#: Tokens the fair mode reserves for the worst-urgency query: it may dip
+#: this far below one token, every other query must leave it untouched.
+FAIRNESS_RESERVE = 0.5
+
 
 def canonical_link(a: str, b: str) -> "tuple[str, str]":
     """The order-independent key for a host pair."""
@@ -89,7 +93,7 @@ class FleetPolicy:
     ``mode`` selects the planner family: ``"coordinated"`` arbitrates
     relocations through the token buckets alone; ``"fair"`` additionally
     biases grants toward the query with the worst latency-to-SLO ratio
-    (the others must leave ``fairness_reserve`` tokens in every bucket
+    (the others must leave ``FAIRNESS_RESERVE`` tokens in every bucket
     they touch, while the worst-off query may dip into the reserve).
     """
 
@@ -99,8 +103,6 @@ class FleetPolicy:
     link_tokens: float = 2.0
     #: Seconds to regenerate one token.
     token_refill_seconds: float = 120.0
-    #: Tokens the fair mode reserves for the worst-urgency query.
-    fairness_reserve: float = 0.5
     #: Seed for deterministic tie-breaking between equal-urgency queries.
     seed: int = 0
 
@@ -113,8 +115,6 @@ class FleetPolicy:
             raise ValueError("link_tokens must be positive")
         if self.token_refill_seconds <= 0:
             raise ValueError("token_refill_seconds must be positive")
-        if self.fairness_reserve < 0:
-            raise ValueError("fairness_reserve must be non-negative")
 
     @property
     def fair(self) -> bool:
@@ -298,6 +298,14 @@ class FleetCoordinator:
         )
         return worst == query_id
 
+    def _need(self, query_id: str, now: float) -> float:
+        """Tokens each bucket a move of ``query_id`` touches must hold."""
+        if not self.policy.fair:
+            return 1.0
+        if self._is_worst_off(query_id, now):
+            return 1.0 - FAIRNESS_RESERVE
+        return 1.0 + FAIRNESS_RESERVE
+
     @staticmethod
     def moveset(current: Placement, proposed: Placement) -> "tuple[tuple[str, str, str], ...]":
         """The ``(node, old_host, new_host)`` moves a proposal implies."""
@@ -315,7 +323,7 @@ class FleetCoordinator:
 
         Each move charges one token from the state-transfer link's
         bucket and the destination host's bucket.  In fair mode the
-        worst-urgency query may dip ``fairness_reserve`` below one
+        worst-urgency query may dip ``FAIRNESS_RESERVE`` below one
         token; every other query must leave the reserve untouched.
         Identical back-to-back proposals by the same query (the global
         controller's dry run then final plan) reuse the first ruling
@@ -344,13 +352,8 @@ class FleetCoordinator:
             {link_key(old, new) for _, old, new in moves}
             | {new for _, _, new in moves}
         )
-        need = 1.0
         urgency = self._urgency(record, now) if record else 0.0
-        if self.policy.fair:
-            if self._is_worst_off(query_id, now):
-                need = 1.0 - self.policy.fairness_reserve
-            else:
-                need = 1.0 + self.policy.fairness_reserve
+        need = self._need(query_id, now)
 
         granted = self._rule(
             keys, len(moves), need, urgency, now, tracer, class_name
@@ -426,13 +429,8 @@ class FleetCoordinator:
         class_name = record.class_name if record else None
         tracer = record.tracer if record else NULL_TRACER
         keys = sorted({link_key(old_host, new_host), new_host})
-        need = 1.0
         urgency = self._urgency(record, now) if record else 0.0
-        if self.policy.fair:
-            if self._is_worst_off(query_id, now):
-                need = 1.0 - self.policy.fairness_reserve
-            else:
-                need = 1.0 + self.policy.fairness_reserve
+        need = self._need(query_id, now)
         return self._rule(keys, 1, need, urgency, now, tracer, class_name)
 
     def _note_rebalance(

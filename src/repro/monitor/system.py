@@ -38,8 +38,17 @@ from repro.obs.events import (
 )
 from repro.obs.tracer import ensure_tracer, query_tag
 
-#: 16 KB, the paper's passive-monitoring threshold and probe size.
-DEFAULT_S_THRES = 16 * 1024
+#: 16 KB, the paper's passive-monitoring threshold: a transfer at least
+#: this large yields a bandwidth measurement at both endpoints.
+S_THRES = 16 * 1024
+#: Probe message size, bytes (>= ``S_THRES`` so probes are observed).
+PROBE_SIZE = S_THRES
+#: Estimate used when a pair has never been measured, bytes/second.
+DEFAULT_ESTIMATE = 16 * 1024.0
+#: Seconds a probe waits for its delivery before giving up.  Only
+#: consulted when a fault plan is installed; unfaulted runs never time a
+#: probe out.
+PROBE_TIMEOUT = 60.0
 
 
 class FrozenView:
@@ -88,16 +97,10 @@ def frozen_estimator(
 class MonitoringConfig:
     """Knobs of the monitoring model (paper defaults)."""
 
-    #: Passive measurement threshold, bytes.
-    s_thres: float = DEFAULT_S_THRES
     #: Cache entry timeout, seconds.
     t_thres: float = 40.0
     #: Per-message piggyback budget, bytes (0 disables piggybacking).
     piggyback_budget: int = PIGGYBACK_BUDGET_BYTES
-    #: Probe message size, bytes (>= s_thres so probes are observed).
-    probe_size: float = DEFAULT_S_THRES
-    #: Estimate used when a pair has never been measured, bytes/second.
-    default_estimate: float = 16 * 1024.0
     #: EWMA weight for successive measurements of a pair (NWS-style
     #: forecasting; 1.0 keeps raw last measurements).
     smoothing: float = 1.0
@@ -105,15 +108,6 @@ class MonitoringConfig:
     #: raw cached measurements), or one of "adaptive", "ewma", "mean",
     #: "median" (see :mod:`repro.monitor.forecast`).
     forecast: Optional[str] = None
-    #: Back-to-back messages per active probe; the samples are averaged.
-    #: Multiple samples fight the winner's curse: the planner optimizes
-    #: over many links at once, so single noisy samples systematically
-    #: lure it toward over-estimated bandwidths.
-    probe_samples: int = 1
-    #: Seconds a probe sample waits for its delivery before giving up.
-    #: Only consulted when a fault plan is installed; unfaulted runs
-    #: never time a probe out.
-    probe_timeout: float = 60.0
 
 
 @dataclass
@@ -234,7 +228,7 @@ class MonitoringSystem:
 
     # -- passive path -----------------------------------------------------
     def _observe(self, obs: TransferObservation) -> None:
-        if obs.wire_bytes < self.config.s_thres:
+        if obs.wire_bytes < S_THRES:
             return
         now = obs.finished
         bandwidth = obs.measured_bandwidth
@@ -276,14 +270,14 @@ class MonitoringSystem:
         """``viewer``'s ``(bandwidth, quality, age)`` for a pair ``a != b``.
 
         The bandwidth is the pair's forecast, else the cached
-        measurement, else ``default_estimate``; the quality is "fresh"
+        measurement, else ``DEFAULT_ESTIMATE``; the quality is "fresh"
         within ``t_thres``, "stale" past it, "default" with no entry (age
         ``inf``).  A traced run records one ``monitor.estimate`` per
         reading.
         """
         entry = cache.lookup_any(a, b)
         if entry is None:
-            value, quality, age = self.config.default_estimate, "default", float("inf")
+            value, quality, age = DEFAULT_ESTIMATE, "default", float("inf")
         else:
             age = entry.age(now)
             quality = "stale" if age > cache.t_thres else "fresh"
@@ -348,18 +342,15 @@ class MonitoringSystem:
         workload query (the probe messages are stamped, so the network's
         per-query accounting and the trace tags follow automatically).
 
-        Sends ``probe_samples`` back-to-back messages of ``probe_size``
-        bytes from ``a`` to ``b``; each exceeds ``s_thres`` so the passive
-        path records it at both endpoints.  The samples are averaged and
-        the average overwrites the cache entries at both endpoints —
-        a single short sample is too noisy to hand to a planner that
-        optimizes over every link at once.  Returns the averaged
-        bandwidth (bytes/s).
+        Sends one ``PROBE_SIZE`` message from ``a`` to ``b``; it exceeds
+        ``S_THRES``, so the passive path records it at both endpoints, and
+        the measurement then overwrites the cache entries at both
+        endpoints.  Returns the measured bandwidth (bytes/s).
 
-        With a fault plan installed, each sample is bounded by
-        ``config.probe_timeout`` (timed-out, blacked-out or abandoned
-        samples count as :attr:`MonitoringStats.probe_timeouts`), and the
-        method returns None when *no* sample survived — callers must then
+        With a fault plan installed, the probe is bounded by
+        ``PROBE_TIMEOUT`` (a timed-out, blacked-out or abandoned probe
+        counts as :attr:`MonitoringStats.probe_timeouts`), and the method
+        returns None when the probe did not arrive — callers must then
         keep their last-known-good estimates instead of caching a guess.
 
         The throwaway ``_monitor@<host>`` endpoints are unregistered (and
@@ -374,64 +365,58 @@ class MonitoringSystem:
         self.network.register_actor(probe_actor, a)
         self.network.register_actor(target_actor, b)
         try:
-            samples: list[float] = []
-            for _ in range(max(self.config.probe_samples, 1)):
-                now = self.network.env.now
-                if self.faults is not None and self.faults.probe_blackout(now):
-                    self.stats_for(query_id).probe_timeouts += 1
-                    if self._tracer.enabled:
-                        self._tracer.emit(
-                            MONITOR_PROBE_TIMEOUT,
-                            now,
-                            a=a,
-                            b=b,
-                            reason="blackout",
-                            **query_tag(query_id),
-                        )
-                    yield self.network.env.timeout(self.config.probe_timeout)
-                    continue
-                message = Message(
-                    kind=MessageKind.CONTROL,
-                    src_actor=probe_actor,
-                    dst_actor=target_actor,
-                    size=self.config.probe_size,
-                    payload={"probe": True},
-                    query_id=query_id,
-                )
-                row = self.stats_for(query_id)
-                row.probes_sent += 1
-                row.probe_bytes += message.wire_size
+            now = self.network.env.now
+            if self.faults is not None and self.faults.probe_blackout(now):
+                self.stats_for(query_id).probe_timeouts += 1
                 if self._tracer.enabled:
                     self._tracer.emit(
-                        MONITOR_PROBE,
+                        MONITOR_PROBE_TIMEOUT,
                         now,
                         a=a,
                         b=b,
-                        bytes=message.wire_size,
+                        reason="blackout",
                         **query_tag(query_id),
                     )
-                delivery = self.network.send(message, src_host=a, dst_host=b)
-                if self.faults is None:
-                    yield delivery
-                else:
-                    arrived = yield from self._await_probe(
-                        delivery, a, b, target_actor, query_id
-                    )
-                    if not arrived:
-                        continue
-                # Drain the probe from the target mailbox so it cannot pile up.
-                self.network.hosts[b].remove_mailbox(target_actor)
-                entry = self.cache_for(a).lookup_any(a, b)
-                if entry is not None:
-                    samples.append(entry.bandwidth)
-            if not samples:
-                if self.faults is not None:
+                yield self.network.env.timeout(PROBE_TIMEOUT)
+                return None
+            message = Message(
+                kind=MessageKind.CONTROL,
+                src_actor=probe_actor,
+                dst_actor=target_actor,
+                size=PROBE_SIZE,
+                payload={"probe": True},
+                query_id=query_id,
+            )
+            row = self.stats_for(query_id)
+            row.probes_sent += 1
+            row.probe_bytes += message.wire_size
+            if self._tracer.enabled:
+                self._tracer.emit(
+                    MONITOR_PROBE,
+                    now,
+                    a=a,
+                    b=b,
+                    bytes=message.wire_size,
+                    **query_tag(query_id),
+                )
+            delivery = self.network.send(message, src_host=a, dst_host=b)
+            if self.faults is None:
+                yield delivery
+            else:
+                arrived = yield from self._await_probe(
+                    delivery, a, b, target_actor, query_id
+                )
+                if not arrived:
                     return None
-                return self.config.default_estimate
-            bandwidth = sum(samples) / len(samples)
+            # Drain the probe from the target mailbox so it cannot pile up.
+            self.network.hosts[b].remove_mailbox(target_actor)
+            entry = self.cache_for(a).lookup_any(a, b)
+            if entry is None:
+                return None if self.faults is not None else DEFAULT_ESTIMATE
+            bandwidth = entry.bandwidth
             now = self.network.env.now
             for host in (a, b):
-                # Overwrite (not EWMA) with the multi-sample average.
+                # Overwrite (not EWMA) with the probe's measurement.
                 self.cache_for(host).force_set(a, b, bandwidth, now)
             if self._tracer.enabled:
                 self._tracer.emit(
@@ -440,7 +425,7 @@ class MonitoringSystem:
                     a=a,
                     b=b,
                     bandwidth=bandwidth,
-                    samples=len(samples),
+                    samples=1,
                     **query_tag(query_id),
                 )
             return bandwidth
@@ -457,7 +442,7 @@ class MonitoringSystem:
         target_actor: str,
         query_id: Optional[str] = None,
     ):
-        """Wait for one probe delivery, bounded by ``config.probe_timeout``.
+        """Wait for one probe delivery, bounded by ``PROBE_TIMEOUT``.
 
         Returns True if the probe arrived in time.  On timeout the
         in-flight transfer keeps retrying in the background (its late
@@ -465,7 +450,7 @@ class MonitoringSystem:
         failure is absorbed here.
         """
         env = self.network.env
-        timeout = env.timeout(self.config.probe_timeout)
+        timeout = env.timeout(PROBE_TIMEOUT)
         try:
             yield env.any_of([delivery, timeout])
         except TransferAbandoned:

@@ -6,7 +6,7 @@ from heapq import heappop, heappush
 
 from repro.net.message import Message
 from repro.sim import Environment, Resource
-from repro.sim.stores import StoreGet
+from repro.sim.events import StoreGet
 
 
 class Mailbox:
@@ -40,7 +40,7 @@ class Mailbox:
 
     def get(self) -> StoreGet:
         """Event whose value is the next message (in priority order)."""
-        event = StoreGet(self)  # type: ignore[arg-type]
+        event = StoreGet(self.env)
         if self._heap:
             event.succeed(heappop(self._heap)[2])
         else:

@@ -12,7 +12,7 @@ import typing
 from heapq import heappop, heappush
 from typing import Any, Generator, Optional
 
-from repro.sim.errors import EventFailed, Interrupt, SimulationError, StopSimulation
+from repro.sim.errors import EventFailed, SimulationError, StopSimulation
 from repro.sim.events import (
     NORMAL,
     PENDING,
@@ -40,7 +40,6 @@ class Environment:
         "_now",
         "_queue",
         "_eid",
-        "_active_process",
         "trace_hook",
         "events_processed",
     )
@@ -49,7 +48,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
-        self._active_process: Optional["Process"] = None
         #: Calendar events processed over the environment's lifetime.
         #: The callback transfer paths exist to shrink this number; the
         #: counter is what benchmarks and metrics report it from.
@@ -64,11 +62,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional["Process"]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     def schedule(
         self, event: Event, priority: int = NORMAL, delay: float = 0.0
@@ -242,7 +235,7 @@ class Process(Event):
     value — so processes can wait for one another.
     """
 
-    __slots__ = ("_generator", "name", "_target")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self, env: Environment, generator: ProcessGenerator, name: str = ""
@@ -252,9 +245,6 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process is currently waiting on (None if runnable
-        #: or finished).
-        self._target: Optional[Event] = None
         init = Event(env)
         init._ok = True
         init._value = None
@@ -266,51 +256,12 @@ class Process(Event):
         """True while the wrapped generator has not exited."""
         return self._value is PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event the process is waiting for (None when runnable)."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process.
-
-        The process stops waiting on its current target (the target event is
-        *not* cancelled — it may fire later and is then ignored) and resumes
-        with the exception.  Interrupting a finished process is an error;
-        interrupting itself is not allowed.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise SimulationError("a process is not allowed to interrupt itself")
-
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event.defused = True
-        interrupt_event.callbacks.append(self._resume)  # type: ignore[union-attr]
-        self.env.schedule(interrupt_event, priority=URGENT)
-
     def _resume(self, event: Event) -> None:
-        """Advance the generator with the fired event."""
-        if not self.is_alive:
-            # A stale target fired after the process already terminated
-            # (e.g. it was interrupted away from the target and then exited).
-            return
-        if self._target is not None and event is not self._target:
-            # An interrupt arrived while we waited on _target: detach.
-            if isinstance(event._value, Interrupt):
-                if self._target.callbacks is not None:
-                    try:
-                        self._target.callbacks.remove(self._resume)
-                    except ValueError:
-                        pass
-            else:
-                # A stale event (left over after an interrupt) fired: ignore.
-                return
+        """Advance the generator with the fired event, then wait again.
 
-        self.env._active_process = self
-        self._target = None
+        A process waits on exactly one event at a time, so it is resumed
+        exactly once per yield and never after its generator returned.
+        """
         try:
             if event._ok:
                 next_event = self._generator.send(event._value)
@@ -320,14 +271,11 @@ class Process(Event):
                     typing.cast(BaseException, event._value)
                 )
         except StopIteration as stop:
-            self.env._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.env._active_process = None
             self.fail(exc)
             return
-        self.env._active_process = None
 
         if not isinstance(next_event, Event):
             raise SimulationError(
@@ -345,11 +293,9 @@ class Process(Event):
             resume._value = next_event._value
             if not resume._ok:
                 resume.defused = True
-            self._target = resume
             resume.callbacks.append(self._resume)  # type: ignore[union-attr]
             self.env.schedule(resume, priority=URGENT)
         else:
-            self._target = next_event
             next_event.callbacks.append(self._resume)
 
     def __repr__(self) -> str:

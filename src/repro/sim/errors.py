@@ -20,22 +20,6 @@ class StopSimulation(Exception):
         self.value = value
 
 
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The interrupting party supplies ``cause``, an arbitrary object that the
-    interrupted process can inspect to decide how to react.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> object:
-        """The object passed to :meth:`Process.interrupt`."""
-        return self.args[0]
-
-
 class EventFailed(SimulationError):
     """An event failed and nobody handled the failure.
 

@@ -159,50 +159,14 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay!r}>"
 
 
-class ConditionValue:
-    """Ordered mapping of event -> value for fired condition sub-events."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, events: Iterable[Event]) -> None:
-        self.events = list(events)
-
-    def __getitem__(self, event: Event) -> Any:
-        if event not in self.events:
-            raise KeyError(repr(event))
-        return event._value
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self.events
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def todict(self) -> dict[Event, Any]:
-        """Return a plain ``{event: value}`` dict."""
-        return {event: event._value for event in self.events}
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-
 class Condition(Event):
     """Composite event over a set of sub-events.
 
     ``evaluate`` receives the list of sub-events and the count of those that
     have fired so far and returns True when the condition is satisfied.  Use
     the :class:`AllOf` / :class:`AnyOf` conveniences rather than this class
-    directly.
+    directly.  The condition's value is None: a waiter that needs a
+    sub-event's value reads it from that event.
     """
 
     __slots__ = ("_evaluate", "_events", "_count")
@@ -223,7 +187,7 @@ class Condition(Event):
                 raise ValueError("all events must belong to the same environment")
 
         if self._evaluate(self._events, 0):
-            self.succeed(ConditionValue([]))
+            self.succeed()
             return
 
         for event in self._events:
@@ -240,7 +204,17 @@ class Condition(Event):
             event.defused = True
             self.fail(typing.cast(BaseException, event._value))
         elif self._evaluate(self._events, self._count):
-            self.succeed(ConditionValue(e for e in self._events if e.triggered))
+            self.succeed()
+
+
+class StoreGet(Event):
+    """A message-queue get: fires with the retrieved item as its value.
+
+    :class:`repro.net.host.Mailbox` hands these out; the traced kernel
+    counts them under ``sim.events.StoreGet``.
+    """
+
+    __slots__ = ()
 
 
 class AllOf(Condition):

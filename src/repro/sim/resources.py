@@ -1,24 +1,22 @@
-"""Contended resources with FIFO or priority queueing.
+"""Contended facilities with a FIFO queue.
 
-A :class:`Resource` models a facility with a fixed number of slots (the
-paper's single network interface per host is ``Resource(env, capacity=1)``).
-Processes obtain a slot with ``request()`` — an event that fires when the
-slot is granted — and free it with ``release(request)``.  Requests support
-the context-manager protocol::
+A :class:`Resource` models a facility with a fixed number of slots served
+in arrival order (CSIM's FIFO ``facility``); each host's disk and CPU is a
+``Resource(env, capacity=1)``.  Processes obtain a slot with ``request()``
+— an event that fires when the slot is granted — and free it with
+``release(request)``.  Requests support the context-manager protocol::
 
-    with host.nic.request() as req:
+    with host.disk.request() as req:
         yield req
         ...  # slot held
     # slot released
 
-:class:`PriorityResource` grants queued requests in priority order (lower
-value = more important); the paper uses this to give barrier messages
-priority over bulk data transfers.
+An uncontended holder can skip the request event with
+:meth:`Resource.try_acquire`.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Optional
 
 from repro.sim.errors import SimulationError
@@ -114,79 +112,16 @@ class Resource:
             self._trigger()
         else:
             try:
-                self._remove_queued(request)
+                self._queue.remove(request)
             except ValueError:
                 pass  # released twice / never queued: harmless no-op
 
     # -- internals ----------------------------------------------------------
-    def _remove_queued(self, request: Request) -> None:
-        self._queue.remove(request)
-
-    def _pop_next(self) -> Optional[Request]:
-        return self._queue.pop(0) if self._queue else None
-
     def _trigger(self) -> None:
-        while len(self._users) < self._capacity:
-            req = self._pop_next()
-            if req is None:
-                return
+        while self._queue and len(self._users) < self._capacity:
+            req = self._queue.pop(0)
             if req.triggered:
                 raise SimulationError("queued request already triggered")
             req.granted = True
             self._users.append(req)
             req.succeed()
-
-
-class PriorityRequest(Request):
-    """A resource claim with a priority (lower value = served first)."""
-
-    __slots__ = ("priority", "sequence", "withdrawn")
-
-    def __init__(self, resource: "PriorityResource", priority: int) -> None:
-        super().__init__(resource)
-        self.priority = priority
-        #: Sequence number for FIFO order among equal priorities.
-        self.sequence = resource._next_sequence()
-        self.withdrawn = False
-
-    @property
-    def key(self) -> tuple[int, int]:
-        """Heap ordering key."""
-        return (self.priority, self.sequence)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose queue is served in priority order."""
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._heap: list[tuple[tuple[int, int], PriorityRequest]] = []
-        self._sequence = 0
-
-    def _next_sequence(self) -> int:
-        self._sequence += 1
-        return self._sequence
-
-    @property
-    def queue_length(self) -> int:
-        return sum(1 for _, req in self._heap if not req.withdrawn)
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        """Claim a slot with the given ``priority`` (lower = sooner)."""
-        req = PriorityRequest(self, priority)
-        heappush(self._heap, (req.key, req))
-        self._trigger()
-        return req
-
-    def _remove_queued(self, request: Request) -> None:
-        assert isinstance(request, PriorityRequest)
-        if request.withdrawn:
-            raise ValueError("already withdrawn")
-        request.withdrawn = True  # lazily dropped by _pop_next
-
-    def _pop_next(self) -> Optional[Request]:
-        while self._heap:
-            _, req = heappop(self._heap)
-            if not req.withdrawn:
-                return req
-        return None

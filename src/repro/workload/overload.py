@@ -23,7 +23,7 @@ deterministic protection pipeline, applied in arrival order:
    deadline abort involves a host that is down (per the fault
    injector); at ``breaker_threshold`` the breaker opens for
    ``breaker_cooldown`` seconds and new queries touching that host are
-   planned with ``degraded_algorithm`` (the planner fallback order's
+   planned with ``DEGRADED_ALGORITHM`` (the planner fallback order's
    terminal state) instead of retrying into a dead host.
 
 Every transition emits an obs event (``query.shed``, ``query.queued``,
@@ -63,6 +63,10 @@ from repro.obs.tracer import ScopedTracer
 #: attempt) — disjoint from every other seeded stream in the workload.
 _SHED_SALT = 7919
 
+#: Plan used for queries touching a broken host (the planner fallback
+#: order's terminal state).
+DEGRADED_ALGORITHM = Algorithm.DOWNLOAD_ALL
+
 
 @dataclass(frozen=True)
 class OverloadPolicy:
@@ -89,14 +93,8 @@ class OverloadPolicy:
     breaker_threshold: Optional[int] = None
     #: Seconds an open breaker stays open before closing again.
     breaker_cooldown: float = 600.0
-    #: Plan used for queries touching a broken host (the planner
-    #: fallback order's terminal state).
-    degraded_algorithm: Algorithm = Algorithm.DOWNLOAD_ALL
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "degraded_algorithm", Algorithm(self.degraded_algorithm)
-        )
         if self.max_concurrent is not None and self.max_concurrent < 1:
             raise ValueError(
                 f"max_concurrent must be >= 1, got {self.max_concurrent!r}"
@@ -465,14 +463,12 @@ class OverloadController:
         open_hosts = self._open_hosts()
         if (
             open_hosts
-            and scheduled.spec.algorithm is not self.policy.degraded_algorithm
+            and scheduled.spec.algorithm is not DEGRADED_ALGORITHM
             and open_hosts.intersection(scheduled.spec.server_hosts)
         ):
             scheduled = replace(
                 scheduled,
-                spec=replace(
-                    scheduled.spec, algorithm=self.policy.degraded_algorithm
-                ),
+                spec=replace(scheduled.spec, algorithm=DEGRADED_ALGORITHM),
                 degraded=True,
             )
             sub.scheduled = scheduled

@@ -1,11 +1,10 @@
 """Parallel execution of workload batches and sharded fleets.
 
-Mirrors :mod:`repro.experiments.parallel`: a batch of named
-:class:`~repro.workload.spec.WorkloadSpec` tasks fans out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` with bit-identical
-results to the serial loop — every workload is a pure function of its
-spec, results are re-assembled in task order, and platforms without
-process pools silently degrade to the serial path.
+A batch of named :class:`~repro.workload.spec.WorkloadSpec` tasks fans
+out through :mod:`repro.experiments.parallel`'s process-pool map with
+bit-identical results to the serial loop — every workload is a pure
+function of its spec, results come back in task order, and platforms
+without process pools silently degrade to the serial path.
 
 Beyond per-task parallelism, one *fleet* can itself be sharded across
 processes by client hash (:func:`shard_clients` /
@@ -30,7 +29,7 @@ import zlib
 from dataclasses import replace
 from typing import Any, Callable, Optional, Sequence
 
-from repro.experiments.parallel import _POOL_UNAVAILABLE, resolve_workers
+from repro.experiments.parallel import _ordered_map, resolve_workers
 from repro.workload.engine import WorkloadResult, run_workload
 from repro.workload.sink import MetricsSink, merge_sinks
 from repro.workload.spec import WorkloadSpec
@@ -70,11 +69,10 @@ def shard_clients(spec: WorkloadSpec, num_shards: int) -> list[WorkloadSpec]:
     ]
 
 
-def _run_shard(task: tuple[int, WorkloadSpec]) -> tuple[int, float, MetricsSink]:
+def _run_shard(spec: WorkloadSpec) -> tuple[float, MetricsSink]:
     """Worker body: run one shard, return its mergeable sink."""
-    index, spec = task
     result = run_workload(spec)
-    return index, result.elapsed, result.metrics
+    return result.elapsed, result.metrics
 
 
 def run_workload_sharded(
@@ -102,24 +100,9 @@ def run_workload_sharded(
             fleet=sink.summary(0.0, scheduled=0),
             metrics=sink,
         )
-    tasks = list(enumerate(shard_specs))
-    effective = resolve_workers(workers)
-    outputs: Optional[list[tuple[int, float, MetricsSink]]] = None
-    if effective > 1 and len(tasks) > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(
-                max_workers=min(effective, len(tasks))
-            ) as pool:
-                outputs = list(pool.map(_run_shard, tasks, chunksize=1))
-        except _POOL_UNAVAILABLE:
-            outputs = None  # degrade to serial below
-    if outputs is None:
-        outputs = [_run_shard(task) for task in tasks]
-    outputs.sort(key=lambda item: item[0])
-    elapsed = max(item[1] for item in outputs)
-    sink = merge_sinks([item[2] for item in outputs])
+    outputs = _ordered_map(_run_shard, shard_specs, resolve_workers(workers))
+    elapsed = max(shard_elapsed for shard_elapsed, _ in outputs)
+    sink = merge_sinks([shard_sink for _, shard_sink in outputs])
     scheduled = sum(s.total_queries for s in shard_specs)
     return WorkloadResult(
         spec=spec,
@@ -186,34 +169,9 @@ def run_workload_sweep(
             if progress is not None:
                 progress(name, fleet)
         return results
-    effective = resolve_workers(workers)
-    if effective > 1 and len(normalized) > 1:
-        try:
-            return _run_parallel(normalized, effective, progress)
-        except _POOL_UNAVAILABLE:
-            pass  # no process pool on this platform: degrade to serial
-    results = {}
-    for task in normalized:
-        name, fleet = _run_task(task)
-        results[name] = fleet
-        if progress is not None:
-            progress(name, fleet)
-    return results
-
-
-def _run_parallel(
-    tasks: Sequence[WorkloadTask],
-    workers: int,
-    progress: Optional[Callable[[str, dict], None]],
-) -> dict[str, dict[str, Any]]:
-    from concurrent.futures import ProcessPoolExecutor
-
-    results: dict[str, dict[str, Any]] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # ``map`` yields in submission order: progress fires in task
-        # order even though execution interleaves.
-        for name, fleet in pool.map(_run_task, tasks, chunksize=1):
-            results[name] = fleet
-            if progress is not None:
-                progress(name, fleet)
-    return results
+    report = None if progress is None else (lambda result: progress(*result))
+    return dict(
+        _ordered_map(
+            _run_task, normalized, resolve_workers(workers), on_result=report
+        )
+    )

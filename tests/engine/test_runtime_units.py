@@ -131,7 +131,7 @@ class TestRemoteProbe:
         env.process(prober(env))
         env.run(until=60.0)
         assert results and results[0] > 0
-        # Direct probe: exactly probe_samples messages.
+        # Direct probe: exactly one message.
         assert runtime.monitoring.stats_for(None).probes_sent == 1
 
     def test_third_party_probe_updates_requester_cache(self):

@@ -93,7 +93,7 @@ class TestRunSweep:
 
 
 class TestDeterminism:
-    ALGOS = [Algorithm.DOWNLOAD_ALL, Algorithm.GLOBAL]
+    ALGOS = list(Algorithm)
 
     def test_parallel_bit_identical_to_serial(self, small_setup):
         serial = compare_algorithms(small_setup, self.ALGOS, 4, workers=1)
@@ -199,46 +199,16 @@ class TestSummaryMerge:
         s.relocations = [int(c) for c in completions]
         return s
 
-    def test_merge_concatenates_in_order(self):
-        a = self._summary("global", [1.0, 2.0])
-        b = self._summary("global", [3.0])
-        merged = a.merge(b)
-        assert merged is a
-        assert a.completion_times == [1.0, 2.0, 3.0]
-        assert a.interarrivals == [0.1, 0.2, 0.3]
-        assert a.relocations == [1, 2, 3]
-
-    def test_merge_rejects_other_algorithm(self):
-        with pytest.raises(ValueError, match="cannot merge"):
-            self._summary("global", [1.0]).merge(self._summary("local", [1.0]))
-
-    def test_from_parts(self):
-        parts = [
-            self._summary("local", [1.0, 2.0]),
-            self._summary("local", [3.0, 4.0]),
-        ]
-        merged = AlgorithmSummary.from_parts(parts)
-        assert merged.completion_times == [1.0, 2.0, 3.0, 4.0]
-        # Parts are untouched.
-        assert parts[0].completion_times == [1.0, 2.0]
-
-    def test_from_parts_empty(self):
-        with pytest.raises(ValueError):
-            AlgorithmSummary.from_parts([])
-
     def test_sharded_sweep_equals_whole_sweep(self, small_setup):
-        """Two 2-config shards merge into exactly the 4-config summary."""
+        """Two 2-config shards, added in order, equal the 4-config summary."""
         whole = compare_algorithms(small_setup, [Algorithm.ONE_SHOT], 4)
-        shard_summaries = []
+        merged = AlgorithmSummary(Algorithm.ONE_SHOT.value)
         for indices in ((0, 1), (2, 3)):
-            shard = AlgorithmSummary(Algorithm.ONE_SHOT.value)
             results = run_sweep(
                 small_setup, [(i, Algorithm.ONE_SHOT) for i in indices]
             )
             for i in indices:
-                shard.add(results[(i, Algorithm.ONE_SHOT.value)])
-            shard_summaries.append(shard)
-        merged = AlgorithmSummary.from_parts(shard_summaries)
+                merged.add(results[(i, Algorithm.ONE_SHOT.value)])
         assert merged.completion_times == whole["one-shot"].completion_times
         assert merged.interarrivals == whole["one-shot"].interarrivals
         assert merged.relocations == whole["one-shot"].relocations

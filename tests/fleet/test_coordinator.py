@@ -97,7 +97,6 @@ class TestPolicy:
             dict(mode="greedy"),
             dict(link_tokens=0.0),
             dict(token_refill_seconds=0.0),
-            dict(fairness_reserve=-1.0),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -369,7 +368,6 @@ class TestFairMode:
                 mode="fair",
                 link_tokens=1.0,
                 token_refill_seconds=100.0,
-                fairness_reserve=0.5,
             ),
             clock=clock,
         )

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.monitor.system import (
+    DEFAULT_ESTIMATE,
     FrozenView,
     MonitoringConfig,
     MonitoringSystem,
@@ -58,7 +59,7 @@ def rule(monitoring, viewer, a, b, now):
     if stale is not None:
         value = forecast if forecast is not None else stale.bandwidth
         return value, stale.age(now), "stale"
-    return monitoring.config.default_estimate, math.inf, "default"
+    return DEFAULT_ESTIMATE, math.inf, "default"
 
 
 def read_back(view, hosts):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.monitor.system import MonitoringConfig, MonitoringSystem
+from repro.monitor.system import DEFAULT_ESTIMATE, MonitoringConfig, MonitoringSystem
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.message import Message, MessageKind
@@ -82,7 +82,7 @@ class TestEstimates:
         __, monitoring = build(env)
         estimate = monitoring.estimate("a", "b", "c", 0.0)
         assert estimate.quality == "default"
-        assert estimate.bandwidth == monitoring.config.default_estimate
+        assert estimate.bandwidth == DEFAULT_ESTIMATE
 
     def test_same_host_is_infinite(self, env):
         __, monitoring = build(env)
@@ -134,7 +134,7 @@ class TestProbe:
 
         env.process(prober(env))
         env.run()
-        assert monitoring.stats_for(None).probes_sent == monitoring.config.probe_samples
+        assert monitoring.stats_for(None).probes_sent == 1
         assert monitoring.estimate("a", "a", "b", env.now).quality == "fresh"
         assert monitoring.estimate("b", "a", "b", env.now).quality == "fresh"
 
@@ -160,24 +160,3 @@ class TestProbe:
             assert not any(
                 name.startswith("_monitor@") for name in host._mailboxes
             )
-
-    def test_multi_sample_probe_averages(self, env):
-        net = Network(env)
-        for name in ("a", "b"):
-            net.add_host(Host(env, name))
-        # Rate changes between the two samples.
-        wire = 16 * 1024 + 256
-        trace = BandwidthTrace([0.0, wire / 1000.0], [1000.0, 3000.0])
-        net.add_link(Link("a", "b", trace, startup_cost=0.0))
-        config = MonitoringConfig(probe_samples=2, smoothing=1.0)
-        monitoring = MonitoringSystem(net, config)
-        results = []
-
-        def prober(env):
-            bandwidth = yield from monitoring.probe("a", "b")
-            results.append(bandwidth)
-
-        env.process(prober(env))
-        env.run()
-        assert results[0] == pytest.approx(2000.0)
-        assert monitoring.stats_for(None).probes_sent == 2

@@ -2,13 +2,13 @@
 
 :class:`repro.net.host.Mailbox` hands a delivery straight to a waiting
 getter and schedules nothing when none waits; the reference
-(:func:`tests.oracles.store_mailbox.store_mailbox`) goes through the
-generic ``PriorityStore``, whose every put succeeds a ``StorePut`` event
-with no callbacks.  Dropping a no-callback event keeps the relative
-order of every other calendar entry, so getters must receive the same
-messages and resume in the same order, whole runs must agree on every
-metric, arrival time and obs record, and the kernel event counts must
-differ by exactly one per delivery.
+(:func:`tests.oracles.store_mailbox.store_mailbox`) behaves like the
+generic priority store it replaced, whose every put succeeds a
+``StorePut`` event with no callbacks.  Dropping a no-callback event
+keeps the relative order of every other calendar entry, so getters must
+receive the same messages and resume in the same order, whole runs must
+agree on every metric, arrival time and obs record, and the kernel
+event counts must differ by exactly one per delivery.
 """
 
 import hashlib
@@ -27,8 +27,7 @@ from repro.net.host import Mailbox
 from repro.net.message import Message, MessageKind
 from repro.obs import Tracer
 from repro.sim import Environment
-from repro.sim.stores import StorePut
-from tests.oracles.store_mailbox import StoreMailbox, store_mailbox
+from tests.oracles.store_mailbox import StoreMailbox, StorePut, store_mailbox
 
 SETUP = ExperimentConfig(num_servers=4, images_per_server=12)
 

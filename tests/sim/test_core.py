@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 from repro.sim.errors import EventFailed, SimulationError
 
 
@@ -163,18 +163,6 @@ class TestProcess:
         env.run()
         assert got == [(3.0, "early")]
 
-    def test_active_process_visible_during_execution(self, env):
-        seen = []
-
-        def proc(env):
-            seen.append(env.active_process)
-            yield env.timeout(1)
-
-        p = env.process(proc(env))
-        env.run()
-        assert seen == [p]
-        assert env.active_process is None
-
     def test_processes_can_chain(self, env):
         def grandchild(env):
             yield env.timeout(2)
@@ -192,93 +180,6 @@ class TestProcess:
         p = env.process(parent(env))
         assert env.run(until=p) == 4
         assert env.now == 3
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, env):
-        causes = []
-
-        def victim(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt as i:
-                causes.append(i.cause)
-
-        def attacker(env, target):
-            yield env.timeout(5)
-            target.interrupt("reason")
-
-        v = env.process(victim(env))
-        env.process(attacker(env, v))
-        env.run()
-        assert causes == ["reason"]
-        assert env.now >= 5
-
-    def test_interrupted_process_can_continue(self, env):
-        trace = []
-
-        def victim(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                trace.append(("interrupted", env.now))
-            yield env.timeout(10)
-            trace.append(("done", env.now))
-
-        def attacker(env, target):
-            yield env.timeout(2)
-            target.interrupt()
-
-        v = env.process(victim(env))
-        env.process(attacker(env, v))
-        env.run()
-        assert trace == [("interrupted", 2.0), ("done", 12.0)]
-
-    def test_interrupt_dead_process_raises(self, env):
-        def victim(env):
-            yield env.timeout(1)
-
-        v = env.process(victim(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            v.interrupt()
-
-    def test_self_interrupt_rejected(self, env):
-        failures = []
-
-        def proc(env):
-            try:
-                env.active_process.interrupt()
-            except SimulationError:
-                failures.append(True)
-            yield env.timeout(1)
-
-        env.process(proc(env))
-        env.run()
-        assert failures == [True]
-
-    def test_stale_target_after_interrupt_is_ignored(self, env):
-        # The victim is interrupted away from a timeout; when the timeout
-        # later fires it must not resume the victim a second time.
-        log = []
-
-        def victim(env):
-            try:
-                yield env.timeout(10)
-                log.append("timeout-completed")
-            except Interrupt:
-                log.append("interrupted")
-            yield env.timeout(100)
-            log.append("second-wait-done")
-
-        def attacker(env, target):
-            yield env.timeout(1)
-            target.interrupt()
-
-        v = env.process(victim(env))
-        env.process(attacker(env, v))
-        env.run()
-        assert log == ["interrupted", "second-wait-done"]
 
 
 def iter_timeout(env, delay):

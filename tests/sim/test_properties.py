@@ -3,8 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, PriorityResource, Resource, Store
-from repro.sim.stores import PriorityItem, PriorityStore
+from repro.net.host import Mailbox
+from repro.net.message import Message, MessageKind
+from repro.sim import Environment, Process, Resource
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=30))
@@ -50,93 +51,103 @@ def test_resource_never_exceeds_capacity(capacity, holds):
     assert max(concurrency) <= capacity
 
 
-@given(
-    priorities=st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=20)
+# -- random process programs over every kept primitive ------------------------
+
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("timeout"), st.floats(min_value=0, max_value=5)),
+        st.tuples(st.just("again"), st.just(0.0)),
+        st.tuples(st.just("all_of"), st.floats(min_value=0, max_value=5)),
+        st.tuples(st.just("any_of"), st.floats(min_value=0, max_value=5)),
+        st.tuples(st.just("hold"), st.floats(min_value=0, max_value=5)),
+        st.tuples(st.just("grab"), st.floats(min_value=0, max_value=5)),
+        st.tuples(st.just("get"), st.just(0.0)),
+        st.tuples(st.just("deliver"), st.integers(min_value=-1, max_value=3)),
+    ),
+    max_size=8,
 )
-@settings(max_examples=50, deadline=None)
-def test_priority_resource_serves_waiting_queue_in_priority_order(priorities):
-    env = Environment()
-    resource = PriorityResource(env, capacity=1)
-    served = []
 
-    def holder(env):
-        with resource.request(priority=-1) as req:
-            yield req
-            yield env.timeout(1)  # everyone else queues behind this
 
-    def user(env, priority, index):
-        with resource.request(priority=priority) as req:
-            yield req
-            served.append((priority, index))
-            yield env.timeout(0.01)
+class _LoggedProcess(Process):
+    """A process that logs ``(process, now)`` whenever the kernel resumes it."""
 
-    env.process(holder(env))
-    for index, priority in enumerate(priorities):
-        env.process(user(env, priority, index))
-    env.run()
-    # Served order must be sorted by (priority, arrival index).
-    assert served == sorted(served)
+    def __init__(self, env, generator, log):
+        self.log = log
+        super().__init__(env, generator)
+
+    def _resume(self, event):
+        assert self.is_alive, f"{self!r} resumed after it returned"
+        self.log.append((self, self.env.now))
+        super()._resume(event)
+
+
+def _message(priority=0):
+    return Message(MessageKind.DATA, "src", "dst", 1, priority=priority)
+
+
+def _program(env, resource, mailbox, steps, yielded, occupancy):
+    """Run ``steps``, appending every event yielded to ``yielded``."""
+
+    def wait(event):
+        yielded.append(event)
+        return event
+
+    for op, arg in steps:
+        # The last event yielded has been processed by the time we run.
+        last = yielded[-1:]
+        if op == "timeout":
+            yield wait(env.timeout(arg))
+        elif op == "again":
+            yield wait(last[0] if last else env.timeout(0))
+        elif op in ("all_of", "any_of"):
+            events = [env.timeout(arg), env.timeout(arg / 2), *last]
+            yield wait(env.all_of(events) if op == "all_of" else env.any_of(events))
+        elif op in ("hold", "grab"):
+            request = resource.try_acquire() if op == "grab" else None
+            if request is None:
+                request = resource.request()
+                yield wait(request)
+            occupancy.append(resource.count)
+            yield wait(env.timeout(arg))
+            resource.release(request)
+        elif op == "get":
+            yield wait(mailbox.get())
+        else:
+            mailbox.deliver(_message(arg))
 
 
 @given(
-    items=st.lists(st.integers(), min_size=1, max_size=30),
-    capacity=st.integers(min_value=1, max_value=5),
+    programs=st.lists(STEPS, min_size=1, max_size=5),
+    capacity=st.integers(min_value=1, max_value=3),
 )
-@settings(max_examples=50, deadline=None)
-def test_store_conserves_items_fifo(items, capacity):
+@settings(max_examples=80, deadline=None)
+def test_random_programs_resume_once_per_yield(programs, capacity):
     env = Environment()
-    store = Store(env, capacity=capacity)
-    received = []
+    resource = Resource(env, capacity=capacity)
+    mailbox = Mailbox(env)
+    log: list = []
+    occupancy: list[int] = []
+    gets = sum(op == "get" for steps in programs for op, _ in steps)
 
-    def producer(env):
-        for item in items:
-            yield store.put(item)
+    def feeder(env):
+        # One message per get on top of the programs' own deliveries, so
+        # no getter waits forever.
+        for _ in range(gets):
+            yield env.timeout(7.0)
+            mailbox.deliver(_message())
 
-    def consumer(env):
-        for _ in items:
-            value = yield store.get()
-            received.append(value)
-
-    env.process(producer(env))
-    env.process(consumer(env))
+    env.process(feeder(env))
+    processes = []
+    for steps in programs:
+        yielded: list = []
+        generator = _program(env, resource, mailbox, steps, yielded, occupancy)
+        processes.append((_LoggedProcess(env, generator, log), yielded))
     env.run()
-    assert received == items
 
-
-@given(
-    entries=st.lists(
-        st.tuples(st.integers(min_value=0, max_value=5), st.integers()),
-        min_size=1,
-        max_size=30,
-    )
-)
-@settings(max_examples=50, deadline=None)
-def test_priority_store_delivers_stable_sorted(entries):
-    env = Environment()
-    store = PriorityStore(env)
-    received = []
-
-    def producer(env):
-        for priority, payload in entries:
-            yield store.put(PriorityItem(priority, payload))
-
-    def consumer(env):
-        yield env.timeout(1)  # let the producer enqueue everything first
-        for _ in entries:
-            entry = yield store.get()
-            received.append((entry.priority, entry.item))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    # Stable sort by priority: payload order preserved within a class.
-    expected = sorted(
-        [(p, payload) for p, payload in entries],
-        key=lambda pair: pair[0],
-    )
-    # Compare priorities exactly and the within-class payload sequences.
-    assert [p for p, _ in received] == [p for p, _ in expected]
-    for klass in set(p for p, _ in entries):
-        want = [payload for p, payload in entries if p == klass]
-        got = [payload for p, payload in received if p == klass]
-        assert got == want
+    times = [now for _, now in log]
+    assert times == sorted(times)  # the clock never goes backwards
+    for process, yielded in processes:
+        assert not process.is_alive
+        # Started once, then resumed exactly once per yielded event.
+        assert sum(owner is process for owner, _ in log) == len(yielded) + 1
+    assert all(count <= capacity for count in occupancy)

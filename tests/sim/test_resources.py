@@ -1,17 +1,12 @@
-"""Resource and PriorityResource semantics."""
+"""Resource semantics."""
 
 import pytest
 
-from repro.sim import Environment, PriorityResource, Resource
+from repro.sim import Environment, Resource
 
 
-def hold(env, resource, log, tag, duration, priority=None):
-    request = (
-        resource.request()
-        if priority is None
-        else resource.request(priority=priority)
-    )
-    with request as req:
+def hold(env, resource, log, tag, duration):
+    with resource.request() as req:
         yield req
         log.append((env.now, tag))
         yield env.timeout(duration)
@@ -115,70 +110,3 @@ class TestResource:
         # "after" was queued third but runs second because the middle
         # request withdrew.
         assert log == [(0.0, "holder"), (10.0, "after")]
-
-
-class TestPriorityResource:
-    def test_lower_priority_value_served_first(self, env):
-        res = PriorityResource(env)
-        log = []
-
-        def spawn(env):
-            env.process(hold(env, res, log, "first", 10, priority=5))
-            yield env.timeout(1)
-            env.process(hold(env, res, log, "bulk", 10, priority=5))
-            env.process(hold(env, res, log, "urgent", 10, priority=0))
-
-        env.process(spawn(env))
-        env.run()
-        assert [tag for _, tag in log] == ["first", "urgent", "bulk"]
-
-    def test_fifo_within_priority_class(self, env):
-        res = PriorityResource(env)
-        log = []
-
-        def spawn(env):
-            env.process(hold(env, res, log, "holder", 5, priority=1))
-            yield env.timeout(1)
-            for tag in ("a", "b", "c"):
-                env.process(hold(env, res, log, tag, 1, priority=3))
-
-        env.process(spawn(env))
-        env.run()
-        assert [tag for _, tag in log] == ["holder", "a", "b", "c"]
-
-    def test_no_preemption_of_running_holder(self, env):
-        res = PriorityResource(env)
-        log = []
-
-        def spawn(env):
-            env.process(hold(env, res, log, "bulk", 10, priority=9))
-            yield env.timeout(1)
-            env.process(hold(env, res, log, "vip", 1, priority=0))
-
-        env.process(spawn(env))
-        env.run()
-        assert log == [(0.0, "bulk"), (10.0, "vip")]
-
-    def test_withdrawn_priority_request_skipped(self, env):
-        res = PriorityResource(env)
-        log = []
-
-        def canceller(env):
-            req = res.request(priority=0)
-            yield env.timeout(1)
-            res.release(req)
-
-        env.process(hold(env, res, log, "holder", 5, priority=1))
-        env.process(canceller(env))
-        env.process(hold(env, res, log, "b", 1, priority=2))
-        env.run()
-        assert [tag for _, tag in log] == ["holder", "b"]
-
-    def test_queue_length_excludes_withdrawn(self, env):
-        res = PriorityResource(env)
-        holder = res.request(priority=0)
-        q1 = res.request(priority=1)
-        assert res.queue_length == 1
-        res.release(q1)
-        assert res.queue_length == 0
-        res.release(holder)

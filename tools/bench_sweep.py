@@ -1,10 +1,7 @@
 #!/usr/bin/env python
-"""Record the repo's perf baseline: sweep wall-clock + hot-path micros.
+"""Record the repo's perf baseline: hot-path micros and fleet legs.
 
-Times a fixed fig6-style sweep (all four algorithms over ``--configs``
-network configurations, paper-scale 8 servers x 180 images) serially and
-with a worker pool, verifies the two produce bit-identical summaries, and
-benchmarks the kernel/trace hot paths:
+Benchmarks the kernel/trace hot paths and the fleet-level features:
 
 * DES calendar throughput (timeout schedule-and-fire events/second);
 * ``BandwidthTrace.transfer_time`` — prefix-sum inversion vs the
@@ -27,14 +24,16 @@ benchmarks the kernel/trace hot paths:
 Writes ``BENCH_sweep.json`` (see ``docs/performance.md`` for how to read
 it).  Run from the repo root::
 
-    PYTHONPATH=src python tools/bench_sweep.py --configs 30 --workers 4
+    PYTHONPATH=src python tools/bench_sweep.py --workers 4
 
 ``--quick`` shrinks every leg for CI smoke runs (a couple of minutes,
 numbers not comparable to a full run).  The machine block records the
-requested and effective worker counts; on a single-CPU machine the
-parallel legs measure pool overhead only and the JSON flags them with
-``single_cpu_pool_overhead_only`` so a speedup < 1 there is not read as
-a regression.  On multi-core hardware expect ~min(workers, cores)x.
+requested and effective worker counts of the sharded runs; on a
+single-CPU machine it flags ``single_cpu_pool_overhead_only``.  The
+serial-vs-parallel sweep identity the retired ``sweep`` and
+``workload`` legs checked is tier-1's job now
+(``tests/experiments/test_parallel.py`` and
+``tests/workload/test_sweep.py``).
 """
 
 from __future__ import annotations
@@ -50,18 +49,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.engine.config import Algorithm
-from repro.experiments import ExperimentConfig, compare_algorithms
+from repro.experiments import ExperimentConfig
 from repro.experiments.runner import run_configuration
 from repro.obs import Tracer
 from repro.sim import Environment
 from repro.traces import InternetStudy
-
-ALGORITHMS = [
-    Algorithm.DOWNLOAD_ALL,
-    Algorithm.ONE_SHOT,
-    Algorithm.LOCAL,
-    Algorithm.GLOBAL,
-]
 
 
 def bench_tracer_overhead(repeats: int = 3) -> dict:
@@ -88,96 +80,6 @@ def bench_tracer_overhead(repeats: int = 3) -> dict:
         "tracer_on_seconds": round(on_seconds, 4),
         "on_over_off_ratio": round(on_seconds / off_seconds, 3),
         "events_recorded": events,
-    }
-
-
-def bench_sweep(setup: ExperimentConfig, n_configs: int, workers: int) -> dict:
-    """Serial vs parallel wall-clock for the fig6-style sweep."""
-    t0 = time.perf_counter()
-    serial = compare_algorithms(setup, ALGORITHMS, n_configs, workers=1)
-    serial_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    parallel = compare_algorithms(setup, ALGORITHMS, n_configs, workers=workers)
-    parallel_seconds = time.perf_counter() - t0
-
-    identical = all(
-        serial[name].completion_times == parallel[name].completion_times
-        and serial[name].interarrivals == parallel[name].interarrivals
-        and serial[name].relocations == parallel[name].relocations
-        for name in serial
-    )
-    return {
-        "n_configs": n_configs,
-        "algorithms": [a.value for a in ALGORITHMS],
-        "workers": workers,
-        "serial_seconds": round(serial_seconds, 3),
-        "parallel_seconds": round(parallel_seconds, 3),
-        "parallel_speedup": round(serial_seconds / parallel_seconds, 3),
-        "bit_identical": identical,
-        "runs_per_second_serial": round(
-            n_configs * len(ALGORITHMS) / serial_seconds, 3
-        ),
-    }
-
-
-def bench_workload(workers: int, n_seeds: int = 4) -> dict:
-    """Concurrent-fleet throughput plus workload-sweep serial vs parallel.
-
-    One mixed-planner fleet (4 clients x 2 queries, global + one-shot on
-    a shared 4-server network) timed end to end, then the same fleet
-    swept over ``n_seeds`` seeds serially and with a worker pool,
-    verifying the two produce bit-identical fleet summaries.
-    """
-    from dataclasses import replace as dc_replace
-
-    from repro.workload import (
-        ClosedLoop,
-        QueryClass,
-        WorkloadSpec,
-        run_workload,
-        run_workload_sweep,
-    )
-
-    spec = WorkloadSpec(
-        classes=(
-            QueryClass(name="global", algorithm=Algorithm.GLOBAL),
-            QueryClass(name="one-shot", algorithm=Algorithm.ONE_SHOT),
-        ),
-        num_clients=4,
-        queries_per_client=2,
-        arrivals=ClosedLoop(think_time=2.0),
-        seed=7,
-        num_servers=4,
-        images_per_server=6,
-    )
-
-    run_workload(spec)  # warm caches (trace library, placement, numpy)
-    t0 = time.perf_counter()
-    result = run_workload(spec)
-    single_seconds = time.perf_counter() - t0
-
-    tasks = [
-        (f"seed{s}", dc_replace(spec, seed=s)) for s in range(n_seeds)
-    ]
-    t0 = time.perf_counter()
-    serial = run_workload_sweep(tasks, workers=1)
-    serial_seconds = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    parallel = run_workload_sweep(tasks, workers=workers)
-    parallel_seconds = time.perf_counter() - t0
-
-    return {
-        "queries_per_fleet": spec.total_queries,
-        "fleet_seconds": round(single_seconds, 4),
-        "queries_per_second": round(spec.total_queries / single_seconds, 3),
-        "fleet_completed": result.fleet["completed"],
-        "sweep_seeds": n_seeds,
-        "workers": workers,
-        "sweep_serial_seconds": round(serial_seconds, 3),
-        "sweep_parallel_seconds": round(parallel_seconds, 3),
-        "sweep_parallel_speedup": round(serial_seconds / parallel_seconds, 3),
-        "bit_identical": serial == parallel,
     }
 
 
@@ -561,23 +463,14 @@ def bench_trace_algebra(n_calls: int = 2000) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--configs", type=int, default=30,
-                        help="fig6-style sweep size (default 30)")
     parser.add_argument("--workers", type=int, default=4,
-                        help="pool size for the parallel leg (default 4)")
+                        help="pool size for the sharded runs (default 4)")
     parser.add_argument("--out", default="BENCH_sweep.json",
                         help="output path (default BENCH_sweep.json)")
-    parser.add_argument("--skip-sweep", action="store_true",
-                        help="micro-benchmarks only")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: tiny sizes, every leg still "
                         "runs once (exercises the code, not the numbers)")
     args = parser.parse_args(argv)
-    if args.quick:
-        args.configs = min(args.configs, 2)
-
-    setup = ExperimentConfig()
-    setup.trace_library()  # warm the library cache outside the timers
 
     from repro.experiments.parallel import resolve_workers
 
@@ -666,43 +559,6 @@ def main(argv=None) -> int:
         f"identical: {planner['replay_identical']}, sharded identical: "
         f"{planner['sharded_serial_vs_parallel_identical']}"
     )
-
-    print(f"[bench] concurrent workload fleet + sweep...", flush=True)
-    results["workload"] = bench_workload(
-        args.workers, n_seeds=2 if args.quick else 4
-    )
-    results["workload"]["single_cpu_pool_overhead_only"] = single_cpu
-    workload = results["workload"]
-    print(
-        f"         fleet {workload['fleet_seconds']}s "
-        f"({workload['queries_per_second']} queries/s), sweep "
-        f"{workload['sweep_serial_seconds']}s serial vs "
-        f"{workload['sweep_parallel_seconds']}s parallel "
-        f"({workload['sweep_parallel_speedup']}x), "
-        f"bit-identical: {workload['bit_identical']}"
-    )
-
-    if not args.skip_sweep:
-        print(
-            f"[bench] fig6-style sweep: {args.configs} configs x "
-            f"{len(ALGORITHMS)} algorithms, serial then {args.workers} "
-            "workers...",
-            flush=True,
-        )
-        results["sweep"] = bench_sweep(setup, args.configs, args.workers)
-        results["sweep"]["single_cpu_pool_overhead_only"] = single_cpu
-        sweep = results["sweep"]
-        print(
-            f"         serial {sweep['serial_seconds']}s, parallel "
-            f"{sweep['parallel_seconds']}s ({sweep['parallel_speedup']}x), "
-            f"bit-identical: {sweep['bit_identical']}"
-        )
-        if single_cpu and sweep["parallel_speedup"] < 1.0:
-            print(
-                "         note: single-CPU machine — the parallel leg "
-                "measures pool overhead only (flagged in the JSON, not a "
-                "regression)"
-            )
 
     out = Path(args.out)
     out.write_text(json.dumps(results, indent=2) + "\n")
