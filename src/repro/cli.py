@@ -501,10 +501,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
     setup = _setup_from(args)
     number = args.number
     if number == 2:
-        from repro.traces import InternetStudy, trace_stats
+        from repro.traces import trace_stats
         from repro.traces.stats import library_change_interval
 
-        library = InternetStudy(seed=setup.study_seed).run()
+        library = setup.trace_library()
         stats = trace_stats(library.trace("wisc", "ucla"))
         print(f"wisc~ucla: mean {stats.mean_rate / 1024:.1f} KB/s, "
               f"cv {stats.cv:.2f}, {stats.n_changes} significant changes")

@@ -20,10 +20,15 @@ from repro.traces.study import InternetStudy, TraceLibrary
 from repro.traces.trace import BandwidthTrace
 
 
-@lru_cache(maxsize=4)
-def _default_library(seed: int) -> TraceLibrary:
+#: Seed of the default synthetic Internet study (the trace library).
+#: Another study is used by injecting it as ``library=``.
+STUDY_SEED = 1998
+
+
+@lru_cache(maxsize=1)
+def _default_library() -> TraceLibrary:
     """The default (cached) synthetic Internet study."""
-    return InternetStudy(seed=seed).run()
+    return InternetStudy(seed=STUDY_SEED).run()
 
 
 @dataclass(frozen=True)
@@ -45,8 +50,6 @@ class ExperimentConfig:
     #: ``(seed, i)``, so runs are reproducible and configurations are
     #: identical across the algorithms being compared.
     seed: int = 1998
-    #: Seed of the synthetic Internet study (the trace library).
-    study_seed: int = 1998
     relocation_period: float = 600.0
     library: Optional[TraceLibrary] = None
     #: Optional fault-injection plan applied to every run built from this
@@ -57,20 +60,12 @@ class ExperimentConfig:
     n_configs: int = 30
     #: Parallel sweep workers (None: honour ``REPRO_WORKERS``, else serial).
     workers: Optional[int] = None
-    include_fig7: bool = True
-    include_fig8: bool = True
-    include_fig9: bool = True
-    include_fig10: bool = True
-    fig7_configs: Optional[int] = None
-    fig8_configs: Optional[int] = None
-    fig9_configs: Optional[int] = None
-    fig10_configs: Optional[int] = None
 
     def trace_library(self) -> TraceLibrary:
         """The trace library (the default study unless one was injected)."""
         if self.library is not None:
             return self.library
-        return _default_library(self.study_seed)
+        return _default_library()
 
     @property
     def server_hosts(self) -> tuple[str, ...]:
@@ -80,12 +75,13 @@ class ExperimentConfig:
     def client_host(self) -> str:
         return "client"
 
-    def configs_for(self, figure: str) -> int:
-        """Number of configurations to run for one of the sweep figures."""
-        override = getattr(self, f"{figure}_configs")
-        if override is not None:
-            return override
-        # The sweep figures multiply runs by their sweep size; scale down.
+    @property
+    def sweep_configs(self) -> int:
+        """Configurations each sweep figure (7-10) runs.
+
+        The sweep figures multiply runs by their sweep size, so they run
+        a third of ``n_configs`` (at least two).
+        """
         return max(2, self.n_configs // 3)
 
 

@@ -12,7 +12,7 @@ embarrassingly parallel — this module fans it out over a
   caller never observes pool scheduling;
 * each worker runs an initializer that receives the
   :class:`~repro.experiments.config.ExperimentConfig` **once**,
-  reconstructs the trace library from its seed inside the worker and warms
+  rebuilds the default trace library inside the worker and warms
   its noon-segment cache — individual tasks never pickle traces (a library
   is ~66 two-day arrays), they ship only integer indices and names;
 * each configuration is sampled **once** into a frozen
@@ -126,9 +126,9 @@ def _init_worker(setup: ExperimentConfig) -> None:
 
     Runs once per pool worker, or once in-process for a serial sweep.
     The setup is pickled to each worker exactly once (as an initializer
-    argument).  When the setup carries no injected library, the library is
-    reconstructed here from ``study_seed``, so the 66-pair trace study is
-    synthesized once per worker and never crosses a pipe per task.
+    argument).  When the setup carries no injected library, the default
+    study is rebuilt here from ``STUDY_SEED``, so the 66-pair trace study
+    is synthesized once per worker and never crosses a pipe per task.
     """
     global _WORKER_SETUP
     _WORKER_SETUP = setup

@@ -8,12 +8,20 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 from repro.engine.metrics import RelocationEvent, RunMetrics
 
 PathLike = Union[str, Path]
+
+_SUMMARY_KEYS = tuple(RunMetrics().summary())
+#: The :class:`RunMetrics` fields a summary persists, in field order.
+#: Schema 1 ends at ``truncated``; schemas 2 and 3 added every field from
+#: ``transfers`` on, which an older payload lacks (they default to 0).
+_PERSISTED = [f for f in fields(RunMetrics) if f.name in _SUMMARY_KEYS]
+_FIRST_ADDED = [f.name for f in _PERSISTED].index("transfers")
 
 
 def metrics_to_dict(metrics: RunMetrics, include_arrivals: bool = True) -> dict:
@@ -39,36 +47,18 @@ def metrics_from_dict(payload: dict) -> RunMetrics:
     Accepts every summary schema version: version-1 payloads (no
     ``"schema"`` key) lack the trace-derived fields and version-2
     payloads lack the resilience counters; missing fields default to 0.
+    A payload missing a version-1 field raises ``KeyError``.
     """
     schema = payload.get("schema", 1)
     if schema not in (1, 2, 3):
         raise ValueError(f"unsupported metrics schema {schema!r}")
+    counters = {f.name: payload[f.name] for f in _PERSISTED[:_FIRST_ADDED]}
+    counters.update(
+        (f.name, payload.get(f.name, f.default))
+        for f in _PERSISTED[_FIRST_ADDED:]
+    )
     metrics = RunMetrics(
-        algorithm=payload["algorithm"],
-        num_servers=payload["num_servers"],
-        images=payload["images"],
-        arrival_times=list(payload.get("arrival_times", [])),
-        relocations=payload["relocations"],
-        planner_runs=payload["planner_runs"],
-        placements_installed=payload["placements_installed"],
-        barrier_rounds=payload["barrier_rounds"],
-        barrier_stall_seconds=payload["barrier_stall_seconds"],
-        probes_sent=payload["probes_sent"],
-        probe_bytes=payload["probe_bytes"],
-        forwarded_messages=payload["forwarded_messages"],
-        bytes_on_wire=payload["bytes_on_wire"],
-        truncated=payload["truncated"],
-        transfers=payload.get("transfers", 0),
-        local_deliveries=payload.get("local_deliveries", 0),
-        passive_measurements=payload.get("passive_measurements", 0),
-        piggyback_entries_merged=payload.get("piggyback_entries_merged", 0),
-        retransmissions=payload.get("retransmissions", 0),
-        dropped_bytes=payload.get("dropped_bytes", 0.0),
-        abandoned_messages=payload.get("abandoned_messages", 0),
-        aborted_relocations=payload.get("aborted_relocations", 0),
-        host_downtime_seconds=payload.get("host_downtime_seconds", 0.0),
-        probe_timeouts=payload.get("probe_timeouts", 0),
-        planner_fallbacks=payload.get("planner_fallbacks", 0),
+        arrival_times=list(payload.get("arrival_times", [])), **counters
     )
     for event in payload.get("relocation_events", []):
         metrics.relocation_events.append(
@@ -91,36 +81,9 @@ def load_runs_json(path: PathLike) -> list[RunMetrics]:
     return [metrics_from_dict(entry) for entry in payload]
 
 
-#: Columns of the flat CSV export (one row per run).
-CSV_FIELDS = (
-    "schema",
-    "algorithm",
-    "num_servers",
-    "images",
-    "completion_time",
-    "mean_interarrival",
-    "relocations",
-    "planner_runs",
-    "placements_installed",
-    "barrier_rounds",
-    "barrier_stall_seconds",
-    "probes_sent",
-    "probe_bytes",
-    "forwarded_messages",
-    "bytes_on_wire",
-    "truncated",
-    "transfers",
-    "local_deliveries",
-    "passive_measurements",
-    "piggyback_entries_merged",
-    "retransmissions",
-    "dropped_bytes",
-    "abandoned_messages",
-    "aborted_relocations",
-    "host_downtime_seconds",
-    "probe_timeouts",
-    "planner_fallbacks",
-)
+#: Columns of the flat CSV export (one row per run): every summary key
+#: but ``median_gap``, in summary order.
+CSV_FIELDS = tuple(key for key in _SUMMARY_KEYS if key != "median_gap")
 
 
 def save_runs_csv(runs: Sequence[RunMetrics], path: PathLike) -> None:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import STUDY_SEED, ExperimentConfig
 from repro.experiments.figures import (
     fig6_main_comparison,
     fig7_extra_sites,
@@ -93,7 +93,7 @@ def generate_report(
         "",
         f"- servers: {setup.num_servers}, images/server: "
         f"{setup.images_per_server}, tree: {setup.tree_shape}",
-        f"- master seed: {setup.seed}, study seed: {setup.study_seed}",
+        f"- master seed: {setup.seed}, study seed: {STUDY_SEED}",
         f"- figure 6 scale: {setup.n_configs} configurations",
         "",
     ]
@@ -139,62 +139,55 @@ def generate_report(
         "ratio_global_local": asdict(ratio_gl),
     }
 
-    if setup.include_fig7:
-        n = setup.configs_for("fig7")
-        echo(f"[report] figure 7 ({n} configurations)...")
-        fig7 = fig7_extra_sites(setup, n_configs=n, workers=setup.workers)
-        sections += ["## Figure 7 — extra candidate sites", "", "```",
-                     fig7.format_table(), "```", ""]
-        data["fig7"] = {"ks": fig7.ks, "mean_speedups": fig7.mean_speedups}
+    n = setup.sweep_configs
+    echo(f"[report] figure 7 ({n} configurations)...")
+    fig7 = fig7_extra_sites(setup, n_configs=n, workers=setup.workers)
+    sections += ["## Figure 7 — extra candidate sites", "", "```",
+                 fig7.format_table(), "```", ""]
+    data["fig7"] = {"ks": fig7.ks, "mean_speedups": fig7.mean_speedups}
 
-    if setup.include_fig8:
-        n = setup.configs_for("fig8")
-        echo(f"[report] figure 8 ({n} configurations)...")
-        fig8 = fig8_server_scaling(setup, n_configs=n, workers=setup.workers)
-        sections += ["## Figure 8 — scaling", "", "```",
-                     fig8.format_table(), "```", ""]
-        data["fig8"] = {
-            "server_counts": fig8.server_counts,
-            "mean_speedups": fig8.mean_speedups,
-        }
+    echo(f"[report] figure 8 ({n} configurations)...")
+    fig8 = fig8_server_scaling(setup, n_configs=n, workers=setup.workers)
+    sections += ["## Figure 8 — scaling", "", "```",
+                 fig8.format_table(), "```", ""]
+    data["fig8"] = {
+        "server_counts": fig8.server_counts,
+        "mean_speedups": fig8.mean_speedups,
+    }
 
-    if setup.include_fig9:
-        n = setup.configs_for("fig9")
-        echo(f"[report] figure 9 ({n} configurations)...")
-        fig9 = fig9_relocation_period(
-            setup, n_configs=n, workers=setup.workers
-        )
-        sections += ["## Figure 9 — relocation period", "", "```",
-                     fig9.format_table(), "```", ""]
-        data["fig9"] = {
-            "periods": fig9.periods,
-            "mean_speedups": fig9.mean_speedups,
-        }
+    echo(f"[report] figure 9 ({n} configurations)...")
+    fig9 = fig9_relocation_period(
+        setup, n_configs=n, workers=setup.workers
+    )
+    sections += ["## Figure 9 — relocation period", "", "```",
+                 fig9.format_table(), "```", ""]
+    data["fig9"] = {
+        "periods": fig9.periods,
+        "mean_speedups": fig9.mean_speedups,
+    }
 
-    if setup.include_fig10:
-        n = setup.configs_for("fig10")
-        echo(f"[report] figure 10 ({n} configurations)...")
-        fig10 = fig10_tree_shape(setup, n_configs=n, workers=setup.workers)
-        sections += [
-            "## Figure 10 — combination order", "", "```",
-            ascii_curve(
-                {
-                    "binary": fig10.global_binary,
-                    "left-deep": fig10.global_left_deep,
-                },
-                title="global algorithm: sorted speedups by tree shape",
-            ),
-            "",
-            fig10.format_table(),
-            "```",
-            "",
-        ]
-        data["fig10"] = {
-            "global_binary_mean": fig10.mean(fig10.global_binary),
-            "global_left_deep_mean": fig10.mean(fig10.global_left_deep),
-            "local_binary_mean": fig10.mean(fig10.local_binary),
-            "local_left_deep_mean": fig10.mean(fig10.local_left_deep),
-        }
+    echo(f"[report] figure 10 ({n} configurations)...")
+    fig10 = fig10_tree_shape(setup, n_configs=n, workers=setup.workers)
+    sections += [
+        "## Figure 10 — combination order", "", "```",
+        ascii_curve(
+            {
+                "binary": fig10.global_binary,
+                "left-deep": fig10.global_left_deep,
+            },
+            title="global algorithm: sorted speedups by tree shape",
+        ),
+        "",
+        fig10.format_table(),
+        "```",
+        "",
+    ]
+    data["fig10"] = {
+        "global_binary_mean": fig10.mean(fig10.global_binary),
+        "global_left_deep_mean": fig10.mean(fig10.global_left_deep),
+        "local_binary_mean": fig10.mean(fig10.local_binary),
+        "local_left_deep_mean": fig10.mean(fig10.local_left_deep),
+    }
 
     markdown = "\n".join(sections)
     result = {"markdown": markdown, "data": data}

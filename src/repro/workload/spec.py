@@ -125,11 +125,10 @@ class WorkloadSpec(Substrate):
 
     # ---- shared network ----------------------------------------------
     #: Network configuration draw, exactly as in the experiments module:
-    #: configuration ``config_index`` of the study seeded by
-    #: ``network_seed`` (ignored when ``link_traces`` is given).
-    network_seed: int = 1998
+    #: configuration ``config_index`` of a default ``ExperimentConfig``
+    #: over ``library`` (``None``: the default study; both ignored when
+    #: ``link_traces`` is given).
     config_index: int = 0
-    study_seed: int = 1998
     library: Optional[TraceLibrary] = None
     #: Explicit traces per canonical host pair; bypasses the study draw.
     link_traces: Optional[Mapping[tuple[str, str], BandwidthTrace]] = None
@@ -252,10 +251,7 @@ class WorkloadSpec(Substrate):
         if self.link_traces is not None:
             return self.link_traces
         cfg = ExperimentConfig(
-            num_servers=self.num_servers,
-            seed=self.network_seed,
-            study_seed=self.study_seed,
-            library=self.library,
+            num_servers=self.num_servers, library=self.library
         )
         return make_configuration(cfg, self.config_index)
 

@@ -18,9 +18,9 @@ the same links — in exchange for memory and wall-clock that scale with
 ``population / shards``; it is the intended path once a fleet outgrows
 one process.
 
-Specs whose ``library`` is ``None`` rebuild the trace study inside each
-worker from ``study_seed`` (cached per process), so the ~66-pair trace
-library never crosses a pipe per task.
+Specs whose ``library`` is ``None`` rebuild the default trace study
+inside each worker (cached per process), so the ~66-pair trace library
+never crosses a pipe per task.
 """
 
 from __future__ import annotations

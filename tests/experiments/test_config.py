@@ -23,9 +23,9 @@ class TestExperimentConfig:
         assert setup.server_hosts == ("h0", "h1", "h2")
         assert setup.client_host == "client"
 
-    def test_library_cached_per_seed(self):
-        a = ExperimentConfig(study_seed=5)
-        b = ExperimentConfig(study_seed=5)
+    def test_default_library_cached(self):
+        a = ExperimentConfig()
+        b = ExperimentConfig(num_servers=4, seed=5)
         assert a.trace_library() is b.trace_library()
 
 

@@ -110,7 +110,7 @@ class TestDeterminism:
         # included, ships to each worker once via the pool initializer.
         library = InternetStudy(seed=777).run()
         setup = ExperimentConfig(
-            num_servers=4, images_per_server=8, library=library, study_seed=777
+            num_servers=4, images_per_server=8, library=library
         )
         serial = run_sweep(setup, [(0, Algorithm.GLOBAL), (1, Algorithm.GLOBAL)])
         parallel = run_sweep(
@@ -124,7 +124,7 @@ class TestDeterminism:
         # worker globals (not the caller) hold the setup.
         library = InternetStudy(seed=42).run()
         setup = ExperimentConfig(
-            num_servers=4, images_per_server=8, library=library, study_seed=42
+            num_servers=4, images_per_server=8, library=library
         )
         _init_worker(setup)
         key, metrics = _run_task((0, Algorithm.DOWNLOAD_ALL.value, ()))

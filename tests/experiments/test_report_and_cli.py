@@ -1,13 +1,12 @@
 """Report generation and the command-line interface."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
 from repro.experiments import ExperimentConfig
-from repro.experiments.report import ascii_curve, generate_report
+from repro.experiments.report import ascii_curve
 
 
 class TestAsciiCurve:
@@ -31,35 +30,10 @@ class TestAsciiCurve:
         assert "flat" in chart
 
 
-@pytest.fixture(scope="module")
-def tiny_setup():
-    return ExperimentConfig(num_servers=4, images_per_server=10)
-
-
 class TestGenerateReport:
-    def test_fig6_only_report(self, tiny_setup, tmp_path):
-        config = replace(
-            tiny_setup,
-            n_configs=2,
-            include_fig7=False,
-            include_fig8=False,
-            include_fig9=False,
-            include_fig10=False,
-        )
-        result = generate_report(
-            config, out_dir=tmp_path, echo=lambda *a: None
-        )
-        assert "Figure 6" in result["markdown"]
-        assert (tmp_path / "report.md").exists()
-        data = json.loads((tmp_path / "report.json").read_text())
-        assert "fig6" in data
-        assert data["fig6"]["global"]["mean"] > 0
-
     def test_report_scale_knobs_on_config(self):
-        config = ExperimentConfig(n_configs=30)
-        assert config.configs_for("fig8") == 10
-        config = ExperimentConfig(n_configs=30, fig8_configs=3)
-        assert config.configs_for("fig8") == 3
+        assert ExperimentConfig(n_configs=30).sweep_configs == 10
+        assert ExperimentConfig(n_configs=2).sweep_configs == 2
 
 
 class TestCli:
@@ -122,7 +96,14 @@ class TestCli:
             ]
         )
         assert code == 0
-        assert (tmp_path / "report.md").exists()
+        markdown = (tmp_path / "report.md").read_text()
+        for figure in range(6, 11):
+            assert f"Figure {figure}" in markdown
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert sorted(data) == [
+            "fig10", "fig6", "fig7", "fig8", "fig9", "setup"
+        ]
+        assert data["fig6"]["global"]["mean"] > 0
 
     def test_run_with_trace_exports(self, tmp_path, capsys):
         jsonl = tmp_path / "run.jsonl"

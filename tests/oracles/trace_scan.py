@@ -4,7 +4,7 @@
 byte integral with one ``searchsorted``.  This module keeps the
 straightforward walk it replaced, which drains each straddled segment in
 turn; the two agree up to floating-point association order.  The trace
-tests and the ``traces`` leg of ``tools/bench_sweep.py`` compare them.
+tests compare them.
 """
 
 from __future__ import annotations

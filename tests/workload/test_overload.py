@@ -404,6 +404,72 @@ class TestReconciliation:
         assert exact["resilience"] == streaming["resilience"]
 
 
+class TestProtectedTail:
+    """Under chaos, the full policy answers every completed query within
+    the class deadline of its arrival, so the completed-query p99 stays
+    under the deadline, while the same fleet wide open blows past it."""
+
+    DEADLINE = 700.0
+
+    def test_protected_p99_within_deadline(self):
+        classes = tuple(
+            QueryClass(
+                name=algorithm.value,
+                algorithm=algorithm,
+                deadline=self.DEADLINE,
+                slo_target=600.0,
+            )
+            for algorithm in (Algorithm.GLOBAL, Algorithm.ONE_SHOT)
+        )
+        hosts = (*[f"h{i}" for i in range(4)], "client")
+        protected = WorkloadSpec(
+            classes=classes,
+            num_clients=4,
+            queries_per_client=2,
+            arrivals=OpenLoop(rate=0.02, process="poisson"),
+            seed=11,
+            num_servers=4,
+            images_per_server=3,
+            fault_plan=reference_chaos_plan(hosts, seed=3),
+            overload=OverloadPolicy(
+                max_concurrent=3,
+                max_queue_depth=4,
+                shed_probability=0.05,
+                retry_budget=1,
+                retry_backoff=60.0,
+                breaker_threshold=2,
+                breaker_cooldown=600.0,
+            ),
+        )
+        unprotected = replace(
+            protected,
+            overload=None,
+            classes=tuple(
+                replace(qclass, deadline=None, slo_target=None)
+                for qclass in classes
+            ),
+        )
+        tracer = Tracer()
+        fleet = run_workload(protected, tracer=tracer).fleet
+        # A query waits in the admission queue from its arrival; one
+        # admitted at once arrives when it is issued.
+        arrived = {
+            e["query_id"]: e["t"]
+            for e in tracer.events
+            if e["type"] == QUERY_QUEUED
+        }
+        for query in fleet["queries"]:
+            if query["latency"] is not None:
+                arrival = arrived.get(query["query_id"], query["issued_at"])
+                response = query["issued_at"] + query["latency"] - arrival
+                assert response <= self.DEADLINE, query
+        protected_p99 = fleet["latency"]["p99"]
+        open_p99 = run_workload(unprotected).fleet["latency"]["p99"]
+        assert protected_p99 <= self.DEADLINE < open_p99, (
+            protected_p99, open_p99
+        )
+
+
 class TestResilienceCounters:
     def test_merge_is_order_invariant(self):
         def sample(n):

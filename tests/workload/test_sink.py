@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -26,6 +27,7 @@ from repro.workload import (
     merge_sinks,
     run_workload,
 )
+from repro.workload.sketch import exact_percentiles
 
 
 def tiny_spec(**overrides):
@@ -246,6 +248,61 @@ class TestStreamingSink:
                 abs(estimate - truth) <= 2 * 0.01 * truth
                 for truth in candidates
             )
+
+
+class TestRecordFreeAtScale:
+    """A record-free sink fed 20,000 clients x 2 queries stays flat."""
+
+    NUM_CLIENTS = 20_000
+    TOTAL = 2 * NUM_CLIENTS
+    EPS = 0.01
+
+    def outcome_stream(self):
+        rng = random.Random(20_260_808)
+        clock = 0.0
+        for i in range(self.TOTAL):
+            clock += rng.expovariate(1.0)
+            client = i % self.NUM_CLIENTS
+            latency = rng.lognormvariate(5.0, 1.2)
+            yield QueryStats(
+                query_id=f"c{client}:{i // self.NUM_CLIENTS}",
+                class_name="global" if i % 3 else "one-shot",
+                algorithm="global" if i % 3 else "one-shot",
+                issued_at=clock,
+                completion_time=clock + latency,
+                images_delivered=8,
+                truncated=False,
+                relocations=i % 4,
+                aborted_relocations=0,
+                bytes_on_wire=float(rng.randrange(10**7)),
+            )
+
+    def test_memory_flat_and_percentiles_within_budget(self):
+        sink = FleetMetrics(
+            self.NUM_CLIENTS, relative_error=self.EPS, keep_records=False
+        )
+        tracemalloc.start()
+        try:
+            for i, stats in enumerate(self.outcome_stream()):
+                sink.query_started(
+                    stats.query_id, stats.class_name, stats.issued_at
+                )
+                sink.query_finished(stats)
+                if i + 1 == self.TOTAL // 2:
+                    halfway, _ = tracemalloc.get_traced_memory()
+            final, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Per-client arrays are allocated by the first half of the
+        # stream; the second half must not grow the sink.
+        assert final / halfway < 1.5, (halfway, final)
+
+        latency = sink.summary(elapsed=1.0, scheduled=self.TOTAL)["latency"]
+        exact = exact_percentiles(
+            [s.latency for s in self.outcome_stream()], (50, 95, 99)
+        )
+        for p, truth in zip((50, 95, 99), exact):
+            assert abs(latency[f"p{p}"] - truth) <= 2 * self.EPS * truth
 
 
 class TestMergeSinks:

@@ -179,8 +179,6 @@ class TestResolveLinks:
         from repro.experiments import ExperimentConfig
         from repro.experiments.config import make_configuration
 
-        spec = WorkloadSpec(
-            classes=(one_class(),), num_servers=4, network_seed=7, config_index=2
-        )
-        config = ExperimentConfig(num_servers=4, seed=7)
+        spec = WorkloadSpec(classes=(one_class(),), num_servers=4, config_index=2)
+        config = ExperimentConfig(num_servers=4, seed=1998)
         assert spec.resolve_links() == make_configuration(config, 2)
