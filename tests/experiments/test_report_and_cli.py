@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import ExperimentConfig
-from repro.experiments.report import ascii_curve
+from repro.experiments.report import ascii_curve, generate_report
 
 
 class TestAsciiCurve:
@@ -31,6 +31,21 @@ class TestAsciiCurve:
 
 
 class TestGenerateReport:
+    def test_fig6_only_report(self, tmp_path):
+        # The library entry point, without the CLI: the Figure 6 section
+        # and its numbers land in the returned dict and in both files.
+        config = ExperimentConfig(
+            num_servers=4, images_per_server=6, n_configs=1
+        )
+        result = generate_report(
+            config, out_dir=tmp_path, echo=lambda *a: None
+        )
+        assert "Figure 6" in result["markdown"]
+        assert result["data"]["fig6"]["global"]["mean"] > 0
+        assert (tmp_path / "report.md").read_text() == result["markdown"]
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert data["fig6"]["global"]["mean"] > 0
+
     def test_report_scale_knobs_on_config(self):
         assert ExperimentConfig(n_configs=30).sweep_configs == 10
         assert ExperimentConfig(n_configs=2).sweep_configs == 2
