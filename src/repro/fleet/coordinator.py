@@ -18,7 +18,8 @@ Determinism rules
 * Claims are recomputed from the registered runtimes' live placements
   on demand, iterating queries in sorted ``query_id`` order, so the
   residual view is a pure function of simulation state.  Each query's
-  link set is cached until the network's actor-registry epoch moves.
+  link set, and each summed claim map, is cached until the network's
+  actor-registry epoch moves or a query launches or completes.
 * Token buckets refill lazily (``tokens(t) = min(capacity, tokens +
   (t - t_last) / refill_seconds)``); no timers, no background
   processes, nothing the DES calendar could reorder.
@@ -156,6 +157,21 @@ class _ActiveQuery:
         return self._links
 
 
+def _shared_network(active: "dict[str, _ActiveQuery]"):
+    """The one network every active query runs on, or None.
+
+    None also when a runtime has no network (a test double, whose links
+    are re-read on every call): claims are then never cached.
+    """
+    network = None
+    for record in active.values():
+        mine = getattr(record.runtime, "network", None)
+        if mine is None or (network is not None and mine is not network):
+            return None
+        network = mine
+    return network
+
+
 class FleetCoordinator:
     """Tracks the active query set and arbitrates relocation budgets.
 
@@ -182,6 +198,12 @@ class FleetCoordinator:
         #: ruling, so a controller's dry run and final plan of the
         #: identical moveset charge the buckets once.
         self._last_ruling: dict[str, tuple[tuple, bool, float]] = {}
+        #: Summed claim maps per excluded query, valid while the active
+        #: set is unchanged and ``_claims_network``'s actor epoch equals
+        #: ``_claims_epoch``.  A cached map is never mutated.
+        self._claims_memo: dict[Optional[str], dict[tuple[str, str], int]] = {}
+        self._claims_network = None
+        self._claims_epoch: Optional[int] = None
 
     def wrapper_for(self, query_id: str):
         """A ``(planner, stage) -> FleetPlanner`` hook for ``build_query``."""
@@ -206,6 +228,7 @@ class FleetCoordinator:
             query_id, runtime, class_name, slo, now, runtime.tracer
         )
         self._active[query_id] = record
+        self._active_changed()
         links = record.links()
         if record.tracer.enabled:
             record.tracer.emit(
@@ -221,6 +244,11 @@ class FleetCoordinator:
         """Release a finished query's claims."""
         self._active.pop(query_id, None)
         self._last_ruling.pop(query_id, None)
+        self._active_changed()
+
+    def _active_changed(self) -> None:
+        self._claims_memo = {}
+        self._claims_network = _shared_network(self._active)
 
     @property
     def active_count(self) -> int:
@@ -230,7 +258,25 @@ class FleetCoordinator:
     def _claims(
         self, exclude: Optional[str] = None
     ) -> "dict[tuple[str, str], int]":
-        """Active queries per canonical link, skipping query ``exclude``."""
+        """Active queries per canonical link, skipping query ``exclude``.
+
+        The map is a function of the active set and the actor epoch, so
+        it is summed once per ``exclude`` between changes of either.
+        """
+        network = self._claims_network
+        if network is None:
+            return self._sum_claims(exclude)
+        if network.actor_epoch != self._claims_epoch:
+            self._claims_memo = {}
+            self._claims_epoch = network.actor_epoch
+        claims = self._claims_memo.get(exclude)
+        if claims is None:
+            claims = self._claims_memo[exclude] = self._sum_claims(exclude)
+        return claims
+
+    def _sum_claims(
+        self, exclude: Optional[str]
+    ) -> "dict[tuple[str, str], int]":
         claims: dict[tuple[str, str], int] = {}
         for query_id in sorted(self._active):
             if query_id == exclude:
@@ -241,7 +287,7 @@ class FleetCoordinator:
 
     def link_claims(self) -> "dict[tuple[str, str], int]":
         """How many active queries currently use each canonical link."""
-        return self._claims()
+        return dict(self._claims())
 
     def residual_estimator(self, query_id: str, raw) -> Callable[[str, str], float]:
         """Wrap a bandwidth estimator with the contention-adjusted view.

@@ -94,9 +94,11 @@ class FleetPlanner:
             )
             if not granted:
                 placement = initial
-                cost = placement_cost(
-                    self.inner.tree, initial, self.inner.cost_model, residual
-                )
+                cost = result.start_cost
+                if cost is None:
+                    cost = placement_cost(
+                        self.inner.tree, initial, self.inner.cost_model, residual
+                    )
         tracer = ensure_tracer(tracer)
         if tracer.enabled:
             tracer.emit(

@@ -53,8 +53,8 @@ class BandwidthCache:
         #: two observations of the same version saw identical contents.
         self._version = 0
         #: Piggyback memo slots (owned by :mod:`repro.monitor.piggyback`):
-        #: the last encode result as ``(version, budget, payload)`` and the
-        #: last no-op decode as ``(payload, version)``.
+        #: the last encode result as ``(version, budget, whole, payload)``
+        #: and the last no-op decode as ``(payload, version)``.
         self._encode_memo: Optional[tuple] = None
         self._decode_memo: Optional[tuple] = None
         #: Optional hook fired whenever a strictly newer measurement is

@@ -28,7 +28,9 @@ ENTRY_BYTES = 24
 
 
 def encode_piggyback(
-    cache: BandwidthCache, budget: int = PIGGYBACK_BUDGET_BYTES
+    cache: BandwidthCache,
+    budget: int = PIGGYBACK_BUDGET_BYTES,
+    whole: bool = False,
 ) -> Optional[dict]:
     """Select the freshest cache entries that fit in ``budget`` bytes.
 
@@ -37,22 +39,43 @@ def encode_piggyback(
     and ``entries``.  The result is a pure function of the cache contents
     and the budget, so it is memoized per cache version; consumers must
     treat the payload as immutable (the transfer engine and decoder do).
+
+    ``whole=True`` promises that no cache on the network can hold more
+    entries than fit (see :func:`whole_cache_fits`).  Every payload is
+    then the whole cache, the freshest-first order only decides ties
+    that no truncation ever breaks, and the entries go out in the
+    cache's insertion order without a sort.
     """
     memo = cache._encode_memo
     version = cache._version
-    if memo is not None and memo[0] == version and memo[1] == budget:
-        return memo[2]
+    if (
+        memo is not None
+        and memo[0] == version
+        and memo[1] == budget
+        and memo[2] == whole
+    ):
+        return memo[3]
     if budget < ENTRY_BYTES:
         payload = None
     else:
-        limit = budget // ENTRY_BYTES
-        entries = cache.freshest(limit)
+        if whole:
+            entries = list(cache._entries.values())
+        else:
+            entries = cache.freshest(budget // ENTRY_BYTES)
         if not entries:
             payload = None
         else:
             payload = {"bytes": len(entries) * ENTRY_BYTES, "entries": entries}
-    cache._encode_memo = (version, budget, payload)
+    cache._encode_memo = (version, budget, whole, payload)
     return payload
+
+
+def whole_cache_fits(num_hosts: int, budget: int) -> bool:
+    """Does every cache of a ``num_hosts``-host network fit in ``budget``?
+
+    A cache holds at most one entry per unordered host pair.
+    """
+    return num_hosts * (num_hosts - 1) // 2 <= budget // ENTRY_BYTES
 
 
 def decode_piggyback(cache: BandwidthCache, piggyback: dict) -> int:

@@ -24,6 +24,7 @@ from repro.monitor.piggyback import (
     PIGGYBACK_BUDGET_BYTES,
     decode_piggyback,
     encode_piggyback,
+    whole_cache_fits,
 )
 from repro.faults.plan import TransferAbandoned
 from repro.net.message import Message, MessageKind
@@ -166,6 +167,10 @@ class MonitoringSystem:
             _validate_forecast_mode(self.config.forecast)
             for name, cache in self.caches.items():
                 cache.on_new_value = self._feed_forecaster(name)
+        #: Whether every payload is a whole cache (``whole_cache_fits``),
+        #: and the host count that was decided for.
+        self._whole_cache = False
+        self._whole_hosts = -1
         network.observers.append(self._observe)
         if self.config.piggyback_budget > 0:
             network.piggyback_source = self._piggyback_source
@@ -247,7 +252,15 @@ class MonitoringSystem:
             )
 
     def _piggyback_source(self, src: str, dst: str) -> Optional[dict]:
-        return encode_piggyback(self.cache_for(src), self.config.piggyback_budget)
+        # Decided on the first message and again only if a host joined
+        # since.  The simulation builders add every host before the first
+        # message, so no run sends an insertion-order payload before its
+        # network grows past the budget.
+        budget = self.config.piggyback_budget
+        if len(self.network.hosts) != self._whole_hosts:
+            self._whole_hosts = len(self.network.hosts)
+            self._whole_cache = whole_cache_fits(self._whole_hosts, budget)
+        return encode_piggyback(self.cache_for(src), budget, self._whole_cache)
 
     def _piggyback_sink(
         self, dst: str, piggyback: dict, query_id: Optional[str] = None

@@ -32,6 +32,9 @@ class PlanResult:
     links_queried: frozenset[tuple[str, str]] = field(default_factory=frozenset)
     #: Name of the planner that produced this result.
     algorithm: str = ""
+    #: Critical-path cost of the starting placement under the same view,
+    #: when the search priced it anyway (None otherwise).
+    start_cost: Optional[float] = None
 
 
 @runtime_checkable

@@ -171,7 +171,7 @@ class OneShotPlanner:
             bandwidth=bandwidth,
         )
         current = initial
-        current_cost = evaluator.critical_path().cost
+        current_cost = start_cost = evaluator.critical_path().cost
         rounds = 0
         candidates = 0
 
@@ -195,6 +195,7 @@ class OneShotPlanner:
             candidates_evaluated=candidates,
             links_queried=evaluator.links_queried(),
             algorithm=self.name,
+            start_cost=start_cost,
         )
         self._memo = (key, result)
         return result

@@ -14,6 +14,7 @@ honest about transfers that straddle bandwidth changes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,7 +36,7 @@ class TraceCursor:
     start at (almost always) non-decreasing times, so the containing
     segment advances by a few positions per call.  A cursor remembers the
     last segment index; the trace resumes the search there with an
-    amortized-O(1) pointer advance instead of an O(log n) ``searchsorted``,
+    amortized-O(1) pointer advance instead of an O(log n) binary search,
     falling back to binary search for out-of-order or far-jumping queries.
 
     Cursors are an *optimization hint only*: results are bit-identical
@@ -68,7 +69,10 @@ class BandwidthTrace:
         Optional label (e.g. ``"umd-ucla"``).
     """
 
-    __slots__ = ("times", "rates", "name", "_cumbytes")
+    __slots__ = (
+        "times", "rates", "name", "_cumbytes",
+        "_times_view", "_rates_view", "_cum_view",
+    )
 
     def __init__(
         self,
@@ -99,6 +103,29 @@ class BandwidthTrace:
         # _cumbytes[i] = bytes transferred between times[0] and times[i]
         # at the trace's rates.  Lazily computed.
         self._cumbytes: np.ndarray | None = None
+        self._drop_views()
+
+    # The per-transfer paths read the arrays through read-only float
+    # memoryviews: indexing one yields a Python float, where indexing the
+    # array would build a numpy scalar per step.  The views share the
+    # arrays' buffers, are built on first use and never pickled.
+    def _drop_views(self) -> None:
+        self._times_view: memoryview | None = None
+        self._rates_view: memoryview | None = None
+        self._cum_view: memoryview | None = None
+
+    def _views(self) -> tuple[memoryview, memoryview]:
+        if self._times_view is None:
+            self._times_view = memoryview(self.times).toreadonly()
+            self._rates_view = memoryview(self.rates).toreadonly()
+        return self._times_view, self._rates_view
+
+    def __getstate__(self) -> tuple:
+        return (self.times, self.rates, self.name, self._cumbytes)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.times, self.rates, self.name, self._cumbytes = state
+        self._drop_views()
 
     # -- basic queries ------------------------------------------------------
     def __len__(self) -> int:
@@ -121,7 +148,8 @@ class BandwidthTrace:
 
     def rate_at(self, t: float, hint: "TraceCursor | None" = None) -> float:
         """Instantaneous bandwidth (bytes/s) at time ``t``."""
-        return float(self.rates[self._locate(t, hint)])
+        index = self._locate(t, hint)
+        return self._rates_view[index]
 
     def mean_rate(self, t0: float | None = None, t1: float | None = None) -> float:
         """Time-weighted mean bandwidth over ``[t0, t1]`` (default: whole trace)."""
@@ -161,7 +189,8 @@ class BandwidthTrace:
 
     def _locate(self, t0: float, hint: TraceCursor | None = None) -> int:
         """Index ``i`` with ``times[i] <= t0 < times[i+1]``, clamped to
-        ``[0, len-1]`` — exactly ``searchsorted(times, t0, 'right') - 1``.
+        ``[0, len-1]`` — exactly ``searchsorted(times, t0, 'right') - 1``,
+        found with :func:`bisect.bisect_right` on the float view.
 
         With a ``hint`` the search resumes from the cursor's last index
         and walks forward (amortized O(1) for near-monotone query times);
@@ -169,8 +198,10 @@ class BandwidthTrace:
         segments fall back to binary search.  The hint is updated to the
         returned index either way.
         """
-        times = self.times
-        last = times.size - 1
+        times = self._times_view
+        if times is None:
+            times = self._views()[0]
+        last = len(times) - 1
         if hint is not None:
             index = hint.index
             if 0 <= index <= last and times[index] <= t0:
@@ -185,7 +216,7 @@ class BandwidthTrace:
                 if advanced:
                     hint.index = index
                     return index
-        index = int(np.searchsorted(times, t0, side="right")) - 1
+        index = bisect_right(times, t0) - 1
         index = 0 if index < 0 else (last if index > last else index)
         if hint is not None:
             hint.index = index
@@ -220,12 +251,12 @@ class BandwidthTrace:
         short, slow window late in a fast trace.  Every term here is
         non-negative, so the result is accurate relative to itself.
         """
-        times, rates = self.times, self.rates
         i, j = self._locate(lo), self._locate(hi)
+        times, rates = self._times_view, self._rates_view
         if i == j:
-            return float((hi - lo) * rates[i])
+            return (hi - lo) * rates[i]
         head = (times[i + 1] - lo) * rates[i]
-        middle = np.dot(np.diff(times[i + 1 : j + 1]), rates[i + 1 : j])
+        middle = np.dot(np.diff(self.times[i + 1 : j + 1]), self.rates[i + 1 : j])
         tail = (hi - times[j]) * rates[j]
         return float(head + middle + tail)
 
@@ -241,10 +272,11 @@ class BandwidthTrace:
         The first (partial) segment is handled directly — exact, never
         negative, even for tiny transfers far outside the sampled window.
         A transfer that spans further is inverted against the cumulative
-        prefix-sum byte integral with one ``searchsorted``, so the cost is
+        prefix-sum byte integral with one binary search, so the cost is
         O(log n) rather than a Python-level walk over every straddled
         segment (the tests keep that walk as the reference,
-        ``tests/oracles/trace_scan.py``).
+        ``tests/oracles/trace_scan.py``).  Every step reads the float
+        views, so no numpy scalar is made per call.
 
         ``hint`` (a :class:`TraceCursor`, typically owned by a
         :class:`repro.net.link.Link`) amortizes the *starting-segment*
@@ -255,23 +287,25 @@ class BandwidthTrace:
             raise ValueError(f"negative transfer size {nbytes!r}")
         if nbytes == 0:
             return 0.0
-        rates = self.rates
-        times = self.times
-        last = len(self) - 1
+        times, rates = self._times_view, self._rates_view
+        if times is None:
+            times, rates = self._views()
+        last = len(times) - 1
 
-        if t0 >= self.end:
+        if t0 >= times[last]:
             if hint is not None:
                 hint.index = last
-            return nbytes / float(rates[last])
+            return nbytes / rates[last]
         remaining = float(nbytes)
         elapsed = 0.0
-        if t0 < self.start:
-            head_capacity = (self.start - t0) * float(rates[0])
+        start = times[0]
+        if t0 < start:
+            head_capacity = (start - t0) * rates[0]
             if remaining <= head_capacity:
-                return remaining / float(rates[0])
+                return remaining / rates[0]
             remaining -= head_capacity
-            elapsed = self.start - t0
-            cursor = self.start
+            elapsed = start - t0
+            cursor = start
             index = 0
             if hint is not None:
                 hint.index = 0
@@ -279,32 +313,35 @@ class BandwidthTrace:
             index = self._locate(t0, hint)
             cursor = t0
         if index == last:
-            return elapsed + remaining / float(rates[last])
+            return elapsed + remaining / rates[last]
         # Finish the (partial) segment the transfer starts in exactly.
-        boundary = float(times[index + 1])
-        capacity = (boundary - cursor) * float(rates[index])
+        boundary = times[index + 1]
+        capacity = (boundary - cursor) * rates[index]
         if remaining <= capacity:
-            return elapsed + remaining / float(rates[index])
+            return elapsed + remaining / rates[index]
         remaining -= capacity
         elapsed += boundary - cursor
         index += 1
         if index == last:
-            return elapsed + remaining / float(rates[last])
+            return elapsed + remaining / rates[last]
         # From the sample boundary ``times[index]`` onward, invert the
         # cumulative byte integral: find the segment whose prefix-sum
-        # bracket contains ``cum[index] + remaining``.
-        cum = self._cum()
-        target = float(cum[index]) + remaining
-        stop = int(np.searchsorted(cum, target, side="right")) - 1
+        # bracket contains ``cum[index] + remaining``.  The prefix sums
+        # never decrease, so the search can start at ``index``.
+        cum = self._cum_view
+        if cum is None:
+            cum = self._cum_view = memoryview(self._cum()).toreadonly()
+        target = cum[index] + remaining
+        stop = bisect_right(cum, target, index) - 1
         if stop >= last:
             return (
                 elapsed
-                + float(times[last]) - float(times[index])
-                + (target - float(cum[last])) / float(rates[last])
+                + times[last] - times[index]
+                + (target - cum[last]) / rates[last]
             )
         stop = max(stop, index)
-        within = (target - float(cum[stop])) / float(rates[stop])
-        return elapsed + float(times[stop]) - float(times[index]) + within
+        within = (target - cum[stop]) / rates[stop]
+        return elapsed + times[stop] - times[index] + within
 
     # -- transforms ----------------------------------------------------------
     def shifted(self, offset: float) -> "BandwidthTrace":

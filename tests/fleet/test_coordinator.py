@@ -270,6 +270,39 @@ class TestCachedClaims:
         assert moved is not links
         assert moved == runtime_links(record.runtime)
 
+    def assert_cached_equals_fresh(self):
+        for exclude in (None, "a", "b", "c", "outsider"):
+            cached = self.coordinator._claims(exclude)
+            assert cached == self.coordinator._sum_claims(exclude)
+            assert self.coordinator._claims(exclude) is cached
+
+    def test_cached_claims_equal_a_fresh_sum(self):
+        self.assert_cached_equals_fresh()
+        # A launch.
+        runtime = NetworkRuntime(
+            self.network, "c/", self.tree, make_query()[1]
+        )
+        before = self.coordinator._claims()
+        self.coordinator.query_launched("c", runtime)
+        assert self.coordinator._claims() != before
+        self.assert_cached_equals_fresh()
+        # A relocation.
+        before = self.coordinator._claims("a")
+        op = self.tree.operators()[0].node_id
+        self.network.move_actor(f"b/{op}", "h0")
+        assert self.coordinator._claims("a") != before
+        self.assert_cached_equals_fresh()
+        # A completion.
+        before = self.coordinator._claims()
+        self.coordinator.query_done("b")
+        assert self.coordinator._claims() != before
+        self.assert_cached_equals_fresh()
+
+    def test_link_claims_is_a_copy(self):
+        claims = self.coordinator.link_claims()
+        claims.clear()
+        assert self.coordinator.link_claims() == self.coordinator._sum_claims(None)
+
 
 class TestArbiter:
     def make(self, **policy_kwargs):

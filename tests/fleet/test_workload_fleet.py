@@ -192,3 +192,44 @@ class TestCounters:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             CoordinationCounters().note("barter")
+
+
+def test_denied_plan_costs_the_initial_placement_exactly(monkeypatch):
+    """A denied plan reports the search's start cost, which must equal
+    the scalar price of ``initial`` under the same residual view."""
+    from repro.dataflow.critical import placement_cost
+    from repro.fleet.coordinator import FleetCoordinator
+    from repro.fleet.planner import FleetPlanner
+
+    residuals, denials, checked = [], [], []
+    wrap_residual = FleetCoordinator.residual_estimator
+    wrap_arbitrate = FleetCoordinator.arbitrate
+    wrap_plan = FleetPlanner.plan
+
+    def residual_estimator(self, query_id, raw):
+        residuals.append(wrap_residual(self, query_id, raw))
+        return residuals[-1]
+
+    def arbitrate(self, *args, **kwargs):
+        granted = wrap_arbitrate(self, *args, **kwargs)
+        denials.append(not granted)
+        return granted
+
+    def plan(self, estimator, initial, **kwargs):
+        del residuals[:], denials[:]
+        result = wrap_plan(self, estimator, initial, **kwargs)
+        if any(denials):
+            (residual,) = residuals
+            assert result.placement == initial
+            assert result.cost == placement_cost(
+                self.inner.tree, initial, self.inner.cost_model, residual
+            )
+            checked.append(result.cost)
+        return result
+
+    monkeypatch.setattr(FleetCoordinator, "residual_estimator", residual_estimator)
+    monkeypatch.setattr(FleetCoordinator, "arbitrate", arbitrate)
+    monkeypatch.setattr(FleetPlanner, "plan", plan)
+    result = run_workload(contended_spec(TIGHT))
+    assert result.fleet["fleet"]["denies"] > 0
+    assert checked

@@ -164,7 +164,7 @@ def scalar_search(
     recorder = RecordingEstimator(estimator)
     tree, cost_model = planner.tree, planner.cost_model
     current = initial
-    current_cost = critical_path(tree, current, cost_model, recorder).cost
+    current_cost = start_cost = critical_path(tree, current, cost_model, recorder).cost
     rounds = 0
     candidates = 0
 
@@ -199,6 +199,7 @@ def scalar_search(
         candidates_evaluated=candidates,
         links_queried=frozenset(recorder.queried),
         algorithm=planner.name,
+        start_cost=start_cost,
     )
 
 
