@@ -33,6 +33,17 @@ class ActorBase:
         self.runtime = runtime
         self.node = node
         self.actor_id = node.node_id
+        #: Network-registry name, resolved once; the registry and host
+        #: table are the network's own dicts, read once per question.
+        self.net_id = runtime.net_id(self.actor_id)
+        network = runtime.network
+        self._network = network
+        self._actor_hosts = network.actor_hosts
+        self._hosts = network.hosts
+        #: Mailbox read at ``_mailbox_epoch`` of the actor registry; only
+        #: a move (which bumps the epoch) can replace it.
+        self._mailbox = None
+        self._mailbox_epoch = -1
         #: Believed node->host map for the coordinated (non-local)
         #: algorithms; replaced wholesale at a barrier switch.
         self.view_placement: dict[str, str] = runtime.initial_placement.as_dict()
@@ -43,10 +54,11 @@ class ActorBase:
     # -- location beliefs ------------------------------------------------------
     def my_host(self) -> str:
         """Ground-truth current host of this actor."""
-        return self.runtime.host_of(self.actor_id)
+        return self._actor_hosts[self.net_id]
 
     def my_host_obj(self):
-        return self.runtime.host_obj(self.actor_id)
+        """The :class:`~repro.net.host.Host` this actor runs on."""
+        return self._hosts[self._actor_hosts[self.net_id]]
 
     def peer_host(self, actor: str) -> str:
         """Where this actor believes ``actor`` lives."""
@@ -54,12 +66,18 @@ class ActorBase:
         pinned = runtime.pinned_hosts.get(actor)
         if pinned is not None:
             return pinned
-        if runtime.spec.algorithm is Algorithm.LOCAL:
+        if runtime.carries_vectors:
             return runtime.vectors[self.my_host()].location_of(actor)
         return self.view_placement[actor]
 
     def mailbox(self):
-        return self.runtime.mailbox_of(self.actor_id)
+        """The mailbox this actor reads at its current host."""
+        epoch = self._network.actor_epoch
+        if epoch != self._mailbox_epoch:
+            net_id = self.net_id
+            self._mailbox = self._hosts[self._actor_hosts[net_id]].mailbox(net_id)
+            self._mailbox_epoch = epoch
+        return self._mailbox
 
     # -- sending ---------------------------------------------------------------
     def send_demand(
@@ -128,9 +146,11 @@ class ServerActor(ActorBase):
     def run(self):
         """Main process: prefetch image 0, then serve demands forever."""
         yield from self._read(0)
+        carries_vectors = self.runtime.carries_vectors
         while True:
             message = yield self.mailbox().get()
-            self.runtime.ingest_vectors(message, self.my_host())
+            if carries_vectors:
+                self.runtime.ingest_vectors(message, self.my_host())
             yield from self._handle(message)
 
     def _handle(self, message: Message):
@@ -238,9 +258,11 @@ class OperatorActor(ActorBase):
         """Main process: prime the pipeline, then react to messages."""
         if self.runtime.spec.prefetch:
             self._request_inputs(0)
+        carries_vectors = self.runtime.carries_vectors
         while True:
             message = yield self.mailbox().get()
-            self.runtime.ingest_vectors(message, self.my_host())
+            if carries_vectors:
+                self.runtime.ingest_vectors(message, self.my_host())
             yield from self._handle(message)
 
     def _handle(self, message: Message):
@@ -368,9 +390,11 @@ class ClientActor(ActorBase):
     def run(self):
         """Demand partitions one at a time; route barrier reports."""
         self._demand(0)
+        carries_vectors = self.runtime.carries_vectors
         while self.received < self.runtime.num_images:
             message = yield self.mailbox().get()
-            self.runtime.ingest_vectors(message, self.my_host())
+            if carries_vectors:
+                self.runtime.ingest_vectors(message, self.my_host())
             payload = message.payload
             mtype = payload["type"]
             if mtype == "data":

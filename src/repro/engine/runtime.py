@@ -12,7 +12,6 @@ from repro.engine.config import Algorithm, SimulationSpec
 from repro.engine.metrics import RelocationEvent, RunMetrics
 from repro.engine.vectors import VectorStore
 from repro.monitor.system import MonitoringSystem, frozen_estimator
-from repro.net.host import Host
 from repro.net.message import (
     PRIORITY_BARRIER,
     PRIORITY_DATA,
@@ -77,6 +76,9 @@ class Runtime:
         self.spec = spec
         self.compose: CompositionSpec = spec.compose
         self.num_images = spec.images_per_server
+        #: Whether messages piggyback location vectors (§2.3): only the
+        #: local algorithm's do, so only its receivers ingest them.
+        self.carries_vectors = spec.algorithm is Algorithm.LOCAL
 
         self.initial_placement = initial_placement
         #: The placement currently intended to be running (ground truth for
@@ -133,10 +135,15 @@ class Runtime:
         self._barrier_events: dict[int, Event] = {}
         self._barrier_reports: dict[int, dict[str, int]] = {}
 
+        #: Network-registry name of every tree node, built once so that
+        #: sending a message never rebuilds a namespaced id.
+        self._net_ids: dict[str, str] = {
+            node.node_id: self.net_id(node.node_id) for node in tree.nodes()
+        }
         # Register every actor's starting location.
         for node in tree.nodes():
             network.register_actor(
-                self.net_id(node.node_id),
+                self._net_ids[node.node_id],
                 initial_placement.host_of(node.node_id),
             )
 
@@ -161,14 +168,6 @@ class Runtime:
         """Ground-truth current host of an actor."""
         return self.network.actor_host(self.net_id(actor))
 
-    def host_obj(self, actor: str) -> Host:
-        """The :class:`Host` an actor currently runs on."""
-        return self.network.hosts[self.host_of(actor)]
-
-    def mailbox_of(self, actor: str):
-        """The mailbox an actor reads, under its network-registry name."""
-        return self.host_obj(actor).mailbox(self.net_id(actor))
-
     # -- messaging --------------------------------------------------------------
     def barrier_msg_priority(self) -> int:
         """Priority for barrier messages (ablation switch, §2.2)."""
@@ -186,11 +185,14 @@ class Runtime:
     ) -> Message:
         """Send a message from an actor to another actor's believed host.
 
-        For the local algorithm the sender's host piggybacks its location
-        and timestamp vectors plus its own authoritative entry.
+        Both actors are tree nodes of this query.  For the local
+        algorithm the sender's host piggybacks its location and timestamp
+        vectors plus its own authoritative entry.
         """
-        src_host = self.host_of(src_actor)
-        if self.spec.algorithm is Algorithm.LOCAL:
+        net_ids = self._net_ids
+        src_net = net_ids[src_actor]
+        src_host = self.network.actor_hosts[src_net]
+        if self.carries_vectors:
             store = self.vectors[src_host]
             timestamps, locations = store.snapshot()
             payload = dict(payload)
@@ -201,8 +203,8 @@ class Runtime:
                 payload["_sender_ts"] = store.timestamps[src_actor]
         message = Message(
             kind=kind,
-            src_actor=self.net_id(src_actor),
-            dst_actor=self.net_id(dst_actor),
+            src_actor=src_net,
+            dst_actor=net_ids[dst_actor],
             size=size,
             payload=payload,
             priority=priority,
@@ -214,7 +216,11 @@ class Runtime:
         return message
 
     def ingest_vectors(self, message: Message, receiver_host: str) -> None:
-        """Merge piggybacked location knowledge at the receiving host."""
+        """Merge piggybacked location knowledge at the receiving host.
+
+        Only messages of a runtime that :attr:`carries_vectors` hold any,
+        so actors call this only there.
+        """
         payload = message.payload
         timestamps = payload.get("_vec_ts")
         if timestamps is None:

@@ -40,11 +40,8 @@ class MessageKind(enum.Enum):
     CONTROL = "control"
     BARRIER = "barrier"
 
-    @property
-    def default_priority(self) -> int:
-        return _DEFAULT_PRIORITIES[self]
 
-
+#: NIC-queue priority of a message whose sender names none.
 _DEFAULT_PRIORITIES = {
     MessageKind.DATA: PRIORITY_DATA,
     MessageKind.DEMAND: PRIORITY_DEMAND,
@@ -56,7 +53,7 @@ _DEFAULT_PRIORITIES = {
 HEADER_BYTES = 256
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A simulated network message.
 
@@ -80,8 +77,8 @@ class Message:
     #: Owning workload query, stamped by the engine's runtime; ``None``
     #: for single-query runs and engine-internal traffic.
     query_id: Optional[str] = None
-    #: Unique id, assigned automatically.
-    uid: int = field(default_factory=lambda: next(_message_counter))
+    #: Unique id, assigned automatically (strictly increasing).
+    uid: int = field(default_factory=_message_counter.__next__)
     #: Filled in by the transport on delivery.
     sent_at: float = float("nan")
     delivered_at: float = float("nan")
@@ -92,7 +89,7 @@ class Message:
         if self.size < 0:
             raise ValueError(f"negative message size {self.size!r}")
         if self.priority is None:
-            self.priority = self.kind.default_priority
+            self.priority = _DEFAULT_PRIORITIES[self.kind]
 
     @property
     def wire_size(self) -> float:

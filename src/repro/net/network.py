@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from repro.faults.plan import TransferAbandoned
 from repro.net.host import Host
@@ -43,9 +43,13 @@ from repro.obs.tracer import ensure_tracer, query_tag
 from repro.sim import URGENT, Environment, Event
 
 
-@dataclass(frozen=True)
-class TransferObservation:
-    """What a completed wire transfer looked like (fed to monitors)."""
+class TransferObservation(NamedTuple):
+    """What a completed wire transfer looked like (fed to monitors).
+
+    Built once per transfer, so it is a named tuple: immutable and
+    compared by value like a frozen dataclass, without the frozen
+    ``__init__``'s one ``object.__setattr__`` per field.
+    """
 
     src_host: str
     dst_host: str
@@ -99,7 +103,11 @@ class Network:
         self._tracer = ensure_tracer(tracer)
         self.hosts: dict[str, Host] = {}
         self._links: dict[tuple[str, str], Link] = {}
-        self._actor_hosts: dict[str, str] = {}
+        #: The actor registry, actor -> host.  Read it directly on hot
+        #: paths; change it only through :meth:`register_actor`,
+        #: :meth:`move_actor` and :meth:`unregister_actor`, which keep
+        #: :attr:`actor_epoch` in step.
+        self.actor_hosts: dict[str, str] = {}
         #: Actor-registry epoch: bumped whenever a registered actor
         #: changes host or leaves the registry, so anything derived from
         #: actor locations can be cached until the epoch moves.
@@ -206,14 +214,14 @@ class Network:
         """Declare that ``actor`` (a tree-node process) lives on ``host``."""
         if host not in self.hosts:
             raise ValueError(f"unknown host {host!r}")
-        if self._actor_hosts.get(actor, host) != host:
+        if self.actor_hosts.get(actor, host) != host:
             self.actor_epoch += 1
-        self._actor_hosts[actor] = host
+        self.actor_hosts[actor] = host
 
     def actor_host(self, actor: str) -> str:
         """Ground-truth current host of ``actor``."""
         try:
-            return self._actor_hosts[actor]
+            return self.actor_hosts[actor]
         except KeyError:
             raise KeyError(f"actor {actor!r} is not registered") from None
 
@@ -221,12 +229,15 @@ class Network:
         """Atomically re-home ``actor``; returns messages left at the old host.
 
         The caller (the engine's relocation machinery) is responsible for
-        re-delivering the returned messages at the new location.
+        re-delivering the returned messages at the new location.  This is
+        the only path that replaces a registered actor's mailbox, and a
+        real move bumps :attr:`actor_epoch`, so a mailbox cached until the
+        epoch moves is never a detached one.
         """
         old_host = self.actor_host(actor)
         if new_host not in self.hosts:
             raise ValueError(f"unknown host {new_host!r}")
-        self._actor_hosts[actor] = new_host
+        self.actor_hosts[actor] = new_host
         if old_host == new_host:
             return []
         self.actor_epoch += 1
@@ -238,7 +249,7 @@ class Network:
         Unknown actors are ignored; in-flight messages to an unregistered
         actor are delivered at their arrival host (no forwarding).
         """
-        if self._actor_hosts.pop(actor, None) is not None:
+        if self.actor_hosts.pop(actor, None) is not None:
             self.actor_epoch += 1
 
     # -- transfers -------------------------------------------------------------
@@ -294,14 +305,14 @@ class Network:
         if src not in self.hosts or dst not in self.hosts:
             raise ValueError(f"unknown endpoint in {src!r}->{dst!r}")
         message.src_host, message.dst_host = src, dst
-        message.sent_at = self.env.now
+        message.sent_at = now = self.env.now
 
         tracer = self._tracer
         if src == dst:
             self.stats_for(message.query_id).local_deliveries += 1
             if tracer.enabled:
                 self._trace_send(tracer, message, "local")
-            message.delivered_at = self.env.now
+            message.delivered_at = now
             self._deliver(message, dst)
             if done is not None:
                 done.succeed(message)
@@ -526,7 +537,8 @@ class Network:
         generator reference schedule in ``tests/oracles/full_des.py`` so
         they stay bookkeeping-identical — the query's ledger row, tracer
         span, observers, piggyback, delivery, ``done``, then the arbiter
-        rescan, in exactly that order.
+        rescan, in exactly that order.  With nothing queued the rescan
+        would start nothing, so only its flag reset runs.
         """
         wire_size = message.wire_size
         finished = self.env.now
@@ -543,13 +555,8 @@ class Network:
         row.bytes_on_wire += wire_size
 
         observation = TransferObservation(
-            src_host=src,
-            dst_host=dst,
-            wire_bytes=wire_size,
-            data_seconds=duration - link.startup_cost,
-            started=started,
-            finished=finished,
-            query_id=query_id,
+            src, dst, wire_size, duration - link.startup_cost,
+            started, finished, query_id,
         )
         tracer = self._tracer
         if tracer.enabled:
@@ -572,11 +579,15 @@ class Network:
         if self.piggyback_sink is not None and message.piggyback is not None:
             self.piggyback_sink(dst, message.piggyback, query_id)
 
-        message.delivered_at = self.env.now
+        message.delivered_at = finished
         self._deliver(message, dst)
         if done is not None:
             done.succeed(message)
-        self._dispatch_transfers()
+        if self._waiting:
+            self._dispatch_transfers()
+        else:
+            # Nothing queued: the full scan would only clear the flag.
+            self._scan_needed = False
 
     def _trace_send(self, tracer, message: Message, transport: str) -> None:
         tracer.emit(
@@ -594,7 +605,7 @@ class Network:
         )
 
     def _deliver(self, message: Message, arrived_at: str) -> None:
-        actual = self._actor_hosts.get(message.dst_actor, arrived_at)
+        actual = self.actor_hosts.get(message.dst_actor, arrived_at)
         tracer = self._tracer
         if actual != arrived_at:
             # The destination actor moved while the message was in flight:

@@ -207,8 +207,12 @@ class Environment:
         generator churn.  The network runs every transfer through this
         instead of a :class:`Process`.
         """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
         event = Callback(self, fn)
-        self.schedule(event, priority=priority, delay=delay)
+        # schedule(), inlined: one calendar push per transfer.
+        heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        self._eid += 1
         return event
 
     def process(self, generator: ProcessGenerator, name: str = "") -> "Process":

@@ -2,14 +2,56 @@
 
 import pytest
 
+from repro.app.images import ImageWorkload
+from repro.engine.actors import OperatorActor
 from repro.engine.config import Algorithm
-from repro.engine.simulation import build_simulation
+from repro.engine.runtime import Runtime
+from repro.engine.simulation import build_simulation, build_substrate, build_tree
 from repro.net.message import MessageKind
+from repro.placement.download_all import download_all_placement
+from repro.sim import Environment
 from tests.conftest import tiny_spec
 
 
 def build(algorithm=Algorithm.DOWNLOAD_ALL, **overrides):
     return build_simulation(tiny_spec(algorithm=algorithm, **overrides))
+
+
+def bare_runtimes(namespaces):
+    """One runtime per namespace on a shared substrate, all operators at
+    the client (download-all) and no actor process started, so a test
+    alone decides what each actor reads."""
+    spec = tiny_spec(Algorithm.GLOBAL)
+    env = Environment()
+    network, monitoring = build_substrate(env, spec, spec.link_traces, None)
+    tree = build_tree(spec)
+    server_hosts = {
+        server.node_id: spec.server_hosts[index]
+        for index, server in enumerate(tree.servers())
+    }
+    placement = download_all_placement(tree, server_hosts, spec.client_host)
+    workload = ImageWorkload.generate(
+        spec.num_servers,
+        spec.images_per_server,
+        spec.mean_image_size,
+        spec.image_rel_std,
+        seed=spec.workload_seed,
+    )
+    runtimes = [
+        Runtime(
+            env,
+            network,
+            monitoring,
+            tree,
+            workload,
+            spec,
+            placement,
+            namespace=namespace,
+            query_id=namespace or None,
+        )
+        for namespace in namespaces
+    ]
+    return env, network, runtimes
 
 
 class TestSend:
@@ -117,6 +159,54 @@ class TestRelocate:
         env.process(mover(env))
         env.run(until=30.0)
         assert len(runtime.network.hosts["h3"].mailbox(op)) >= 1
+
+
+class TestActorAddressCache:
+    """An actor resolves its mailbox once per registry epoch; a move
+    bumps the epoch, so the cache never outlives the mailbox it holds."""
+
+    @pytest.mark.parametrize(
+        "namespaces", [("",), ("q0/", "q1/")], ids=["single-query", "fleet"]
+    )
+    def test_mailbox_follows_a_round_trip(self, namespaces):
+        env, network, runtimes = bare_runtimes(namespaces)
+        runtime = runtimes[-1]
+        node = runtime.tree.operators()[0]
+        actor = OperatorActor(runtime, node)
+        # A same-named operator of another query on the shared network.
+        bystander = OperatorActor(runtimes[0], node) if len(runtimes) > 1 else None
+        home = runtime.host_of(node.node_id)
+        away = "h2"
+        assert home != away
+        first = actor.mailbox()
+        assert first is network.hosts[home].mailbox(actor.net_id)
+
+        for target in (away, home):
+            env.process(runtime.relocate(node.node_id, target))
+            env.run()
+            assert runtime.host_of(node.node_id) == target
+            box = actor.mailbox()
+            assert box is network.hosts[target].mailbox(actor.net_id)
+            # The mailbox of the first stay at home was detached by the
+            # first move; coming back home must not resurrect it.
+            assert box is not first
+            message = runtime.send(
+                MessageKind.CONTROL,
+                runtime.tree.client.node_id,
+                node.node_id,
+                0,
+                payload={"type": "noop"},
+                dst_host=target,
+            )
+            env.run()
+            received = actor.mailbox().get()
+            assert received.triggered and received.value is message
+            if bystander is not None:
+                assert bystander.net_id != actor.net_id
+                assert bystander.mailbox() is network.hosts[home].mailbox(
+                    bystander.net_id
+                )
+        assert runtime.metrics.relocations == 2
 
 
 class TestRemoteProbe:

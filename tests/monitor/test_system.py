@@ -147,7 +147,7 @@ class TestProbe:
         # Regression: probe used to leave its _monitor@<host> endpoints
         # registered, leaking one registry entry (and mailbox) per probe.
         net, monitoring = build(env, rate=2000.0)
-        before = dict(net._actor_hosts)
+        before = dict(net.actor_hosts)
 
         def prober(env):
             yield from monitoring.probe("a", "b")
@@ -155,7 +155,7 @@ class TestProbe:
 
         env.process(prober(env))
         env.run()
-        assert net._actor_hosts == before
+        assert net.actor_hosts == before
         for host in net.hosts.values():
             assert not any(
                 name.startswith("_monitor@") for name in host._mailboxes

@@ -43,9 +43,13 @@ class TestMessage:
         assert msg.wire_size == 1000 + HEADER_BYTES + 240
 
     def test_uids_unique_and_increasing(self):
-        a = Message(MessageKind.DEMAND, "x", "y", 0)
-        b = Message(MessageKind.DEMAND, "x", "y", 0)
-        assert b.uid > a.uid
+        uids = [Message(MessageKind.DEMAND, "x", "y", 0).uid for _ in range(50)]
+        assert all(later > earlier for earlier, later in zip(uids, uids[1:]))
 
     def test_kind_enum_roundtrip(self):
         assert MessageKind("data") is MessageKind.DATA
+
+    def test_unknown_attributes_rejected(self):
+        msg = Message(MessageKind.DATA, "a", "b", 10)
+        with pytest.raises(AttributeError):
+            msg.not_a_field = 1

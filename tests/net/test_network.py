@@ -5,7 +5,7 @@ import pytest
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.message import Message, MessageKind
-from repro.net.network import Network
+from repro.net.network import Network, TransferObservation
 from repro.traces import constant_trace
 from tests.oracles.full_des import full_des
 
@@ -304,3 +304,45 @@ class TestTransfers:
         net.send(data_message("s", "d"))
         env.run()
         assert calls == {"source": 1, "sink": 1}
+
+
+class TestTransferObservation:
+    def observation(self, **overrides):
+        fields = dict(
+            src_host="a",
+            dst_host="b",
+            wire_bytes=2000.0,
+            data_seconds=2.0,
+            started=1.0,
+            finished=3.5,
+            query_id=None,
+        )
+        fields.update(overrides)
+        return TransferObservation(**fields)
+
+    def test_fields_cannot_be_assigned(self):
+        obs = self.observation()
+        with pytest.raises(AttributeError):
+            obs.wire_bytes = 1.0
+        with pytest.raises(AttributeError):
+            obs.extra = 1.0
+
+    def test_compares_by_value(self):
+        assert self.observation() == self.observation()
+        assert hash(self.observation()) == hash(self.observation())
+        assert self.observation() != self.observation(query_id="q1")
+
+    def test_query_id_defaults_to_none(self):
+        obs = TransferObservation("a", "b", 10.0, 1.0, 0.0, 1.5)
+        assert obs.query_id is None
+        assert obs == self.observation(
+            wire_bytes=10.0, data_seconds=1.0, started=0.0, finished=1.5
+        )
+
+    def test_measured_bandwidth(self):
+        assert self.observation().measured_bandwidth == 1000.0
+
+    @pytest.mark.parametrize("data_seconds", [0.0, -0.25])
+    def test_measured_bandwidth_infinite_without_data_time(self, data_seconds):
+        obs = self.observation(data_seconds=data_seconds)
+        assert obs.measured_bandwidth == float("inf")
