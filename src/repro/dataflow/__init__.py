@@ -19,7 +19,7 @@ from repro.dataflow.tree import (
     left_deep_tree,
 )
 from repro.dataflow.placement import Placement
-from repro.dataflow.cost import CostModel, EdgeCost, expected_output_sizes
+from repro.dataflow.cost import CostModel, expected_output_sizes
 from repro.dataflow.critical import CriticalPath, critical_path
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "CombinationTree",
     "CostModel",
     "CriticalPath",
-    "EdgeCost",
     "Placement",
     "TreeNode",
     "complete_binary_tree",

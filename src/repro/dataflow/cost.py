@@ -22,7 +22,6 @@ approximation of ``max`` of normals — with the paper's Normal(128 KB,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -116,21 +115,6 @@ def expected_output_sizes(
 
     visit(tree.client.node_id)
     return {node_id: mean for node_id, (mean, _) in moments.items()}
-
-
-@dataclass(frozen=True)
-class EdgeCost:
-    """Priced edge of the data-flow tree under some placement."""
-
-    child: str
-    parent: str
-    child_host: str
-    parent_host: str
-    seconds: float
-
-    @property
-    def is_local(self) -> bool:
-        return self.child_host == self.parent_host
 
 
 class CostModel:
@@ -253,19 +237,6 @@ class CostModel:
             return 0.0
         bandwidth = max(estimator(child_host, parent_host), self.min_bandwidth)
         return self.startup_cost + self.sizes[child] / bandwidth
-
-    def edge(self, child: str, placement: Placement, estimator: BandwidthEstimator) -> EdgeCost:
-        """Detailed :class:`EdgeCost` for the edge above ``child``."""
-        node = self.tree.node(child)
-        if node.parent is None:
-            raise ValueError("the client has no upward edge")
-        return EdgeCost(
-            child=child,
-            parent=node.parent,
-            child_host=placement.host_of(child),
-            parent_host=placement.host_of(node.parent),
-            seconds=self.edge_seconds(child, placement, estimator),
-        )
 
 
 class CostModelArrays:

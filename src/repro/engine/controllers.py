@@ -210,7 +210,7 @@ class GlobalController:
 
         Uses :meth:`~repro.monitor.cache.BandwidthCache.lookup_any` and
         judges age against :data:`DEGRADED_ESTIMATE_HORIZON`, not the
-        cache's own ``t_thres`` freshness cut.
+        monitor's ``T_THRES`` freshness cut.
         """
         runtime = self.runtime
         cache = runtime.monitoring.cache_for(viewer)

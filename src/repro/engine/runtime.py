@@ -258,8 +258,9 @@ class Runtime:
         if faults is not None and faults.host_down(new_host, self.env.now):
             self._abort_relocation(op_id, old_host, new_host, "destination-down")
             return
+        # Never registered: the state message names both hosts, so it is
+        # delivered at the destination and drained from the mailbox there.
         transfer_actor = self.net_id(f"_xfer-{op_id}")
-        self.network.register_actor(transfer_actor, new_host)
         state_msg = Message(
             kind=MessageKind.CONTROL,
             src_actor=self.net_id(op_id),
@@ -278,7 +279,6 @@ class Runtime:
             try:
                 yield self.env.any_of([delivery, timeout])
             except TransferAbandoned:
-                self.network.unregister_actor(transfer_actor)
                 self._abort_relocation(
                     op_id, old_host, new_host, "transfer-abandoned"
                 )
@@ -286,17 +286,15 @@ class Runtime:
             if not delivery.triggered:
                 # Timed out.  The state transfer keeps retrying in the
                 # background; when it eventually lands (or dies), the
-                # stale destination endpoint is cleaned up.
+                # stale destination mailbox is drained.
                 delivery.defused = True
-                network = self.network
-                def _late_cleanup(_event, host=new_host, actor=transfer_actor):
-                    network.hosts[host].remove_mailbox(actor)
-                    network.unregister_actor(actor)
-                delivery.callbacks.append(_late_cleanup)
+                mailbox_host = self.network.hosts[new_host]
+                delivery.callbacks.append(
+                    lambda _event: mailbox_host.remove_mailbox(transfer_actor)
+                )
                 self._abort_relocation(op_id, old_host, new_host, "timeout")
                 return
         self.network.hosts[new_host].remove_mailbox(transfer_actor)
-        self.network.unregister_actor(transfer_actor)
 
         pending = self.network.move_actor(self.net_id(op_id), new_host)
         new_mailbox = self.network.hosts[new_host].mailbox(self.net_id(op_id))
@@ -389,58 +387,46 @@ class Runtime:
             )
             return result
 
+        # The control endpoints are never registered: each message names
+        # both hosts and is drained from the mailbox it lands in.
         ctl_requester = self.net_id(f"_probe-ctl@{requester_host}")
         ctl_remote = self.net_id(f"_probe-ctl@{a}")
-        self.network.register_actor(ctl_requester, requester_host)
-        self.network.register_actor(ctl_remote, a)
+        request = Message(
+            kind=MessageKind.CONTROL,
+            src_actor=ctl_requester,
+            dst_actor=ctl_remote,
+            size=0,
+            payload={"type": "probe-request", "pair": (a, b)},
+            query_id=self.query_id,
+        )
         try:
-            request = Message(
-                kind=MessageKind.CONTROL,
-                src_actor=ctl_requester,
-                dst_actor=ctl_remote,
-                size=0,
-                payload={"type": "probe-request", "pair": (a, b)},
-                query_id=self.query_id,
-            )
-            try:
-                yield self.network.send(
-                    request, src_host=requester_host, dst_host=a
-                )
-            except TransferAbandoned:
-                return None
-            self.network.hosts[a].remove_mailbox(ctl_remote)
+            yield self.network.send(request, src_host=requester_host, dst_host=a)
+        except TransferAbandoned:
+            return None
+        self.network.hosts[a].remove_mailbox(ctl_remote)
 
-            bandwidth = yield from self.monitoring.probe(
-                a, b, query_id=self.query_id
-            )
+        bandwidth = yield from self.monitoring.probe(a, b, query_id=self.query_id)
 
-            reply = Message(
-                kind=MessageKind.CONTROL,
-                src_actor=ctl_remote,
-                dst_actor=ctl_requester,
-                size=0,
-                payload={
-                    "type": "probe-reply",
-                    "pair": (a, b),
-                    "bandwidth": bandwidth,
-                },
-                query_id=self.query_id,
+        reply = Message(
+            kind=MessageKind.CONTROL,
+            src_actor=ctl_remote,
+            dst_actor=ctl_requester,
+            size=0,
+            payload={"type": "probe-reply", "pair": (a, b), "bandwidth": bandwidth},
+            query_id=self.query_id,
+        )
+        try:
+            yield self.network.send(reply, src_host=a, dst_host=requester_host)
+        except TransferAbandoned:
+            return None
+        self.network.hosts[requester_host].remove_mailbox(ctl_requester)
+        # The reply's piggyback normally carries the measurement; make
+        # the delivery explicit in case piggybacking is disabled.
+        if bandwidth is not None:
+            self.monitoring.cache_for(requester_host).update(
+                a, b, bandwidth, self.env.now
             )
-            try:
-                yield self.network.send(reply, src_host=a, dst_host=requester_host)
-            except TransferAbandoned:
-                return None
-            self.network.hosts[requester_host].remove_mailbox(ctl_requester)
-            # The reply's piggyback normally carries the measurement; make
-            # the delivery explicit in case piggybacking is disabled.
-            if bandwidth is not None:
-                self.monitoring.cache_for(requester_host).update(
-                    a, b, bandwidth, self.env.now
-                )
-            return bandwidth
-        finally:
-            self.network.unregister_actor(ctl_requester)
-            self.network.unregister_actor(ctl_remote)
+        return bandwidth
 
     # -- arrivals & barrier bookkeeping ------------------------------------------
     def note_arrival(self, iteration: int, at: float) -> None:

@@ -51,11 +51,6 @@ class AlgorithmSummary:
         """Mean of per-configuration mean inter-arrival times (§5 table)."""
         return float(np.mean(self.interarrivals))
 
-    @property
-    def mean_completion(self) -> float:
-        return float(np.mean(self.completion_times))
-
-
 def compare_algorithms(
     setup: ExperimentConfig,
     algorithms: Sequence[Algorithm],

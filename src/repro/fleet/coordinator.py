@@ -250,10 +250,6 @@ class FleetCoordinator:
         self._claims_memo = {}
         self._claims_network = _shared_network(self._active)
 
-    @property
-    def active_count(self) -> int:
-        return len(self._active)
-
     # -- claims & residual bandwidth ---------------------------------------
     def _claims(
         self, exclude: Optional[str] = None

@@ -1,4 +1,4 @@
-"""Per-host bandwidth measurement caches with timeout semantics."""
+"""Per-host bandwidth measurement caches."""
 
 from __future__ import annotations
 
@@ -26,27 +26,13 @@ class CacheEntry:
 class BandwidthCache:
     """A host's cache of pairwise bandwidth measurements.
 
-    ``lookup`` distinguishes *fresh* entries (younger than ``t_thres``)
-    from stale ones; the placement algorithms may fall back to stale
-    entries as a best guess but know they are stale.
-
-    ``smoothing`` exponentially averages successive measurements of the
-    same pair (NWS-style forecasting): the stored value is
-    ``alpha * measured + (1 - alpha) * previous``.  ``smoothing=1``
-    disables it (keep raw last measurements).
+    Keeps the newest measurement per pair.  Entries are never dropped:
+    the monitor judges an entry older than ``T_THRES`` stale (see
+    :mod:`repro.monitor.system`), and the placement algorithms may fall
+    back to it as a best guess but know it is stale.
     """
 
-    def __init__(self, t_thres: float = 40.0, smoothing: float = 1.0) -> None:
-        if t_thres <= 0:
-            raise ValueError(f"t_thres must be positive, got {t_thres!r}")
-        if not 0 < smoothing <= 1:
-            raise ValueError(f"smoothing must be in (0, 1], got {smoothing!r}")
-        self.t_thres = t_thres
-        self.smoothing = smoothing
-        #: Smoothing only blends measurements taken close together; a new
-        #: measurement replaces (rather than averages with) one older than
-        #: this horizon, so stale history cannot drag estimates around.
-        self.smoothing_horizon = 4.0 * t_thres
+    def __init__(self) -> None:
         self._entries: dict[tuple[str, str], CacheEntry] = {}
         #: Content version: bumped on every mutation of ``_entries``.  The
         #: piggyback layer memoizes encode/decode work against it — any
@@ -79,33 +65,11 @@ class BandwidthCache:
         existing = self._entries.get(key)
         if existing is not None and existing.measured_at >= now:
             return False
-        if (
-            existing is not None
-            and self.smoothing < 1.0
-            and now - existing.measured_at <= self.smoothing_horizon
-        ):
-            bandwidth = (
-                self.smoothing * bandwidth
-                + (1.0 - self.smoothing) * existing.bandwidth
-            )
         self._entries[key] = CacheEntry(key, bandwidth, now)
         self._version += 1
         if self.on_new_value is not None:
             self.on_new_value(key, bandwidth, now)
         return True
-
-    def force_set(self, a: str, b: str, bandwidth: float, now: float) -> None:
-        """Overwrite the pair's entry, bypassing smoothing.
-
-        Used by multi-sample probes, which compute their own average.
-        """
-        if bandwidth < 0:
-            raise ValueError(f"negative bandwidth {bandwidth!r}")
-        key = pair_key(a, b)
-        self._entries[key] = CacheEntry(key, bandwidth, now)
-        self._version += 1
-        if self.on_new_value is not None:
-            self.on_new_value(key, bandwidth, now)
 
     def merge_entry(self, entry: CacheEntry) -> bool:
         """Merge a (possibly piggybacked) entry; newest measurement wins."""
@@ -118,20 +82,9 @@ class BandwidthCache:
             self.on_new_value(entry.pair, entry.bandwidth, entry.measured_at)
         return True
 
-    def lookup(self, a: str, b: str, now: float) -> Optional[CacheEntry]:
-        """The *fresh* entry for the pair, or None if absent/timed out."""
-        entry = self._entries.get(pair_key(a, b))
-        if entry is None or now - entry.measured_at > self.t_thres:
-            return None
-        return entry
-
     def lookup_any(self, a: str, b: str) -> Optional[CacheEntry]:
-        """The entry for the pair regardless of age (stale fallback)."""
+        """The entry for the pair regardless of age, or None."""
         return self._entries.get(pair_key(a, b))
-
-    def is_fresh(self, a: str, b: str, now: float) -> bool:
-        """True if a non-timed-out measurement exists for the pair."""
-        return self.lookup(a, b, now) is not None
 
     def freshest(self, limit: int) -> list[CacheEntry]:
         """Up to ``limit`` entries, most recently measured first."""
@@ -139,12 +92,3 @@ class BandwidthCache:
             self._entries.values(), key=lambda e: e.measured_at, reverse=True
         )
         return ordered[:limit]
-
-    def evict_older_than(self, cutoff: float) -> int:
-        """Drop entries measured before ``cutoff``; returns the count dropped."""
-        victims = [k for k, e in self._entries.items() if e.measured_at < cutoff]
-        for key in victims:
-            del self._entries[key]
-        if victims:
-            self._version += 1
-        return len(victims)

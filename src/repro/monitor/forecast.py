@@ -8,8 +8,10 @@ most accurate so far.
 
 This module implements that scheme.  It is optional —
 ``MonitoringConfig(forecast="adaptive")`` routes every estimate through a
-per-pair :class:`AdaptiveForecaster` — and ablated in the benchmarks;
-the paper's own model (raw cached measurements) remains the default.
+per-pair :class:`AdaptiveForecaster`, ``forecast="median"`` through a
+per-pair :class:`SlidingMedian` — and compared against raw measurements
+in ``benchmarks/test_extensions.py``; the paper's own model (raw cached
+measurements) remains the default.
 """
 
 from __future__ import annotations
@@ -131,20 +133,12 @@ class AdaptiveForecaster:
     log scale, which treats over- and under-estimation symmetrically for
     a quantity spanning orders of magnitude), then updates the bank.  A
     prediction comes from the predictor with the lowest accumulated,
-    exponentially decayed error.
+    exponentially decayed error (each measurement keeps 0.9 of the old
+    error).
     """
 
-    def __init__(
-        self,
-        bank: Optional[list[Predictor]] = None,
-        error_decay: float = 0.9,
-    ) -> None:
-        if not 0 < error_decay <= 1:
-            raise ValueError(f"error_decay must be in (0, 1], got {error_decay!r}")
-        self.bank = bank if bank is not None else default_bank()
-        if not self.bank:
-            raise ValueError("the predictor bank may not be empty")
-        self.error_decay = error_decay
+    def __init__(self) -> None:
+        self.bank = default_bank()
         self._errors = [0.0] * len(self.bank)
         self._scored = [0] * len(self.bank)
 
@@ -157,9 +151,7 @@ class AdaptiveForecaster:
             prediction = predictor.predict()
             if prediction is not None and prediction > 0:
                 error = (math.log(prediction) - log_value) ** 2
-                self._errors[index] = (
-                    self.error_decay * self._errors[index] + error
-                )
+                self._errors[index] = 0.9 * self._errors[index] + error
                 self._scored[index] += 1
             predictor.update(value)
 
@@ -178,19 +170,3 @@ class AdaptiveForecaster:
         if best_index is None:
             return None
         return self.bank[best_index].predict()
-
-    @property
-    def best_predictor_name(self) -> Optional[str]:
-        """Name of the predictor a prediction would come from."""
-        prediction = self.predict()
-        if prediction is None:
-            return None
-        for index, predictor in enumerate(self.bank):
-            if predictor.predict() == prediction:
-                if self._scored[index] or len(self.bank) == 1:
-                    return predictor.name
-        # Fall back to the first matching forecast.
-        for predictor in self.bank:
-            if predictor.predict() == prediction:
-                return predictor.name
-        return None

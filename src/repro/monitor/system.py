@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from repro.monitor.cache import BandwidthCache
-from repro.monitor.forecast import (
-    AdaptiveForecaster,
-    Ewma,
-    SlidingMean,
-    SlidingMedian,
-)
+from repro.monitor.forecast import AdaptiveForecaster, SlidingMedian
 from repro.monitor.piggyback import (
     PIGGYBACK_BUDGET_BYTES,
     decode_piggyback,
@@ -42,6 +37,9 @@ from repro.obs.tracer import ensure_tracer, query_tag
 #: 16 KB, the paper's passive-monitoring threshold: a transfer at least
 #: this large yields a bandwidth measurement at both endpoints.
 S_THRES = 16 * 1024
+#: 40 s, the paper's cache timeout: a measurement older than this is
+#: read as "stale".
+T_THRES = 40.0
 #: Probe message size, bytes (>= ``S_THRES`` so probes are observed).
 PROBE_SIZE = S_THRES
 #: Estimate used when a pair has never been measured, bytes/second.
@@ -98,17 +96,19 @@ def frozen_estimator(
 class MonitoringConfig:
     """Knobs of the monitoring model (paper defaults)."""
 
-    #: Cache entry timeout, seconds.
-    t_thres: float = 40.0
     #: Per-message piggyback budget, bytes (0 disables piggybacking).
     piggyback_budget: int = PIGGYBACK_BUDGET_BYTES
-    #: EWMA weight for successive measurements of a pair (NWS-style
-    #: forecasting; 1.0 keeps raw last measurements).
-    smoothing: float = 1.0
     #: Optional NWS-style forecasting of estimates: None (paper model —
-    #: raw cached measurements), or one of "adaptive", "ewma", "mean",
-    #: "median" (see :mod:`repro.monitor.forecast`).
+    #: raw cached measurements), "adaptive" (best-of-bank) or "median"
+    #: (sliding median of 8); see :mod:`repro.monitor.forecast`.
     forecast: Optional[str] = None
+
+
+#: Forecaster factory per ``MonitoringConfig.forecast`` mode.
+_FORECASTERS = {
+    "adaptive": AdaptiveForecaster,
+    "median": lambda: SlidingMedian(window=8),
+}
 
 
 @dataclass
@@ -136,7 +136,7 @@ class Estimate:
     bandwidth: float
     #: Age of the underlying measurement in seconds (inf for defaults).
     age: float
-    #: "fresh" (within t_thres), "stale" (timed out) or "default".
+    #: "fresh" (within ``T_THRES``), "stale" (older) or "default".
     quality: str
 
 
@@ -159,12 +159,13 @@ class MonitoringSystem:
         #: plan is active; None keeps probes on the unfaulted path.
         self.faults = None
         self.caches: dict[str, BandwidthCache] = {
-            name: BandwidthCache(self.config.t_thres, self.config.smoothing) for name in network.hosts
+            name: BandwidthCache() for name in network.hosts
         }
         #: (viewer host, pair) -> forecaster, when forecasting is on.
         self._forecasters: dict[tuple[str, tuple[str, str]], object] = {}
         if self.config.forecast is not None:
-            _validate_forecast_mode(self.config.forecast)
+            if self.config.forecast not in _FORECASTERS:
+                raise ValueError(f"unknown forecast mode {self.config.forecast!r}")
             for name, cache in self.caches.items():
                 cache.on_new_value = self._feed_forecaster(name)
         #: Whether every payload is a whole cache (``whole_cache_fits``),
@@ -190,31 +191,19 @@ class MonitoringSystem:
         if cache is None:
             if host not in self.network.hosts:
                 raise KeyError(f"unknown host {host!r}")
-            cache = BandwidthCache(self.config.t_thres, self.config.smoothing)
+            cache = BandwidthCache()
             if self.config.forecast is not None:
                 cache.on_new_value = self._feed_forecaster(host)
             self.caches[host] = cache
         return cache
 
     # -- forecasting --------------------------------------------------------
-    def _new_forecaster(self):
-        mode = self.config.forecast
-        if mode == "adaptive":
-            return AdaptiveForecaster()
-        if mode == "ewma":
-            return _SinglePredictorForecaster(Ewma(alpha=0.4))
-        if mode == "mean":
-            return _SinglePredictorForecaster(SlidingMean(window=8))
-        if mode == "median":
-            return _SinglePredictorForecaster(SlidingMedian(window=8))
-        raise ValueError(f"unknown forecast mode {mode!r}")
-
     def _feed_forecaster(self, viewer: str):
         def feed(pair: tuple[str, str], bandwidth: float, measured_at: float):
             key = (viewer, pair)
             forecaster = self._forecasters.get(key)
             if forecaster is None:
-                forecaster = self._new_forecaster()
+                forecaster = _FORECASTERS[self.config.forecast]()
                 self._forecasters[key] = forecaster
             if bandwidth > 0:
                 forecaster.update(bandwidth)
@@ -284,7 +273,7 @@ class MonitoringSystem:
 
         The bandwidth is the pair's forecast, else the cached
         measurement, else ``DEFAULT_ESTIMATE``; the quality is "fresh"
-        within ``t_thres``, "stale" past it, "default" with no entry (age
+        within ``T_THRES``, "stale" past it, "default" with no entry (age
         ``inf``).  A traced run records one ``monitor.estimate`` per
         reading.
         """
@@ -293,7 +282,7 @@ class MonitoringSystem:
             value, quality, age = DEFAULT_ESTIMATE, "default", float("inf")
         else:
             age = entry.age(now)
-            quality = "stale" if age > cache.t_thres else "fresh"
+            quality = "stale" if age > T_THRES else "fresh"
             forecast = self.forecast_for(viewer, a, b)
             value = entry.bandwidth if forecast is None else forecast
         tracer = self._tracer
@@ -356,9 +345,8 @@ class MonitoringSystem:
         per-query accounting and the trace tags follow automatically).
 
         Sends one ``PROBE_SIZE`` message from ``a`` to ``b``; it exceeds
-        ``S_THRES``, so the passive path records it at both endpoints, and
-        the measurement then overwrites the cache entries at both
-        endpoints.  Returns the measured bandwidth (bytes/s).
+        ``S_THRES``, so the passive path records it at both endpoints.
+        Returns the measured bandwidth (bytes/s).
 
         With a fault plan installed, the probe is bounded by
         ``PROBE_TIMEOUT`` (a timed-out, blacked-out or abandoned probe
@@ -366,86 +354,73 @@ class MonitoringSystem:
         returns None when the probe did not arrive — callers must then
         keep their last-known-good estimates instead of caching a guess.
 
-        The throwaway ``_monitor@<host>`` endpoints are unregistered (and
-        the target mailbox removed) on every exit path, so repeated
-        probes never leak actor registrations.
+        The ``_monitor@<host>`` endpoints are never registered: the
+        message names both hosts, so it is delivered at ``b`` and drained
+        from the mailbox there.  A probe leaves the actor registry alone.
         """
         if a == b:
             raise ValueError("cannot probe a host against itself")
-        probe_actor = f"_monitor@{a}"
         target_actor = f"_monitor@{b}"
-        # Monitor daemons are implicit: register throwaway actor endpoints.
-        self.network.register_actor(probe_actor, a)
-        self.network.register_actor(target_actor, b)
-        try:
-            now = self.network.env.now
-            if self.faults is not None and self.faults.probe_blackout(now):
-                self.stats_for(query_id).probe_timeouts += 1
-                if self._tracer.enabled:
-                    self._tracer.emit(
-                        MONITOR_PROBE_TIMEOUT,
-                        now,
-                        a=a,
-                        b=b,
-                        reason="blackout",
-                        **query_tag(query_id),
-                    )
-                yield self.network.env.timeout(PROBE_TIMEOUT)
-                return None
-            message = Message(
-                kind=MessageKind.CONTROL,
-                src_actor=probe_actor,
-                dst_actor=target_actor,
-                size=PROBE_SIZE,
-                payload={"probe": True},
-                query_id=query_id,
+        now = self.network.env.now
+        if self.faults is not None and self.faults.probe_blackout(now):
+            self.stats_for(query_id).probe_timeouts += 1
+            if self._tracer.enabled:
+                self._tracer.emit(
+                    MONITOR_PROBE_TIMEOUT,
+                    now,
+                    a=a,
+                    b=b,
+                    reason="blackout",
+                    **query_tag(query_id),
+                )
+            yield self.network.env.timeout(PROBE_TIMEOUT)
+            return None
+        message = Message(
+            kind=MessageKind.CONTROL,
+            src_actor=f"_monitor@{a}",
+            dst_actor=target_actor,
+            size=PROBE_SIZE,
+            payload={"probe": True},
+            query_id=query_id,
+        )
+        row = self.stats_for(query_id)
+        row.probes_sent += 1
+        row.probe_bytes += message.wire_size
+        if self._tracer.enabled:
+            self._tracer.emit(
+                MONITOR_PROBE,
+                now,
+                a=a,
+                b=b,
+                bytes=message.wire_size,
+                **query_tag(query_id),
             )
-            row = self.stats_for(query_id)
-            row.probes_sent += 1
-            row.probe_bytes += message.wire_size
-            if self._tracer.enabled:
-                self._tracer.emit(
-                    MONITOR_PROBE,
-                    now,
-                    a=a,
-                    b=b,
-                    bytes=message.wire_size,
-                    **query_tag(query_id),
-                )
-            delivery = self.network.send(message, src_host=a, dst_host=b)
-            if self.faults is None:
-                yield delivery
-            else:
-                arrived = yield from self._await_probe(
-                    delivery, a, b, target_actor, query_id
-                )
-                if not arrived:
-                    return None
-            # Drain the probe from the target mailbox so it cannot pile up.
-            self.network.hosts[b].remove_mailbox(target_actor)
-            entry = self.cache_for(a).lookup_any(a, b)
-            if entry is None:
-                return None if self.faults is not None else DEFAULT_ESTIMATE
-            bandwidth = entry.bandwidth
-            now = self.network.env.now
-            for host in (a, b):
-                # Overwrite (not EWMA) with the probe's measurement.
-                self.cache_for(host).force_set(a, b, bandwidth, now)
-            if self._tracer.enabled:
-                self._tracer.emit(
-                    MONITOR_PROBE_RESULT,
-                    now,
-                    a=a,
-                    b=b,
-                    bandwidth=bandwidth,
-                    samples=1,
-                    **query_tag(query_id),
-                )
-            return bandwidth
-        finally:
-            self.network.unregister_actor(probe_actor)
-            self.network.unregister_actor(target_actor)
-            self.network.hosts[b].remove_mailbox(target_actor)
+        delivery = self.network.send(message, src_host=a, dst_host=b)
+        if self.faults is None:
+            yield delivery
+        else:
+            arrived = yield from self._await_probe(
+                delivery, a, b, target_actor, query_id
+            )
+            if not arrived:
+                return None
+        # Drain the probe from the target mailbox so it cannot pile up.
+        self.network.hosts[b].remove_mailbox(target_actor)
+        entry = self.cache_for(a).lookup_any(a, b)
+        if entry is None:
+            return None if self.faults is not None else DEFAULT_ESTIMATE
+        bandwidth = entry.bandwidth
+        if self._tracer.enabled:
+            self._tracer.emit(
+                MONITOR_PROBE_RESULT,
+                self.network.env.now,
+                a=a,
+                b=b,
+                bandwidth=bandwidth,
+                samples=1,
+                **query_tag(query_id),
+            )
+        return bandwidth
 
     def _await_probe(
         self,
@@ -497,20 +472,3 @@ class MonitoringSystem:
         )
         return False
 
-
-def _validate_forecast_mode(mode: str) -> None:
-    if mode not in ("adaptive", "ewma", "mean", "median"):
-        raise ValueError(f"unknown forecast mode {mode!r}")
-
-
-class _SinglePredictorForecaster:
-    """Adapter giving a bare predictor the forecaster interface."""
-
-    def __init__(self, predictor) -> None:
-        self._predictor = predictor
-
-    def update(self, value: float) -> None:
-        self._predictor.update(value)
-
-    def predict(self):
-        return self._predictor.predict()

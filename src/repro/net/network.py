@@ -104,13 +104,15 @@ class Network:
         self.hosts: dict[str, Host] = {}
         self._links: dict[tuple[str, str], Link] = {}
         #: The actor registry, actor -> host.  Read it directly on hot
-        #: paths; change it only through :meth:`register_actor`,
-        #: :meth:`move_actor` and :meth:`unregister_actor`, which keep
-        #: :attr:`actor_epoch` in step.
+        #: paths; change it only through :meth:`register_actor` and
+        #: :meth:`move_actor`, which keep :attr:`actor_epoch` in step.
+        #: Throwaway endpoints (probes, state transfers) stay out of it:
+        #: a message to an unregistered actor is delivered at its
+        #: arrival host.
         self.actor_hosts: dict[str, str] = {}
         #: Actor-registry epoch: bumped whenever a registered actor
-        #: changes host or leaves the registry, so anything derived from
-        #: actor locations can be cached until the epoch moves.
+        #: changes host, so anything derived from actor locations can be
+        #: cached until the epoch moves.
         self.actor_epoch = 0
         #: The traffic ledger: one row per ``Message.query_id``, with
         #: ``None`` for untagged traffic (see :class:`NetworkStats`).
@@ -165,9 +167,6 @@ class Network:
         self._active_transfers[host.name] = 0
         self._nic_caps[host.name] = host.nic_capacity
         return host
-
-    def _has_free_interface(self, host: str) -> bool:
-        return self._active_transfers[host] < self._nic_caps[host]
 
     def add_link(self, link: Link) -> Link:
         """Register the link between two existing hosts."""
@@ -242,15 +241,6 @@ class Network:
             return []
         self.actor_epoch += 1
         return self.hosts[old_host].remove_mailbox(actor)
-
-    def unregister_actor(self, actor: str) -> None:
-        """Drop ``actor`` from the registry (throwaway probe/transfer endpoints).
-
-        Unknown actors are ignored; in-flight messages to an unregistered
-        actor are delivered at their arrival host (no forwarding).
-        """
-        if self.actor_hosts.pop(actor, None) is not None:
-            self.actor_epoch += 1
 
     # -- transfers -------------------------------------------------------------
     def send(

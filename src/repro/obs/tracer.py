@@ -174,12 +174,6 @@ class ScopedTracer:
         """The wrapped tracer's (shared) run metadata."""
         return getattr(self._inner, "meta", {})
 
-    @property
-    def bound_fields(self) -> dict[str, Any]:
-        """The fields this view stamps onto every event."""
-        return dict(self._fields)
-
-
 #: Shared no-op tracer: the default everywhere a tracer is accepted.
 NULL_TRACER = NullTracer()
 

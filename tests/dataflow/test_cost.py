@@ -112,15 +112,6 @@ class TestCostModel:
         cost = model.edge_seconds("s0", placement, flat_estimator(1e-9))
         assert cost == pytest.approx(0.05 + 1000.0)  # floored at 1 B/s
 
-    def test_edge_detail(self):
-        model = self.model()
-        placement = Placement.all_at_client(TREE, SERVER_HOSTS, "client")
-        edge = model.edge("s0", placement, flat_estimator(100.0))
-        assert edge.child == "s0" and edge.parent == "op0"
-        assert not edge.is_local
-        with pytest.raises(ValueError):
-            model.edge("client", placement, flat_estimator(100.0))
-
     def test_precomputed_paths_cover_all_servers(self):
         model = self.model()
         assert len(model.server_paths) == 4

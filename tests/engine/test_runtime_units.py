@@ -161,6 +161,48 @@ class TestRelocate:
         assert len(runtime.network.hosts["h3"].mailbox(op)) >= 1
 
 
+class TestActorEpoch:
+    """The registry epoch moves once per real move and never for a
+    throwaway endpoint (probe, probe control, state transfer)."""
+
+    def test_remote_probes_leave_the_epoch_alone(self):
+        env, runtime = build(Algorithm.GLOBAL)
+        network = runtime.network
+        epoch = network.actor_epoch
+        registry = dict(network.actor_hosts)
+
+        def prober(env):
+            yield from runtime.remote_probe("client", "h0", "h1")
+            yield from runtime.remote_probe("client", "client", "h2")
+
+        env.process(prober(env))
+        env.run(until=120.0)
+        assert runtime.monitoring.stats_for(None).probes_sent == 2
+        assert network.actor_epoch == epoch
+        assert network.actor_hosts == registry
+
+    def test_each_real_move_bumps_the_epoch_once(self):
+        env, runtime = build(Algorithm.GLOBAL)
+        network = runtime.network
+        op = runtime.tree.operators()[0].node_id
+        home = runtime.host_of(op)
+        away = "h2" if home != "h2" else "h3"
+        registry = dict(network.actor_hosts)
+        epochs = []
+
+        def mover(env):
+            for target in (away, away, home):
+                yield from runtime.relocate(op, target)
+                epochs.append(network.actor_epoch)
+
+        start = network.actor_epoch
+        env.process(mover(env))
+        env.run(until=60.0)
+        assert runtime.metrics.relocations == 2
+        assert epochs == [start + 1, start + 1, start + 2]
+        assert network.actor_hosts == registry
+
+
 class TestActorAddressCache:
     """An actor resolves its mailbox once per registry epoch; a move
     bumps the epoch, so the cache never outlives the mailbox it holds."""
@@ -245,8 +287,8 @@ class TestSnapshotEstimator:
         estimator = runtime.snapshot_estimator("client")
         first = estimator("h0", "h1")
         # Mutate the cache afterwards: the snapshot must not change.
-        runtime.monitoring.cache_for("client").force_set(
-            "h0", "h1", first * 100, now=env.now
+        assert runtime.monitoring.cache_for("client").update(
+            "h0", "h1", first * 100, now=env.now + 1.0
         )
         assert estimator("h0", "h1") == first
         assert estimator("h1", "h0") == first

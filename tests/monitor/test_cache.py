@@ -3,43 +3,48 @@
 import pytest
 
 from repro.monitor.cache import BandwidthCache, CacheEntry
+from repro.monitor.system import T_THRES, MonitoringSystem
+from repro.net.host import Host
+from repro.net.network import Network
+
+
+def _monitor(env):
+    net = Network(env)
+    for name in ("a", "b"):
+        net.add_host(Host(env, name))
+    return MonitoringSystem(net)
 
 
 class TestBandwidthCache:
-    def test_t_thres_validation(self):
-        with pytest.raises(ValueError):
-            BandwidthCache(t_thres=0)
-
-    def test_smoothing_validation(self):
-        with pytest.raises(ValueError):
-            BandwidthCache(smoothing=0)
-        with pytest.raises(ValueError):
-            BandwidthCache(smoothing=1.5)
-
     def test_update_and_fresh_lookup(self):
-        cache = BandwidthCache(t_thres=40)
+        cache = BandwidthCache()
         cache.update("a", "b", 1000.0, now=10.0)
-        entry = cache.lookup("a", "b", now=30.0)
+        entry = cache.lookup_any("a", "b")
         assert entry is not None
         assert entry.bandwidth == 1000.0
         assert entry.age(30.0) == 20.0
+        assert cache.lookup_any("a", "c") is None
 
     def test_lookup_symmetric(self):
         cache = BandwidthCache()
         cache.update("b", "a", 5.0, now=0.0)
-        assert cache.lookup("a", "b", now=1.0).bandwidth == 5.0
+        assert cache.lookup_any("a", "b").bandwidth == 5.0
 
-    def test_timeout_makes_entry_stale(self):
-        cache = BandwidthCache(t_thres=40)
+    def test_timeout_makes_entry_stale(self, env):
+        # The cache keeps a timed-out entry; the monitor reads it as stale.
+        monitoring = _monitor(env)
+        cache = monitoring.cache_for("a")
         cache.update("a", "b", 1000.0, now=0.0)
-        assert cache.lookup("a", "b", now=41.0) is None
+        estimate = monitoring.estimate("a", "a", "b", T_THRES + 1.0)
+        assert estimate.quality == "stale"
+        assert estimate.bandwidth == 1000.0
         assert cache.lookup_any("a", "b").bandwidth == 1000.0
 
-    def test_is_fresh(self):
-        cache = BandwidthCache(t_thres=40)
-        cache.update("a", "b", 1.0, now=0.0)
-        assert cache.is_fresh("a", "b", now=40.0)
-        assert not cache.is_fresh("a", "b", now=40.1)
+    def test_is_fresh(self, env):
+        monitoring = _monitor(env)
+        monitoring.cache_for("a").update("a", "b", 1.0, now=0.0)
+        assert monitoring.estimate("a", "a", "b", T_THRES).quality == "fresh"
+        assert monitoring.estimate("a", "a", "b", T_THRES + 0.1).quality == "stale"
 
     def test_newest_measurement_wins(self):
         cache = BandwidthCache()
@@ -57,24 +62,6 @@ class TestBandwidthCache:
         with pytest.raises(ValueError):
             BandwidthCache().update("a", "b", -1.0, now=0.0)
 
-    def test_smoothing_blends_recent_measurements(self):
-        cache = BandwidthCache(t_thres=40, smoothing=0.5)
-        cache.update("a", "b", 100.0, now=0.0)
-        cache.update("a", "b", 200.0, now=10.0)
-        assert cache.lookup_any("a", "b").bandwidth == pytest.approx(150.0)
-
-    def test_smoothing_skipped_beyond_horizon(self):
-        cache = BandwidthCache(t_thres=40, smoothing=0.5)  # horizon 160s
-        cache.update("a", "b", 100.0, now=0.0)
-        cache.update("a", "b", 200.0, now=1000.0)
-        assert cache.lookup_any("a", "b").bandwidth == 200.0
-
-    def test_force_set_bypasses_smoothing(self):
-        cache = BandwidthCache(smoothing=0.5)
-        cache.update("a", "b", 100.0, now=0.0)
-        cache.force_set("a", "b", 500.0, now=1.0)
-        assert cache.lookup_any("a", "b").bandwidth == 500.0
-
     def test_merge_entry_newest_wins(self):
         cache = BandwidthCache()
         cache.update("a", "b", 100.0, now=10.0)
@@ -91,13 +78,6 @@ class TestBandwidthCache:
         cache.update("b", "c", 3.0, now=2.0)
         top2 = cache.freshest(2)
         assert [e.pair for e in top2] == [("a", "c"), ("b", "c")]
-
-    def test_evict_older_than(self):
-        cache = BandwidthCache()
-        cache.update("a", "b", 1.0, now=1.0)
-        cache.update("a", "c", 2.0, now=10.0)
-        assert cache.evict_older_than(5.0) == 1
-        assert len(cache) == 1
 
     def test_iteration(self):
         cache = BandwidthCache()

@@ -87,25 +87,16 @@ class TestDecodeMemo:
         receiver.update("a", "h0", 5.0, 50.0)
         assert decode_piggyback(receiver, payload) == 0
 
-    def test_eviction_allows_re_merge(self):
-        sender = _filled_cache()
-        payload = encode_piggyback(sender)
-        receiver = BandwidthCache()
-        assert decode_piggyback(receiver, payload) == 5
-        receiver.evict_older_than(100.0)
-        assert len(receiver) == 0
-        assert decode_piggyback(receiver, payload) == 5
-
     def test_merge_semantics_match_merge_entry(self):
         sender = _filled_cache()
         payload = encode_piggyback(sender)
         inline = BandwidthCache()
         reference = BandwidthCache()
         # Pre-populate both with one newer and one older entry.
-        inline.force_set("a", "h0", 1.0, 99.0)
-        reference.force_set("a", "h0", 1.0, 99.0)
-        inline.force_set("a", "h1", 2.0, -5.0)
-        reference.force_set("a", "h1", 2.0, -5.0)
+        inline.update("a", "h0", 1.0, 99.0)
+        reference.update("a", "h0", 1.0, 99.0)
+        inline.update("a", "h1", 2.0, -5.0)
+        reference.update("a", "h1", 2.0, -5.0)
         merged = decode_piggyback(inline, payload)
         ref_merged = sum(
             reference.merge_entry(e) for e in payload["entries"]
@@ -138,7 +129,7 @@ class TestVersionCounter:
         # Rejected (older) update leaves the version alone.
         cache.update("a", "b", 20.0, 0.5)
         assert cache._version == v1
-        cache.force_set("a", "b", 30.0, 2.0)
+        cache.update("a", "b", 30.0, 2.0)
         v2 = cache._version
         assert v2 > v1
         assert cache.merge_entry(CacheEntry(("a", "b"), 40.0, 3.0))
@@ -146,9 +137,3 @@ class TestVersionCounter:
         assert v3 > v2
         assert not cache.merge_entry(CacheEntry(("a", "b"), 50.0, 2.5))
         assert cache._version == v3
-        cache.evict_older_than(10.0)
-        assert cache._version > v3
-        # Eviction with no victims is not a mutation.
-        v4 = cache._version
-        cache.evict_older_than(10.0)
-        assert cache._version == v4

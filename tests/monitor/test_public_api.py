@@ -46,6 +46,4 @@ class TestForecastExports:
             forecaster.update(value)
         prediction = forecaster.predict()
         assert prediction is not None and prediction > 0
-        assert forecaster.best_predictor_name in {
-            p.name for p in forecaster.bank
-        }
+        assert prediction in {p.predict() for p in forecaster.bank}

@@ -6,7 +6,7 @@ view must answer exactly ``estimate(...).bandwidth``, and a traced
 snapshot must record the same ``monitor.estimate`` events and counters,
 in the same order, as one ``estimate`` call per canonical pair.
 ``estimate`` itself must follow the rule written out in :func:`rule`
-over the cache's public lookups.
+over the cache's public lookup and ``T_THRES``.
 """
 
 import math
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.monitor.system import (
     DEFAULT_ESTIMATE,
     FrozenView,
+    T_THRES,
     MonitoringConfig,
     MonitoringSystem,
     frozen_estimator,
@@ -28,7 +29,6 @@ from repro.obs import Tracer
 from repro.sim import Environment
 
 NAMES = ("client", "h0", "h1", "h2", "x")
-T_THRES = 40.0
 NOW = 1000.0
 
 
@@ -47,19 +47,16 @@ def reference(monitoring, viewer, hosts, now):
 
 def rule(monitoring, viewer, a, b, now):
     """``(bandwidth, age, quality)`` by the estimate rule, from the
-    cache's public lookups: a fresh entry, else a stale one, else the
-    default; a forecast, when there is one, replaces the entry's value."""
-    cache = monitoring.cache_for(viewer)
+    cache's public lookup: an entry at most ``T_THRES`` old is fresh, an
+    older one stale, no entry the default; a forecast, when there is
+    one, replaces the entry's value."""
+    entry = monitoring.cache_for(viewer).lookup_any(a, b)
+    if entry is None:
+        return DEFAULT_ESTIMATE, math.inf, "default"
     forecast = monitoring.forecast_for(viewer, a, b)
-    fresh = cache.lookup(a, b, now)
-    if fresh is not None:
-        value = forecast if forecast is not None else fresh.bandwidth
-        return value, fresh.age(now), "fresh"
-    stale = cache.lookup_any(a, b)
-    if stale is not None:
-        value = forecast if forecast is not None else stale.bandwidth
-        return value, stale.age(now), "stale"
-    return DEFAULT_ESTIMATE, math.inf, "default"
+    value = forecast if forecast is not None else entry.bandwidth
+    age = entry.age(now)
+    return value, age, "fresh" if age <= T_THRES else "stale"
 
 
 def read_back(view, hosts):
@@ -82,14 +79,14 @@ def monitored(draw):
         network.add_host(Host(env, name))
     monitoring = MonitoringSystem(
         network,
-        MonitoringConfig(t_thres=T_THRES, forecast=forecast),
+        MonitoringConfig(forecast=forecast),
         tracer=tracer,
     )
     cache = monitoring.cache_for(viewer)
     ordered = sorted(hosts)
     for i, a in enumerate(ordered):
         for b in ordered[i + 1 :]:
-            kind = draw(st.sampled_from(("missing", "fresh", "stale", "evicted")))
+            kind = draw(st.sampled_from(("missing", "fresh", "stale")))
             if kind == "missing":
                 continue
             # A short measurement history feeds the pair's forecaster.
@@ -101,16 +98,13 @@ def monitored(draw):
             if kind == "fresh":
                 ages[-1] = draw(st.sampled_from((0.0, T_THRES / 2, T_THRES)))
                 ages = [max(age, ages[-1]) for age in ages]
-            elif kind in ("stale", "evicted"):
+            else:
                 ages = [T_THRES + 1.0 + age for age in ages]
             for age in ages:
                 rate = draw(st.floats(1e3, 1e7))
                 # Either endpoint's orientation reaches the same entry.
                 x, y = (a, b) if draw(st.booleans()) else (b, a)
                 cache.update(x, y, rate, NOW - age)
-    if draw(st.booleans()):
-        # Drop the oldest entries; their forecasters stay behind.
-        cache.evict_older_than(NOW - 2 * T_THRES)
     return monitoring, tracer, viewer, hosts
 
 

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.monitor.system import DEFAULT_ESTIMATE, MonitoringConfig, MonitoringSystem
+from repro.monitor.forecast import SlidingMedian
+from repro.monitor.system import (
+    DEFAULT_ESTIMATE,
+    T_THRES,
+    MonitoringConfig,
+    MonitoringSystem,
+)
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.message import Message, MessageKind
@@ -92,7 +98,7 @@ class TestEstimates:
         net, monitoring = build(env)
         send(net, "a", "b", 32 * 1024)
         env.run()
-        t = env.now + monitoring.config.t_thres + 1
+        t = env.now + T_THRES + 1
         assert monitoring.estimate("a", "a", "b", t).quality == "stale"
 
     def test_unknown_host_raises(self, env):
@@ -145,9 +151,12 @@ class TestProbe:
 
     def test_probe_cleans_up_actor_endpoints(self, env):
         # Regression: probe used to leave its _monitor@<host> endpoints
-        # registered, leaking one registry entry (and mailbox) per probe.
+        # registered, leaking one registry entry (and mailbox) per probe;
+        # then it registered and dropped them, moving the registry epoch
+        # although no actor moved.
         net, monitoring = build(env, rate=2000.0)
         before = dict(net.actor_hosts)
+        epoch = net.actor_epoch
 
         def prober(env):
             yield from monitoring.probe("a", "b")
@@ -156,7 +165,27 @@ class TestProbe:
         env.process(prober(env))
         env.run()
         assert net.actor_hosts == before
+        assert net.actor_epoch == epoch
         for host in net.hosts.values():
             assert not any(
                 name.startswith("_monitor@") for name in host._mailboxes
             )
+
+    def test_probe_feeds_each_forecaster_once(self, env, monkeypatch):
+        # One probe is one measurement: each endpoint's forecaster for
+        # the pair sees it exactly once.
+        net, monitoring = build(env, config=MonitoringConfig(forecast="median"))
+        fed = []
+        update = SlidingMedian.update
+
+        def counting(predictor, value):
+            fed.append(id(predictor))
+            update(predictor, value)
+
+        monkeypatch.setattr(SlidingMedian, "update", counting)
+        env.process(monitoring.probe("a", "b"))
+        env.run()
+        forecasters = [
+            monitoring._forecasters[viewer, ("a", "b")] for viewer in ("a", "b")
+        ]
+        assert sorted(fed) == sorted(id(f) for f in forecasters)

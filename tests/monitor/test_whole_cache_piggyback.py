@@ -3,7 +3,7 @@
 When no cache on the network can hold more pairs than the piggyback
 budget carries (``whole_cache_fits``), every payload is the whole cache
 and the sort in ``BandwidthCache.freshest`` only picks an order.  The
-property below runs the same random measure/probe/send/evict sequence on
+property below runs the same random measure/update/send sequence on
 two worlds of caches, one fed insertion-order payloads
 (``whole=True``) and one fed ``freshest()`` payloads, and requires the
 same payload sizes, the same merge counts and the same entry object per
@@ -40,16 +40,15 @@ def scenarios(draw):
     stamps = st.integers(min_value=0, max_value=12).map(float)
     op = st.one_of(
         st.tuples(st.just("measure"), st.integers(0, n - 1), pairs, stamps),
-        st.tuples(st.just("probe"), st.integers(0, n - 1), pairs, stamps),
+        st.tuples(st.just("update"), st.integers(0, n - 1), pairs, stamps),
         st.tuples(st.just("send"), st.integers(0, n - 1), st.integers(0, n - 1)),
-        st.tuples(st.just("evict"), st.integers(0, n - 1), stamps),
     )
     return n, draw(st.lists(op, max_size=120))
 
 
 def token(entry, pool_ids):
     """The entry object itself when it came from the shared pool, else
-    its value (a probe builds a fresh entry in each world)."""
+    its value (an update builds a fresh entry in each world)."""
     if id(entry) in pool_ids:
         return entry
     return (entry.pair, entry.bandwidth, entry.measured_at)
@@ -70,11 +69,12 @@ def test_insertion_order_payloads_match_freshest(scenario):
             entry = CacheEntry(tuple(sorted((a, b))), 1000.0 + step, stamp)
             pool.append(entry)
             assert whole[host].merge_entry(entry) == fresh[host].merge_entry(entry)
-        elif kind == "probe":
+        elif kind == "update":
             _, host, (a, b), stamp = op
-            whole[host].force_set(a, b, 2000.0 + step, stamp)
-            fresh[host].force_set(a, b, 2000.0 + step, stamp)
-        elif kind == "send":
+            assert whole[host].update(a, b, 2000.0 + step, stamp) == (
+                fresh[host].update(a, b, 2000.0 + step, stamp)
+            )
+        else:
             _, src, dst = op
             sent = encode_piggyback(whole[src], whole=True)
             reference = encode_piggyback(fresh[src])
@@ -85,11 +85,6 @@ def test_insertion_order_payloads_match_freshest(scenario):
             assert sent["entries"] == list(whole[src])
             assert decode_piggyback(whole[dst], sent) == (
                 decode_piggyback(fresh[dst], reference)
-            )
-        else:
-            _, host, cutoff = op
-            assert whole[host].evict_older_than(cutoff) == (
-                fresh[host].evict_older_than(cutoff)
             )
     pool_ids = {id(entry) for entry in pool}
     for mine, theirs in zip(whole, fresh):

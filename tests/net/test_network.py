@@ -113,10 +113,6 @@ class TestActorRegistry:
         assert net.actor_epoch == epoch + 1
         net.register_actor("op1", "c")  # re-homed by registration
         assert net.actor_epoch == epoch + 2
-        net.unregister_actor("op1")
-        assert net.actor_epoch == epoch + 3
-        net.unregister_actor("op1")  # already gone
-        assert net.actor_epoch == epoch + 3
 
 
 class TestTransfers:
