@@ -164,18 +164,6 @@ class CombinationTree:
             node = self.node(node.parent)
         return path
 
-    def subtree_servers(self, node_id: str) -> list[str]:
-        """Ids of all servers under (or equal to) ``node_id``."""
-        result: list[str] = []
-        stack = [node_id]
-        while stack:
-            nid = stack.pop()
-            node = self.node(nid)
-            if node.is_server:
-                result.append(nid)
-            stack.extend(node.children)
-        return sorted(result)
-
 
 def _finalize(parents: dict[str, Optional[str]], children: dict[str, list[str]],
               roles: dict[str, str]) -> CombinationTree:

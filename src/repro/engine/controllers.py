@@ -44,16 +44,35 @@ DEGRADED_ESTIMATE_HORIZON = 1800.0
 #: Planner degradation: after this many consecutive degraded rounds the
 #: global controller falls back to the download-all placement.
 DEGRADED_ROUNDS_TO_DOWNLOAD_ALL = 3
+#: Safety net on waiting for pre-planning probes.  Probes travel at
+#: CONTROL priority so they always make progress; planning on a
+#: half-refreshed estimate matrix measurably hurts plan quality, so the
+#: controllers normally wait for every probe.
+PROBE_WAIT_SECONDS = 3600.0
+
+
+def _probe_stale_links(runtime: Runtime, viewer: str, pairs):
+    """Process generator: probe the ``pairs`` ``viewer`` has no fresh
+    estimate for, and wait for them (at most :data:`PROBE_WAIT_SECONDS`).
+
+    ``pairs`` are estimated in the order given.  Returns whether any
+    probe was sent.
+    """
+    env = runtime.env
+    estimate = runtime.monitoring.estimate
+    stale = [
+        (a, b) for a, b in pairs if estimate(viewer, a, b, env.now).quality != "fresh"
+    ]
+    if not stale:
+        return False
+    probes = [env.process(runtime.remote_probe(viewer, a, b)) for a, b in stale]
+    yield env.any_of([env.all_of(probes), env.timeout(PROBE_WAIT_SECONDS)])
+    return True
 
 
 class GlobalController:
     """Periodic global re-planning plus the barrier change-over."""
 
-    #: Safety net on waiting for pre-planning probes.  Probes travel at
-    #: CONTROL priority so they always make progress; planning on a
-    #: half-refreshed estimate matrix measurably hurts plan quality, so
-    #: the controller normally waits for every probe.
-    PROBE_WAIT_SECONDS = 3600.0
     #: Probe/re-plan refinement iterations per planning round.  One round
     #: measurably beats more: extra probe rounds refresh more links but
     #: their traffic preempts the data pipeline (probes ride at CONTROL
@@ -145,23 +164,11 @@ class GlobalController:
                     now=env.now,
                 )
                 runtime.metrics.note_plan(dry)
-                stale = [
-                    (a, b)
-                    for a, b in sorted(dry.links_queried)
-                    if runtime.monitoring.estimate(
-                        client_host, a, b, env.now
-                    ).quality
-                    != "fresh"
-                ]
-                if not stale:
-                    break
-                probes = [
-                    env.process(runtime.remote_probe(client_host, a, b))
-                    for a, b in stale
-                ]
-                yield env.any_of(
-                    [env.all_of(probes), env.timeout(self.PROBE_WAIT_SECONDS)]
+                probed = yield from _probe_stale_links(
+                    runtime, client_host, sorted(dry.links_queried)
                 )
+                if not probed:
+                    break
                 if runtime.finished:
                     return
 
@@ -232,7 +239,6 @@ class GlobalController:
     def _refresh_plan_links(self, placement, client_host: str):
         """Probe the stale links a candidate placement would put data on."""
         runtime = self.runtime
-        env = runtime.env
         pairs: set[tuple[str, str]] = set()
         for node in runtime.tree.nodes():
             if node.parent is None:
@@ -241,19 +247,7 @@ class GlobalController:
             b = placement.host_of(node.parent)
             if a != b:
                 pairs.add((a, b) if a < b else (b, a))
-        stale = [
-            (a, b)
-            for a, b in sorted(pairs)
-            if runtime.monitoring.estimate(client_host, a, b, env.now).quality
-            != "fresh"
-        ]
-        probes = [
-            env.process(runtime.remote_probe(client_host, a, b)) for a, b in stale
-        ]
-        if probes:
-            yield env.any_of(
-                [env.all_of(probes), env.timeout(self.PROBE_WAIT_SECONDS)]
-            )
+        yield from _probe_stale_links(runtime, client_host, sorted(pairs))
 
     def _install(self, placement):
         """Run the barrier change-over protocol (§2.2)."""
@@ -447,7 +441,6 @@ class LocalController:
         This is the monitoring cost the paper charges to extra candidate
         locations ("additional links have to be monitored", Figure 7).
         """
-        runtime = self.runtime
         needed: set[tuple[str, str]] = set()
         for site in candidates:
             for producer_host in producer_hosts:
@@ -455,22 +448,4 @@ class LocalController:
                     needed.add(tuple(sorted((producer_host, site))))
             if site != consumer_host:
                 needed.add(tuple(sorted((site, consumer_host))))
-        stale = [
-            pair
-            for pair in sorted(needed)
-            if runtime.monitoring.estimate(
-                my_host, pair[0], pair[1], runtime.env.now
-            ).quality
-            != "fresh"
-        ]
-        probes = [
-            runtime.env.process(runtime.remote_probe(my_host, a, b))
-            for a, b in stale
-        ]
-        if probes:
-            yield runtime.env.any_of(
-                [
-                    runtime.env.all_of(probes),
-                    runtime.env.timeout(GlobalController.PROBE_WAIT_SECONDS),
-                ]
-            )
+        yield from _probe_stale_links(self.runtime, my_host, sorted(needed))

@@ -97,7 +97,7 @@ class RunMetrics:
         """Accumulate one :class:`~repro.placement.base.PlanResult`'s effort.
 
         Called exactly where ``planner.search`` events are emitted, so
-        trace replay (:func:`repro.obs.summary.replay_aggregates`)
+        trace replay (:class:`repro.obs.summary.RunReplay`)
         rebuilds these totals bit-exactly from the event stream.
         """
         self.planner_rounds += result.rounds
@@ -185,17 +185,22 @@ class RunMetrics:
         # Imported lazily: repro.obs must stay importable without the
         # engine, and vice versa.
         from repro.obs.exporters import read_jsonl
-        from repro.obs.summary import replay_aggregates
+        from repro.obs.summary import RunReplay
 
-        records = read_jsonl(source) if isinstance(source, str) else list(source)
-        agg = replay_aggregates(records)
+        replay = RunReplay()
+        feed = replay.feed
+        for record in read_jsonl(source) if isinstance(source, str) else source:
+            feed(record)
+        return cls.from_replay(replay)
+
+    @classmethod
+    def from_replay(cls, replay) -> "RunMetrics":
+        """The metrics a :class:`repro.obs.summary.RunReplay` has counted."""
+        totals = dict(replay.totals)
         events = [
-            RelocationEvent(
-                time=e["time"],
-                actor=e["actor"],
-                old_host=e["old_host"],
-                new_host=e["new_host"],
+            RelocationEvent(time, actor, old_host, new_host)
+            for time, actor, old_host, new_host, _ in totals.pop(
+                "relocation_events"
             )
-            for e in agg.pop("relocation_events")
         ]
-        return cls(relocation_events=events, **agg)
+        return cls(relocation_events=events, **totals)

@@ -258,8 +258,8 @@ class Runtime:
         if faults is not None and faults.host_down(new_host, self.env.now):
             self._abort_relocation(op_id, old_host, new_host, "destination-down")
             return
-        # Never registered: the state message names both hosts, so it is
-        # delivered at the destination and drained from the mailbox there.
+        # Never registered: the state message names both hosts, and its
+        # delivery event is all phase two waits for.
         transfer_actor = self.net_id(f"_xfer-{op_id}")
         state_msg = Message(
             kind=MessageKind.CONTROL,
@@ -285,16 +285,10 @@ class Runtime:
                 return
             if not delivery.triggered:
                 # Timed out.  The state transfer keeps retrying in the
-                # background; when it eventually lands (or dies), the
-                # stale destination mailbox is drained.
+                # background; its late landing (or death) changes nothing.
                 delivery.defused = True
-                mailbox_host = self.network.hosts[new_host]
-                delivery.callbacks.append(
-                    lambda _event: mailbox_host.remove_mailbox(transfer_actor)
-                )
                 self._abort_relocation(op_id, old_host, new_host, "timeout")
                 return
-        self.network.hosts[new_host].remove_mailbox(transfer_actor)
 
         pending = self.network.move_actor(self.net_id(op_id), new_host)
         new_mailbox = self.network.hosts[new_host].mailbox(self.net_id(op_id))
@@ -340,14 +334,16 @@ class Runtime:
             )
 
     # -- monitoring helpers -------------------------------------------------------
+    def _oracle_bandwidth(self, a: str, b: str) -> float:
+        """True mean bandwidth over the last five minutes: "perfectly fresh
+        monitoring", what an ideal measurement service reports."""
+        now = self.env.now
+        return self.network.mean_bandwidth(a, b, max(now - 300.0, 0.0), max(now, 1.0))
+
     def estimator_for(self, viewer_host: str):
         """Monitoring-backed bandwidth estimator from one host's view."""
         if self.spec.oracle_monitoring:
-            # "Perfectly fresh monitoring": the average over the last five
-            # minutes, which is what an ideal measurement service reports.
-            return lambda a, b: self.network.mean_bandwidth(
-                a, b, max(self.env.now - 300.0, 0.0), max(self.env.now, 1.0)
-            )
+            return self._oracle_bandwidth
 
         def estimate(a: str, b: str) -> float:
             return self.monitoring.estimate(viewer_host, a, b, self.env.now).bandwidth
@@ -361,15 +357,9 @@ class Runtime:
         view once per planning round keeps the search fast and internally
         consistent.
         """
-        now = self.env.now
         if self.spec.oracle_monitoring:
-            return frozen_estimator(
-                self.network.hosts,
-                lambda a, b: self.network.mean_bandwidth(
-                    a, b, max(now - 300.0, 0.0), max(now, 1.0)
-                ),
-            )
-        return self.monitoring.snapshot(viewer_host, self.network.hosts, now)
+            return frozen_estimator(self.network.hosts, self._oracle_bandwidth)
+        return self.monitoring.snapshot(viewer_host, self.network.hosts, self.env.now)
 
     def remote_probe(self, requester_host: str, a: str, b: str):
         """Process generator: have the pair ``(a, b)`` measured on behalf
@@ -388,7 +378,7 @@ class Runtime:
             return result
 
         # The control endpoints are never registered: each message names
-        # both hosts and is drained from the mailbox it lands in.
+        # both hosts, and its delivery event is all the requester needs.
         ctl_requester = self.net_id(f"_probe-ctl@{requester_host}")
         ctl_remote = self.net_id(f"_probe-ctl@{a}")
         request = Message(
@@ -403,7 +393,6 @@ class Runtime:
             yield self.network.send(request, src_host=requester_host, dst_host=a)
         except TransferAbandoned:
             return None
-        self.network.hosts[a].remove_mailbox(ctl_remote)
 
         bandwidth = yield from self.monitoring.probe(a, b, query_id=self.query_id)
 
@@ -419,7 +408,6 @@ class Runtime:
             yield self.network.send(reply, src_host=a, dst_host=requester_host)
         except TransferAbandoned:
             return None
-        self.network.hosts[requester_host].remove_mailbox(ctl_requester)
         # The reply's piggyback normally carries the measurement; make
         # the delivery explicit in case piggybacking is disabled.
         if bandwidth is not None:

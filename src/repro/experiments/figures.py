@@ -59,19 +59,6 @@ class Fig6Result:
         """Median of per-config global/local speedup ratios."""
         return _median(self.global_speedups / self.local_speedups)
 
-    def sorted_series(self) -> dict[str, np.ndarray]:
-        """The figure's plotted series: speedups sorted per panel.
-
-        Panel 1 sorts by the global algorithm's speedup and shows one-shot
-        alongside; panel 2 does the same for local vs global.
-        """
-        order = np.argsort(self.global_speedups)
-        return {
-            "global": self.global_speedups[order],
-            "one-shot": self.one_shot_speedups[order],
-            "local": self.local_speedups[order],
-        }
-
     def format_table(self) -> str:
         rows = [
             "Figure 6 / §5 — speedup over download-all "

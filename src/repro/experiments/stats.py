@@ -93,17 +93,6 @@ def paired_ratio(
     return bootstrap(num / den, statistic=statistic, **kwargs)
 
 
-def win_rate(a: Sequence[float], b: Sequence[float]) -> float:
-    """Fraction of paired configurations where ``a`` beats ``b``."""
-    a_arr = np.asarray(list(a), dtype=float)
-    b_arr = np.asarray(list(b), dtype=float)
-    if a_arr.shape != b_arr.shape:
-        raise ValueError("paired samples must have equal length")
-    if a_arr.size == 0:
-        raise ValueError("empty sample")
-    return float(np.mean(a_arr > b_arr))
-
-
 def summarize(values: Sequence[float]) -> dict[str, float]:
     """Plain five-number-ish summary for tables."""
     data = np.asarray(list(values), dtype=float)

@@ -355,12 +355,11 @@ class MonitoringSystem:
         keep their last-known-good estimates instead of caching a guess.
 
         The ``_monitor@<host>`` endpoints are never registered: the
-        message names both hosts, so it is delivered at ``b`` and drained
-        from the mailbox there.  A probe leaves the actor registry alone.
+        message names both hosts, so it is delivered at ``b`` without a
+        mailbox.  A probe leaves the actor registry alone.
         """
         if a == b:
             raise ValueError("cannot probe a host against itself")
-        target_actor = f"_monitor@{b}"
         now = self.network.env.now
         if self.faults is not None and self.faults.probe_blackout(now):
             self.stats_for(query_id).probe_timeouts += 1
@@ -378,7 +377,7 @@ class MonitoringSystem:
         message = Message(
             kind=MessageKind.CONTROL,
             src_actor=f"_monitor@{a}",
-            dst_actor=target_actor,
+            dst_actor=f"_monitor@{b}",
             size=PROBE_SIZE,
             payload={"probe": True},
             query_id=query_id,
@@ -399,13 +398,9 @@ class MonitoringSystem:
         if self.faults is None:
             yield delivery
         else:
-            arrived = yield from self._await_probe(
-                delivery, a, b, target_actor, query_id
-            )
+            arrived = yield from self._await_probe(delivery, a, b, query_id)
             if not arrived:
                 return None
-        # Drain the probe from the target mailbox so it cannot pile up.
-        self.network.hosts[b].remove_mailbox(target_actor)
         entry = self.cache_for(a).lookup_any(a, b)
         if entry is None:
             return None if self.faults is not None else DEFAULT_ESTIMATE
@@ -427,15 +422,14 @@ class MonitoringSystem:
         delivery,
         a: str,
         b: str,
-        target_actor: str,
         query_id: Optional[str] = None,
     ):
         """Wait for one probe delivery, bounded by ``PROBE_TIMEOUT``.
 
         Returns True if the probe arrived in time.  On timeout the
         in-flight transfer keeps retrying in the background (its late
-        arrival is drained from the target mailbox); on abandonment the
-        failure is absorbed here.
+        arrival changes nothing); on abandonment the failure is absorbed
+        here.
         """
         env = self.network.env
         timeout = env.timeout(PROBE_TIMEOUT)
@@ -465,10 +459,6 @@ class MonitoringSystem:
                 reason="timeout",
                 **query_tag(query_id),
             )
-        network = self.network
         delivery.defused = True
-        delivery.callbacks.append(
-            lambda _event: network.hosts[b].remove_mailbox(target_actor)
-        )
         return False
 

@@ -595,9 +595,9 @@ class Network:
         )
 
     def _deliver(self, message: Message, arrived_at: str) -> None:
-        actual = self.actor_hosts.get(message.dst_actor, arrived_at)
+        actual = self.actor_hosts.get(message.dst_actor)
         tracer = self._tracer
-        if actual != arrived_at:
+        if actual is not None and actual != arrived_at:
             # The destination actor moved while the message was in flight:
             # forward it (mobile-object runtimes do exactly this).
             self.stats_for(message.query_id).forwarded += 1
@@ -623,4 +623,8 @@ class Network:
                 kind=message.kind.value,
                 **query_tag(message.query_id),
             )
-        self.hosts[arrived_at].mailbox(message.dst_actor).deliver(message)
+        if actual is not None:
+            # Unregistered endpoints (probes, probe control, operator
+            # state) are throwaway: their delivery event is all anyone
+            # waits for, so they get no mailbox.
+            self.hosts[arrived_at].mailbox(message.dst_actor).deliver(message)

@@ -38,10 +38,10 @@ from repro.obs.rotating import (
     segment_paths,
 )
 from repro.obs.summary import (
+    RunReplay,
     TraceSummary,
     format_trace_summary,
     query_records,
-    replay_aggregates,
     summarize_records,
 )
 from repro.obs.tracer import (
@@ -69,10 +69,10 @@ __all__ = [
     "StreamingTracer",
     "read_segments",
     "segment_paths",
+    "RunReplay",
     "TraceSummary",
     "format_trace_summary",
     "query_records",
-    "replay_aggregates",
     "summarize_records",
     "NULL_TRACER",
     "NullTracer",

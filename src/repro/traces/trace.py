@@ -15,7 +15,7 @@ honest about transfers that straddle bandwidth changes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -393,15 +393,3 @@ def constant_trace(rate: float, name: str = "constant") -> BandwidthTrace:
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate!r}")
     return BandwidthTrace([0.0], [rate], name=name)
-
-
-def merge_min(traces: Iterable[BandwidthTrace], name: str = "min") -> BandwidthTrace:
-    """Pointwise minimum of several traces (bottleneck of a multi-hop path)."""
-    traces = list(traces)
-    if not traces:
-        raise ValueError("need at least one trace")
-    grid = np.unique(np.concatenate([t.times for t in traces]))
-    rates = np.min(
-        np.stack([[t.rate_at(x) for x in grid] for t in traces]), axis=0
-    )
-    return BandwidthTrace(grid, rates, name=name)

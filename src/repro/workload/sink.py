@@ -48,17 +48,15 @@ from repro.obs.events import (
     FLEET_GRANT,
     FLEET_REBALANCE,
     LINK_TRANSFER,
-    PLANNER_SEARCH,
     QUERY_DEADLINE_ABORT,
     QUERY_QUEUED,
     QUERY_RETRY,
     QUERY_SHED,
-    RELOCATION,
-    RELOCATION_ABORT,
     RETRY_BUDGET_EXHAUSTED,
     RUN_END,
     RUN_META,
 )
+from repro.obs.summary import RunReplay
 from repro.workload.metrics import WORKLOAD_SCHEMA, jain_index, latency_block
 from repro.workload.overload import ResilienceCounters
 from repro.workload.sketch import OrderFreeSum, QuantileSketch
@@ -696,55 +694,6 @@ _COORDINATION_EVENTS = {
 _FOOTPRINT_TYPES = frozenset({RUN_META, QUERY_SHED, QUERY_DEADLINE_ABORT})
 
 
-class _OpenQuery:
-    """Replay state of one launched query until its ``run.end``."""
-
-    __slots__ = (
-        "class_name",
-        "algorithm",
-        "issued_at",
-        "slo",
-        "relocations",
-        "aborted",
-        "rounds",
-        "candidates",
-        "links",
-        "bytes_on_wire",
-    )
-
-    def __init__(self, record: dict[str, Any]) -> None:
-        self.class_name = record.get("query_class", record["algorithm"])
-        self.algorithm = record["algorithm"]
-        self.issued_at = record["t"]
-        self.slo = record.get("slo")
-        self.relocations = 0
-        self.aborted = 0
-        self.rounds = 0
-        self.candidates = 0
-        self.links = 0
-        #: Tagged wire bytes, summed in event order exactly as the live
-        #: per-query network counters accrue them.
-        self.bytes_on_wire = 0.0
-
-    def stats(self, query_id: str, end: dict[str, Any]) -> QueryStats:
-        delivered = end.get("images_delivered", 0)
-        return QueryStats(
-            query_id=query_id,
-            class_name=self.class_name,
-            algorithm=self.algorithm,
-            issued_at=self.issued_at,
-            completion_time=end.get("completion_time") if delivered else None,
-            images_delivered=delivered,
-            truncated=end.get("truncated", False),
-            relocations=self.relocations,
-            aborted_relocations=self.aborted,
-            bytes_on_wire=self.bytes_on_wire,
-            planner_rounds=self.rounds,
-            planner_candidates=self.candidates,
-            planner_links_queried=self.links,
-        )
-
-
 def _replay(
     metrics: MetricsSink,
     records: Iterable[dict[str, Any]],
@@ -752,13 +701,17 @@ def _replay(
 ) -> float:
     """Feed a trace into ``metrics`` in one pass; returns the elapsed time.
 
-    Replay state is one :class:`_OpenQuery` per *open* query, so memory
-    follows concurrency, not trace length.  A ``run.end`` whose
-    ``run.meta`` lived in a rotated-away segment is skipped.  When
-    ``footprints`` is given, it collects the base id of every scheduled
-    arrival (retries collapse onto their original).
+    Each *open* query keeps a :class:`~repro.obs.summary.RunReplay` fed
+    its tagged records, so memory follows concurrency, not trace length.
+    At the query's ``run.end`` its :class:`QueryStats` comes from
+    :meth:`QueryStats.from_metrics` over the replayed metrics, exactly as
+    the live engine builds it.  A ``run.end`` whose ``run.meta`` lived in
+    a rotated-away segment is skipped.  When ``footprints`` is given, it
+    collects the base id of every scheduled arrival (retries collapse
+    onto their original).
     """
-    open_queries: dict[str, _OpenQuery] = {}
+    # Query id -> (replay, class name, run.meta record) while open.
+    open_queries: dict[str, tuple[RunReplay, str, dict[str, Any]]] = {}
     elapsed = 0.0
     for record in records:
         rtype = record.get("type")
@@ -768,6 +721,8 @@ def _replay(
         if footprints is not None and qid is not None and rtype in _FOOTPRINT_TYPES:
             footprints.add(qid.partition(".r")[0])
         query = open_queries.get(qid) if qid is not None else None
+        if query is not None:
+            query[0].feed(record)
         if rtype == LINK_TRANSFER:
             metrics.link_transfer(
                 record["src_host"],
@@ -776,34 +731,27 @@ def _replay(
                 record["dur"],
                 qid,
             )
-            if query is not None:
-                query.bytes_on_wire += record["wire_bytes"]
         elif rtype == RUN_META:
             if qid is None or query is not None:
                 continue
-            query = open_queries[qid] = _OpenQuery(record)
+            replay = RunReplay()
+            replay.feed(record)
+            class_name = record.get("query_class", record["algorithm"])
+            open_queries[qid] = (replay, class_name, record)
             if record.get("degraded"):
-                metrics.resilience_event("degraded", query.class_name)
-            metrics.query_started(qid, query.class_name, query.issued_at)
+                metrics.resilience_event("degraded", class_name)
+            metrics.query_started(qid, class_name, record["t"])
         elif rtype == RUN_END:
             elapsed = max(elapsed, record["t"])
             if query is None:
                 continue
             del open_queries[qid]
-            stats = query.stats(qid, record)
+            replay, class_name, meta = query
+            stats = QueryStats.from_metrics(
+                qid, class_name, meta["t"], RunMetrics.from_replay(replay)
+            )
             metrics.query_finished(stats)
-            note_slo(metrics, stats, query.slo)
-        elif rtype == RELOCATION:
-            if query is not None:
-                query.relocations += 1
-        elif rtype == RELOCATION_ABORT:
-            if query is not None:
-                query.aborted += 1
-        elif rtype == PLANNER_SEARCH:
-            if query is not None:
-                query.rounds += record.get("rounds", 0)
-                query.candidates += record.get("candidates", 0)
-                query.links += record.get("links", 0)
+            note_slo(metrics, stats, meta.get("slo"))
         elif rtype in _COORDINATION_EVENTS:
             metrics.coordination_event(
                 _COORDINATION_EVENTS[rtype],

@@ -256,23 +256,13 @@ class WorkloadSpec(Substrate):
         return make_configuration(cfg, self.config_index)
 
     # ---- the schedule -------------------------------------------------
-    def class_for(self, client_index: int, ordinal: int) -> QueryClass:
-        """The query class drawn for one (client, ordinal) slot.
+    def mix_for(self, client_index: int) -> list[QueryClass]:
+        """All ``queries_per_client`` class draws for one client.
 
         With a single class no randomness is consumed; otherwise each
         client draws its sequence from its own ``(seed, client)`` stream,
         weighted by class weights.
         """
-        if len(self.classes) == 1:
-            return self.classes[0]
-        rng = np.random.default_rng((self.seed, 6211, client_index))
-        weights = np.array([c.weight for c in self.classes], dtype=float)
-        weights /= weights.sum()
-        picks = rng.choice(len(self.classes), size=ordinal + 1, p=weights)
-        return self.classes[int(picks[-1])]
-
-    def mix_for(self, client_index: int) -> list[QueryClass]:
-        """All ``queries_per_client`` class draws for one client."""
         if len(self.classes) == 1:
             return [self.classes[0]] * self.queries_per_client
         rng = np.random.default_rng((self.seed, 6211, client_index))

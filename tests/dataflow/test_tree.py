@@ -88,13 +88,6 @@ class TestTreeQueries:
         assert path[-1] == CLIENT_ID
         assert len(path) == 4
 
-    def test_subtree_servers(self):
-        tree = complete_binary_tree(8)
-        assert tree.subtree_servers(tree.root_operator.node_id) == [
-            f"s{i}" for i in range(8)
-        ]
-        assert tree.subtree_servers("s3") == ["s3"]
-
     def test_children_and_parent(self):
         tree = complete_binary_tree(4)
         children = tree.children_of("op0")

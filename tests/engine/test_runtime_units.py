@@ -7,6 +7,7 @@ from repro.engine.actors import OperatorActor
 from repro.engine.config import Algorithm
 from repro.engine.runtime import Runtime
 from repro.engine.simulation import build_simulation, build_substrate, build_tree
+from repro.net.host import Host
 from repro.net.message import MessageKind
 from repro.placement.download_all import download_all_placement
 from repro.sim import Environment
@@ -249,6 +250,37 @@ class TestActorAddressCache:
                     bystander.net_id
                 )
         assert runtime.metrics.relocations == 2
+
+
+class TestThrowawayEndpoints:
+    """Probe, probe-control and state-transfer endpoints are never
+    registered, so delivering to them opens no mailbox anywhere."""
+
+    def test_no_mailbox_for_unregistered_actors(self, monkeypatch):
+        env, runtime = build(Algorithm.GLOBAL)
+        network = runtime.network
+        opened = []
+        mailbox = Host.mailbox
+
+        def recording(host, actor):
+            opened.append(actor)
+            return mailbox(host, actor)
+
+        monkeypatch.setattr(Host, "mailbox", recording)
+        op = runtime.tree.operators()[0].node_id
+        target = "h2" if runtime.host_of(op) != "h2" else "h3"
+
+        def moves(env):
+            yield from runtime.monitoring.probe("h0", "h1")
+            yield from runtime.remote_probe("client", "h0", "h1")
+            yield from runtime.relocate(op, target)
+
+        env.process(moves(env))
+        env.run(until=300.0)
+        assert runtime.monitoring.stats_for(None).probes_sent == 2
+        assert runtime.metrics.relocations == 1
+        assert op in opened  # the moved operator's new mailbox
+        assert set(opened) <= set(network.actor_hosts)
 
 
 class TestRemoteProbe:

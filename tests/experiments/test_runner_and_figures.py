@@ -69,8 +69,6 @@ class TestFigureFunctions:
     def test_fig6(self, small_setup):
         result = fig6_main_comparison(small_setup, n_configs=2)
         assert len(result.global_speedups) == 2
-        series = result.sorted_series()
-        assert list(series["global"]) == sorted(series["global"])
         table = result.format_table()
         assert "speedup over download-all" in table
         assert "interarrival" in table

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.stats import Interval, bootstrap, paired_ratio, summarize, win_rate
+from repro.experiments.stats import Interval, bootstrap, paired_ratio, summarize
 
 
 class TestBootstrap:
@@ -58,17 +58,6 @@ class TestPairedRatio:
     def test_zero_denominator(self):
         with pytest.raises(ValueError):
             paired_ratio([1.0], [0.0])
-
-
-class TestWinRate:
-    def test_basic(self):
-        assert win_rate([2, 3, 1], [1, 1, 2]) == pytest.approx(2 / 3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            win_rate([], [])
-        with pytest.raises(ValueError):
-            win_rate([1], [1, 2])
 
 
 class TestSummarize:

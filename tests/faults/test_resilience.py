@@ -135,12 +135,25 @@ class TestFaultedTraceReplay:
         tracer = Tracer()
         live = run_simulation(spec, tracer=tracer)
         summary = summarize_records(tracer.events)
-        assert summary.retransmissions == live.retransmissions
-        assert summary.dropped_bytes == pytest.approx(live.dropped_bytes)
-        assert summary.host_downtime_seconds == pytest.approx(
+        assert summary.totals["retransmissions"] == live.retransmissions
+        assert summary.totals["dropped_bytes"] == pytest.approx(live.dropped_bytes)
+        assert summary.totals["host_downtime_seconds"] == pytest.approx(
             live.host_downtime_seconds
         )
         assert summary.fault_timeline  # boundaries made it into the trace
+
+    def test_trace_summary_totals_are_the_replayed_counters(self):
+        spec = tiny_spec(algorithm=Algorithm.GLOBAL, images=12)
+        spec = dataclasses.replace(spec, faults=_chaos_plan(spec))
+        tracer = Tracer()
+        run_simulation(spec, tracer=tracer)
+        replayed = RunMetrics.from_trace(tracer.events).summary()
+        totals = summarize_records(tracer.events).totals
+        assert replayed["retransmissions"] and replayed["host_downtime_seconds"]
+        counters = {key: value for key, value in replayed.items() if key in totals}
+        assert len(counters) == len(replayed) - 4  # schema and the derived times
+        for key, value in counters.items():
+            assert totals[key] == value, key
 
 
 class TestRelocationAbort:

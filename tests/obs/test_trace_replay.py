@@ -56,10 +56,10 @@ def test_trace_summary_consistent_with_metrics():
     live = run_simulation(tiny_spec(algorithm=Algorithm.GLOBAL, images=4),
                           tracer=tracer)
     summary = summarize_records(tracer.events)
-    assert summary.arrivals == len(live.arrival_times)
+    assert len(summary.totals["arrival_times"]) == len(live.arrival_times)
     assert summary.completion_time == live.completion_time
     assert len(summary.relocations) == live.relocations
-    assert summary.barrier_stall_seconds == pytest.approx(
+    assert summary.totals["barrier_stall_seconds"] == pytest.approx(
         live.barrier_stall_seconds
     )
     wire_bytes = sum(v[1] for v in summary.link_traffic.values())

@@ -28,3 +28,28 @@ def test_record_summarize_and_chrome_export(tmp_path, capsys):
     assert "kernel events processed:" in summary
 
     json.loads(chrome.read_text())
+
+
+def test_summarize_a_workload_trace(tmp_path, capsys):
+    trace = tmp_path / "fleet.jsonl"
+    code = main(
+        [
+            "workload",
+            "--clients", "2",
+            "--queries", "1",
+            "--mix", "global=1,one-shot=1",
+            "--servers", "4",
+            "--images", "6",
+            "--seed", "7",
+            "--trace", str(trace),
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+
+    assert main(["trace", str(trace)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # Both queries' arrivals are counted, and both runs are in the stream.
+    assert lines[1].startswith("arrivals: 12 ")
+    assert ["run.meta", "2"] in [line.split() for line in lines]
+    assert ["run.end", "2"] in [line.split() for line in lines]

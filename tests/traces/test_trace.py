@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.traces import BandwidthTrace, constant_trace
-from repro.traces.trace import MIN_RATE, merge_min
+from repro.traces.trace import MIN_RATE
 from tests.oracles.trace_scan import transfer_time_scan
 
 
@@ -160,20 +160,6 @@ class TestTransforms:
         c = BandwidthTrace([0, 1], [2, 4])
         assert a == b
         assert a != c
-
-
-class TestMergeMin:
-    def test_pointwise_minimum(self):
-        a = BandwidthTrace([0, 10], [100, 10])
-        b = BandwidthTrace([0, 5], [50, 200])
-        merged = merge_min([a, b])
-        assert merged.rate_at(0) == 50
-        assert merged.rate_at(6) == 100
-        assert merged.rate_at(12) == 10
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            merge_min([])
 
 
 class TestTransferTimePrefixSum:

@@ -109,16 +109,6 @@ class TestMix:
         # With weight 3:1, class "a" should dominate.
         assert first.count("a") > first.count("b")
 
-    def test_class_for_matches_mix(self):
-        classes = (
-            QueryClass(name="a", algorithm=Algorithm.ONE_SHOT),
-            QueryClass(name="b", algorithm=Algorithm.GLOBAL),
-        )
-        spec = small_workload(classes=classes, queries_per_client=6, seed=2)
-        mix = spec.mix_for(1)
-        for ordinal in range(6):
-            assert spec.class_for(1, ordinal) is mix[ordinal]
-
 
 class TestQuerySpec:
     def test_seeds_differ_per_slot(self):
