@@ -61,6 +61,86 @@ def build_tree(spec: SimulationSpec) -> CombinationTree:
     return left_deep_tree(spec.num_servers)
 
 
+class PlanningContext:
+    """What the queries of one run share for planning, keyed by shape.
+
+    A query's tree and cost model read only the spec's ``tree_shape``,
+    ``num_servers``, ``mean_image_size``, ``image_rel_std``, ``compose``,
+    ``startup_cost`` and ``disk_rate``; its one-shot and global searches
+    add the host list and the server replicas.  Queries of one shape
+    therefore share one tree, one :class:`CostModel` (its ``arrays()``
+    is built once) and, per planning stage, one search cache: the
+    evaluator's placement states, move grids, cell arrays, candidate
+    move lists and link sets (see
+    :class:`~repro.placement.one_shot.OneShotPlanner`).  Every entry is
+    a pure function of its key and of no bandwidth, so sharing it
+    changes no result.
+
+    The ``"initial"`` searches all start from download-all and the
+    ``"controller"`` replans walk around each running placement, so the
+    two stages share few states and keep separate caches: a single
+    query's run then drops its initial search's states as soon as the
+    query is built, as it did with a cache per planner.
+    :func:`build_simulation` and
+    :class:`~repro.workload.engine.WorkloadEngine` make one context per
+    run and drop it with the run.
+    """
+
+    def __init__(self) -> None:
+        self._models: dict[tuple, tuple[CombinationTree, CostModel]] = {}
+        self._search_caches: dict[tuple, dict] = {}
+
+    @staticmethod
+    def _model_key(spec: SimulationSpec) -> tuple:
+        return (
+            spec.tree_shape,
+            spec.num_servers,
+            spec.mean_image_size,
+            spec.image_rel_std,
+            spec.compose,
+            spec.startup_cost,
+            spec.disk_rate,
+        )
+
+    def model(self, spec: SimulationSpec) -> tuple[CombinationTree, CostModel]:
+        """The tree and cost model of ``spec``'s shape, built on a miss."""
+        key = self._model_key(spec)
+        model = self._models.get(key)
+        if model is None:
+            tree = build_tree(spec)
+            sizes = expected_output_sizes(
+                tree,
+                spec.mean_image_size,
+                spec.image_rel_std,
+                combiner=spec.compose,
+            )
+            cost_model = CostModel(
+                tree,
+                sizes,
+                startup_cost=spec.startup_cost,
+                disk_rate=spec.disk_rate,
+                combiner=spec.compose,
+            )
+            model = self._models[key] = (tree, cost_model)
+        return model
+
+    def search_cache(
+        self,
+        spec: SimulationSpec,
+        server_replicas: dict[str, tuple[str, ...]],
+        stage: str,
+    ) -> dict:
+        """The ``stage`` search cache of ``spec``'s shape under these
+        replicas (``stage`` is ``"initial"`` or ``"controller"``)."""
+        key = (
+            stage,
+            self._model_key(spec),
+            spec.all_hosts,
+            tuple(server_replicas.items()),
+        )
+        return self._search_caches.setdefault(key, {})
+
+
 def build_query(
     spec: SimulationSpec,
     env: Environment,
@@ -70,6 +150,8 @@ def build_query(
     namespace: str = "",
     query_id: str | None = None,
     planner_wrapper=None,
+    *,
+    planning: PlanningContext,
 ) -> Runtime:
     """Assemble one query's tree, placement, actors and controllers.
 
@@ -80,29 +162,19 @@ def build_query(
     ``(planner, stage) -> Planner`` with stage ``"initial"`` or
     ``"controller"`` — lets a fleet coordinator interpose on every
     planning opportunity (:mod:`repro.fleet`); None keeps the planners
-    bare.  With the defaults (empty namespace, no query id, no wrapper)
-    the constructed query is byte-identical to what
-    :func:`build_simulation` always built, which the single-query identity
-    test pins.
+    bare.  ``planning`` is the run's :class:`PlanningContext`.  With the
+    defaults (empty namespace, no query id, no wrapper) the constructed
+    query is byte-identical to what :func:`build_simulation` always
+    built, which the single-query identity test pins.
     """
     tracer = ensure_tracer(tracer)
-    tree = build_tree(spec)
+    tree, cost_model = planning.model(spec)
     workload = ImageWorkload.generate(
         spec.num_servers,
         spec.images_per_server,
         spec.mean_image_size,
         spec.image_rel_std,
         seed=spec.workload_seed,
-    )
-    sizes = expected_output_sizes(
-        tree, spec.mean_image_size, spec.image_rel_std, combiner=spec.compose
-    )
-    cost_model = CostModel(
-        tree,
-        sizes,
-        startup_cost=spec.startup_cost,
-        disk_rate=spec.disk_rate,
-        combiner=spec.compose,
     )
 
     server_hosts_map = {
@@ -119,6 +191,7 @@ def build_query(
         server_replicas,
         tracer=tracer,
         planner_wrapper=planner_wrapper,
+        grid_cache=planning.search_cache(spec, server_replicas, "initial"),
         now=env.now,
     )
 
@@ -154,6 +227,7 @@ def build_query(
             list(spec.all_hosts),
             cost_model,
             server_replicas=server_replicas,
+            grid_cache=planning.search_cache(spec, server_replicas, "controller"),
         )
         if planner_wrapper is not None:
             planner = planner_wrapper(planner, "controller")
@@ -249,7 +323,9 @@ def build_simulation(
     if tracer.enabled:
         env.trace_hook = tracer.kernel_hook
     network, monitoring = build_substrate(env, spec, spec.link_traces, tracer)
-    runtime = build_query(spec, env, network, monitoring, tracer=tracer)
+    runtime = build_query(
+        spec, env, network, monitoring, tracer=tracer, planning=PlanningContext()
+    )
     runtime.faults = install_faults(spec.faults, env, network, monitoring, tracer)
     return env, runtime
 
@@ -263,6 +339,7 @@ def _initial_placement(
     server_replicas: "dict[str, tuple[str, ...]] | None" = None,
     tracer=None,
     planner_wrapper=None,
+    grid_cache: Optional[dict] = None,
     *,
     now: float,
 ):
@@ -286,6 +363,7 @@ def _initial_placement(
         list(spec.all_hosts),
         cost_model,
         server_replicas=server_replicas,
+        grid_cache=grid_cache,
     )
     if planner_wrapper is not None:
         planner = planner_wrapper(planner, "initial")

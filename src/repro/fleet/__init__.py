@@ -39,9 +39,9 @@ from repro.fleet.planner import FleetPlanner
 
 def _fleet_factory(mode: str):
     def factory(tree, hosts, cost_model, *, server_replicas=None,
-                max_rounds=200, extra_candidates=0):
+                max_rounds=200, extra_candidates=0, grid_cache=None):
         inner = GlobalPlanner(tree, hosts, cost_model, max_rounds,
-                              server_replicas)
+                              server_replicas, grid_cache)
         coordinator = FleetCoordinator(FleetPolicy(mode=mode))
         return FleetPlanner(inner, coordinator, "standalone")
     return factory

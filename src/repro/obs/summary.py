@@ -20,6 +20,7 @@ returns plain dicts/dataclasses; the engine does the final conversion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -173,9 +174,16 @@ class TraceSummary:
 
     The run counters are :attr:`totals`, a :class:`RunReplay` fed the
     same records; the fields here are the views ``RunMetrics`` lacks.
+    A concurrent workload's trace holds one ``run.meta`` and one
+    ``run.end`` per query; :attr:`algorithms`, :attr:`truncated` and
+    :attr:`completion_time` then cover every query.
     """
 
     meta: dict[str, Any] = field(default_factory=dict)
+    #: algorithm -> ``run.meta`` records naming it (one per query).
+    algorithms: dict[str, int] = field(default_factory=dict)
+    #: True when any ``run.end`` reports a truncated run.
+    truncated: bool = False
     #: :attr:`RunReplay.totals` over every record of the trace.
     totals: dict[str, Any] = field(default_factory=lambda: RunReplay().totals)
     #: (src_host, dst_host) -> [transfers, wire_bytes, busy_seconds].
@@ -188,7 +196,7 @@ class TraceSummary:
     )
     #: estimate quality -> count ("fresh"/"stale"/"default").
     estimate_quality: dict[str, int] = field(default_factory=dict)
-    #: From the last ``run.end`` or arrival, whichever came later.
+    #: The latest ``run.end`` completion; without one, the last arrival.
     completion_time: float = float("nan")
     counters: dict[str, float] = field(default_factory=dict)
     #: (time, event_type, detail) fault timeline in order.
@@ -206,6 +214,11 @@ class TraceSummary:
     def planner_searches(self) -> int:
         return self.event_histogram.get(ev.PLANNER_SEARCH, 0)
 
+    @property
+    def runs(self) -> int:
+        """``run.meta`` records in the stream: one per query."""
+        return sum(self.algorithms.values())
+
 
 def summarize_records(records: Iterable[dict[str, Any]]) -> TraceSummary:
     """Digest trace records into a :class:`TraceSummary` in one pass."""
@@ -213,6 +226,8 @@ def summarize_records(records: Iterable[dict[str, Any]]) -> TraceSummary:
     summary = TraceSummary(totals=replay.totals)
     feed = replay.feed
     histogram = summary.event_histogram
+    ended = False
+    latest_end = float("nan")
     for record in records:
         feed(record)
         etype = record.get("type")
@@ -246,14 +261,23 @@ def summarize_records(records: Iterable[dict[str, Any]]) -> TraceSummary:
         elif etype == ev.RUN_META:
             meta = {k: v for k, v in record.items() if k not in ("type", "t")}
             summary.meta.update(meta)
-        elif etype == ev.RUN_END:
-            summary.completion_time = record.get(
-                "completion_time", summary.completion_time
+            algorithm = record["algorithm"]
+            summary.algorithms[algorithm] = (
+                summary.algorithms.get(algorithm, 0) + 1
             )
+        elif etype == ev.RUN_END:
+            completion = record.get("completion_time", summary.completion_time)
+            if math.isnan(latest_end) or completion > latest_end:
+                latest_end = completion
+            ended = True
+            if record.get("truncated", False):
+                summary.truncated = True
         elif etype == "trace.header":
             summary.meta = dict(record.get("meta", {}))
         elif etype == "trace.footer":
             summary.counters = dict(record.get("counters", {}))
+    if ended:
+        summary.completion_time = latest_end
     return summary
 
 
@@ -262,7 +286,12 @@ def format_trace_summary(summary: TraceSummary, max_rows: int = 20) -> str:
     lines: list[str] = []
     totals = summary.totals
     meta = summary.meta
-    if meta:
+    if summary.runs > 1:
+        mix = ", ".join(
+            f"{name}={count}" for name, count in sorted(summary.algorithms.items())
+        )
+        lines.append(f"run: {summary.runs} queries ({mix})")
+    elif meta:
         head = ", ".join(
             f"{k}={meta[k]}"
             for k in ("algorithm", "num_servers", "images", "tree_shape")
@@ -272,7 +301,7 @@ def format_trace_summary(summary: TraceSummary, max_rows: int = 20) -> str:
     lines.append(
         f"arrivals: {len(totals['arrival_times'])}"
         f" (completion {summary.completion_time:.1f}s"
-        f"{', TRUNCATED' if totals['truncated'] else ''})"
+        f"{', TRUNCATED' if summary.truncated else ''})"
     )
 
     lines.append("")

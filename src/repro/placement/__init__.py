@@ -37,7 +37,8 @@ from repro.placement.local_rules import (
 )
 
 #: Planner-factory signature: ``(tree, hosts, cost_model, *,
-#: server_replicas=None, max_rounds=200, extra_candidates=0) -> Planner``.
+#: server_replicas=None, max_rounds=200, extra_candidates=0,
+#: grid_cache=None) -> Planner``.
 PlannerFactory = Callable[..., Planner]
 
 _PLANNER_REGISTRY: "dict[str, PlannerFactory]" = {}
@@ -62,24 +63,28 @@ def planner_registry() -> "tuple[str, ...]":
 
 
 def _make_one_shot(tree, hosts, cost_model, *, server_replicas=None,
-                   max_rounds=200, extra_candidates=0):
-    return OneShotPlanner(tree, hosts, cost_model, max_rounds, server_replicas)
+                   max_rounds=200, extra_candidates=0, grid_cache=None):
+    return OneShotPlanner(
+        tree, hosts, cost_model, max_rounds, server_replicas, grid_cache
+    )
 
 
 def _make_global(tree, hosts, cost_model, *, server_replicas=None,
-                 max_rounds=200, extra_candidates=0):
-    return GlobalPlanner(tree, hosts, cost_model, max_rounds, server_replicas)
+                 max_rounds=200, extra_candidates=0, grid_cache=None):
+    return GlobalPlanner(
+        tree, hosts, cost_model, max_rounds, server_replicas, grid_cache
+    )
 
 
 def _make_local(tree, hosts, cost_model, *, server_replicas=None,
-                max_rounds=200, extra_candidates=0):
+                max_rounds=200, extra_candidates=0, grid_cache=None):
     return LocalRulesPlanner(
         tree, hosts, cost_model, extra_candidates=extra_candidates
     )
 
 
 def _make_download_all(tree, hosts, cost_model, *, server_replicas=None,
-                       max_rounds=200, extra_candidates=0):
+                       max_rounds=200, extra_candidates=0, grid_cache=None):
     return DownloadAllPlanner(tree, hosts, cost_model)
 
 
@@ -98,6 +103,7 @@ def planner_for(
     server_replicas: "Optional[dict[str, tuple[str, ...]]]" = None,
     max_rounds: int = 200,
     extra_candidates: int = 0,
+    grid_cache: "Optional[dict]" = None,
 ) -> Planner:
     """Construct the planner for an algorithm name (or enum).
 
@@ -106,7 +112,10 @@ def planner_for(
     :func:`register_planner`, e.g. the ``fleet-*`` family) or anything
     with a matching ``.value`` (e.g.
     :class:`repro.engine.config.Algorithm`); keying on the value keeps
-    this module import-independent of the engine.
+    this module import-independent of the engine.  ``grid_cache`` is
+    the search cache a one-shot or global search shares with planners
+    of the same shape (see :class:`OneShotPlanner`); the other
+    planners ignore it.
     """
     key = getattr(algorithm, "value", algorithm)
     factory = _PLANNER_REGISTRY.get(key)
@@ -123,6 +132,7 @@ def planner_for(
         server_replicas=server_replicas,
         max_rounds=max_rounds,
         extra_candidates=extra_candidates,
+        grid_cache=grid_cache,
     )
 
 

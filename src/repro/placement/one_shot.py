@@ -60,6 +60,11 @@ class OneShotPlanner:
         dataset is replicated may be *served* from any replica, so the
         search treats them as movable among those hosts (the paper's
         assumption 3 relaxed).
+    grid_cache:
+        Optional evaluator cache to share with the other one-shot and
+        global planners of the same tree, cost model, hosts and replicas
+        (:class:`repro.engine.simulation.PlanningContext` hands one to
+        every query of a shape); None gives the planner a private one.
 
     Each round's whole move grid is priced in one numpy pass
     (:class:`repro.dataflow.critical.BatchMoveEvaluator`).  ``plan``
@@ -78,6 +83,7 @@ class OneShotPlanner:
         cost_model: CostModel,
         max_rounds: int = 200,
         server_replicas: "Optional[dict[str, tuple[str, ...]]]" = None,
+        grid_cache: "Optional[dict]" = None,
     ) -> None:
         if not hosts:
             raise ValueError("need at least one candidate host")
@@ -101,10 +107,10 @@ class OneShotPlanner:
         #: placement-independent move grids, each visited placement's
         #: bandwidth-independent state with its candidate move lists (see
         #: :class:`repro.dataflow.critical.BatchMoveEvaluator`) and the
-        #: all-pairs link set of each host tuple.  It is
-        #: owned here, not shared, because a state is only valid for
-        #: this planner's tree and cost model.
-        self._grid_cache: dict = {}
+        #: all-pairs link set of each host tuple.  Only planners with
+        #: this tree, cost model, host list and replicas may share it:
+        #: a state and its move lists are valid for those alone.
+        self._grid_cache: dict = {} if grid_cache is None else grid_cache
         #: One-entry memo of the search: ``(key, result)``.
         #: Periodic replans often see the previous call's floored
         #: snapshot and placement again; older keys never recur.

@@ -24,7 +24,12 @@ from typing import Any, Optional
 from repro.engine.config import SimulationSpec
 from repro.engine.metrics import RunMetrics
 from repro.engine.runtime import Runtime
-from repro.engine.simulation import build_query, build_substrate, install_faults
+from repro.engine.simulation import (
+    PlanningContext,
+    build_query,
+    build_substrate,
+    install_faults,
+)
 from repro.faults import FaultInjector
 from repro.fleet import FleetCoordinator
 from repro.obs.events import RUN_END, RUN_META
@@ -180,6 +185,9 @@ class WorkloadEngine:
             env, spec, spec.resolve_links(), tracer
         )
         network.observers.append(sink.observe)
+        # Queries of one shape share their tree, cost model and search
+        # cache for this run only.
+        planning = PlanningContext()
 
         # Fleet-aware joint planning: one coordinator shared by every
         # query, consulted at each planning opportunity.  None keeps all
@@ -290,6 +298,7 @@ class WorkloadEngine:
                     if coordinator is not None
                     else None
                 ),
+                planning=planning,
             )
             if coordinator is not None:
                 coordinator.query_launched(

@@ -1,0 +1,91 @@
+"""Call-count guard for per-run planning.
+
+A run's queries of one shape share their tree and cost model, so
+``CostModelArrays`` is built once per shape, not once per query; and
+their planners of one stage (the initial one-shot search, or the
+global controller's replans) share one search cache exactly when their
+tree, cost model, host list and replicas agree.  Counting on a
+small mixed fleet catches a change that builds either per query again,
+or that lets planners of different replicas share a cache.
+"""
+
+from repro.dataflow.cost import CostModelArrays
+from repro.engine.config import Algorithm
+from repro.placement import OneShotPlanner
+from repro.workload import ClosedLoop, QueryClass, WorkloadSpec, run_workload
+
+
+def mixed_shapes_spec():
+    """"plain" and "replicated" share a tree and cost model but not
+    replicas; "big" has a cost model of its own."""
+    return WorkloadSpec(
+        classes=(
+            QueryClass(name="plain", algorithm=Algorithm.GLOBAL),
+            QueryClass(
+                name="big",
+                algorithm=Algorithm.GLOBAL,
+                overrides={"mean_image_size": 256 * 1024.0},
+            ),
+            QueryClass(
+                name="replicated",
+                algorithm=Algorithm.ONE_SHOT,
+                overrides={"replication_factor": 2},
+            ),
+        ),
+        num_clients=4,
+        queries_per_client=3,
+        arrivals=ClosedLoop(think_time=5.0),
+        seed=5,
+        num_servers=4,
+        images_per_server=4,
+    )
+
+
+def test_cost_model_arrays_built_once_per_shape(monkeypatch):
+    built = []
+    original_arrays = CostModelArrays.__init__
+
+    def arrays_init(self, cost_model):
+        built.append(cost_model)
+        original_arrays(self, cost_model)
+
+    monkeypatch.setattr(CostModelArrays, "__init__", arrays_init)
+    planners = []
+    original_planner = OneShotPlanner.__init__
+
+    def planner_init(self, *args, **kwargs):
+        original_planner(self, *args, **kwargs)
+        planners.append(self)
+
+    monkeypatch.setattr(OneShotPlanner, "__init__", planner_init)
+    result = run_workload(mixed_shapes_spec())
+    assert len(result.queries) == 12
+    assert {q.class_name for q in result.queries} == {
+        "plain",
+        "big",
+        "replicated",
+    }
+
+    # "plain" and "replicated" share a shape, "big" has its own.
+    assert len(built) == len({id(model) for model in built}) == 2
+    assert {id(p.cost_model) for p in planners} == {id(m) for m in built}
+
+    # A search cache serves exactly the planners of one stage, tree,
+    # cost model, host list and replica set.  The initial planners are
+    # one-shot, the controllers global, so the name gives the stage.
+    def shape(planner):
+        return (
+            planner.name,
+            id(planner.cost_model),
+            tuple(planner.hosts),
+            tuple(sorted(planner.server_replicas.items())),
+        )
+
+    by_cache: dict[int, set] = {}
+    by_shape: dict[tuple, set] = {}
+    for planner in planners:
+        by_cache.setdefault(id(planner._grid_cache), set()).add(shape(planner))
+        by_shape.setdefault(shape(planner), set()).add(id(planner._grid_cache))
+    assert all(len(shapes) == 1 for shapes in by_cache.values())
+    assert all(len(caches) == 1 for caches in by_shape.values())
+    assert len(by_cache) < len(result.queries)

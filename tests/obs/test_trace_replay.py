@@ -123,3 +123,67 @@ class TestEventHistogram:
         records = [{"type": f"kind.{i:03d}", "t": float(i)} for i in range(30)]
         report = format_trace_summary(summarize_records(records), max_rows=5)
         assert "... 25 more types" in report
+
+
+class TestMultiRunSummary:
+    """A workload trace holds one ``run.meta``/``run.end`` per query."""
+
+    @staticmethod
+    def meta(algorithm, query_id):
+        return {
+            "type": "run.meta",
+            "t": 0.0,
+            "query_id": query_id,
+            "algorithm": algorithm,
+            "num_servers": 4,
+            "images": 1,
+            "tree_shape": "binary",
+        }
+
+    @staticmethod
+    def end(t, query_id, truncated, completion):
+        return {
+            "type": "run.end",
+            "t": t,
+            "query_id": query_id,
+            "truncated": truncated,
+            "completion_time": completion,
+        }
+
+    def records(self):
+        # The truncated query ends last but completed earlier: neither
+        # TRUNCATED nor the completion may come from the last run.end.
+        return [
+            self.meta("global", "c0:0"),
+            self.meta("one-shot", "c1:0"),
+            self.meta("global", "c2:0"),
+            {"type": "arrival", "t": 50.0, "query_id": "c1:0"},
+            {"type": "arrival", "t": 90.0, "query_id": "c0:0"},
+            self.end(90.0, "c0:0", False, 90.0),
+            self.end(95.0, "c2:0", False, float("nan")),
+            self.end(120.0, "c1:0", True, 50.0),
+        ]
+
+    def test_counts_every_query(self):
+        summary = summarize_records(self.records())
+        assert summary.runs == 3
+        assert summary.algorithms == {"global": 2, "one-shot": 1}
+        assert summary.truncated
+        assert summary.completion_time == 90.0
+
+    def test_report_names_the_mix(self):
+        lines = format_trace_summary(summarize_records(self.records())).splitlines()
+        assert lines[0] == "run: 3 queries (global=2, one-shot=1)"
+        assert lines[1] == "arrivals: 2 (completion 90.0s, TRUNCATED)"
+
+    def test_single_run_report_unchanged(self):
+        records = [
+            self.meta("global", "c0:0"),
+            {"type": "arrival", "t": 40.0},
+            self.end(41.0, "c0:0", True, 40.0),
+        ]
+        lines = format_trace_summary(summarize_records(records)).splitlines()
+        assert lines[0] == (
+            "run: algorithm=global, num_servers=4, images=1, tree_shape=binary"
+        )
+        assert lines[1] == "arrivals: 1 (completion 40.0s, TRUNCATED)"

@@ -30,8 +30,8 @@ def test_record_summarize_and_chrome_export(tmp_path, capsys):
     json.loads(chrome.read_text())
 
 
-def test_summarize_a_workload_trace(tmp_path, capsys):
-    trace = tmp_path / "fleet.jsonl"
+def summarize_workload(tmp_path, capsys, seed):
+    trace = tmp_path / f"fleet-{seed}.jsonl"
     code = main(
         [
             "workload",
@@ -40,7 +40,7 @@ def test_summarize_a_workload_trace(tmp_path, capsys):
             "--mix", "global=1,one-shot=1",
             "--servers", "4",
             "--images", "6",
-            "--seed", "7",
+            "--seed", str(seed),
             "--trace", str(trace),
         ]
     )
@@ -48,8 +48,16 @@ def test_summarize_a_workload_trace(tmp_path, capsys):
     capsys.readouterr()
 
     assert main(["trace", str(trace)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    # Both queries' arrivals are counted, and both runs are in the stream.
-    assert lines[1].startswith("arrivals: 12 ")
-    assert ["run.meta", "2"] in [line.split() for line in lines]
-    assert ["run.end", "2"] in [line.split() for line in lines]
+    return capsys.readouterr().out.splitlines()
+
+
+def test_summarize_a_workload_trace(tmp_path, capsys):
+    # Seed 7 draws two global queries, seed 1 one of each class.
+    for seed, mix in ((7, "global=2"), (1, "global=1, one-shot=1")):
+        lines = summarize_workload(tmp_path, capsys, seed)
+        # The run line names every query, both queries' arrivals are
+        # counted, and both runs are in the stream.
+        assert lines[0] == f"run: 2 queries ({mix})"
+        assert lines[1].startswith("arrivals: 12 ")
+        assert ["run.meta", "2"] in [line.split() for line in lines]
+        assert ["run.end", "2"] in [line.split() for line in lines]
