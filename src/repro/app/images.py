@@ -80,7 +80,3 @@ class ImageWorkload:
     def size_of(self, server_index: int, iteration: int) -> float:
         """Byte size of one image."""
         return self.sizes[server_index][iteration]
-
-    def total_bytes(self) -> float:
-        """Sum of all raw image bytes across servers."""
-        return float(sum(sum(row) for row in self.sizes))

@@ -114,10 +114,6 @@ class Placement:
                 moves.append((node_id, old, host))
         return moves
 
-    def hosts_used(self) -> set[str]:
-        """The set of hosts with at least one node."""
-        return set(self._assignment.values())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Placement):
             return NotImplemented

@@ -139,15 +139,6 @@ class CombinationTree:
         """Internal combination nodes, sorted by id."""
         return [n for n in self.nodes() if n.is_operator]
 
-    def children_of(self, node_id: str) -> list[TreeNode]:
-        """Producer nodes of ``node_id``."""
-        return [self._nodes[c] for c in self.node(node_id).children]
-
-    def parent_of(self, node_id: str) -> Optional[TreeNode]:
-        """Consumer node of ``node_id`` (None for the client)."""
-        parent = self.node(node_id).parent
-        return self._nodes[parent] if parent is not None else None
-
     def depth(self) -> int:
         """Number of operator levels (1 for a single operator)."""
         operators = self.operators()

@@ -20,11 +20,6 @@ class Algorithm(str, enum.Enum):
     GLOBAL = "global"
     LOCAL = "local"
 
-    @property
-    def is_online(self) -> bool:
-        """True for the policies that relocate operators during the run."""
-        return self in (Algorithm.GLOBAL, Algorithm.LOCAL)
-
 
 @dataclass(frozen=True, kw_only=True)
 class Substrate:

@@ -141,32 +141,27 @@ _SAMPLED_MEMO: dict[tuple[int, int], tuple[ExperimentConfig, SampledConfig]] = {
 _SAMPLED_MEMO_MAX = 8
 
 
-def sample_config(
-    setup: ExperimentConfig, config_index: int, *, cache: bool = True
-) -> SampledConfig:
+def sample_config(setup: ExperimentConfig, config_index: int) -> SampledConfig:
     """Sample (or fetch the memoized) configuration ``config_index``.
 
     Sampling is a pure function of ``(setup, config_index)``, so the
     build-once memo is invisible to results — it only removes the
     redundant resampling the old per-run path performed once per
-    algorithm.  ``cache=False`` forces a fresh sample (benchmarks use it
-    to measure the build cost itself).
+    algorithm.
     """
     key = (id(setup), config_index)
-    if cache:
-        hit = _SAMPLED_MEMO.get(key)
-        if hit is not None and hit[0] is setup:
-            return hit[1]
+    hit = _SAMPLED_MEMO.get(key)
+    if hit is not None and hit[0] is setup:
+        return hit[1]
     sampled = SampledConfig(
         config_index=config_index,
         link_traces=make_configuration(setup, config_index),
         workload_seed=setup.seed + config_index,
         control_seed=setup.seed + config_index,
     )
-    if cache:
-        if len(_SAMPLED_MEMO) >= _SAMPLED_MEMO_MAX:
-            _SAMPLED_MEMO.pop(next(iter(_SAMPLED_MEMO)))
-        _SAMPLED_MEMO[key] = (setup, sampled)
+    if len(_SAMPLED_MEMO) >= _SAMPLED_MEMO_MAX:
+        _SAMPLED_MEMO.pop(next(iter(_SAMPLED_MEMO)))
+    _SAMPLED_MEMO[key] = (setup, sampled)
     return sampled
 
 

@@ -33,15 +33,14 @@ from repro.fleet.coordinator import (
     placement_links,
     runtime_links,
 )
-from repro.fleet.counters import CoordinationCounters
 from repro.fleet.planner import FleetPlanner
 
 
 def _fleet_factory(mode: str):
     def factory(tree, hosts, cost_model, *, server_replicas=None,
-                max_rounds=200, extra_candidates=0, grid_cache=None):
-        inner = GlobalPlanner(tree, hosts, cost_model, max_rounds,
-                              server_replicas, grid_cache)
+                extra_candidates=0, grid_cache=None):
+        inner = GlobalPlanner(tree, hosts, cost_model, server_replicas,
+                              grid_cache)
         coordinator = FleetCoordinator(FleetPolicy(mode=mode))
         return FleetPlanner(inner, coordinator, "standalone")
     return factory
@@ -51,7 +50,6 @@ register_planner("fleet-coordinated", _fleet_factory("coordinated"))
 register_planner("fleet-fair", _fleet_factory("fair"))
 
 __all__ = [
-    "CoordinationCounters",
     "FleetCoordinator",
     "FleetPlanner",
     "FleetPolicy",

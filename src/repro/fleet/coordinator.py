@@ -34,7 +34,7 @@ from typing import Any, Callable, Optional
 from repro.dataflow.placement import Placement
 from repro.dataflow.tree import CombinationTree
 from repro.obs import events as ev
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, record_event
 
 #: Tokens the fair mode reserves for the worst-urgency query: it may dip
 #: this far below one token, every other query must leave it untouched.
@@ -176,9 +176,9 @@ class FleetCoordinator:
     """Tracks the active query set and arbitrates relocation budgets.
 
     The coordinator is passive: planners and the workload engine call
-    into it; it never schedules events of its own.  ``sink`` is any
-    object with a ``coordination_event(kind, class_name=, link=,
-    value=)`` method (both workload metrics sinks qualify); ``clock``
+    into it; it never schedules events of its own.  ``sink`` is the
+    workload's metrics sink, which counts every ``fleet.*`` event through
+    its ``fleet_event`` method (``None`` counts nothing); ``clock``
     supplies simulation time for token refill.
     """
 
@@ -229,16 +229,14 @@ class FleetCoordinator:
         )
         self._active[query_id] = record
         self._active_changed()
-        links = record.links()
-        if record.tracer.enabled:
-            record.tracer.emit(
-                ev.FLEET_CLAIM,
-                now,
-                query_class=class_name,
-                links=len(links),
-            )
-        if self.sink is not None:
-            self.sink.coordination_event("claim", class_name=class_name)
+        record_event(
+            record.tracer,
+            self.sink,
+            ev.FLEET_CLAIM,
+            now,
+            query_class=class_name,
+            links=len(record.links()),
+        )
 
     def query_done(self, query_id: str) -> None:
         """Release a finished query's claims."""
@@ -425,33 +423,27 @@ class FleetCoordinator:
         if granted:
             for key in keys:
                 self._charge(key, now)
-            if tracer.enabled:
-                tracer.emit(
-                    ev.FLEET_GRANT,
-                    now,
-                    query_class=class_name,
-                    moves=n_moves,
-                    links=len(keys),
-                    urgency=urgency,
-                )
-            if self.sink is not None:
-                self.sink.coordination_event(
-                    "grant", class_name=class_name, value=n_moves
-                )
+            record_event(
+                tracer,
+                self.sink,
+                ev.FLEET_GRANT,
+                now,
+                query_class=class_name,
+                moves=n_moves,
+                links=len(keys),
+                urgency=urgency,
+            )
         else:
-            if tracer.enabled:
-                tracer.emit(
-                    ev.FLEET_DENY,
-                    now,
-                    query_class=class_name,
-                    moves=n_moves,
-                    bottleneck=bottleneck,
-                    urgency=urgency,
-                )
-            if self.sink is not None:
-                self.sink.coordination_event(
-                    "deny", class_name=class_name, link=bottleneck
-                )
+            record_event(
+                tracer,
+                self.sink,
+                ev.FLEET_DENY,
+                now,
+                query_class=class_name,
+                moves=n_moves,
+                bottleneck=bottleneck,
+                urgency=urgency,
+            )
         return granted
 
     def arbitrate_operator_move(
@@ -484,15 +476,12 @@ class FleetCoordinator:
         after = placement_links(record.runtime.tree, proposed)
         if before == after:
             return
-        if tracer.enabled:
-            tracer.emit(
-                ev.FLEET_REBALANCE,
-                now,
-                query_class=record.class_name,
-                links_before=len(before),
-                links_after=len(after),
-            )
-        if self.sink is not None:
-            self.sink.coordination_event(
-                "rebalance", class_name=record.class_name
-            )
+        record_event(
+            tracer,
+            self.sink,
+            ev.FLEET_REBALANCE,
+            now,
+            query_class=record.class_name,
+            links_before=len(before),
+            links_after=len(after),
+        )

@@ -43,10 +43,6 @@ class Link:
         """Canonical (sorted) host-pair key."""
         return (self.a, self.b)
 
-    def connects(self, host: str) -> bool:
-        """True if ``host`` is one of the link's endpoints."""
-        return host in (self.a, self.b)
-
     def transmission_time(self, nbytes: float, start_time: float) -> float:
         """Seconds to push ``nbytes`` onto the wire starting at ``start_time``."""
         if nbytes < 0:

@@ -189,6 +189,26 @@ def query_tag(query_id: Optional[str]) -> dict[str, Any]:
     return _NO_QUERY if query_id is None else {"query_id": query_id}
 
 
+def record_event(
+    tracer: "Tracer | NullTracer | ScopedTracer",
+    sink: Any,
+    event_type: str,
+    t: float,
+    **fields: Any,
+) -> None:
+    """Record one overload or coordination transition, once.
+
+    The event is emitted on ``tracer`` when it is enabled, and the same
+    type and fields go to ``sink.fleet_event`` (``fleet_from_trace``
+    hands that method the emitted record instead).  A ``None`` sink
+    counts nothing.
+    """
+    if tracer.enabled:
+        tracer.emit(event_type, t, **fields)
+    if sink is not None:
+        sink.fleet_event(event_type, fields)
+
+
 def ensure_tracer(tracer: "Optional[Tracer | NullTracer]") -> "Tracer | NullTracer":
     """``tracer`` if given, else the shared :data:`NULL_TRACER`."""
     return NULL_TRACER if tracer is None else tracer

@@ -37,8 +37,7 @@ from repro.placement.local_rules import (
 )
 
 #: Planner-factory signature: ``(tree, hosts, cost_model, *,
-#: server_replicas=None, max_rounds=200, extra_candidates=0,
-#: grid_cache=None) -> Planner``.
+#: server_replicas=None, extra_candidates=0, grid_cache=None) -> Planner``.
 PlannerFactory = Callable[..., Planner]
 
 _PLANNER_REGISTRY: "dict[str, PlannerFactory]" = {}
@@ -63,28 +62,28 @@ def planner_registry() -> "tuple[str, ...]":
 
 
 def _make_one_shot(tree, hosts, cost_model, *, server_replicas=None,
-                   max_rounds=200, extra_candidates=0, grid_cache=None):
+                   extra_candidates=0, grid_cache=None):
     return OneShotPlanner(
-        tree, hosts, cost_model, max_rounds, server_replicas, grid_cache
+        tree, hosts, cost_model, server_replicas, grid_cache
     )
 
 
 def _make_global(tree, hosts, cost_model, *, server_replicas=None,
-                 max_rounds=200, extra_candidates=0, grid_cache=None):
+                 extra_candidates=0, grid_cache=None):
     return GlobalPlanner(
-        tree, hosts, cost_model, max_rounds, server_replicas, grid_cache
+        tree, hosts, cost_model, server_replicas, grid_cache
     )
 
 
 def _make_local(tree, hosts, cost_model, *, server_replicas=None,
-                max_rounds=200, extra_candidates=0, grid_cache=None):
+                extra_candidates=0, grid_cache=None):
     return LocalRulesPlanner(
         tree, hosts, cost_model, extra_candidates=extra_candidates
     )
 
 
 def _make_download_all(tree, hosts, cost_model, *, server_replicas=None,
-                       max_rounds=200, extra_candidates=0, grid_cache=None):
+                       extra_candidates=0, grid_cache=None):
     return DownloadAllPlanner(tree, hosts, cost_model)
 
 
@@ -101,7 +100,6 @@ def planner_for(
     cost_model: CostModel,
     *,
     server_replicas: "Optional[dict[str, tuple[str, ...]]]" = None,
-    max_rounds: int = 200,
     extra_candidates: int = 0,
     grid_cache: "Optional[dict]" = None,
 ) -> Planner:
@@ -130,7 +128,6 @@ def planner_for(
         hosts,
         cost_model,
         server_replicas=server_replicas,
-        max_rounds=max_rounds,
         extra_candidates=extra_candidates,
         grid_cache=grid_cache,
     )

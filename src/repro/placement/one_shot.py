@@ -38,6 +38,11 @@ from repro.obs.events import PLANNER_SEARCH
 from repro.obs.tracer import ensure_tracer
 from repro.placement.base import PlanResult
 
+#: Safety bound on improvement rounds: the search provably terminates,
+#: because each round strictly decreases the cost, but float quirks
+#: deserve a belt as well as braces.
+MAX_ROUNDS = 200
+
 
 class OneShotPlanner:
     """Iterative critical-path-shortening search.
@@ -51,10 +56,6 @@ class OneShotPlanner:
         the paper's assumption 1 is that servers can host computation).
     cost_model:
         Analytic cost model pricing placements.
-    max_rounds:
-        Safety bound on improvement rounds (the search provably terminates
-        because each round strictly decreases the cost, but float quirks
-        deserve a belt as well as braces).
     server_replicas:
         Optional ``{server node id: candidate hosts}``: servers whose
         dataset is replicated may be *served* from any replica, so the
@@ -81,18 +82,14 @@ class OneShotPlanner:
         tree: CombinationTree,
         hosts: Sequence[str],
         cost_model: CostModel,
-        max_rounds: int = 200,
         server_replicas: "Optional[dict[str, tuple[str, ...]]]" = None,
         grid_cache: "Optional[dict]" = None,
     ) -> None:
         if not hosts:
             raise ValueError("need at least one candidate host")
-        if max_rounds <= 0:
-            raise ValueError(f"max_rounds must be positive, got {max_rounds!r}")
         self.tree = tree
         self.hosts = sorted(set(hosts))
         self.cost_model = cost_model
-        self.max_rounds = max_rounds
         self.server_replicas = {
             server: tuple(replicas)
             for server, replicas in (server_replicas or {}).items()
@@ -181,7 +178,7 @@ class OneShotPlanner:
         rounds = 0
         candidates = 0
 
-        for _ in range(self.max_rounds):
+        for _ in range(MAX_ROUNDS):
             rounds += 1
             cells, best_cost, best_move = evaluator.price_moves(
                 self._state_moves(evaluator, current), current_cost

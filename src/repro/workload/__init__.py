@@ -36,7 +36,7 @@ a shared trace can be sliced per query
 (:func:`repro.obs.summary.query_records`) and replayed bit-exactly.
 """
 
-from repro.fleet import CoordinationCounters, FleetCoordinator, FleetPolicy
+from repro.fleet import FleetCoordinator, FleetPolicy
 from repro.workload.arrivals import (
     Arrivals,
     ClosedLoop,
@@ -54,11 +54,7 @@ from repro.workload.engine import (
     run_workload,
 )
 from repro.workload.metrics import LATENCY_KEYS, WORKLOAD_SCHEMA, jain_index
-from repro.workload.overload import (
-    OverloadController,
-    OverloadPolicy,
-    ResilienceCounters,
-)
+from repro.workload.overload import OverloadController, OverloadPolicy
 from repro.workload.sink import (
     DEFAULT_EXACT_THRESHOLD,
     ExactFleetMetrics,
@@ -69,7 +65,6 @@ from repro.workload.sink import (
     client_index_of,
     fleet_from_trace,
     merge_sinks,
-    note_slo,
 )
 from repro.workload.sketch import OrderFreeSum, QuantileSketch
 from repro.workload.spec import (
@@ -86,7 +81,6 @@ from repro.workload.sweep import (
 )
 
 __all__ = [
-    "CoordinationCounters",
     "FleetCoordinator",
     "FleetPolicy",
     "Arrivals",
@@ -113,10 +107,8 @@ __all__ = [
     "StreamingFleetMetrics",
     "client_index_of",
     "merge_sinks",
-    "note_slo",
     "OverloadController",
     "OverloadPolicy",
-    "ResilienceCounters",
     "OrderFreeSum",
     "QuantileSketch",
     "QueryClass",

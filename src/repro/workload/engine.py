@@ -43,7 +43,7 @@ from repro.workload.arrivals import (
     think_seconds,
 )
 from repro.workload.overload import OverloadController
-from repro.workload.sink import MetricsSink, QueryStats, note_slo
+from repro.workload.sink import MetricsSink, QueryStats
 from repro.workload.spec import QueryClass, WorkloadSpec, query_id_for
 
 
@@ -240,8 +240,7 @@ class WorkloadEngine:
             stats = QueryStats.from_metrics(
                 qid, plan.scheduled.qclass.name, plan.issued_at, metrics
             )
-            sink.query_finished(stats)
-            note_slo(sink, stats, plan.scheduled.qclass.slo_target)
+            sink.query_finished(stats, plan.scheduled.qclass.slo_target)
             plan.runtime = None
             network.query_stats.pop(qid, None)
             monitoring.query_stats.pop(qid, None)
@@ -265,8 +264,6 @@ class WorkloadEngine:
             namespace = "" if single else qid + "/"
             scoped = ScopedTracer(tracer, query_id=qid)
             qspec = scheduled.spec
-            if scheduled.degraded:
-                sink.resilience_event("degraded", scheduled.qclass.name)
             if scoped.enabled:
                 extra = (
                     {} if single else {"query_class": scheduled.qclass.name}
@@ -312,7 +309,9 @@ class WorkloadEngine:
             plan = QueryPlan(
                 scheduled=scheduled, runtime=runtime, issued_at=env.now
             )
-            sink.query_started(qid, scheduled.qclass.name, env.now)
+            sink.query_started(
+                qid, scheduled.qclass.name, env.now, scheduled.degraded
+            )
             note_done(plan)
             launched.append(plan)
             return plan

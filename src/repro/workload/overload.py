@@ -26,12 +26,13 @@ deterministic protection pipeline, applied in arrival order:
    planned with ``DEGRADED_ALGORITHM`` (the planner fallback order's
    terminal state) instead of retrying into a dead host.
 
-Every transition emits an obs event (``query.shed``, ``query.queued``,
-``query.deadline_abort``, ``query.retry``, ``retry.budget_exhausted``,
-``breaker.open``/``breaker.close``) and feeds the
-:class:`ResilienceCounters` carried by both
-:class:`~repro.workload.sink.MetricsSink` implementations, so live
-runs, trace replays and sharded merges reconcile exactly.
+Every transition is recorded once, as its obs event (``query.shed``,
+``query.queued``, ``query.deadline_abort``, ``query.retry``,
+``retry.budget_exhausted``, ``breaker.open``/``breaker.close``): it is
+emitted when traced and counted by the metrics sink's
+:meth:`~repro.workload.sink.FleetMetrics.fleet_event`, which the trace
+replay feeds the same records, so live runs, trace replays and sharded
+merges reconcile exactly.
 
 With no policy and no class deadlines the engine never constructs an
 :class:`OverloadController`: the default path is bit-identical to the
@@ -57,7 +58,7 @@ from repro.obs.events import (
     QUERY_SHED,
     RETRY_BUDGET_EXHAUSTED,
 )
-from repro.obs.tracer import ScopedTracer
+from repro.obs.tracer import record_event
 
 #: Salt of the per-slot shed-coin streams (seed, salt, client, ordinal,
 #: attempt) — disjoint from every other seeded stream in the workload.
@@ -137,186 +138,6 @@ class OverloadPolicy:
         )
 
 
-class _PerClass:
-    """Per-query-class resilience tallies."""
-
-    __slots__ = ("shed", "deadline_aborts", "degraded", "slo_hits", "slo_total")
-
-    def __init__(self) -> None:
-        self.shed = 0
-        self.deadline_aborts = 0
-        self.degraded = 0
-        self.slo_hits = 0
-        self.slo_total = 0
-
-    def merge(self, other: "_PerClass") -> None:
-        self.shed += other.shed
-        self.deadline_aborts += other.deadline_aborts
-        self.degraded += other.degraded
-        self.slo_hits += other.slo_hits
-        self.slo_total += other.slo_total
-
-
-class ResilienceCounters:
-    """Overload-protection tallies carried by every metrics sink.
-
-    All state is integers (plain adds), a max (``queue_peak``) and a
-    per-host int map — every merge is commutative and associative, so
-    sharded sinks fold order-invariantly.  ``engaged`` stays false
-    until any counter moves; a dormant instance adds nothing to the
-    summary dict, which is what keeps defaults-off summaries
-    bit-identical to pre-overload ones.
-    """
-
-    __slots__ = (
-        "shed",
-        "queued",
-        "queue_peak",
-        "deadline_aborts",
-        "retries",
-        "retry_budget_exhausted",
-        "breaker_opens",
-        "breaker_closes",
-        "breaker_hosts",
-        "degraded",
-        "per_class",
-    )
-
-    def __init__(self) -> None:
-        self.shed = 0
-        self.queued = 0
-        self.queue_peak = 0
-        self.deadline_aborts = 0
-        self.retries = 0
-        self.retry_budget_exhausted = 0
-        self.breaker_opens = 0
-        self.breaker_closes = 0
-        self.breaker_hosts: dict[str, int] = {}
-        self.degraded = 0
-        self.per_class: dict[str, _PerClass] = {}
-
-    @property
-    def engaged(self) -> bool:
-        return bool(
-            self.shed
-            or self.queued
-            or self.deadline_aborts
-            or self.retries
-            or self.retry_budget_exhausted
-            or self.breaker_opens
-            or self.degraded
-            or self.per_class
-        )
-
-    def _class(self, name: Optional[str]) -> _PerClass:
-        stats = self.per_class.get(name or "")
-        if stats is None:
-            stats = self.per_class[name or ""] = _PerClass()
-        return stats
-
-    def note(
-        self,
-        kind: str,
-        class_name: Optional[str] = None,
-        host: Optional[str] = None,
-        value: Any = None,
-    ) -> None:
-        """Record one resilience transition (live engine or replay)."""
-        if kind == "shed":
-            self.shed += 1
-            self._class(class_name).shed += 1
-        elif kind == "queued":
-            self.queued += 1
-            if value is not None:
-                self.queue_peak = max(self.queue_peak, int(value))
-        elif kind == "deadline_abort":
-            self.deadline_aborts += 1
-            self._class(class_name).deadline_aborts += 1
-        elif kind == "retry":
-            self.retries += 1
-        elif kind == "retry_budget_exhausted":
-            self.retry_budget_exhausted += 1
-        elif kind == "breaker_open":
-            self.breaker_opens += 1
-            if host is not None:
-                self.breaker_hosts[host] = self.breaker_hosts.get(host, 0) + 1
-        elif kind == "breaker_close":
-            self.breaker_closes += 1
-        elif kind == "degraded":
-            self.degraded += 1
-            self._class(class_name).degraded += 1
-        elif kind == "slo":
-            stats = self._class(class_name)
-            stats.slo_total += 1
-            if value:
-                stats.slo_hits += 1
-        else:
-            raise ValueError(f"unknown resilience event kind {kind!r}")
-
-    def merge(self, other: "ResilienceCounters") -> None:
-        self.shed += other.shed
-        self.queued += other.queued
-        self.queue_peak = max(self.queue_peak, other.queue_peak)
-        self.deadline_aborts += other.deadline_aborts
-        self.retries += other.retries
-        self.retry_budget_exhausted += other.retry_budget_exhausted
-        self.breaker_opens += other.breaker_opens
-        self.breaker_closes += other.breaker_closes
-        for host, opens in other.breaker_hosts.items():
-            self.breaker_hosts[host] = self.breaker_hosts.get(host, 0) + opens
-        self.degraded += other.degraded
-        for name, stats in other.per_class.items():
-            self.per_class.setdefault(name, _PerClass()).merge(stats)
-
-    def block(
-        self, launched: int, completed: int, elapsed: float
-    ) -> dict[str, Any]:
-        """The summary dict's ``"resilience"`` block.
-
-        Rates derive only from merged integer counters (plus the
-        caller's launched/completed/elapsed), so any shard order — and
-        the trace replay — produces the identical block.
-        """
-        offered = self.shed + launched
-        return {
-            "shed": self.shed,
-            "shed_rate": (self.shed / offered) if offered else 0.0,
-            "queued": self.queued,
-            "queue_peak": self.queue_peak,
-            "deadline_aborts": self.deadline_aborts,
-            "deadline_miss_rate": (
-                (self.deadline_aborts / offered) if offered else 0.0
-            ),
-            "retries": self.retries,
-            "retry_budget_exhausted": self.retry_budget_exhausted,
-            "breaker": {
-                "opens": self.breaker_opens,
-                "closes": self.breaker_closes,
-                "hosts": {
-                    host: self.breaker_hosts[host]
-                    for host in sorted(self.breaker_hosts)
-                },
-            },
-            "degraded": self.degraded,
-            "goodput": (completed / elapsed) if elapsed > 0 else 0.0,
-            "per_class": {
-                name: {
-                    "shed": stats.shed,
-                    "deadline_aborts": stats.deadline_aborts,
-                    "degraded": stats.degraded,
-                    "slo_eligible": stats.slo_total,
-                    "slo_attainment": (
-                        (stats.slo_hits / stats.slo_total)
-                        if stats.slo_total
-                        else None
-                    ),
-                }
-                for name in sorted(self.per_class)
-                for stats in (self.per_class[name],)
-            },
-        }
-
-
 class _Breaker:
     __slots__ = ("failures", "opened_at")
 
@@ -382,18 +203,11 @@ class OverloadController:
         self._inflight: dict[str, Submission] = {}
 
     # -- event plumbing -------------------------------------------------
-    def _emit(
-        self, event_type: str, query_id: Optional[str], **fields: Any
-    ) -> None:
-        if not self.tracer.enabled:
-            return
-        if query_id is None:
-            # Breaker transitions are fleet-level machinery, untagged
-            # like fault-plan timeline boundaries.
-            self.tracer.emit(event_type, self.env.now, **fields)
-        else:
-            scoped = ScopedTracer(self.tracer, query_id=query_id)
-            scoped.emit(event_type, self.env.now, **fields)
+    def _record(self, event_type: str, **fields: Any) -> None:
+        """Emit and count one transition.  Query events carry a
+        ``query_id``; breaker transitions are fleet-level machinery,
+        untagged like fault-plan timeline boundaries."""
+        record_event(self.tracer, self.sink, event_type, self.env.now, **fields)
 
     # -- submission -----------------------------------------------------
     def submit(self, scheduled) -> Submission:
@@ -419,14 +233,11 @@ class OverloadController:
         else:
             self.queue.append(sub)
             depth = len(self.queue)
-            self._emit(
+            self._record(
                 QUERY_QUEUED,
-                sub.scheduled.query_id,
+                query_id=sub.scheduled.query_id,
                 query_class=sub.scheduled.qclass.name,
                 depth=depth,
-            )
-            self.sink.resilience_event(
-                "queued", sub.scheduled.qclass.name, value=depth
             )
 
     def _shed_coin(self, sub: Submission) -> bool:
@@ -448,13 +259,12 @@ class OverloadController:
 
     def _shed(self, sub: Submission) -> None:
         scheduled = sub.scheduled
-        self._emit(
+        self._record(
             QUERY_SHED,
-            scheduled.query_id,
+            query_id=scheduled.query_id,
             query_class=scheduled.qclass.name,
             attempt=sub.attempt,
         )
-        self.sink.resilience_event("shed", scheduled.qclass.name)
         self._resolve(sub)
 
     def _admit(self, sub: Submission) -> None:
@@ -489,15 +299,14 @@ class OverloadController:
         plan.deadline_aborted = True
         runtime.cancel()
         scheduled = sub.scheduled
-        self._emit(
+        self._record(
             QUERY_DEADLINE_ABORT,
-            plan.query_id,
+            query_id=plan.query_id,
             query_class=scheduled.qclass.name,
             deadline=scheduled.qclass.deadline,
             waited=self.env.now - sub.arrival_at,
             launched=True,
         )
-        self.sink.resilience_event("deadline_abort", scheduled.qclass.name)
         self._note_failure(scheduled.spec.server_hosts)
         # Settling `done` flows through the engine's completion callback:
         # a sink without records finalizes it (truncated) right away,
@@ -507,15 +316,14 @@ class OverloadController:
     def _expire_queued(self, sub: Submission) -> None:
         """A query aged out of the admission queue without launching."""
         scheduled = sub.scheduled
-        self._emit(
+        self._record(
             QUERY_DEADLINE_ABORT,
-            scheduled.query_id,
+            query_id=scheduled.query_id,
             query_class=scheduled.qclass.name,
             deadline=scheduled.qclass.deadline,
             waited=self.env.now - sub.arrival_at,
             launched=False,
         )
-        self.sink.resilience_event("deadline_abort", scheduled.qclass.name)
         self._after_failure(sub)
 
     # -- completion -----------------------------------------------------
@@ -539,14 +347,11 @@ class OverloadController:
                 self._retry_left[sub.client_index] = left - 1
                 self._schedule_retry(sub)
                 return
-            self._emit(
+            self._record(
                 RETRY_BUDGET_EXHAUSTED,
-                scheduled.query_id,
+                query_id=scheduled.query_id,
                 query_class=scheduled.qclass.name,
                 client=sub.client_index,
-            )
-            self.sink.resilience_event(
-                "retry_budget_exhausted", scheduled.qclass.name
             )
         self._resolve(sub)
 
@@ -556,14 +361,13 @@ class OverloadController:
         base = scheduled.query_id.split(".r", 1)[0]
         retry_qid = f"{base}.r{attempt}"
         wait = self.policy.retry_backoff
-        self._emit(
+        self._record(
             QUERY_RETRY,
-            retry_qid,
+            query_id=retry_qid,
             query_class=scheduled.qclass.name,
             attempt=attempt,
             wait=wait,
         )
-        self.sink.resilience_event("retry", scheduled.qclass.name)
         # A degraded first attempt does not pin the retry: the breaker
         # state at resubmission time decides again.
         retry_scheduled = replace(
@@ -622,11 +426,9 @@ class OverloadController:
                 open_seconds = now - breaker.opened_at
                 breaker.opened_at = None
                 breaker.failures = 0
-                self._emit(
-                    BREAKER_CLOSE, None, host=host,
-                    open_seconds=open_seconds,
+                self._record(
+                    BREAKER_CLOSE, host=host, open_seconds=open_seconds
                 )
-                self.sink.resilience_event("breaker_close", host=host)
 
     def _note_failure(self, hosts) -> None:
         threshold = self.policy.breaker_threshold
@@ -645,11 +447,9 @@ class OverloadController:
             breaker.failures += 1
             if breaker.failures >= threshold:
                 breaker.opened_at = now
-                self._emit(
-                    BREAKER_OPEN, None, host=host,
-                    failures=breaker.failures,
+                self._record(
+                    BREAKER_OPEN, host=host, failures=breaker.failures
                 )
-                self.sink.resilience_event("breaker_open", host=host)
 
     def _note_success(self, hosts) -> None:
         if self.policy.breaker_threshold is None or not self._breakers:

@@ -6,6 +6,9 @@ The live :class:`~repro.workload.engine.WorkloadEngine` and the
 * :meth:`MetricsSink.query_started` when a query launches,
 * :meth:`MetricsSink.query_finished` with its :class:`QueryStats`,
 * :meth:`MetricsSink.link_transfer` for every wire transfer,
+* :meth:`MetricsSink.fleet_event` for every overload-protection and
+  fleet-coordination transition, with the trace event's type and
+  fields (the replay hands it the recorded event itself),
 * :meth:`MetricsSink.summary` to produce the fleet summary dict, and
 * :meth:`MetricsSink.merge` to fold sinks from sharded runs together.
 
@@ -28,18 +31,25 @@ happened.  A merge copies what it adopts, so folding shards never
 mutates them.  Shards are expected to partition *clients* (see
 :func:`repro.workload.sweep.shard_clients`), which keeps per-query and
 per-client attributions disjoint across shards.
+
+The ``resilience`` and ``fleet`` blocks come from one integer tally of
+fleet events.  Each appears only once an event it reports has been
+counted, so a run without overload protection or coordination (and its
+replay, which cannot see the spec) keeps a summary without them.  The
+planner-effort totals accumulate on every run but surface only in the
+``fleet`` block, so they never engage it on their own.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional, Protocol, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
 from repro.engine.metrics import RunMetrics
-from repro.fleet.counters import CoordinationCounters
 from repro.obs.events import (
     BREAKER_CLOSE,
     BREAKER_OPEN,
@@ -58,7 +68,6 @@ from repro.obs.events import (
 )
 from repro.obs.summary import RunReplay
 from repro.workload.metrics import WORKLOAD_SCHEMA, jain_index, latency_block
-from repro.workload.overload import ResilienceCounters
 from repro.workload.sketch import OrderFreeSum, QuantileSketch
 
 #: Fleets whose full population (clients x queries per client) is at
@@ -70,6 +79,38 @@ DEFAULT_RELATIVE_ERROR = 0.01
 
 #: Record types that are trace framing, not simulation events.
 _FRAME_TYPES = frozenset({"trace.header", "trace.footer", "trace.segment"})
+
+#: Fleet event type -> the tally it bumps, and the field (if any) whose
+#: value also gets its own count under ``(tally, value)``.
+_EVENT_TALLIES: dict[str, tuple[str, Optional[str]]] = {
+    QUERY_SHED: ("shed", "query_class"),
+    QUERY_QUEUED: ("queued", None),
+    QUERY_DEADLINE_ABORT: ("deadline_aborts", "query_class"),
+    QUERY_RETRY: ("retries", None),
+    RETRY_BUDGET_EXHAUSTED: ("retry_budget_exhausted", None),
+    BREAKER_OPEN: ("breaker_opens", "host"),
+    BREAKER_CLOSE: ("breaker_closes", None),
+    FLEET_CLAIM: ("claims", None),
+    FLEET_GRANT: ("grants", None),
+    FLEET_DENY: ("denies", "bottleneck"),
+    FLEET_REBALANCE: ("rebalances", None),
+}
+
+#: Tallies whose count puts the ``resilience`` block in the summary
+#: (besides any per-class count), and those that put the ``fleet`` block.
+_RESILIENCE_TALLIES = (
+    "shed",
+    "queued",
+    "deadline_aborts",
+    "retries",
+    "retry_budget_exhausted",
+    "breaker_opens",
+    "degraded",
+)
+_COORDINATION_TALLIES = ("claims", "grants", "denies", "rebalances")
+
+#: Per-class tallies of the ``resilience`` block.
+_CLASS_TALLIES = ("shed", "deadline_aborts", "degraded", "slo_total")
 
 
 def client_index_of(query_id: str) -> int:
@@ -156,10 +197,16 @@ class MetricsSink(Protocol):
     keeps_records: bool
 
     def query_started(
-        self, query_id: str, class_name: str, issued_at: float
+        self,
+        query_id: str,
+        class_name: str,
+        issued_at: float,
+        degraded: bool = False,
     ) -> None: ...
 
-    def query_finished(self, stats: QueryStats) -> None: ...
+    def query_finished(
+        self, stats: QueryStats, slo: Optional[float] = None
+    ) -> None: ...
 
     def link_transfer(
         self,
@@ -170,20 +217,8 @@ class MetricsSink(Protocol):
         query_id: Optional[str] = None,
     ) -> None: ...
 
-    def resilience_event(
-        self,
-        kind: str,
-        class_name: Optional[str] = None,
-        host: Optional[str] = None,
-        value: Any = None,
-    ) -> None: ...
-
-    def coordination_event(
-        self,
-        kind: str,
-        class_name: Optional[str] = None,
-        link: Optional[str] = None,
-        value: Any = None,
+    def fleet_event(
+        self, event_type: str, fields: Mapping[str, Any]
     ) -> None: ...
 
     def merge(self, other: "MetricsSink") -> "MetricsSink": ...
@@ -332,8 +367,9 @@ class FleetMetrics:
         self._links: dict[tuple[str, str], _LinkAccumulator] = {}
         #: Query id -> class of every launched, unfinished query.
         self._inflight: dict[str, str] = {}
-        self._resilience = ResilienceCounters()
-        self._coordination = CoordinationCounters()
+        #: Fleet-event and planner-effort counts (see ``_EVENT_TALLIES``).
+        self._tally: Counter = Counter()
+        self._queue_peak = 0
 
     # -- accumulation ---------------------------------------------------
     def _class(self, name: str) -> _ClassStats:
@@ -361,15 +397,27 @@ class FleetMetrics:
         return usage
 
     def query_started(
-        self, query_id: str, class_name: str, issued_at: float
+        self,
+        query_id: str,
+        class_name: str,
+        issued_at: float,
+        degraded: bool = False,
     ) -> None:
+        """A query launched; ``degraded`` if an open breaker rerouted it."""
         self._launched += 1
         self._class(class_name).launched += 1
         index = self._client(query_id)
         self._client_launched[index] += 1
         self._inflight[query_id] = class_name
+        if degraded:
+            self._tally["degraded"] += 1
+            self._tally["degraded", class_name] += 1
 
-    def query_finished(self, stats: QueryStats) -> None:
+    def query_finished(
+        self, stats: QueryStats, slo: Optional[float] = None
+    ) -> None:
+        """A query ended; a completed one is checked against its class
+        ``slo`` target, if it has one."""
         self._inflight.pop(stats.query_id, None)
         if self.keeps_records:
             self._records.append(stats)
@@ -387,13 +435,16 @@ class FleetMetrics:
             index = self._client(stats.query_id)
             self._client_completed[index] += 1
             self._client_latency_sum[index] += latency
+            if slo is not None:
+                self._tally["slo_total", stats.class_name] += 1
+                if latency <= slo:
+                    self._tally["slo_hits", stats.class_name] += 1
         self._relocations += stats.relocations
         self._aborted_relocations += stats.aborted_relocations
-        self._coordination.note_effort(
-            stats.planner_rounds,
-            stats.planner_candidates,
-            stats.planner_links_queried,
-        )
+        tally = self._tally
+        tally["planner_rounds"] += stats.planner_rounds
+        tally["planner_candidates"] += stats.planner_candidates
+        tally["planner_links_queried"] += stats.planner_links_queried
 
     def link_transfer(
         self,
@@ -421,27 +472,21 @@ class FleetMetrics:
             observation.query_id,
         )
 
-    def resilience_event(
-        self,
-        kind: str,
-        class_name: Optional[str] = None,
-        host: Optional[str] = None,
-        value: Any = None,
-    ) -> None:
-        """Record one overload-protection transition (see
-        :class:`~repro.workload.overload.ResilienceCounters`)."""
-        self._resilience.note(kind, class_name=class_name, host=host, value=value)
-
-    def coordination_event(
-        self,
-        kind: str,
-        class_name: Optional[str] = None,
-        link: Optional[str] = None,
-        value: Any = None,
-    ) -> None:
-        """Record one fleet-coordination transition (see
-        :class:`~repro.fleet.counters.CoordinationCounters`)."""
-        self._coordination.note(kind, class_name=class_name, link=link, value=value)
+    def fleet_event(self, event_type: str, fields: Mapping[str, Any]) -> None:
+        """Count one overload or coordination transition: its trace
+        event type and the fields it was (or would be) emitted with."""
+        try:
+            name, split = _EVENT_TALLIES[event_type]
+        except KeyError:
+            raise ValueError(f"not a fleet event type: {event_type!r}") from None
+        tally = self._tally
+        tally[name] += 1
+        if split is not None:
+            tally[name, fields[split]] += 1
+        if event_type == QUERY_QUEUED:
+            self._queue_peak = max(self._queue_peak, fields["depth"])
+        elif event_type == FLEET_GRANT:
+            tally["granted_moves"] += fields["moves"]
 
     def _drop_records(self) -> None:
         """Stop keeping per-query records and discard those kept so far."""
@@ -487,8 +532,8 @@ class FleetMetrics:
         for (a, b), usage in other._links.items():
             self._link(a, b).merge(usage)
         self._inflight.update(other._inflight)
-        self._resilience.merge(other._resilience)
-        self._coordination.merge(other._coordination)
+        self._tally.update(other._tally)
+        self._queue_peak = max(self._queue_peak, other._queue_peak)
         self._was_merged = True
         return self
 
@@ -587,21 +632,90 @@ class FleetMetrics:
                 }
                 for s in records
             ]
-        if self._resilience.engaged:
-            # Evidence-driven: the block appears only when protection
-            # actually acted, so a defaults-off run (and its replay,
-            # which cannot see the spec) stays bit-identical.
-            payload["resilience"] = self._resilience.block(
-                launched=self._launched,
-                completed=self._completed,
-                elapsed=elapsed,
-            )
-        if self._coordination.engaged:
-            # Same evidence-driven gating: only fleet-coordination events
-            # (claim/grant/deny/rebalance) surface the block, so blind
-            # per-query planning keeps its summary bit-identical.
-            payload["fleet"] = self._coordination.block()
+        tally = self._tally
+        per_class = sorted(
+            {
+                key[1]
+                for key in tally
+                if isinstance(key, tuple) and key[0] in _CLASS_TALLIES
+            }
+        )
+        if per_class or any(tally[name] for name in _RESILIENCE_TALLIES):
+            payload["resilience"] = self._resilience_block(per_class, elapsed)
+        if any(tally[name] for name in _COORDINATION_TALLIES):
+            payload["fleet"] = self._fleet_block()
         return payload
+
+    def _split(self, name: str) -> dict[str, int]:
+        """The ``(name, value)`` counts of one tally, by sorted value."""
+        counts = {
+            key[1]: count
+            for key, count in self._tally.items()
+            if isinstance(key, tuple) and key[0] == name
+        }
+        return dict(sorted(counts.items()))
+
+    def _resilience_block(
+        self, per_class: list[str], elapsed: float
+    ) -> dict[str, Any]:
+        """The summary's ``resilience`` block.
+
+        Rates derive only from merged integer counts (plus the fleet's
+        launched/completed), so any shard order and the trace replay
+        produce the identical block.
+        """
+        tally = self._tally
+        offered = tally["shed"] + self._launched
+        return {
+            "shed": tally["shed"],
+            "shed_rate": (tally["shed"] / offered) if offered else 0.0,
+            "queued": tally["queued"],
+            "queue_peak": self._queue_peak,
+            "deadline_aborts": tally["deadline_aborts"],
+            "deadline_miss_rate": (
+                (tally["deadline_aborts"] / offered) if offered else 0.0
+            ),
+            "retries": tally["retries"],
+            "retry_budget_exhausted": tally["retry_budget_exhausted"],
+            "breaker": {
+                "opens": tally["breaker_opens"],
+                "closes": tally["breaker_closes"],
+                "hosts": self._split("breaker_opens"),
+            },
+            "degraded": tally["degraded"],
+            "goodput": (self._completed / elapsed) if elapsed > 0 else 0.0,
+            "per_class": {
+                name: {
+                    "shed": tally["shed", name],
+                    "deadline_aborts": tally["deadline_aborts", name],
+                    "degraded": tally["degraded", name],
+                    "slo_eligible": tally["slo_total", name],
+                    "slo_attainment": (
+                        (tally["slo_hits", name] / tally["slo_total", name])
+                        if tally["slo_total", name]
+                        else None
+                    ),
+                }
+                for name in per_class
+            },
+        }
+
+    def _fleet_block(self) -> dict[str, Any]:
+        """The summary's ``fleet`` block (merged integer counts only)."""
+        tally = self._tally
+        decisions = tally["grants"] + tally["denies"]
+        return {
+            "claims": tally["claims"],
+            "grants": tally["grants"],
+            "denies": tally["denies"],
+            "rebalances": tally["rebalances"],
+            "granted_moves": tally["granted_moves"],
+            "grant_rate": tally["grants"] / decisions if decisions else 1.0,
+            "denied_links": self._split("denies"),
+            "planner_rounds": tally["planner_rounds"],
+            "planner_candidates": tally["planner_candidates"],
+            "planner_links_queried": tally["planner_links_queried"],
+        }
 
 
 #: Kept for callers that name the sink by its retention default.
@@ -628,22 +742,6 @@ def merge_sinks(parts: Sequence[MetricsSink]) -> MetricsSink:
     return head
 
 
-def note_slo(
-    metrics: MetricsSink, stats: QueryStats, slo: Optional[float]
-) -> None:
-    """Record one completed query against its class SLO target.
-
-    The same comparison runs in the live engine and in the replay, so
-    attainment reconciles bit-exactly.
-    """
-    if slo is None:
-        return
-    latency = stats.latency
-    if latency is None:
-        return
-    metrics.resilience_event("slo", stats.class_name, value=latency <= slo)
-
-
 # -- replay ------------------------------------------------------------
 
 
@@ -667,28 +765,6 @@ def _peek_header(
     )
     return meta, rewound()
 
-
-#: Trace event type -> resilience-counter kind, for replay.
-_RESILIENCE_EVENTS = {
-    QUERY_SHED: "shed",
-    QUERY_QUEUED: "queued",
-    QUERY_DEADLINE_ABORT: "deadline_abort",
-    QUERY_RETRY: "retry",
-    RETRY_BUDGET_EXHAUSTED: "retry_budget_exhausted",
-    BREAKER_OPEN: "breaker_open",
-    BREAKER_CLOSE: "breaker_close",
-}
-
-#: Trace event type -> coordination-counter kind, for replay.  ``grant``
-#: carries the granted move count and ``deny`` its bottleneck bucket,
-#: mirroring the live :class:`~repro.fleet.coordinator.FleetCoordinator`
-#: calls exactly.
-_COORDINATION_EVENTS = {
-    FLEET_CLAIM: "claim",
-    FLEET_GRANT: "grant",
-    FLEET_DENY: "deny",
-    FLEET_REBALANCE: "rebalance",
-}
 
 #: Event types every scheduled arrival leaves at least one of.
 _FOOTPRINT_TYPES = frozenset({RUN_META, QUERY_SHED, QUERY_DEADLINE_ABORT})
@@ -738,9 +814,9 @@ def _replay(
             replay.feed(record)
             class_name = record.get("query_class", record["algorithm"])
             open_queries[qid] = (replay, class_name, record)
-            if record.get("degraded"):
-                metrics.resilience_event("degraded", class_name)
-            metrics.query_started(qid, class_name, record["t"])
+            metrics.query_started(
+                qid, class_name, record["t"], record.get("degraded", False)
+            )
         elif rtype == RUN_END:
             elapsed = max(elapsed, record["t"])
             if query is None:
@@ -750,22 +826,9 @@ def _replay(
             stats = QueryStats.from_metrics(
                 qid, class_name, meta["t"], RunMetrics.from_replay(replay)
             )
-            metrics.query_finished(stats)
-            note_slo(metrics, stats, meta.get("slo"))
-        elif rtype in _COORDINATION_EVENTS:
-            metrics.coordination_event(
-                _COORDINATION_EVENTS[rtype],
-                class_name=record.get("query_class"),
-                link=record.get("bottleneck"),
-                value=record.get("moves"),
-            )
-        elif rtype in _RESILIENCE_EVENTS:
-            metrics.resilience_event(
-                _RESILIENCE_EVENTS[rtype],
-                class_name=record.get("query_class"),
-                host=record.get("host"),
-                value=record.get("depth"),
-            )
+            metrics.query_finished(stats, meta.get("slo"))
+        elif rtype in _EVENT_TALLIES:
+            metrics.fleet_event(rtype, record)
     return elapsed
 
 

@@ -50,12 +50,6 @@ class TestImageWorkload:
         workload = ImageWorkload.generate(2, images_per_server=3, seed=1)
         assert workload.size_of(1, 2) == workload.sizes[1][2]
 
-    def test_total_bytes(self):
-        workload = ImageWorkload.generate(2, images_per_server=3, seed=1)
-        assert workload.total_bytes() == pytest.approx(
-            sum(sum(row) for row in workload.sizes)
-        )
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ImageWorkload.generate(0)

@@ -81,10 +81,6 @@ class TestOperations:
         assert hash(download_all()) == hash(download_all())
         assert download_all() != download_all().with_move("op0", "h1")
 
-    def test_hosts_used(self):
-        placement = download_all().with_move("op0", "h2")
-        assert placement.hosts_used() == {"h0", "h1", "h2", "h3", "client"}
-
     def test_items_sorted(self):
         items = download_all().items()
         assert items == sorted(items)

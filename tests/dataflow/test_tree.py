@@ -88,13 +88,6 @@ class TestTreeQueries:
         assert path[-1] == CLIENT_ID
         assert len(path) == 4
 
-    def test_children_and_parent(self):
-        tree = complete_binary_tree(4)
-        children = tree.children_of("op0")
-        assert [c.node_id for c in children] == ["s0", "s1"]
-        assert tree.parent_of("s0").node_id == "op0"
-        assert tree.parent_of(CLIENT_ID) is None
-
     def test_unknown_node_raises(self):
         tree = complete_binary_tree(4)
         with pytest.raises(KeyError):

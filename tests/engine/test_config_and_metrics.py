@@ -12,10 +12,6 @@ from tests.conftest import complete_links
 class TestAlgorithm:
     def test_values(self):
         assert Algorithm("download-all") is Algorithm.DOWNLOAD_ALL
-        assert Algorithm.GLOBAL.is_online
-        assert Algorithm.LOCAL.is_online
-        assert not Algorithm.ONE_SHOT.is_online
-        assert not Algorithm.DOWNLOAD_ALL.is_online
 
 
 def spec_kwargs(**overrides):

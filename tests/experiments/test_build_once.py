@@ -21,7 +21,7 @@ SETUP = ExperimentConfig(num_servers=4, images_per_server=12)
 
 class TestSampleConfig:
     def test_artifact_matches_make_configuration(self):
-        sampled = sample_config(SETUP, 0, cache=False)
+        sampled = sample_config(SETUP, 0)
         assert isinstance(sampled, SampledConfig)
         assert sampled.config_index == 0
         assert sampled.link_traces == make_configuration(SETUP, 0)
@@ -32,22 +32,15 @@ class TestSampleConfig:
         setup = ExperimentConfig(num_servers=4, images_per_server=12)
         assert sample_config(setup, 1) is sample_config(setup, 1)
 
-    def test_cache_false_resamples(self):
-        setup = ExperimentConfig(num_servers=4, images_per_server=12)
-        memoized = sample_config(setup, 1)
-        fresh = sample_config(setup, 1, cache=False)
-        assert fresh is not memoized
-        assert fresh.link_traces == memoized.link_traces
-
     def test_fresh_and_memoized_draw_identical_traces(self):
         setup = ExperimentConfig(num_servers=4, images_per_server=12)
         a = sample_config(setup, 2)
-        b = sample_config(setup, 2, cache=False)
+        b = make_configuration(setup, 2)
         for key, trace in a.link_traces.items():
             # The cached path returns the library's shared noon-segment
-            # objects; a forced resample returns the same objects again
+            # objects; a fresh sample returns the same objects again
             # (they come from the same per-pair cache).
-            assert b.link_traces[key] is trace
+            assert b[key] is trace
 
     def test_distinct_setups_do_not_collide(self):
         setup_a = ExperimentConfig(num_servers=4, images_per_server=12)

@@ -8,12 +8,14 @@ import json
 import pytest
 
 from repro.engine.config import Algorithm
-from repro.fleet.counters import CoordinationCounters
 from repro.obs import Tracer
+from repro.obs.events import FLEET_CLAIM, FLEET_DENY, FLEET_GRANT, FLEET_REBALANCE
 from repro.workload import (
+    FleetMetrics,
     FleetPolicy,
     OpenLoop,
     QueryClass,
+    QueryStats,
     StreamingFleetMetrics,
     WorkloadSpec,
     fleet_from_trace,
@@ -153,45 +155,55 @@ class TestCoordinatedRun:
         assert block["grant_rate"] == 1.0
 
 
+def finished_with_effort(query_id, rounds, candidates, links):
+    """A finished query's stats carrying planner-effort totals."""
+    return QueryStats(
+        query_id=query_id, class_name="g", algorithm="global",
+        issued_at=0.0, completion_time=1.0, images_delivered=1,
+        truncated=False, relocations=0, aborted_relocations=0,
+        bytes_on_wire=0.0, planner_rounds=rounds,
+        planner_candidates=candidates, planner_links_queried=links,
+    )
+
+
 class TestCounters:
+    """The sink's ``fleet`` block, fed through its public API."""
+
     def test_merge_is_commutative(self):
-        def build(order):
-            counters = CoordinationCounters()
-            for kind, kwargs in order:
-                counters.note(kind, **kwargs)
-            return counters
+        def build(order, effort):
+            sink = FleetMetrics()
+            for event_type, fields in order:
+                sink.fleet_event(event_type, fields)
+            sink.query_finished(finished_with_effort(*effort))
+            return sink
 
         events = [
-            ("claim", dict(class_name="g")),
-            ("grant", dict(class_name="g", value=3)),
-            ("deny", dict(class_name="l", link="h0|h1")),
-            ("deny", dict(class_name="g", link="h0|h1")),
-            ("rebalance", dict(class_name="g")),
+            (FLEET_CLAIM, dict(query_class="g", links=2)),
+            (FLEET_GRANT, dict(query_class="g", moves=3)),
+            (FLEET_DENY, dict(query_class="l", bottleneck="h0|h1")),
+            (FLEET_DENY, dict(query_class="g", bottleneck="h0|h1")),
+            (FLEET_REBALANCE, dict(query_class="g")),
         ]
-        a = build(events[:2])
-        a.note_effort(5, 100, 20)
-        b = build(events[2:])
-        b.note_effort(7, 50, 10)
-        ab = build(events[:2])
-        ab.note_effort(5, 100, 20)
-        ab.merge(b)
-        ba = build(events[2:])
-        ba.note_effort(7, 50, 10)
-        ba.merge(a)
-        assert ab.block() == ba.block()
-        assert ab.block()["denied_links"] == {"h0|h1": 2}
-        assert ab.block()["planner_rounds"] == 12
+        a = ("c0:0", 5, 100, 20)
+        b = ("c1:0", 7, 50, 10)
+        ab = build(events[:2], a).merge(build(events[2:], b))
+        ba = build(events[2:], b).merge(build(events[:2], a))
+        block = ab.summary(1.0)["fleet"]
+        assert block == ba.summary(1.0)["fleet"]
+        assert block["denied_links"] == {"h0|h1": 2}
+        assert block["granted_moves"] == 3
+        assert block["planner_rounds"] == 12
 
     def test_effort_alone_does_not_engage(self):
-        counters = CoordinationCounters()
-        counters.note_effort(10, 200, 40)
-        assert not counters.engaged
-        counters.note("claim")
-        assert counters.engaged
+        sink = FleetMetrics()
+        sink.query_finished(finished_with_effort("c0:0", 10, 200, 40))
+        assert "fleet" not in sink.summary(1.0)
+        sink.fleet_event(FLEET_CLAIM, {})
+        assert sink.summary(1.0)["fleet"]["planner_rounds"] == 10
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            CoordinationCounters().note("barter")
+            FleetMetrics().fleet_event("fleet.barter", {})
 
 
 def test_denied_plan_costs_the_initial_placement_exactly(monkeypatch):

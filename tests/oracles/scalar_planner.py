@@ -22,6 +22,7 @@ from repro.dataflow.critical import critical_path, host_occupancy
 from repro.dataflow.placement import Placement
 from repro.dataflow.tree import CombinationTree
 from repro.placement.base import PlanResult
+from repro.placement import one_shot
 from repro.placement.one_shot import OneShotPlanner
 
 
@@ -168,7 +169,7 @@ def scalar_search(
     rounds = 0
     candidates = 0
 
-    for _ in range(planner.max_rounds):
+    for _ in range(one_shot.MAX_ROUNDS):
         rounds += 1
         path = critical_path(tree, current, cost_model, recorder)
         evaluator = SingleMoveEvaluator(tree, current, cost_model, recorder)

@@ -5,7 +5,7 @@ import pytest
 from repro.dataflow.cost import CostModel, expected_output_sizes
 from repro.dataflow.critical import placement_cost
 from repro.dataflow.tree import complete_binary_tree
-from repro.placement import OneShotPlanner, download_all_placement
+from repro.placement import OneShotPlanner, download_all_placement, one_shot
 
 TREE = complete_binary_tree(8)
 SERVER_HOSTS = {f"s{i}": f"h{i}" for i in range(8)}
@@ -29,8 +29,6 @@ class TestOneShot:
     def test_validation(self):
         with pytest.raises(ValueError):
             OneShotPlanner(TREE, [], model())
-        with pytest.raises(ValueError):
-            OneShotPlanner(TREE, HOSTS, model(), max_rounds=0)
 
     def test_never_worse_than_initial(self):
         planner = OneShotPlanner(TREE, HOSTS, model())
@@ -99,8 +97,9 @@ class TestOneShot:
         for a, b in result.links_queried:
             assert a < b
 
-    def test_rounds_bounded(self):
-        planner = OneShotPlanner(TREE, HOSTS, model(), max_rounds=1)
+    def test_rounds_bounded(self, monkeypatch):
+        monkeypatch.setattr(one_shot, "MAX_ROUNDS", 1)
+        planner = OneShotPlanner(TREE, HOSTS, model())
         result = planner.plan(flat(10 * 1024.0), download_all())
         assert result.rounds == 1
 

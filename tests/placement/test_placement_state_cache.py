@@ -78,8 +78,8 @@ def test_warm_planners_match_cold_and_scalar(fleet, data):
     pairs = sorted(table)
     operators = [op.node_id for op in tree.operators()]
     download = download_all_placement(tree, server_hosts, "client")
-    warm_one = OneShotPlanner(tree, hosts, model, 200, replicas)
-    warm_global = GlobalPlanner(tree, hosts, model, 200, replicas)
+    warm_one = OneShotPlanner(tree, hosts, model, replicas)
+    warm_global = GlobalPlanner(tree, hosts, model, replicas)
     starts = [download]
     for _ in range(data.draw(st.integers(2, 5), label="calls")):
         # Drift some links (in one direction only), or none: an
@@ -107,13 +107,13 @@ def test_warm_planners_match_cold_and_scalar(fleet, data):
                 start = start.with_move(op, data.draw(st.sampled_from(hosts)))
         estimator = table_estimator(table)
 
-        cold = OneShotPlanner(tree, hosts, model, 200, replicas)
+        cold = OneShotPlanner(tree, hosts, model, replicas)
         want = scalar_search(cold, estimator, start)
         assert_same(warm_one.plan(estimator, start), want)
         assert_same(cold.plan(estimator, start), want)
         want_global = replace(want, algorithm="global")
         assert_same(warm_global.plan(estimator, start), want_global)
-        cold_global = GlobalPlanner(tree, hosts, model, 200, replicas)
+        cold_global = GlobalPlanner(tree, hosts, model, replicas)
         assert_same(cold_global.plan(estimator, start), want_global)
         starts += [start, want.placement]
 

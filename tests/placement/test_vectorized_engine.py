@@ -60,8 +60,8 @@ class TestPlanEquality:
         tree, hosts, model, start, replicas, est = random_setup(
             rng, with_replicas
         )
-        scalar = ScalarOneShotPlanner(tree, hosts, model, 200, replicas)
-        vector = OneShotPlanner(tree, hosts, model, 200, replicas)
+        scalar = ScalarOneShotPlanner(tree, hosts, model, replicas)
+        vector = OneShotPlanner(tree, hosts, model, replicas)
         assert_same_result(scalar.plan(est, start), vector.plan(est, start))
 
     @pytest.mark.parametrize("seed", range(10))

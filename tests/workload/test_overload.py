@@ -27,8 +27,9 @@ from repro.workload import (
     ClosedLoop,
     OpenLoop,
     OverloadPolicy,
+    FleetMetrics,
     QueryClass,
-    ResilienceCounters,
+    QueryStats,
     StreamingFleetMetrics,
     WorkloadSpec,
     fleet_from_trace,
@@ -471,34 +472,54 @@ class TestProtectedTail:
 
 
 class TestResilienceCounters:
+    """The sink's ``resilience`` block, fed through its public API."""
+
     def test_merge_is_order_invariant(self):
         def sample(n):
-            counters = ResilienceCounters()
-            for _ in range(n):
-                counters.note("shed", "a")
-                counters.note("queued", "a", value=n)
-                counters.note("breaker_open", host=f"h{n}")
-                counters.note("slo", "b", value=n % 2 == 0)
-            return counters
+            sink = FleetMetrics()
+            for i in range(n):
+                sink.fleet_event(QUERY_SHED, {"query_class": "a"})
+                sink.fleet_event(QUERY_QUEUED, {"depth": n})
+                sink.fleet_event(BREAKER_OPEN, {"host": f"h{n}"})
+                qid = f"c{n}:{i}"
+                sink.query_started(qid, "b", 0.0, degraded=i == 0)
+                sink.query_finished(
+                    QueryStats(
+                        query_id=qid, class_name="b", algorithm="one-shot",
+                        issued_at=0.0, completion_time=10.0 * n,
+                        images_delivered=1, truncated=False, relocations=0,
+                        aborted_relocations=0, bytes_on_wire=1.0,
+                    ),
+                    slo=15.0,
+                )
+            return sink
 
         import itertools
 
         blocks = set()
         for order in itertools.permutations([1, 2, 3]):
-            merged = ResilienceCounters()
+            merged = FleetMetrics()
             for n in order:
                 merged.merge(sample(n))
             blocks.add(
-                json.dumps(merged.block(10, 5, 100.0), sort_keys=True)
+                json.dumps(merged.summary(100.0)["resilience"], sort_keys=True)
             )
         assert len(blocks) == 1
+        block = json.loads(blocks.pop())
+        assert block["shed"] == 6 and block["queue_peak"] == 3
+        assert block["breaker"]["hosts"] == {"h1": 1, "h2": 2, "h3": 3}
+        assert block["degraded"] == 3
+        assert block["per_class"]["b"]["slo_eligible"] == 6
+        assert block["per_class"]["b"]["slo_attainment"] == 1 / 6
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            ResilienceCounters().note("bogus")
+            FleetMetrics().fleet_event("bogus", {})
 
     def test_dormant_counters_not_engaged(self):
-        assert not ResilienceCounters().engaged
+        summary = FleetMetrics().summary(10.0)
+        assert "resilience" not in summary
+        assert "fleet" not in summary
 
 
 class TestFaultPlanValidation:

@@ -1,6 +1,7 @@
 """The fleet-metrics sink, with and without per-query records."""
 
 import copy
+import inspect
 import itertools
 import json
 import random
@@ -12,12 +13,14 @@ import pytest
 from repro.engine.config import Algorithm
 from repro.faults import reference_chaos_plan
 from repro.obs import Tracer
+from repro.obs.events import QUERY_SHED
 from repro.workload import (
     WORKLOAD_SCHEMA,
     ClosedLoop,
     ExactFleetMetrics,
     FleetPolicy,
     FleetMetrics,
+    MetricsSink,
     QueryClass,
     QueryStats,
     StreamingFleetMetrics,
@@ -28,6 +31,23 @@ from repro.workload import (
     run_workload,
 )
 from repro.workload.sketch import exact_percentiles
+
+
+def public_methods(cls) -> set[str]:
+    return {
+        name
+        for name, raw in vars(cls).items()
+        if not name.startswith("_") and inspect.isfunction(raw)
+    }
+
+
+def test_protocol_lists_every_sink_method():
+    """The traced benchmark wraps each :class:`MetricsSink` method (plus
+    ``observe``) on :class:`FleetMetrics`; a method added to or dropped
+    from one of them alone would go unmeasured or break that pass."""
+    assert public_methods(MetricsSink) == public_methods(FleetMetrics) - {
+        "observe"
+    }
 
 
 def tiny_spec(**overrides):
@@ -322,7 +342,7 @@ class TestMergeSinks:
             sink = FleetMetrics(3, keep_records=keep_records)
             sink.query_started(qid, class_name, 0.0)
             sink.link_transfer(src, "b", 100.0, 1.0, qid)
-            sink.resilience_event("shed", class_name)
+            sink.fleet_event(QUERY_SHED, {"query_class": class_name})
             sink.query_finished(
                 QueryStats(
                     query_id=qid, class_name=class_name,
