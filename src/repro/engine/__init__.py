@@ -20,8 +20,8 @@ This package wires everything together into a running simulation:
 """
 
 from repro.engine.config import Algorithm, SimulationSpec
-from repro.engine.metrics import RunMetrics
 from repro.engine.simulation import build_simulation, run_simulation
+from repro.obs.metrics import RunMetrics
 
 __all__ = [
     "Algorithm",

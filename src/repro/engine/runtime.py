@@ -9,7 +9,6 @@ from repro.app.images import ImageWorkload
 from repro.dataflow.placement import Placement
 from repro.dataflow.tree import CLIENT_ID, CombinationTree
 from repro.engine.config import Algorithm, SimulationSpec
-from repro.engine.metrics import RelocationEvent, RunMetrics
 from repro.engine.vectors import VectorStore
 from repro.monitor.system import MonitoringSystem, frozen_estimator
 from repro.net.message import (
@@ -21,6 +20,7 @@ from repro.net.message import (
 from repro.faults.plan import TransferAbandoned
 from repro.net.network import Network
 from repro.obs.events import ARRIVAL, RELOCATION, RELOCATION_ABORT
+from repro.obs.metrics import RelocationEvent, RunMetrics
 from repro.obs.tracer import ensure_tracer
 from repro.sim import Environment, Event
 
@@ -66,8 +66,8 @@ class Runtime:
         #: unchanged — which is what keeps ``run_simulation`` bit-identical
         #: to its pre-workload behaviour.
         self.namespace = namespace
-        #: Tag stamped on every message this runtime sends; drives the
-        #: network's and monitor's per-query accounting and the trace
+        #: Tag stamped on every message this runtime sends; keys the
+        #: query's ledger row (:attr:`metrics`) and the trace
         #: ``query_id`` field.  ``None`` for single-query runs.
         self.query_id = query_id
         self.monitoring = monitoring
@@ -116,11 +116,13 @@ class Runtime:
             host: VectorStore(movable_locations) for host in network.hosts
         }
 
-        self.metrics = RunMetrics(
-            algorithm=spec.algorithm.value,
-            num_servers=spec.num_servers,
-            images=self.num_images,
-        )
+        #: This query's row of the network's traffic ledger: the network
+        #: and the monitor count its traffic into it, the runtime counts
+        #: arrivals, relocations and planning.
+        self.metrics = metrics = network.stats_for(query_id)
+        metrics.algorithm = spec.algorithm.value
+        metrics.num_servers = spec.num_servers
+        metrics.images = self.num_images
         self.done: Event = env.event()
         self.operators: dict[str, "OperatorActor"] = {}
         #: Set by the simulation builder once the client actor exists.
@@ -249,7 +251,7 @@ class Runtime:
         (:data:`RELOCATION_TIMEOUT`) or is abandoned — and the operator
         simply stays at the source: nothing was committed, so rollback is
         the identity.  Aborts are counted in
-        :attr:`~repro.engine.metrics.RunMetrics.aborted_relocations`.
+        :attr:`~repro.obs.metrics.RunMetrics.aborted_relocations`.
         """
         old_host = self.host_of(op_id)
         if old_host == new_host:
@@ -306,7 +308,9 @@ class Runtime:
 
         self.metrics.relocations += 1
         self.metrics.relocation_events.append(
-            RelocationEvent(self.env.now, op_id, old_host, new_host)
+            RelocationEvent(
+                self.env.now, op_id, old_host, new_host, OP_STATE_BYTES
+            )
         )
         if self.tracer.enabled:
             self.tracer.emit(
@@ -449,30 +453,14 @@ class Runtime:
 
     # -- finalization -----------------------------------------------------------
     def finalize_metrics(self, truncated: bool) -> RunMetrics:
-        """Copy subsystem counters into the run metrics and return them.
+        """Close the run metrics and return them.
 
-        The query reads its own row of the network's and the monitor's
-        ledgers (the ``None`` row in a single-query run), so concurrent
-        queries on a shared network do not pollute each other's metrics.
+        The network and the monitor have counted this query's traffic
+        into :attr:`metrics` all along; what is left is the truncation
+        flag and the shared injector's host downtime.
         """
         metrics = self.metrics
         metrics.truncated = truncated
-        net_stats = self.network.stats_for(self.query_id)
-        mon_stats = self.monitoring.stats_for(self.query_id)
-        metrics.probes_sent = mon_stats.probes_sent
-        metrics.probe_bytes = mon_stats.probe_bytes
-        metrics.forwarded_messages = net_stats.forwarded
-        metrics.bytes_on_wire = net_stats.bytes_on_wire
-        metrics.transfers = net_stats.transfers
-        metrics.fluid_transfers = net_stats.transfers - net_stats.des_transfers
-        metrics.des_transfers = net_stats.des_transfers
-        metrics.local_deliveries = net_stats.local_deliveries
-        metrics.passive_measurements = mon_stats.passive_measurements
-        metrics.piggyback_entries_merged = mon_stats.piggyback_entries_merged
-        metrics.retransmissions = net_stats.retransmissions
-        metrics.dropped_bytes = net_stats.dropped_bytes
-        metrics.abandoned_messages = net_stats.abandoned_messages
-        metrics.probe_timeouts = mon_stats.probe_timeouts
         if self.faults is not None:
             metrics.host_downtime_seconds = self.faults.total_downtime
         return metrics

@@ -15,7 +15,6 @@ from repro.dataflow.tree import (
 from repro.engine.actors import ClientActor, OperatorActor, ServerActor
 from repro.engine.config import Algorithm, SimulationSpec, Substrate
 from repro.engine.controllers import GlobalController, LocalController
-from repro.engine.metrics import RunMetrics
 from repro.engine.runtime import Runtime
 from repro.faults import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -24,6 +23,7 @@ from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.network import Network
 from repro.obs.events import RUN_END, RUN_META
+from repro.obs.metrics import RunMetrics
 from repro.obs.tracer import ensure_tracer
 from repro.placement import planner_for
 from repro.placement.download_all import download_all_placement

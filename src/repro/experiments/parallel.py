@@ -39,13 +39,13 @@ import os
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.engine.config import Algorithm
-from repro.engine.metrics import RunMetrics
 from repro.engine.simulation import run_simulation
 from repro.experiments.config import (
     ExperimentConfig,
     build_spec_from_config,
     sample_config,
 )
+from repro.obs.metrics import RunMetrics
 
 #: Environment variable consulted when no explicit worker count is given.
 WORKERS_ENV = "REPRO_WORKERS"

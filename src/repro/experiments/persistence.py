@@ -12,7 +12,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-from repro.engine.metrics import RelocationEvent, RunMetrics
+from repro.obs.metrics import RelocationEvent, RunMetrics
 
 PathLike = Union[str, Path]
 
@@ -35,6 +35,7 @@ def metrics_to_dict(metrics: RunMetrics, include_arrivals: bool = True) -> dict:
             "actor": event.actor,
             "old_host": event.old_host,
             "new_host": event.new_host,
+            "state_bytes": event.state_bytes,
         }
         for event in metrics.relocation_events
     ]
@@ -63,7 +64,11 @@ def metrics_from_dict(payload: dict) -> RunMetrics:
     for event in payload.get("relocation_events", []):
         metrics.relocation_events.append(
             RelocationEvent(
-                event["time"], event["actor"], event["old_host"], event["new_host"]
+                event["time"],
+                event["actor"],
+                event["old_host"],
+                event["new_host"],
+                event.get("state_bytes", 0.0),
             )
         )
     return metrics

@@ -8,10 +8,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.engine.config import Algorithm
-from repro.engine.metrics import RunMetrics
 from repro.engine.simulation import run_simulation
 from repro.experiments.config import ExperimentConfig, build_spec
 from repro.experiments.parallel import run_sweep
+from repro.obs.metrics import RunMetrics
 
 
 def run_configuration(

@@ -111,24 +111,6 @@ _FORECASTERS = {
 }
 
 
-@dataclass
-class MonitoringStats:
-    """One query's row of the monitor's ledger.
-
-    :attr:`MonitoringSystem.query_stats` holds one row per query tag
-    (of the probe message or transfer observation); the row under
-    ``None`` counts untagged activity, which is the whole run in a
-    single-query simulation.  Each event updates exactly one row.
-    """
-
-    passive_measurements: int = 0
-    piggyback_entries_merged: int = 0
-    probes_sent: int = 0
-    probe_bytes: float = 0.0
-    #: Probe samples that produced no measurement (faulted runs only).
-    probe_timeouts: int = 0
-
-
 @dataclass(frozen=True)
 class Estimate:
     """A bandwidth estimate with provenance."""
@@ -151,9 +133,6 @@ class MonitoringSystem:
     ) -> None:
         self.network = network
         self.config = config or MonitoringConfig()
-        #: The monitor's ledger: one row per query tag, with ``None``
-        #: for untagged activity (see :class:`MonitoringStats`).
-        self.query_stats: dict[Optional[str], MonitoringStats] = {}
         self._tracer = ensure_tracer(tracer)
         #: Fault injector, set by the simulation builder when a fault
         #: plan is active; None keeps probes on the unfaulted path.
@@ -176,14 +155,6 @@ class MonitoringSystem:
         if self.config.piggyback_budget > 0:
             network.piggyback_source = self._piggyback_source
             network.piggyback_sink = self._piggyback_sink
-
-    def stats_for(self, query_id: Optional[str]) -> MonitoringStats:
-        """The ledger row of ``query_id`` (created at zero; ``None`` is
-        untagged activity)."""
-        stats = self.query_stats.get(query_id)
-        if stats is None:
-            stats = self.query_stats[query_id] = MonitoringStats()
-        return stats
 
     def cache_for(self, host: str) -> BandwidthCache:
         """The measurement cache of ``host`` (created lazily for new hosts)."""
@@ -229,7 +200,7 @@ class MonitoringSystem:
         # Both endpoints learn the measurement (paper feature 1).
         self.cache_for(obs.src_host).update(obs.src_host, obs.dst_host, bandwidth, now)
         self.cache_for(obs.dst_host).update(obs.src_host, obs.dst_host, bandwidth, now)
-        self.stats_for(obs.query_id).passive_measurements += 1
+        self.network.stats_for(obs.query_id).passive_measurements += 1
         if self._tracer.enabled:
             self._tracer.emit(
                 MONITOR_PASSIVE,
@@ -255,7 +226,7 @@ class MonitoringSystem:
         self, dst: str, piggyback: dict, query_id: Optional[str] = None
     ) -> None:
         merged = decode_piggyback(self.cache_for(dst), piggyback)
-        self.stats_for(query_id).piggyback_entries_merged += merged
+        self.network.stats_for(query_id).piggyback_entries_merged += merged
         if self._tracer.enabled:
             self._tracer.emit(
                 MONITOR_PIGGYBACK,
@@ -350,9 +321,10 @@ class MonitoringSystem:
 
         With a fault plan installed, the probe is bounded by
         ``PROBE_TIMEOUT`` (a timed-out, blacked-out or abandoned probe
-        counts as :attr:`MonitoringStats.probe_timeouts`), and the method
-        returns None when the probe did not arrive — callers must then
-        keep their last-known-good estimates instead of caching a guess.
+        counts as :attr:`~repro.obs.metrics.RunMetrics.probe_timeouts`),
+        and the method returns None when the probe did not arrive —
+        callers must then keep their last-known-good estimates instead
+        of caching a guess.
 
         The ``_monitor@<host>`` endpoints are never registered: the
         message names both hosts, so it is delivered at ``b`` without a
@@ -362,7 +334,7 @@ class MonitoringSystem:
             raise ValueError("cannot probe a host against itself")
         now = self.network.env.now
         if self.faults is not None and self.faults.probe_blackout(now):
-            self.stats_for(query_id).probe_timeouts += 1
+            self.network.stats_for(query_id).probe_timeouts += 1
             if self._tracer.enabled:
                 self._tracer.emit(
                     MONITOR_PROBE_TIMEOUT,
@@ -382,7 +354,7 @@ class MonitoringSystem:
             payload={"probe": True},
             query_id=query_id,
         )
-        row = self.stats_for(query_id)
+        row = self.network.stats_for(query_id)
         row.probes_sent += 1
         row.probe_bytes += message.wire_size
         if self._tracer.enabled:
@@ -436,7 +408,7 @@ class MonitoringSystem:
         try:
             yield env.any_of([delivery, timeout])
         except TransferAbandoned:
-            self.stats_for(query_id).probe_timeouts += 1
+            self.network.stats_for(query_id).probe_timeouts += 1
             if self._tracer.enabled:
                 self._tracer.emit(
                     MONITOR_PROBE_TIMEOUT,
@@ -449,7 +421,7 @@ class MonitoringSystem:
             return False
         if delivery.triggered:
             return True
-        self.stats_for(query_id).probe_timeouts += 1
+        self.network.stats_for(query_id).probe_timeouts += 1
         if self._tracer.enabled:
             self._tracer.emit(
                 MONITOR_PROBE_TIMEOUT,

@@ -23,7 +23,6 @@ forwarded, paying for the extra hop, as a mobile-object runtime would.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from repro.faults.plan import TransferAbandoned
@@ -39,6 +38,7 @@ from repro.obs.events import (
     NET_DROP,
     NET_RETRANSMIT,
 )
+from repro.obs.metrics import RunMetrics
 from repro.obs.tracer import ensure_tracer, query_tag
 from repro.sim import URGENT, Environment, Event
 
@@ -70,31 +70,6 @@ class TransferObservation(NamedTuple):
         return self.wire_bytes / self.data_seconds
 
 
-@dataclass
-class NetworkStats:
-    """One query's row of the network's traffic ledger.
-
-    :attr:`Network.query_stats` holds one row per ``Message.query_id``;
-    the row under ``None`` counts untagged traffic, which is the whole
-    run in a single-query simulation.  Each event updates exactly one
-    row, so the rows partition the network's traffic.  The per-link
-    and per-class view lives in the fleet metrics sink.
-    """
-
-    transfers: int = 0
-    local_deliveries: int = 0
-    forwarded: int = 0
-    bytes_on_wire: float = 0.0
-    #: Resilience counters (zero unless a fault plan is installed).
-    retransmissions: int = 0
-    dropped_bytes: float = 0.0
-    abandoned_messages: int = 0
-    #: Transfers completed through a generator process.  The simulator
-    #: never runs one; only the reference schedule in
-    #: ``tests/oracles/full_des.py`` bumps this.
-    des_transfers: int = 0
-
-
 class Network:
     """A complete graph of hosts with trace-driven links."""
 
@@ -114,9 +89,14 @@ class Network:
         #: changes host, so anything derived from actor locations can be
         #: cached until the epoch moves.
         self.actor_epoch = 0
-        #: The traffic ledger: one row per ``Message.query_id``, with
-        #: ``None`` for untagged traffic (see :class:`NetworkStats`).
-        self.query_stats: dict[Optional[str], NetworkStats] = {}
+        #: The traffic ledger: one :class:`RunMetrics` per
+        #: ``Message.query_id``.  The row under ``None`` counts untagged
+        #: traffic, which is the whole run in a single-query simulation.
+        #: Each event updates exactly one row, so the rows partition the
+        #: traffic; a query's runtime counts into the same row (see
+        #: :attr:`repro.engine.runtime.Runtime.metrics`).  The per-link
+        #: and per-class view lives in the fleet metrics sink.
+        self.query_stats: dict[Optional[str], RunMetrics] = {}
         #: Transfer arbiter state: waiting transfers (a list kept sorted
         #: by ``(priority, sequence)``), per-host active-transfer counts,
         #: and a FIFO tie-breaker.
@@ -150,12 +130,12 @@ class Network:
         """Route transfers through ``injector``'s outage/loss/retry model."""
         self._faults = injector
 
-    def stats_for(self, query_id: Optional[str]) -> NetworkStats:
+    def stats_for(self, query_id: Optional[str]) -> RunMetrics:
         """The ledger row of ``query_id`` (created at zero; ``None`` is
         untagged traffic)."""
         stats = self.query_stats.get(query_id)
         if stats is None:
-            stats = self.query_stats[query_id] = NetworkStats()
+            stats = self.query_stats[query_id] = RunMetrics()
         return stats
 
     # -- topology ---------------------------------------------------------
@@ -600,7 +580,7 @@ class Network:
         if actual is not None and actual != arrived_at:
             # The destination actor moved while the message was in flight:
             # forward it (mobile-object runtimes do exactly this).
-            self.stats_for(message.query_id).forwarded += 1
+            self.stats_for(message.query_id).forwarded_messages += 1
             if tracer.enabled:
                 tracer.emit(
                     MESSAGE_FORWARD,

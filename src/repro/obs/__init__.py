@@ -7,6 +7,8 @@ actors, controllers, monitors and planners — records typed span/point
 events plus counters and histograms.  Export as JSONL or a Chrome
 ``trace_event`` file (Perfetto-loadable), summarize with ``repro
 trace``, or replay the aggregates via ``RunMetrics.from_trace``.
+:class:`~repro.obs.metrics.RunMetrics` lives here too: the network, the
+monitor and the engine count each query's run into one.
 
 The default is :data:`NULL_TRACER`, whose methods are no-ops and whose
 ``enabled`` is False, so untraced runs pay a single attribute test per
@@ -38,7 +40,6 @@ from repro.obs.rotating import (
     segment_paths,
 )
 from repro.obs.summary import (
-    RunReplay,
     TraceSummary,
     format_trace_summary,
     query_records,
@@ -69,7 +70,6 @@ __all__ = [
     "StreamingTracer",
     "read_segments",
     "segment_paths",
-    "RunReplay",
     "TraceSummary",
     "format_trace_summary",
     "query_records",

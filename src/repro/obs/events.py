@@ -25,7 +25,7 @@ Point events
     ``actor``, ``old_host``, ``new_host``, ``state_bytes``.
 ``planner.run``
     A controller executed one planning round (this is the event
-    :attr:`~repro.engine.metrics.RunMetrics.planner_runs` counts).
+    :attr:`~repro.obs.metrics.RunMetrics.planner_runs` counts).
     Fields: ``algorithm`` and, for the local algorithm, ``actor``.
 ``planner.search``
     One invocation of a :class:`~repro.placement.base.Planner`'s search
@@ -75,7 +75,7 @@ Point events
 ``fault.host_down`` / ``fault.host_up``
     A planned host crash window opened / closed.  Fields: ``host``;
     ``fault.host_up`` adds ``downtime`` (window seconds) — this is the
-    increment :attr:`~repro.engine.metrics.RunMetrics.
+    increment :attr:`~repro.obs.metrics.RunMetrics.
     host_downtime_seconds` accumulates.
 ``monitor.probe_timeout``
     An active probe sample produced no measurement.  Fields: ``a``,
@@ -151,7 +151,7 @@ Span events
 ``barrier.round``
     One full barrier change-over, from the PREPARE fan-out until every
     actor was committed.  Fields: ``plan_seq``.  ``dur`` is the stall
-    :attr:`~repro.engine.metrics.RunMetrics.barrier_stall_seconds`
+    :attr:`~repro.obs.metrics.RunMetrics.barrier_stall_seconds`
     accumulates.
 ``barrier.suspend``
     One server's suspension window between its PREPARE and COMMIT.

@@ -1,21 +1,10 @@
-"""Trace analysis: metric replay and human-readable summaries.
+"""Trace analysis: one query's slice and human-readable summaries.
 
-:class:`RunReplay` is the one place a trace event turns into a run
-counter.  Because every trace event is emitted at the exact code point
-where the corresponding counter increments, the replayed counters match
-the live ``RunMetrics`` *exactly* (including floating-point
-accumulation order).  Three readers feed it:
-
-* :meth:`repro.engine.metrics.RunMetrics.from_trace` rebuilds one run's
-  metrics independently of the live run;
-* ``repro trace`` renders :class:`TraceSummary` — the replayed counters
-  plus the relocation timeline, per-link traffic, barrier-stall
-  breakdown, planner and monitor activity of a recorded run;
-* :func:`repro.workload.sink.fleet_from_trace` replays each query of a
-  concurrent workload.
-
-To keep :mod:`repro.obs` importable without the engine, everything here
-returns plain dicts/dataclasses; the engine does the final conversion.
+:meth:`repro.obs.metrics.RunMetrics.feed` is the one place a trace event
+turns into a run counter.  ``repro trace`` renders :class:`TraceSummary`
+— the replayed :class:`~repro.obs.metrics.RunMetrics` plus the
+relocation timeline, per-link traffic, barrier-stall breakdown, planner
+and monitor activity of a recorded run.
 """
 
 from __future__ import annotations
@@ -25,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.obs import events as ev
+from repro.obs.metrics import RelocationEvent, RunMetrics
 
 
 def query_records(
@@ -40,7 +30,7 @@ def query_records(
     live :meth:`~repro.engine.runtime.Runtime.finalize_metrics` copies
     the shared injector's downtime into every query's metrics).
 
-    Feeding the slice to :meth:`repro.engine.metrics.RunMetrics.from_trace`
+    Feeding the slice to :meth:`repro.obs.metrics.RunMetrics.from_trace`
     rebuilds that query's ``RunMetrics`` bit-exactly.
     """
     return [
@@ -50,130 +40,13 @@ def query_records(
     ]
 
 
-class RunReplay:
-    """One run's :class:`~repro.engine.metrics.RunMetrics` counters,
-    replayed from its trace one record at a time.
-
-    This is the only place a trace event turns into a run counter.
-    :meth:`repro.engine.metrics.RunMetrics.from_trace` feeds it a whole
-    trace, :func:`summarize_records` feeds it during its own pass, and
-    :func:`repro.workload.sink.fleet_from_trace` keeps one per open
-    query.  :attr:`totals` is keyed by ``RunMetrics`` field name, except
-    that ``relocation_events`` holds ``(time, actor, old_host, new_host,
-    state_bytes)`` tuples.  Floats are accumulated in event order with
-    plain ``+=``, mirroring how the live counters accrue, so the totals
-    are bit-identical to the run that produced the trace.  Frame records
-    (header, footer, segment headers) count toward nothing.
-    """
-
-    __slots__ = ("totals",)
-
-    def __init__(self) -> None:
-        self.totals: dict[str, Any] = {
-            "algorithm": "",
-            "num_servers": 0,
-            "images": 0,
-            "arrival_times": [],
-            "relocations": 0,
-            "relocation_events": [],
-            "planner_runs": 0,
-            "placements_installed": 0,
-            "barrier_rounds": 0,
-            "barrier_stall_seconds": 0.0,
-            "probes_sent": 0,
-            "probe_bytes": 0.0,
-            "forwarded_messages": 0,
-            "bytes_on_wire": 0.0,
-            "truncated": False,
-            "transfers": 0,
-            "local_deliveries": 0,
-            "passive_measurements": 0,
-            "piggyback_entries_merged": 0,
-            "retransmissions": 0,
-            "dropped_bytes": 0.0,
-            "abandoned_messages": 0,
-            "aborted_relocations": 0,
-            "host_downtime_seconds": 0.0,
-            "probe_timeouts": 0,
-            "planner_fallbacks": 0,
-            "planner_rounds": 0,
-            "planner_candidates": 0,
-            "planner_links_queried": 0,
-        }
-
-    def feed(self, event: dict[str, Any]) -> None:
-        """Count one trace record."""
-        agg = self.totals
-        etype = event.get("type")
-        # Most frequent types first.
-        if etype == ev.MESSAGE_SEND:
-            if event.get("transport") == "local":
-                agg["local_deliveries"] += 1
-        elif etype == ev.LINK_TRANSFER:
-            agg["transfers"] += 1
-            agg["bytes_on_wire"] += event["wire_bytes"]
-        elif etype == ev.MONITOR_PIGGYBACK:
-            agg["piggyback_entries_merged"] += event["merged"]
-        elif etype == ev.MONITOR_PASSIVE:
-            agg["passive_measurements"] += 1
-        elif etype == ev.MESSAGE_FORWARD:
-            agg["forwarded_messages"] += 1
-        elif etype == ev.ARRIVAL:
-            agg["arrival_times"].append(event["t"])
-        elif etype == ev.RELOCATION:
-            agg["relocations"] += 1
-            agg["relocation_events"].append(
-                (
-                    event["t"],
-                    event["actor"],
-                    event["old_host"],
-                    event["new_host"],
-                    event.get("state_bytes", 0.0),
-                )
-            )
-        elif etype == ev.PLANNER_RUN:
-            agg["planner_runs"] += 1
-        elif etype == ev.PLANNER_SEARCH:
-            agg["planner_rounds"] += event.get("rounds", 0)
-            agg["planner_candidates"] += event.get("candidates", 0)
-            agg["planner_links_queried"] += event.get("links", 0)
-        elif etype == ev.PLACEMENT_INSTALL:
-            agg["placements_installed"] += 1
-        elif etype == ev.BARRIER_ROUND:
-            agg["barrier_rounds"] += 1
-            agg["barrier_stall_seconds"] += event["dur"]
-        elif etype == ev.MONITOR_PROBE:
-            agg["probes_sent"] += 1
-            agg["probe_bytes"] += event["bytes"]
-        elif etype == ev.NET_RETRANSMIT:
-            agg["retransmissions"] += 1
-        elif etype == ev.NET_DROP:
-            agg["dropped_bytes"] += event.get("bytes", 0.0)
-        elif etype == ev.NET_ABANDON:
-            agg["abandoned_messages"] += 1
-        elif etype == ev.RELOCATION_ABORT:
-            agg["aborted_relocations"] += 1
-        elif etype == ev.FAULT_HOST_UP:
-            agg["host_downtime_seconds"] += event.get("downtime", 0.0)
-        elif etype == ev.MONITOR_PROBE_TIMEOUT:
-            agg["probe_timeouts"] += 1
-        elif etype == ev.PLANNER_FALLBACK:
-            agg["planner_fallbacks"] += 1
-        elif etype == ev.RUN_META:
-            agg["algorithm"] = event["algorithm"]
-            agg["num_servers"] = event["num_servers"]
-            agg["images"] = event["images"]
-        elif etype == ev.RUN_END:
-            agg["truncated"] = event.get("truncated", False)
-
-
 # -- human-readable summary -------------------------------------------------
 @dataclass
 class TraceSummary:
     """What ``repro trace`` reports about one recorded run.
 
-    The run counters are :attr:`totals`, a :class:`RunReplay` fed the
-    same records; the fields here are the views ``RunMetrics`` lacks.
+    The run counters are :attr:`metrics`, fed the same records; the
+    fields here are the views ``RunMetrics`` lacks.
     A concurrent workload's trace holds one ``run.meta`` and one
     ``run.end`` per query; :attr:`algorithms`, :attr:`truncated` and
     :attr:`completion_time` then cover every query.
@@ -184,8 +57,8 @@ class TraceSummary:
     algorithms: dict[str, int] = field(default_factory=dict)
     #: True when any ``run.end`` reports a truncated run.
     truncated: bool = False
-    #: :attr:`RunReplay.totals` over every record of the trace.
-    totals: dict[str, Any] = field(default_factory=lambda: RunReplay().totals)
+    #: :class:`RunMetrics` fed every record of the trace.
+    metrics: RunMetrics = field(default_factory=RunMetrics)
     #: (src_host, dst_host) -> [transfers, wire_bytes, busy_seconds].
     link_traffic: dict[tuple[str, str], list[float]] = field(
         default_factory=dict
@@ -206,9 +79,9 @@ class TraceSummary:
     event_histogram: dict[str, int] = field(default_factory=dict)
 
     @property
-    def relocations(self) -> list[tuple[float, str, str, str, float]]:
-        """(time, actor, old_host, new_host, state_bytes) in order."""
-        return self.totals["relocation_events"]
+    def relocations(self) -> list[RelocationEvent]:
+        """Every actor move, in order."""
+        return self.metrics.relocation_events
 
     @property
     def planner_searches(self) -> int:
@@ -222,9 +95,8 @@ class TraceSummary:
 
 def summarize_records(records: Iterable[dict[str, Any]]) -> TraceSummary:
     """Digest trace records into a :class:`TraceSummary` in one pass."""
-    replay = RunReplay()
-    summary = TraceSummary(totals=replay.totals)
-    feed = replay.feed
+    summary = TraceSummary()
+    feed = summary.metrics.feed
     histogram = summary.event_histogram
     ended = False
     latest_end = float("nan")
@@ -284,7 +156,7 @@ def summarize_records(records: Iterable[dict[str, Any]]) -> TraceSummary:
 def format_trace_summary(summary: TraceSummary, max_rows: int = 20) -> str:
     """Render a :class:`TraceSummary` as the ``repro trace`` report."""
     lines: list[str] = []
-    totals = summary.totals
+    metrics = summary.metrics
     meta = summary.meta
     if summary.runs > 1:
         mix = ", ".join(
@@ -299,7 +171,7 @@ def format_trace_summary(summary: TraceSummary, max_rows: int = 20) -> str:
         )
         lines.append(f"run: {head}" if head else f"run: {meta}")
     lines.append(
-        f"arrivals: {len(totals['arrival_times'])}"
+        f"arrivals: {len(metrics.arrival_times)}"
         f" (completion {summary.completion_time:.1f}s"
         f"{', TRUNCATED' if summary.truncated else ''})"
     )
@@ -307,10 +179,11 @@ def format_trace_summary(summary: TraceSummary, max_rows: int = 20) -> str:
     lines.append("")
     lines.append(f"relocation timeline ({len(summary.relocations)} moves):")
     shown = summary.relocations[:max_rows]
-    for t, actor, old, new, state_bytes in shown:
+    for move in shown:
         lines.append(
-            f"  {t:10.1f}s  {actor:<10} {old} -> {new}"
-            f"  ({state_bytes / 1024.0:.0f} KiB state)"
+            f"  {move.time:10.1f}s  {move.actor:<10}"
+            f" {move.old_host} -> {move.new_host}"
+            f"  ({move.state_bytes / 1024.0:.0f} KiB state)"
         )
     if len(summary.relocations) > len(shown):
         lines.append(f"  ... {len(summary.relocations) - len(shown)} more")
@@ -335,7 +208,7 @@ def format_trace_summary(summary: TraceSummary, max_rows: int = 20) -> str:
     lines.append("")
     lines.append(
         f"barrier: {len(summary.barrier_rounds)} rounds,"
-        f" {totals['barrier_stall_seconds']:.2f}s total stall"
+        f" {metrics.barrier_stall_seconds:.2f}s total stall"
     )
     for start, dur, plan_seq in summary.barrier_rounds[:max_rows]:
         lines.append(f"  {start:10.1f}s  plan #{plan_seq}: {dur:.2f}s stall")
@@ -346,21 +219,21 @@ def format_trace_summary(summary: TraceSummary, max_rows: int = 20) -> str:
 
     lines.append("")
     lines.append(
-        f"planner: {totals['planner_runs']} runs,"
+        f"planner: {metrics.planner_runs} runs,"
         f" {summary.planner_searches} searches,"
-        f" {totals['planner_candidates']} candidates evaluated"
+        f" {metrics.planner_candidates} candidates evaluated"
     )
     quality = ", ".join(
         f"{k}={v}" for k, v in sorted(summary.estimate_quality.items())
     )
     lines.append(
-        f"monitor: {totals['probes_sent']} probes,"
+        f"monitor: {metrics.probes_sent} probes,"
         f" estimates [{quality or 'none'}]"
     )
-    lines.append(f"forwarded messages: {totals['forwarded_messages']}")
+    lines.append(f"forwarded messages: {metrics.forwarded_messages}")
 
     faulted = summary.fault_timeline or any(
-        totals[key]
+        getattr(metrics, key)
         for key in (
             "retransmissions",
             "dropped_bytes",
@@ -374,13 +247,13 @@ def format_trace_summary(summary: TraceSummary, max_rows: int = 20) -> str:
         lines.append("")
         lines.append(
             "resilience:"
-            f" {totals['retransmissions']} retransmissions,"
-            f" {totals['dropped_bytes'] / 1024.0:.1f} KiB dropped,"
-            f" {totals['abandoned_messages']} abandoned,"
-            f" {totals['aborted_relocations']} aborted relocations,"
-            f" {totals['probe_timeouts']} probe timeouts,"
-            f" {totals['planner_fallbacks']} planner fallbacks,"
-            f" {totals['host_downtime_seconds']:.1f}s host downtime"
+            f" {metrics.retransmissions} retransmissions,"
+            f" {metrics.dropped_bytes / 1024.0:.1f} KiB dropped,"
+            f" {metrics.abandoned_messages} abandoned,"
+            f" {metrics.aborted_relocations} aborted relocations,"
+            f" {metrics.probe_timeouts} probe timeouts,"
+            f" {metrics.planner_fallbacks} planner fallbacks,"
+            f" {metrics.host_downtime_seconds:.1f}s host downtime"
         )
         if summary.fault_timeline:
             lines.append(

@@ -107,7 +107,8 @@ def planner_for(
 
     ``algorithm`` may be a string (``"download-all"``, ``"one-shot"``,
     ``"global"``, ``"local"``, or any name added through
-    :func:`register_planner`, e.g. the ``fleet-*`` family) or anything
+    :func:`register_planner`, e.g. the ``fleet-*`` family, which
+    registers when :mod:`repro.fleet` is imported) or anything
     with a matching ``.value`` (e.g.
     :class:`repro.engine.config.Algorithm`); keying on the value keeps
     this module import-independent of the engine.  ``grid_cache`` is
@@ -117,10 +118,6 @@ def planner_for(
     """
     key = getattr(algorithm, "value", algorithm)
     factory = _PLANNER_REGISTRY.get(key)
-    if factory is None and isinstance(key, str) and key.startswith("fleet-"):
-        import repro.fleet  # noqa: F401  (registers the fleet family)
-
-        factory = _PLANNER_REGISTRY.get(key)
     if factory is None:
         raise ValueError(f"unknown placement algorithm {algorithm!r}")
     return factory(

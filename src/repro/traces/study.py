@@ -118,10 +118,11 @@ class TraceLibrary:
         for a, b in self._traces:
             if a not in host_names or b not in host_names:
                 raise ValueError(f"trace for unknown host pair ({a!r}, {b!r})")
-        #: Sorted key tuple, computed once: :meth:`sample` draws by index
-        #: into this tuple, so sampling is O(1) instead of re-sorting all
-        #: pair keys per draw — and the draw order is frozen at
-        #: construction, immune to any later mutation of ``_traces``.
+        #: Sorted key tuple, computed once: :meth:`sample_noon_segments`
+        #: draws by index into this tuple, so sampling is O(1) per draw
+        #: instead of re-sorting all pair keys — and the draw order is
+        #: frozen at construction, immune to any later mutation of
+        #: ``_traces``.
         self._sorted_keys: tuple[tuple[str, str], ...] = tuple(
             sorted(self._traces)
         )
@@ -148,24 +149,6 @@ class TraceLibrary:
         """All traces, ordered by their (sorted) pair key."""
         return [self._traces[key] for key in self._sorted_keys]
 
-    def sample(self, rng: np.random.Generator) -> BandwidthTrace:
-        """Draw one trace uniformly at random (with replacement)."""
-        keys = self._sorted_keys
-        return self._traces[keys[int(rng.integers(len(keys)))]]
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> list[BandwidthTrace]:
-        """Draw ``n`` traces with one vectorized index draw.
-
-        The PCG64 ``integers`` stream is identical whether drawn one at a
-        time or as a batch (pinned by ``tests/traces/test_study.py``), so
-        this returns exactly what ``n`` successive :meth:`sample` calls
-        would — minus ``n - 1`` generator round-trips.
-        """
-        keys = self._sorted_keys
-        traces = self._traces
-        indices = rng.integers(len(keys), size=n)
-        return [traces[keys[i]] for i in indices]
-
     def noon_segment_for(self, key: tuple[str, str]) -> BandwidthTrace:
         """The (cached) noon-rebased segment of one pair's trace."""
         segment = self._noon_segments.get(key)
@@ -186,26 +169,20 @@ class TraceLibrary:
             self.noon_segment_for(key)
         return self
 
-    def sample_noon_segment(self, rng: np.random.Generator) -> BandwidthTrace:
-        """Draw one trace and rebase it to start at the path's local noon.
+    def sample_noon_segments(
+        self, rng: np.random.Generator, n: int
+    ) -> list[BandwidthTrace]:
+        """Draw ``n`` traces uniformly at random (with replacement), each
+        rebased to start at its path's local noon, with one vectorized
+        index draw.
 
         This is how experiment configurations consume the library: "all
         experiments were run as if they started at noon" (§4).  Segments
         are cached per pair, so repeated draws of one pair return the same
-        immutable object (bit-identical values to rebuilding it).
-        """
-        keys = self._sorted_keys
-        return self.noon_segment_for(keys[int(rng.integers(len(keys)))])
-
-    def sample_noon_segments(
-        self, rng: np.random.Generator, n: int
-    ) -> list[BandwidthTrace]:
-        """Draw ``n`` noon segments with one vectorized index draw.
-
-        Exactly equivalent to ``n`` successive :meth:`sample_noon_segment`
-        calls (same rng stream, same cached segment objects); this is the
-        batch entry point :func:`repro.experiments.config.make_configuration`
-        uses to sample a whole network configuration at NumPy speed.
+        immutable object (bit-identical values to rebuilding it).  The
+        PCG64 ``integers`` stream is identical drawn one at a time or as
+        a batch, so this is exactly ``n`` scalar draws (the reference in
+        ``tests/oracles/library_draws.py``).
         """
         keys = self._sorted_keys
         indices = rng.integers(len(keys), size=n)

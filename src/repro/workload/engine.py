@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.engine.config import SimulationSpec
-from repro.engine.metrics import RunMetrics
 from repro.engine.runtime import Runtime
 from repro.engine.simulation import (
     PlanningContext,
@@ -33,6 +32,7 @@ from repro.engine.simulation import (
 from repro.faults import FaultInjector
 from repro.fleet import FleetCoordinator
 from repro.obs.events import RUN_END, RUN_META
+from repro.obs.metrics import RunMetrics
 from repro.obs.tracer import ScopedTracer, ensure_tracer
 from repro.sim import Environment
 from repro.workload.arrivals import (
@@ -216,8 +216,8 @@ class WorkloadEngine:
 
         def finalize(plan: QueryPlan, truncated: bool) -> Optional[RunMetrics]:
             """Feed one query into the sink, release its runtime and its
-            network/monitor ledger rows, and return its metrics (None if
-            it was already finalized).
+            ledger row, and return its metrics (None if it was already
+            finalized).
 
             Without per-query records this runs eagerly from the query's
             done callback, so per-query state is freed as the fleet
@@ -243,7 +243,6 @@ class WorkloadEngine:
             sink.query_finished(stats, plan.scheduled.qclass.slo_target)
             plan.runtime = None
             network.query_stats.pop(qid, None)
-            monitoring.query_stats.pop(qid, None)
             return metrics
 
         def note_done(plan: QueryPlan) -> None:
@@ -265,9 +264,7 @@ class WorkloadEngine:
             scoped = ScopedTracer(tracer, query_id=qid)
             qspec = scheduled.spec
             if scoped.enabled:
-                extra = (
-                    {} if single else {"query_class": scheduled.qclass.name}
-                )
+                extra = {"query_class": scheduled.qclass.name}
                 if scheduled.qclass.slo_target is not None:
                     extra["slo"] = scheduled.qclass.slo_target
                 if scheduled.degraded:

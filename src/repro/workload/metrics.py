@@ -1,6 +1,6 @@
 """Fleet-metrics conventions shared by the sink and its readers.
 
-One query's outcome is a plain :class:`~repro.engine.metrics.RunMetrics`;
+One query's outcome is a plain :class:`~repro.obs.metrics.RunMetrics`;
 the :class:`~repro.workload.sink.FleetMetrics` sink aggregates a fleet of
 them — plus the shared network's per-link usage — into one
 schema-tagged summary dict:

@@ -49,7 +49,6 @@ from typing import Any, Iterable, Iterator, Mapping, Optional, Protocol, Sequenc
 
 import numpy as np
 
-from repro.engine.metrics import RunMetrics
 from repro.obs.events import (
     BREAKER_CLOSE,
     BREAKER_OPEN,
@@ -66,7 +65,7 @@ from repro.obs.events import (
     RUN_END,
     RUN_META,
 )
-from repro.obs.summary import RunReplay
+from repro.obs.metrics import RunMetrics
 from repro.workload.metrics import WORKLOAD_SCHEMA, jain_index, latency_block
 from repro.workload.sketch import OrderFreeSum, QuantileSketch
 
@@ -777,17 +776,17 @@ def _replay(
 ) -> float:
     """Feed a trace into ``metrics`` in one pass; returns the elapsed time.
 
-    Each *open* query keeps a :class:`~repro.obs.summary.RunReplay` fed
-    its tagged records, so memory follows concurrency, not trace length.
-    At the query's ``run.end`` its :class:`QueryStats` comes from
+    Each *open* query keeps a :class:`RunMetrics` fed its tagged
+    records, so memory follows concurrency, not trace length.  At the
+    query's ``run.end`` its :class:`QueryStats` comes from
     :meth:`QueryStats.from_metrics` over the replayed metrics, exactly as
     the live engine builds it.  A ``run.end`` whose ``run.meta`` lived in
     a rotated-away segment is skipped.  When ``footprints`` is given, it
     collects the base id of every scheduled arrival (retries collapse
     onto their original).
     """
-    # Query id -> (replay, class name, run.meta record) while open.
-    open_queries: dict[str, tuple[RunReplay, str, dict[str, Any]]] = {}
+    # Query id -> (replayed metrics, class name, run.meta record) while open.
+    open_queries: dict[str, tuple[RunMetrics, str, dict[str, Any]]] = {}
     elapsed = 0.0
     for record in records:
         rtype = record.get("type")
@@ -810,10 +809,10 @@ def _replay(
         elif rtype == RUN_META:
             if qid is None or query is not None:
                 continue
-            replay = RunReplay()
-            replay.feed(record)
+            replayed = RunMetrics()
+            replayed.feed(record)
             class_name = record.get("query_class", record["algorithm"])
-            open_queries[qid] = (replay, class_name, record)
+            open_queries[qid] = (replayed, class_name, record)
             metrics.query_started(
                 qid, class_name, record["t"], record.get("degraded", False)
             )
@@ -822,10 +821,8 @@ def _replay(
             if query is None:
                 continue
             del open_queries[qid]
-            replay, class_name, meta = query
-            stats = QueryStats.from_metrics(
-                qid, class_name, meta["t"], RunMetrics.from_replay(replay)
-            )
+            replayed, class_name, meta = query
+            stats = QueryStats.from_metrics(qid, class_name, meta["t"], replayed)
             metrics.query_finished(stats, meta.get("slo"))
         elif rtype in _EVENT_TALLIES:
             metrics.fleet_event(rtype, record)

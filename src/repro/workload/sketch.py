@@ -27,7 +27,7 @@ cleanly across process pools.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional
 
 __all__ = ["OrderFreeSum", "QuantileSketch"]
 
@@ -254,21 +254,3 @@ class QuantileSketch:
             f"buckets={len(self._buckets)})"
         )
 
-
-def exact_percentiles(
-    values: Sequence[float], percentiles: Sequence[float]
-) -> list[float]:
-    """Nearest-rank order statistics (the sketch's ground truth).
-
-    Unlike ``np.percentile`` (which interpolates), this returns actual
-    observed values, so sketch-vs-exact error-bound tests compare like
-    with like.
-    """
-    ordered = sorted(float(v) for v in values)
-    if not ordered:
-        raise ValueError("need at least one value")
-    out = []
-    for p in percentiles:
-        rank = (p / 100.0) * (len(ordered) - 1)
-        out.append(ordered[round(rank)])
-    return out

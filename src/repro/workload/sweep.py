@@ -134,7 +134,7 @@ def _run_task(task: WorkloadTask) -> tuple[str, dict[str, Any]]:
     """Worker body: run one workload, return its fleet summary.
 
     Only the JSON-safe fleet dict crosses the pipe back — per-query
-    :class:`~repro.engine.metrics.RunMetrics` are embedded as summaries
+    :class:`~repro.obs.metrics.RunMetrics` are embedded as summaries
     inside it.
     """
     name, spec = task

@@ -178,7 +178,7 @@ class TestActorEpoch:
 
         env.process(prober(env))
         env.run(until=120.0)
-        assert runtime.monitoring.stats_for(None).probes_sent == 2
+        assert runtime.network.stats_for(None).probes_sent == 2
         assert network.actor_epoch == epoch
         assert network.actor_hosts == registry
 
@@ -277,7 +277,7 @@ class TestThrowawayEndpoints:
 
         env.process(moves(env))
         env.run(until=300.0)
-        assert runtime.monitoring.stats_for(None).probes_sent == 2
+        assert runtime.network.stats_for(None).probes_sent == 2
         assert runtime.metrics.relocations == 1
         assert op in opened  # the moved operator's new mailbox
         assert set(opened) <= set(network.actor_hosts)
@@ -296,7 +296,7 @@ class TestRemoteProbe:
         env.run(until=60.0)
         assert results and results[0] > 0
         # Direct probe: exactly one message.
-        assert runtime.monitoring.stats_for(None).probes_sent == 1
+        assert runtime.network.stats_for(None).probes_sent == 1
 
     def test_third_party_probe_updates_requester_cache(self):
         env, runtime = build(Algorithm.GLOBAL)

@@ -135,9 +135,9 @@ class TestFaultedTraceReplay:
         tracer = Tracer()
         live = run_simulation(spec, tracer=tracer)
         summary = summarize_records(tracer.events)
-        assert summary.totals["retransmissions"] == live.retransmissions
-        assert summary.totals["dropped_bytes"] == pytest.approx(live.dropped_bytes)
-        assert summary.totals["host_downtime_seconds"] == pytest.approx(
+        assert summary.metrics.retransmissions == live.retransmissions
+        assert summary.metrics.dropped_bytes == pytest.approx(live.dropped_bytes)
+        assert summary.metrics.host_downtime_seconds == pytest.approx(
             live.host_downtime_seconds
         )
         assert summary.fault_timeline  # boundaries made it into the trace
@@ -148,7 +148,7 @@ class TestFaultedTraceReplay:
         tracer = Tracer()
         run_simulation(spec, tracer=tracer)
         replayed = RunMetrics.from_trace(tracer.events).summary()
-        totals = summarize_records(tracer.events).totals
+        totals = vars(summarize_records(tracer.events).metrics)
         assert replayed["retransmissions"] and replayed["host_downtime_seconds"]
         counters = {key: value for key, value in replayed.items() if key in totals}
         assert len(counters) == len(replayed) - 4  # schema and the derived times

@@ -46,14 +46,14 @@ class TestPassiveMonitoring:
             estimate = monitoring.estimate(viewer, "a", "b", env.now)
             assert estimate.quality == "fresh"
             assert estimate.bandwidth == pytest.approx(1000.0)
-        assert monitoring.stats_for(None).passive_measurements == 1
+        assert net.stats_for(None).passive_measurements == 1
 
     def test_small_message_not_measured(self, env):
         net, monitoring = build(env)
         send(net, "a", "b", 1024)  # below S_thres
         env.run()
         assert monitoring.estimate("a", "a", "b", env.now).quality == "default"
-        assert monitoring.stats_for(None).passive_measurements == 0
+        assert net.stats_for(None).passive_measurements == 0
 
     def test_third_party_learns_via_piggyback(self, env):
         net, monitoring = build(env)
@@ -140,7 +140,7 @@ class TestProbe:
 
         env.process(prober(env))
         env.run()
-        assert monitoring.stats_for(None).probes_sent == 1
+        assert net.stats_for(None).probes_sent == 1
         assert monitoring.estimate("a", "a", "b", env.now).quality == "fresh"
         assert monitoring.estimate("b", "a", "b", env.now).quality == "fresh"
 

@@ -206,7 +206,7 @@ class TestTransfers:
         net.send(message)
         env.process(mover(env))
         env.run()
-        assert net.stats_for(None).forwarded == 1
+        assert net.stats_for(None).forwarded_messages == 1
         # Delivered at c's mailbox, not b's.
         assert len(net.hosts["c"].mailbox("d")) == 1
         assert len(net.hosts["b"].mailbox("d")) == 0

@@ -1,7 +1,7 @@
 """The traffic ledger: one counter row per query, each event counted once.
 
-``Network.query_stats`` and ``MonitoringSystem.query_stats`` hold one
-row per query tag, with ``None`` for untagged traffic.  Network-level
+``Network.query_stats`` holds one ``RunMetrics`` row per query tag, with
+``None`` for untagged traffic; the monitor counts into the same rows.  Network-level
 tests check every counting site against a hand count; the fleet-level
 test checks that the per-query rows partition the wire traffic the
 fleet sink's per-link view sees.
@@ -16,7 +16,7 @@ from repro.engine.config import Algorithm
 from repro.faults import FaultPlan, LinkLoss, LinkOutage, RetryPolicy
 from repro.faults.injector import FaultInjector
 from repro.net.message import Message, MessageKind
-from repro.net.network import NetworkStats
+from repro.obs.metrics import RunMetrics
 from repro.workload import ClosedLoop, QueryClass, WorkloadSpec
 from repro.workload.engine import WorkloadEngine
 from tests.net.test_network import build_network
@@ -30,7 +30,7 @@ def tagged(src, dst, query_id):
 
 def rows(net) -> dict:
     """The network's ledger rows, without the all-zero ones."""
-    zero = NetworkStats()
+    zero = RunMetrics()
     return {qid: row for qid, row in net.query_stats.items() if row != zero}
 
 
@@ -44,9 +44,9 @@ class TestNetworkLedger:
         net.post(tagged("s", "loc", "q2"))
         env.run()
         assert rows(net) == {
-            "q1": NetworkStats(transfers=1, bytes_on_wire=WIRE),
-            None: NetworkStats(transfers=1, bytes_on_wire=WIRE),
-            "q2": NetworkStats(local_deliveries=1),
+            "q1": RunMetrics(transfers=1, bytes_on_wire=WIRE),
+            None: RunMetrics(transfers=1, bytes_on_wire=WIRE),
+            "q2": RunMetrics(local_deliveries=1),
         }
 
     def test_local_delivery_counted_once(self, env):
@@ -55,7 +55,7 @@ class TestNetworkLedger:
         net.register_actor("d", "a")
         net.send(tagged("s", "d", "q"))
         env.run()
-        assert rows(net) == {"q": NetworkStats(local_deliveries=1)}
+        assert rows(net) == {"q": RunMetrics(local_deliveries=1)}
 
     def test_transfer_counted_once(self, env):
         net = build_network(env, rate=1000.0)
@@ -67,7 +67,7 @@ class TestNetworkLedger:
             net.post(tagged("s", "d", "q"))
         env.run()
         assert len(seen) == 3
-        assert rows(net) == {"q": NetworkStats(transfers=3, bytes_on_wire=3 * WIRE)}
+        assert rows(net) == {"q": RunMetrics(transfers=3, bytes_on_wire=3 * WIRE)}
 
     def test_forward_counted_once(self, env):
         net = build_network(env, rate=1000.0)
@@ -83,7 +83,9 @@ class TestNetworkLedger:
         env.run()
         # The hop to b and the forward b -> c are two transfers.
         assert rows(net) == {
-            "q": NetworkStats(transfers=2, forwarded=1, bytes_on_wire=2 * WIRE)
+            "q": RunMetrics(
+                transfers=2, forwarded_messages=1, bytes_on_wire=2 * WIRE
+            )
         }
 
     def test_drop_retransmit_abandon_counted_once(self, env):
@@ -101,10 +103,10 @@ class TestNetworkLedger:
         # Three attempts, all lost: two retransmissions, one abandonment.
         # The clean pair is counted in its own row, under the injector.
         assert rows(net) == {
-            "q1": NetworkStats(
+            "q1": RunMetrics(
                 dropped_bytes=3 * WIRE, retransmissions=2, abandoned_messages=1
             ),
-            "q2": NetworkStats(transfers=1, bytes_on_wire=WIRE),
+            "q2": RunMetrics(transfers=1, bytes_on_wire=WIRE),
         }
 
 
@@ -141,7 +143,7 @@ class TestFleetLedger:
             ),
         )
         result = WorkloadEngine(spec).run()
-        (network, monitoring), = substrates
+        (network, _monitoring), = substrates
 
         metrics = [q.metrics for q in result.queries]
         assert len(metrics) == 10
@@ -158,4 +160,3 @@ class TestFleetLedger:
         )
         # Every message of a workload run carries its query's tag.
         assert None not in network.query_stats
-        assert None not in monitoring.query_stats

@@ -8,6 +8,7 @@ paper-facing aggregates and the event stream cannot drift apart.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -15,9 +16,11 @@ import pytest
 from repro.engine.config import Algorithm
 from repro.engine.metrics import RunMetrics
 from repro.engine.simulation import run_simulation
+from repro.faults import reference_chaos_plan
 from repro.obs import Tracer, summarize_records, write_jsonl
 from repro.obs.summary import format_trace_summary
-from tests.conftest import tiny_spec
+from repro.traces import BandwidthTrace
+from tests.conftest import complete_links, tiny_spec
 
 
 def _assert_summaries_match(live: RunMetrics, replayed: RunMetrics) -> None:
@@ -43,6 +46,48 @@ def test_replay_matches_live_metrics(algorithm, tmp_path):
     assert replayed.relocation_events == live.relocation_events
 
 
+def _moving_spec(algorithm, chaos):
+    """Links touching h1 collapse at t=200, so the global algorithm
+    probes and relocates mid-run."""
+    hosts = [f"h{i}" for i in range(4)] + ["client"]
+    links = complete_links(hosts, rate=60 * 1024.0)
+    for key in list(links):
+        if "h1" in key:
+            links[key] = BandwidthTrace([0.0, 200.0], [80 * 1024.0, 0.5 * 1024.0])
+    spec = tiny_spec(
+        algorithm,
+        images=40,
+        link_traces=links,
+        relocation_period=60.0,
+        probe_before_planning=True,
+    )
+    if chaos:
+        spec = dataclasses.replace(
+            spec, faults=reference_chaos_plan(spec.all_hosts, seed=1)
+        )
+    return spec
+
+
+@pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+def test_replay_matches_every_field(algorithm, chaos):
+    """Every ``RunMetrics`` field replays, so a new counter without a
+    ``feed`` branch fails here.  ``kernel_events`` is set by the
+    simulation driver from the kernel, not counted from events."""
+    tracer = Tracer()
+    live = run_simulation(_moving_spec(algorithm, chaos), tracer=tracer)
+    replayed = RunMetrics.from_trace(tracer.events)
+    if algorithm is Algorithm.GLOBAL:
+        assert live.relocations and live.probes_sent
+    if chaos:
+        assert live.retransmissions and live.host_downtime_seconds
+    for field in dataclasses.fields(RunMetrics):
+        if field.name != "kernel_events":
+            assert getattr(replayed, field.name) == getattr(live, field.name), (
+                field.name
+            )
+
+
 def test_from_trace_accepts_records():
     tracer = Tracer()
     live = run_simulation(tiny_spec(algorithm=Algorithm.GLOBAL, images=4),
@@ -56,10 +101,10 @@ def test_trace_summary_consistent_with_metrics():
     live = run_simulation(tiny_spec(algorithm=Algorithm.GLOBAL, images=4),
                           tracer=tracer)
     summary = summarize_records(tracer.events)
-    assert len(summary.totals["arrival_times"]) == len(live.arrival_times)
+    assert len(summary.metrics.arrival_times) == len(live.arrival_times)
     assert summary.completion_time == live.completion_time
     assert len(summary.relocations) == live.relocations
-    assert summary.totals["barrier_stall_seconds"] == pytest.approx(
+    assert summary.metrics.barrier_stall_seconds == pytest.approx(
         live.barrier_stall_seconds
     )
     wire_bytes = sum(v[1] for v in summary.link_traffic.values())

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import repro.fleet  # noqa: F401  — registers the fleet-* planner family
 from repro.dataflow.cost import CostModel
 from repro.dataflow.tree import complete_binary_tree, left_deep_tree
 from repro.placement import planner_for

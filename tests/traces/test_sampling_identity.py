@@ -1,14 +1,15 @@
 """Vectorized/cached library sampling must replay the scalar draws exactly.
 
-``sample_many``/``sample_noon_segments`` batch the PCG64 index draws and
-``noon_segment_for`` caches each pair's noon segment; all three must be
+``sample_noon_segments`` batches the PCG64 index draws and
+``noon_segment_for`` caches each pair's noon segment; both must be
 indistinguishable (same rng stream consumption, same trace values) from
-the scalar, build-per-draw code they replaced.
+the scalar, build-per-draw reference in ``tests/oracles/library_draws.py``.
 """
 
 import numpy as np
 
 from repro.traces.study import InternetStudy, noon_segment
+from tests.oracles.library_draws import sample_noon_segment
 
 
 def _library():
@@ -16,18 +17,11 @@ def _library():
 
 
 class TestBatchedDrawIdentity:
-    def test_sample_many_matches_scalar_stream(self):
-        library = _library()
-        batched = library.sample_many(np.random.default_rng(5), 64)
-        rng = np.random.default_rng(5)
-        scalar = [library.sample(rng) for _ in range(64)]
-        assert [t.name for t in batched] == [t.name for t in scalar]
-
     def test_sample_noon_segments_matches_scalar_stream(self):
         library = _library()
         batched = library.sample_noon_segments(np.random.default_rng(9), 64)
         rng = np.random.default_rng(9)
-        scalar = [library.sample_noon_segment(rng) for _ in range(64)]
+        scalar = [sample_noon_segment(library, rng) for _ in range(64)]
         assert [id(t) for t in batched] == [id(t) for t in scalar]
 
     def test_generator_state_advances_identically(self):
@@ -38,7 +32,7 @@ class TestBatchedDrawIdentity:
         library.sample_noon_segments(rng_batch, 10)
         rng_scalar = np.random.default_rng(3)
         for _ in range(10):
-            library.sample_noon_segment(rng_scalar)
+            sample_noon_segment(library, rng_scalar)
         assert rng_batch.integers(1 << 30) == rng_scalar.integers(1 << 30)
 
 

@@ -12,6 +12,7 @@ from repro.traces.study import (
     pair_key,
 )
 from repro.traces.trace import BandwidthTrace, constant_trace
+from tests.oracles.library_draws import sample, sample_noon_segment
 
 
 class TestPairKey:
@@ -83,13 +84,13 @@ class TestTraceLibrary:
 
     def test_sample_deterministic(self):
         lib = self.library()
-        a = lib.sample(np.random.default_rng(5))
-        b = lib.sample(np.random.default_rng(5))
+        a = sample(lib, np.random.default_rng(5))
+        b = sample(lib, np.random.default_rng(5))
         assert a is b
 
     def test_sample_noon_segment_starts_at_zero(self):
         lib = self.library()
-        seg = lib.sample_noon_segment(np.random.default_rng(6))
+        seg = sample_noon_segment(lib, np.random.default_rng(6))
         assert seg.start == 0.0
         assert seg.duration > 12 * 3600
 
@@ -136,8 +137,8 @@ class TestSampleKeyCaching:
 
     def test_sample_deterministic_for_seed(self):
         library = InternetStudy(seed=5).run()
-        a = [library.sample(np.random.default_rng(3)).name for _ in range(5)]
-        b = [library.sample(np.random.default_rng(3)).name for _ in range(5)]
+        a = [sample(library, np.random.default_rng(3)).name for _ in range(5)]
+        b = [sample(library, np.random.default_rng(3)).name for _ in range(5)]
         assert a == b
 
     def test_sample_immune_to_later_mutation(self):
@@ -148,10 +149,10 @@ class TestSampleKeyCaching:
                 pair_key("ucla", "umd"): constant_trace(20),
             },
         )
-        before = [library.sample(np.random.default_rng(9)).name for _ in range(8)]
+        before = [sample(library, np.random.default_rng(9)).name for _ in range(8)]
         # A key sorting before the existing ones would previously have
         # shifted every subsequent draw; the frozen tuple keeps the
         # original draw order.
         library._traces[pair_key("rutgers", "ucla")] = constant_trace(30)
-        after = [library.sample(np.random.default_rng(9)).name for _ in range(8)]
+        after = [sample(library, np.random.default_rng(9)).name for _ in range(8)]
         assert before == after

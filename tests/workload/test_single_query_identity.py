@@ -3,9 +3,9 @@
 This is the refactor's load-bearing guarantee: the workload engine adds
 concurrency *around* the single-query machinery without perturbing it.
 Metrics must match field-for-field and the trace event stream must match
-record-for-record, modulo the ``query_id`` tag the workload adds (and
-modulo the process-global message ``uid`` counter, which both traces
-normalize to their own first uid).
+record-for-record, modulo the ``query_id`` tag and the ``run.meta``
+``query_class`` the workload adds (and modulo the process-global message
+``uid`` counter, which both traces normalize to their own first uid).
 """
 
 import pytest
@@ -19,13 +19,16 @@ from tests.conftest import tiny_spec
 
 
 def normalized_events(events):
-    """Events with query_id stripped and uids rebased to the run's first."""
+    """Events with query_id (and run.meta's query_class) stripped and
+    uids rebased to the run's first."""
     uids = [e["uid"] for e in events if "uid" in e]
     base = min(uids) if uids else 0
     out = []
     for event in events:
         event = dict(event)
         event.pop("query_id", None)
+        if event["type"] == "run.meta":
+            event.pop("query_class", None)
         if "uid" in event:
             event["uid"] -= base
         out.append(event)

@@ -30,7 +30,7 @@ from repro.workload import (
     merge_sinks,
     run_workload,
 )
-from repro.workload.sketch import exact_percentiles
+from tests.oracles.percentiles import exact_percentiles
 
 
 def public_methods(cls) -> set[str]:
@@ -399,3 +399,18 @@ class TestReplay:
         )
         fleet = self.replay_equals_live(spec)
         assert fleet["fleet"]["claims"] == 3
+
+    def test_one_query_replays_under_its_class(self):
+        """A lone query's ``run.meta`` names its class, so the replay
+        files it under ``gold``, not under its algorithm's name."""
+        spec = tiny_spec(
+            classes=(
+                QueryClass(
+                    name="gold", algorithm=Algorithm.ONE_SHOT, slo_target=5000.0
+                ),
+            ),
+            num_clients=1,
+            queries_per_client=1,
+        )
+        fleet = self.replay_equals_live(spec)
+        assert list(fleet["per_class"]) == ["gold"]

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from repro.workload.sketch import OrderFreeSum, QuantileSketch, exact_percentiles
+from repro.workload.sketch import OrderFreeSum, QuantileSketch
+from tests.oracles.percentiles import exact_percentiles
 
 
 def latencies(n, seed=7):
