@@ -71,10 +71,13 @@ class PlanningContext:
     therefore share one tree, one :class:`CostModel` (its ``arrays()``
     is built once) and, per planning stage, one search cache: the
     evaluator's placement states, move grids, cell arrays, candidate
-    move lists and link sets (see
-    :class:`~repro.placement.one_shot.OneShotPlanner`).  Every entry is
-    a pure function of its key and of no bandwidth, so sharing it
-    changes no result.
+    move lists and link sets, and one search memo entry per starting
+    placement (see :class:`~repro.placement.one_shot.OneShotPlanner`).
+    The structural entries are pure functions of their keys and of no
+    bandwidth; a memo entry is returned only for the floored view it
+    was searched under.  So sharing the cache changes no result, and a
+    query replanning from the same placement under the same view as
+    another query of its shape reuses that query's search.
 
     The ``"initial"`` searches all start from download-all and the
     ``"controller"`` replans walk around each running placement, so the

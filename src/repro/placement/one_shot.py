@@ -70,9 +70,12 @@ class OneShotPlanner:
     Each round's whole move grid is priced in one numpy pass
     (:class:`repro.dataflow.critical.BatchMoveEvaluator`).  ``plan``
     reads the estimator once per ordered host pair, so hand it a frozen
-    view (:meth:`repro.monitor.system.MonitoringSystem.snapshot`); a
-    call whose view and starting placement equal the previous call's
-    returns the previous result without searching again.
+    view (:meth:`repro.monitor.system.MonitoringSystem.snapshot`).  The
+    search cache keeps one memo entry per starting placement: the last
+    floored view searched from it and that search's result.  A call
+    from the same start under an equal view returns that result
+    without searching, whichever planner sharing the cache searched
+    it.
     """
 
     name = "one-shot"
@@ -103,15 +106,12 @@ class OneShotPlanner:
         #: Persistent evaluator cache shared across plan calls: the
         #: placement-independent move grids, each visited placement's
         #: bandwidth-independent state with its candidate move lists (see
-        #: :class:`repro.dataflow.critical.BatchMoveEvaluator`) and the
-        #: all-pairs link set of each host tuple.  Only planners with
-        #: this tree, cost model, host list and replicas may share it:
-        #: a state and its move lists are valid for those alone.
+        #: :class:`repro.dataflow.critical.BatchMoveEvaluator`), the
+        #: all-pairs link set of each host tuple and the search memo
+        #: (see :meth:`_search`).  Only planners with this tree, cost
+        #: model, host list and replicas may share it: a state, its move
+        #: lists and a memoized result are valid for those alone.
         self._grid_cache: dict = {} if grid_cache is None else grid_cache
-        #: One-entry memo of the search: ``(key, result)``.
-        #: Periodic replans often see the previous call's floored
-        #: snapshot and placement again; older keys never recur.
-        self._memo: "Optional[tuple[tuple, PlanResult]]" = None
 
     def plan(
         self,
@@ -153,17 +153,24 @@ class OneShotPlanner:
         The estimator is read once, into a floored bandwidth matrix.  The
         search is a pure function of that matrix, its host tuple and the
         starting placement in insertion order (which fixes the occupancy
-        accumulation order), so a one-entry memo on exactly that key
-        hands back the previous result when a replan sees an unchanged
-        view.
+        accumulation order), given what the search cache's sharing key
+        already fixes.  So the cache holds one memo slot per (planner
+        name, host tuple, start), storing the last matrix searched from
+        there and its result: replans of a fleet's queries of one shape
+        see the same floored view at the same instants, and the second
+        one hands back the first's result.  The name stays in the slot
+        because one-shot and global planners may share a cache, and
+        ``PlanResult.algorithm`` differs between them.
         """
         hosts = evaluator_hosts(self.hosts, initial)
         bandwidth = bandwidth_matrix(
             hosts, estimator, self.cost_model.min_bandwidth
         )
-        key = (hosts, bandwidth.tobytes(), tuple(initial.assignment.items()))
-        if self._memo is not None and self._memo[0] == key:
-            return self._memo[1]
+        view = bandwidth.tobytes()
+        slot = (PlanResult, self.name, hosts, tuple(initial.assignment.items()))
+        memo = self._grid_cache.get(slot)
+        if memo is not None and memo[0] == view:
+            return memo[1]
         evaluator = BatchMoveEvaluator(
             self.tree,
             initial,
@@ -200,7 +207,7 @@ class OneShotPlanner:
             algorithm=self.name,
             start_cost=start_cost,
         )
-        self._memo = (key, result)
+        self._grid_cache[slot] = (view, result)
         return result
 
     def _state_moves(

@@ -72,10 +72,6 @@ class Environment:
         heappush(self._queue, (self._now + delay, priority, self._eid, event))
         self._eid += 1
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
-
     def step(self) -> None:
         """Process the next event on the calendar."""
         try:

@@ -70,11 +70,6 @@ class Resource:
         """Number of slots currently held."""
         return len(self._users)
 
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._queue)
-
     # -- protocol -----------------------------------------------------------
     def request(self) -> Request:
         """Claim a slot; the returned event fires when the slot is granted."""

@@ -1,4 +1,4 @@
-"""Call-count guard for per-run planning.
+"""Call-count guards for per-run planning.
 
 A run's queries of one shape share their tree and cost model, so
 ``CostModelArrays`` is built once per shape, not once per query; and
@@ -7,10 +7,20 @@ global controller's replans) share one search cache exactly when their
 tree, cost model, host list and replicas agree.  Counting on a
 small mixed fleet catches a change that builds either per query again,
 or that lets planners of different replicas share a cache.
+
+The cache's search memo makes a fleet's searches countable exactly: a
+plan call searches (builds one ``BatchMoveEvaluator``) only when its
+floored view differs from the last one searched from its start.
 """
 
 from repro.dataflow.cost import CostModelArrays
+from repro.dataflow.critical import (
+    BatchMoveEvaluator,
+    bandwidth_matrix,
+    evaluator_hosts,
+)
 from repro.engine.config import Algorithm
+from repro.fleet import FleetPolicy
 from repro.placement import OneShotPlanner
 from repro.workload import ClosedLoop, QueryClass, WorkloadSpec, run_workload
 
@@ -89,3 +99,67 @@ def test_cost_model_arrays_built_once_per_shape(monkeypatch):
     assert all(len(shapes) == 1 for shapes in by_cache.values())
     assert all(len(caches) == 1 for caches in by_shape.values())
     assert len(by_cache) < len(result.queries)
+
+
+#: Plan calls of the replanning fleet below, and the evaluators its
+#: searches built when each planner memoized only its own last call.
+REPLAN_FLEET_CALLS = 139
+ONE_ENTRY_MEMO_BUILDS = 139
+
+
+def test_replan_fleet_searches_once_per_new_view(monkeypatch):
+    """A search per (start, view) change, not one per query replanning."""
+    built = []
+    original_evaluator = BatchMoveEvaluator.__init__
+
+    def evaluator_init(self, *args, **kwargs):
+        built.append(1)
+        original_evaluator(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchMoveEvaluator, "__init__", evaluator_init)
+    calls = []
+    last_view: dict[tuple, bytes] = {}
+    original_search = OneShotPlanner._search
+
+    def search(self, estimator, initial):
+        hosts = evaluator_hosts(self.hosts, initial)
+        view = bandwidth_matrix(
+            hosts, estimator, self.cost_model.min_bandwidth
+        ).tobytes()
+        slot = (
+            id(self._grid_cache),
+            self.name,
+            hosts,
+            tuple(initial.assignment.items()),
+        )
+        calls.append(last_view.get(slot) != view)
+        last_view[slot] = view
+        return original_search(self, estimator, initial)
+
+    monkeypatch.setattr(OneShotPlanner, "_search", search)
+    result = run_workload(
+        WorkloadSpec(
+            classes=(
+                QueryClass(
+                    name="global",
+                    algorithm=Algorithm.GLOBAL,
+                    overrides={"relocation_period": 30.0},
+                ),
+            ),
+            num_clients=4,
+            queries_per_client=1,
+            arrivals=ClosedLoop(),
+            seed=1998,
+            num_servers=4,
+            images_per_server=12,
+            config_index=0,
+            fleet=FleetPolicy(
+                mode="coordinated", link_tokens=1.0, token_refill_seconds=600.0
+            ),
+        )
+    )
+    assert result.fleet["completed"] == 4
+    assert len(calls) == REPLAN_FLEET_CALLS
+    assert len(built) == sum(calls)
+    # 72 builds: the queries' replans share each other's searches.
+    assert len(built) == 72 < ONE_ENTRY_MEMO_BUILDS

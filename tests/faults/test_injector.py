@@ -17,6 +17,7 @@ from repro.obs.events import (
     FAULT_LINK_DOWN,
     FAULT_LINK_UP,
 )
+from repro.sim import SimulationError
 
 
 def make_plan(**kwargs):
@@ -169,4 +170,5 @@ class TestTimeline:
         plan = FaultPlan(link_loss=(LinkLoss("a", "b", 0.1),))
         injector = FaultInjector(plan, env)
         injector.start()
-        assert env.peek() == float("inf")  # empty calendar
+        with pytest.raises(SimulationError):  # empty calendar
+            env.step()

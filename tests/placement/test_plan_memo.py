@@ -1,4 +1,5 @@
-"""The vectorized planner's one-entry memo on (hosts, snapshot, placement)."""
+"""The planner's search memo: one entry per (planner name, hosts, start)
+in the search cache, holding the last floored view searched from there."""
 
 import random
 
@@ -136,9 +137,9 @@ class TestMemoMisses:
         moved = start().with_move(op, "h1")
         second = planner.plan(estimator, moved)
         assert len(built) == 2
-        # The one entry now holds the moved start: the old one misses.
-        assert planner.plan(estimator, start()) is not first
-        assert len(built) == 3
+        # Each start keeps its own entry: a return to the first one hits.
+        assert planner.plan(estimator, start()) is first
+        assert len(built) == 2
         assert second == fresh(estimator, moved)
 
     def test_host_set_change_misses(self, monkeypatch):
@@ -153,6 +154,84 @@ class TestMemoMisses:
         result = planner.plan(estimator, wider)
         assert len(built) == 2
         assert result == fresh(estimator, wider)
+
+
+class TestSharedMemo:
+    """Planners handed one search cache share its memo entries."""
+
+    def test_second_planner_reuses_first_search(self, monkeypatch):
+        built = count_searches(monkeypatch)
+        cache: dict = {}
+        cm = model()
+        a = GlobalPlanner(TREE, HOSTS, cm, grid_cache=cache)
+        b = GlobalPlanner(TREE, HOSTS, cm, grid_cache=cache)
+        first = a.plan(table_estimator(8), start())
+        second = b.plan(table_estimator(8), start())
+        assert len(built) == 1
+        assert second is first
+        assert second == GlobalPlanner(TREE, HOSTS, model()).plan(
+            table_estimator(8), start()
+        )
+
+    def test_shared_hit_equals_cold_search(self, monkeypatch):
+        cache: dict = {}
+        cm = model()
+        estimator = table_estimator(9)
+        OneShotPlanner(TREE, HOSTS, cm, grid_cache=cache).plan(estimator, start())
+        built = count_searches(monkeypatch)
+        hit = OneShotPlanner(TREE, HOSTS, cm, grid_cache=cache).plan(
+            estimator, start()
+        )
+        assert not built
+        assert hit == fresh(estimator, start())
+
+    def test_planner_names_never_serve_each_other(self, monkeypatch):
+        built = count_searches(monkeypatch)
+        cache: dict = {}
+        cm = model()
+        estimator = table_estimator(10)
+        one_shot = OneShotPlanner(TREE, HOSTS, cm, grid_cache=cache)
+        global_ = GlobalPlanner(TREE, HOSTS, cm, grid_cache=cache)
+        for _ in range(2):
+            assert one_shot.plan(estimator, start()).algorithm == "one-shot"
+            assert global_.plan(estimator, start()).algorithm == "global"
+        # One search per name; the repeats hit their own name's entry.
+        assert len(built) == 2
+
+    def test_changed_view_misses_and_replaces_the_entry(self, monkeypatch):
+        built = count_searches(monkeypatch)
+        cache: dict = {}
+        cm = model()
+        a = OneShotPlanner(TREE, HOSTS, cm, grid_cache=cache)
+        b = OneShotPlanner(TREE, HOSTS, cm, grid_cache=cache)
+        estimator = table_estimator(11)
+        first = a.plan(estimator, start())
+        estimator.table[("client", "h1")] *= 3.0
+        second = b.plan(estimator, start())
+        assert len(built) == 2
+        assert second is not first
+        # The entry now holds the changed view: it hits for either
+        # planner, and the first view no longer does.
+        assert a.plan(estimator, start()) is second
+        assert len(built) == 2
+        assert second == fresh(estimator, start())
+        estimator.table[("client", "h1")] /= 3.0
+        again = b.plan(estimator, start())
+        assert len(built) == 4
+        assert again is not first
+        assert again == first
+
+    def test_planners_on_different_caches_share_nothing(self, monkeypatch):
+        built = count_searches(monkeypatch)
+        cm = model()
+        estimator = table_estimator(12)
+        a = OneShotPlanner(TREE, HOSTS, cm, grid_cache={})
+        b = OneShotPlanner(TREE, HOSTS, cm, grid_cache={})
+        first = a.plan(estimator, start())
+        second = b.plan(estimator, start())
+        assert len(built) == 2
+        assert second is not first
+        assert second == first
 
 
 def monitored_network(env, tracer):

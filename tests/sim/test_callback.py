@@ -117,7 +117,8 @@ class TestTryAcquire:
         hold = disk.try_acquire()
         assert hold is not None and hold.granted
         assert disk.count == 1
-        assert env.peek() == float("inf")  # nothing on the calendar
+        with pytest.raises(SimulationError):  # nothing on the calendar
+            env.step()
 
     def test_none_when_full(self, env):
         disk = Resource(env, capacity=1)

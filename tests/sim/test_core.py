@@ -55,7 +55,8 @@ class TestEnvironmentRun:
         env.process(proc(env))
         env.run()
         assert done == [3]
-        assert env.peek() == float("inf")
+        with pytest.raises(SimulationError):  # the calendar is drained
+            env.step()
 
     def test_step_with_empty_calendar_raises(self, env):
         with pytest.raises(SimulationError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment
+from repro.sim import AllOf, AnyOf, Environment, SimulationError
 
 
 class TestNestedConditions:
@@ -66,7 +66,9 @@ class TestRunSemantics:
         assert env.run() == "early"
         assert env.now == 3
 
-    def test_peek(self, env):
-        assert env.peek() == float("inf")
+    def test_step_advances_to_the_next_event(self, env):
+        with pytest.raises(SimulationError):
+            env.step()
         env.timeout(7)
-        assert env.peek() == 7
+        env.step()
+        assert env.now == 7

@@ -49,18 +49,14 @@ class TestResource:
         assert log == [(0.0, "a"), (0.0, "b"), (10.0, "c")]
 
     def test_count_and_queue_length(self, env):
+        # A queued request is one not yet triggered.
         res = Resource(env)
-        observed = []
-
-        def observer(env):
-            yield env.timeout(0.5)
-            observed.append((res.count, res.queue_length))
-
-        env.process(hold(env, res, [], "a", 5))
-        env.process(hold(env, res, [], "b", 5))
-        env.process(observer(env))
-        env.run()
-        assert observed == [(1, 1)]
+        requests = [res.request() for _ in range(3)]
+        assert res.count == 1
+        assert [r.triggered for r in requests] == [True, False, False]
+        res.release(requests[0])
+        assert res.count == 1
+        assert [r.triggered for r in requests[1:]] == [True, False]
 
     def test_release_without_grant_is_noop(self, env):
         res = Resource(env)
