@@ -26,7 +26,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.dataflow.placement import Placement
 from repro.dataflow.tree import CombinationTree
 
 #: ``estimator(host_a, host_b) -> bytes/second`` — monitoring's view.
@@ -223,20 +222,6 @@ class CostModel:
                 )
             return self.sizes[node_id] * self.compute_seconds_per_byte
         return 0.0
-
-    def edge_seconds(
-        self, child: str, placement: Placement, estimator: BandwidthEstimator
-    ) -> float:
-        """Per-partition cost of shipping ``child``'s output to its parent."""
-        node = self.tree.node(child)
-        if node.parent is None:
-            return 0.0
-        child_host = placement.host_of(child)
-        parent_host = placement.host_of(node.parent)
-        if child_host == parent_host:
-            return 0.0
-        bandwidth = max(estimator(child_host, parent_host), self.min_bandwidth)
-        return self.startup_cost + self.sizes[child] / bandwidth
 
 
 class CostModelArrays:

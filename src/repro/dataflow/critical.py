@@ -58,78 +58,41 @@ class CriticalPath:
         return node_id in self.nodes
 
 
-def host_occupancy(
-    tree: CombinationTree,
-    placement: Placement,
-    cost_model: CostModel,
-    estimator: BandwidthEstimator,
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Per-edge transfer times and per-host per-partition occupancy.
-
-    Returns ``(edge_seconds, occupancy)``: ``edge_seconds[child]`` is the
-    transfer time of the edge above ``child`` (0 if co-located);
-    ``occupancy[host]`` is the host's per-partition busy time — NIC
-    (every adjacent remote transfer), CPU (compositions placed there) and
-    disk (server reads).
-    """
-    assignment = placement.assignment
-    node_seconds = cost_model.node_seconds
-    startup = cost_model.startup_cost
-    min_bw = cost_model.min_bandwidth
-    edge_seconds: dict[str, float] = {}
-    occupancy: dict[str, float] = {}
-
-    for node_id, host in assignment.items():
-        occupancy[host] = occupancy.get(host, 0.0) + node_seconds(node_id)
-    for child, parent, size in cost_model.edges:
-        child_host = assignment[child]
-        parent_host = assignment[parent]
-        if child_host == parent_host:
-            edge_seconds[child] = 0.0
-            continue
-        bandwidth = estimator(child_host, parent_host)
-        if bandwidth < min_bw:
-            bandwidth = min_bw
-        seconds = startup + size / bandwidth
-        edge_seconds[child] = seconds
-        occupancy[child_host] += seconds
-        occupancy[parent_host] += seconds
-    return edge_seconds, occupancy
-
-
 def critical_path(
     tree: CombinationTree,
     placement: Placement,
     cost_model: CostModel,
     estimator: BandwidthEstimator,
+    hosts: Sequence[str] = (),
+    grid_cache: "Optional[dict]" = None,
 ) -> CriticalPath:
     """Compute the critical path exactly (all server-to-client paths).
 
-    Ties break toward the first path in server order, so the result is
-    deterministic.
+    Reads the estimator once per cross-host edge, in ``cost_model.edges``
+    order, and floors each read at ``min_bandwidth``; ties break toward
+    the first path in server order, so the result is deterministic.  The
+    price is :func:`_critical_reduction` over the placement's
+    :class:`_PlacementState`: a planner passes its host tuple and search
+    cache (``grid_cache``) to reuse the states its searches built;
+    without a cache the state is built for this call.
     """
-    edge_seconds, occupancy = host_occupancy(
-        tree, placement, cost_model, estimator
-    )
-    assignment = placement.assignment
-    node_seconds = cost_model.node_seconds
-    best_nodes: tuple[str, ...] = ()
-    best_cost = float("-inf")
-    for path in cost_model.server_paths:
-        latency = 0.0
-        bottleneck = 0.0
-        for node_id in path:
-            latency += node_seconds(node_id)
-            host_occ = occupancy[assignment[node_id]]
-            if host_occ > bottleneck:
-                bottleneck = host_occ
-        for node_id in path[:-1]:
-            latency += edge_seconds[node_id]
-        cost = latency if latency > bottleneck else bottleneck
-        if cost > best_cost:
-            best_cost = cost
-            best_nodes = path
-    return CriticalPath(nodes=best_nodes, cost=best_cost)
+    arrays = cost_model.arrays()
+    items = tuple(placement.assignment.items())
+    cache = {} if grid_cache is None else grid_cache
+    state = _load_state(cache, arrays, tuple(hosts), items)
+    universe = state.hosts
+    num_hosts = len(universe)
+    min_bw = cost_model.min_bandwidth
+    cross = np.flatnonzero(state.edge_cross)
+    reads = []
+    for index in state.edge_bw_index[cross].tolist():
+        value = estimator(universe[index // num_hosts], universe[index % num_hosts])
+        reads.append(min_bw if value < min_bw else value)
+    edge_slots = np.zeros(len(arrays.node_ids) + 1)
+    seconds = arrays.edge_size[cross] / np.array(reads, dtype=float)
+    edge_slots[arrays.edge_child[cross]] = cost_model.startup_cost + seconds
+    __, __, best, cost = _critical_reduction(arrays, state, edge_slots)
+    return CriticalPath(nodes=cost_model.server_paths[best], cost=cost)
 
 
 def placement_cost(
@@ -310,8 +273,9 @@ class _PlacementState:
         num_hosts = len(universe)
 
         # The placement as an int array, plus the scalar accumulation
-        # order: ``host_occupancy`` walks ``assignment.items()`` in dict
-        # insertion order, which ``Placement.with_move`` preserves.
+        # order: the oracle's ``host_occupancy`` walks
+        # ``assignment.items()`` in dict insertion order, which
+        # ``Placement.with_move`` preserves.
         assign = np.empty(len(arrays.node_ids), dtype=np.intp)
         order = np.empty(len(items), dtype=np.intp)
         for i, (node_id, host) in enumerate(items):
@@ -369,6 +333,63 @@ class _PlacementState:
         )
 
 
+def _load_state(
+    grid_cache: dict, arrays, hosts: tuple, items: tuple
+) -> _PlacementState:
+    """The cached state of ``items`` over ``hosts``, built on a miss."""
+    key = (_PlacementState, hosts, items)
+    state = grid_cache.get(key)
+    if state is None:
+        state = grid_cache[key] = _PlacementState.build(arrays, hosts, items)
+    return state
+
+
+def _critical_reduction(
+    arrays, state: _PlacementState, edge_slots: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray, int, float]":
+    """The critical path of one placement state, order-exact.
+
+    ``edge_slots`` holds each node's edge seconds (0.0 where co-located)
+    plus one always-zero slot that ``CostModelArrays.path_edge_rows``
+    aims at for absent edges.  Returns ``(occupancy, path edge sums,
+    critical path index, cost)``; the occupancy has one extra bin,
+    +0.0, for the path slots past each path's end.
+
+    Floating-point addition is not associative, so every accumulation
+    follows the path walk of the scalar oracle
+    (``tests/oracles/scalar_pricer.py``): occupancy is one in-order
+    scatter (``np.bincount`` adds its inputs in sequence) of node
+    seconds in assignment order, then child/parent interleaved per edge
+    in edge order; path sums are sequential depth loops, never pairwise
+    ``np.sum``.
+    """
+    occ = np.bincount(
+        state.occ_index,
+        weights=np.concatenate(
+            (state.occ_node_seconds, np.repeat(edge_slots[arrays.edge_child], 2))
+        ),
+        minlength=len(state.hosts) + 1,
+    )
+
+    # One depth loop for the edge sums and the latency.  The walk adds
+    # node seconds in path order first — bitwise equal to
+    # ``path_node_sums``, accumulated left-to-right from zero in the
+    # same order — then edge seconds in path order; the edge-sum
+    # accumulator adds the identical terms starting from zero.
+    esums = np.zeros(arrays.num_paths)
+    latency = arrays.path_node_sums.copy()
+    for term in edge_slots[arrays.path_edge_rows]:
+        esums = esums + term
+        latency = latency + term
+
+    # Bottleneck as an order-free max; the first index attaining the
+    # maximum wins, like the walk's strict-> running compare.
+    bottleneck = occ[state.path_hosts].max(axis=1)
+    costs = np.where(latency > bottleneck, latency, bottleneck)
+    best = int(np.argmax(costs))
+    return occ, esums, best, float(costs[best])
+
+
 class BatchMoveEvaluator:
     """Incremental placement-cost evaluation for single-operator moves.
 
@@ -384,11 +405,11 @@ class BatchMoveEvaluator:
     "scalar" reference, kept as a test oracle in
     ``tests/oracles/scalar_planner.py``).  Floating-point addition is
     not associative, so every accumulation replicates the scalar code's
-    exact addition order: per-path sums use sequential depth loops (never
-    pairwise ``np.sum``), occupancy uses ordered scatter-adds
-    (``np.bincount`` adds its inputs in sequence), and each grid
-    cell applies its occupancy bumps and per-path edge deltas in the
-    same eleven-step order as the reference ``cost_of_move``.  The no-op
+    exact addition order: the current placement's occupancy and path
+    sums come from :func:`_critical_reduction`, the kernel
+    :func:`critical_path` prices with too, and each grid cell applies
+    its occupancy bumps and per-path edge deltas in the same eleven-step
+    order as the reference ``cost_of_move``.  The no-op
     additions the uniform vector pipeline introduces (masked zero
     deltas, padded columns) only ever add ``+0.0`` to values that are
     not ``-0.0``, which is exact in IEEE-754.
@@ -434,8 +455,11 @@ class BatchMoveEvaluator:
         #: Cell-structure and placement-state cache; a planner may pass
         #: a persistent dict so both survive across plan calls.
         self._grid_cache: dict = {} if grid_cache is None else grid_cache
-        self._state = self._load_state(
-            tuple(hosts), tuple(placement.assignment.items())
+        self._state = _load_state(
+            self._grid_cache,
+            self.arrays,
+            tuple(hosts),
+            tuple(placement.assignment.items()),
         )
         self.hosts = self._state.hosts
         self.host_index = self._state.host_index
@@ -472,15 +496,6 @@ class BatchMoveEvaluator:
         self._set_all_edges()
         self._recompute_reductions()
 
-    def _load_state(self, hosts: tuple, items: tuple) -> _PlacementState:
-        """The cached state of ``items`` over ``hosts``, built on a miss."""
-        key = (_PlacementState, hosts, items)
-        state = self._grid_cache.get(key)
-        if state is None:
-            state = _PlacementState.build(self.arrays, hosts, items)
-            self._grid_cache[key] = state
-        return state
-
     # -- per-round state ----------------------------------------------------
     def _set_all_edges(self) -> None:
         arrays = self.arrays
@@ -508,53 +523,22 @@ class BatchMoveEvaluator:
 
         Occupancy and path sums are sequential scalar accumulations, so
         they cannot be patched incrementally without changing addition
-        order; they are rebuilt here with order-exact vector ops
-        (O(nodes + edges + paths), trivial next to the move grid).
+        order; :func:`_critical_reduction` rebuilds them with order-exact
+        vector ops (O(nodes + edges + paths), trivial next to the move
+        grid).
         """
         arrays = self.arrays
         state = self._state
-
-        # Occupancy: one in-order scatter of node seconds in assignment
-        # order, then child/parent interleaved per edge in edge order —
-        # the scalar sequence.  One extra bin stays +0.0 for the path
-        # slots past each path's end.
-        num_hosts = len(self.hosts)
-        occ = np.bincount(
-            state.occ_index,
-            weights=np.concatenate(
-                (
-                    state.occ_node_seconds,
-                    np.repeat(self.edge_seconds[arrays.edge_child], 2),
-                )
-            ),
-            minlength=num_hosts + 1,
+        occ, esums, best, cost = _critical_reduction(
+            arrays, state, self._edge_slots
         )
-        self._occ_masked = np.where(state.occupied, occ[:num_hosts], -np.inf)
-
-        # Per-path edge sums and critical-path latency, one sequential
-        # depth loop for both (pairwise np.sum would change the addition
-        # order).  The scalar walk adds node seconds in path order first
-        # — bitwise equal to ``path_node_sums``, which Python's
-        # ``sum()`` accumulated left-to-right from zero in the same
-        # order — then edge seconds in path order; the edge-sum
-        # accumulator adds the identical terms starting from zero.
-        esums = np.zeros(arrays.num_paths)
-        latency = arrays.path_node_sums.copy()
-        for term in self._edge_slots[arrays.path_edge_rows]:
-            esums = esums + term
-            latency = latency + term
+        self._occ_masked = np.where(state.occupied, occ[: len(self.hosts)], -np.inf)
         self.path_edge_sums = esums
         self.all_totals = arrays.path_node_sums + esums
-
-        # Bottleneck as an order-free max; first index attaining the
-        # maximum wins, like the strict-> running compare.
-        bottleneck = occ[state.path_hosts].max(axis=1)
-        costs = np.where(latency > bottleneck, latency, bottleneck)
-        best = int(np.argmax(costs))
         #: Index of the critical path in ``cost_model.server_paths``.
         self.critical_index = best
         self._critical = CriticalPath(
-            nodes=self.cost_model.server_paths[best], cost=float(costs[best])
+            nodes=self.cost_model.server_paths[best], cost=cost
         )
 
         # Per-node float snapshots that ``price_moves`` gathers per grid
@@ -800,7 +784,9 @@ class BatchMoveEvaluator:
             raise KeyError(host)
         items = list(self._state.items)
         items[self._state.position[node_id]] = (node_id, host)
-        self._state = self._load_state(self.hosts, tuple(items))
+        self._state = _load_state(
+            self._grid_cache, arrays, self.hosts, tuple(items)
+        )
         for child in (arrays.child1[node], arrays.child2[node]):
             if child >= 0:
                 self._set_edge(int(child))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dataflow.critical import placement_cost
 from repro.engine.actors import ClientActor
 from repro.engine.runtime import Runtime
 from repro.obs.events import (
@@ -180,12 +179,11 @@ class GlobalController:
         if result.placement == runtime.current_placement:
             return
         # Hysteresis: estimate jitter should not trigger change-overs.
-        current_cost = placement_cost(
-            runtime.tree,
-            runtime.current_placement,
-            self.planner.cost_model,
-            estimator,
-        )
+        # The search reports its start's price under ``estimator``; a
+        # fleet plan, which searched a residual view, reports none.
+        current_cost = result.start_cost
+        if current_cost is None:
+            current_cost = self.planner.price(estimator, runtime.current_placement)
         if result.cost > current_cost * (1.0 - REPLAN_THRESHOLD):
             return
 
@@ -199,15 +197,8 @@ class GlobalController:
             if runtime.finished:
                 return
             validated = runtime.snapshot_estimator(client_host)
-            new_cost = placement_cost(
-                runtime.tree, result.placement, self.planner.cost_model, validated
-            )
-            current_cost = placement_cost(
-                runtime.tree,
-                runtime.current_placement,
-                self.planner.cost_model,
-                validated,
-            )
+            new_cost = self.planner.price(validated, result.placement)
+            current_cost = self.planner.price(validated, runtime.current_placement)
             if new_cost > current_cost * (1.0 - REPLAN_THRESHOLD):
                 return
         yield from self._install(result.placement)

@@ -28,10 +28,9 @@ from repro.dataflow.cost import BandwidthEstimator, CostModel
 from repro.dataflow.critical import (
     BatchMoveEvaluator,
     bandwidth_matrix,
+    critical_path,
     evaluator_hosts,
 )
-# Not called here: bench/drive.py's seam table wraps it under this name.
-from repro.dataflow.critical import critical_path  # noqa: F401
 from repro.dataflow.placement import Placement
 from repro.dataflow.tree import CombinationTree
 from repro.obs.events import PLANNER_SEARCH
@@ -140,6 +139,13 @@ class OneShotPlanner:
                 cost=result.cost,
             )
         return result
+
+    def price(self, estimator: BandwidthEstimator, placement: Placement) -> float:
+        """Critical-path cost of ``placement``, over the search cache's state."""
+        hosts = evaluator_hosts(self.hosts, placement)
+        return critical_path(
+            self.tree, placement, self.cost_model, estimator, hosts, self._grid_cache
+        ).cost
 
     def _search(
         self, estimator: BandwidthEstimator, initial: Placement

@@ -13,10 +13,12 @@ import random
 import pytest
 
 from repro.dataflow.cost import CostModel, RecordingEstimator
-from repro.dataflow.critical import BatchMoveEvaluator, critical_path
+from repro.dataflow import critical
+from repro.dataflow.critical import BatchMoveEvaluator
 from repro.dataflow.placement import Placement
 from repro.dataflow.tree import complete_binary_tree, left_deep_tree
 from tests.oracles.scalar_planner import SingleMoveEvaluator
+from tests.oracles.scalar_pricer import critical_path
 
 
 def random_case(rng):
@@ -73,12 +75,39 @@ def all_moves(tree, hosts):
 class TestBitIdentity:
     @pytest.mark.parametrize("seed", range(25))
     def test_critical_path_matches_scalar(self, seed):
+        # Three sides: the scalar oracle, the kernel (``critical_path``,
+        # with and without a host universe wider than the placement) and
+        # the evaluator.  About a third of the links read below the
+        # ``min_bandwidth`` floor.
         rng = random.Random(seed)
-        tree, hosts, model, placement, estimator = random_case(rng)
-        scalar = critical_path(tree, placement, model, estimator)
-        batch = BatchMoveEvaluator(tree, placement, model, estimator, hosts)
-        assert batch.critical_path().cost == scalar.cost
-        assert batch.critical_path().nodes == scalar.nodes
+        tree, hosts, model, placement, drawn = random_case(rng)
+        starved = {}
+
+        def estimator(a, b):
+            if (a, b) not in starved:
+                starved[(a, b)] = rng.random() < 0.3
+            return drawn(a, b) * (1e-7 if starved[(a, b)] else 1.0)
+
+        wide = hosts + ["spare"]
+        oracle = RecordingEstimator(estimator)
+        scalar = critical_path(tree, placement, model, oracle)
+        sides = []
+        for universe, cache in (((), None), (wide, {})):
+            recorder = RecordingEstimator(estimator)
+            sides.append(
+                (
+                    critical.critical_path(
+                        tree, placement, model, recorder, universe, cache
+                    ),
+                    recorder.queried,
+                )
+            )
+        batch = BatchMoveEvaluator(tree, placement, model, estimator, wide)
+        sides.append((batch.critical_path(), batch.links_queried()))
+        for path, links in sides:
+            assert path.cost == scalar.cost
+            assert path.nodes == scalar.nodes
+            assert links == oracle.queried
 
     @pytest.mark.parametrize("seed", range(25))
     def test_round_winner_matches_scalar(self, seed):

@@ -12,11 +12,11 @@ from repro.dataflow.cost import (
     clark_max,
     expected_output_sizes,
 )
+from repro.dataflow.critical import placement_cost
 from repro.dataflow.placement import Placement
 from repro.dataflow.tree import complete_binary_tree, left_deep_tree
 
 TREE = complete_binary_tree(4)
-SERVER_HOSTS = {f"s{i}": f"h{i}" for i in range(4)}
 
 
 def flat_estimator(rate):
@@ -93,23 +93,40 @@ class TestCostModel:
         assert model.node_seconds("op0") == pytest.approx(1.0)  # compose
         assert model.node_seconds("client") == 0.0
 
+    # The edge rule, through the critical-path kernel: with free nodes,
+    # a placement whose only cross-host edge is s0@h0 -> op0@client
+    # costs exactly that edge.
+    def edge_model(self):
+        sizes = {node.node_id: 1000.0 for node in TREE.nodes()}
+        return CostModel(
+            TREE,
+            sizes,
+            startup_cost=0.05,
+            compute_seconds_per_byte=0.0,
+            disk_rate=math.inf,
+        )
+
+    def one_edge(self):
+        assignment = {node.node_id: "client" for node in TREE.nodes()}
+        assignment["s0"] = "h0"
+        return Placement(assignment)
+
     def test_edge_seconds_colocated_is_free(self):
-        model = self.model()
-        placement = Placement.all_at_client(TREE, SERVER_HOSTS, "client")
-        # op0 and its parent op2 are both at the client.
-        assert model.edge_seconds("op0", placement, flat_estimator(100)) == 0.0
+        placement = Placement({node.node_id: "client" for node in TREE.nodes()})
+        cost = placement_cost(TREE, placement, self.edge_model(), flat_estimator(100))
+        assert cost == 0.0
 
     def test_edge_seconds_remote(self):
-        model = self.model()
-        placement = Placement.all_at_client(TREE, SERVER_HOSTS, "client")
-        # s0@h0 -> op0@client: startup + 1000/100.
-        cost = model.edge_seconds("s0", placement, flat_estimator(100.0))
+        # startup + 1000/100.
+        cost = placement_cost(
+            TREE, self.one_edge(), self.edge_model(), flat_estimator(100.0)
+        )
         assert cost == pytest.approx(0.05 + 10.0)
 
     def test_min_bandwidth_floor(self):
-        model = self.model()
-        placement = Placement.all_at_client(TREE, SERVER_HOSTS, "client")
-        cost = model.edge_seconds("s0", placement, flat_estimator(1e-9))
+        cost = placement_cost(
+            TREE, self.one_edge(), self.edge_model(), flat_estimator(1e-9)
+        )
         assert cost == pytest.approx(0.05 + 1000.0)  # floored at 1 B/s
 
     def test_precomputed_paths_cover_all_servers(self):

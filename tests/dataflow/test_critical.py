@@ -1,18 +1,15 @@
-"""Critical-path computation and the scalar single-move evaluator."""
+"""Critical-path computation, the scalar oracle's occupancy and the scalar
+single-move evaluator."""
 
 import numpy as np
 import pytest
 
 from repro.dataflow.cost import CostModel
-from repro.dataflow.critical import (
-    CriticalPath,
-    critical_path,
-    host_occupancy,
-    placement_cost,
-)
+from repro.dataflow.critical import CriticalPath, critical_path, placement_cost
 from repro.dataflow.placement import Placement
 from repro.dataflow.tree import complete_binary_tree
 from tests.oracles.scalar_planner import SingleMoveEvaluator
+from tests.oracles.scalar_pricer import host_occupancy
 
 TREE = complete_binary_tree(4)
 SERVER_HOSTS = {f"s{i}": f"h{i}" for i in range(4)}

@@ -10,12 +10,15 @@ or that lets planners of different replicas share a cache.
 
 The cache's search memo makes a fleet's searches countable exactly: a
 plan call searches (builds one ``BatchMoveEvaluator``) only when its
-floored view differs from the last one searched from its start.
+floored view differs from the last one searched from its start.  The
+controller prices its hysteresis and validation checks over the same
+cache, so it builds no placement state the searches did not.
 """
 
 from repro.dataflow.cost import CostModelArrays
 from repro.dataflow.critical import (
     BatchMoveEvaluator,
+    _PlacementState,
     bandwidth_matrix,
     evaluator_hosts,
 )
@@ -105,6 +108,8 @@ def test_cost_model_arrays_built_once_per_shape(monkeypatch):
 #: searches built when each planner memoized only its own last call.
 REPLAN_FLEET_CALLS = 139
 ONE_ENTRY_MEMO_BUILDS = 139
+#: Placement states the fleet's searches build across both stages' caches.
+REPLAN_FLEET_STATES = 9
 
 
 def test_replan_fleet_searches_once_per_new_view(monkeypatch):
@@ -117,6 +122,14 @@ def test_replan_fleet_searches_once_per_new_view(monkeypatch):
         original_evaluator(self, *args, **kwargs)
 
     monkeypatch.setattr(BatchMoveEvaluator, "__init__", evaluator_init)
+    states = []
+    original_build = _PlacementState.build.__func__
+
+    def build(cls, arrays, hosts, items):
+        states.append(items)
+        return original_build(cls, arrays, hosts, items)
+
+    monkeypatch.setattr(_PlacementState, "build", classmethod(build))
     calls = []
     last_view: dict[tuple, bytes] = {}
     original_search = OneShotPlanner._search
@@ -163,3 +176,4 @@ def test_replan_fleet_searches_once_per_new_view(monkeypatch):
     assert len(built) == sum(calls)
     # 72 builds: the queries' replans share each other's searches.
     assert len(built) == 72 < ONE_ENTRY_MEMO_BUILDS
+    assert len(states) == REPLAN_FLEET_STATES

@@ -209,7 +209,7 @@ class TestCounters:
 def test_denied_plan_costs_the_initial_placement_exactly(monkeypatch):
     """A denied plan reports the search's start cost, which must equal
     the scalar price of ``initial`` under the same residual view."""
-    from repro.dataflow.critical import placement_cost
+    from tests.oracles.scalar_pricer import critical_path
     from repro.fleet.coordinator import FleetCoordinator
     from repro.fleet.planner import FleetPlanner
 
@@ -233,9 +233,9 @@ def test_denied_plan_costs_the_initial_placement_exactly(monkeypatch):
         if any(denials):
             (residual,) = residuals
             assert result.placement == initial
-            assert result.cost == placement_cost(
+            assert result.cost == critical_path(
                 self.inner.tree, initial, self.inner.cost_model, residual
-            )
+            ).cost
             checked.append(result.cost)
         return result
 

