@@ -22,7 +22,7 @@ approximation of ``max`` of normals — with the paper's Normal(128 KB,
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -30,6 +30,61 @@ from repro.dataflow.tree import CombinationTree
 
 #: ``estimator(host_a, host_b) -> bytes/second`` — monitoring's view.
 BandwidthEstimator = Callable[[str, str], float]
+
+
+class FrozenView:
+    """One reading of every pair of a host set: a pure estimator.
+
+    Holds the sorted host tuple ``hosts``, the host -> row map ``index``
+    and one list row per host, ``rows[i][j]`` the bandwidth from
+    ``hosts[i]`` to ``hosts[j]`` (``inf`` on the diagonal).  Calling the
+    view answers either direction with two dict lookups; a host outside
+    the set raises ``KeyError`` unless both ends are that host.
+    Planners evaluate thousands of candidate placements, so they plan
+    from such a view rather than from the live monitor, and
+    :func:`~repro.dataflow.critical.bandwidth_matrix` reads its rows in
+    one array build.  A view is never mutated: derived views (the fleet
+    coordinator's residual) copy the rows they change.
+    """
+
+    __slots__ = ("hosts", "index", "rows")
+
+    def __init__(
+        self,
+        hosts: "tuple[str, ...]",
+        index: "dict[str, int]",
+        rows: "list[list[float]]",
+    ) -> None:
+        self.hosts = hosts
+        self.index = index
+        self.rows = rows
+
+    def __call__(self, a: str, b: str) -> float:
+        index = self.index
+        try:
+            return self.rows[index[a]][index[b]]
+        except KeyError:
+            if a == b:
+                return math.inf
+            raise
+
+
+def frozen_estimator(
+    hosts: Iterable[str], read: Callable[[str, str], float]
+) -> FrozenView:
+    """A :class:`FrozenView` over one reading of every pair of ``hosts``.
+
+    ``read`` is called once per canonical pair ``(a, b)`` with ``a < b``,
+    in sorted host order; the view answers both directions with it.
+    """
+    ordered = tuple(sorted(hosts))
+    count = len(ordered)
+    rows = [[math.inf] * count for _ in ordered]
+    for i, a in enumerate(ordered):
+        row = rows[i]
+        for j in range(i + 1, count):
+            row[j] = rows[j][i] = read(a, ordered[j])
+    return FrozenView(ordered, {host: i for i, host in enumerate(ordered)}, rows)
 
 
 def _phi(x: float) -> float:

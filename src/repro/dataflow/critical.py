@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.dataflow.cost import BandwidthEstimator, CostModel
+from repro.dataflow.cost import BandwidthEstimator, CostModel, FrozenView
 from repro.dataflow.placement import Placement
 from repro.dataflow.tree import CombinationTree
 
@@ -117,8 +117,25 @@ def bandwidth_matrix(
     scalar code.
 
     Direction matters for asymmetric estimators; the diagonal is never
-    read unmasked and holds ``inf`` so it stays division-safe.
+    read unmasked and holds ``inf`` so it stays division-safe.  A
+    :class:`~repro.dataflow.cost.FrozenView` over ``hosts`` (or over a
+    superset of them, whose rows and columns are then gathered) becomes
+    the matrix in one array build and one floor; any other estimator is
+    called once per ordered pair.
     """
+    if isinstance(estimator, FrozenView):
+        rows = estimator.rows
+        if hosts != estimator.hosts:
+            index = estimator.index
+            picks = [index.get(host) for host in hosts]
+            # A host outside the view falls through to the pair loop,
+            # which fails (or not) exactly as a pair read would.
+            rows = (
+                [] if None in picks else [[rows[i][j] for j in picks] for i in picks]
+            )
+        if rows:
+            matrix = np.array(rows, dtype=float)
+            return np.maximum(matrix, min_bandwidth, out=matrix)
     values = []
     append = values.append
     for i, a in enumerate(hosts):

@@ -31,6 +31,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from repro.dataflow.cost import FrozenView
 from repro.dataflow.placement import Placement
 from repro.dataflow.tree import CombinationTree
 from repro.obs import events as ev
@@ -157,6 +158,26 @@ class _ActiveQuery:
         return self._links
 
 
+def _residual_view(
+    raw: FrozenView, claims: "dict[tuple[str, str], int]"
+) -> FrozenView:
+    """``raw`` with each claimed link between two of its hosts divided
+    by ``1 + claims``, in both directions."""
+    index = raw.index
+    source = raw.rows
+    rows = None
+    for (a, b), others in claims.items():
+        i = index.get(a)
+        j = index.get(b)
+        if i is None or j is None:
+            continue
+        if rows is None:
+            rows = [row[:] for row in source]
+        rows[i][j] = source[i][j] / (1 + others)
+        rows[j][i] = source[j][i] / (1 + others)
+    return raw if rows is None else FrozenView(raw.hosts, index, rows)
+
+
 def _shared_network(active: "dict[str, _ActiveQuery]"):
     """The one network every active query runs on, or None.
 
@@ -279,10 +300,6 @@ class FleetCoordinator:
                 claims[link] = claims.get(link, 0) + 1
         return claims
 
-    def link_claims(self) -> "dict[tuple[str, str], int]":
-        """How many active queries currently use each canonical link."""
-        return dict(self._claims())
-
     def residual_estimator(self, query_id: str, raw) -> Callable[[str, str], float]:
         """Wrap a bandwidth estimator with the contention-adjusted view.
 
@@ -292,8 +309,17 @@ class FleetCoordinator:
         snapshotted once per wrap (one planning run), keeping the search
         internally consistent; a query's own links never discount its
         own view.
+
+        Over a :class:`~repro.dataflow.cost.FrozenView` the residual is
+        itself a view: it shares ``raw``'s hosts and index, copies the
+        rows and divides only the claimed links (it is ``raw`` itself
+        when no claimed link joins two of its hosts).  Any other
+        estimator, such as the local rules' live one, is wrapped in a
+        closure that divides on every read.
         """
         claims = self._claims(exclude=query_id)
+        if isinstance(raw, FrozenView):
+            return _residual_view(raw, claims)
 
         def estimate(a: str, b: str) -> float:
             bandwidth = raw(a, b)

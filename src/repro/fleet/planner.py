@@ -21,11 +21,12 @@ first-class algorithm.
 
 Every plan reads one frozen view.  The engine hands ``plan`` a frozen
 monitoring snapshot (:meth:`repro.monitor.system.MonitoringSystem.snapshot`,
-taken at launch or replan time), and the residual view over it freezes
-the claim map once per wrap, so the residual view is itself a pure
-function of the link.  A one-shot or global inner planner runs its single batch-priced
-search over that view: each ``plan`` call reads its fresh residual view
-once into a fresh bandwidth matrix.
+taken at launch or replan time), and the coordinator's residual over a
+:class:`~repro.dataflow.cost.FrozenView` is itself a frozen view, with
+the claim map read once per wrap.  A one-shot or global inner planner
+runs its single batch-priced search over that view: each ``plan`` call
+builds its bandwidth matrix from the residual view's rows in one array
+build.
 """
 
 from __future__ import annotations

@@ -4,15 +4,18 @@ One :class:`MonitoringSystem` instance serves a whole simulation.  It owns
 one :class:`~repro.monitor.cache.BandwidthCache` per host and hooks into
 the network's transfer observer and piggyback slots.  Placement algorithms
 consult it through :meth:`estimate` (a host's local view) or
-:meth:`snapshot` (a :class:`FrozenView` of every pair, what planners
-read) and drive active measurements through :meth:`probe`.
+:meth:`snapshot` (a :class:`~repro.dataflow.cost.FrozenView` of every
+pair, what planners read; this module re-exports ``FrozenView`` and
+``frozen_estimator``) and drive active measurements through
+:meth:`probe`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
+from repro.dataflow.cost import FrozenView, frozen_estimator
 from repro.monitor.cache import BandwidthCache
 from repro.monitor.forecast import AdaptiveForecaster, SlidingMedian
 from repro.monitor.piggyback import (
@@ -48,48 +51,6 @@ DEFAULT_ESTIMATE = 16 * 1024.0
 #: consulted when a fault plan is installed; unfaulted runs never time a
 #: probe out.
 PROBE_TIMEOUT = 60.0
-
-
-class FrozenView:
-    """One reading of every pair of a host set: a pure estimator.
-
-    Built from a map of each canonical pair ``(a, b)`` with ``a < b`` to
-    its bandwidth; calling the view answers either direction with one
-    dict lookup (``inf`` for ``a == b``).  Planners evaluate thousands
-    of candidate placements, so they plan from such a view rather than
-    from the live monitor.
-    """
-
-    __slots__ = ("_ordered",)
-
-    def __init__(self, pairs: "dict[tuple[str, str], float]") -> None:
-        ordered = {}
-        for (a, b), value in pairs.items():
-            ordered[a, b] = value
-            ordered[b, a] = value
-        self._ordered = ordered
-
-    def __call__(self, a: str, b: str) -> float:
-        try:
-            return self._ordered[a, b]
-        except KeyError:
-            if a == b:
-                return float("inf")
-            raise
-
-
-def frozen_estimator(
-    hosts: Iterable[str], read: Callable[[str, str], float]
-) -> FrozenView:
-    """A :class:`FrozenView` over one reading of every pair of ``hosts``.
-
-    ``read`` is called once per canonical pair ``(a, b)`` with ``a < b``,
-    in sorted host order.
-    """
-    ordered = sorted(hosts)
-    return FrozenView(
-        {(a, b): read(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1 :]}
-    )
 
 
 @dataclass(frozen=True)
@@ -147,6 +108,8 @@ class MonitoringSystem:
                 raise ValueError(f"unknown forecast mode {self.config.forecast!r}")
             for name, cache in self.caches.items():
                 cache.on_new_value = self._feed_forecaster(name)
+        #: viewer -> (its cache's version, view) of its last snapshot.
+        self._views: dict[str, tuple[int, FrozenView]] = {}
         #: Whether every payload is a whole cache (``whole_cache_fits``),
         #: and the host count that was decided for.
         self._whole_cache = False
@@ -284,13 +247,34 @@ class MonitoringSystem:
 
         Each canonical pair is read once, in sorted host order, by the
         same rule as :meth:`estimate` (so a traced run records one
-        ``monitor.estimate`` per pair per plan), without building an
+        ``monitor.estimate`` per pair per snapshot), without building an
         :class:`Estimate` per pair.
+
+        A pair's bandwidth depends on the viewer's cache entry and
+        forecaster, never on ``now`` (only the quality and age do), and
+        every cache write and forecaster update bumps the cache's
+        ``_version``.  So while that version and the host tuple are
+        unchanged, the viewer's previous view is returned again; a
+        traced run still records each pair's reading.
         """
         cache = self.cache_for(viewer)
-        return frozen_estimator(
-            hosts, lambda a, b: self._reading(viewer, cache, a, b, now)[0]
+        ordered = tuple(sorted(hosts))
+        memo = self._views.get(viewer)
+        if (
+            memo is not None
+            and memo[0] == cache._version
+            and memo[1].hosts == ordered
+        ):
+            if self._tracer.enabled:
+                for i, a in enumerate(ordered):
+                    for b in ordered[i + 1 :]:
+                        self._reading(viewer, cache, a, b, now)
+            return memo[1]
+        view = frozen_estimator(
+            ordered, lambda a, b: self._reading(viewer, cache, a, b, now)[0]
         )
+        self._views[viewer] = (cache._version, view)
+        return view
 
     def seed_snapshot(self, t: float, window: float = 30.0) -> None:
         """Give every host a measurement of every link around time ``t``.

@@ -3,9 +3,16 @@ single-move evaluator."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.dataflow.cost import CostModel
-from repro.dataflow.critical import CriticalPath, critical_path, placement_cost
+from repro.dataflow.cost import CostModel, frozen_estimator
+from repro.dataflow.critical import (
+    CriticalPath,
+    bandwidth_matrix,
+    critical_path,
+    placement_cost,
+)
 from repro.dataflow.placement import Placement
 from repro.dataflow.tree import complete_binary_tree
 from tests.oracles.scalar_planner import SingleMoveEvaluator
@@ -152,3 +159,44 @@ class TestSingleMoveEvaluator:
                 )
                 actual = evaluator.cost_of_move(op.node_id, host)
                 assert actual == pytest.approx(expected, rel=1e-12)
+
+
+class TestBandwidthMatrixOverAView:
+    """A frozen view's matrix is one array build; it must equal, byte
+    for byte, the ordered-pair loop every other estimator gets."""
+
+    @staticmethod
+    def loop(hosts, view, floor):
+        # A plain closure is not a FrozenView: it takes the pair loop.
+        return bandwidth_matrix(hosts, lambda a, b: view(a, b), floor)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        names=st.lists(
+            st.sampled_from(("a", "b", "c", "d", "e")), min_size=1, unique=True
+        ),
+        rates=st.lists(
+            st.sampled_from((0.5, 1.0, 2.0, 1e3, 1e6, 3.7e4)), min_size=10, max_size=10
+        ),
+        picks=st.lists(st.sampled_from(("a", "b", "c", "d", "e", "zz")), max_size=6),
+        floor=st.sampled_from((1.0, 1e3)),
+    )
+    def test_equals_the_pair_loop(self, names, rates, picks, floor):
+        rate = iter(rates)
+        view = frozen_estimator(names, lambda a, b: next(rate))
+        for hosts in (view.hosts, tuple(picks), list(view.hosts)[::-1]):
+            try:
+                want = self.loop(hosts, view, floor)
+            except KeyError:
+                with pytest.raises(KeyError):
+                    bandwidth_matrix(hosts, view, floor)
+                continue
+            got = bandwidth_matrix(hosts, view, floor)
+            assert got.shape == want.shape == (len(hosts), len(hosts))
+            assert got.tobytes() == want.tobytes()
+
+    def test_floors_and_keeps_an_inf_diagonal(self):
+        view = frozen_estimator(("x", "y", "z"), lambda a, b: {"y": 0.25}.get(b, 7.0))
+        matrix = bandwidth_matrix(("x", "z"), view, 1.0)
+        assert matrix.tolist() == [[np.inf, 7.0], [7.0, np.inf]]
+        assert bandwidth_matrix(view.hosts, view, 1.0)[0, 1] == 1.0

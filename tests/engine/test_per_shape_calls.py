@@ -12,7 +12,9 @@ The cache's search memo makes a fleet's searches countable exactly: a
 plan call searches (builds one ``BatchMoveEvaluator``) only when its
 floored view differs from the last one searched from its start.  The
 controller prices its hysteresis and validation checks over the same
-cache, so it builds no placement state the searches did not.
+cache, so it builds no placement state the searches did not.  Each plan
+call reads one monitoring snapshot, and a snapshot builds a view only
+when its viewer's cache changed since that viewer's last one.
 """
 
 from repro.dataflow.cost import CostModelArrays
@@ -24,6 +26,8 @@ from repro.dataflow.critical import (
 )
 from repro.engine.config import Algorithm
 from repro.fleet import FleetPolicy
+from repro.monitor import system as monitor_system
+from repro.monitor.system import MonitoringSystem
 from repro.placement import OneShotPlanner
 from repro.workload import ClosedLoop, QueryClass, WorkloadSpec, run_workload
 
@@ -110,6 +114,11 @@ REPLAN_FLEET_CALLS = 139
 ONE_ENTRY_MEMO_BUILDS = 139
 #: Placement states the fleet's searches build across both stages' caches.
 REPLAN_FLEET_STATES = 9
+#: Monitoring snapshots the fleet takes, and the views they build: a
+#: snapshot reuses its viewer's last view while the viewer's cache
+#: version and the host tuple are unchanged.
+REPLAN_FLEET_SNAPSHOTS = 139
+REPLAN_FLEET_VIEW_BUILDS = 35
 
 
 def test_replan_fleet_searches_once_per_new_view(monkeypatch):
@@ -150,6 +159,22 @@ def test_replan_fleet_searches_once_per_new_view(monkeypatch):
         return original_search(self, estimator, initial)
 
     monkeypatch.setattr(OneShotPlanner, "_search", search)
+    snapshots = []
+    original_snapshot = MonitoringSystem.snapshot
+
+    def snapshot(self, viewer, hosts, now):
+        snapshots.append(viewer)
+        return original_snapshot(self, viewer, hosts, now)
+
+    monkeypatch.setattr(MonitoringSystem, "snapshot", snapshot)
+    views = []
+    original_frozen = monitor_system.frozen_estimator
+
+    def frozen_estimator(hosts, read):
+        views.append(1)
+        return original_frozen(hosts, read)
+
+    monkeypatch.setattr(monitor_system, "frozen_estimator", frozen_estimator)
     result = run_workload(
         WorkloadSpec(
             classes=(
@@ -177,3 +202,5 @@ def test_replan_fleet_searches_once_per_new_view(monkeypatch):
     # 72 builds: the queries' replans share each other's searches.
     assert len(built) == 72 < ONE_ENTRY_MEMO_BUILDS
     assert len(states) == REPLAN_FLEET_STATES
+    assert len(snapshots) == REPLAN_FLEET_SNAPSHOTS
+    assert len(views) == REPLAN_FLEET_VIEW_BUILDS < REPLAN_FLEET_SNAPSHOTS

@@ -14,7 +14,7 @@ from repro.fleet import (
     placement_links,
     runtime_links,
 )
-from repro.monitor.system import frozen_estimator
+from repro.monitor.system import FrozenView, frozen_estimator
 from repro.net.host import Host
 from repro.net.network import Network
 from repro.obs import Tracer
@@ -104,6 +104,12 @@ class TestPolicy:
             FleetPolicy(**kwargs)
 
 
+def outsider_share(coordinator, a, b):
+    """The residual share of ``a``--``b`` for a query that claims no
+    link: ``1 / (1 + queries claiming the link)``."""
+    return coordinator.residual_estimator("outsider", lambda x, y: 1.0)(a, b)
+
+
 class TestClaimsAndResidual:
     def test_claims_count_queries_per_link(self):
         coordinator = FleetCoordinator(FleetPolicy())
@@ -111,10 +117,10 @@ class TestClaimsAndResidual:
         _, _, r2 = make_query()
         coordinator.query_launched("c0:0", r1)
         coordinator.query_launched("c1:0", r2)
-        claims = coordinator.link_claims()
-        assert claims[canonical_link("h0", "client")] == 2
+        assert outsider_share(coordinator, "h0", "client") == 1 / 3
+        assert outsider_share(coordinator, "client", "h0") == 1 / 3
         coordinator.query_done("c0:0")
-        assert coordinator.link_claims()[canonical_link("h0", "client")] == 1
+        assert outsider_share(coordinator, "h0", "client") == 1 / 2
 
     def test_residual_discounts_other_claimants_only(self):
         coordinator = FleetCoordinator(FleetPolicy())
@@ -146,9 +152,9 @@ class TestClaimsAndResidual:
         _, _, r2 = make_query()
         coordinator.query_launched("c0:0", r1)
         coordinator.query_launched("c1:0", r2)
-        assert canonical_link("h0", "h1") not in coordinator.link_claims()
+        assert outsider_share(coordinator, "h0", "h1") == 1.0
         r2.move(tree.operators()[0].node_id, "h0")
-        assert coordinator.link_claims()[canonical_link("h0", "h1")] == 1
+        assert outsider_share(coordinator, "h0", "h1") == 1 / 2
         raw = lambda a, b: 100.0
         assert coordinator.residual_estimator("c0:0", raw)("h0", "h1") == 50.0
 
@@ -163,26 +169,38 @@ def uneven_view():
     )
 
 
-def assert_fair_share_on_every_pair(coordinator, query_id, raw, own_links):
-    """``raw / (1 + others)`` on every ordered pair, counting only the
-    claims of queries other than ``query_id``."""
+def assert_fair_share_on_every_pair(coordinator, query_id, raw, runtimes):
+    """``raw / (1 + others)`` on every ordered pair, ``others`` the
+    runtimes other than ``query_id``'s whose actors use the link.  Over
+    a frozen view the residual is a frozen view too, and it answers
+    what the live closure over the same reads answers."""
     residual = coordinator.residual_estimator(query_id, raw)
-    claims = coordinator.link_claims()
+    live = coordinator.residual_estimator(query_id, lambda a, b: raw(a, b))
+    assert isinstance(residual, FrozenView)
+    assert residual.hosts == raw.hosts and residual.index is raw.index
+    others_links = [
+        runtime_links(runtime)
+        for other, runtime in runtimes.items()
+        if other != query_id
+    ]
     for a in HOSTS:
         for b in HOSTS:
             if a == b:
                 assert residual(a, b) == float("inf")
                 continue
             link = canonical_link(a, b)
-            others = claims.get(link, 0) - (link in own_links)
+            others = sum(link in links for links in others_links)
             assert residual(a, b) == raw(a, b) / (1 + others), (a, b)
+            assert residual(a, b) == live(a, b), (a, b)
 
 
 class TestResidualOverFrozenView:
     def test_no_claims_leave_the_view_as_is(self):
         coordinator = FleetCoordinator(FleetPolicy())
         raw = uneven_view()
-        assert_fair_share_on_every_pair(coordinator, "q", raw, set())
+        assert_fair_share_on_every_pair(coordinator, "q", raw, {})
+        # No claimed link: the residual is the view itself.
+        assert coordinator.residual_estimator("q", raw) is raw
 
     def test_claims_discount_every_ordered_pair(self):
         coordinator = FleetCoordinator(FleetPolicy())
@@ -195,8 +213,9 @@ class TestResidualOverFrozenView:
             coordinator.query_launched(query_id, runtime)
         raw = uneven_view()
         for query_id in ("a", "b", "c", "outsider"):
-            own = runtime_links(runtimes[query_id]) if query_id in runtimes else set()
-            assert_fair_share_on_every_pair(coordinator, query_id, raw, own)
+            assert_fair_share_on_every_pair(coordinator, query_id, raw, runtimes)
+        # The residual copies what it divides: the raw view is untouched.
+        assert raw.rows == uneven_view().rows
         # Two other queries claim h1--client: a third of the raw rate.
         residual = coordinator.residual_estimator("outsider", raw)
         assert residual("client", "h1") == raw("client", "h1") / 3
@@ -255,7 +274,10 @@ class TestCachedClaims:
         after = self.coordinator.residual_estimator("a", raw)
         assert after("h0", "h1") == 50.0
         assert before("h0", "h1") == 100.0  # earlier views stay frozen
-        assert self.coordinator.link_claims()[canonical_link("h0", "h1")] == 1
+        assert canonical_link("h0", "h1") in runtime_links(
+            self.coordinator._active["b"].runtime
+        )
+        assert outsider_share(self.coordinator, "h0", "h1") == 1 / 2
 
     def test_links_cached_until_an_actor_moves(self):
         record = self.coordinator._active["b"]
@@ -297,11 +319,6 @@ class TestCachedClaims:
         self.coordinator.query_done("b")
         assert self.coordinator._claims() != before
         self.assert_cached_equals_fresh()
-
-    def test_link_claims_is_a_copy(self):
-        claims = self.coordinator.link_claims()
-        claims.clear()
-        assert self.coordinator.link_claims() == self.coordinator._sum_claims(None)
 
 
 class TestArbiter:
