@@ -6,6 +6,8 @@
 * piggybacking (the 1 KB measurement gossip).
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from benchmarks.conftest import configured_configs, show
@@ -14,14 +16,19 @@ from repro.experiments import ExperimentConfig
 from repro.experiments.runner import run_configuration
 from repro.monitor.system import MonitoringConfig
 
-from dataclasses import replace
 
+def mean_speedup(setup, n_configs, algorithm, target_setup=None, **overrides):
+    """Mean speedup of ``algorithm`` over download-all.
 
-def mean_speedup(setup, n_configs, algorithm, **overrides):
+    The download-all baseline always runs on ``setup``; the target runs
+    on ``target_setup`` (default ``setup``, a substrate variant is
+    ``replace(setup, ...)``) with the per-run ``overrides``.
+    """
+    target_setup = target_setup or setup
     values = []
     for index in range(n_configs):
         base = run_configuration(setup, index, Algorithm.DOWNLOAD_ALL)
-        run = run_configuration(setup, index, algorithm, **overrides)
+        run = run_configuration(target_setup, index, algorithm, **overrides)
         values.append(base.completion_time / run.completion_time)
     return float(np.mean(values))
 
@@ -113,7 +120,7 @@ def test_ablation_piggybacking(benchmark):
             base_setup,
             n_configs,
             Algorithm.GLOBAL,
-            monitoring=MonitoringConfig(piggyback_budget=0),
+            replace(base_setup, monitoring=MonitoringConfig(piggyback_budget=0)),
         )
         return with_piggyback, without
 

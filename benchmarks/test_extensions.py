@@ -10,6 +10,8 @@ them."  These benches measure what relaxing them buys:
 * and the NWS-style forecasting layer on top of the monitoring model.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from benchmarks.conftest import configured_configs, show
@@ -18,11 +20,18 @@ from repro.experiments.runner import run_configuration
 from repro.monitor.system import MonitoringConfig
 
 
-def mean_speedup(setup, n_configs, algorithm, **overrides):
+def mean_speedup(setup, n_configs, algorithm, target_setup=None, **overrides):
+    """Mean speedup of ``algorithm`` over download-all.
+
+    The download-all baseline always runs on ``setup``; the target runs
+    on ``target_setup`` (default ``setup``, a substrate variant is
+    ``replace(setup, ...)``) with the per-run ``overrides``.
+    """
+    target_setup = target_setup or setup
     values = []
     for index in range(n_configs):
         base = run_configuration(setup, index, Algorithm.DOWNLOAD_ALL)
-        run = run_configuration(setup, index, algorithm, **overrides)
+        run = run_configuration(target_setup, index, algorithm, **overrides)
         values.append(base.completion_time / run.completion_time)
     return float(np.mean(values))
 
@@ -65,7 +74,7 @@ def test_extension_nic_capacity(benchmark, paper_setup):
                 paper_setup,
                 n_configs,
                 Algorithm.ONE_SHOT,
-                nic_capacity=capacity,
+                replace(paper_setup, nic_capacity=capacity),
             )
             for capacity in (1, 2, 4)
         }
@@ -93,13 +102,13 @@ def test_extension_forecasting(benchmark, paper_setup):
             paper_setup,
             n_configs,
             Algorithm.GLOBAL,
-            monitoring=MonitoringConfig(forecast="adaptive"),
+            replace(paper_setup, monitoring=MonitoringConfig(forecast="adaptive")),
         )
         median = mean_speedup(
             paper_setup,
             n_configs,
             Algorithm.GLOBAL,
-            monitoring=MonitoringConfig(forecast="median"),
+            replace(paper_setup, monitoring=MonitoringConfig(forecast="median")),
         )
         return plain, adaptive, median
 

@@ -34,7 +34,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from repro.engine.config import Algorithm
+from repro.engine.config import Algorithm, substrate_of
 from repro.experiments import ExperimentConfig
 from repro.experiments.figures import (
     fig6_main_comparison,
@@ -52,13 +52,16 @@ from repro.experiments.runner import (
 )
 
 
-def _setup_from(args: argparse.Namespace) -> ExperimentConfig:
+def _setup_from(args: argparse.Namespace, **knobs) -> ExperimentConfig:
+    """The one place the CLI's setup flags (and ``--faults``) become knobs."""
     return ExperimentConfig(
         num_servers=args.servers,
         images_per_server=args.images,
         tree_shape=args.tree,
         seed=args.seed,
         relocation_period=args.period,
+        fault_plan=_fault_plan(args),
+        **knobs,
     )
 
 
@@ -99,13 +102,13 @@ def _add_faults_argument(parser: argparse.ArgumentParser) -> None:
         help="inject faults from a JSON fault plan (see docs/robustness.md)")
 
 
-def _fault_overrides(args: argparse.Namespace) -> dict:
-    """``{"faults": plan}`` if ``--faults`` was given, else ``{}``."""
+def _fault_plan(args: argparse.Namespace):
+    """The ``--faults`` plan, or None when the flag is absent or unset."""
     if getattr(args, "faults", None) is None:
-        return {}
+        return None
     from repro.faults import FaultPlan
 
-    return {"faults": FaultPlan.from_json(args.faults)}
+    return FaultPlan.from_json(args.faults)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -116,8 +119,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         tracer = Tracer()
     metrics = run_configuration(
-        setup, args.config, Algorithm(args.algorithm), tracer=tracer,
-        **_fault_overrides(args),
+        setup, args.config, Algorithm(args.algorithm), tracer=tracer
     )
     payload = metrics.summary()
     if args.json:
@@ -157,7 +159,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    fault_overrides = _fault_overrides(args)
     if args.trace:
         # Tracing forces a serial sweep: every run gets its own tracer
         # and its own JSONL file in the trace directory.
@@ -169,9 +170,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for index in range(args.configs):
             for algorithm in algorithms:
                 tracer = Tracer()
-                metrics = run_configuration(
-                    setup, index, algorithm, tracer=tracer, **fault_overrides
-                )
+                metrics = run_configuration(setup, index, algorithm, tracer=tracer)
                 write_jsonl(
                     tracer, trace_dir / f"config{index}-{algorithm.value}.jsonl"
                 )
@@ -181,7 +180,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         summaries = compare_algorithms(
             setup, algorithms, args.configs,
-            progress=progress, workers=args.workers, **fault_overrides,
+            progress=progress, workers=args.workers,
         )
     if args.out:
         from repro.experiments.persistence import save_runs_csv, save_runs_json
@@ -213,22 +212,22 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import FaultPlan, reference_chaos_plan
 
     setup = _setup_from(args)
-    hosts = [*setup.server_hosts, setup.client_host]
     if args.plan:
         plan = FaultPlan.from_json(args.plan)
     else:
-        plan = reference_chaos_plan(hosts, seed=args.seed, scale=args.scale)
+        plan = reference_chaos_plan(
+            setup.all_hosts, seed=args.seed, scale=args.scale
+        )
     if args.emit_plan:
         plan.to_json(args.emit_plan)
         print(f"fault plan written to {args.emit_plan}")
         return 0
 
-    rows = []
-    for algorithm in Algorithm:
-        metrics = run_configuration(
-            setup, args.config, algorithm, faults=plan
-        )
-        rows.append(metrics)
+    setup = replace(setup, fault_plan=plan)
+    rows = [
+        run_configuration(setup, args.config, algorithm)
+        for algorithm in Algorithm
+    ]
     if args.json:
         print(json.dumps([m.summary() for m in rows], indent=2))
     else:
@@ -402,8 +401,6 @@ def _fleet_policy(args: argparse.Namespace):
 
 
 def cmd_workload(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from repro.workload import (
         ClosedLoop,
         OpenLoop,
@@ -418,7 +415,16 @@ def cmd_workload(args: argparse.Namespace) -> int:
         arrivals = ClosedLoop(think_time=args.think, process=args.process)
     if args.chaos and args.faults:
         raise SystemExit("--chaos and --faults are mutually exclusive")
-    fault_overrides = _fault_overrides(args)
+    setup = _setup_from(args, max_sim_time=args.max_time)
+    if args.chaos:
+        from repro.faults import reference_chaos_plan
+
+        setup = replace(
+            setup,
+            fault_plan=reference_chaos_plan(
+                setup.all_hosts, seed=args.seed, scale=args.chaos_scale
+            ),
+        )
     classes = _parse_mix(args.mix, args.period)
     if args.deadline is not None or args.slo is not None:
         classes = tuple(
@@ -431,24 +437,11 @@ def cmd_workload(args: argparse.Namespace) -> int:
         queries_per_client=args.queries,
         arrivals=arrivals,
         seed=args.seed,
-        num_servers=args.servers,
-        tree_shape=args.tree,
-        images_per_server=args.images,
         config_index=args.config,
-        fault_plan=fault_overrides.get("faults"),
-        max_sim_time=args.max_time,
         overload=_overload_policy(args),
         fleet=_fleet_policy(args),
+        **substrate_of(setup),
     )
-    if args.chaos:
-        from repro.faults import reference_chaos_plan
-
-        spec = replace(
-            spec,
-            fault_plan=reference_chaos_plan(
-                spec.all_hosts, seed=args.seed, scale=args.chaos_scale
-            ),
-        )
     if args.trace and args.trace_dir:
         raise SystemExit("--trace and --trace-dir are mutually exclusive")
     if args.shards > 1 and (args.trace or args.trace_dir):

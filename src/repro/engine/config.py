@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Iterable, Mapping, Optional
 
 from repro.app.composition import CompositionSpec
 from repro.faults.plan import FaultPlan
@@ -25,12 +25,14 @@ class Algorithm(str, enum.Enum):
 class Substrate:
     """The shared network a run executes on, declared once (§4).
 
-    :class:`SimulationSpec` (one query) and
-    :class:`~repro.workload.spec.WorkloadSpec` (a fleet of queries) both
-    inherit these knobs;
+    :class:`SimulationSpec` (one query),
+    :class:`~repro.workload.spec.WorkloadSpec` (a fleet of queries) and
+    :class:`~repro.experiments.config.ExperimentConfig` (a family of
+    runs) all inherit these knobs;
     :func:`~repro.engine.simulation.build_substrate` builds the hosts,
     links and monitoring from them.  A subclass supplies
-    ``server_hosts``.
+    ``server_hosts``.  A variant substrate is a new value
+    (``dataclasses.replace``), never a per-run override.
     """
 
     num_servers: int = 8
@@ -48,6 +50,10 @@ class Substrate:
     monitoring: MonitoringConfig = field(default_factory=MonitoringConfig)
     #: Hard wall on simulated time (guards against pathological configs).
     max_sim_time: float = 10 * 86400.0
+    #: Optional fault-injection plan; ``None`` (or an empty plan) keeps
+    #: every fault/retry code path dormant — the run is bit-identical to
+    #: one built before faults existed.
+    fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
         if self.tree_shape not in ("binary", "left-deep"):
@@ -63,6 +69,36 @@ class Substrate:
     def all_hosts(self) -> tuple[str, ...]:
         """Server hosts plus the client host."""
         return (*self.server_hosts, self.client_host)
+
+
+#: The substrate's knob names, in declaration order.
+_SUBSTRATE_FIELDS = tuple(f.name for f in fields(Substrate))
+
+#: Fields a per-run override may not set: the substrate a run executes
+#: on, plus what a spec assembler derives (algorithm, traces, hosts).
+STRUCTURAL_FIELDS = frozenset(
+    _SUBSTRATE_FIELDS + ("algorithm", "link_traces", "server_hosts")
+)
+
+
+def substrate_of(spec: Substrate) -> dict[str, Any]:
+    """The :class:`Substrate` knobs of ``spec``, as keyword arguments."""
+    return {name: getattr(spec, name) for name in _SUBSTRATE_FIELDS}
+
+
+def default_server_hosts(num_servers: int) -> tuple[str, ...]:
+    """The conventional server host names ``h0..h{num_servers-1}``."""
+    return tuple(f"h{i}" for i in range(num_servers))
+
+
+def check_per_run(overrides: Iterable[str]) -> None:
+    """Reject override names that would change the run's substrate."""
+    bad = STRUCTURAL_FIELDS.intersection(overrides)
+    if bad:
+        raise ValueError(
+            f"structural fields {sorted(bad)} cannot be per-run overrides; "
+            "set them on the config or spec that declares them"
+        )
 
 
 @dataclass(frozen=True)
@@ -116,11 +152,6 @@ class SimulationSpec(Substrate):
     #: of monitoring estimates (isolates algorithm quality from
     #: measurement error; no probe traffic is generated).
     oracle_monitoring: bool = False
-
-    #: Optional fault-injection plan; ``None`` (or an empty plan) keeps
-    #: every fault/retry code path dormant — the run is bit-identical to
-    #: one built before faults existed.
-    faults: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
         super().__post_init__()

@@ -329,7 +329,7 @@ def build_simulation(
     runtime = build_query(
         spec, env, network, monitoring, tracer=tracer, planning=PlanningContext()
     )
-    runtime.faults = install_faults(spec.faults, env, network, monitoring, tracer)
+    runtime.faults = install_faults(spec.fault_plan, env, network, monitoring, tracer)
     return env, runtime
 
 

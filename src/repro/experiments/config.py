@@ -8,14 +8,20 @@ uniform random number generator."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from repro.engine.config import Algorithm, SimulationSpec
-from repro.faults.plan import FaultPlan
+from repro.engine.config import (
+    Algorithm,
+    SimulationSpec,
+    Substrate,
+    check_per_run,
+    default_server_hosts,
+    substrate_of,
+)
 from repro.traces.study import InternetStudy, TraceLibrary
 from repro.traces.trace import BandwidthTrace
 
@@ -32,29 +38,25 @@ def _default_library() -> TraceLibrary:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Substrate):
     """One composable config for a family of experiments *and* reporting.
 
-    Collapses the workload knobs (formerly ``ExperimentSetup``) and the
-    report knobs (formerly ``ReportOptions``; both aliases removed) into
-    a single frozen dataclass, so a whole study is one value that can be
-    passed around, ``dataclasses.replace``-d, and pickled to sweep
+    The substrate every run executes on is the inherited
+    :class:`~repro.engine.config.Substrate` (hosts, tree, images, NICs,
+    disks, monitoring, the fault plan); the fields below add the
+    configuration draw and the report scale.  A whole study is one
+    frozen value that can be ``dataclasses.replace``-d (a substrate
+    variant is ``replace(setup, nic_capacity=2)``) and pickled to sweep
     workers.
     """
 
     # ---- workload ----------------------------------------------------
-    num_servers: int = 8
-    tree_shape: str = "binary"
-    images_per_server: int = 180
     #: Master seed: configuration ``i`` derives all its randomness from
     #: ``(seed, i)``, so runs are reproducible and configurations are
     #: identical across the algorithms being compared.
     seed: int = 1998
     relocation_period: float = 600.0
     library: Optional[TraceLibrary] = None
-    #: Optional fault-injection plan applied to every run built from this
-    #: config (``None``: fault machinery stays dormant).
-    fault_plan: Optional[FaultPlan] = None
 
     # ---- report scale ------------------------------------------------
     n_configs: int = 30
@@ -69,11 +71,7 @@ class ExperimentConfig:
 
     @property
     def server_hosts(self) -> tuple[str, ...]:
-        return tuple(f"h{i}" for i in range(self.num_servers))
-
-    @property
-    def client_host(self) -> str:
-        return "client"
+        return default_server_hosts(self.num_servers)
 
     @property
     def sweep_configs(self) -> int:
@@ -103,7 +101,7 @@ def make_configuration(
         raise ValueError(f"negative config index {config_index!r}")
     rng = np.random.default_rng((setup.seed, config_index))
     library = setup.trace_library()
-    hosts = [*setup.server_hosts, setup.client_host]
+    hosts = setup.all_hosts
     keys: list[tuple[str, str]] = []
     for i, a in enumerate(hosts):
         for b in hosts[i + 1 :]:
@@ -175,22 +173,21 @@ def build_spec_from_config(
 
     This is the fan-out half of the build-once pipeline: every algorithm
     (and per-task override set) gets its own spec, but they all reference
-    the same frozen :class:`SampledConfig`.
+    the same frozen :class:`SampledConfig`.  The substrate comes from
+    ``setup`` alone; ``overrides`` may set only per-run fields.
     """
-    base = SimulationSpec(
+    check_per_run(overrides)
+    kwargs = substrate_of(setup)
+    kwargs.update(
         algorithm=algorithm,
-        tree_shape=setup.tree_shape,
-        num_servers=setup.num_servers,
         link_traces=sampled.link_traces,
         server_hosts=setup.server_hosts,
-        client_host=setup.client_host,
-        images_per_server=setup.images_per_server,
         workload_seed=sampled.workload_seed,
         relocation_period=setup.relocation_period,
         control_seed=sampled.control_seed,
-        faults=setup.fault_plan,
     )
-    return replace(base, **overrides) if overrides else base
+    kwargs.update(overrides)
+    return SimulationSpec(**kwargs)
 
 
 def build_spec(
@@ -201,8 +198,10 @@ def build_spec(
 ) -> SimulationSpec:
     """A full :class:`SimulationSpec` for one (configuration, algorithm).
 
-    ``overrides`` are forwarded to the spec (e.g. ``relocation_period``,
-    ``prefetch``, ``barrier_priority``, ``local_extra_candidates``).
+    ``overrides`` are per-run spec fields (e.g. ``relocation_period``,
+    ``prefetch``, ``barrier_priority``, ``local_extra_candidates``, the
+    seeds); a :class:`~repro.engine.config.Substrate` field raises
+    ``ValueError`` — vary it with ``replace(setup, ...)`` instead.
     Successive calls for the same ``(setup, config_index)`` reuse the
     build-once :class:`SampledConfig` artifact via :func:`sample_config`.
     """

@@ -28,10 +28,8 @@ from repro.traces.transform import (
 from repro.traces.io import (
     load_library_json,
     load_trace_csv,
-    load_trace_json,
     save_library_json,
     save_trace_csv,
-    save_trace_json,
 )
 
 __all__ = [
@@ -48,12 +46,10 @@ __all__ = [
     "constant_trace",
     "load_library_json",
     "load_trace_csv",
-    "load_trace_json",
     "load_trace_measurements",
     "resample",
     "save_library_json",
     "save_trace_csv",
-    "save_trace_json",
     "stitch",
     "trace_stats",
 ]

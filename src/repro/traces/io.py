@@ -62,18 +62,6 @@ def _trace_from_dict(data: dict) -> BandwidthTrace:
     )
 
 
-def save_trace_json(trace: BandwidthTrace, path: PathLike) -> None:
-    """Write one trace as JSON."""
-    with open(path, "w") as fh:
-        json.dump(_trace_to_dict(trace), fh)
-
-
-def load_trace_json(path: PathLike) -> BandwidthTrace:
-    """Read a trace written by :func:`save_trace_json`."""
-    with open(path) as fh:
-        return _trace_from_dict(json.load(fh))
-
-
 # -- libraries ----------------------------------------------------------------
 def save_library_json(library: TraceLibrary, path: PathLike) -> None:
     """Serialise a full :class:`TraceLibrary` (hosts + all pair traces)."""

@@ -22,28 +22,21 @@ from typing import Any, Mapping, Optional
 
 import numpy as np
 
-from repro.engine.config import Algorithm, SimulationSpec, Substrate
+from repro.engine.config import (
+    STRUCTURAL_FIELDS,
+    Algorithm,
+    SimulationSpec,
+    Substrate,
+    check_per_run,
+    default_server_hosts,
+    substrate_of,
+)
 from repro.experiments.config import ExperimentConfig, make_configuration
-from repro.faults.plan import FaultPlan
 from repro.fleet import FleetPolicy
 from repro.traces.study import TraceLibrary
 from repro.traces.trace import BandwidthTrace
 from repro.workload.arrivals import Arrivals, ClosedLoop
 from repro.workload.overload import OverloadPolicy
-
-#: SimulationSpec fields that are structural (the shared substrate, or
-#: handled explicitly when a query spec is assembled) rather than free
-#: per-class overrides.
-_STRUCTURAL_FIELDS = frozenset(
-    {f.name for f in fields(Substrate)}
-    | {"algorithm", "link_traces", "server_hosts", "faults"}
-)
-
-
-def _substrate_of(spec: Substrate) -> dict[str, Any]:
-    """The :class:`Substrate` knobs of ``spec``, as keyword arguments."""
-    return {f.name: getattr(spec, f.name) for f in fields(Substrate)}
-
 
 def query_id_for(client_index: int, ordinal: int) -> str:
     """The canonical query id: ``"c{client}:{ordinal}"``."""
@@ -100,11 +93,7 @@ class QueryClass:
             raise ValueError(
                 f"slo_target must be positive, got {self.slo_target!r}"
             )
-        bad = {k for k, _ in self.overrides} & _STRUCTURAL_FIELDS
-        if bad:
-            raise ValueError(
-                f"structural fields {sorted(bad)} cannot be class overrides"
-            )
+        check_per_run(name for name, _ in self.overrides)
 
 
 @dataclass(frozen=True)
@@ -125,9 +114,10 @@ class WorkloadSpec(Substrate):
 
     # ---- shared network ----------------------------------------------
     #: Network configuration draw, exactly as in the experiments module:
-    #: configuration ``config_index`` of a default ``ExperimentConfig``
-    #: over ``library`` (``None``: the default study; both ignored when
-    #: ``link_traces`` is given).
+    #: configuration ``config_index`` of a default-seed
+    #: ``ExperimentConfig`` over this spec's hosts and ``library``
+    #: (``None``: the default study; both ignored when ``link_traces``
+    #: is given).
     config_index: int = 0
     library: Optional[TraceLibrary] = None
     #: Explicit traces per canonical host pair; bypasses the study draw.
@@ -135,7 +125,6 @@ class WorkloadSpec(Substrate):
     #: Explicit server-host names (requires ``link_traces``); ``None``
     #: uses the conventional ``h0..h{num_servers-1}``.
     server_hosts_override: Optional[tuple[str, ...]] = None
-    fault_plan: Optional[FaultPlan] = None
     #: Admission/retry/breaker limits (:class:`~repro.workload.
     #: overload.OverloadPolicy`); ``None`` (or a null policy with no
     #: class deadlines) admits everything and is bit-identical to the
@@ -197,7 +186,7 @@ class WorkloadSpec(Substrate):
     def server_hosts(self) -> tuple[str, ...]:
         if self.server_hosts_override is not None:
             return self.server_hosts_override
-        return tuple(f"h{i}" for i in range(self.num_servers))
+        return default_server_hosts(self.num_servers)
 
     @property
     def client_indices(self) -> tuple[int, ...]:
@@ -251,7 +240,9 @@ class WorkloadSpec(Substrate):
         if self.link_traces is not None:
             return self.link_traces
         cfg = ExperimentConfig(
-            num_servers=self.num_servers, library=self.library
+            num_servers=self.num_servers,
+            client_host=self.client_host,
+            library=self.library,
         )
         return make_configuration(cfg, self.config_index)
 
@@ -295,7 +286,7 @@ class WorkloadSpec(Substrate):
         class ``overrides`` (e.g. a pinned ``workload_seed``) win.
         """
         base_seed = self.seed + 101 * client_index + ordinal
-        kwargs = _substrate_of(self)
+        kwargs = substrate_of(self)
         kwargs.update(
             algorithm=qclass.algorithm,
             num_servers=qclass.num_servers or self.num_servers,
@@ -320,7 +311,7 @@ class WorkloadSpec(Substrate):
         overrides = {
             f.name: getattr(spec, f.name)
             for f in fields(SimulationSpec)
-            if f.name not in _STRUCTURAL_FIELDS
+            if f.name not in STRUCTURAL_FIELDS
         }
         qclass = QueryClass(
             name=spec.algorithm.value,
@@ -335,6 +326,5 @@ class WorkloadSpec(Substrate):
             seed=spec.workload_seed,
             link_traces=spec.link_traces,
             server_hosts_override=tuple(spec.server_hosts),
-            fault_plan=spec.faults,
-            **_substrate_of(spec),
+            **substrate_of(spec),
         )

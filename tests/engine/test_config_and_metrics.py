@@ -1,11 +1,14 @@
 """SimulationSpec validation and RunMetrics computations."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
-from repro.engine.config import Algorithm, SimulationSpec
+from repro.engine.config import Algorithm, SimulationSpec, Substrate
 from repro.engine.metrics import RunMetrics
+from repro.experiments.config import ExperimentConfig
+from repro.workload.spec import WorkloadSpec
 from tests.conftest import complete_links
 
 
@@ -65,6 +68,31 @@ class TestSimulationSpec:
     def test_negative_extras_rejected(self):
         with pytest.raises(ValueError):
             SimulationSpec(**spec_kwargs(local_extra_candidates=-1))
+
+
+#: Every spec type in the program that runs on a substrate.
+SPEC_TYPES = (SimulationSpec, WorkloadSpec, ExperimentConfig)
+
+
+class TestOneSubstrate:
+    def test_spec_types_are_the_substrates_subclasses(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        program = {
+            c for c in subclasses(Substrate) if c.__module__.startswith("repro.")
+        }
+        assert program == set(SPEC_TYPES)
+
+    @pytest.mark.parametrize("spec_type", SPEC_TYPES, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("name", [f.name for f in fields(Substrate)])
+    def test_no_spec_type_redeclares_a_knob(self, spec_type, name):
+        # Declared once: a subclass field or property of the same name
+        # would be a second way in, free to drift from the first.
+        assert name not in vars(spec_type)
+        assert name not in vars(spec_type).get("__annotations__", {})
 
 
 class TestRunMetrics:

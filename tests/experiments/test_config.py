@@ -1,13 +1,19 @@
 """Experiment configuration generation."""
 
+from dataclasses import fields
+
 import pytest
 
-from repro.engine.config import Algorithm
+from repro.engine.config import Algorithm, Substrate
 from repro.experiments.config import (
     ExperimentConfig,
     build_spec,
     make_configuration,
 )
+from repro.experiments.parallel import run_sweep
+from repro.experiments.runner import compare_algorithms, run_configuration
+
+SUBSTRATE_FIELDS = [f.name for f in fields(Substrate)]
 
 
 class TestExperimentConfig:
@@ -22,6 +28,19 @@ class TestExperimentConfig:
         setup = ExperimentConfig(num_servers=3)
         assert setup.server_hosts == ("h0", "h1", "h2")
         assert setup.client_host == "client"
+
+    @pytest.mark.parametrize(
+        "name, value, match",
+        [
+            pytest.param("num_servers", 1, "servers", id="num_servers"),
+            pytest.param("tree_shape", "zig", "tree shape", id="tree_shape"),
+            pytest.param("images_per_server", 0, "image", id="images_per_server"),
+            pytest.param("nic_capacity", 0, "nic_capacity", id="nic_capacity"),
+        ],
+    )
+    def test_bad_substrate_rejected_at_construction(self, name, value, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(**{name: value})
 
     def test_default_library_cached(self):
         a = ExperimentConfig()
@@ -73,6 +92,29 @@ class TestBuildSpec:
         )
         assert spec.relocation_period == 120.0
         assert not spec.prefetch
+
+    @pytest.mark.parametrize("name", SUBSTRATE_FIELDS)
+    def test_substrate_override_rejected(self, name):
+        # A substrate variant is replace(setup, ...): the run's network is
+        # declared on the config, never patched per run.
+        setup = ExperimentConfig(num_servers=4)
+        with pytest.raises(ValueError, match="structural"):
+            build_spec(setup, 0, Algorithm.GLOBAL, **{name: getattr(setup, name)})
+        with pytest.raises(ValueError, match="structural"):
+            run_configuration(
+                setup, 0, Algorithm.GLOBAL, **{name: getattr(setup, name)}
+            )
+
+    def test_sweeps_reject_substrate_overrides(self):
+        setup = ExperimentConfig(num_servers=4, images_per_server=2)
+        with pytest.raises(ValueError, match="structural"):
+            compare_algorithms(
+                setup, [Algorithm.GLOBAL], 1, workers=1, nic_capacity=2
+            )
+        with pytest.raises(ValueError, match="structural"):
+            run_sweep(
+                setup, [(0, Algorithm.GLOBAL, {"fault_plan": None})], workers=1
+            )
 
     def test_same_config_same_workload_across_algorithms(self):
         """Paired comparison: all algorithms see identical inputs."""

@@ -57,7 +57,7 @@ def _assert_summaries_match(live: RunMetrics, replayed: RunMetrics) -> None:
 
 
 class TestDormantPlanBitIdentity:
-    """``faults=FaultPlan()`` must be indistinguishable from ``faults=None``:
+    """``fault_plan=FaultPlan()`` must be indistinguishable from ``fault_plan=None``:
     same metrics, same trace events, same kernel counters."""
 
     @pytest.mark.parametrize(
@@ -69,7 +69,7 @@ class TestDormantPlanBitIdentity:
             tiny_spec(algorithm=algorithm, images=5), tracer=baseline_tracer
         )
         empty = run_simulation(
-            tiny_spec(algorithm=algorithm, images=5, faults=FaultPlan()),
+            tiny_spec(algorithm=algorithm, images=5, fault_plan=FaultPlan()),
             tracer=empty_tracer,
         )
         assert empty.summary() == baseline.summary()
@@ -99,7 +99,7 @@ class TestChaosSurvival:
     )
     def test_all_queries_complete(self, algorithm):
         spec = tiny_spec(algorithm=algorithm, images=12)
-        spec = dataclasses.replace(spec, faults=_chaos_plan(spec))
+        spec = dataclasses.replace(spec, fault_plan=_chaos_plan(spec))
         metrics = run_simulation(spec)
         assert not metrics.truncated
         assert len(metrics.arrival_times) == 12
@@ -110,7 +110,7 @@ class TestChaosSurvival:
         # download-all is the slowest policy here; with enough images its
         # run outlives the chaos plan's 600..840 s crash window.
         spec = tiny_spec(algorithm=Algorithm.DOWNLOAD_ALL, images=40)
-        spec = dataclasses.replace(spec, faults=_chaos_plan(spec))
+        spec = dataclasses.replace(spec, fault_plan=_chaos_plan(spec))
         metrics = run_simulation(spec)
         assert metrics.host_downtime_seconds == pytest.approx(240.0)
 
@@ -122,7 +122,7 @@ class TestFaultedTraceReplay:
     )
     def test_replay_matches_live(self, algorithm):
         spec = tiny_spec(algorithm=algorithm, images=12)
-        spec = dataclasses.replace(spec, faults=_chaos_plan(spec))
+        spec = dataclasses.replace(spec, fault_plan=_chaos_plan(spec))
         tracer = Tracer()
         live = run_simulation(spec, tracer=tracer)
         replayed = RunMetrics.from_trace(tracer.events)
@@ -131,7 +131,7 @@ class TestFaultedTraceReplay:
 
     def test_trace_summary_reports_resilience(self):
         spec = tiny_spec(algorithm=Algorithm.DOWNLOAD_ALL, images=12)
-        spec = dataclasses.replace(spec, faults=_chaos_plan(spec))
+        spec = dataclasses.replace(spec, fault_plan=_chaos_plan(spec))
         tracer = Tracer()
         live = run_simulation(spec, tracer=tracer)
         summary = summarize_records(tracer.events)
@@ -144,7 +144,7 @@ class TestFaultedTraceReplay:
 
     def test_trace_summary_totals_are_the_replayed_counters(self):
         spec = tiny_spec(algorithm=Algorithm.GLOBAL, images=12)
-        spec = dataclasses.replace(spec, faults=_chaos_plan(spec))
+        spec = dataclasses.replace(spec, fault_plan=_chaos_plan(spec))
         tracer = Tracer()
         run_simulation(spec, tracer=tracer)
         replayed = RunMetrics.from_trace(tracer.events).summary()
@@ -166,7 +166,7 @@ class TestRelocationAbort:
             for h in spec.server_hosts[1:]
         )
         plan = FaultPlan(host_crashes=crashes)
-        spec = dataclasses.replace(spec, faults=plan)
+        spec = dataclasses.replace(spec, fault_plan=plan)
         tracer = Tracer()
         metrics = run_simulation(spec, tracer=tracer)
         aborts = [e for e in tracer.events if e["type"] == RELOCATION_ABORT]
@@ -192,7 +192,7 @@ class TestAbandonment:
             retry=RetryPolicy(timeout=5.0, max_attempts=2),
         )
         spec = dataclasses.replace(
-            spec, faults=plan, max_sim_time=20000.0
+            spec, fault_plan=plan, max_sim_time=20000.0
         )
         tracer = Tracer()
         metrics = run_simulation(spec, tracer=tracer)
@@ -208,7 +208,7 @@ class TestAbandonment:
                 LinkOutage(spec.server_hosts[0], "client", 0.0, 60.0),
             ),
         )
-        spec = dataclasses.replace(spec, faults=plan)
+        spec = dataclasses.replace(spec, fault_plan=plan)
         metrics = run_simulation(spec)
         assert not metrics.truncated
         assert len(metrics.arrival_times) == 3
@@ -248,7 +248,7 @@ class TestEndlessOutage:
     def test_run_ends_truncated(self):
         spec = tiny_spec(
             images=2,
-            faults=FaultPlan(host_crashes=(HostCrash("client", 0.0, math.inf),)),
+            fault_plan=FaultPlan(host_crashes=(HostCrash("client", 0.0, math.inf),)),
         )
         metrics = run_simulation(spec)
         assert metrics.truncated

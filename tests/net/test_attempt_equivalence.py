@@ -17,6 +17,7 @@ process-completion event nobody waits on, once per completed
 
 import itertools
 import json
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,7 +104,7 @@ def faulted_runs(draw):
 def _run(setup, algorithm, nic_capacity):
     tracer = Tracer()
     metrics = run_configuration(
-        setup, 0, algorithm, tracer=tracer, nic_capacity=nic_capacity
+        replace(setup, nic_capacity=nic_capacity), 0, algorithm, tracer=tracer
     )
     return metrics, _normalized_events(tracer)
 

@@ -63,7 +63,7 @@ def _moving_spec(algorithm, chaos):
     )
     if chaos:
         spec = dataclasses.replace(
-            spec, faults=reference_chaos_plan(spec.all_hosts, seed=1)
+            spec, fault_plan=reference_chaos_plan(spec.all_hosts, seed=1)
         )
     return spec
 

@@ -6,6 +6,8 @@ plan, with an empty one, and under the full-DES reference schedule; the
 fluid fast path must carry every transfer and save kernel events.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.engine.config import Algorithm
@@ -20,7 +22,9 @@ SETUP = ExperimentConfig(num_servers=4, images_per_server=12)
 @pytest.mark.parametrize("algorithm", list(Algorithm))
 def test_empty_plan_and_full_des_are_bit_identical(algorithm):
     plain = run_configuration(SETUP, 0, algorithm)
-    dormant = run_configuration(SETUP, 0, algorithm, faults=FaultPlan())
+    dormant = run_configuration(
+        replace(SETUP, fault_plan=FaultPlan()), 0, algorithm
+    )
     assert dormant.summary() == plain.summary()
     assert dormant.arrival_times == plain.arrival_times
     with full_des():

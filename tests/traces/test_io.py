@@ -8,10 +8,8 @@ from repro.traces import (
     InternetStudy,
     load_library_json,
     load_trace_csv,
-    load_trace_json,
     save_library_json,
     save_trace_csv,
-    save_trace_json,
 )
 
 
@@ -39,16 +37,6 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(ValueError):
             load_trace_csv(path)
-
-
-class TestJson:
-    def test_roundtrip_exact(self, tmp_path):
-        path = tmp_path / "trace.json"
-        original = sample_trace()
-        save_trace_json(original, path)
-        loaded = load_trace_json(path)
-        assert loaded == original
-        assert loaded.name == original.name
 
 
 class TestLibraryJson:

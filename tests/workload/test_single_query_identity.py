@@ -76,7 +76,7 @@ class TestIdentityUnderFaults:
         plan = FaultPlan(
             link_outages=(LinkOutage(a="client", b="h0", start=5.0, end=15.0),)
         )
-        sim_spec = tiny_spec(Algorithm.GLOBAL, images=5, faults=plan)
+        sim_spec = tiny_spec(Algorithm.GLOBAL, images=5, fault_plan=plan)
         single, single_tracer, result, workload_tracer = run_both(sim_spec)
         wrapped = result.queries[0].metrics
 

@@ -164,7 +164,38 @@ class TestFromSimulationSpec:
         assert rebuilt == sim
 
 
+#: Configuration 3 over two servers: each link's drawn library trace.
+#: The draw keys on link order, not host names, so it is pinned here.
+DRAW_3 = (
+    (("h0", "h1"), "gatech~rutgers"),
+    (("client", "h0"), "uiuc~wisc"),
+    (("client", "h1"), "ucla~utexas"),
+)
+
+
 class TestResolveLinks:
+    @pytest.mark.parametrize("client", ["client", "gw"])
+    def test_draw_is_over_the_specs_own_hosts(self, client):
+        spec = small_workload(
+            num_servers=2, images_per_server=2, client_host=client, config_index=3
+        )
+        expected = [
+            (tuple(sorted(client if h == "client" else h for h in key)), name)
+            for key, name in DRAW_3
+        ]
+        links = spec.resolve_links()
+        assert [(key, trace.name) for key, trace in links.items()] == expected
+        default = small_workload(
+            num_servers=2, images_per_server=2, config_index=3
+        ).resolve_links()
+        assert list(links.values()) == list(default.values())
+
+    def test_custom_client_host_runs(self):
+        from repro.workload import run_workload
+
+        spec = small_workload(num_servers=2, images_per_server=2, client_host="gw")
+        assert run_workload(spec).fleet["completed"] == 1
+
     def test_study_draw_matches_make_configuration(self):
         from repro.experiments import ExperimentConfig
         from repro.experiments.config import make_configuration
