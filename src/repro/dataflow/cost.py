@@ -357,20 +357,6 @@ class CostModelArrays:
         self.parent_clamped = np.where(self.parent >= 0, self.parent, 0)
         self.path_nodes_valid = self.path_nodes >= 0
         self.path_nodes_clamped = np.where(self.path_nodes_valid, self.path_nodes, 0)
-        # Edge-seconds gathers for the batch evaluator, which keeps an
-        # always-zero slot at index ``n`` so an absent edge reads +0.0
-        # without a mask: per depth, each path's edge (or the slot past
-        # the path's end), and per node its child1 / child2 / own edge.
-        self.path_edge_rows = np.where(
-            self.path_edge_nodes >= 0, self.path_edge_nodes, n
-        ).T.copy()
-        self.edge_pack = np.vstack(
-            (
-                np.where(self.has_child1, self.child1, n),
-                np.where(self.has_child2, self.child2, n),
-                np.arange(n),
-            )
-        )
 
         # Node-on-path incidence plus per-node gather tables over the
         # affected (through-this-node) paths: ``affected`` holds the path
@@ -381,14 +367,12 @@ class CostModelArrays:
         for node_id, indices in cost_model.paths_through.items():
             self.on_path[index[node_id], list(indices)] = True
         self.affected = np.full((n, self.num_paths), -1, dtype=np.intp)
-        self.affected_clamped = np.zeros((n, self.num_paths), dtype=np.intp)
         self.affected_valid = np.zeros((n, self.num_paths), dtype=bool)
         self.affected_child1 = np.zeros((n, self.num_paths), dtype=bool)
         self.affected_child2 = np.zeros((n, self.num_paths), dtype=bool)
         for i in range(n):
             hits = np.flatnonzero(self.on_path[i])
             self.affected[i, : hits.size] = hits
-            self.affected_clamped[i, : hits.size] = hits
             self.affected_valid[i, : hits.size] = True
             if self.child1[i] >= 0:
                 self.affected_child1[i, : hits.size] = self.on_path[
@@ -398,6 +382,80 @@ class CostModelArrays:
                 self.affected_child2[i, : hits.size] = self.on_path[
                     self.child2[i], hits
                 ]
+        self._slot_tables(n)
+
+    def _slot_tables(self, n: int) -> None:
+        """The batch evaluator's slot vector and the scatters that read it.
+
+        :class:`~repro.dataflow.critical.BatchMoveEvaluator` keeps one
+        float vector per search, laid out as ``slots`` (the template:
+        zero edges, constants filled in), and each pricing step reads
+        its operands from it with one gather, so an absent operand is a
+        slot of its own (a +0.0 edge, a -inf path) instead of a mask:
+
+        =======================  ===========================================
+        ``[0, n)``               edge seconds above each node (0.0 co-located)
+        ``slot_zero`` (``n``)    +0.0, the absent edge
+        ``slot_neg_edge + i``    minus slot ``i``, for ``i`` in ``[0, n]``
+        ``slot_node + i``        node seconds of node ``i``
+        ``slot_neg_node + i``    minus that
+        ``slot_path + p``        path node sum of path ``p``
+        ``slot_neg_inf``         -inf
+        ``slot_floor + i``       latency floor of node ``i``
+        =======================  ===========================================
+
+        The critical-path kernel is one in-order ``np.bincount`` whose
+        bins are each path's latency (``[0, P)``), each path's node plus
+        edge sum (``[P, 2P)``), -inf (``2P``) and then each host's
+        occupancy; ``walk_bins``/``walk_slots`` are its path part.
+        """
+        num_paths = self.num_paths
+        self.slot_zero = n
+        self.slot_neg_edge = n + 1
+        self.slot_node = 2 * n + 2
+        self.slot_neg_node = 3 * n + 2
+        self.slot_path = 4 * n + 2
+        self.slot_neg_inf = self.slot_path + num_paths
+        self.slot_floor = self.slot_neg_inf + 1
+        slots = np.zeros(self.slot_floor + n)
+        slots[self.slot_node : self.slot_neg_node] = self.node_seconds
+        slots[self.slot_neg_node : self.slot_path] = -self.node_seconds
+        slots[self.slot_path : self.slot_neg_inf] = self.path_node_sums
+        slots[self.slot_neg_inf] = -np.inf
+        slots.flags.writeable = False
+        self.slots = slots
+
+        # Per node its child1 / child2 / own edge (absent: slot ``n``).
+        self.edge_pack = np.vstack(
+            (
+                np.where(self.has_child1, self.child1, n),
+                np.where(self.has_child2, self.child2, n),
+                np.arange(n),
+            )
+        )
+
+        # The path walk, in bin order: a latency bin adds its path node
+        # sum and then the path's edges in path order; a sum bin adds the
+        # edges and then the node sum (the same two terms, exactly); the
+        # -inf bin reads the -inf slot.
+        paths = np.arange(num_paths)
+        depth, path = np.nonzero(self.path_edge_nodes.T >= 0)
+        edges = self.path_edge_nodes[path, depth]
+        self.walk_bins = np.concatenate(
+            (paths, path, num_paths + path, num_paths + paths, [2 * num_paths])
+        )
+        self.walk_slots = np.concatenate(
+            (
+                self.slot_path + paths,
+                edges,
+                edges,
+                self.slot_path + paths,
+                [self.slot_neg_inf],
+            )
+        )
+        #: Per node, the sum bins of the paths not through it (else the
+        #: -inf bin): the latency floor's operands.
+        self.offpath_bins = np.where(self.on_path, 2 * num_paths, num_paths + paths)
 
 
 class RecordingEstimator:

@@ -30,6 +30,7 @@ search never escapes the all-at-client initialization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -83,15 +84,14 @@ def critical_path(
     universe = state.hosts
     num_hosts = len(universe)
     min_bw = cost_model.min_bandwidth
-    cross = np.flatnonzero(state.edge_cross)
     reads = []
-    for index in state.edge_bw_index[cross].tolist():
+    for index in state.cross_bw_index.tolist():
         value = estimator(universe[index // num_hosts], universe[index % num_hosts])
         reads.append(min_bw if value < min_bw else value)
-    edge_slots = np.zeros(len(arrays.node_ids) + 1)
-    seconds = arrays.edge_size[cross] / np.array(reads, dtype=float)
-    edge_slots[arrays.edge_child[cross]] = cost_model.startup_cost + seconds
-    __, __, best, cost = _critical_reduction(arrays, state, edge_slots)
+    slots = arrays.slots.copy()
+    seconds = state.cross_size / np.array(reads, dtype=float)
+    slots[state.cross_child] = cost_model.startup_cost + seconds
+    __, best, cost = _critical_reduction(arrays, state, slots)
     return CriticalPath(nodes=cost_model.server_paths[best], cost=cost)
 
 
@@ -148,16 +148,32 @@ def bandwidth_matrix(
     return np.array(values, dtype=float).reshape(len(hosts), len(hosts))
 
 
-#: Upper-triangle index pairs per host count (shared; tiny and immutable).
-_TRIU_CACHE: "dict[int, tuple[np.ndarray, np.ndarray]]" = {}
+def _pair_mask(bits) -> int:
+    """The bitmask with every bit of ``bits`` set (repeats allowed).
+
+    Recorded host pairs are bitmasks: the canonical pair ``(i, j)``,
+    ``i < j`` in the sorted host universe, is bit ``i * num_hosts + j``.
+    """
+    mask = 0
+    for bit in set(bits):
+        mask |= 1 << bit
+    return mask
 
 
-def _triu_indices(num_hosts: int) -> "tuple[np.ndarray, np.ndarray]":
-    cached = _TRIU_CACHE.get(num_hosts)
-    if cached is None:
-        cached = np.triu_indices(num_hosts, k=1)
-        _TRIU_CACHE[num_hosts] = cached
-    return cached
+@functools.cache
+def _all_pairs(num_hosts: int) -> int:
+    """The bitmask of every canonical pair of ``num_hosts`` hosts."""
+    return _pair_mask(
+        i * num_hosts + j for i in range(num_hosts) for j in range(i + 1, num_hosts)
+    )
+
+
+def _at_least_zero(values: np.ndarray) -> np.ndarray:
+    """Floor ``values`` at +0.0 in place, as the scalar walks do (they
+    start from ``0.0`` and replace it only on a strict ``>``).  On a tie
+    ``np.maximum`` returns its second operand, so ``-0.0`` comes out
+    ``+0.0``."""
+    return np.maximum(values, 0.0, out=values)
 
 
 def _frozen(entry):
@@ -180,19 +196,115 @@ class _MoveGrid:
     candidate host including each node's current one; ``price_moves``
     masks current-host cells to ``+inf`` so they can never win, which
     keeps the cell layout static across rounds.
+
+    ``price_moves`` prices a grid with one scatter-add into one segment
+    per cell, then takes each segment's maximum.  A cell's segment has
+    one bin per host (the host's occupancy after the move) and one per
+    path through the moved node plus one for the node's latency floor
+    over the other paths.  ``weight_slots`` gathers the scatter's
+    inputs from ``[slot vector | kernel sums | new edges | edge
+    deltas]`` (the last two 3 x cells), and its bins are the step-major
+    bump targets of :class:`_StateCells` followed by ``tail_bins``.
     """
 
     o: np.ndarray  #: node index per cell
     h: np.ndarray  #: candidate host index per cell
-    rows: np.ndarray  #: arange(cells)
-    node_sec: np.ndarray
-    neg_node_sec: np.ndarray
     sizes3: np.ndarray  #: child1/child2/own output sizes, stacked (3 x cells)
     has3: np.ndarray  #: child1/child2 presence + all-True own row (3 x cells)
-    m1: np.ndarray  #: affected columns through child 1 (cells x K)
-    m2: np.ndarray  #: affected columns through child 2 (cells x K)
-    valid: np.ndarray  #: affected-column validity (cells x K)
-    flat_base: np.ndarray  #: tile(rows, 11) * num_hosts, for the scatter
+    neg_slots: np.ndarray  #: slots of minus the moved edges' old seconds (3 x cells)
+    weight_slots: np.ndarray  #: the scatter's inputs (see above)
+    flat_base: np.ndarray  #: first bin of each cell's segment
+    #: Bins of the rest, in order: each host's occupancy, each path's
+    #: total, each floor, then each path's child delta and own delta.
+    tail_bins: np.ndarray
+
+    @classmethod
+    def build(
+        cls, arrays, num_hosts: int, o: np.ndarray, h: np.ndarray
+    ) -> "_MoveGrid":
+        cells = o.size
+        num_paths = arrays.num_paths
+        cell = np.arange(cells)
+        # Offsets in the gathered vector: the kernel's sums follow the
+        # slot vector (path totals from bin P, occupancy from 2P + 1),
+        # then the new edge seconds and the edge deltas, one row of
+        # cells per moved edge.
+        sums = arrays.slots.size
+        new = sums + 2 * num_paths + 2 + num_hosts
+        delta = new + 3 * cells
+        neg_slots = arrays.slot_neg_edge + arrays.edge_pack[:, o]
+        # The eleven occupancy bumps of ``cost_of_move`` per cell, in its
+        # order: minus and plus the node seconds, then per moved edge its
+        # delta, minus its old seconds and its new seconds.
+        bumps = (
+            arrays.slot_neg_node + o,
+            arrays.slot_node + o,
+            delta + cell,
+            neg_slots[0],
+            new + cell,
+            delta + cells + cell,
+            neg_slots[1],
+            new + cells + cell,
+            delta + 2 * cells + cell,
+            neg_slots[2],
+            new + 2 * cells + cell,
+        )
+        # Segments: the host bins, then per path through the node its
+        # latency bin, then the floor's bin.
+        sizes = num_hosts + arrays.affected_valid[o].sum(axis=1) + 1
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
+        # Each host bin adds the host's current occupancy last
+        # (``occ + delta``, exactly).
+        host_bins = (starts[:, None] + np.arange(num_hosts)).ravel()
+        host_slots = np.tile(sums + 2 * num_paths + 1 + np.arange(num_hosts), cells)
+        # A latency bin adds its path's total, then the child-1 or
+        # child-2 delta if the path passes that child (else +0.0), then
+        # the own-edge delta; the floor bin holds the floor alone.
+        rows, cols = np.nonzero(arrays.affected_valid[o])
+        node = o[rows]
+        path_bins = starts[rows] + num_hosts + cols
+        through = np.where(
+            arrays.affected_child1[node, cols],
+            delta + rows,
+            np.where(
+                arrays.affected_child2[node, cols],
+                delta + cells + rows,
+                arrays.slot_zero,
+            ),
+        )
+        return cls(
+            o=o,
+            h=h,
+            sizes3=np.vstack(
+                (
+                    arrays.sizes[arrays.child1_clamped[o]],
+                    arrays.sizes[arrays.child2_clamped[o]],
+                    arrays.sizes[o],
+                )
+            ),
+            has3=np.vstack(
+                (
+                    arrays.has_child1[o],
+                    arrays.has_child2[o],
+                    np.ones(cells, dtype=bool),
+                )
+            ),
+            neg_slots=neg_slots,
+            weight_slots=np.concatenate(
+                bumps
+                + (
+                    host_slots,
+                    sums + num_paths + arrays.affected[node, cols],
+                    arrays.slot_floor + o,
+                    through,
+                    delta + 2 * cells + rows,
+                )
+            ),
+            flat_base=starts,
+            tail_bins=np.concatenate(
+                (host_bins, path_bins, starts + sizes - 1, path_bins, path_bins)
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -200,20 +312,25 @@ class _StateCells:
     """One move grid's assignment-dependent cell arrays.
 
     Everything ``price_moves`` derives from where nodes sit, and not
-    from bandwidth, gathered once per (placement state, move list).
+    from bandwidth, gathered once per (placement state, move list).  A
+    moved edge that is absent or co-located has size and startup 0.0
+    and reads the ``(0, 0)`` diagonal (``+inf``), so its new seconds
+    come out exactly 0.0 without a mask.
     """
 
     grid: _MoveGrid
     bw_index: np.ndarray  #: flat bandwidth index of the 3 moved edges (3 x cells)
-    masks3: np.ndarray  #: moved edge present and cross-host (3 x cells)
-    is_current: np.ndarray  #: the cell's host is the node's current one
+    sizes3: np.ndarray  #: the moved edges' sizes, 0.0 where masked (3 x cells)
+    startup3: np.ndarray  #: the startup cost, 0.0 where masked (3 x cells)
+    cur_row: np.ndarray  #: +inf where the cell's host is the node's current one
     cells: int  #: host != current cells, the scalar candidate count
-    flat_index: np.ndarray  #: step-major scatter targets (11 x cells, flat)
-    lift: np.ndarray  #: the cell's host is unoccupied
-    recorded: np.ndarray  #: flat canonical host pairs the cells query (repeats allowed)
+    flat_index: np.ndarray  #: the bumps' bins, step-major (11 x cells, flat)
+    recorded: int  #: bitmask of the canonical host pairs the cells query
 
     @classmethod
-    def build(cls, grid: _MoveGrid, state: "_PlacementState") -> "_StateCells":
+    def build(
+        cls, grid: _MoveGrid, state: "_PlacementState", startup: float
+    ) -> "_StateCells":
         num_hosts = len(state.hosts)
         o, h = grid.o, grid.h
         # ``ipack`` rows: own / child1 / child2 / parent host, then the
@@ -234,20 +351,17 @@ class _StateCells:
         flat_cols = np.concatenate(
             (old, h, icells[4], old, h, icells[5], old, h, parent_host, old, h)
         )
-        recorded = (
-            np.minimum(src, dst)[masks3] * num_hosts
-            + np.maximum(src, dst)[masks3]
-        )
+        canonical = np.minimum(src, dst) * num_hosts + np.maximum(src, dst)
         return _frozen(
             cls(
                 grid=grid,
-                bw_index=src * num_hosts + dst,
-                masks3=masks3,
-                is_current=is_current,
+                bw_index=np.where(masks3, src * num_hosts + dst, 0),
+                sizes3=np.where(masks3, grid.sizes3, 0.0),
+                startup3=np.where(masks3, startup, 0.0),
+                cur_row=np.where(is_current, np.inf, 0.0),
                 cells=int(o.size - np.count_nonzero(is_current)),
-                flat_index=grid.flat_base + flat_cols,
-                lift=~state.occupied[h],
-                recorded=recorded,
+                flat_index=np.tile(grid.flat_base, 11) + flat_cols,
+                recorded=_pair_mask(canonical[masks3].tolist()),
             )
         )
 
@@ -257,13 +371,13 @@ class _PlacementState:
     """The bandwidth-independent evaluator state of one placement.
 
     A function of (host universe, assignment in insertion order) only:
-    the int assignment, the occupancy scatter targets, the edge and
-    path host gathers, the per-node host pack ``price_moves`` reads, and
-    per move list the cell arrays (``cells``).  Periodic replans start
-    from and walk through the same few placements again and again, so
-    the planner keeps these in its ``_grid_cache`` and a revisited
-    placement skips the decode and every gather.  The arrays are
-    read-only; only ``cells`` and the planner's ``moves`` grow.
+    the int assignment, the kernel's scatter, the edge and path host
+    gathers, the per-node host pack ``price_moves`` reads, and per move
+    list the cell arrays (``cells``).  Periodic replans start from and
+    walk through the same few placements again and again, so the
+    planner keeps these in its ``_grid_cache`` and a revisited placement
+    skips the decode and every gather.  The arrays are read-only; only
+    ``cells`` and the planner's ``moves`` grow.
     """
 
     hosts: tuple[str, ...]
@@ -271,15 +385,17 @@ class _PlacementState:
     items: tuple  #: the assignment's items, in insertion order
     position: dict  #: node id -> its index in ``items``
     assign: np.ndarray  #: host index per node
-    occ_index: np.ndarray  #: occupancy scatter targets (nodes, then edges)
-    occ_node_seconds: np.ndarray  #: node seconds in assignment order
-    edge_bw_index: np.ndarray  #: flat bandwidth index per edge
-    edge_cross: np.ndarray  #: the edge crosses hosts
-    occupied: np.ndarray  #: some node sits on the host
-    any_unoccupied: bool
-    path_hosts: np.ndarray  #: host per (path, depth); num_hosts past the end
+    #: The kernel's scatter bins: occupancy (nodes in assignment order,
+    #: then child/parent per edge), then the path walk.
+    occ_index: np.ndarray
+    occ_slots: np.ndarray  #: the slot each scattered term reads
+    path_bins: np.ndarray  #: occupancy bin per (path, depth); 0.0 past the end
+    cross_child: np.ndarray  #: child node of each cross-host edge, edge order
+    cross_size: np.ndarray  #: its output size
+    cross_bw_index: np.ndarray  #: its flat bandwidth index
+    any_unoccupied: bool  #: some host of the universe holds no node
     ipack: np.ndarray  #: own / child1 / child2 / parent host, bump targets
-    queried_cross: np.ndarray  #: flat canonical pairs of cross-host edges
+    queried: int  #: bitmask of the canonical pairs of cross-host edges
     cells: dict  #: move list -> :class:`_StateCells`
     moves: dict  #: critical-path index -> candidate move list (planner-filled)
 
@@ -300,16 +416,16 @@ class _PlacementState:
             assign[node] = host_index[host]
             order[i] = node
 
-        # Occupancy targets in the scalar sequence: node seconds in
-        # assignment order, then child/parent interleaved per edge.
+        # Occupancy terms in the scalar sequence: node seconds in
+        # assignment order, then child/parent interleaved per edge; the
+        # occupancy bins follow the walk's 2P + 1.
         child_hosts = assign[arrays.edge_child]
         parent_hosts = assign[arrays.edge_parent]
         endpoints = np.empty(2 * child_hosts.size, dtype=np.intp)
         endpoints[0::2] = child_hosts
         endpoints[1::2] = parent_hosts
-        occupied = np.zeros(num_hosts, dtype=bool)
-        occupied[assign] = True
         cross = child_hosts != parent_hosts
+        occupancy = 2 * arrays.num_paths + 1
 
         # A childless slot aims the masked zero delta at the node's own
         # host, a no-op add.
@@ -321,6 +437,10 @@ class _PlacementState:
         ipack[4] = np.where(arrays.has_child1, ipack[1], assign)
         ipack[5] = np.where(arrays.has_child2, ipack[2], assign)
 
+        canonical = (
+            np.minimum(child_hosts, parent_hosts) * num_hosts
+            + np.maximum(child_hosts, parent_hosts)
+        )
         return _frozen(
             cls(
                 hosts=universe,
@@ -328,22 +448,28 @@ class _PlacementState:
                 items=items,
                 position={node_id: i for i, (node_id, _) in enumerate(items)},
                 assign=assign,
-                occ_index=np.concatenate((assign[order], endpoints)),
-                occ_node_seconds=arrays.node_seconds[order],
-                edge_bw_index=child_hosts * num_hosts + parent_hosts,
-                edge_cross=cross,
-                occupied=occupied,
-                any_unoccupied=not bool(occupied.all()),
-                path_hosts=np.where(
+                occ_index=np.concatenate(
+                    (occupancy + assign[order], occupancy + endpoints, arrays.walk_bins)
+                ),
+                occ_slots=np.concatenate(
+                    (
+                        arrays.slot_node + order,
+                        np.repeat(arrays.edge_child, 2),
+                        arrays.walk_slots,
+                    )
+                ),
+                path_bins=occupancy
+                + np.where(
                     arrays.path_nodes_valid,
                     assign[arrays.path_nodes_clamped],
                     num_hosts,
                 ),
+                cross_child=arrays.edge_child[cross],
+                cross_size=arrays.edge_size[cross],
+                cross_bw_index=(child_hosts * num_hosts + parent_hosts)[cross],
+                any_unoccupied=len(set(assign.tolist())) < num_hosts,
                 ipack=ipack,
-                queried_cross=(
-                    np.minimum(child_hosts, parent_hosts)[cross] * num_hosts
-                    + np.maximum(child_hosts, parent_hosts)[cross]
-                ),
+                queried=_pair_mask(canonical[cross].tolist()),
                 cells={},
                 moves={},
             )
@@ -362,49 +488,39 @@ def _load_state(
 
 
 def _critical_reduction(
-    arrays, state: _PlacementState, edge_slots: np.ndarray
-) -> "tuple[np.ndarray, np.ndarray, int, float]":
+    arrays, state: _PlacementState, slots: np.ndarray
+) -> "tuple[np.ndarray, int, float]":
     """The critical path of one placement state, order-exact.
 
-    ``edge_slots`` holds each node's edge seconds (0.0 where co-located)
-    plus one always-zero slot that ``CostModelArrays.path_edge_rows``
-    aims at for absent edges.  Returns ``(occupancy, path edge sums,
-    critical path index, cost)``; the occupancy has one extra bin,
-    +0.0, for the path slots past each path's end.
+    ``slots`` is a slot vector (``CostModelArrays.slots`` with each
+    cross-host edge's seconds written in).  Returns ``(sums, critical
+    path index, cost)``: ``sums`` holds per path its latency and its
+    node plus edge sum, then -inf, then per host its occupancy and one
+    +0.0 bin for the path slots past each path's end.
 
     Floating-point addition is not associative, so every accumulation
     follows the path walk of the scalar oracle
-    (``tests/oracles/scalar_pricer.py``): occupancy is one in-order
-    scatter (``np.bincount`` adds its inputs in sequence) of node
+    (``tests/oracles/scalar_pricer.py``), in one in-order scatter
+    (``np.bincount`` adds its inputs in sequence): occupancy adds node
     seconds in assignment order, then child/parent interleaved per edge
-    in edge order; path sums are sequential depth loops, never pairwise
-    ``np.sum``.
+    in edge order; a path's latency starts from its node sum — bitwise
+    the walk's left-to-right node additions — and adds its edges in path
+    order, never pairwise.  A path's node plus edge sum (the total the
+    move grid starts from) adds the edges from +0.0 and then the node
+    sum: addition commutes, so that is ``node sum + edge sum`` exactly.
     """
-    occ = np.bincount(
+    num_paths = arrays.num_paths
+    sums = np.bincount(
         state.occ_index,
-        weights=np.concatenate(
-            (state.occ_node_seconds, np.repeat(edge_slots[arrays.edge_child], 2))
-        ),
-        minlength=len(state.hosts) + 1,
+        weights=slots[state.occ_slots],
+        minlength=2 * num_paths + 2 + len(state.hosts),
     )
-
-    # One depth loop for the edge sums and the latency.  The walk adds
-    # node seconds in path order first — bitwise equal to
-    # ``path_node_sums``, accumulated left-to-right from zero in the
-    # same order — then edge seconds in path order; the edge-sum
-    # accumulator adds the identical terms starting from zero.
-    esums = np.zeros(arrays.num_paths)
-    latency = arrays.path_node_sums.copy()
-    for term in edge_slots[arrays.path_edge_rows]:
-        esums = esums + term
-        latency = latency + term
 
     # Bottleneck as an order-free max; the first index attaining the
     # maximum wins, like the walk's strict-> running compare.
-    bottleneck = occ[state.path_hosts].max(axis=1)
-    costs = np.where(latency > bottleneck, latency, bottleneck)
-    best = int(np.argmax(costs))
-    return occ, esums, best, float(costs[best])
+    costs = np.maximum(sums[:num_paths], sums[state.path_bins].max(axis=1))
+    best = int(costs.argmax())
+    return sums, best, float(costs[best])
 
 
 class BatchMoveEvaluator:
@@ -425,11 +541,11 @@ class BatchMoveEvaluator:
     exact addition order: the current placement's occupancy and path
     sums come from :func:`_critical_reduction`, the kernel
     :func:`critical_path` prices with too, and each grid cell applies
-    its occupancy bumps and per-path edge deltas in the same eleven-step
-    order as the reference ``cost_of_move``.  The no-op
-    additions the uniform vector pipeline introduces (masked zero
-    deltas, padded columns) only ever add ``+0.0`` to values that are
-    not ``-0.0``, which is exact in IEEE-754.
+    its occupancy bumps and per-path edge deltas in the same order as
+    the reference ``cost_of_move``, all in one in-order scatter.  The
+    no-op additions the uniform vector pipeline introduces (zero deltas,
+    co-located edges) only ever add ``+0.0`` to values that are not
+    ``-0.0``, which is exact in IEEE-754.
 
     The evaluator lives for one ``plan`` call.  The snapshot is taken
     once from the estimator passed in (or handed in ready-made as
@@ -439,7 +555,10 @@ class BatchMoveEvaluator:
     edge entries in place (each is an independent function of its
     endpoints, so the in-place update is bit-identical to a fresh
     recompute) while the order-sensitive reductions (occupancy, path
-    sums, critical path) are recomputed with vector ops.
+    sums, critical path) are recomputed with vector ops.  A round's
+    float state is one slot vector (see
+    :class:`~repro.dataflow.cost.CostModelArrays`) plus the kernel's
+    sums, which the move grid reads with a single gather.
 
     What depends on the placement but not on bandwidth — the decoded
     assignment, every host gather, and per move list the cell arrays —
@@ -447,12 +566,12 @@ class BatchMoveEvaluator:
     (host universe, assignment items), so a planner that passes a
     persistent dict reuses it across rounds and plan calls.
 
-    Queried links are tracked in an ``H x H`` boolean matrix mirroring
-    :class:`repro.dataflow.cost.RecordingEstimator`: the cross-host
-    edges every round's occupancy pass consults, plus each cell's
-    (child host, new host) and (new host, parent host) pairs when the
-    endpoints differ; hosts are index-sorted by name, so the upper
-    triangle is exactly the recorder's ``(a, b) if a < b``
+    Queried links mirror :class:`repro.dataflow.cost.RecordingEstimator`:
+    the cross-host edges every round's occupancy pass consults, plus
+    each cell's (child host, new host) and (new host, parent host) pairs
+    when the endpoints differ.  They are kept as a bitmask of canonical
+    pairs (see :func:`_pair_mask`); hosts are index-sorted by name, so
+    ``i < j`` is exactly the recorder's ``(a, b) if a < b``
     canonicalization.
     """
 
@@ -468,18 +587,18 @@ class BatchMoveEvaluator:
     ) -> None:
         self.tree = tree
         self.cost_model = cost_model
-        self.arrays = cost_model.arrays()
+        arrays = self.arrays = cost_model.arrays()
         #: Cell-structure and placement-state cache; a planner may pass
         #: a persistent dict so both survive across plan calls.
         self._grid_cache: dict = {} if grid_cache is None else grid_cache
-        self._state = _load_state(
+        state = self._state = _load_state(
             self._grid_cache,
-            self.arrays,
+            arrays,
             tuple(hosts),
             tuple(placement.assignment.items()),
         )
-        self.hosts = self._state.hosts
-        self.host_index = self._state.host_index
+        self.hosts = state.hosts
+        self.host_index = state.host_index
         num_hosts = len(self.hosts)
 
         # ``bandwidth`` lets a caller that already snapshotted the
@@ -497,41 +616,32 @@ class BatchMoveEvaluator:
         self._bw_flat = bandwidth.reshape(-1)
         self.startup = cost_model.startup_cost
 
-        # Edge seconds per child node, plus one always-zero slot that
-        # ``CostModelArrays.path_edge_rows`` and ``edge_pack`` aim at
-        # for absent edges.
-        num_nodes = len(self.arrays.node_ids)
-        self._edge_slots = np.zeros(num_nodes + 1)
-        self.edge_seconds = self._edge_slots[:num_nodes]
-        self._queried = np.zeros((num_hosts, num_hosts), dtype=bool)
-        self._queried_flat = self._queried.reshape(-1)
-        self._triu = _triu_indices(num_hosts)
+        # The slot vector, its cross-host edges priced, and views of the
+        # slots each round rewrites.
+        slots = self._slots = arrays.slots.copy()
+        slots[state.cross_child] = (
+            self.startup + state.cross_size / self._bw_flat[state.cross_bw_index]
+        )
+        self._edges = slots[: arrays.slot_neg_edge]
+        self._neg_edges = slots[arrays.slot_neg_edge : arrays.slot_node]
+        self._floor = slots[arrays.slot_floor :]
+        self._links = 0
+        self._all_pairs = _all_pairs(num_hosts)
         #: True once every canonical host pair has been recorded — the
         #: recorded set is monotone and maximal, so recording can stop.
         self._links_complete = False
-        self._host_tuple_cache: dict[tuple[str, ...], np.ndarray] = {}
-        self._set_all_edges()
         self._recompute_reductions()
 
     # -- per-round state ----------------------------------------------------
-    def _set_all_edges(self) -> None:
-        arrays = self.arrays
-        state = self._state
-        self.edge_seconds[arrays.edge_child] = np.where(
-            state.edge_cross,
-            self.startup + arrays.edge_size / self._bw_flat[state.edge_bw_index],
-            0.0,
-        )
-
     def _set_edge(self, child: int) -> None:
         """Recompute one edge entry (bit-identical to a full rebuild)."""
         assign = self._state.assign
         a = assign[child]
         b = assign[self.arrays.parent[child]]
         if a == b:
-            self.edge_seconds[child] = 0.0
+            self._slots[child] = 0.0
         else:
-            self.edge_seconds[child] = (
+            self._slots[child] = (
                 self.startup + self.arrays.sizes[child] / self._bw[a, b]
             )
 
@@ -542,45 +652,26 @@ class BatchMoveEvaluator:
         they cannot be patched incrementally without changing addition
         order; :func:`_critical_reduction` rebuilds them with order-exact
         vector ops (O(nodes + edges + paths), trivial next to the move
-        grid).
+        grid).  Then the slots ``price_moves`` gathers per grid cell:
+        the negated edge seconds and per node the latency floor over the
+        paths *not* through it.
         """
         arrays = self.arrays
         state = self._state
-        occ, esums, best, cost = _critical_reduction(
-            arrays, state, self._edge_slots
-        )
-        self._occ_masked = np.where(state.occupied, occ[: len(self.hosts)], -np.inf)
-        self.path_edge_sums = esums
-        self.all_totals = arrays.path_node_sums + esums
+        sums, best, cost = _critical_reduction(arrays, state, self._slots)
+        self._sums = sums
         #: Index of the critical path in ``cost_model.server_paths``.
         self.critical_index = best
-        self._critical = CriticalPath(
-            nodes=self.cost_model.server_paths[best], cost=cost
-        )
-
-        # Per-node float snapshots that ``price_moves`` gathers per grid
-        # cell, packed into one matrix so a round's edge state reaches
-        # the cells in one fancy gather: current child edge seconds, the
-        # node's own current edge seconds, and the latency floor over
-        # paths *not* through the node.
-        fpack = np.empty((4, state.assign.size))
-        fpack[0:3] = self._edge_slots[arrays.edge_pack]
-        floor = np.where(
-            arrays.on_path, -np.inf, self.all_totals[None, :]
-        ).max(axis=1)
-        fpack[3] = np.where(floor > 0.0, floor, 0.0)
-        self._fpack = fpack
-        self._base_totals = np.where(
-            arrays.affected_valid,
-            self.all_totals[arrays.affected_clamped],
-            -np.inf,
-        )
+        self._cost = cost
+        np.negative(self._edges, out=self._neg_edges)
+        sums[arrays.offpath_bins].max(axis=1, out=self._floor)
+        _at_least_zero(self._floor)
 
         # The scalar round consults every cross-host edge of the current
         # placement (critical path + evaluator construction).
         if not self._links_complete:
-            self._queried_flat[state.queried_cross] = True
-            self._links_complete = bool(self._queried[self._triu].all())
+            self._links |= state.queried
+            self._links_complete = self._links == self._all_pairs
 
     @property
     def state(self) -> _PlacementState:
@@ -589,7 +680,9 @@ class BatchMoveEvaluator:
 
     def critical_path(self) -> CriticalPath:
         """The critical path of the current placement state."""
-        return self._critical
+        return CriticalPath(
+            nodes=self.cost_model.server_paths[self.critical_index], cost=self._cost
+        )
 
     def links_queried(self) -> frozenset:
         """Canonical host pairs consulted so far (recorder semantics).
@@ -606,23 +699,16 @@ class BatchMoveEvaluator:
         return links
 
     def _recorded_links(self) -> frozenset:
-        rows, cols = np.nonzero(self._queried)
+        hosts = self.hosts
+        num_hosts = len(hosts)
+        mask = self._links
         return frozenset(
-            (self.hosts[i], self.hosts[j])
-            for i, j in zip(rows.tolist(), cols.tolist())
-            if i != j
+            (hosts[bit // num_hosts], hosts[bit % num_hosts])
+            for bit in range(mask.bit_length())
+            if mask >> bit & 1
         )
 
     # -- the batched move grid ----------------------------------------------
-    def _host_indices(self, candidate_hosts: tuple[str, ...]) -> np.ndarray:
-        cached = self._host_tuple_cache.get(candidate_hosts)
-        if cached is None:
-            cached = np.array(
-                [self.host_index[h] for h in candidate_hosts], dtype=np.intp
-            )
-            self._host_tuple_cache[candidate_hosts] = cached
-        return cached
-
     def price_moves(
         self, moves, best_cost: float
     ) -> "tuple[int, float, Optional[tuple[str, str]]]":
@@ -644,95 +730,53 @@ class BatchMoveEvaluator:
             grid = self._grid_cache.get((self.hosts, key))
             if grid is None:
                 grid = self._build_grid(key)
-            cached = _StateCells.build(grid, state)
+            cached = _StateCells.build(grid, state, self.startup)
             state.cells[key] = cached
         if cached.cells == 0:
             return 0, best_cost, None
         grid = cached.grid
         o = grid.o
+        slots = self._slots
 
-        # One fancy gather delivers the round's per-node edge state to
-        # the cells; the rows come out as views.
-        fcells = self._fpack[:, o]
-        old_e3 = fcells[0:3]
-        floor = fcells[3]
-
-        # All three moved edges — both child inputs plus the output —
-        # in one (3 x cells) pass.  The masked new edges are exactly 0.0
-        # where absent or co-located, so the plain differences
-        # reproduce the scalar deltas (childless rows give
-        # +0.0 - +0.0 = +0.0).
-        new_e3 = np.where(
-            cached.masks3,
-            self.startup + grid.sizes3 / self._bw_flat[cached.bw_index],
-            0.0,
+        # All three moved edges — both child inputs plus the output — in
+        # one (3 x cells) pass.  Masked new edges are exactly 0.0, so the
+        # plain deltas reproduce the scalar ones (childless rows give
+        # +0.0 + -0.0 = +0.0, and x + -y is bitwise x - y).
+        new_e3 = self._bw_flat[cached.bw_index]
+        np.divide(cached.sizes3, new_e3, out=new_e3)
+        np.add(new_e3, cached.startup3, out=new_e3)
+        weights = np.concatenate(
+            (slots, self._sums, new_e3, new_e3 + slots[grid.neg_slots]), axis=None
         )
-        d3 = new_e3 - old_e3
-        d1, d2, d_o = d3[0], d3[1], d3[2]
-        new_eo = new_e3[2]
 
-        # Latency: per-node unaffected floor (precomputed per round),
-        # then the affected totals with the scalar's three delta adds
-        # (child1, child2, own edge) in order, accumulated in place
-        # (the gather above produced a fresh array).  A masked-out
-        # column keeps its value, which equals adding +0.0: totals are
-        # never -0.0.
-        totals = self._base_totals[o]
-        np.add(totals, d1[:, None], out=totals, where=grid.m1)
-        np.add(totals, d2[:, None], out=totals, where=grid.m2)
-        np.add(totals, d_o[:, None], out=totals, where=grid.valid)
-        aff_max = totals.max(axis=1)
-        latency = np.where(aff_max > floor, aff_max, floor)
-
-        # Bottleneck: the eleven occupancy bumps of ``cost_of_move``,
-        # fused into one sequential scatter-add.  ``np.bincount`` scans
-        # its input in order, and the step-major layout (step 0 for all
-        # cells, then step 1, ...) puts each slot's contributions in the
-        # scalar's eleven-step sequence, so every slot accumulates in
-        # ``cost_of_move``'s exact dict order (childless rows add
-        # exact-zero no-ops).  Then one base + delta add per host, max
-        # over occupied hosts (unoccupied ones are premasked to -inf),
-        # and the unoccupied-target special case when it can trigger.
-        neg_e3 = -old_e3
-        flat_vals = np.concatenate(
-            (
-                grid.neg_node_sec,
-                grid.node_sec,
-                d1,
-                neg_e3[0],
-                new_e3[0],
-                d2,
-                neg_e3[1],
-                new_e3[1],
-                d_o,
-                neg_e3[2],
-                new_eo,
-            )
+        # One sequential scatter-add prices every cell.  ``np.bincount``
+        # scans its input in order, so each host bin accumulates the
+        # eleven occupancy bumps of ``cost_of_move`` in its exact dict
+        # order (step-major: step 0 for all cells, then step 1, ...;
+        # childless slots add exact-zero no-ops) and then the host's
+        # current occupancy, ``occ + delta`` exactly; each path bin
+        # accumulates the path's total and then the scalar's child and
+        # own-edge deltas in order.  An unoccupied host holds +0.0 and
+        # only the cell's own target bumps it, so a segment's maximum is
+        # the scalar's max over occupied hosts, its unoccupied-target
+        # case, and the latency (the floor bin covers unaffected paths).
+        table = np.bincount(
+            np.concatenate((cached.flat_index, grid.tail_bins)),
+            weights=weights[grid.weight_slots],
         )
-        delta = np.bincount(
-            cached.flat_index,
-            weights=flat_vals,
-            minlength=o.size * len(self.hosts),
-        ).reshape(o.size, len(self.hosts))
-        bottleneck = (self._occ_masked + delta).max(axis=1)
-        bottleneck = np.where(bottleneck > 0.0, bottleneck, 0.0)
-        if state.any_unoccupied:
-            extra = delta[grid.rows, grid.h]
-            lift = cached.lift & (extra > bottleneck)
-            bottleneck = np.where(lift, extra, bottleneck)
-        costs = np.where(latency > bottleneck, latency, bottleneck)
+        costs = np.maximum.reduceat(table, grid.flat_base)
 
         # Current-host cells are the scalar loop's ``continue``: priced
         # as +inf so they can never win, excluded from the cell count.
-        costs = np.where(cached.is_current, np.inf, costs)
+        np.add(costs, cached.cur_row, out=costs)
 
         # Recorder semantics for the cells' estimator queries.  A
         # current-host cell's pairs are that node's present cross
         # edges, already recorded by ``_recompute_reductions``; once
         # every pair is recorded the set is maximal and recording stops.
         if not self._links_complete:
-            self._queried_flat[cached.recorded] = True
-            self._links_complete = bool(self._queried[self._triu].all())
+            self._links |= cached.recorded
+            self._links_complete = self._links == self._all_pairs
 
         # The running ``cost <= best`` winner is the *last* cell
         # attaining the grid minimum: argmin over the reversed costs
@@ -750,46 +794,22 @@ class BatchMoveEvaluator:
     def _build_grid(self, moves: tuple) -> _MoveGrid:
         """Gather and cache the placement-independent cell structure."""
         arrays = self.arrays
+        host_index = self.host_index
         node_parts: list[np.ndarray] = []
         host_parts: list[np.ndarray] = []
         for node_id, candidate_hosts in moves:
-            node = arrays.node_index[node_id]
-            hidx = self._host_indices(candidate_hosts)
+            hidx = np.array([host_index[h] for h in candidate_hosts], dtype=np.intp)
             host_parts.append(hidx)
-            node_parts.append(np.full(hidx.size, node, dtype=np.intp))
+            node_parts.append(
+                np.full(hidx.size, arrays.node_index[node_id], dtype=np.intp)
+            )
         if node_parts:
             o = np.concatenate(node_parts)
             h = np.concatenate(host_parts)
         else:
             o = np.empty(0, dtype=np.intp)
             h = np.empty(0, dtype=np.intp)
-        node_sec = arrays.node_seconds[o]
-        rows = np.arange(o.size)
-        grid = _MoveGrid(
-            o=o,
-            h=h,
-            rows=rows,
-            node_sec=node_sec,
-            neg_node_sec=-node_sec,
-            sizes3=np.vstack(
-                (
-                    arrays.sizes[arrays.child1_clamped[o]],
-                    arrays.sizes[arrays.child2_clamped[o]],
-                    arrays.sizes[o],
-                )
-            ),
-            has3=np.vstack(
-                (
-                    arrays.has_child1[o],
-                    arrays.has_child2[o],
-                    np.ones(o.size, dtype=bool),
-                )
-            ),
-            m1=arrays.affected_child1[o],
-            m2=arrays.affected_child2[o],
-            valid=arrays.affected_valid[o],
-            flat_base=np.tile(rows, 11) * len(self.hosts),
-        )
+        grid = _MoveGrid.build(arrays, len(self.hosts), o, h)
         self._grid_cache[(self.hosts, moves)] = _frozen(grid)
         return grid
 

@@ -19,7 +19,7 @@ the ``query_id`` tag).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 from repro.engine.config import SimulationSpec
 from repro.engine.runtime import Runtime
@@ -35,6 +35,7 @@ from repro.obs.events import RUN_END, RUN_META
 from repro.obs.metrics import RunMetrics
 from repro.obs.tracer import ScopedTracer, ensure_tracer
 from repro.sim import Environment
+from repro.traces.trace import BandwidthTrace
 from repro.workload.arrivals import (
     ClosedLoop,
     OpenLoop,
@@ -123,13 +124,19 @@ class WorkloadResult:
         return self.fleet
 
 
-def build_schedule(spec: WorkloadSpec) -> list[ScheduledQuery]:
+def build_schedule(
+    spec: WorkloadSpec,
+    links: Optional[Mapping[tuple[str, str], BandwidthTrace]] = None,
+) -> list[ScheduledQuery]:
     """Every (client, ordinal) slot of the workload, in client order.
 
     A spec with a ``client_subset`` (one shard of a larger population)
     schedules only those clients, with identical per-client seeds and
-    query ids to the full run.
+    query ids to the full run.  Every query's spec shares ``links``, the
+    workload's one network (drawn here when not given).
     """
+    if links is None:
+        links = spec.resolve_links()
     schedule: list[ScheduledQuery] = []
     for client_index in spec.client_indices:
         mix = spec.mix_for(client_index)
@@ -140,7 +147,7 @@ def build_schedule(spec: WorkloadSpec) -> list[ScheduledQuery]:
                     client_index=client_index,
                     ordinal=ordinal,
                     qclass=qclass,
-                    spec=spec.query_spec(qclass, client_index, ordinal),
+                    spec=spec.query_spec(qclass, client_index, ordinal, links),
                 )
             )
     return schedule
@@ -158,7 +165,10 @@ class WorkloadEngine:
     def run(self) -> WorkloadResult:
         spec = self.spec
         tracer = self.tracer
-        schedule = build_schedule(spec)
+        # A workload has one network: draw it once for every query and
+        # the substrate.
+        links = spec.resolve_links()
+        schedule = build_schedule(spec, links)
         sink = spec.build_metrics()
         # Without per-query records, queries finalize as they complete
         # so their state is freed while the fleet runs.
@@ -181,9 +191,7 @@ class WorkloadEngine:
                 queries_per_client=spec.queries_per_client,
                 scheduled_queries=len(schedule),
             )
-        network, monitoring = build_substrate(
-            env, spec, spec.resolve_links(), tracer
-        )
+        network, monitoring = build_substrate(env, spec, links, tracer)
         network.observers.append(sink.observe)
         # Queries of one shape share their tree, cost model and search
         # cache for this run only.

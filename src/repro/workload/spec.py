@@ -277,20 +277,26 @@ class WorkloadSpec(Substrate):
         return tuple(pool[i] for i in sorted(picks))
 
     def query_spec(
-        self, qclass: QueryClass, client_index: int, ordinal: int
+        self,
+        qclass: QueryClass,
+        client_index: int,
+        ordinal: int,
+        links: Optional[Mapping[tuple[str, str], BandwidthTrace]] = None,
     ) -> SimulationSpec:
         """The full single-query spec for one (client, ordinal) slot.
 
         Per-query seeds derive from the workload seed and the slot, so
         two queries of the same class still draw distinct workloads;
         class ``overrides`` (e.g. a pinned ``workload_seed``) win.
+        ``links`` is the run's :meth:`resolve_links` draw, when the
+        caller already has it; every query of a run shares it.
         """
         base_seed = self.seed + 101 * client_index + ordinal
         kwargs = substrate_of(self)
         kwargs.update(
             algorithm=qclass.algorithm,
             num_servers=qclass.num_servers or self.num_servers,
-            link_traces=self.resolve_links(),
+            link_traces=self.resolve_links() if links is None else links,
             server_hosts=self.query_servers(qclass, client_index, ordinal),
             images_per_server=qclass.images_per_server or self.images_per_server,
             workload_seed=base_seed,

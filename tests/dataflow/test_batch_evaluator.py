@@ -8,9 +8,13 @@ trees, placements and asymmetric estimators, including the incremental
 ``apply_move`` path.
 """
 
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataflow.cost import CostModel, RecordingEstimator
 from repro.dataflow import critical
@@ -180,6 +184,24 @@ class TestRecorderSemantics:
         batch.price_moves(all_moves(tree, hosts), float("inf"))
         assert batch.links_queried() == frozenset(recorder.queried)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_each_cell_records_its_own_pairs(self, seed):
+        # One cell per evaluator, so no other cell's queries can cover a
+        # pair the cell itself failed to record.
+        rng = random.Random(5000 + seed)
+        tree, hosts, model, placement, estimator = random_case(rng)
+        for op in tree.operators():
+            for host in hosts:
+                if host == placement.host_of(op.node_id):
+                    continue
+                recorder = RecordingEstimator(estimator)
+                critical_path(tree, placement, model, recorder)
+                scalar = SingleMoveEvaluator(tree, placement, model, recorder)
+                scalar.cost_of_move(op.node_id, host)
+                batch = BatchMoveEvaluator(tree, placement, model, estimator, hosts)
+                batch.price_moves([(op.node_id, (host,))], float("inf"))
+                assert batch.links_queried() == frozenset(recorder.queried)
+
     def test_links_are_canonical_pairs(self):
         rng = random.Random(7)
         tree, hosts, model, placement, estimator = random_case(rng)
@@ -187,3 +209,132 @@ class TestRecorderSemantics:
         batch.price_moves(all_moves(tree, hosts), float("inf"))
         for a, b in batch.links_queried():
             assert a < b
+
+
+@st.composite
+def wide_walks(draw, min_hosts=9, max_hosts=12):
+    """A random search walk over a wide host universe.
+
+    9-12 hosts put canonical pair indices past bit 64 of the recorded
+    link mask; servers sit on a few of them, so most hosts are
+    unoccupied and many cells move a node onto an empty host.  About a
+    quarter of the links read below ``min_bandwidth``.  Returns the case
+    plus the walk's rounds.
+    """
+    servers = draw(st.integers(2, 5))
+    shape = draw(st.sampled_from(["binary", "left-deep"]))
+    tree = (
+        complete_binary_tree(servers)
+        if shape == "binary"
+        else left_deep_tree(servers)
+    )
+    num_hosts = draw(st.integers(min_hosts, max_hosts))
+    hosts = [f"h{i:02d}" for i in range(num_hosts - 1)] + ["client"]
+    sizes = {
+        node.node_id: draw(st.floats(1e4, 1e6, allow_nan=False))
+        for node in tree.nodes()
+    }
+    model = CostModel(
+        tree, sizes, startup_cost=0.05, disk_rate=3e6, min_bandwidth=1e3
+    )
+    server_hosts = {
+        s.node_id: draw(st.sampled_from(hosts[: max(2, servers)]))
+        for s in tree.servers()
+    }
+    placement = Placement.all_at_client(tree, server_hosts, "client")
+    operators = [op.node_id for op in tree.operators()]
+    for op in operators:
+        if draw(st.booleans()):
+            placement = placement.with_move(op, draw(st.sampled_from(hosts)))
+    rates = {}
+    for a in hosts:
+        for b in hosts:
+            if a != b:
+                starved = draw(st.integers(0, 3)) == 0
+                rates[(a, b)] = draw(
+                    st.floats(1.0, 999.0) if starved else st.floats(1e3, 1e7)
+                )
+    # Per round: the move list to price (every operator over every host,
+    # or a few operators over a few hosts, so that one cell's pair is
+    # often the only query of that link) and the move to adopt.
+    some_moves = st.lists(
+        st.tuples(
+            st.sampled_from(operators),
+            st.lists(st.sampled_from(hosts), min_size=1, unique=True).map(tuple),
+        ),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda move: move[0],
+    )
+    walk = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(st.just(all_moves(tree, hosts)), some_moves),
+                st.sampled_from(operators),
+                st.sampled_from(hosts),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return tree, hosts, model, placement, rates, walk
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _check_walk(tree, hosts, model, placement, rates, walk):
+    """Price every round of ``walk`` on both sides; adopt its moves."""
+
+    def read(a, b):
+        return rates[(a, b)]
+
+    recorder = RecordingEstimator(read)
+    batch = BatchMoveEvaluator(tree, placement, model, read, hosts)
+    for moves, node_id, host in walk:
+        path = critical_path(tree, placement, model, recorder)
+        got = batch.critical_path()
+        assert _same_bits(got.cost, path.cost)
+        assert got.nodes == path.nodes
+        want = scalar_round(tree, model, placement, recorder, moves, path.cost)
+        cells, cost, move = batch.price_moves(moves, path.cost)
+        assert (cells, move) == (want[0], want[2])
+        assert _same_bits(cost, want[1])
+        assert batch.links_queried() == frozenset(recorder.queried)
+        if host != placement.host_of(node_id):
+            placement = placement.with_move(node_id, host)
+            batch.apply_move(node_id, host)
+
+
+class TestWideUniverses:
+    @settings(max_examples=40, deadline=None)
+    @given(wide_walks())
+    def test_rounds_match_the_scalar_search(self, case):
+        # Per round: the critical path, the grid's winner and bitwise
+        # cost, and the recorded link set after the round.
+        tree, hosts, model, placement, rates, walk = case
+        _check_walk(tree, hosts, model, placement, rates, walk)
+
+    @settings(max_examples=40, deadline=None)
+    @given(wide_walks(min_hosts=2, max_hosts=4))
+    def test_small_universes_record_every_pair(self, case):
+        # Few hosts: the recorded set fills up, and recording stops
+        # only once it holds every pair.
+        tree, hosts, model, placement, rates, walk = case
+        _check_walk(tree, hosts, model, placement, rates, walk)
+
+
+def test_latency_floor_is_positive_zero():
+    # The scalar walks start from +0.0 and take a value only on a
+    # strict ``>``, so a floor over nothing, or over -0.0, is +0.0.
+    values = np.array([-0.0, -np.inf, -1.0, 0.0, 2.5])
+    floored = critical._at_least_zero(values)
+    assert floored is values
+    assert [(v, math.copysign(1.0, v)) for v in floored.tolist()] == [
+        (0.0, 1.0),
+        (0.0, 1.0),
+        (0.0, 1.0),
+        (0.0, 1.0),
+        (2.5, 1.0),
+    ]

@@ -196,6 +196,26 @@ class TestResolveLinks:
         spec = small_workload(num_servers=2, images_per_server=2, client_host="gw")
         assert run_workload(spec).fleet["completed"] == 1
 
+    def test_a_run_draws_its_network_once(self, monkeypatch):
+        # Every query spec and the substrate share one draw.
+        from repro.workload import run_workload
+        from repro.workload import spec as workload_spec
+
+        draws = []
+        original = workload_spec.make_configuration
+
+        def make_configuration(setup, config_index):
+            draws.append(config_index)
+            return original(setup, config_index)
+
+        monkeypatch.setattr(workload_spec, "make_configuration", make_configuration)
+        spec = small_workload(
+            num_clients=3, queries_per_client=2, images_per_server=2
+        )
+        result = run_workload(spec)
+        assert result.fleet["completed"] == 6
+        assert draws == [spec.config_index]
+
     def test_study_draw_matches_make_configuration(self):
         from repro.experiments import ExperimentConfig
         from repro.experiments.config import make_configuration
