@@ -542,11 +542,20 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import (
         format_trace_summary,
         read_jsonl,
+        read_segments,
         summarize_records,
         write_chrome_trace,
     )
 
-    records = read_jsonl(args.file)
+    source = Path(args.file)
+    if source.is_dir():
+        # A --trace-dir segment directory streams; only the Chrome
+        # export needs every record at once.
+        records = read_segments(source)
+        if args.chrome:
+            records = list(records)
+    else:
+        records = read_jsonl(source)
     print(format_trace_summary(summarize_records(records)))
     if args.chrome:
         write_chrome_trace(records, args.chrome)
@@ -746,7 +755,11 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace", help="summarize a recorded run trace (JSONL)"
     )
-    trace.add_argument("file", help="JSONL trace written by --trace")
+    trace.add_argument(
+        "file",
+        help="JSONL trace written by --trace, or a segment directory "
+        "written by --trace-dir",
+    )
     trace.add_argument("--chrome", default=None, metavar="PATH",
                        help="also convert to a Chrome trace_event file")
     trace.set_defaults(func=cmd_trace)

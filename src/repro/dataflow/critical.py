@@ -393,7 +393,6 @@ class _PlacementState:
     cross_child: np.ndarray  #: child node of each cross-host edge, edge order
     cross_size: np.ndarray  #: its output size
     cross_bw_index: np.ndarray  #: its flat bandwidth index
-    any_unoccupied: bool  #: some host of the universe holds no node
     ipack: np.ndarray  #: own / child1 / child2 / parent host, bump targets
     queried: int  #: bitmask of the canonical pairs of cross-host edges
     cells: dict  #: move list -> :class:`_StateCells`
@@ -467,7 +466,6 @@ class _PlacementState:
                 cross_child=arrays.edge_child[cross],
                 cross_size=arrays.edge_size[cross],
                 cross_bw_index=(child_hosts * num_hosts + parent_hosts)[cross],
-                any_unoccupied=len(set(assign.tolist())) < num_hosts,
                 ipack=ipack,
                 queried=_pair_mask(canonical[cross].tolist()),
                 cells={},

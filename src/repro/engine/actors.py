@@ -221,8 +221,7 @@ class ServerActor(ActorBase):
                 BARRIER_SUSPEND,
                 self._suspended_at,
                 self.runtime.env.now,
-                actor=self.actor_id,
-                plan_seq=payload["plan_seq"],
+                {"actor": self.actor_id, "plan_seq": payload["plan_seq"]},
             )
         self._suspended_at = None
         buffered, self._buffered_demands = self._buffered_demands, []
@@ -298,9 +297,11 @@ class OperatorActor(ActorBase):
                 COMPUTE,
                 started,
                 self.runtime.env.now,
-                actor=self.actor_id,
-                host=self.my_host(),
-                iteration=iteration,
+                {
+                    "actor": self.actor_id,
+                    "host": self.my_host(),
+                    "iteration": iteration,
+                },
             )
         self.held = (iteration, compose.output_size(*sizes))
         if self.pending_demand == iteration:

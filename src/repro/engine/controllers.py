@@ -108,7 +108,7 @@ class GlobalController:
         runtime.metrics.planner_runs += 1
         tracer = runtime.tracer
         if tracer.enabled:
-            tracer.emit(PLANNER_RUN, env.now, algorithm=self.planner.name)
+            tracer.emit(PLANNER_RUN, env.now, {"algorithm": self.planner.name})
 
         if runtime.faults is not None and not runtime.spec.oracle_monitoring:
             # Under faults the monitoring view can rot (probes time out,
@@ -130,9 +130,11 @@ class GlobalController:
                     tracer.emit(
                         PLANNER_FALLBACK,
                         env.now,
-                        algorithm=self.planner.name,
-                        mode=mode,
-                        coverage=coverage,
+                        {
+                            "algorithm": self.planner.name,
+                            "mode": mode,
+                            "coverage": coverage,
+                        },
                     )
                 if fallback_to_download:
                     download = download_all_placement(
@@ -259,7 +261,9 @@ class GlobalController:
                 != current.host_of(node.node_id)
             )
             tracer.emit(
-                PLACEMENT_INSTALL, started, plan_seq=plan_seq, moves=moves
+                PLACEMENT_INSTALL,
+                started,
+                {"plan_seq": plan_seq, "moves": moves},
             )
 
         reports_ready = runtime.start_barrier(plan_seq)
@@ -293,7 +297,12 @@ class GlobalController:
         runtime.current_placement = placement
         runtime.metrics.barrier_stall_seconds += env.now - started
         if tracer.enabled:
-            tracer.span(BARRIER_ROUND, started, env.now, plan_seq=plan_seq)
+            tracer.span(
+                BARRIER_ROUND,
+                started,
+                env.now,
+                {"plan_seq": plan_seq},
+            )
 
 
 class LocalController:
@@ -360,8 +369,7 @@ class LocalController:
             runtime.tracer.emit(
                 PLANNER_RUN,
                 runtime.env.now,
-                algorithm=self.planner.name,
-                actor=op_id,
+                {"algorithm": self.planner.name, "actor": op_id},
             )
 
         my_host = runtime.host_of(op_id)
@@ -413,9 +421,11 @@ class LocalController:
                     runtime.tracer.emit(
                         PLANNER_FALLBACK,
                         runtime.env.now,
-                        algorithm=self.planner.name,
-                        mode="skip-down-host",
-                        actor=op_id,
+                        {
+                            "algorithm": self.planner.name,
+                            "mode": "skip-down-host",
+                            "actor": op_id,
+                        },
                     )
                 return
             actor.pending_move = target

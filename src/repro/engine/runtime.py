@@ -316,10 +316,12 @@ class Runtime:
             self.tracer.emit(
                 RELOCATION,
                 self.env.now,
-                actor=op_id,
-                old_host=old_host,
-                new_host=new_host,
-                state_bytes=OP_STATE_BYTES,
+                {
+                    "actor": op_id,
+                    "old_host": old_host,
+                    "new_host": new_host,
+                    "state_bytes": OP_STATE_BYTES,
+                },
             )
 
     def _abort_relocation(
@@ -331,10 +333,12 @@ class Runtime:
             self.tracer.emit(
                 RELOCATION_ABORT,
                 self.env.now,
-                actor=op_id,
-                old_host=old_host,
-                new_host=new_host,
-                reason=reason,
+                {
+                    "actor": op_id,
+                    "old_host": old_host,
+                    "new_host": new_host,
+                    "reason": reason,
+                },
             )
 
     # -- monitoring helpers -------------------------------------------------------
@@ -425,7 +429,7 @@ class Runtime:
         """Record a composed image reaching the client."""
         self.metrics.arrival_times.append(at)
         if self.tracer.enabled:
-            self.tracer.emit(ARRIVAL, at, iteration=iteration)
+            self.tracer.emit(ARRIVAL, at, {"iteration": iteration})
         if len(self.metrics.arrival_times) >= self.num_images and not self.done.triggered:
             self.done.succeed(at)
 

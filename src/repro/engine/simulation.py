@@ -389,11 +389,13 @@ def run_simulation(spec: SimulationSpec, tracer=None) -> RunMetrics:
         tracer.emit(
             RUN_META,
             0.0,
-            algorithm=spec.algorithm.value,
-            num_servers=spec.num_servers,
-            images=spec.images_per_server,
-            tree_shape=spec.tree_shape,
-            hosts=list(spec.all_hosts),
+            {
+                "algorithm": spec.algorithm.value,
+                "num_servers": spec.num_servers,
+                "images": spec.images_per_server,
+                "tree_shape": spec.tree_shape,
+                "hosts": list(spec.all_hosts),
+            },
         )
     env, runtime = build_simulation(spec, tracer=tracer)
     stop = env.any_of([runtime.done, env.timeout(spec.max_sim_time)])
@@ -404,8 +406,10 @@ def run_simulation(spec: SimulationSpec, tracer=None) -> RunMetrics:
         tracer.emit(
             RUN_END,
             env.now,
-            truncated=metrics.truncated,
-            images_delivered=len(metrics.arrival_times),
-            completion_time=metrics.completion_time,
+            {
+                "truncated": metrics.truncated,
+                "images_delivered": len(metrics.arrival_times),
+                "completion_time": metrics.completion_time,
+            },
         )
     return metrics

@@ -222,4 +222,4 @@ class FaultInjector:
                     self.host_downtime.get(host, 0.0) + downtime
                 )
             if tracer.enabled:
-                tracer.emit(event_type, self.env.now, **payload)
+                tracer.emit(event_type, self.env.now, payload)

@@ -255,8 +255,7 @@ class FleetCoordinator:
             self.sink,
             ev.FLEET_CLAIM,
             now,
-            query_class=class_name,
-            links=len(record.links()),
+            {"query_class": class_name, "links": len(record.links())},
         )
 
     def query_done(self, query_id: str) -> None:
@@ -454,10 +453,12 @@ class FleetCoordinator:
                 self.sink,
                 ev.FLEET_GRANT,
                 now,
-                query_class=class_name,
-                moves=n_moves,
-                links=len(keys),
-                urgency=urgency,
+                {
+                    "query_class": class_name,
+                    "moves": n_moves,
+                    "links": len(keys),
+                    "urgency": urgency,
+                },
             )
         else:
             record_event(
@@ -465,10 +466,12 @@ class FleetCoordinator:
                 self.sink,
                 ev.FLEET_DENY,
                 now,
-                query_class=class_name,
-                moves=n_moves,
-                bottleneck=bottleneck,
-                urgency=urgency,
+                {
+                    "query_class": class_name,
+                    "moves": n_moves,
+                    "bottleneck": bottleneck,
+                    "urgency": urgency,
+                },
             )
         return granted
 
@@ -507,7 +510,9 @@ class FleetCoordinator:
             self.sink,
             ev.FLEET_REBALANCE,
             now,
-            query_class=record.class_name,
-            links_before=len(before),
-            links_after=len(after),
+            {
+                "query_class": record.class_name,
+                "links_before": len(before),
+                "links_after": len(after),
+            },
         )

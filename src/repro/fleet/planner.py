@@ -105,11 +105,13 @@ class FleetPlanner:
             tracer.emit(
                 PLANNER_SEARCH,
                 now,
-                algorithm=self.name,
-                rounds=result.rounds,
-                candidates=result.candidates_evaluated,
-                links=len(result.links_queried),
-                cost=cost,
+                {
+                    "algorithm": self.name,
+                    "rounds": result.rounds,
+                    "candidates": result.candidates_evaluated,
+                    "links": len(result.links_queried),
+                    "cost": cost,
+                },
             )
         return PlanResult(
             placement=placement,

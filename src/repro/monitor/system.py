@@ -35,7 +35,7 @@ from repro.obs.events import (
     MONITOR_PROBE_RESULT,
     MONITOR_PROBE_TIMEOUT,
 )
-from repro.obs.tracer import ensure_tracer, query_tag
+from repro.obs.tracer import ensure_tracer
 
 #: 16 KB, the paper's passive-monitoring threshold: a transfer at least
 #: this large yields a bandwidth measurement at both endpoints.
@@ -165,14 +165,10 @@ class MonitoringSystem:
         self.cache_for(obs.dst_host).update(obs.src_host, obs.dst_host, bandwidth, now)
         self.network.stats_for(obs.query_id).passive_measurements += 1
         if self._tracer.enabled:
-            self._tracer.emit(
-                MONITOR_PASSIVE,
-                now,
-                a=obs.src_host,
-                b=obs.dst_host,
-                bandwidth=bandwidth,
-                **query_tag(obs.query_id),
-            )
+            fields = {"a": obs.src_host, "b": obs.dst_host, "bandwidth": bandwidth}
+            if obs.query_id is not None:
+                fields["query_id"] = obs.query_id
+            self._tracer.emit(MONITOR_PASSIVE, now, fields)
 
     def _piggyback_source(self, src: str, dst: str) -> Optional[dict]:
         # Decided on the first message and again only if a host joined
@@ -191,13 +187,10 @@ class MonitoringSystem:
         merged = decode_piggyback(self.cache_for(dst), piggyback)
         self.network.stats_for(query_id).piggyback_entries_merged += merged
         if self._tracer.enabled:
-            self._tracer.emit(
-                MONITOR_PIGGYBACK,
-                self.network.env.now,
-                host=dst,
-                merged=merged,
-                **query_tag(query_id),
-            )
+            fields = {"host": dst, "merged": merged}
+            if query_id is not None:
+                fields["query_id"] = query_id
+            self._tracer.emit(MONITOR_PIGGYBACK, self.network.env.now, fields)
 
     # -- queries ------------------------------------------------------------
     def _reading(
@@ -224,11 +217,13 @@ class MonitoringSystem:
             tracer.emit(
                 MONITOR_ESTIMATE,
                 now,
-                viewer=viewer,
-                a=a,
-                b=b,
-                quality=quality,
-                age=None if entry is None else age,
+                {
+                    "viewer": viewer,
+                    "a": a,
+                    "b": b,
+                    "quality": quality,
+                    "age": None if entry is None else age,
+                },
             )
             tracer.incr("monitor.estimate." + quality)
         return value, quality, age
@@ -320,14 +315,7 @@ class MonitoringSystem:
         if self.faults is not None and self.faults.probe_blackout(now):
             self.network.stats_for(query_id).probe_timeouts += 1
             if self._tracer.enabled:
-                self._tracer.emit(
-                    MONITOR_PROBE_TIMEOUT,
-                    now,
-                    a=a,
-                    b=b,
-                    reason="blackout",
-                    **query_tag(query_id),
-                )
+                self._trace_probe_timeout(now, a, b, "blackout", query_id)
             yield self.network.env.timeout(PROBE_TIMEOUT)
             return None
         message = Message(
@@ -342,14 +330,10 @@ class MonitoringSystem:
         row.probes_sent += 1
         row.probe_bytes += message.wire_size
         if self._tracer.enabled:
-            self._tracer.emit(
-                MONITOR_PROBE,
-                now,
-                a=a,
-                b=b,
-                bytes=message.wire_size,
-                **query_tag(query_id),
-            )
+            fields = {"a": a, "b": b, "bytes": message.wire_size}
+            if query_id is not None:
+                fields["query_id"] = query_id
+            self._tracer.emit(MONITOR_PROBE, now, fields)
         delivery = self.network.send(message, src_host=a, dst_host=b)
         if self.faults is None:
             yield delivery
@@ -362,15 +346,10 @@ class MonitoringSystem:
             return None if self.faults is not None else DEFAULT_ESTIMATE
         bandwidth = entry.bandwidth
         if self._tracer.enabled:
-            self._tracer.emit(
-                MONITOR_PROBE_RESULT,
-                self.network.env.now,
-                a=a,
-                b=b,
-                bandwidth=bandwidth,
-                samples=1,
-                **query_tag(query_id),
-            )
+            fields = {"a": a, "b": b, "bandwidth": bandwidth, "samples": 1}
+            if query_id is not None:
+                fields["query_id"] = query_id
+            self._tracer.emit(MONITOR_PROBE_RESULT, self.network.env.now, fields)
         return bandwidth
 
     def _await_probe(
@@ -394,27 +373,21 @@ class MonitoringSystem:
         except TransferAbandoned:
             self.network.stats_for(query_id).probe_timeouts += 1
             if self._tracer.enabled:
-                self._tracer.emit(
-                    MONITOR_PROBE_TIMEOUT,
-                    env.now,
-                    a=a,
-                    b=b,
-                    reason="abandoned",
-                    **query_tag(query_id),
-                )
+                self._trace_probe_timeout(env.now, a, b, "abandoned", query_id)
             return False
         if delivery.triggered:
             return True
         self.network.stats_for(query_id).probe_timeouts += 1
         if self._tracer.enabled:
-            self._tracer.emit(
-                MONITOR_PROBE_TIMEOUT,
-                env.now,
-                a=a,
-                b=b,
-                reason="timeout",
-                **query_tag(query_id),
-            )
+            self._trace_probe_timeout(env.now, a, b, "timeout", query_id)
         delivery.defused = True
         return False
+
+    def _trace_probe_timeout(
+        self, now: float, a: str, b: str, reason: str, query_id: Optional[str]
+    ) -> None:
+        fields = {"a": a, "b": b, "reason": reason}
+        if query_id is not None:
+            fields["query_id"] = query_id
+        self._tracer.emit(MONITOR_PROBE_TIMEOUT, now, fields)
 

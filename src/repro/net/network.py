@@ -39,7 +39,7 @@ from repro.obs.events import (
     NET_RETRANSMIT,
 )
 from repro.obs.metrics import RunMetrics
-from repro.obs.tracer import ensure_tracer, query_tag
+from repro.obs.tracer import ensure_tracer
 from repro.sim import URGENT, Environment, Event
 
 
@@ -435,15 +435,15 @@ class Network:
             # Pay the send time, then back off and retransmit.
             self.stats_for(query_id).dropped_bytes += wire_size
             if tracer.enabled:
-                tracer.emit(
-                    NET_DROP,
-                    now,
-                    src_host=src,
-                    dst_host=dst,
-                    uid=message.uid,
-                    bytes=wire_size,
-                    **query_tag(query_id),
-                )
+                fields = {
+                    "src_host": src,
+                    "dst_host": dst,
+                    "uid": message.uid,
+                    "bytes": wire_size,
+                }
+                if query_id is not None:
+                    fields["query_id"] = query_id
+                tracer.emit(NET_DROP, now, fields)
             reason = "loss"
             wait = duration + retry.backoff_delay(attempt)
         else:
@@ -451,16 +451,16 @@ class Network:
         if retry.max_attempts is not None and attempt >= retry.max_attempts:
             self.stats_for(query_id).abandoned_messages += 1
             if tracer.enabled:
-                tracer.emit(
-                    NET_ABANDON,
-                    now,
-                    src_host=src,
-                    dst_host=dst,
-                    uid=message.uid,
-                    attempts=attempt,
-                    reason=reason,
-                    **query_tag(query_id),
-                )
+                fields = {
+                    "src_host": src,
+                    "dst_host": dst,
+                    "uid": message.uid,
+                    "attempts": attempt,
+                    "reason": reason,
+                }
+                if query_id is not None:
+                    fields["query_id"] = query_id
+                tracer.emit(NET_ABANDON, now, fields)
             self._active_transfers[src] -= 1
             self._active_transfers[dst] -= 1
             self._scan_needed = True
@@ -476,17 +476,17 @@ class Network:
             return
         self.stats_for(query_id).retransmissions += 1
         if tracer.enabled:
-            tracer.emit(
-                NET_RETRANSMIT,
-                now,
-                src_host=src,
-                dst_host=dst,
-                uid=message.uid,
-                attempt=attempt,
-                reason=reason,
-                wait=wait,
-                **query_tag(query_id),
-            )
+            fields = {
+                "src_host": src,
+                "dst_host": dst,
+                "uid": message.uid,
+                "attempt": attempt,
+                "reason": reason,
+                "wait": wait,
+            }
+            if query_id is not None:
+                fields["query_id"] = query_id
+            tracer.emit(NET_RETRANSMIT, now, fields)
         env.schedule_callback(
             wait,
             lambda: self._attempt(message, src, dst, done, link, attempt + 1),
@@ -530,18 +530,17 @@ class Network:
         )
         tracer = self._tracer
         if tracer.enabled:
-            tracer.span(
-                LINK_TRANSFER,
-                started,
-                finished,
-                src_host=src,
-                dst_host=dst,
-                kind=message.kind.value,
-                wire_bytes=wire_size,
-                bandwidth=observation.measured_bandwidth,
-                uid=message.uid,
-                **query_tag(query_id),
-            )
+            fields = {
+                "src_host": src,
+                "dst_host": dst,
+                "kind": message.kind._value_,
+                "wire_bytes": wire_size,
+                "bandwidth": observation.measured_bandwidth,
+                "uid": message.uid,
+            }
+            if query_id is not None:
+                fields["query_id"] = query_id
+            tracer.span(LINK_TRANSFER, started, finished, fields)
             tracer.observe("link.transfer_seconds", duration)
 
         for observer in self.observers:
@@ -560,19 +559,21 @@ class Network:
             self._scan_needed = False
 
     def _trace_send(self, tracer, message: Message, transport: str) -> None:
-        tracer.emit(
-            MESSAGE_SEND,
-            self.env.now,
-            transport=transport,
-            uid=message.uid,
-            kind=message.kind.value,
-            src_actor=message.src_actor,
-            dst_actor=message.dst_actor,
-            src_host=message.src_host,
-            dst_host=message.dst_host,
-            bytes=message.size,
-            **query_tag(message.query_id),
-        )
+        # ``_value_`` is the kind's string without the Enum ``value``
+        # descriptor; a traced message reads it at each of its records.
+        fields = {
+            "transport": transport,
+            "uid": message.uid,
+            "kind": message.kind._value_,
+            "src_actor": message.src_actor,
+            "dst_actor": message.dst_actor,
+            "src_host": message.src_host,
+            "dst_host": message.dst_host,
+            "bytes": message.size,
+        }
+        if message.query_id is not None:
+            fields["query_id"] = message.query_id
+        tracer.emit(MESSAGE_SEND, self.env.now, fields)
 
     def _deliver(self, message: Message, arrived_at: str) -> None:
         actual = self.actor_hosts.get(message.dst_actor)
@@ -582,27 +583,27 @@ class Network:
             # forward it (mobile-object runtimes do exactly this).
             self.stats_for(message.query_id).forwarded_messages += 1
             if tracer.enabled:
-                tracer.emit(
-                    MESSAGE_FORWARD,
-                    self.env.now,
-                    uid=message.uid,
-                    actor=message.dst_actor,
-                    from_host=arrived_at,
-                    to_host=actual,
-                    **query_tag(message.query_id),
-                )
+                fields = {
+                    "uid": message.uid,
+                    "actor": message.dst_actor,
+                    "from_host": arrived_at,
+                    "to_host": actual,
+                }
+                if message.query_id is not None:
+                    fields["query_id"] = message.query_id
+                tracer.emit(MESSAGE_FORWARD, self.env.now, fields)
             self.send(message, src_host=arrived_at, dst_host=actual)
             return
         if tracer.enabled:
-            tracer.emit(
-                MESSAGE_RECV,
-                self.env.now,
-                uid=message.uid,
-                actor=message.dst_actor,
-                host=arrived_at,
-                kind=message.kind.value,
-                **query_tag(message.query_id),
-            )
+            fields = {
+                "uid": message.uid,
+                "actor": message.dst_actor,
+                "host": arrived_at,
+                "kind": message.kind._value_,
+            }
+            if message.query_id is not None:
+                fields["query_id"] = message.query_id
+            tracer.emit(MESSAGE_RECV, self.env.now, fields)
         if actual is not None:
             # Unregistered endpoints (probes, probe control, operator
             # state) are throwaway: their delivery event is all anyone

@@ -32,8 +32,9 @@ PathLike = Union[str, Path]
 #: Version of the JSONL trace layout.
 TRACE_SCHEMA = 1
 
-#: Record types that frame a JSONL archive (not simulation events).
-FRAME_TYPES = ("trace.header", "trace.footer")
+#: Record types that frame a JSONL archive or a rotating segment (not
+#: simulation events).
+FRAME_TYPES = frozenset({"trace.header", "trace.footer", "trace.segment"})
 
 
 # -- JSONL ------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Union
+from typing import Any, Callable, Iterable, Union
 
 from repro.obs import events as ev
 from repro.obs import exporters
@@ -193,73 +193,15 @@ class RunMetrics:
     def feed(self, event: dict[str, Any]) -> None:
         """Count one trace record, as the live run counted its event.
 
-        This is the only place a trace event turns into a run counter.
-        Floats are accumulated in event order with plain ``+=``, so the
-        replayed counters are bit-identical to the run that produced
-        the trace.  Frame records (header, footer, segment headers)
-        count toward nothing.
+        :data:`FEEDERS` is the only place a trace event turns into a run
+        counter.  Floats are accumulated in event order with plain
+        ``+=``, so the replayed counters are bit-identical to the run
+        that produced the trace.  Frame records (header, footer, segment
+        headers) and per-message deliveries count toward nothing.
         """
-        etype = event.get("type")
-        # Most frequent types first.
-        if etype == ev.MESSAGE_SEND:
-            if event.get("transport") == "local":
-                self.local_deliveries += 1
-        elif etype == ev.LINK_TRANSFER:
-            self.transfers += 1
-            self.bytes_on_wire += event["wire_bytes"]
-        elif etype == ev.MONITOR_PIGGYBACK:
-            self.piggyback_entries_merged += event["merged"]
-        elif etype == ev.MONITOR_PASSIVE:
-            self.passive_measurements += 1
-        elif etype == ev.MESSAGE_FORWARD:
-            self.forwarded_messages += 1
-        elif etype == ev.ARRIVAL:
-            self.arrival_times.append(event["t"])
-        elif etype == ev.RELOCATION:
-            self.relocations += 1
-            self.relocation_events.append(
-                RelocationEvent(
-                    event["t"],
-                    event["actor"],
-                    event["old_host"],
-                    event["new_host"],
-                    event.get("state_bytes", 0.0),
-                )
-            )
-        elif etype == ev.PLANNER_RUN:
-            self.planner_runs += 1
-        elif etype == ev.PLANNER_SEARCH:
-            self.planner_rounds += event.get("rounds", 0)
-            self.planner_candidates += event.get("candidates", 0)
-            self.planner_links_queried += event.get("links", 0)
-        elif etype == ev.PLACEMENT_INSTALL:
-            self.placements_installed += 1
-        elif etype == ev.BARRIER_ROUND:
-            self.barrier_rounds += 1
-            self.barrier_stall_seconds += event["dur"]
-        elif etype == ev.MONITOR_PROBE:
-            self.probes_sent += 1
-            self.probe_bytes += event["bytes"]
-        elif etype == ev.NET_RETRANSMIT:
-            self.retransmissions += 1
-        elif etype == ev.NET_DROP:
-            self.dropped_bytes += event.get("bytes", 0.0)
-        elif etype == ev.NET_ABANDON:
-            self.abandoned_messages += 1
-        elif etype == ev.RELOCATION_ABORT:
-            self.aborted_relocations += 1
-        elif etype == ev.FAULT_HOST_UP:
-            self.host_downtime_seconds += event.get("downtime", 0.0)
-        elif etype == ev.MONITOR_PROBE_TIMEOUT:
-            self.probe_timeouts += 1
-        elif etype == ev.PLANNER_FALLBACK:
-            self.planner_fallbacks += 1
-        elif etype == ev.RUN_META:
-            self.algorithm = event["algorithm"]
-            self.num_servers = event["num_servers"]
-            self.images = event["images"]
-        elif etype == ev.RUN_END:
-            self.truncated = event.get("truncated", False)
+        feeder = FEEDERS.get(event.get("type"))
+        if feeder is not None:
+            feeder(self, event)
 
     @classmethod
     def from_trace(
@@ -277,7 +219,111 @@ class RunMetrics:
         if isinstance(source, str):
             source = exporters.read_jsonl(source)
         metrics = cls()
-        feed = metrics.feed
+        feeders = FEEDERS
         for record in source:
-            feed(record)
+            feeder = feeders.get(record.get("type"))
+            if feeder is not None:
+                feeder(metrics, record)
         return metrics
+
+
+# -- trace replay: one counting function per record type --------------------
+def _count(attribute: str) -> Callable[[RunMetrics, dict[str, Any]], None]:
+    """The feeder of a record type that adds one to ``attribute``."""
+
+    def feeder(m: RunMetrics, event: dict[str, Any]) -> None:
+        setattr(m, attribute, getattr(m, attribute) + 1)
+
+    return feeder
+
+
+def _message_send(m: RunMetrics, event: dict[str, Any]) -> None:
+    if event.get("transport") == "local":
+        m.local_deliveries += 1
+
+
+def _link_transfer(m: RunMetrics, event: dict[str, Any]) -> None:
+    m.transfers += 1
+    m.bytes_on_wire += event["wire_bytes"]
+
+
+def _monitor_piggyback(m: RunMetrics, event: dict[str, Any]) -> None:
+    m.piggyback_entries_merged += event["merged"]
+
+
+def _arrival(m: RunMetrics, event: dict[str, Any]) -> None:
+    m.arrival_times.append(event["t"])
+
+
+def _relocation(m: RunMetrics, event: dict[str, Any]) -> None:
+    m.relocations += 1
+    m.relocation_events.append(
+        RelocationEvent(
+            event["t"],
+            event["actor"],
+            event["old_host"],
+            event["new_host"],
+            event.get("state_bytes", 0.0),
+        )
+    )
+
+
+def _planner_search(m: RunMetrics, event: dict[str, Any]) -> None:
+    m.planner_rounds += event.get("rounds", 0)
+    m.planner_candidates += event.get("candidates", 0)
+    m.planner_links_queried += event.get("links", 0)
+
+
+def _barrier_round(m: RunMetrics, event: dict[str, Any]) -> None:
+    m.barrier_rounds += 1
+    m.barrier_stall_seconds += event["dur"]
+
+
+def _monitor_probe(m: RunMetrics, event: dict[str, Any]) -> None:
+    m.probes_sent += 1
+    m.probe_bytes += event["bytes"]
+
+
+def _net_drop(m: RunMetrics, event: dict[str, Any]) -> None:
+    m.dropped_bytes += event.get("bytes", 0.0)
+
+
+def _fault_host_up(m: RunMetrics, event: dict[str, Any]) -> None:
+    m.host_downtime_seconds += event.get("downtime", 0.0)
+
+
+def _run_meta(m: RunMetrics, event: dict[str, Any]) -> None:
+    m.algorithm = event["algorithm"]
+    m.num_servers = event["num_servers"]
+    m.images = event["images"]
+
+
+def _run_end(m: RunMetrics, event: dict[str, Any]) -> None:
+    m.truncated = event.get("truncated", False)
+
+
+#: Record type -> the function that counts one such record into a
+#: :class:`RunMetrics`.  Types absent here count toward nothing.
+FEEDERS: dict[str, Callable[[RunMetrics, dict[str, Any]], None]] = {
+    ev.MESSAGE_SEND: _message_send,
+    ev.LINK_TRANSFER: _link_transfer,
+    ev.MONITOR_PIGGYBACK: _monitor_piggyback,
+    ev.MONITOR_PASSIVE: _count("passive_measurements"),
+    ev.MESSAGE_FORWARD: _count("forwarded_messages"),
+    ev.ARRIVAL: _arrival,
+    ev.RELOCATION: _relocation,
+    ev.PLANNER_RUN: _count("planner_runs"),
+    ev.PLANNER_SEARCH: _planner_search,
+    ev.PLACEMENT_INSTALL: _count("placements_installed"),
+    ev.BARRIER_ROUND: _barrier_round,
+    ev.MONITOR_PROBE: _monitor_probe,
+    ev.NET_RETRANSMIT: _count("retransmissions"),
+    ev.NET_DROP: _net_drop,
+    ev.NET_ABANDON: _count("abandoned_messages"),
+    ev.RELOCATION_ABORT: _count("aborted_relocations"),
+    ev.FAULT_HOST_UP: _fault_host_up,
+    ev.MONITOR_PROBE_TIMEOUT: _count("probe_timeouts"),
+    ev.PLANNER_FALLBACK: _count("planner_fallbacks"),
+    ev.RUN_META: _run_meta,
+    ev.RUN_END: _run_end,
+}

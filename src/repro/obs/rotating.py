@@ -31,7 +31,7 @@ from typing import Any, Iterable, Iterator, Optional, Union
 
 from repro.obs import codec as _codec
 from repro.obs.exporters import TRACE_SCHEMA
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import NO_FIELDS, Tracer
 
 PathLike = Union[str, Path]
 
@@ -219,11 +219,17 @@ class StreamingTracer(Tracer):
             self.writer = RotatingTraceWriter(writer, **writer_kwargs)
         self.writer.meta = self.meta
 
-    def emit(self, event_type: str, t: float, **fields: Any) -> None:
+    def emit(
+        self, event_type: str, t: float, fields: dict[str, Any] = NO_FIELDS
+    ) -> None:
         self.writer.write({"type": event_type, "t": t, **fields})
 
     def span(
-        self, event_type: str, start: float, end: float, **fields: Any
+        self,
+        event_type: str,
+        start: float,
+        end: float,
+        fields: dict[str, Any] = NO_FIELDS,
     ) -> None:
         self.writer.write(
             {"type": event_type, "t": start, "dur": end - start, **fields}
@@ -257,8 +263,8 @@ def segment_paths(directory: PathLike) -> list[Path]:
 def read_segments(directory: PathLike) -> Iterator[dict[str, Any]]:
     """Stream every record of the surviving segments, oldest first.
 
-    Lazy — one line is parsed at a time, so a day-long trace replays in
-    constant memory.  Feed the result to
+    Lazy — one bounded chunk of lines is parsed at a time, so a day-long
+    trace replays in constant memory.  Feed the result to
     :func:`repro.workload.fleet_from_trace`, which recognizes the
     per-segment headers.  A malformed line raises :class:`ValueError`
     naming the segment file and line.

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Optional
 
 from repro.obs import events as ev
-from repro.obs.metrics import RelocationEvent, RunMetrics
+from repro.obs.metrics import FEEDERS, RelocationEvent, RunMetrics
 
 
 def query_records(
@@ -77,6 +77,11 @@ class TraceSummary:
     #: Trace record type -> count over the whole stream (header/footer
     #: excluded).  What the run actually spent its events on.
     event_histogram: dict[str, int] = field(default_factory=dict)
+    #: The latest ``run.end`` completion seen while summarizing (None
+    #: before the first ``run.end``).
+    _latest_end: Optional[float] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def relocations(self) -> list[RelocationEvent]:
@@ -96,61 +101,111 @@ class TraceSummary:
 def summarize_records(records: Iterable[dict[str, Any]]) -> TraceSummary:
     """Digest trace records into a :class:`TraceSummary` in one pass."""
     summary = TraceSummary()
-    feed = summary.metrics.feed
+    metrics = summary.metrics
     histogram = summary.event_histogram
-    ended = False
-    latest_end = float("nan")
+    handlers = _HANDLERS
     for record in records:
-        feed(record)
         etype = record.get("type")
-        if etype is not None and not etype.startswith("trace."):
-            histogram[etype] = histogram.get(etype, 0) + 1
-        if etype == ev.LINK_TRANSFER:
-            key = (record["src_host"], record["dst_host"])
-            entry = summary.link_traffic.setdefault(key, [0, 0.0, 0.0])
-            entry[0] += 1
-            entry[1] += record["wire_bytes"]
-            entry[2] += record.get("dur", 0.0)
-        elif etype == ev.MONITOR_ESTIMATE:
-            quality = record.get("quality", "?")
-            summary.estimate_quality[quality] = (
-                summary.estimate_quality.get(quality, 0) + 1
-            )
-        elif etype == ev.ARRIVAL:
-            summary.completion_time = record["t"]
-        elif etype == ev.BARRIER_ROUND:
-            summary.barrier_rounds.append(
-                (record["t"], record["dur"], record.get("plan_seq", -1))
-            )
-        elif etype in (ev.FAULT_LINK_DOWN, ev.FAULT_LINK_UP):
-            summary.fault_timeline.append(
-                (record["t"], etype, f"{record.get('a')}~{record.get('b')}")
-            )
-        elif etype in (ev.FAULT_HOST_DOWN, ev.FAULT_HOST_UP):
-            summary.fault_timeline.append(
-                (record["t"], etype, str(record.get("host")))
-            )
-        elif etype == ev.RUN_META:
-            meta = {k: v for k, v in record.items() if k not in ("type", "t")}
-            summary.meta.update(meta)
-            algorithm = record["algorithm"]
-            summary.algorithms[algorithm] = (
-                summary.algorithms.get(algorithm, 0) + 1
-            )
-        elif etype == ev.RUN_END:
-            completion = record.get("completion_time", summary.completion_time)
-            if math.isnan(latest_end) or completion > latest_end:
-                latest_end = completion
-            ended = True
-            if record.get("truncated", False):
-                summary.truncated = True
-        elif etype == "trace.header":
-            summary.meta = dict(record.get("meta", {}))
-        elif etype == "trace.footer":
-            summary.counters = dict(record.get("counters", {}))
-    if ended:
-        summary.completion_time = latest_end
+        histogram[etype] = histogram.get(etype, 0) + 1
+        entry = handlers.get(etype)
+        if entry is not None:
+            feeder, note = entry
+            if feeder is not None:
+                feeder(metrics, record)
+            if note is not None:
+                note(summary, record)
+    # Frame records and typeless ones are not what the run spent its
+    # events on.
+    for etype in [t for t in histogram if t is None or t.startswith("trace.")]:
+        del histogram[etype]
+    if summary._latest_end is not None:
+        summary.completion_time = summary._latest_end
     return summary
+
+
+# -- the summary's own views, one function per record type ----------------
+def _link_transfer(summary: TraceSummary, record: dict[str, Any]) -> None:
+    key = (record["src_host"], record["dst_host"])
+    entry = summary.link_traffic.setdefault(key, [0, 0.0, 0.0])
+    entry[0] += 1
+    entry[1] += record["wire_bytes"]
+    entry[2] += record.get("dur", 0.0)
+
+
+def _monitor_estimate(summary: TraceSummary, record: dict[str, Any]) -> None:
+    quality = record.get("quality", "?")
+    summary.estimate_quality[quality] = (
+        summary.estimate_quality.get(quality, 0) + 1
+    )
+
+
+def _arrival(summary: TraceSummary, record: dict[str, Any]) -> None:
+    summary.completion_time = record["t"]
+
+
+def _barrier_round(summary: TraceSummary, record: dict[str, Any]) -> None:
+    summary.barrier_rounds.append(
+        (record["t"], record["dur"], record.get("plan_seq", -1))
+    )
+
+
+def _link_fault(summary: TraceSummary, record: dict[str, Any]) -> None:
+    summary.fault_timeline.append(
+        (record["t"], record["type"], f"{record.get('a')}~{record.get('b')}")
+    )
+
+
+def _host_fault(summary: TraceSummary, record: dict[str, Any]) -> None:
+    summary.fault_timeline.append(
+        (record["t"], record["type"], str(record.get("host")))
+    )
+
+
+def _run_meta(summary: TraceSummary, record: dict[str, Any]) -> None:
+    meta = {k: v for k, v in record.items() if k not in ("type", "t")}
+    summary.meta.update(meta)
+    algorithm = record["algorithm"]
+    summary.algorithms[algorithm] = summary.algorithms.get(algorithm, 0) + 1
+
+
+def _run_end(summary: TraceSummary, record: dict[str, Any]) -> None:
+    completion = record.get("completion_time", summary.completion_time)
+    latest = summary._latest_end
+    if latest is None or math.isnan(latest) or completion > latest:
+        summary._latest_end = completion
+    if record.get("truncated", False):
+        summary.truncated = True
+
+
+def _header(summary: TraceSummary, record: dict[str, Any]) -> None:
+    summary.meta = dict(record.get("meta", {}))
+
+
+def _footer(summary: TraceSummary, record: dict[str, Any]) -> None:
+    summary.counters = dict(record.get("counters", {}))
+
+
+_NOTES = {
+    ev.LINK_TRANSFER: _link_transfer,
+    ev.MONITOR_ESTIMATE: _monitor_estimate,
+    ev.ARRIVAL: _arrival,
+    ev.BARRIER_ROUND: _barrier_round,
+    ev.FAULT_LINK_DOWN: _link_fault,
+    ev.FAULT_LINK_UP: _link_fault,
+    ev.FAULT_HOST_DOWN: _host_fault,
+    ev.FAULT_HOST_UP: _host_fault,
+    ev.RUN_META: _run_meta,
+    ev.RUN_END: _run_end,
+    "trace.header": _header,
+    "trace.footer": _footer,
+}
+
+#: Record type -> (its :data:`~repro.obs.metrics.FEEDERS` function, its
+#: :class:`TraceSummary` view), either None: one lookup per record.
+_HANDLERS = {
+    etype: (FEEDERS.get(etype), _NOTES.get(etype))
+    for etype in (*FEEDERS, *_NOTES)
+}
 
 
 def format_trace_summary(summary: TraceSummary, max_rows: int = 20) -> str:

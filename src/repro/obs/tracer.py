@@ -13,12 +13,21 @@ Two implementations share one interface:
 Events are plain dicts (see :mod:`repro.obs.events` for the taxonomy);
 counters are monotonically increasing integers/floats; histograms collect
 raw float observations and summarize on export.
+
+An instrumentation site hands over its event's fields as one dict it
+builds itself, ``tracer.emit(kind, t, {"a": a, "b": b})``: the record is
+``{"type": kind, "t": t, **fields}`` (spans add ``"dur"`` after ``"t"``),
+built once.  A site that may carry a ``query_id`` sets it last.  The
+tracer never keeps or mutates the dict it is handed.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Any, Optional
+
+#: The fields of an event that has none.  Shared; never mutate it.
+NO_FIELDS: dict[str, Any] = {}
 
 
 class Tracer:
@@ -41,12 +50,18 @@ class Tracer:
         self._kernel_keys: dict[type, str] = {}
 
     # -- events -------------------------------------------------------------
-    def emit(self, event_type: str, t: float, **fields: Any) -> None:
+    def emit(
+        self, event_type: str, t: float, fields: dict[str, Any] = NO_FIELDS
+    ) -> None:
         """Record a point event at simulation time ``t``."""
         self.events.append({"type": event_type, "t": t, **fields})
 
     def span(
-        self, event_type: str, start: float, end: float, **fields: Any
+        self,
+        event_type: str,
+        start: float,
+        end: float,
+        fields: dict[str, Any] = NO_FIELDS,
     ) -> None:
         """Record a span event covering ``[start, end]``."""
         self.events.append(
@@ -107,11 +122,17 @@ class NullTracer:
 
     enabled = False
 
-    def emit(self, event_type: str, t: float, **fields: Any) -> None:
+    def emit(
+        self, event_type: str, t: float, fields: dict[str, Any] = NO_FIELDS
+    ) -> None:
         pass
 
     def span(
-        self, event_type: str, start: float, end: float, **fields: Any
+        self,
+        event_type: str,
+        start: float,
+        end: float,
+        fields: dict[str, Any] = NO_FIELDS,
     ) -> None:
         pass
 
@@ -149,13 +170,28 @@ class ScopedTracer:
         self._fields = fields
         self.enabled = inner.enabled
 
-    def emit(self, event_type: str, t: float, **fields: Any) -> None:
-        self._inner.emit(event_type, t, **{**self._fields, **fields})
+    def emit(
+        self, event_type: str, t: float, fields: dict[str, Any] = NO_FIELDS
+    ) -> None:
+        self._inner.emit(
+            event_type,
+            t,
+            {**self._fields, **fields} if fields else self._fields,
+        )
 
     def span(
-        self, event_type: str, start: float, end: float, **fields: Any
+        self,
+        event_type: str,
+        start: float,
+        end: float,
+        fields: dict[str, Any] = NO_FIELDS,
     ) -> None:
-        self._inner.span(event_type, start, end, **{**self._fields, **fields})
+        self._inner.span(
+            event_type,
+            start,
+            end,
+            {**self._fields, **fields} if fields else self._fields,
+        )
 
     def incr(self, name: str, value: float = 1) -> None:
         self._inner.incr(name, value)
@@ -177,34 +213,23 @@ class ScopedTracer:
 #: Shared no-op tracer: the default everywhere a tracer is accepted.
 NULL_TRACER = NullTracer()
 
-_NO_QUERY: dict[str, Any] = {}
-
-
-def query_tag(query_id: Optional[str]) -> dict[str, Any]:
-    """The ``query_id`` field an event carries, for ``**`` unpacking.
-
-    Traffic outside any workload query gets a shared empty dict, so
-    untagged events allocate nothing here.  Never mutate the result.
-    """
-    return _NO_QUERY if query_id is None else {"query_id": query_id}
-
 
 def record_event(
     tracer: "Tracer | NullTracer | ScopedTracer",
     sink: Any,
     event_type: str,
     t: float,
-    **fields: Any,
+    fields: dict[str, Any],
 ) -> None:
     """Record one overload or coordination transition, once.
 
     The event is emitted on ``tracer`` when it is enabled, and the same
-    type and fields go to ``sink.fleet_event`` (``fleet_from_trace``
+    type and ``fields`` go to ``sink.fleet_event`` (``fleet_from_trace``
     hands that method the emitted record instead).  A ``None`` sink
     counts nothing.
     """
     if tracer.enabled:
-        tracer.emit(event_type, t, **fields)
+        tracer.emit(event_type, t, fields)
     if sink is not None:
         sink.fleet_event(event_type, fields)
 

@@ -62,11 +62,13 @@ class DownloadAllPlanner:
             tracer.emit(
                 PLANNER_SEARCH,
                 now,
-                algorithm=self.name,
-                rounds=0,
-                candidates=0,
-                links=len(recorder.queried),
-                cost=cost,
+                {
+                    "algorithm": self.name,
+                    "rounds": 0,
+                    "candidates": 0,
+                    "links": len(recorder.queried),
+                    "cost": cost,
+                },
             )
         return PlanResult(
             placement=initial,

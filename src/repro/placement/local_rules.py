@@ -249,11 +249,13 @@ class LocalRulesPlanner:
             tracer.emit(
                 PLANNER_SEARCH,
                 now,
-                algorithm=self.name,
-                rounds=1,
-                candidates=candidates,
-                links=len(recorder.queried),
-                cost=cost,
+                {
+                    "algorithm": self.name,
+                    "rounds": 1,
+                    "candidates": candidates,
+                    "links": len(recorder.queried),
+                    "cost": cost,
+                },
             )
         return PlanResult(
             placement=placement,

@@ -132,11 +132,13 @@ class OneShotPlanner:
             tracer.emit(
                 PLANNER_SEARCH,
                 now,
-                algorithm=self.name,
-                rounds=result.rounds,
-                candidates=result.candidates_evaluated,
-                links=len(result.links_queried),
-                cost=result.cost,
+                {
+                    "algorithm": self.name,
+                    "rounds": result.rounds,
+                    "candidates": result.candidates_evaluated,
+                    "links": len(result.links_queried),
+                    "cost": result.cost,
+                },
             )
         return result
 

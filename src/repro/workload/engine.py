@@ -241,9 +241,11 @@ class WorkloadEngine:
                 scoped.emit(
                     RUN_END,
                     env.now,
-                    truncated=metrics.truncated,
-                    images_delivered=len(metrics.arrival_times),
-                    completion_time=metrics.completion_time,
+                    {
+                        "truncated": metrics.truncated,
+                        "images_delivered": len(metrics.arrival_times),
+                        "completion_time": metrics.completion_time,
+                    },
                 )
             stats = QueryStats.from_metrics(
                 qid, plan.scheduled.qclass.name, plan.issued_at, metrics
@@ -280,12 +282,14 @@ class WorkloadEngine:
                 scoped.emit(
                     RUN_META,
                     env.now,
-                    algorithm=qspec.algorithm.value,
-                    num_servers=qspec.num_servers,
-                    images=qspec.images_per_server,
-                    tree_shape=qspec.tree_shape,
-                    hosts=list(qspec.all_hosts),
-                    **extra,
+                    {
+                        "algorithm": qspec.algorithm.value,
+                        "num_servers": qspec.num_servers,
+                        "images": qspec.images_per_server,
+                        "tree_shape": qspec.tree_shape,
+                        "hosts": list(qspec.all_hosts),
+                        **extra,
+                    },
                 )
             runtime = build_query(
                 qspec,

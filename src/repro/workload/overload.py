@@ -203,11 +203,11 @@ class OverloadController:
         self._inflight: dict[str, Submission] = {}
 
     # -- event plumbing -------------------------------------------------
-    def _record(self, event_type: str, **fields: Any) -> None:
+    def _record(self, event_type: str, fields: dict[str, Any]) -> None:
         """Emit and count one transition.  Query events carry a
         ``query_id``; breaker transitions are fleet-level machinery,
         untagged like fault-plan timeline boundaries."""
-        record_event(self.tracer, self.sink, event_type, self.env.now, **fields)
+        record_event(self.tracer, self.sink, event_type, self.env.now, fields)
 
     # -- submission -----------------------------------------------------
     def submit(self, scheduled) -> Submission:
@@ -235,9 +235,11 @@ class OverloadController:
             depth = len(self.queue)
             self._record(
                 QUERY_QUEUED,
-                query_id=sub.scheduled.query_id,
-                query_class=sub.scheduled.qclass.name,
-                depth=depth,
+                {
+                    "query_id": sub.scheduled.query_id,
+                    "query_class": sub.scheduled.qclass.name,
+                    "depth": depth,
+                },
             )
 
     def _shed_coin(self, sub: Submission) -> bool:
@@ -261,9 +263,11 @@ class OverloadController:
         scheduled = sub.scheduled
         self._record(
             QUERY_SHED,
-            query_id=scheduled.query_id,
-            query_class=scheduled.qclass.name,
-            attempt=sub.attempt,
+            {
+                "query_id": scheduled.query_id,
+                "query_class": scheduled.qclass.name,
+                "attempt": sub.attempt,
+            },
         )
         self._resolve(sub)
 
@@ -301,11 +305,13 @@ class OverloadController:
         scheduled = sub.scheduled
         self._record(
             QUERY_DEADLINE_ABORT,
-            query_id=plan.query_id,
-            query_class=scheduled.qclass.name,
-            deadline=scheduled.qclass.deadline,
-            waited=self.env.now - sub.arrival_at,
-            launched=True,
+            {
+                "query_id": plan.query_id,
+                "query_class": scheduled.qclass.name,
+                "deadline": scheduled.qclass.deadline,
+                "waited": self.env.now - sub.arrival_at,
+                "launched": True,
+            },
         )
         self._note_failure(scheduled.spec.server_hosts)
         # Settling `done` flows through the engine's completion callback:
@@ -318,11 +324,13 @@ class OverloadController:
         scheduled = sub.scheduled
         self._record(
             QUERY_DEADLINE_ABORT,
-            query_id=scheduled.query_id,
-            query_class=scheduled.qclass.name,
-            deadline=scheduled.qclass.deadline,
-            waited=self.env.now - sub.arrival_at,
-            launched=False,
+            {
+                "query_id": scheduled.query_id,
+                "query_class": scheduled.qclass.name,
+                "deadline": scheduled.qclass.deadline,
+                "waited": self.env.now - sub.arrival_at,
+                "launched": False,
+            },
         )
         self._after_failure(sub)
 
@@ -349,9 +357,11 @@ class OverloadController:
                 return
             self._record(
                 RETRY_BUDGET_EXHAUSTED,
-                query_id=scheduled.query_id,
-                query_class=scheduled.qclass.name,
-                client=sub.client_index,
+                {
+                    "query_id": scheduled.query_id,
+                    "query_class": scheduled.qclass.name,
+                    "client": sub.client_index,
+                },
             )
         self._resolve(sub)
 
@@ -363,10 +373,12 @@ class OverloadController:
         wait = self.policy.retry_backoff
         self._record(
             QUERY_RETRY,
-            query_id=retry_qid,
-            query_class=scheduled.qclass.name,
-            attempt=attempt,
-            wait=wait,
+            {
+                "query_id": retry_qid,
+                "query_class": scheduled.qclass.name,
+                "attempt": attempt,
+                "wait": wait,
+            },
         )
         # A degraded first attempt does not pin the retry: the breaker
         # state at resubmission time decides again.
@@ -427,7 +439,8 @@ class OverloadController:
                 breaker.opened_at = None
                 breaker.failures = 0
                 self._record(
-                    BREAKER_CLOSE, host=host, open_seconds=open_seconds
+                    BREAKER_CLOSE,
+                    {"host": host, "open_seconds": open_seconds},
                 )
 
     def _note_failure(self, hosts) -> None:
@@ -448,7 +461,8 @@ class OverloadController:
             if breaker.failures >= threshold:
                 breaker.opened_at = now
                 self._record(
-                    BREAKER_OPEN, host=host, failures=breaker.failures
+                    BREAKER_OPEN,
+                    {"host": host, "failures": breaker.failures},
                 )
 
     def _note_success(self, hosts) -> None:

@@ -65,6 +65,7 @@ from repro.obs.events import (
     RUN_END,
     RUN_META,
 )
+from repro.obs.exporters import FRAME_TYPES
 from repro.obs.metrics import RunMetrics
 from repro.workload.metrics import WORKLOAD_SCHEMA, jain_index, latency_block
 from repro.workload.sketch import OrderFreeSum, QuantileSketch
@@ -75,9 +76,6 @@ DEFAULT_EXACT_THRESHOLD = 1000
 
 #: Relative error bound of the latency sketches (1%).
 DEFAULT_RELATIVE_ERROR = 0.01
-
-#: Record types that are trace framing, not simulation events.
-_FRAME_TYPES = frozenset({"trace.header", "trace.footer", "trace.segment"})
 
 #: Fleet event type -> the tally it bumps, and the field (if any) whose
 #: value also gets its own count under ``(tally, value)``.
@@ -790,7 +788,7 @@ def _replay(
     elapsed = 0.0
     for record in records:
         rtype = record.get("type")
-        if rtype is None or rtype in _FRAME_TYPES:
+        if rtype is None or rtype in FRAME_TYPES:
             continue
         qid = record.get("query_id")
         if footprints is not None and qid is not None and rtype in _FOOTPRINT_TYPES:

@@ -222,3 +222,48 @@ class TestMalformedLines:
             ValueError, match=rf"{second.name}, line 3, column 7: Extra data"
         ):
             list(records)
+
+
+class TestChunkedRead:
+    """Chunks are parsed whole; a chunk that is not one record per line
+    is read again line by line, with the same records and errors."""
+
+    def test_many_chunks_read_back_in_order(self, tmp_path):
+        items = [{"type": "x", "t": float(i), "pad": "y" * 200} for i in range(2000)]
+        path = tmp_path / "long.jsonl"
+        path.write_text(stdlib_lines(items))
+        assert path.stat().st_size > 4 * codec._CHUNK_HINT
+        assert read_jsonl(path) == items
+
+    def test_blank_lines_inside_a_chunk_are_skipped(self, tmp_path):
+        path = tmp_path / "blanks.jsonl"
+        path.write_text('{"a": 1}\n\n  \n{"b": 2}\n\t\n')
+        assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
+
+    def test_lines_that_merge_into_one_value_are_rejected(self, tmp_path):
+        # Joined, the two halves would parse as one record.
+        path = tmp_path / "merged.jsonl"
+        path.write_text('{"a": 0}\n{"a": [1,\n2]}\n')
+        with pytest.raises(
+            ValueError, match=r"merged\.jsonl, line 2, column 10: Expecting value"
+        ):
+            read_jsonl(path)
+
+    def test_a_line_with_two_values_is_rejected(self, tmp_path):
+        path = tmp_path / "split.jsonl"
+        path.write_text('{"a": 0}\n1, 2\n')
+        with pytest.raises(
+            ValueError, match=r"split\.jsonl, line 2, column 2: Extra data"
+        ):
+            read_jsonl(path)
+
+    def test_error_in_a_later_chunk_names_its_line(self, tmp_path):
+        items = [{"type": "x", "t": float(i), "pad": "y" * 200} for i in range(1000)]
+        path = tmp_path / "late.jsonl"
+        path.write_text(stdlib_lines(items) + '{"type": "x", "t": }\n')
+        records = codec.CODEC.read(path)
+        assert [next(records) for _ in items] == items
+        with pytest.raises(
+            ValueError, match=r"late\.jsonl, line 1001, column 20: Expecting value"
+        ):
+            next(records)

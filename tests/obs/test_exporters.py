@@ -20,10 +20,29 @@ from repro.obs.events import LINK_TRANSFER, MESSAGE_SEND, SPAN_EVENTS
 def sample_tracer() -> Tracer:
     tracer = Tracer()
     tracer.meta["algorithm"] = "global"
-    tracer.emit(MESSAGE_SEND, 0.5, uid=1, src_host="h0", dst_host="client",
-                transport="wire", bytes=100.0)
-    tracer.span(LINK_TRANSFER, 0.5, 2.0, src_host="h0", dst_host="client",
-                wire_bytes=120.0, bandwidth=80.0, uid=1)
+    tracer.emit(
+        MESSAGE_SEND,
+        0.5,
+        {
+            "uid": 1,
+            "src_host": "h0",
+            "dst_host": "client",
+            "transport": "wire",
+            "bytes": 100.0,
+        },
+    )
+    tracer.span(
+        LINK_TRANSFER,
+        0.5,
+        2.0,
+        {
+            "src_host": "h0",
+            "dst_host": "client",
+            "wire_bytes": 120.0,
+            "bandwidth": 80.0,
+            "uid": 1,
+        },
+    )
     tracer.incr("sim.events", 7)
     tracer.observe("link.transfer_seconds", 1.5)
     return tracer
@@ -94,8 +113,11 @@ class TestChrome:
 
     def test_non_finite_values_stay_loadable(self, tmp_path):
         tracer = Tracer()
-        tracer.emit("planner.search", 0.0, algorithm="download-all",
-                    cost=float("inf"))
+        tracer.emit(
+            "planner.search",
+            0.0,
+            {"algorithm": "download-all", "cost": float("inf")},
+        )
         path = tmp_path / "trace.json"
         write_chrome_trace(tracer, path)
         payload = json.loads(path.read_text())

@@ -12,14 +12,14 @@ from tests.conftest import tiny_spec
 class TestTracer:
     def test_emit_records_ordered_events(self):
         tracer = Tracer()
-        tracer.emit("a.b", 1.0, x=1)
+        tracer.emit("a.b", 1.0, {"x": 1})
         tracer.emit("c.d", 2.0)
         assert [e["type"] for e in tracer.events] == ["a.b", "c.d"]
         assert tracer.events[0] == {"type": "a.b", "t": 1.0, "x": 1}
 
     def test_span_stores_duration(self):
         tracer = Tracer()
-        tracer.span("link.transfer", 1.0, 3.5, src_host="a")
+        tracer.span("link.transfer", 1.0, 3.5, {"src_host": "a"})
         (event,) = tracer.events
         assert event["t"] == 1.0
         assert event["dur"] == 2.5
@@ -54,7 +54,7 @@ class TestNullTracer:
     def test_disabled_and_inert(self):
         tracer = NullTracer()
         assert tracer.enabled is False
-        tracer.emit(MESSAGE_SEND, 0.0, x=1)
+        tracer.emit(MESSAGE_SEND, 0.0, {"x": 1})
         tracer.span("link.transfer", 0.0, 1.0)
         tracer.incr("n")
         tracer.observe("lat", 1.0)

@@ -27,7 +27,6 @@ from repro.faults.plan import TransferAbandoned
 from repro.net.host import Host
 from repro.net.network import Network
 from repro.obs.events import NET_ABANDON, NET_DROP, NET_RETRANSMIT
-from repro.obs.tracer import query_tag
 
 
 def _post(self, message, src_host=None, dst_host=None):
@@ -82,15 +81,15 @@ def _faulty_attempts(net, message, link, src, dst, done):
                 return started, duration
             net.stats_for(query_id).dropped_bytes += wire_size
             if tracer.enabled:
-                tracer.emit(
-                    NET_DROP,
-                    now,
-                    src_host=src,
-                    dst_host=dst,
-                    uid=message.uid,
-                    bytes=wire_size,
-                    **query_tag(query_id),
-                )
+                fields = {
+                    "src_host": src,
+                    "dst_host": dst,
+                    "uid": message.uid,
+                    "bytes": wire_size,
+                }
+                if query_id is not None:
+                    fields["query_id"] = query_id
+                tracer.emit(NET_DROP, now, fields)
             reason = "loss"
             wait = duration + retry.backoff_delay(attempt)
         else:
@@ -98,16 +97,16 @@ def _faulty_attempts(net, message, link, src, dst, done):
         if retry.max_attempts is not None and attempt >= retry.max_attempts:
             net.stats_for(query_id).abandoned_messages += 1
             if tracer.enabled:
-                tracer.emit(
-                    NET_ABANDON,
-                    now,
-                    src_host=src,
-                    dst_host=dst,
-                    uid=message.uid,
-                    attempts=attempt,
-                    reason=reason,
-                    **query_tag(query_id),
-                )
+                fields = {
+                    "src_host": src,
+                    "dst_host": dst,
+                    "uid": message.uid,
+                    "attempts": attempt,
+                    "reason": reason,
+                }
+                if query_id is not None:
+                    fields["query_id"] = query_id
+                tracer.emit(NET_ABANDON, now, fields)
             net._active_transfers[src] -= 1
             net._active_transfers[dst] -= 1
             net._scan_needed = True
@@ -123,17 +122,17 @@ def _faulty_attempts(net, message, link, src, dst, done):
             return None
         net.stats_for(query_id).retransmissions += 1
         if tracer.enabled:
-            tracer.emit(
-                NET_RETRANSMIT,
-                now,
-                src_host=src,
-                dst_host=dst,
-                uid=message.uid,
-                attempt=attempt,
-                reason=reason,
-                wait=wait,
-                **query_tag(query_id),
-            )
+            fields = {
+                "src_host": src,
+                "dst_host": dst,
+                "uid": message.uid,
+                "attempt": attempt,
+                "reason": reason,
+                "wait": wait,
+            }
+            if query_id is not None:
+                fields["query_id"] = query_id
+            tracer.emit(NET_RETRANSMIT, now, fields)
         yield net.env.timeout(wait)
 
 

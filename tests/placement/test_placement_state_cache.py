@@ -171,7 +171,10 @@ class TestPlacementStateCache:
         assert built.count(tuple(start.assignment.items())) == 1
         states = cached(planner, _PlacementState)
         assert len(states) == len(set(built))
-        assert any(state.any_unoccupied for state in states)
+        # Some cached state leaves a host of its universe without a node.
+        assert any(
+            len(set(state.assign.tolist())) < len(state.hosts) for state in states
+        )
 
     def test_insertion_order_is_part_of_the_key(self):
         # Occupancy sums follow the placement's insertion order, so the

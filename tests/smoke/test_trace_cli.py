@@ -61,3 +61,40 @@ def test_summarize_a_workload_trace(tmp_path, capsys):
         assert lines[1].startswith("arrivals: 12 ")
         assert ["run.meta", "2"] in [line.split() for line in lines]
         assert ["run.end", "2"] in [line.split() for line in lines]
+
+
+def test_summarize_a_segment_directory(tmp_path, capsys):
+    from repro.obs import format_trace_summary, read_segments, summarize_records
+
+    segments = tmp_path / "segments"
+    code = main(
+        [
+            "workload",
+            "--clients", "2",
+            "--queries", "1",
+            "--mix", "global=1,one-shot=1",
+            "--servers", "4",
+            "--images", "6",
+            "--seed", "1",
+            "--trace-dir", str(segments),
+            "--segment-bytes", "20000",
+        ]
+    )
+    assert code == 0
+    assert len(list(segments.iterdir())) > 1
+    capsys.readouterr()
+
+    assert main(["trace", str(segments)]) == 0
+    report = capsys.readouterr().out.splitlines()
+    # The same arrivals and event histogram as a replay of the segments.
+    expected = summarize_records(read_segments(segments))
+    assert len(expected.metrics.arrival_times) == 12
+    assert report[1].startswith("arrivals: 12 ")
+    assert expected.event_histogram["run.meta"] == 2
+    for etype, count in expected.event_histogram.items():
+        assert f"  {etype:<24} {count}" in report
+    assert report == format_trace_summary(expected).splitlines()
+
+    chrome = tmp_path / "segments.chrome.json"
+    assert main(["trace", str(segments), "--chrome", str(chrome)]) == 0
+    json.loads(chrome.read_text())
