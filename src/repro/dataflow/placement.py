@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.dataflow.tree import CLIENT_ID, CombinationTree
 
@@ -12,7 +12,7 @@ class Placement:
 
     Servers and the client are *pinned* (data is not replicated and the
     client is where the results must arrive); operators are free.  The
-    class is a thin, validated, hashable mapping — the placement
+    class is a thin, hashable mapping — the placement
     algorithms create many of these while searching.
     """
 
@@ -20,37 +20,6 @@ class Placement:
 
     def __init__(self, assignment: Mapping[str, str]) -> None:
         self._assignment = dict(assignment)
-
-    @classmethod
-    def validated(
-        cls,
-        tree: CombinationTree,
-        assignment: Mapping[str, str],
-        hosts: Iterable[str],
-        server_hosts: Mapping[str, str],
-        client_host: str,
-    ) -> "Placement":
-        """Build a placement, checking completeness and pinning rules."""
-        host_set = set(hosts)
-        missing = [n.node_id for n in tree.nodes() if n.node_id not in assignment]
-        if missing:
-            raise ValueError(f"placement misses nodes: {missing!r}")
-        for node_id, host in assignment.items():
-            if node_id not in tree:
-                raise ValueError(f"placement names unknown node {node_id!r}")
-            if host not in host_set:
-                raise ValueError(f"placement uses unknown host {host!r}")
-        for server_id, host in server_hosts.items():
-            if assignment[server_id] != host:
-                raise ValueError(
-                    f"server {server_id!r} must stay on {host!r}, "
-                    f"got {assignment[server_id]!r}"
-                )
-        if assignment[CLIENT_ID] != client_host:
-            raise ValueError(
-                f"client must stay on {client_host!r}, got {assignment[CLIENT_ID]!r}"
-            )
-        return cls(assignment)
 
     @classmethod
     def all_at_client(

@@ -238,11 +238,7 @@ def build_query(
         env.process(controller.run(), name=f"{namespace}global-controller")
     elif spec.algorithm is Algorithm.LOCAL:
         planner = planner_for(
-            Algorithm.LOCAL,
-            tree,
-            list(spec.all_hosts),
-            cost_model,
-            extra_candidates=spec.local_extra_candidates,
+            Algorithm.LOCAL, tree, list(spec.all_hosts), cost_model
         )
         if planner_wrapper is not None:
             planner = planner_wrapper(planner, "controller")

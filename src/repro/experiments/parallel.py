@@ -29,8 +29,8 @@ embarrassingly parallel — this module fans it out over a
 The serial and parallel paths share the task list, the worker
 initializer and the task body: :func:`_ordered_map` runs them either in
 a pool or in-process, which is what the determinism tests in
-``tests/experiments/test_parallel.py`` pin down.  The workload sweeps in
-:mod:`repro.workload.sweep` fan out through the same map.
+``tests/experiments/test_parallel.py`` pin down.  The sharded fleets
+of :mod:`repro.workload.sweep` fan out through the same map.
 """
 
 from __future__ import annotations

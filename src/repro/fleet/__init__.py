@@ -38,7 +38,7 @@ from repro.fleet.planner import FleetPlanner
 
 def _fleet_factory(mode: str):
     def factory(tree, hosts, cost_model, *, server_replicas=None,
-                extra_candidates=0, grid_cache=None):
+                grid_cache=None):
         inner = GlobalPlanner(tree, hosts, cost_model, server_replicas,
                               grid_cache)
         coordinator = FleetCoordinator(FleetPolicy(mode=mode))

@@ -1,8 +1,11 @@
 """The fleet planner family: any per-query planner, coordinated.
 
-:class:`FleetPlanner` implements the :class:`~repro.placement.base.Planner`
-protocol by wrapping an inner planner (global, one-shot, local rules,
-download-all) with the fleet coordinator's two levers:
+:class:`FleetPlanner` wraps an inner planner with the fleet
+coordinator's two levers.  Its ``plan`` (the
+:class:`~repro.placement.base.Planner` protocol) wraps a searching
+planner (global, one-shot, download-all); its ``decide`` wraps the local
+rule (:class:`~repro.placement.local_rules.LocalRulesPlanner`).  The
+two levers:
 
 * **link-claim-aware cost estimation** — the inner search sees the
   coordinator's residual bandwidth (``raw / (1 + other claimants)``)
@@ -31,7 +34,7 @@ build.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.dataflow.critical import placement_cost
 from repro.dataflow.placement import Placement
@@ -79,14 +82,11 @@ class FleetPlanner:
         estimator,
         initial: Placement,
         *,
-        seed: Optional[int] = None,
         tracer=None,
         now: float = 0.0,
     ) -> PlanResult:
         residual = self.coordinator.residual_estimator(self.query_id, estimator)
-        result = self.inner.plan(
-            residual, initial, seed=seed, tracer=None, now=now
-        )
+        result = self.inner.plan(residual, initial, tracer=None, now=now)
         cost = result.cost
         placement = result.placement
         if self.stage == "controller" and placement != initial:

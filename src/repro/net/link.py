@@ -55,16 +55,5 @@ class Link:
             nbytes, start_time + self.startup_cost, hint=self._cursor
         )
 
-    def bandwidth_at(self, t: float) -> float:
-        """Instantaneous link bandwidth (bytes/s) at time ``t``.
-
-        ``t`` must be non-negative: traces start at time zero, and a
-        negative query silently read the first segment's rate instead of
-        flagging the caller's clock bug.
-        """
-        if t < 0:
-            raise ValueError(f"negative time {t!r}")
-        return self.trace.rate_at(t)
-
     def __repr__(self) -> str:
         return f"<Link {self.a}~{self.b} trace={self.trace.name!r}>"

@@ -170,14 +170,6 @@ class Network:
         """All links, in canonical key order."""
         return [self._links[key] for key in sorted(self._links)]
 
-    def bandwidth_at(self, a: str, b: str, t: float) -> float:
-        """True instantaneous bandwidth between two hosts (oracle access)."""
-        if t < 0:
-            raise ValueError(f"negative time {t!r}")
-        if a == b:
-            return float("inf")
-        return self.link(a, b).bandwidth_at(t)
-
     def mean_bandwidth(self, a: str, b: str, t0: float, t1: float) -> float:
         """True time-averaged bandwidth over ``[t0, t1]`` (oracle access)."""
         if t0 < 0:

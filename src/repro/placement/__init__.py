@@ -1,7 +1,9 @@
 """The paper's placement algorithms (§2).
 
-Four policies, all implementing the :class:`~repro.placement.base.Planner`
-protocol (construct them uniformly with :func:`planner_for`):
+Four policies, constructed uniformly with :func:`planner_for`.  The
+other three implement the :class:`~repro.placement.base.Planner`
+protocol's ``plan``; the local algorithm has only a per-operator
+``decide``:
 
 * :class:`~repro.placement.download_all.DownloadAllPlanner` — every
   operator at the client; the paper's base case ("currently the dominant
@@ -17,8 +19,9 @@ protocol (construct them uniformly with :func:`planner_for`):
 * :class:`~repro.placement.local_rules.LocalRulesPlanner` — the
   distributed local algorithm (§2.3): critical-path self-detection from
   "later" marks and local-critical-path site selection, packaged as
-  pure decision rules plus a wavefront-pass ``plan``.  The epoch
-  wavefront and vector propagation live in :mod:`repro.engine`.
+  pure decision rules behind a per-operator ``decide``.  The epoch
+  wavefront, the ``k`` extra-candidate draw and vector propagation live
+  in :mod:`repro.engine`.
 """
 
 from typing import Callable, Optional, Sequence
@@ -37,7 +40,7 @@ from repro.placement.local_rules import (
 )
 
 #: Planner-factory signature: ``(tree, hosts, cost_model, *,
-#: server_replicas=None, extra_candidates=0, grid_cache=None) -> Planner``.
+#: server_replicas=None, grid_cache=None) -> Planner``.
 PlannerFactory = Callable[..., Planner]
 
 _PLANNER_REGISTRY: "dict[str, PlannerFactory]" = {}
@@ -62,28 +65,26 @@ def planner_registry() -> "tuple[str, ...]":
 
 
 def _make_one_shot(tree, hosts, cost_model, *, server_replicas=None,
-                   extra_candidates=0, grid_cache=None):
+                   grid_cache=None):
     return OneShotPlanner(
         tree, hosts, cost_model, server_replicas, grid_cache
     )
 
 
 def _make_global(tree, hosts, cost_model, *, server_replicas=None,
-                 extra_candidates=0, grid_cache=None):
+                 grid_cache=None):
     return GlobalPlanner(
         tree, hosts, cost_model, server_replicas, grid_cache
     )
 
 
 def _make_local(tree, hosts, cost_model, *, server_replicas=None,
-                extra_candidates=0, grid_cache=None):
-    return LocalRulesPlanner(
-        tree, hosts, cost_model, extra_candidates=extra_candidates
-    )
+                grid_cache=None):
+    return LocalRulesPlanner(cost_model)
 
 
 def _make_download_all(tree, hosts, cost_model, *, server_replicas=None,
-                       extra_candidates=0, grid_cache=None):
+                       grid_cache=None):
     return DownloadAllPlanner(tree, hosts, cost_model)
 
 
@@ -100,7 +101,6 @@ def planner_for(
     cost_model: CostModel,
     *,
     server_replicas: "Optional[dict[str, tuple[str, ...]]]" = None,
-    extra_candidates: int = 0,
     grid_cache: "Optional[dict]" = None,
 ) -> Planner:
     """Construct the planner for an algorithm name (or enum).
@@ -114,7 +114,8 @@ def planner_for(
     this module import-independent of the engine.  ``grid_cache`` is
     the search cache a one-shot or global search shares with planners
     of the same shape (see :class:`OneShotPlanner`); the other
-    planners ignore it.
+    planners ignore it.  The ``"local"`` planner has ``decide`` and
+    no ``plan``.
     """
     key = getattr(algorithm, "value", algorithm)
     factory = _PLANNER_REGISTRY.get(key)
@@ -125,7 +126,6 @@ def planner_for(
         hosts,
         cost_model,
         server_replicas=server_replicas,
-        extra_candidates=extra_candidates,
         grid_cache=grid_cache,
     )
 

@@ -1,11 +1,14 @@
 """Shared plumbing for the placement planners.
 
-Every placement policy — one-shot, global, local rules, download-all —
-implements the :class:`Planner` protocol: a ``name`` and one uniform
-``plan`` entry point taking a bandwidth estimator and the placement to
-start from.  The engine (``engine/simulation.py``, the controllers) and
-experiment drivers dispatch through this interface via
-:func:`repro.placement.planner_for` instead of per-algorithm branches.
+The searching placement policies — one-shot, global, download-all and
+their fleet wrappers — implement the :class:`Planner` protocol: a
+``name`` and one uniform ``plan`` entry point taking a bandwidth
+estimator and the placement to start from.  The engine
+(``engine/simulation.py``, the controllers) dispatches through this
+interface via :func:`repro.placement.planner_for` instead of
+per-algorithm branches.  The local algorithm is distributed and has no
+``plan``: its controller calls the per-operator ``decide`` of
+:class:`~repro.placement.local_rules.LocalRulesPlanner` instead.
 """
 
 from __future__ import annotations
@@ -39,11 +42,11 @@ class PlanResult:
 
 @runtime_checkable
 class Planner(Protocol):
-    """The uniform planning interface all four placement policies share.
+    """The planning interface of the one-shot, global and download-all
+    policies and their fleet wrappers.
 
     ``plan`` searches for a placement starting from ``initial`` using
-    ``estimator`` for pairwise bandwidths.  ``seed`` feeds any randomized
-    choices (only the local rules use it); ``tracer`` receives a
+    ``estimator`` for pairwise bandwidths.  ``tracer`` receives a
     ``planner.search`` event per invocation; ``now`` is the simulation
     time to stamp on emitted events.
     """
@@ -55,7 +58,6 @@ class Planner(Protocol):
         estimator: BandwidthEstimator,
         initial: Placement,
         *,
-        seed: Optional[int] = None,
         tracer=None,
         now: float = 0.0,
     ) -> PlanResult: ...

@@ -47,7 +47,6 @@ class DownloadAllPlanner:
         estimator: BandwidthEstimator,
         initial: Placement,
         *,
-        seed: Optional[int] = None,
         tracer=None,
         now: float = 0.0,
     ) -> PlanResult:

@@ -17,17 +17,12 @@ functions so they can be tested exhaustively:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-import numpy as np
+from repro.dataflow.cost import BandwidthEstimator, CostModel
 
-from repro.dataflow.cost import BandwidthEstimator, CostModel, RecordingEstimator
-from repro.dataflow.critical import placement_cost
-from repro.dataflow.placement import Placement
-from repro.dataflow.tree import CombinationTree
-from repro.obs.events import PLANNER_SEARCH
-from repro.obs.tracer import ensure_tracer
-from repro.placement.base import PlanResult
+# Unused here: the benchmark's traced pass wraps this module's ``placement_cost``.
+from repro.dataflow.critical import placement_cost  # noqa: F401
 
 
 def is_on_critical_path(
@@ -145,35 +140,19 @@ def choose_local_site(
 
 
 class LocalRulesPlanner:
-    """The local algorithm packaged as a :class:`~repro.placement.base.Planner`.
+    """The local algorithm's per-operator rule, as the engine dispatches it.
 
-    Two roles:
-
-    * :meth:`decide` is the thin per-operator entry point the engine's
-      :class:`~repro.engine.controllers.LocalController` dispatches
-      through (the distributed setting: one decision per epoch firing).
-    * :meth:`plan` is the protocol-uniform *offline* evaluation — one
-      wavefront pass applying every operator's local rule from the
-      deepest level upward, the order the staggered epochs fire in.
+    :meth:`decide` is the entry point the engine's
+    :class:`~repro.engine.controllers.LocalController` calls at each
+    operator's epoch firing (the distributed setting: one decision per
+    firing).  The local algorithm has no whole-tree ``plan``; the
+    controller draws the ``k`` extra candidate sites.
     """
 
     name = "local"
 
-    def __init__(
-        self,
-        tree: CombinationTree,
-        hosts: Sequence[str],
-        cost_model: CostModel,
-        extra_candidates: int = 0,
-    ) -> None:
-        if extra_candidates < 0:
-            raise ValueError(
-                f"extra_candidates must be >= 0, got {extra_candidates!r}"
-            )
-        self.tree = tree
-        self.hosts = sorted(set(hosts))
+    def __init__(self, cost_model: CostModel) -> None:
         self.cost_model = cost_model
-        self.extra_candidates = extra_candidates
 
     def decide(
         self,
@@ -198,70 +177,4 @@ class LocalRulesPlanner:
             startup_cost=self.cost_model.startup_cost,
             extra_candidates=extra_candidates,
             compute_seconds=compute_seconds,
-        )
-
-    def plan(
-        self,
-        estimator: BandwidthEstimator,
-        initial: Placement,
-        *,
-        seed: Optional[int] = None,
-        tracer=None,
-        now: float = 0.0,
-    ) -> PlanResult:
-        """One wavefront pass of local decisions over the whole tree."""
-        recorder = RecordingEstimator(estimator)
-        rng = np.random.default_rng(0 if seed is None else seed)
-        placement = initial
-        candidates = 0
-        sizes = self.cost_model.sizes
-        ordered = sorted(
-            self.tree.operators(), key=lambda op: (op.level, op.node_id)
-        )
-        for op in ordered:
-            current_host = placement.host_of(op.node_id)
-            producer_hosts = [placement.host_of(p) for p in op.children]
-            consumer_host = placement.host_of(op.parent)
-            base = set(producer_hosts) | {consumer_host, current_host}
-            pool = sorted(set(self.hosts) - base)
-            k = min(self.extra_candidates, len(pool))
-            extras = (
-                [pool[i] for i in rng.choice(len(pool), size=k, replace=False)]
-                if k
-                else []
-            )
-            decision = self.decide(
-                current_host=current_host,
-                producer_hosts=producer_hosts,
-                producer_sizes=[sizes[p] for p in op.children],
-                consumer_host=consumer_host,
-                output_size=sizes[op.node_id],
-                estimator=recorder,
-                extra_candidates=extras,
-                compute_seconds=self.cost_model.node_seconds(op.node_id),
-            )
-            candidates += len(decision.costs)
-            if decision.should_move:
-                placement = placement.with_move(op.node_id, decision.best_site)
-        cost = placement_cost(self.tree, placement, self.cost_model, recorder)
-        tracer = ensure_tracer(tracer)
-        if tracer.enabled:
-            tracer.emit(
-                PLANNER_SEARCH,
-                now,
-                {
-                    "algorithm": self.name,
-                    "rounds": 1,
-                    "candidates": candidates,
-                    "links": len(recorder.queried),
-                    "cost": cost,
-                },
-            )
-        return PlanResult(
-            placement=placement,
-            cost=cost,
-            rounds=1,
-            candidates_evaluated=candidates,
-            links_queried=frozenset(recorder.queried),
-            algorithm=self.name,
         )

@@ -117,15 +117,10 @@ class OneShotPlanner:
         estimator: BandwidthEstimator,
         initial: Placement,
         *,
-        seed: "Optional[int]" = None,
         tracer=None,
         now: float = 0.0,
     ) -> PlanResult:
-        """Run the search from ``initial`` using ``estimator`` for bandwidths.
-
-        ``seed`` is accepted for :class:`~repro.placement.base.Planner`
-        uniformity (the search is deterministic and ignores it).
-        """
+        """Run the search from ``initial`` using ``estimator`` for bandwidths."""
         result = self._search(estimator, initial)
         tracer = ensure_tracer(tracer)
         if tracer.enabled:

@@ -9,7 +9,6 @@ links, NICs, monitoring substrate and fault timeline.
 * :class:`WorkloadSpec` / :class:`QueryClass` — the declarative spec.
 * :class:`OpenLoop` / :class:`ClosedLoop` — seeded arrival disciplines.
 * :func:`run_workload` / :class:`WorkloadEngine` — execution.
-* :func:`run_workload_sweep` — parallel batches of workloads.
 * :func:`run_workload_sharded` — one fleet, client-hash sharded across
   processes with order-invariant :class:`MetricsSink` merges.
 * :func:`fleet_from_trace` — rebuild the fleet summary from a trace.
@@ -75,7 +74,6 @@ from repro.workload.spec import (
 )
 from repro.workload.sweep import (
     run_workload_sharded,
-    run_workload_sweep,
     shard_clients,
     shard_of,
 )
@@ -116,7 +114,6 @@ __all__ = [
     "client_of",
     "query_id_for",
     "run_workload_sharded",
-    "run_workload_sweep",
     "shard_clients",
     "shard_of",
 ]

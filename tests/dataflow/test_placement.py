@@ -3,11 +3,10 @@
 import pytest
 
 from repro.dataflow.placement import Placement
-from repro.dataflow.tree import CLIENT_ID, complete_binary_tree
+from repro.dataflow.tree import complete_binary_tree
 
 TREE = complete_binary_tree(4)
 SERVER_HOSTS = {f"s{i}": f"h{i}" for i in range(4)}
-HOSTS = [f"h{i}" for i in range(4)] + ["client"]
 
 
 def download_all():
@@ -21,42 +20,6 @@ class TestConstruction:
             assert placement.host_of(op.node_id) == "client"
         for server, host in SERVER_HOSTS.items():
             assert placement.host_of(server) == host
-
-    def test_validated_accepts_complete(self):
-        placement = Placement.validated(
-            TREE, download_all().as_dict(), HOSTS, SERVER_HOSTS, "client"
-        )
-        assert placement == download_all()
-
-    def test_validated_rejects_missing_node(self):
-        partial = download_all().as_dict()
-        del partial["op0"]
-        with pytest.raises(ValueError):
-            Placement.validated(TREE, partial, HOSTS, SERVER_HOSTS, "client")
-
-    def test_validated_rejects_unknown_host(self):
-        assignment = download_all().as_dict()
-        assignment["op0"] = "mars"
-        with pytest.raises(ValueError):
-            Placement.validated(TREE, assignment, HOSTS, SERVER_HOSTS, "client")
-
-    def test_validated_rejects_moved_server(self):
-        assignment = download_all().as_dict()
-        assignment["s0"] = "h1"
-        with pytest.raises(ValueError):
-            Placement.validated(TREE, assignment, HOSTS, SERVER_HOSTS, "client")
-
-    def test_validated_rejects_moved_client(self):
-        assignment = download_all().as_dict()
-        assignment[CLIENT_ID] = "h0"
-        with pytest.raises(ValueError):
-            Placement.validated(TREE, assignment, HOSTS, SERVER_HOSTS, "client")
-
-    def test_validated_rejects_unknown_node(self):
-        assignment = download_all().as_dict()
-        assignment["ghost"] = "h0"
-        with pytest.raises(ValueError):
-            Placement.validated(TREE, assignment, HOSTS, SERVER_HOSTS, "client")
 
 
 class TestOperations:

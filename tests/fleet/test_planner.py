@@ -48,8 +48,8 @@ def make_planner(stage="controller", **policy_kwargs):
 class TestPlan:
     def test_grant_keeps_inner_placement(self):
         planner, _, initial = make_planner()
-        inner_result = planner.inner.plan(estimator, initial, seed=3)
-        result = planner.plan(estimator, initial, seed=3)
+        inner_result = planner.inner.plan(estimator, initial)
+        result = planner.plan(estimator, initial)
         assert result.algorithm == "fleet-coordinated"
         assert (
             result.placement.as_dict() == inner_result.placement.as_dict()
@@ -61,13 +61,13 @@ class TestPlan:
         planner, coordinator, initial = make_planner(
             link_tokens=1.0, token_refill_seconds=1e6
         )
-        first = planner.plan(estimator, initial, seed=3)
+        first = planner.plan(estimator, initial)
         assert first.placement != initial
         # Same query, next epoch (past the ruling cache): inner proposes
         # the same move but every bucket it needs is drained.
         coordinator._last_ruling.clear()
         tracer = Tracer()
-        second = planner.plan(estimator, initial, seed=3, tracer=tracer)
+        second = planner.plan(estimator, initial, tracer=tracer)
         assert second.placement == initial
         kinds = [e["type"] for e in tracer.events]
         assert FLEET_DENY in kinds
@@ -80,7 +80,7 @@ class TestPlan:
             stage="initial", link_tokens=1.0, token_refill_seconds=1e6
         )
         tracer = Tracer()
-        result = planner.plan(estimator, initial, seed=3, tracer=tracer)
+        result = planner.plan(estimator, initial, tracer=tracer)
         kinds = [e["type"] for e in tracer.events]
         assert FLEET_GRANT not in kinds and FLEET_DENY not in kinds
         assert result.placement != initial  # residual planning still ran
@@ -89,7 +89,7 @@ class TestPlan:
     def test_emits_exactly_one_search_event(self):
         planner, _, initial = make_planner()
         tracer = Tracer()
-        planner.plan(estimator, initial, seed=3, tracer=tracer, now=7.0)
+        planner.plan(estimator, initial, tracer=tracer, now=7.0)
         searches = [
             e for e in tracer.events if e["type"] == PLANNER_SEARCH
         ]
@@ -107,7 +107,7 @@ class TestPlan:
         for name in ("fleet-coordinated", "fleet-fair"):
             planner = planner_for(name, tree, HOSTS, cost_model)
             assert planner.name == name
-            result = planner.plan(estimator, initial, seed=1)
+            result = planner.plan(estimator, initial)
             assert result.algorithm == name
 
     def test_rejects_unknown_stage(self):
@@ -121,7 +121,7 @@ class TestPlan:
 class TestDecide:
     def make_local(self, **policy_kwargs):
         tree, cost_model, _ = make_problem()
-        inner = LocalRulesPlanner(tree, HOSTS, cost_model)
+        inner = LocalRulesPlanner(cost_model)
         coordinator = FleetCoordinator(
             FleetPolicy(**policy_kwargs), clock=lambda: 0.0
         )

@@ -53,20 +53,3 @@ class TestLink:
         link = Link("a", "b", trace, startup_cost=10.0)
         # Bytes only start flowing at t=10, when the rate is 50.
         assert link.transmission_time(500, 0) == pytest.approx(10.0 + 10.0)
-
-    def test_bandwidth_at(self):
-        trace = BandwidthTrace([0, 10], [100, 50])
-        link = Link("a", "b", trace)
-        assert link.bandwidth_at(5) == 100
-        assert link.bandwidth_at(15) == 50
-
-    def test_bandwidth_at_negative_time_rejected(self):
-        # Same guard transmission_time has: a negative query would
-        # silently read the first segment's rate.
-        link = Link("a", "b", constant_trace(100))
-        with pytest.raises(ValueError, match="negative time"):
-            link.bandwidth_at(-0.1)
-
-    def test_bandwidth_at_zero_allowed(self):
-        link = Link("a", "b", constant_trace(100))
-        assert link.bandwidth_at(0.0) == 100

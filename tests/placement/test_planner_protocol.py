@@ -1,4 +1,5 @@
-"""Every registered planner family conforms to the Planner protocol."""
+"""Every registered planner with a ``plan`` conforms to the Planner
+protocol; the local algorithm's planner only decides per operator."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from repro.placement import (
     OneShotPlanner,
     Planner,
     PlanResult,
+    choose_local_site,
     download_all_placement,
     planner_for,
     planner_registry,
@@ -41,10 +43,15 @@ def estimator(a: str, b: str) -> float:
     return 50 * 1024.0
 
 
-@pytest.mark.parametrize("name", planner_registry())
+#: Every registered name but ``"local"``, which only decides.
+PLANNING_NAMES = [name for name in planner_registry() if name != "local"]
+
+
+@pytest.mark.parametrize("name", PLANNING_NAMES)
 class TestProtocolConformance:
-    """Runs over the full ``planner_for`` registry — the four paper
-    algorithms plus the fleet-coordinated wrappers."""
+    """Runs over every ``planner_for`` name with a ``plan`` — the
+    one-shot, global and download-all algorithms plus the
+    fleet-coordinated wrappers."""
 
     def test_factory_builds_conforming_planner(self, name):
         tree, cost_model, initial = make_problem()
@@ -55,7 +62,7 @@ class TestProtocolConformance:
     def test_plan_returns_labelled_result(self, name):
         tree, cost_model, initial = make_problem()
         planner = planner_for(name, tree, HOSTS, cost_model)
-        result = planner.plan(estimator, initial, seed=7)
+        result = planner.plan(estimator, initial)
         assert isinstance(result, PlanResult)
         assert result.algorithm == name
         assert math.isfinite(result.cost)
@@ -64,8 +71,8 @@ class TestProtocolConformance:
     def test_plan_is_deterministic(self, name):
         tree, cost_model, initial = make_problem()
         planner = planner_for(name, tree, HOSTS, cost_model)
-        a = planner.plan(estimator, initial, seed=3)
-        b = planner.plan(estimator, initial, seed=3)
+        a = planner.plan(estimator, initial)
+        b = planner.plan(estimator, initial)
         assert a.placement.as_dict() == b.placement.as_dict()
         assert a.cost == b.cost
 
@@ -86,12 +93,8 @@ class TestProtocolConformance:
         no hidden cross-instance state (fleet planners carry a private
         coordinator each)."""
         tree, cost_model, initial = make_problem()
-        a = planner_for(name, tree, HOSTS, cost_model).plan(
-            estimator, initial, seed=11
-        )
-        b = planner_for(name, tree, HOSTS, cost_model).plan(
-            estimator, initial, seed=11
-        )
+        a = planner_for(name, tree, HOSTS, cost_model).plan(estimator, initial)
+        b = planner_for(name, tree, HOSTS, cost_model).plan(estimator, initial)
         assert a.placement.as_dict() == b.placement.as_dict()
         assert a.cost == b.cost
 
@@ -124,3 +127,27 @@ class TestFactory:
         result = planner.plan(estimator, initial)
         assert result.placement is initial
         assert result.rounds == 0
+
+
+class TestLocalPlanner:
+    def test_decide_is_the_local_rule_and_there_is_no_plan(self):
+        """``"local"`` decides one operator at a time under the cost
+        model's startup cost, and has no whole-tree ``plan``."""
+        tree, cost_model, _ = make_problem()
+        planner = planner_for("local", tree, HOSTS, cost_model)
+        assert not hasattr(planner, "plan")
+        case = dict(
+            current_host="client",
+            producer_hosts=["h0", "h1"],
+            producer_sizes=[1e8, 1e3],
+            consumer_host="client",
+            output_size=1e3,
+            estimator=estimator,
+            extra_candidates=["h2"],
+            compute_seconds=0.5,
+        )
+        decision = planner.decide(**case)
+        assert decision == choose_local_site(
+            startup_cost=cost_model.startup_cost, **case
+        )
+        assert decision.should_move

@@ -16,7 +16,6 @@ from repro.workload import (
     merge_sinks,
     run_workload,
     run_workload_sharded,
-    run_workload_sweep,
     shard_clients,
     shard_of,
 )
@@ -248,16 +247,3 @@ class TestShardedCoordination:
             coordinated_spec(exact_metrics_threshold=0), 3, workers=1
         )
         assert exact.fleet["fleet"] == streaming.fleet["fleet"]
-
-
-class TestSweepWithShards:
-    def test_sweep_shards_param(self):
-        tasks = [("a", tiny_spec(seed=1)), ("b", tiny_spec(seed=2))]
-        results = run_workload_sweep(tasks, workers=1, shards=2)
-        assert list(results) == ["a", "b"]
-        for fleet in results.values():
-            assert fleet["scheduled"] == 5
-
-    def test_bad_shards_rejected(self):
-        with pytest.raises(ValueError):
-            run_workload_sweep([("a", tiny_spec())], shards=0)
