@@ -249,27 +249,38 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 1 if any(m.truncated for m in rows) else 0
 
 
-def _parse_mix(text: str, period: float) -> tuple:
-    """``"global=2,one-shot=1"`` -> a tuple of weighted QueryClass."""
-    from repro.workload import QueryClass
+def _parse_mix(text: str) -> dict:
+    """``"global=2,one-shot=1"`` -> ``{Algorithm.GLOBAL: 2.0, ...}``.
 
-    classes = []
+    The ``--mix`` type: a bad entry is a usage error (exit 2).
+    """
+    mix = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         name, _, weight = part.partition("=")
-        classes.append(
-            QueryClass(
-                name=name,
-                algorithm=Algorithm(name),
-                weight=float(weight) if weight else 1.0,
-                overrides={"relocation_period": period},
-            )
-        )
-    if not classes:
-        raise SystemExit(f"empty query mix: {text!r}")
-    return tuple(classes)
+        try:
+            algorithm = Algorithm(name)
+        except ValueError:
+            valid = ", ".join(a.value for a in Algorithm)
+            raise argparse.ArgumentTypeError(
+                f"unknown algorithm {name!r} (valid: {valid})"
+            ) from None
+        try:
+            value = float(weight or 1.0)
+            if not value > 0:
+                raise ValueError
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"weight of {name} must be a positive number, got {weight!r}"
+            ) from None
+        if algorithm in mix:
+            raise argparse.ArgumentTypeError(f"{name} is listed twice")
+        mix[algorithm] = value
+    if not mix:
+        raise argparse.ArgumentTypeError(f"empty query mix: {text!r}")
+    return mix
 
 
 def _print_fleet(fleet: dict) -> None:
@@ -404,6 +415,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
     from repro.workload import (
         ClosedLoop,
         OpenLoop,
+        QueryClass,
         WorkloadSpec,
         run_workload,
         run_workload_sharded,
@@ -425,7 +437,15 @@ def cmd_workload(args: argparse.Namespace) -> int:
                 setup.all_hosts, seed=args.seed, scale=args.chaos_scale
             ),
         )
-    classes = _parse_mix(args.mix, args.period)
+    classes = tuple(
+        QueryClass(
+            name=algorithm.value,
+            algorithm=algorithm,
+            weight=weight,
+            overrides={"relocation_period": args.period},
+        )
+        for algorithm, weight in args.mix.items()
+    )
     if args.deadline is not None or args.slo is not None:
         classes = tuple(
             replace(qclass, deadline=args.deadline, slo_target=args.slo)
@@ -548,6 +568,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
 
     source = Path(args.file)
+    if not source.exists():
+        print(f"repro trace: no such file or directory: {source}",
+              file=sys.stderr)
+        return 2
     if source.is_dir():
         # A --trace-dir segment directory streams; only the Chrome
         # export needs every record at once.
@@ -636,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--queries", type=int, default=2,
                           help="queries per client (default 2)")
     workload.add_argument(
-        "--mix", default="global=1,one-shot=1",
+        "--mix", default="global=1,one-shot=1", type=_parse_mix,
         metavar="ALGO=W,...",
         help="weighted query mix, e.g. global=2,one-shot=1 "
              "(default global=1,one-shot=1)")

@@ -2,9 +2,30 @@
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.dataflow.tree import CLIENT_ID, CombinationTree
+
+
+def canonical_link(a: str, b: str) -> "tuple[str, str]":
+    """The order-independent key for a host pair."""
+    return (a, b) if a < b else (b, a)
+
+
+def cross_host_links(
+    tree: CombinationTree, host_of: Callable[[str], str]
+) -> "frozenset[tuple[str, str]]":
+    """The canonical host pairs the tree's edges cross when each node
+    runs on ``host_of(node_id)``: a placement's ``host_of``, or a running
+    query's, which reads the actors' actual hosts."""
+    links = set()
+    for node in tree.nodes():
+        if node.parent is not None:
+            src = host_of(node.node_id)
+            dst = host_of(node.parent)
+            if src != dst:
+                links.add(canonical_link(src, dst))
+    return frozenset(links)
 
 
 class Placement:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dataflow.placement import cross_host_links
 from repro.engine.actors import ClientActor
 from repro.engine.runtime import Runtime
 from repro.obs.events import (
@@ -71,13 +72,6 @@ def _probe_stale_links(runtime: Runtime, viewer: str, pairs):
 
 class GlobalController:
     """Periodic global re-planning plus the barrier change-over."""
-
-    #: Probe/re-plan refinement iterations per planning round.  One round
-    #: measurably beats more: extra probe rounds refresh more links but
-    #: their traffic preempts the data pipeline (probes ride at CONTROL
-    #: priority so they cannot be starved), and the interference costs
-    #: more than the fresher matrix gains.
-    MAX_PROBE_ROUNDS = 1
 
     def __init__(
         self,
@@ -151,27 +145,26 @@ class GlobalController:
             self._degraded_rounds = 0
 
         if runtime.spec.probe_before_planning and not runtime.spec.oracle_monitoring:
-            # Plan, probe the stale links the search consulted, re-plan —
-            # to a fixpoint: a refreshed matrix can steer the search onto
-            # links it had not queried before, and planning on unmeasured
-            # links invites winner's-curse moves.  This is §2.1's "in
-            # practice ... only a subset of the links need to be measured"
-            # made operational.
-            for _ in range(self.MAX_PROBE_ROUNDS):
-                dry = self.planner.plan(
-                    runtime.snapshot_estimator(client_host),
-                    runtime.current_placement,
-                    tracer=tracer,
-                    now=env.now,
-                )
-                runtime.metrics.note_plan(dry)
-                probed = yield from _probe_stale_links(
-                    runtime, client_host, sorted(dry.links_queried)
-                )
-                if not probed:
-                    break
-                if runtime.finished:
-                    return
+            # Plan, probe the stale links the search consulted, re-plan:
+            # planning on unmeasured links invites winner's-curse moves.
+            # This is §2.1's "in practice ... only a subset of the links
+            # need to be measured" made operational.  One probe round
+            # measurably beats more: extra rounds refresh more links but
+            # their traffic preempts the data pipeline (probes ride at
+            # CONTROL priority so they cannot be starved), and the
+            # interference costs more than the fresher matrix gains.
+            dry = self.planner.plan(
+                runtime.snapshot_estimator(client_host),
+                runtime.current_placement,
+                tracer=tracer,
+                now=env.now,
+            )
+            runtime.metrics.note_plan(dry)
+            probed = yield from _probe_stale_links(
+                runtime, client_host, sorted(dry.links_queried)
+            )
+            if probed and runtime.finished:
+                return
 
         estimator = runtime.snapshot_estimator(client_host)
         result = self.planner.plan(
@@ -195,7 +188,8 @@ class GlobalController:
             # bandwidth is *over*-estimated (winner's curse — and the bias
             # grows with tree size).  Re-measure the links the chosen plan
             # would actually use and re-check the improvement.
-            yield from self._refresh_plan_links(result.placement, client_host)
+            links = cross_host_links(runtime.tree, result.placement.host_of)
+            yield from _probe_stale_links(runtime, client_host, sorted(links))
             if runtime.finished:
                 return
             validated = runtime.snapshot_estimator(client_host)
@@ -228,19 +222,6 @@ class GlobalController:
                 ):
                     usable += 1
         return usable / total if total else 1.0
-
-    def _refresh_plan_links(self, placement, client_host: str):
-        """Probe the stale links a candidate placement would put data on."""
-        runtime = self.runtime
-        pairs: set[tuple[str, str]] = set()
-        for node in runtime.tree.nodes():
-            if node.parent is None:
-                continue
-            a = placement.host_of(node.node_id)
-            b = placement.host_of(node.parent)
-            if a != b:
-                pairs.add((a, b) if a < b else (b, a))
-        yield from _probe_stale_links(runtime, client_host, sorted(pairs))
 
     def _install(self, placement):
         """Run the barrier change-over protocol (§2.2)."""

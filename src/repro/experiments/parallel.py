@@ -15,10 +15,6 @@ embarrassingly parallel — this module fans it out over a
   rebuilds the default trace library inside the worker and warms
   its noon-segment cache — individual tasks never pickle traces (a library
   is ~66 two-day arrays), they ship only integer indices and names;
-* each configuration is sampled **once** into a frozen
-  :class:`~repro.experiments.config.SampledConfig` and fanned out across
-  the algorithms comparing on it (default chunk sizes are aligned to whole
-  configuration groups so the reuse happens inside one worker);
 * the worker count comes from an explicit argument, falling back to the
   ``REPRO_WORKERS`` environment variable, falling back to 1 (serial);
   ``workers <= 0`` means "one per CPU";
@@ -40,11 +36,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.engine.config import Algorithm
 from repro.engine.simulation import run_simulation
-from repro.experiments.config import (
-    ExperimentConfig,
-    build_spec_from_config,
-    sample_config,
-)
+from repro.experiments.config import ExperimentConfig, build_spec
 from repro.obs.metrics import RunMetrics
 
 #: Environment variable consulted when no explicit worker count is given.
@@ -141,18 +133,16 @@ def _init_worker(setup: ExperimentConfig) -> None:
 def _run_task(task: _Task) -> tuple[SweepKey, RunMetrics]:
     """Simulate one task against the worker's installed setup.
 
-    Tasks ship only ``(config_index, algorithm value, overrides)`` — the
-    configuration itself is sampled (or fetched from the build-once memo)
-    against the worker-resident setup, so consecutive algorithms on one
-    configuration share a single :class:`SampledConfig` artifact.
+    Tasks ship only ``(config_index, algorithm value, overrides)``; the
+    configuration is drawn against the worker-resident setup, whose
+    library's noon segments the initializer warmed.
     """
     config_index, algorithm_value, overrides = task
     setup = _WORKER_SETUP
     if setup is None:  # pragma: no cover - initializer always runs first
         raise RuntimeError("worker used before _init_worker ran")
-    sampled = sample_config(setup, config_index)
-    spec = build_spec_from_config(
-        setup, sampled, Algorithm(algorithm_value), **dict(overrides)
+    spec = build_spec(
+        setup, config_index, Algorithm(algorithm_value), **dict(overrides)
     )
     return (config_index, algorithm_value), run_simulation(spec)
 
@@ -222,35 +212,12 @@ def _ordered_map(
     return results
 
 
-def _default_chunksize(tasks: Sequence[_Task], workers: int) -> int:
-    """Tasks per pool dispatch for a sweep, aligned to configuration groups.
-
-    A few chunks per worker balances dispatch overhead (tasks are
-    ~100 ms..s each) against tail latency on uneven task lengths.  Chunks
-    are then aligned to whole configuration groups (the run length of the
-    leading config index, e.g. 4 for a four-algorithm paired sweep): a
-    worker that receives every algorithm of a configuration samples it
-    once and reuses the artifact, instead of each worker resampling it
-    for its slice of the group.
-    """
-    chunksize = max(1, len(tasks) // (workers * 4))
-    group = 1
-    for task in tasks[1:]:
-        if task[0] != tasks[0][0]:
-            break
-        group += 1
-    if group > 1:
-        chunksize = max(group, chunksize - chunksize % group)
-    return chunksize
-
-
 def run_sweep(
     setup: ExperimentConfig,
     tasks: Sequence[tuple],
     *,
     workers: Optional[int] = None,
     progress: Optional[Callable] = None,
-    chunksize: Optional[int] = None,
     overrides: Optional[Mapping[str, Any]] = None,
 ) -> dict[SweepKey, RunMetrics]:
     """Run a batch of ``(config_index, algorithm[, overrides])`` tasks.
@@ -275,15 +242,11 @@ def run_sweep(
     progress:
         ``progress(config_index, algorithm, metrics)`` called once per
         completed task, always in task order.
-    chunksize:
-        Tasks per pool dispatch; defaults to ``len(tasks) / (4·workers)``.
     overrides:
         Spec overrides applied to every task (per-task overrides win).
     """
     normalized = _normalize_tasks(tasks, overrides)
     effective = resolve_workers(workers)
-    if chunksize is None and normalized:
-        chunksize = _default_chunksize(normalized, effective)
     report = None
     if progress is not None:
 
@@ -298,7 +261,9 @@ def run_sweep(
             effective,
             initializer=_init_worker,
             initargs=(setup,),
-            chunksize=chunksize or 1,
+            # A few chunks per worker balance dispatch overhead (tasks
+            # take ~100 ms..s) against tail latency on uneven tasks.
+            chunksize=max(1, len(normalized) // (effective * 4)),
             on_result=report,
         )
     )

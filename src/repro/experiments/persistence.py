@@ -12,16 +12,13 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-from repro.obs.metrics import RelocationEvent, RunMetrics
+from repro.obs.metrics import SUMMARY_SCHEMA, RelocationEvent, RunMetrics
 
 PathLike = Union[str, Path]
 
 _SUMMARY_KEYS = tuple(RunMetrics().summary())
 #: The :class:`RunMetrics` fields a summary persists, in field order.
-#: Schema 1 ends at ``truncated``; schemas 2 and 3 added every field from
-#: ``transfers`` on, which an older payload lacks (they default to 0).
-_PERSISTED = [f for f in fields(RunMetrics) if f.name in _SUMMARY_KEYS]
-_FIRST_ADDED = [f.name for f in _PERSISTED].index("transfers")
+_PERSISTED = [f.name for f in fields(RunMetrics) if f.name in _SUMMARY_KEYS]
 
 
 def metrics_to_dict(metrics: RunMetrics, include_arrivals: bool = True) -> dict:
@@ -45,19 +42,14 @@ def metrics_to_dict(metrics: RunMetrics, include_arrivals: bool = True) -> dict:
 def metrics_from_dict(payload: dict) -> RunMetrics:
     """Rebuild :class:`RunMetrics` from :func:`metrics_to_dict` output.
 
-    Accepts every summary schema version: version-1 payloads (no
-    ``"schema"`` key) lack the trace-derived fields and version-2
-    payloads lack the resilience counters; missing fields default to 0.
-    A payload missing a version-1 field raises ``KeyError``.
+    Only the current :data:`~repro.obs.metrics.SUMMARY_SCHEMA` is read;
+    another ``"schema"`` raises ``ValueError`` and a payload missing a
+    persisted field raises ``KeyError``.
     """
-    schema = payload.get("schema", 1)
-    if schema not in (1, 2, 3):
+    schema = payload.get("schema")
+    if schema != SUMMARY_SCHEMA:
         raise ValueError(f"unsupported metrics schema {schema!r}")
-    counters = {f.name: payload[f.name] for f in _PERSISTED[:_FIRST_ADDED]}
-    counters.update(
-        (f.name, payload.get(f.name, f.default))
-        for f in _PERSISTED[_FIRST_ADDED:]
-    )
+    counters = {name: payload[name] for name in _PERSISTED}
     metrics = RunMetrics(
         arrival_times=list(payload.get("arrival_times", [])), **counters
     )

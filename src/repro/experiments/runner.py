@@ -24,9 +24,8 @@ def run_configuration(
     """Simulate one algorithm on one network configuration.
 
     Pass a :class:`repro.obs.Tracer` to record the run's event stream.
-    Repeated calls for one ``(setup, config_index)`` reuse the build-once
-    :class:`~repro.experiments.config.SampledConfig` artifact, so running
-    the four algorithms back to back samples the configuration once.
+    Every call for one ``(setup, config_index)`` draws the same
+    configuration, so algorithms run back to back compare on equal links.
     """
     spec = build_spec(setup, config_index, algorithm, **overrides)
     return run_simulation(spec, tracer=tracer)

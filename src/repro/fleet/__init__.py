@@ -30,8 +30,6 @@ from repro.fleet.coordinator import (
     FleetPolicy,
     canonical_link,
     link_key,
-    placement_links,
-    runtime_links,
 )
 from repro.fleet.planner import FleetPlanner
 
@@ -55,6 +53,4 @@ __all__ = [
     "FleetPolicy",
     "canonical_link",
     "link_key",
-    "placement_links",
-    "runtime_links",
 ]

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.dataflow.cost import FrozenView
-from repro.dataflow.placement import Placement
-from repro.dataflow.tree import CombinationTree
+from repro.dataflow.placement import Placement, canonical_link, cross_host_links
 from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, record_event
 
@@ -42,50 +41,10 @@ from repro.obs.tracer import NULL_TRACER, record_event
 FAIRNESS_RESERVE = 0.5
 
 
-def canonical_link(a: str, b: str) -> "tuple[str, str]":
-    """The order-independent key for a host pair."""
-    return (a, b) if a < b else (b, a)
-
-
 def link_key(a: str, b: str) -> str:
     """The JSON-friendly ``"a|b"`` form of a canonical link."""
     x, y = canonical_link(a, b)
     return f"{x}|{y}"
-
-
-def placement_links(
-    tree: CombinationTree, placement: Placement
-) -> "frozenset[tuple[str, str]]":
-    """The canonical cross-host links a placement moves data over."""
-    links = set()
-    for node in tree.nodes():
-        parent = node.parent
-        if parent is None:
-            continue
-        src = placement.host_of(node.node_id)
-        dst = placement.host_of(parent)
-        if src != dst:
-            links.add(canonical_link(src, dst))
-    return frozenset(links)
-
-
-def runtime_links(runtime) -> "frozenset[tuple[str, str]]":
-    """A running query's cross-host links from network ground truth.
-
-    Reads actual actor locations rather than the runtime's
-    ``current_placement`` snapshot, which the local algorithm never
-    updates (its moves go operator by operator, not through barriers).
-    """
-    links = set()
-    for node in runtime.tree.nodes():
-        parent = node.parent
-        if parent is None:
-            continue
-        src = runtime.host_of(node.node_id)
-        dst = runtime.host_of(parent)
-        if src != dst:
-            links.add(canonical_link(src, dst))
-    return frozenset(links)
 
 
 @dataclass(frozen=True)
@@ -144,16 +103,18 @@ class _ActiveQuery:
         self._links_epoch: Optional[int] = None
 
     def links(self) -> "frozenset[tuple[str, str]]":
-        """:func:`runtime_links`, cached until an actor moves.
+        """The query's cross-host links, cached until an actor moves.
 
-        The network's actor-registry epoch moves whenever any actor
-        changes host or is unregistered; a runtime without a network (a
-        test double) is re-read every time.
+        Reads the actors' actual hosts (``runtime.host_of``), not the
+        runtime's ``current_placement``, which the local algorithm never
+        updates (its moves go operator by operator, not through
+        barriers).  The network's actor-registry epoch moves whenever
+        any actor changes host.
         """
-        network = getattr(self.runtime, "network", None)
-        epoch = None if network is None else network.actor_epoch
-        if epoch is None or epoch != self._links_epoch:
-            self._links = runtime_links(self.runtime)
+        epoch = self.runtime.network.actor_epoch
+        if epoch != self._links_epoch:
+            runtime = self.runtime
+            self._links = cross_host_links(runtime.tree, runtime.host_of)
             self._links_epoch = epoch
         return self._links
 
@@ -176,21 +137,6 @@ def _residual_view(
         rows[i][j] = source[i][j] / (1 + others)
         rows[j][i] = source[j][i] / (1 + others)
     return raw if rows is None else FrozenView(raw.hosts, index, rows)
-
-
-def _shared_network(active: "dict[str, _ActiveQuery]"):
-    """The one network every active query runs on, or None.
-
-    None also when a runtime has no network (a test double, whose links
-    are re-read on every call): claims are then never cached.
-    """
-    network = None
-    for record in active.values():
-        mine = getattr(record.runtime, "network", None)
-        if mine is None or (network is not None and mine is not network):
-            return None
-        network = mine
-    return network
 
 
 class FleetCoordinator:
@@ -219,11 +165,13 @@ class FleetCoordinator:
         #: ruling, so a controller's dry run and final plan of the
         #: identical moveset charge the buckets once.
         self._last_ruling: dict[str, tuple[tuple, bool, float]] = {}
+        #: The network every query runs on: one coordinator serves one
+        #: engine's network.  Set when the first query launches.
+        self._network = None
         #: Summed claim maps per excluded query, valid while the active
-        #: set is unchanged and ``_claims_network``'s actor epoch equals
+        #: set is unchanged and the network's actor epoch equals
         #: ``_claims_epoch``.  A cached map is never mutated.
         self._claims_memo: dict[Optional[str], dict[tuple[str, str], int]] = {}
-        self._claims_network = None
         self._claims_epoch: Optional[int] = None
 
     def wrapper_for(self, query_id: str):
@@ -249,7 +197,8 @@ class FleetCoordinator:
             query_id, runtime, class_name, slo, now, runtime.tracer
         )
         self._active[query_id] = record
-        self._active_changed()
+        self._network = runtime.network
+        self._claims_memo = {}
         record_event(
             record.tracer,
             self.sink,
@@ -262,11 +211,7 @@ class FleetCoordinator:
         """Release a finished query's claims."""
         self._active.pop(query_id, None)
         self._last_ruling.pop(query_id, None)
-        self._active_changed()
-
-    def _active_changed(self) -> None:
         self._claims_memo = {}
-        self._claims_network = _shared_network(self._active)
 
     # -- claims & residual bandwidth ---------------------------------------
     def _claims(
@@ -277,12 +222,12 @@ class FleetCoordinator:
         The map is a function of the active set and the actor epoch, so
         it is summed once per ``exclude`` between changes of either.
         """
-        network = self._claims_network
-        if network is None:
-            return self._sum_claims(exclude)
-        if network.actor_epoch != self._claims_epoch:
+        if not self._active:
+            return {}
+        epoch = self._network.actor_epoch
+        if epoch != self._claims_epoch:
             self._claims_memo = {}
-            self._claims_epoch = network.actor_epoch
+            self._claims_epoch = epoch
         claims = self._claims_memo.get(exclude)
         if claims is None:
             claims = self._claims_memo[exclude] = self._sum_claims(exclude)
@@ -501,8 +446,9 @@ class FleetCoordinator:
     ) -> None:
         if record is None:
             return
-        before = placement_links(record.runtime.tree, current)
-        after = placement_links(record.runtime.tree, proposed)
+        tree = record.runtime.tree
+        before = cross_host_links(tree, current.host_of)
+        after = cross_host_links(tree, proposed.host_of)
         if before == after:
             return
         record_event(

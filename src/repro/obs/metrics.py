@@ -27,8 +27,7 @@ from repro.obs import exporters
 #: measurements, piggyback merges) and ``median_gap``; version 3 added
 #: the resilience counters (retransmissions, dropped bytes, abandoned
 #: messages, aborted relocations, host downtime, probe timeouts, planner
-#: fallbacks).  Older payloads are still accepted by
-#: :mod:`repro.experiments.persistence`.
+#: fallbacks).  :mod:`repro.experiments.persistence` reads only this one.
 SUMMARY_SCHEMA = 3
 
 
@@ -155,8 +154,8 @@ class RunMetrics:
     def summary(self) -> dict:
         """Plain-dict summary for serialization and tables.
 
-        Carries ``"schema": 3`` — see :data:`SUMMARY_SCHEMA`.  Readers in
-        :mod:`repro.experiments.persistence` accept every version.
+        Carries ``"schema": 3`` — see :data:`SUMMARY_SCHEMA`, the one
+        version :mod:`repro.experiments.persistence` reads.
         """
         return {
             "schema": SUMMARY_SCHEMA,

@@ -8,8 +8,7 @@ both memory and disk:
 * :class:`RotatingTraceWriter` spools records straight to
   ``segment-NNNNNN.jsonl`` files in a directory, rotating when a segment
   reaches ``max_segment_bytes`` and pruning the *oldest* segments to
-  honor ``max_segments`` and/or ``max_age_seconds`` (simulation-time age,
-  measured between segment timestamps).  Every segment opens with a
+  honor ``max_segments``.  Every segment opens with a
   ``trace.segment`` header carrying the run meta, so any surviving
   suffix of segments is independently replayable.
 * :class:`StreamingTracer` is a drop-in :class:`Tracer` that forwards
@@ -27,7 +26,7 @@ suffix*: queries whose full lifecycle survived are summarized; orphan
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 from repro.obs import codec as _codec
 from repro.obs.exporters import TRACE_SCHEMA
@@ -47,14 +46,12 @@ DEFAULT_SEGMENT_BYTES = 8 * 1024 * 1024
 
 
 class _Segment:
-    __slots__ = ("index", "path", "bytes", "first_t", "last_t")
+    __slots__ = ("index", "path", "bytes")
 
     def __init__(self, index: int, path: Path) -> None:
         self.index = index
         self.path = path
         self.bytes = 0
-        self.first_t: Optional[float] = None
-        self.last_t: Optional[float] = None
 
 
 class RotatingTraceWriter:
@@ -66,20 +63,16 @@ class RotatingTraceWriter:
         *,
         max_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         max_segments: Optional[int] = None,
-        max_age_seconds: Optional[float] = None,
         meta: Optional[dict[str, Any]] = None,
     ) -> None:
         if max_segment_bytes < 1:
             raise ValueError("max_segment_bytes must be >= 1")
         if max_segments is not None and max_segments < 1:
             raise ValueError("max_segments must be >= 1")
-        if max_age_seconds is not None and max_age_seconds <= 0:
-            raise ValueError("max_age_seconds must be > 0")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.max_segment_bytes = int(max_segment_bytes)
         self.max_segments = max_segments
-        self.max_age_seconds = max_age_seconds
         #: Run metadata embedded in every segment header.  Held by
         #: reference: a :class:`StreamingTracer` shares its ``meta`` dict
         #: so later updates land in subsequently opened segments.
@@ -117,30 +110,12 @@ class RotatingTraceWriter:
         self._enforce_budget()
 
     def _enforce_budget(self) -> None:
-        def drop_oldest() -> None:
+        if self.max_segments is None:
+            return
+        while len(self._segments) > self.max_segments:
             oldest = self._segments.pop(0)
             oldest.path.unlink(missing_ok=True)
             self.segments_dropped += 1
-
-        if self.max_segments is not None:
-            while len(self._segments) > self.max_segments:
-                drop_oldest()
-        if self.max_age_seconds is not None:
-            newest = next(
-                (
-                    s.last_t
-                    for s in reversed(self._segments)
-                    if s.last_t is not None
-                ),
-                None,
-            )
-            while (
-                newest is not None
-                and len(self._segments) > 1
-                and self._segments[0].last_t is not None
-                and newest - self._segments[0].last_t > self.max_age_seconds
-            ):
-                drop_oldest()
 
     # -- the write path -------------------------------------------------
     def write(self, record: dict[str, Any]) -> None:
@@ -152,13 +127,7 @@ class RotatingTraceWriter:
             or self._segments[-1].bytes >= self.max_segment_bytes
         ):
             self._rotate()
-        segment = self._segments[-1]
-        self._write_line(record, segment)
-        t = record.get("t")
-        if t is not None:
-            if segment.first_t is None:
-                segment.first_t = t
-            segment.last_t = t
+        self._write_line(record, self._segments[-1])
         self.records_written += 1
 
     def close(

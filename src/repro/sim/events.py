@@ -100,13 +100,6 @@ class Event:
         self.env.schedule(self, priority=priority)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(typing.cast(BaseException, event._value))
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} at {id(self):#x}>"
 

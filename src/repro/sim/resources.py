@@ -61,11 +61,6 @@ class Resource:
 
     # -- introspection ------------------------------------------------------
     @property
-    def capacity(self) -> int:
-        """Total number of slots."""
-        return self._capacity
-
-    @property
     def count(self) -> int:
         """Number of slots currently held."""
         return len(self._users)

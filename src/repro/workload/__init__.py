@@ -69,7 +69,6 @@ from repro.workload.sketch import OrderFreeSum, QuantileSketch
 from repro.workload.spec import (
     QueryClass,
     WorkloadSpec,
-    client_of,
     query_id_for,
 )
 from repro.workload.sweep import (
@@ -111,7 +110,6 @@ __all__ = [
     "QuantileSketch",
     "QueryClass",
     "WorkloadSpec",
-    "client_of",
     "query_id_for",
     "run_workload_sharded",
     "shard_clients",

@@ -290,11 +290,11 @@ class _ClassStats:
 
     __slots__ = ("launched", "completed", "truncated", "sketch")
 
-    def __init__(self, relative_error: float) -> None:
+    def __init__(self) -> None:
         self.launched = 0
         self.completed = 0
         self.truncated = 0
-        self.sketch = QuantileSketch(relative_error)
+        self.sketch = QuantileSketch(DEFAULT_RELATIVE_ERROR)
 
     def merge(self, other: "_ClassStats") -> None:
         self.launched += other.launched
@@ -327,7 +327,7 @@ class FleetMetrics:
     ``num_clients`` sizes the per-client arrays (they grow if a larger
     client index shows up); ``keep_records`` defaults to the class's
     :attr:`keeps_records_by_default`.  Sinks merge only with sinks of
-    the same population, sketch accuracy and retention.
+    the same population and retention.
     """
 
     #: Retention when the constructor is not told otherwise.
@@ -336,14 +336,12 @@ class FleetMetrics:
     def __init__(
         self,
         num_clients: int = 0,
-        relative_error: float = DEFAULT_RELATIVE_ERROR,
         *,
         keep_records: Optional[bool] = None,
     ) -> None:
         if num_clients < 0:
             raise ValueError("num_clients must be non-negative")
         self.num_clients = int(num_clients)
-        self.relative_error = float(relative_error)
         self.keeps_records = (
             self.keeps_records_by_default
             if keep_records is None
@@ -351,7 +349,7 @@ class FleetMetrics:
         )
         self._records: list[QueryStats] = []
         self._was_merged = False
-        self._fleet = QuantileSketch(self.relative_error)
+        self._fleet = QuantileSketch(DEFAULT_RELATIVE_ERROR)
         self._classes: dict[str, _ClassStats] = {}
         self._client_launched = np.zeros(self.num_clients, dtype=np.int64)
         self._client_completed = np.zeros(self.num_clients, dtype=np.int64)
@@ -372,7 +370,7 @@ class FleetMetrics:
     def _class(self, name: str) -> _ClassStats:
         stats = self._classes.get(name)
         if stats is None:
-            stats = self._classes[name] = _ClassStats(self.relative_error)
+            stats = self._classes[name] = _ClassStats()
         return stats
 
     def _client(self, query_id: str) -> int:
@@ -502,11 +500,6 @@ class FleetMetrics:
                 "cannot merge sinks over different client populations: "
                 f"{self.num_clients} vs {other.num_clients}"
             )
-        if other.relative_error != self.relative_error:
-            raise ValueError(
-                "cannot merge sinks with different sketch accuracy: "
-                f"{self.relative_error} vs {other.relative_error}"
-            )
         if other.keeps_records != self.keeps_records:
             raise ValueError(
                 "cannot merge sinks with different record retention: "
@@ -558,7 +551,7 @@ class FleetMetrics:
         payload: dict[str, Any] = {
             "workload_schema": WORKLOAD_SCHEMA,
             "mode": "exact" if kept else "streaming",
-            "relative_error": self.relative_error,
+            "relative_error": DEFAULT_RELATIVE_ERROR,
             "elapsed": elapsed,
             "scheduled": self._launched if scheduled is None else scheduled,
             "launched": self._launched,

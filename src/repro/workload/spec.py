@@ -43,11 +43,6 @@ def query_id_for(client_index: int, ordinal: int) -> str:
     return f"c{client_index}:{ordinal}"
 
 
-def client_of(query_id: str) -> str:
-    """The client name (``"c{index}"``) encoded in a query id."""
-    return query_id.split(":", 1)[0]
-
-
 @dataclass(frozen=True)
 class QueryClass:
     """One kind of query in the mix.

@@ -1,7 +1,7 @@
 """Pin the sweep pipeline to its pre-optimization behaviour, bit for bit.
 
-The shared-configuration sweep engine (build-once ``SampledConfig``
-artifacts, worker-resident state, cached noon segments, amortized
+The shared-configuration sweep engine (configuration draws through
+cached noon segments, worker-resident state, amortized
 transfer-time cursors, arbiter fast paths, piggyback memoization) promises
 that every one of its layers is a pure reorganization: per-run
 :class:`~repro.engine.metrics.RunMetrics` *and* the full obs event stream
@@ -153,7 +153,7 @@ class TestWorkloadIdentity:
 
 
 class TestSweepMatchesDirectRuns:
-    """run_sweep (the build-once/worker-resident path) must agree with
+    """run_sweep (the worker-resident path) must agree with
     per-run run_configuration for every task, serial or pooled."""
 
     def test_run_sweep_serial_matches(self):

@@ -21,7 +21,7 @@ from repro.experiments.persistence import (
     save_runs_json,
 )
 
-#: The fields a version-1 payload (no ``"schema"`` key) always carried.
+#: The fields every summary payload has carried since schema 1.
 SCHEMA1_FIELDS = (
     "algorithm", "num_servers", "images", "relocations", "planner_runs",
     "placements_installed", "barrier_rounds", "barrier_stall_seconds",
@@ -110,31 +110,14 @@ class TestSummarySchemaVersions:
         assert rebuilt.retransmissions == 5
         assert rebuilt.aborted_relocations == 1
 
-    def test_reader_accepts_v2(self):
-        metrics = RunMetrics(algorithm="global", transfers=9,
-                             local_deliveries=4, passive_measurements=2,
-                             piggyback_entries_merged=7)
-        payload = metrics_to_dict(metrics)
-        payload["schema"] = 2
-        for key in ("retransmissions", "dropped_bytes", "abandoned_messages",
-                    "aborted_relocations", "host_downtime_seconds",
-                    "probe_timeouts", "planner_fallbacks"):
-            payload.pop(key, None)
-        rebuilt = metrics_from_dict(payload)
-        assert rebuilt.transfers == 9
-        assert rebuilt.piggyback_entries_merged == 7
-        assert rebuilt.retransmissions == 0
-
-    def test_reader_accepts_v1(self):
-        payload = metrics_to_dict(RunMetrics(algorithm="local", relocations=3))
-        del payload["schema"]
-        for key in ("transfers", "local_deliveries", "passive_measurements",
-                    "piggyback_entries_merged", "median_gap"):
-            payload.pop(key, None)
-        rebuilt = metrics_from_dict(payload)
-        assert rebuilt.algorithm == "local"
-        assert rebuilt.relocations == 3
-        assert rebuilt.transfers == 0
+    @pytest.mark.parametrize("schema", [None, 1, 2])
+    def test_reader_rejects_old_schemas(self, schema):
+        payload = metrics_to_dict(RunMetrics(algorithm="local"))
+        payload["schema"] = schema
+        if schema is None:
+            del payload["schema"]
+        with pytest.raises(ValueError, match="schema"):
+            metrics_from_dict(payload)
 
     def test_every_counter_round_trips(self, tmp_path):
         metrics = distinct_metrics()

@@ -4,16 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dataflow.placement import Placement
+from repro.dataflow.placement import Placement, cross_host_links
 from repro.dataflow.tree import complete_binary_tree
-from repro.fleet import (
-    FleetCoordinator,
-    FleetPolicy,
-    canonical_link,
-    link_key,
-    placement_links,
-    runtime_links,
-)
+from repro.fleet import FleetCoordinator, FleetPolicy, canonical_link, link_key
 from repro.monitor.system import FrozenView, frozen_estimator
 from repro.net.host import Host
 from repro.net.network import Network
@@ -25,21 +18,30 @@ from repro.sim import Environment
 
 class FakeRuntime:
     """Just enough Runtime surface for the coordinator: a tree, actual
-    actor locations, and a tracer."""
+    actor locations, a tracer and a network's ``actor_epoch``.  A runtime
+    is its own network unless built on another's; runtimes on one network
+    share its epoch, as the queries of one engine do."""
 
-    def __init__(self, tree, placement, tracer=NULL_TRACER):
+    def __init__(self, tree, placement, tracer=NULL_TRACER, network=None):
         self.tree = tree
         self._hosts = dict(placement.as_dict())
         self.tracer = tracer
+        self.network = self if network is None else network
+        self.actor_epoch = 0
 
     def host_of(self, node_id):
         return self._hosts[node_id]
 
     def move(self, node_id, host):
         self._hosts[node_id] = host
+        self.network.actor_epoch += 1
 
 
-def make_query(tracer=NULL_TRACER):
+def runtime_links(runtime):
+    return cross_host_links(runtime.tree, runtime.host_of)
+
+
+def make_query(tracer=NULL_TRACER, network=None):
     tree = complete_binary_tree(4)
     server_hosts = {
         server.node_id: f"h{i}" for i, server in enumerate(tree.servers())
@@ -49,7 +51,7 @@ def make_query(tracer=NULL_TRACER):
     for op in tree.operators():
         assignment[op.node_id] = "client"
     placement = Placement(assignment)
-    return tree, placement, FakeRuntime(tree, placement, tracer)
+    return tree, placement, FakeRuntime(tree, placement, tracer, network)
 
 
 class FakeClock:
@@ -70,15 +72,22 @@ class TestLinkHelpers:
 
     def test_placement_links_cross_host_only(self):
         tree, placement, _ = make_query()
-        links = placement_links(tree, placement)
+        links = cross_host_links(tree, placement.host_of)
         # Every server feeds a client-resident operator over one link.
         assert links == {canonical_link(f"h{i}", "client") for i in range(4)}
 
     def test_runtime_links_reads_actor_locations(self):
         tree, placement, runtime = make_query()
+        coordinator = FleetCoordinator(FleetPolicy())
+        coordinator.query_launched("q", runtime)
         op = tree.operators()[0].node_id
         runtime.move(op, "h0")
-        assert runtime_links(runtime) != placement_links(tree, placement)
+        moved = cross_host_links(tree, placement.with_move(op, "h0").host_of)
+        # The runtime caller (the coordinator's claim) and the placement
+        # caller agree on the moved operator's links.
+        assert coordinator._active["q"].links() == moved
+        assert moved != cross_host_links(tree, placement.host_of)
+        assert canonical_link("h0", "h1") in moved
 
 
 class TestPolicy:
@@ -149,7 +158,7 @@ class TestClaimsAndResidual:
     def test_fake_runtime_moves_are_seen_without_a_network(self):
         coordinator = FleetCoordinator(FleetPolicy())
         tree, _, r1 = make_query()
-        _, _, r2 = make_query()
+        _, _, r2 = make_query(network=r1)
         coordinator.query_launched("c0:0", r1)
         coordinator.query_launched("c1:0", r2)
         assert outsider_share(coordinator, "h0", "h1") == 1.0
@@ -157,6 +166,24 @@ class TestClaimsAndResidual:
         assert outsider_share(coordinator, "h0", "h1") == 1 / 2
         raw = lambda a, b: 100.0
         assert coordinator.residual_estimator("c0:0", raw)("h0", "h1") == 50.0
+
+    def test_claims_reused_until_the_epoch_moves(self):
+        coordinator = FleetCoordinator(FleetPolicy())
+        tree, _, r1 = make_query()
+        _, _, r2 = make_query(network=r1)
+        coordinator.query_launched("a", r1)
+        coordinator.query_launched("b", r2)
+        claims = coordinator._claims("a")
+        # An actor changing host without the epoch moving is not seen:
+        # the summed map is reused as it is.
+        r2._hosts[tree.operators()[0].node_id] = "h0"
+        assert coordinator._claims("a") is claims
+        # Once the epoch moves, the claims are re-summed.
+        r1.actor_epoch += 1
+        fresh = coordinator._claims("a")
+        assert fresh is not claims
+        assert fresh == coordinator._sum_claims("a") != claims
+        assert fresh[canonical_link("h0", "h1")] == 1
 
 
 HOSTS = ("client", "h0", "h1", "h2", "h3")

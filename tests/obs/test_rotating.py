@@ -73,18 +73,6 @@ class TestRotatingTraceWriter:
         assert times == sorted(times)
         assert times[-1] == 199.0
 
-    def test_max_age_prunes_by_sim_time(self, tmp_path):
-        writer = RotatingTraceWriter(
-            tmp_path, max_segment_bytes=100, max_age_seconds=20.0
-        )
-        for i in range(200):
-            writer.write({"type": "x", "t": float(i)})
-        writer.close()
-        times = [r["t"] for r in read_segments(tmp_path) if r["type"] == "x"]
-        # Everything older than ~20 sim-seconds behind the newest is gone.
-        assert times[0] >= 199.0 - 20.0 - 10.0
-        assert writer.segments_dropped > 0
-
     def test_footer_carries_counters(self, tmp_path):
         writer = RotatingTraceWriter(tmp_path)
         writer.write({"type": "x", "t": 0.0})
@@ -98,8 +86,6 @@ class TestRotatingTraceWriter:
             RotatingTraceWriter(tmp_path, max_segment_bytes=0)
         with pytest.raises(ValueError):
             RotatingTraceWriter(tmp_path, max_segments=0)
-        with pytest.raises(ValueError):
-            RotatingTraceWriter(tmp_path, max_age_seconds=0.0)
         writer = RotatingTraceWriter(tmp_path)
         writer.close()
         with pytest.raises(ValueError):

@@ -98,3 +98,11 @@ def test_summarize_a_segment_directory(tmp_path, capsys):
     chrome = tmp_path / "segments.chrome.json"
     assert main(["trace", str(segments), "--chrome", str(chrome)]) == 0
     json.loads(chrome.read_text())
+
+
+def test_missing_path_is_one_line_and_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["trace", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"repro trace: no such file or directory: {missing}\n"

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import _print_fleet, main
 from repro.workload import WORKLOAD_SCHEMA, fleet_from_trace
 
@@ -60,6 +62,23 @@ class TestWorkloadSubcommand:
         fleet = json.loads(capsys.readouterr().out)
         classes = {q["class"] for q in fleet["queries"]}
         assert classes <= {"global", "one-shot"}
+
+    @pytest.mark.parametrize(
+        "mix, message",
+        [
+            ("foo=1", "unknown algorithm 'foo' "
+                      "(valid: download-all, one-shot, global, local)"),
+            ("global=x", "weight of global must be a positive number"),
+            ("global=0", "weight of global must be a positive number"),
+            ("global=1,global=2", "global is listed twice"),
+            (",", "empty query mix"),
+        ],
+    )
+    def test_bad_mix_is_a_usage_error(self, capsys, mix, message):
+        with pytest.raises(SystemExit) as exited:
+            main([*TINY, "--mix", mix])
+        assert exited.value.code == 2
+        assert f"argument --mix: {message}" in capsys.readouterr().err
 
 
 class TestStreamingAndSharding:

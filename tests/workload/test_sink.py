@@ -30,6 +30,7 @@ from repro.workload import (
     merge_sinks,
     run_workload,
 )
+from repro.workload.sink import DEFAULT_RELATIVE_ERROR
 from tests.oracles.percentiles import exact_percentiles
 
 
@@ -183,7 +184,7 @@ class TestStreamingSink:
     def test_matches_exact_within_error(self):
         stats = synthetic_stats(400, 8)
         exact = ExactFleetMetrics(8)
-        sink = StreamingFleetMetrics(num_clients=8, relative_error=0.01)
+        sink = StreamingFleetMetrics(num_clients=8)
         self.feed(exact, stats)
         self.feed(sink, stats)
         exact_summary = exact.summary(5000.0)
@@ -219,10 +220,6 @@ class TestStreamingSink:
     def test_merge_guards(self):
         with pytest.raises(ValueError, match="population"):
             StreamingFleetMetrics(4).merge(StreamingFleetMetrics(5))
-        with pytest.raises(ValueError, match="accuracy"):
-            StreamingFleetMetrics(4, relative_error=0.01).merge(
-                StreamingFleetMetrics(4, relative_error=0.02)
-            )
         with pytest.raises(ValueError, match="retention"):
             StreamingFleetMetrics(4).merge(ExactFleetMetrics(4))
         with pytest.raises(ValueError, match="retention"):
@@ -275,7 +272,7 @@ class TestRecordFreeAtScale:
 
     NUM_CLIENTS = 20_000
     TOTAL = 2 * NUM_CLIENTS
-    EPS = 0.01
+    EPS = DEFAULT_RELATIVE_ERROR
 
     def outcome_stream(self):
         rng = random.Random(20_260_808)
@@ -298,9 +295,7 @@ class TestRecordFreeAtScale:
             )
 
     def test_memory_flat_and_percentiles_within_budget(self):
-        sink = FleetMetrics(
-            self.NUM_CLIENTS, relative_error=self.EPS, keep_records=False
-        )
+        sink = FleetMetrics(self.NUM_CLIENTS, keep_records=False)
         tracemalloc.start()
         try:
             for i, stats in enumerate(self.outcome_stream()):

@@ -9,7 +9,6 @@ from repro.workload import (
     ClosedLoop,
     QueryClass,
     WorkloadSpec,
-    client_of,
     query_id_for,
 )
 from tests.conftest import complete_links, tiny_spec
@@ -89,7 +88,6 @@ class TestQueryIds:
     def test_round_trip(self):
         qid = query_id_for(3, 7)
         assert qid == "c3:7"
-        assert client_of(qid) == "c3"
 
 
 class TestMix:
